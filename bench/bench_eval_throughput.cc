@@ -1,26 +1,33 @@
-// What-if evaluation throughput: the seed deep-copy + full-rescore path vs
-// CoW clones + delta-aware rescoring vs CoW + flat-arena full rescoring
-// (docs/performance.md), on the parametric forests of the Figure 5
-// efficiency study.
+// What-if evaluation throughput across four pipelines, on the parametric
+// forests of the Figure 5 efficiency study (docs/performance.md):
+//  * deep-copy — DeepClone, DeleteRows, full pointer-walk PredictAll (the
+//    seed reference);
+//  * cow-delta — CoW Clone, DeleteRows, pointer diff-walk rescore;
+//  * arena — CoW Clone, DeleteRows, and from kArenaFullRescoreMinBatch up
+//    a full rescore of the changed trees through their flat arenas;
+//  * fused — TestPredictionCache::ScoreWithout, the production path of
+//    UnlearnRemovalMethod: the deletion is played against the base forest
+//    without writing to it, and no clone is built at all.
 //
-// An UnlearnRemovalMethod evaluation is clone + DeleteRows + rescore; the
-// CoW pipeline optimizes the clone and rescore legs, while DeleteRows does
-// identical work on either path. The bench therefore sweeps the deletion
-// batch size: small batches isolate the optimized legs (the streaming
-// engine's common case), the largest batch approximates the search's
-// support-range row sets where unlearning work dominates both paths. The
-// arena strategy targets the large batches, where a broad mutation makes
-// the pointer diff-walk re-walk most rows anyway: changed trees are
-// rescored by streaming every test row through their compiled SoA arenas.
-// Reports evaluations/sec and bytes cloned per evaluation per cell, plus
-// full top-k searches at 1/4/8 threads whose outputs are checked identical
-// across every strategy x thread cell, plus a direct arena-vs-pointer
-// byte-identity probe. Artifacts: eval_throughput.csv (+ metrics snapshot)
-// and BENCH_eval.json in bench_artifacts/.
+// The first three are assembled here from public calls, so their cells
+// keep measuring what the committed BENCH_eval.json baselines measured.
+// The bench sweeps the deletion batch size: small batches isolate the
+// clone and rescore legs (the streaming engine's common case), the
+// largest batch approximates the search's support-range row sets where
+// unlearning work dominates. Reports evaluations/sec and bytes cloned per
+// evaluation per cell, full top-k searches at 1/4/8 threads whose outputs
+// are checked identical across every strategy x thread cell, a direct
+// arena-vs-pointer byte-identity probe, and a fused-vs-clone identity
+// probe (predictions, probability bits and deletion work). Artifacts:
+// eval_throughput.csv (+ metrics snapshot) and BENCH_eval.json in
+// bench_artifacts/.
 
 #include <algorithm>
+#include <cstring>
 #include <fstream>
 #include <iostream>
+#include <memory>
+#include <mutex>
 #include <sstream>
 #include <vector>
 
@@ -61,7 +68,7 @@ Setup MakeSetup(int64_t rows) {
 }
 
 // Deterministic spread-out batches of live training rows; every evaluation
-// clones the pristine model, so batches never compound.
+// starts from the pristine model, so batches never compound.
 std::vector<std::vector<RowId>> MakeBatches(const Setup& s, int batch_size,
                                             int num_batches) {
   const int64_t n = s.model.num_training_rows();
@@ -82,21 +89,88 @@ std::vector<std::vector<RowId>> MakeBatches(const Setup& s, int batch_size,
   return batches;
 }
 
-// The three evaluation pipelines under comparison. deep-copy is the seed
-// reference (eager clone + pointer-walk PredictAll); cow-delta pins the
-// pointer diff-walk for every batch size; arena is the production default
-// (diff-walk for small batches, arena full rescore from
-// kArenaFullRescoreMinBatch up).
+enum class Strategy { kDeepCopy, kCowDelta, kArena, kFused };
+
 struct StrategySpec {
   const char* name;
-  UnlearnRemovalMethod::Options options;
+  Strategy strategy;
 };
 
 const StrategySpec kStrategies[] = {
-    {"deep-copy", {/*cow_delta=*/false, /*arena=*/false}},
-    {"cow-delta", {/*cow_delta=*/true, /*arena=*/false}},
-    {"arena", {/*cow_delta=*/true, /*arena=*/true}},
+    {"deep-copy", Strategy::kDeepCopy},
+    {"cow-delta", Strategy::kCowDelta},
+    {"arena", Strategy::kArena},
+    {"fused", Strategy::kFused},
 };
+
+// The materialized pipelines as a RemovalMethod, so the searches below can
+// run them at any thread count: per-worker scratch inside a
+// BeginParallel/EndParallel bracket, one serialized slot outside it.
+class CloneRemoval : public RemovalMethod {
+ public:
+  CloneRemoval(const Setup& s, Strategy strategy)
+      : s_(s), strategy_(strategy), workers_(1) {
+    cache_.Rebuild(s.model, s.test);
+  }
+
+  Result<ModelEval> EvaluateWithout(const std::vector<RowId>& rows) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    return Evaluate(&workers_[0], rows);
+  }
+  Result<ModelEval> EvaluateWithoutOn(int worker,
+                                      const std::vector<RowId>& rows) override {
+    if (!in_parallel_) return EvaluateWithout(rows);
+    return Evaluate(&workers_[static_cast<size_t>(worker)], rows);
+  }
+  void BeginParallel(int num_workers) override {
+    if (workers_.size() < static_cast<size_t>(num_workers)) {
+      workers_.resize(static_cast<size_t>(num_workers));
+    }
+    in_parallel_ = true;
+  }
+  void EndParallel() override { in_parallel_ = false; }
+  const char* name() const override { return "bench-clone-removal"; }
+
+ private:
+  struct Worker {
+    TestPredictionCache::WhatIfScratch scratch;
+    DeletionScratch deletion;
+  };
+
+  Result<ModelEval> Evaluate(Worker* w, const std::vector<RowId>& rows) {
+    if (strategy_ == Strategy::kDeepCopy) {
+      // The seed reference: eager copy, pointer-walk prediction, so the
+      // identity checks diff two independent traversal implementations.
+      DareForest what_if = s_.model.DeepClone();
+      FUME_RETURN_NOT_OK(what_if.DeleteRows(rows, nullptr, &w->deletion));
+      return EvaluatePredictions(s_.test, what_if.PredictAllPointer(s_.test),
+                                 s_.group, FairnessMetric::kStatisticalParity);
+    }
+    DareForest what_if = s_.model.Clone();
+    FUME_RETURN_NOT_OK(what_if.DeleteRows(rows, nullptr, &w->deletion));
+    cache_.ScoreWhatIf(
+        s_.model, what_if, s_.test, &w->scratch,
+        strategy_ == Strategy::kArena &&
+            rows.size() >= UnlearnRemovalMethod::kArenaFullRescoreMinBatch);
+    return EvaluatePredictions(s_.test, w->scratch.preds, s_.group,
+                               FairnessMetric::kStatisticalParity);
+  }
+
+  const Setup& s_;
+  Strategy strategy_;
+  TestPredictionCache cache_;
+  std::vector<Worker> workers_;
+  bool in_parallel_ = false;
+  std::mutex mu_;
+};
+
+std::unique_ptr<RemovalMethod> MakeRemoval(const Setup& s, Strategy strategy) {
+  if (strategy == Strategy::kFused) {
+    return std::make_unique<UnlearnRemovalMethod>(
+        &s.model, &s.test, s.group, FairnessMetric::kStatisticalParity);
+  }
+  return std::make_unique<CloneRemoval>(s, strategy);
+}
 
 struct Throughput {
   int64_t evaluations = 0;
@@ -105,15 +179,14 @@ struct Throughput {
   int64_t clone_bytes_per_eval = 0;
 };
 
-// Serial evaluation loop. The warm-up evaluation (which also seeds the CoW
+// Serial evaluation loop. The warm-up evaluation (which also seeds the
 // base prediction cache, a one-off cost amortized across a search) is
 // excluded, matching how a search amortizes it.
 Throughput Measure(const Setup& s,
                    const std::vector<std::vector<RowId>>& batches,
-                   const UnlearnRemovalMethod::Options& options) {
-  UnlearnRemovalMethod removal(&s.model, &s.test, s.group,
-                               FairnessMetric::kStatisticalParity, options);
-  auto warmup = removal.EvaluateWithout(batches.front());
+                   Strategy strategy) {
+  std::unique_ptr<RemovalMethod> removal = MakeRemoval(s, strategy);
+  auto warmup = removal->EvaluateWithout(batches.front());
   FUME_ABORT_NOT_OK(warmup.status());
 
   obs::Counter* copied = obs::GetCounter("forest.unlearn.cow_nodes_copied");
@@ -121,7 +194,7 @@ Throughput Measure(const Setup& s,
   Throughput t;
   Stopwatch watch;
   for (const auto& rows : batches) {
-    auto eval = removal.EvaluateWithout(rows);
+    auto eval = removal->EvaluateWithout(rows);
     FUME_ABORT_NOT_OK(eval.status());
     ++t.evaluations;
   }
@@ -130,18 +203,51 @@ Throughput Measure(const Setup& s,
                         ? static_cast<double>(t.evaluations) / t.seconds
                         : 0.0;
   const int64_t forest_bytes = s.model.ApproxHeapBytes();
-  if (options.cow_delta) {
+  if (strategy == Strategy::kDeepCopy) {
+    t.clone_bytes_per_eval = forest_bytes;  // every eval copies everything
+  } else {
     // CoW copies individual nodes; charge each the forest's mean node size.
+    // The fused walk copies none.
     const int64_t nodes = s.model.num_nodes();
     const int64_t node_bytes = nodes > 0 ? forest_bytes / nodes : 0;
     t.clone_bytes_per_eval = t.evaluations > 0
                                  ? (copied->Value() - copied_before) *
                                        node_bytes / t.evaluations
                                  : 0;
-  } else {
-    t.clone_bytes_per_eval = forest_bytes;  // every eval copies everything
   }
   return t;
+}
+
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+// The fused walk against the materialized clone path it replaces, batch by
+// batch: same predictions, same probability bits, same deletion work
+// (except nodes_copied, which only the clone incurs).
+bool FusedMatchesClone(const Setup& s,
+                       const std::vector<std::vector<RowId>>& batches) {
+  TestPredictionCache cache;
+  cache.Rebuild(s.model, s.test);
+  TestPredictionCache::WhatIfScratch fused, cloned;
+  fused.want_probs = cloned.want_probs = true;
+  DeletionScratch deletion;
+  for (const auto& rows : batches) {
+    if (!cache.ScoreWithout(s.model, rows, s.test, &fused, &deletion).ok()) {
+      return false;
+    }
+    DareForest what_if = s.model.Clone();
+    if (!what_if.DeleteRows(rows, nullptr, &deletion).ok()) return false;
+    cache.ScoreWhatIf(s.model, what_if, s.test, &cloned);
+    DeletionStats work = what_if.deletion_stats();
+    work.nodes_copied = 0;
+    if (fused.preds != cloned.preds || !SameBits(fused.probs, cloned.probs) ||
+        !(fused.deletion_stats == work)) {
+      return false;
+    }
+  }
+  return true;
 }
 
 std::string TopKSignature(const FumeResult& result, const Schema& schema) {
@@ -161,7 +267,8 @@ int main(int argc, char** argv) {
   const bool smoke = SmokeMode(argc, argv);
   const bool full = !smoke && FullMode(argc, argv);
   PrintBanner(
-      "What-if evaluation throughput: deep-copy vs CoW + delta vs arena",
+      "What-if evaluation throughput: deep-copy vs CoW + delta vs arena vs "
+      "fused",
       "docs/performance.md / Figure 5 forests");
 
   const std::vector<int64_t> sizes =
@@ -184,6 +291,7 @@ int main(int argc, char** argv) {
   std::vector<std::vector<std::string>> artifact;
   double mid_speedup = 0.0;
   double arena_speedup = 0.0;
+  double fused_speedup = 0.0;
 
   for (int64_t rows : sizes) {
     Setup s = MakeSetup(rows);
@@ -191,15 +299,20 @@ int main(int argc, char** argv) {
       const auto batches = MakeBatches(s, batch, num_batches);
       std::vector<Throughput> results;
       for (const StrategySpec& strategy : kStrategies) {
-        results.push_back(Measure(s, batches, strategy.options));
+        results.push_back(Measure(s, batches, strategy.strategy));
       }
       const double deep_rate = results.front().evals_per_sec;
       const double cow_rate = results[1].evals_per_sec;
+      const double arena_rate = results[2].evals_per_sec;
       if (rows == mid_size && batch == kHeadlineBatch && deep_rate > 0.0) {
         mid_speedup = cow_rate / deep_rate;
       }
       if (rows == mid_size && batch == kArenaHeadlineBatch && cow_rate > 0.0) {
-        arena_speedup = results[2].evals_per_sec / cow_rate;
+        arena_speedup = arena_rate / cow_rate;
+      }
+      if (rows == mid_size && batch == kArenaHeadlineBatch &&
+          arena_rate > 0.0) {
+        fused_speedup = results[3].evals_per_sec / arena_rate;
       }
       for (size_t i = 0; i < std::size(kStrategies); ++i) {
         const Throughput& t = results[i];
@@ -229,9 +342,10 @@ int main(int argc, char** argv) {
                 artifact);
 
   // Full searches: every strategy x thread cell must produce the same top-k
-  // (the CoW + arena pipelines' exactness claim, end to end — deep-copy
-  // cells walk pointers, arena cells stream the compiled arenas, and their
-  // searches must rank identical subsets with identical scores).
+  // (each pipeline's exactness claim, end to end — deep-copy cells walk
+  // pointers, arena cells stream the compiled arenas, fused cells never
+  // build the what-if forest, and their searches must rank identical
+  // subsets with identical scores).
   std::cout << "\nSearch identity check (mid-size forest, " << mid_size
             << " rows)\n";
   Setup s = MakeSetup(mid_size);
@@ -241,12 +355,12 @@ int main(int argc, char** argv) {
   TablePrinter search_table({"strategy", "threads", "search sec"});
   for (const StrategySpec& strategy : kStrategies) {
     for (const int threads : {1, 4, 8}) {
-      UnlearnRemovalMethod removal(&s.model, &s.test, s.group, config.metric,
-                                   strategy.options);
+      std::unique_ptr<RemovalMethod> removal =
+          MakeRemoval(s, strategy.strategy);
       config.num_threads = threads;
       Stopwatch watch;
       auto result =
-          ExplainWithRemoval(s.model, s.train, s.test, config, &removal);
+          ExplainWithRemoval(s.model, s.train, s.test, config, removal.get());
       const double seconds = watch.ElapsedSeconds();
       FUME_ABORT_NOT_OK(result.status());
       const std::string sig = TopKSignature(*result, s.train.schema());
@@ -266,16 +380,29 @@ int main(int argc, char** argv) {
   const bool arena_identical =
       s.model.PredictProbAll(s.test) == s.model.PredictProbAllPointer(s.test) &&
       s.model.PredictAll(s.test) == s.model.PredictAllPointer(s.test);
+  // Direct fused-vs-clone probe on the mid-size model over every batch
+  // size the throughput cells ran.
+  bool fused_identical = true;
+  for (int batch : batch_sizes) {
+    fused_identical =
+        fused_identical &&
+        FusedMatchesClone(s, MakeBatches(s, batch, num_batches));
+  }
   std::cout << "top-k identical across all cells: "
             << (identical ? "yes" : "NO — exactness violation") << '\n'
             << "arena vs pointer predictions byte-identical: "
             << (arena_identical ? "yes" : "NO — exactness violation") << '\n'
+            << "fused vs clone + delete + rescore identical: "
+            << (fused_identical ? "yes" : "NO — exactness violation") << '\n'
             << "cow-delta speedup at " << mid_size << " rows, batch "
             << kHeadlineBatch
             << ", 1 thread: " << FormatDouble(mid_speedup, 2) << "x\n"
             << "arena speedup over cow-delta at " << mid_size
             << " rows, batch " << kArenaHeadlineBatch << ", 1 thread: "
-            << FormatDouble(arena_speedup, 2) << "x\n";
+            << FormatDouble(arena_speedup, 2) << "x\n"
+            << "fused speedup over arena at " << mid_size << " rows, batch "
+            << kArenaHeadlineBatch << ", 1 thread: "
+            << FormatDouble(fused_speedup, 2) << "x\n";
 
   std::ofstream json("bench_artifacts/BENCH_eval.json");
   if (json) {
@@ -290,8 +417,11 @@ int main(int argc, char** argv) {
          << ",\n"
          << "  \"arena_pointer_identical\": "
          << (arena_identical ? "true" : "false") << ",\n"
+         << "  \"fused_clone_identical\": "
+         << (fused_identical ? "true" : "false") << ",\n"
          << "  \"cow_speedup_1thread_mid\": " << mid_speedup << ",\n"
          << "  \"arena_speedup_1thread_mid\": " << arena_speedup << ",\n"
+         << "  \"fused_speedup_1thread_mid\": " << fused_speedup << ",\n"
          << "  \"cells\": [\n";
     for (size_t i = 0; i < artifact.size(); ++i) {
       const auto& row = artifact[i];
@@ -308,5 +438,5 @@ int main(int argc, char** argv) {
   } else {
     std::cout << "could not write bench_artifacts/BENCH_eval.json\n";
   }
-  return identical && arena_identical ? 0 : 1;
+  return identical && arena_identical && fused_identical ? 0 : 1;
 }

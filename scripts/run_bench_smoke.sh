@@ -62,18 +62,23 @@ for artifact in bench_artifacts/BENCH_unlearn.json bench_artifacts/BENCH_eval.js
   fi
 done
 
-# The eval bench must have exercised the arena strategy (and attested its
-# byte-identity against the pointer walk) even at smoke size — a silently
-# dropped strategy column would otherwise pass every structural check.
+# The eval bench must have exercised the arena and fused strategies (and
+# attested their identity against the pointer walk and the clone path)
+# even at smoke size — a silently dropped strategy column would otherwise
+# pass every structural check.
 if [ -f bench_artifacts/BENCH_eval.json ]; then
-  if ! grep -q '"strategy": *"arena"' bench_artifacts/BENCH_eval.json; then
-    echo "FAIL: no arena strategy cells in BENCH_eval.json"
-    status=1
-  fi
-  if ! grep -q '"arena_pointer_identical": *true' bench_artifacts/BENCH_eval.json; then
-    echo "FAIL: arena_pointer_identical attestation missing or false in BENCH_eval.json"
-    status=1
-  fi
+  for strategy in arena fused; do
+    if ! grep -q "\"strategy\": *\"${strategy}\"" bench_artifacts/BENCH_eval.json; then
+      echo "FAIL: no ${strategy} strategy cells in BENCH_eval.json"
+      status=1
+    fi
+  done
+  for key in arena_pointer_identical fused_clone_identical; do
+    if ! grep -q "\"${key}\": *true" bench_artifacts/BENCH_eval.json; then
+      echo "FAIL: ${key} attestation missing or false in BENCH_eval.json"
+      status=1
+    fi
+  done
 fi
 
 # The unlearn bench must have exercised the lazy-tags strategy and attested

@@ -22,7 +22,8 @@ cmake -B "${BUILD_DIR}" -S . \
 cmake --build "${BUILD_DIR}" -j --target obs_test fume_algorithm_test \
   forest_unlearn_test unlearn_kernel_test forest_cow_test forest_arena_test \
   lazy_unlearn_test stream_test serve_test thread_pool_test query_scope_test \
-  bench_check_test sharded_forest_test sharded_stream_test deletion_stats_test
+  bench_check_test sharded_forest_test sharded_stream_test deletion_stats_test \
+  what_if_score_test
 
 cd "${BUILD_DIR}"
 ctest --output-on-failure -j "$(nproc)" \

@@ -6,22 +6,27 @@
 
 namespace fume {
 
-UnlearnRemovalMethod::UnlearnRemovalMethod(const DareForest* model,
-                                           const Dataset* test,
-                                           GroupSpec group,
-                                           FairnessMetric metric)
-    : UnlearnRemovalMethod(model, test, group, metric, Options{}) {}
+ModelEval EvaluatePredictions(const Dataset& test,
+                              const std::vector<int>& preds, GroupSpec group,
+                              FairnessMetric metric) {
+  ModelEval eval;
+  eval.fairness = ComputeFairness(test, preds, group, metric);
+  int64_t correct = 0;
+  for (int64_t r = 0; r < test.num_rows(); ++r) {
+    if (preds[static_cast<size_t>(r)] == test.Label(r)) ++correct;
+  }
+  eval.accuracy = test.num_rows() == 0
+                      ? 0.0
+                      : static_cast<double>(correct) /
+                            static_cast<double>(test.num_rows());
+  return eval;
+}
 
 UnlearnRemovalMethod::UnlearnRemovalMethod(const DareForest* model,
                                            const Dataset* test,
                                            GroupSpec group,
-                                           FairnessMetric metric,
-                                           Options options)
-    : model_(model),
-      test_(test),
-      group_(group),
-      metric_(metric),
-      options_(options) {}
+                                           FairnessMetric metric)
+    : model_(model), test_(test), group_(group), metric_(metric) {}
 
 UnlearnRemovalMethod::Worker& UnlearnRemovalMethod::WorkerSlot(int worker) {
   FUME_CHECK_GE(worker, 0);
@@ -38,8 +43,9 @@ UnlearnRemovalMethod::Worker& UnlearnRemovalMethod::WorkerSlot(int worker) {
 }
 
 const TestPredictionCache& UnlearnRemovalMethod::BaseCache() {
-  // Seeded lazily at the first CoW evaluation: one full prediction pass
-  // over the base model, amortized across every subsequent what-if.
+  // Seeded lazily at the first evaluation: one full prediction pass over
+  // the base model (flushing any pending lazy deletions first), amortized
+  // across every subsequent what-if.
   std::call_once(base_cache_once_,
                  [this] { base_cache_.Rebuild(*model_, *test_); });
   return base_cache_;
@@ -54,7 +60,7 @@ void UnlearnRemovalMethod::BeginParallel(int num_workers) {
   for (auto& slot : workers_) {
     if (slot == nullptr) slot = std::make_unique<Worker>();
   }
-  if (options_.cow_delta) BaseCache();  // seed before threads fan out
+  BaseCache();  // seed before threads fan out
   in_parallel_ = true;
 }
 
@@ -94,63 +100,23 @@ Result<ModelEval> UnlearnRemovalMethod::EvaluateOnSlot(
   static obs::Counter* evals = obs::GetCounter("removal.unlearn.evaluations");
   static obs::Histogram* rows_hist =
       obs::GetHistogram("removal.unlearn.rows_per_evaluation");
-  static obs::Counter* cow_evals =
-      obs::GetCounter("removal.unlearn.cow_evaluations");
-  static obs::Counter* cow_rows_rescored =
+  static obs::Counter* rows_rescored =
       obs::GetCounter("removal.unlearn.cow_rows_rescored");
-  static obs::Counter* cow_trees_changed =
-      obs::GetCounter("removal.unlearn.cow_trees_changed");
-  static obs::Counter* arena_rescores =
-      obs::GetCounter("removal.unlearn.arena_rescores");
   evals->Inc();
   rows_hist->Record(static_cast<int64_t>(rows.size()));
   obs::TraceSpan span("removal.unlearn.evaluate",
                       {{"rows", static_cast<int64_t>(rows.size())}});
   Worker& w = WorkerSlot(worker);
-  DareForest what_if =
-      options_.cow_delta ? model_->Clone() : model_->DeepClone();
-  // A what-if delete is scored immediately, so deferring its retrains would
-  // only add tag bookkeeping on top of the same rebuild work — run the
-  // clone eagerly even when the base model streams with lazy_unlearn.
-  if (what_if.config().lazy_unlearn) what_if.SetLazyUnlearn(false);
-  FUME_RETURN_NOT_OK(
-      what_if.DeleteRows(rows, /*per_tree=*/nullptr, &w.unlearn_scratch));
-  w.stats.Add(what_if.deletion_stats());
+  // Unlearn and rescore in one walk over the shared base forest: nothing
+  // is cloned, and only test rows whose descent reaches a region the
+  // deletion changes are rescored.
+  FUME_RETURN_NOT_OK(BaseCache().ScoreWithout(*model_, rows, *test_,
+                                              &w.scratch, &w.unlearn_scratch));
+  w.stats.Add(w.scratch.deletion_stats);
+  rows_rescored->Inc(w.scratch.rows_rescored);
 
-  ModelEval eval;
-  const std::vector<int>* preds = nullptr;
-  std::vector<int> full_preds;
-  if (options_.cow_delta) {
-    cow_evals->Inc();
-    // Rescore only test rows whose cached descent crosses a region the
-    // deletion actually mutated (CoW sharing identifies those regions by
-    // node identity) — or, for batches big enough to have unshared most
-    // paths, stream the whole test set through the changed trees' flat
-    // arenas. Results are byte-identical to PredictAll either way.
-    const bool arena_rescore =
-        options_.arena && rows.size() >= kArenaFullRescoreMinBatch;
-    if (arena_rescore) arena_rescores->Inc();
-    BaseCache().ScoreWhatIf(*model_, what_if, *test_, &w.scratch,
-                            arena_rescore);
-    cow_rows_rescored->Inc(w.scratch.rows_rescored);
-    cow_trees_changed->Inc(w.scratch.trees_changed);
-    preds = &w.scratch.preds;
-  } else {
-    // The deep-copy leg is the seed reference path: keep it on the
-    // pointer walk so strategy-identity checks diff two independent
-    // traversal implementations.
-    full_preds = what_if.PredictAllPointer(*test_);
-    preds = &full_preds;
-  }
-  eval.fairness = ComputeFairness(*test_, *preds, group_, metric_);
-  int64_t correct = 0;
-  for (int64_t r = 0; r < test_->num_rows(); ++r) {
-    if ((*preds)[static_cast<size_t>(r)] == test_->Label(r)) ++correct;
-  }
-  eval.accuracy = test_->num_rows() == 0
-                      ? 0.0
-                      : static_cast<double>(correct) /
-                            static_cast<double>(test_->num_rows());
+  const ModelEval eval =
+      EvaluatePredictions(*test_, w.scratch.preds, group_, metric_);
   if (!in_parallel_) {
     deletion_stats_.Add(w.stats);
     w.stats = DeletionStats{};

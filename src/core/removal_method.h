@@ -26,6 +26,11 @@ struct ModelEval {
   double accuracy = 0.0;
 };
 
+/// Fairness and accuracy of hard predictions `preds` (one per test row).
+ModelEval EvaluatePredictions(const Dataset& test,
+                              const std::vector<int>& preds, GroupSpec group,
+                              FairnessMetric metric);
+
 /// \brief Interface: evaluate fairness/accuracy of the model trained without
 /// the given training rows.
 ///
@@ -65,45 +70,31 @@ class RemovalMethod {
   virtual const char* name() const = 0;
 };
 
-/// \brief Machine unlearning removal: clones the trained DaRE forest and
-/// exactly deletes the rows — no retraining pass over the data.
+/// \brief Machine unlearning removal: exactly unlearns the rows from the
+/// trained DaRE forest — no retraining pass over the data — and rescores
+/// the test set.
 ///
-/// By default the clone is copy-on-write and the test set is rescored
-/// delta-aware: only nodes on mutated paths are copied, and only test rows
-/// whose descent crosses a mutated region are re-walked (the base model's
-/// per-tree predictions are cached once, lazily, at the first evaluation).
-/// Results are byte-identical to the deep-copy + full-PredictAll reference
-/// path, which Options::cow_delta = false restores for tests and benches.
+/// Each evaluation is one fused TestPredictionCache::ScoreWithout walk: the
+/// deletion is played against the base forest without writing to it, and
+/// only test rows whose descent reaches a changed region are rescored
+/// against the base model's per-tree predictions (cached once, lazily, at
+/// the first evaluation). No counterfactual forest is built. Results are
+/// bit-identical to cloning the forest, deleting the rows and predicting,
+/// and to retraining from scratch without them (DESIGN.md §6).
 class UnlearnRemovalMethod : public RemovalMethod {
  public:
-  struct Options {
-    /// Use CoW clones + delta-aware rescoring (false = deep copy + full
-    /// prediction pass, the pre-optimization reference behaviour).
-    bool cow_delta = true;
-    /// With cow_delta: rescore the trees a deletion batch of at least
-    /// kArenaFullRescoreMinBatch rows changed through their compiled flat
-    /// arenas (one full streaming pass per changed tree) instead of the
-    /// pointer diff-walk — big batches unshare most paths, so the
-    /// diff-walk re-walks nearly every row through pointers anyway.
-    /// Smaller batches keep the diff-walk. Byte-identical results; false
-    /// pins the diff-walk for every batch size (the cow-delta reference
-    /// strategy in bench_eval_throughput).
-    bool arena = true;
-  };
-
-  /// Deletion-batch size at which Options::arena switches the what-if
-  /// rescore from the pointer diff-walk to full arena passes. Sized off
-  /// bench_eval_throughput: at 4 doomed rows the diff-walk still rescores
-  /// a small fraction of the test set; by 64 it touches most of it.
+  /// Deletion-batch size from which a caller scoring a materialized what-if
+  /// clone (TestPredictionCache::ScoreWhatIf) should pass
+  /// arena_full_rescore: at 4 doomed rows the pointer diff-walk still
+  /// rescores a small fraction of the test set; by 64 it touches most of
+  /// it (bench_eval_throughput). Evaluations of this class use
+  /// ScoreWithout, which needs no such switch.
   static constexpr size_t kArenaFullRescoreMinBatch = 16;
 
   /// Pointers must outlive this object. The model must not be mutated
   /// while evaluations run (the base prediction cache is seeded from it).
   UnlearnRemovalMethod(const DareForest* model, const Dataset* test,
                        GroupSpec group, FairnessMetric metric);
-  UnlearnRemovalMethod(const DareForest* model, const Dataset* test,
-                       GroupSpec group, FairnessMetric metric,
-                       Options options);
 
   Result<ModelEval> EvaluateWithout(const std::vector<RowId>& rows) override;
   Result<ModelEval> EvaluateWithoutOn(
@@ -125,8 +116,8 @@ class UnlearnRemovalMethod : public RemovalMethod {
   struct Worker {
     DeletionStats stats;
     TestPredictionCache::WhatIfScratch scratch;
-    /// Reused by every what-if DeleteRows this worker performs, so
-    /// steady-state evaluations run the deletion kernel allocation-free.
+    /// Reused by every what-if this worker scores, so steady-state
+    /// evaluations run allocation-free.
     DeletionScratch unlearn_scratch;
   };
 
@@ -138,7 +129,6 @@ class UnlearnRemovalMethod : public RemovalMethod {
   const Dataset* test_;
   GroupSpec group_;
   FairnessMetric metric_;
-  Options options_;
   std::vector<std::unique_ptr<Worker>> workers_;
   bool in_parallel_ = false;
   /// Serializes evaluations outside a BeginParallel bracket (they all share

@@ -10,24 +10,15 @@ ShardedRemovalMethod::ShardedRemovalMethod(const ShardedForest* model,
                                            const Dataset* test,
                                            GroupSpec group,
                                            FairnessMetric metric)
-    : ShardedRemovalMethod(model, test, group, metric, Options{}) {}
-
-ShardedRemovalMethod::ShardedRemovalMethod(const ShardedForest* model,
-                                           const Dataset* test,
-                                           GroupSpec group,
-                                           FairnessMetric metric,
-                                           Options options)
-    : ShardedRemovalMethod(model, test, group, metric, options, nullptr) {}
+    : ShardedRemovalMethod(model, test, group, metric, nullptr) {}
 
 ShardedRemovalMethod::ShardedRemovalMethod(
     const ShardedForest* model, const Dataset* test, GroupSpec group,
-    FairnessMetric metric, Options options,
-    const ShardedPredictionCache* base_cache)
+    FairnessMetric metric, const ShardedPredictionCache* base_cache)
     : model_(model),
       test_(test),
       group_(group),
       metric_(metric),
-      options_(options),
       external_cache_(base_cache) {}
 
 ShardedRemovalMethod::Worker& ShardedRemovalMethod::WorkerSlot(int worker) {
@@ -101,42 +92,18 @@ Result<ModelEval> ShardedRemovalMethod::EvaluateOnSlot(
   obs::TraceSpan span("removal.sharded.evaluate",
                       {{"rows", static_cast<int64_t>(rows.size())}});
   Worker& w = WorkerSlot(worker);
-  ShardedForest what_if = model_->Clone();
-  if (what_if.num_shards() > 0 &&
-      what_if.shard(0).config().lazy_unlearn) {
-    // Like the monolithic method: a what-if delete is scored immediately,
-    // so deferral would only add tag bookkeeping on top of the same work.
-    what_if.SetLazyUnlearn(false);
-  }
-  // Shard-local unlearning runs serially here: FUME's parallelism is
-  // across evaluations (one worker per lattice job, this pool is not
-  // reentrant), and a what-if batch rarely crosses many shards anyway.
-  FUME_RETURN_NOT_OK(what_if.DeleteRows(rows, /*per_shard_tree=*/nullptr,
-                                        /*pool=*/nullptr,
-                                        &w.unlearn_scratch));
-  // The clone's counters started at zero, so this sum is exactly the work
-  // of this evaluation, merged in shard order.
-  w.stats.Add(what_if.deletion_stats());
-
-  const bool arena_rescore =
-      options_.arena &&
-      rows.size() >= UnlearnRemovalMethod::kArenaFullRescoreMinBatch;
-  BaseCache().ScoreWhatIf(*model_, what_if, *test_, &w.scratch,
-                          arena_rescore);
+  // Shard-local unlearning and rescoring in one walk per touched shard,
+  // serially: FUME's parallelism is across evaluations (one worker per
+  // lattice job), and a what-if batch rarely crosses many shards anyway.
+  FUME_RETURN_NOT_OK(BaseCache().ScoreWithout(*model_, rows, *test_,
+                                              &w.scratch, &w.unlearn_scratch));
+  // Shard-order sum of exactly this evaluation's work.
+  w.stats.Add(w.scratch.deletion_stats);
   shards_changed->Inc(w.scratch.shards_changed);
   rows_rescored->Inc(w.scratch.rows_rescored);
 
-  ModelEval eval;
-  const std::vector<int>& preds = w.scratch.preds;
-  eval.fairness = ComputeFairness(*test_, preds, group_, metric_);
-  int64_t correct = 0;
-  for (int64_t r = 0; r < test_->num_rows(); ++r) {
-    if (preds[static_cast<size_t>(r)] == test_->Label(r)) ++correct;
-  }
-  eval.accuracy = test_->num_rows() == 0
-                      ? 0.0
-                      : static_cast<double>(correct) /
-                            static_cast<double>(test_->num_rows());
+  const ModelEval eval =
+      EvaluatePredictions(*test_, w.scratch.preds, group_, metric_);
   if (!in_parallel_) {
     deletion_stats_.Add(w.stats);
     w.stats = DeletionStats{};

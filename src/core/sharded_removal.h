@@ -1,6 +1,6 @@
 // RemovalMethod over a SISA-style ShardedForest: a leave-out evaluation
-// clones the ensemble copy-on-write, exactly unlearns each row from its
-// owning shard, and rescores through the per-shard prediction cache —
+// exactly unlearns each row from its owning shard and rescores in one
+// fused walk per shard (ShardedPredictionCache::ScoreWithout, no clone) —
 // shards untouched by the row set contribute their cached vote for free.
 // FUME, the stream engine and fume_serve plug it in wherever they would
 // use UnlearnRemovalMethod; the top-k it produces differs from the
@@ -21,20 +21,11 @@ namespace fume {
 
 class ShardedRemovalMethod : public RemovalMethod {
  public:
-  struct Options {
-    /// See UnlearnRemovalMethod::Options::arena — same batch-size cutover
-    /// (kArenaFullRescoreMinBatch), applied per changed shard.
-    bool arena = true;
-  };
-
   /// Pointers must outlive this object; the model must not be mutated
   /// while evaluations run. The base prediction cache is built lazily at
   /// the first evaluation.
   ShardedRemovalMethod(const ShardedForest* model, const Dataset* test,
                        GroupSpec group, FairnessMetric metric);
-  ShardedRemovalMethod(const ShardedForest* model, const Dataset* test,
-                       GroupSpec group, FairnessMetric metric,
-                       Options options);
 
   /// As above, but rescoring through `base_cache` (e.g. the stream
   /// engine's warm per-shard cache) instead of building one internally.
@@ -42,7 +33,6 @@ class ShardedRemovalMethod : public RemovalMethod {
   /// stay valid and unmutated for this object's lifetime.
   ShardedRemovalMethod(const ShardedForest* model, const Dataset* test,
                        GroupSpec group, FairnessMetric metric,
-                       Options options,
                        const ShardedPredictionCache* base_cache);
 
   Result<ModelEval> EvaluateWithout(const std::vector<RowId>& rows) override;
@@ -72,7 +62,6 @@ class ShardedRemovalMethod : public RemovalMethod {
   const Dataset* test_;
   GroupSpec group_;
   FairnessMetric metric_;
-  Options options_;
   const ShardedPredictionCache* external_cache_ = nullptr;
   std::vector<std::unique_ptr<Worker>> workers_;
   bool in_parallel_ = false;

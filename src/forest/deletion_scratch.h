@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "forest/split_stats.h"
 #include "forest/training_store.h"
 #include "util/check.h"
 
@@ -76,6 +77,11 @@ class DeletionScratch {
   /// rows). Stability keeps leaf membership order — and serialized bytes —
   /// identical to the per-row baseline.
   std::vector<RowId> partition_tmp;
+  /// Working statistics of the fused what-if walk (DareTree::ScoreWithout):
+  /// a node's cached statistics minus the doomed rows, or a replayed
+  /// rebuild node's histograms. Each node's decision is made before the
+  /// walk descends, so one buffer serves the whole walk.
+  NodeStats stats;
   /// Doomed rows actually removed so far in the current tree (leaf removals
   /// plus rows filtered out of retrain collections). DareTree::DeleteRows
   /// checks this against the batch size once per tree — the kernel's

@@ -86,6 +86,10 @@ Result<DareForest> DareForest::Train(const Dataset& train,
   if (train.num_rows() == 0) {
     return Status::Invalid("cannot train on an empty dataset");
   }
+  if (train.num_attributes() == 0) {
+    // Every split draw is a keyed hash modulo the attribute count.
+    return Status::Invalid("cannot train on a dataset with no attributes");
+  }
   if (config.num_trees < 1 || config.max_depth < 1) {
     return Status::Invalid("num_trees and max_depth must be positive");
   }
@@ -120,6 +124,52 @@ Result<DareForest> DareForest::Train(const Dataset& train,
   return forest;
 }
 
+namespace {
+
+struct DeletionBatchMetrics {
+  obs::Counter* batches = obs::GetCounter("forest.unlearn.batches");
+  obs::Counter* rows_deleted = obs::GetCounter("forest.unlearn.rows_deleted");
+  obs::Histogram* batch_rows = obs::GetHistogram("forest.unlearn.batch_rows");
+  obs::Counter* scratch_reuse =
+      obs::GetCounter("forest.unlearn.scratch_reuse");
+
+  static DeletionBatchMetrics& Get() {
+    static DeletionBatchMetrics metrics;
+    return metrics;
+  }
+
+  void Count(size_t rows) {
+    batches->Inc();
+    rows_deleted->Inc(static_cast<int64_t>(rows));
+    batch_rows->Record(static_cast<int64_t>(rows));
+  }
+};
+
+Status RowOutOfRange(RowId r) {
+  return Status::IndexError("row id " + std::to_string(r) + " out of range");
+}
+
+Status DuplicateRow(RowId r) {
+  return Status::Invalid("duplicate row id " + std::to_string(r) +
+                         " in deletion batch");
+}
+
+}  // namespace
+
+Status DareForest::BeginDeletionBatch(const std::vector<RowId>& rows,
+                                      DeletionScratch* scratch) const {
+  DeletionBatchMetrics& m = DeletionBatchMetrics::Get();
+  m.Count(rows.size());
+  // Duplicate/range validation doubles as the one batch-wide doomed-row
+  // marking pass every tree then shares — no per-batch unordered_set.
+  if (scratch->BeginBatch(store_->num_rows())) m.scratch_reuse->Inc();
+  for (RowId r : rows) {
+    if (r < 0 || r >= store_->num_rows()) return RowOutOfRange(r);
+    if (!scratch->MarkDoomed(r)) return DuplicateRow(r);
+  }
+  return Status::OK();
+}
+
 Status DareForest::DeleteRows(const std::vector<RowId>& rows,
                               std::vector<DeletionStats>* per_tree,
                               DeletionScratch* scratch) {
@@ -130,43 +180,16 @@ Status DareForest::DeleteRows(const std::vector<RowId>& rows,
   obs::TraceSpan span("forest.delete",
                       {{"rows", static_cast<int64_t>(rows.size())},
                        {"trees", static_cast<int>(trees_.size())}});
-  static obs::Counter* deletes = obs::GetCounter("forest.unlearn.batches");
-  static obs::Counter* deleted_rows =
-      obs::GetCounter("forest.unlearn.rows_deleted");
-  static obs::Histogram* batch_rows =
-      obs::GetHistogram("forest.unlearn.batch_rows");
-  static obs::Counter* scratch_reuse =
-      obs::GetCounter("forest.unlearn.scratch_reuse");
-  deletes->Inc();
-  deleted_rows->Inc(static_cast<int64_t>(rows.size()));
-  batch_rows->Record(static_cast<int64_t>(rows.size()));
   DeletionScratch local_scratch;
   if (config_.batched_unlearn_kernel) {
-    // Duplicate/range validation doubles as the one batch-wide doomed-row
-    // marking pass every tree then shares — no per-batch unordered_set.
     if (scratch == nullptr) scratch = &local_scratch;
-    if (scratch->BeginBatch(store_->num_rows())) scratch_reuse->Inc();
-    for (RowId r : rows) {
-      if (r < 0 || r >= store_->num_rows()) {
-        return Status::IndexError("row id " + std::to_string(r) +
-                                  " out of range");
-      }
-      if (!scratch->MarkDoomed(r)) {
-        return Status::Invalid("duplicate row id " + std::to_string(r) +
-                               " in deletion batch");
-      }
-    }
+    FUME_RETURN_NOT_OK(BeginDeletionBatch(rows, scratch));
   } else {
+    DeletionBatchMetrics::Get().Count(rows.size());
     std::unordered_set<RowId> seen;
     for (RowId r : rows) {
-      if (r < 0 || r >= store_->num_rows()) {
-        return Status::IndexError("row id " + std::to_string(r) +
-                                  " out of range");
-      }
-      if (!seen.insert(r).second) {
-        return Status::Invalid("duplicate row id " + std::to_string(r) +
-                               " in deletion batch");
-      }
+      if (r < 0 || r >= store_->num_rows()) return RowOutOfRange(r);
+      if (!seen.insert(r).second) return DuplicateRow(r);
     }
   }
   for (size_t t = 0; t < trees_.size(); ++t) {

@@ -70,6 +70,16 @@ class DareForest {
                     std::vector<DeletionStats>* per_tree,
                     DeletionScratch* scratch);
 
+  /// Validates a deletion batch as DeleteRows does — ids in range, no
+  /// duplicates — marks it doomed in a fresh batch of `scratch`, and counts
+  /// it in forest.unlearn.{batches,rows_deleted,batch_rows,scratch_reuse}.
+  /// DeleteRows starts here, and so does the fused what-if walk
+  /// (TestPredictionCache::ScoreWithout), which validates and counts a
+  /// what-if exactly like the delete it stands in for. `rows` must be
+  /// non-empty.
+  Status BeginDeletionBatch(const std::vector<RowId>& rows,
+                            DeletionScratch* scratch) const;
+
   /// Exactly adds new training instances: the updated forest equals Train()
   /// on the enlarged dataset (same config/seed). `rows` must be
   /// all-categorical with the same attribute count and cardinalities as the

@@ -185,26 +185,9 @@ void TestPredictionCache::DiffWalk(const TreeNode* base,
   }
 }
 
-void TestPredictionCache::ScoreWhatIf(const DareForest& base,
-                                      const DareForest& what_if,
-                                      const Dataset& test, WhatIfScratch* s,
-                                      bool arena_full_rescore) const {
+void TestPredictionCache::BeginWhatIf(WhatIfScratch* s) const {
   const size_t num_trees = leaf_.size();
-  FUME_CHECK_EQ(static_cast<size_t>(base.num_trees()), num_trees);
-  FUME_CHECK_EQ(static_cast<size_t>(what_if.num_trees()), num_trees);
-  // The base graph this cache was walked against is flushed by contract;
-  // flush the (worker-private) what-if clone before diffing against it.
-  // What-if evaluation normally disables lazy on its clones, so this only
-  // fires for callers scoring an ad-hoc lazily-deleted clone.
-  what_if.EnsureFlushed();
   const size_t n_rows = mean_prob_.size();
-  FUME_CHECK_EQ(static_cast<size_t>(test.num_rows()), n_rows);
-  const bool arena_mode =
-      arena_full_rescore && what_if.config().arena_traversal;
-  std::shared_ptr<const PackedCodes> packed;
-  if (arena_mode) packed = test.packed_codes();
-  bool rescored_all = false;
-
   // Epoch bump takes the place of clearing the per-tree/per-row markers;
   // on (unlikely) wrap-around, reset them for real.
   if (++s->epoch == 0) {
@@ -217,7 +200,106 @@ void TestPredictionCache::ScoreWhatIf(const DareForest& base,
   s->tree_prob.resize(num_trees);
   s->touched.clear();
   s->trees_changed = 0;
+}
 
+void TestPredictionCache::ResumWhatIf(WhatIfScratch* s, bool all) const {
+  // Re-sum each rescored row over every tree in tree order — the same
+  // order and arithmetic as Finalize/PredictProb, so the result is
+  // byte-identical to what_if.PredictAll(test).
+  const size_t num_trees = leaf_.size();
+  s->preds = pred_;
+  if (s->want_probs) s->probs = mean_prob_;
+  const double tree_count = static_cast<double>(num_trees);
+  auto resum = [&](int64_t r) {
+    double sum = 0.0;
+    for (size_t t = 0; t < num_trees; ++t) {
+      sum += s->tree_epoch[t] == s->epoch
+                 ? s->tree_prob[t][static_cast<size_t>(r)]
+                 : prob_[t][static_cast<size_t>(r)];
+    }
+    const double mean = sum / tree_count;
+    if (s->want_probs) s->probs[static_cast<size_t>(r)] = mean;
+    s->preds[static_cast<size_t>(r)] = mean >= 0.5 ? 1 : 0;
+  };
+  if (all) {
+    const size_t n_rows = mean_prob_.size();
+    for (size_t r = 0; r < n_rows; ++r) resum(static_cast<int64_t>(r));
+    s->rows_rescored = static_cast<int64_t>(n_rows);
+  } else {
+    for (int64_t r : s->touched) resum(r);
+    s->rows_rescored = static_cast<int64_t>(s->touched.size());
+  }
+}
+
+Status TestPredictionCache::ScoreWithout(const DareForest& base,
+                                         const std::vector<RowId>& rows,
+                                         const Dataset& test,
+                                         WhatIfScratch* s,
+                                         DeletionScratch* deletion) const {
+  const size_t num_trees = leaf_.size();
+  FUME_CHECK_EQ(static_cast<size_t>(base.num_trees()), num_trees);
+  const size_t n_rows = mean_prob_.size();
+  FUME_CHECK_EQ(static_cast<size_t>(test.num_rows()), n_rows);
+  if (base.HasLazyTags()) {
+    return Status::Invalid(
+        "what-if scoring needs a flushed base forest (pending lazy "
+        "deletions)");
+  }
+  BeginWhatIf(s);
+  s->deletion_stats = DeletionStats{};
+  if (!rows.empty()) {
+    FUME_RETURN_NOT_OK(base.BeginDeletionBatch(rows, deletion));
+    obs::TraceSpan span("forest.score_without",
+                        {{"rows", static_cast<int64_t>(rows.size())},
+                         {"trees", base.num_trees()}});
+    s->order.resize(n_rows);
+    for (size_t t = 0; t < num_trees; ++t) {
+      // Seed with the base probabilities: the walk overwrites only rows
+      // that reach a changed region, and the re-sum reads every row of a
+      // changed tree.
+      s->tree_prob[t] = prob_[t];
+      for (size_t i = 0; i < n_rows; ++i) {
+        s->order[i] = static_cast<int64_t>(i);
+      }
+      s->rescored.clear();
+      base.tree(static_cast<int>(t))
+          .ScoreWithout(rows, test, s->order.data(),
+                        s->order.data() + n_rows, s->tree_prob[t].data(),
+                        &s->rescored, &s->deletion_stats, deletion);
+      if (s->rescored.empty()) continue;
+      ++s->trees_changed;
+      s->tree_epoch[t] = s->epoch;
+      for (const int64_t r : s->rescored) {
+        if (s->row_epoch[static_cast<size_t>(r)] != s->epoch) {
+          s->row_epoch[static_cast<size_t>(r)] = s->epoch;
+          s->touched.push_back(r);
+        }
+      }
+    }
+  }
+  ResumWhatIf(s, /*all=*/false);
+  return Status::OK();
+}
+
+void TestPredictionCache::ScoreWhatIf(const DareForest& base,
+                                      const DareForest& what_if,
+                                      const Dataset& test, WhatIfScratch* s,
+                                      bool arena_full_rescore) const {
+  const size_t num_trees = leaf_.size();
+  FUME_CHECK_EQ(static_cast<size_t>(base.num_trees()), num_trees);
+  FUME_CHECK_EQ(static_cast<size_t>(what_if.num_trees()), num_trees);
+  // The base graph this cache was walked against is flushed by contract;
+  // flush the (caller-private) what-if clone before diffing against it.
+  what_if.EnsureFlushed();
+  const size_t n_rows = mean_prob_.size();
+  FUME_CHECK_EQ(static_cast<size_t>(test.num_rows()), n_rows);
+  const bool arena_mode =
+      arena_full_rescore && what_if.config().arena_traversal;
+  std::shared_ptr<const PackedCodes> packed;
+  if (arena_mode) packed = test.packed_codes();
+  bool rescored_all = false;
+
+  BeginWhatIf(s);
   for (size_t t = 0; t < num_trees; ++t) {
     const TreeNode* broot = base.tree(static_cast<int>(t)).root();
     const TreeNode* nroot = what_if.tree(static_cast<int>(t)).root();
@@ -248,31 +330,9 @@ void TestPredictionCache::ScoreWhatIf(const DareForest& base,
     DiffWalk(broot, nroot, test, static_cast<int>(t), 0, n_rows, s);
   }
 
-  // Re-sum each rescored row over every tree in tree order — the same
-  // order and arithmetic as Finalize/PredictProb, so the result is
-  // byte-identical to what_if.PredictAll(test). A full arena rescore
-  // invalidates every row's sum, not just the diff-walk's touched list.
-  s->preds = pred_;
-  if (s->want_probs) s->probs = mean_prob_;
-  const double tree_count = static_cast<double>(num_trees);
-  auto resum = [&](int64_t r) {
-    double sum = 0.0;
-    for (size_t t = 0; t < num_trees; ++t) {
-      sum += s->tree_epoch[t] == s->epoch
-                 ? s->tree_prob[t][static_cast<size_t>(r)]
-                 : prob_[t][static_cast<size_t>(r)];
-    }
-    const double mean = sum / tree_count;
-    if (s->want_probs) s->probs[static_cast<size_t>(r)] = mean;
-    s->preds[static_cast<size_t>(r)] = mean >= 0.5 ? 1 : 0;
-  };
-  if (rescored_all) {
-    for (size_t r = 0; r < n_rows; ++r) resum(static_cast<int64_t>(r));
-    s->rows_rescored = static_cast<int64_t>(n_rows);
-  } else {
-    for (int64_t r : s->touched) resum(r);
-    s->rows_rescored = static_cast<int64_t>(s->touched.size());
-  }
+  // A full arena rescore invalidates every row's sum, not just the
+  // diff-walk's touched list.
+  ResumWhatIf(s, rescored_all);
 #ifdef FUME_ARENA_VERIFY
   FUME_CHECK(s->preds == what_if.PredictAllPointer(test));
 #endif

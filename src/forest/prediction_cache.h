@@ -12,11 +12,14 @@
 // grows leaves), and a short walk into the grown subtree when an insert
 // rebuilt the leaf into a split in place (same address, fresh children).
 //
-// ScoreWhatIf() serves a second consumer: FUME's what-if evaluations. A
-// copy-on-write clone of the base forest shares every node it did not
-// mutate, so diffing base vs. clone by node identity finds the changed
-// regions without visiting them, and only test rows routed into a changed
-// region are re-scored (see docs/performance.md).
+// ScoreWithout() serves a second consumer: FUME's what-if evaluations. It
+// plays a deletion against the base forest without writing to it
+// (DareTree::ScoreWithout) and re-scores only the test rows whose descent
+// reaches a region the deletion changes, so no counterfactual forest is
+// ever built (see docs/performance.md). ScoreWhatIf() scores an already
+// materialized what-if instead: a copy-on-write clone shares every node
+// it did not mutate, so diffing base vs. clone by node identity finds the
+// changed regions without visiting them.
 //
 // Exactness: probabilities and hard predictions are byte-identical to
 // DareForest::PredictProbAll / PredictAll — per-row tree probabilities are
@@ -35,15 +38,15 @@ namespace fume {
 
 class TestPredictionCache {
  public:
-  /// Reusable working memory for ScoreWhatIf. One instance per worker
-  /// thread; after the first evaluation no allocations occur in steady
-  /// state (epoch counters take the place of clearing).
+  /// Reusable working memory for ScoreWithout / ScoreWhatIf. One instance
+  /// per worker thread; after the first evaluation no allocations occur in
+  /// steady state (epoch counters take the place of clearing).
   struct WhatIfScratch {
     /// Hard predictions for the what-if forest, byte-identical to
-    /// what_if.PredictAll(test). Valid after ScoreWhatIf returns, until
-    /// the next call on this scratch.
+    /// what_if.PredictAll(test). Valid after the call returns, until the
+    /// next call on this scratch.
     std::vector<int> preds;
-    /// Opt-in: when true, ScoreWhatIf also fills `probs` with the what-if
+    /// Opt-in: when true, the call also fills `probs` with the what-if
     /// mean probability per row, byte-identical to
     /// what_if.PredictProbAll(test) (same sum-then-divide arithmetic that
     /// produces preds). Off by default — the extra row-major vector only
@@ -51,19 +54,26 @@ class TestPredictionCache {
     /// sharded cache voting across shards.
     bool want_probs = false;
     std::vector<double> probs;
-    /// Test rows whose prediction path crossed a mutated region (their
-    /// hard prediction did not necessarily flip).
+    /// Test rows whose descent, in at least one tree, crossed a region the
+    /// deletion changed (their hard prediction did not necessarily flip).
     int64_t rows_rescored = 0;
-    /// Trees whose root handle differed from the base forest's.
+    /// Trees with a changed region on some test row's descent
+    /// (ScoreWithout), or whose root handle differed from the base
+    /// forest's (ScoreWhatIf).
     int64_t trees_changed = 0;
+    /// ScoreWithout only: the unlearning work of the call, exactly as
+    /// DareForest::DeleteRows would have reported it, except nodes_copied,
+    /// which stays 0 because nothing is copied.
+    DeletionStats deletion_stats;
 
    private:
     friend class TestPredictionCache;
     std::vector<std::vector<double>> tree_prob;  // [t][r] where tree dirty
     std::vector<uint32_t> tree_epoch;
     std::vector<uint32_t> row_epoch;
-    std::vector<int64_t> touched;  // rows rescored this evaluation
-    std::vector<int64_t> order;    // row-index buffer, partitioned in place
+    std::vector<int64_t> touched;   // rows rescored this evaluation
+    std::vector<int64_t> order;     // row-index buffer, partitioned in place
+    std::vector<int64_t> rescored;  // one tree's rescored rows
     uint32_t epoch = 0;
   };
 
@@ -78,9 +88,27 @@ class TestPredictionCache {
   void Update(const DareForest& forest, const Dataset& test,
               const std::vector<bool>& tree_dirty);
 
+  /// Scores the forest this cache was seeded from as if `rows` had been
+  /// deleted from it, without cloning or mutating it: each tree plays the
+  /// deletion through DareTree::ScoreWithout, and only test rows whose
+  /// descent reaches a changed region are re-summed. `base` must be that
+  /// seed forest (alive, unmutated since Rebuild/Update). Fills
+  /// scratch->preds (and scratch->probs when wanted) bit-identically to
+  /// ScoreWhatIf on Clone() + DeleteRows(rows), and scratch->
+  /// deletion_stats with the deletion's work. Returns the Status DeleteRows
+  /// would for out-of-range or duplicate ids, and Invalid for a base with
+  /// pending lazy deletions (flush first; Rebuild does). `deletion` is the
+  /// caller's kernel scratch. Thread-safe for concurrent calls on one
+  /// cache and one base with distinct scratches; allocation-free once they
+  /// are warm.
+  Status ScoreWithout(const DareForest& base, const std::vector<RowId>& rows,
+                      const Dataset& test, WhatIfScratch* scratch,
+                      DeletionScratch* deletion) const;
+
   /// Scores a copy-on-write clone of the forest this cache was seeded
   /// from, re-walking only test rows whose cached descent crosses a
-  /// mutated region. `base` must be that seed forest (alive, unmutated
+  /// mutated region. The materialized counterpart of ScoreWithout, kept
+  /// for callers that hold a mutated clone anyway. `base` must be that seed forest (alive, unmutated
   /// since Rebuild/Update); `what_if` a Clone() of it, arbitrarily
   /// mutated. Fills scratch->preds with predictions byte-identical to
   /// what_if.PredictAll(test). Thread-safe for concurrent calls on one
@@ -115,6 +143,11 @@ class TestPredictionCache {
   void DiffWalk(const TreeNode* base, const TreeNode* changed,
                 const Dataset& test, int t, size_t begin, size_t end,
                 WhatIfScratch* scratch) const;
+  /// Starts an evaluation on `scratch`: new epoch, buffers sized.
+  void BeginWhatIf(WhatIfScratch* scratch) const;
+  /// Re-sums the rescored rows (every row when `all`) over every tree in
+  /// tree order into scratch->preds / probs.
+  void ResumWhatIf(WhatIfScratch* scratch, bool all) const;
 
   // leaf_[t][r]: the leaf of tree t that test row r reaches (nullptr when
   // the tree has no root). prob_[t][r]: that leaf's positive fraction.

@@ -690,6 +690,50 @@ void ShardedPredictionCache::FinalizeVote() {
   VoteFromShardProbs(ptrs, vote_, &mean_prob_, &pred_);
 }
 
+Status ShardedPredictionCache::ScoreWithout(
+    const ShardedForest& base, const std::vector<RowId>& global_rows,
+    const Dataset& test, WhatIfScratch* scratch,
+    std::vector<DeletionScratch>* deletion) const {
+  const size_t n = caches_.size();
+  FUME_CHECK_EQ(n, static_cast<size_t>(base.num_shards()));
+  FUME_RETURN_NOT_OK(base.ValidateGlobalRows(global_rows));
+  scratch->shard_scratch.resize(n);
+  scratch->local.resize(n);
+  scratch->votes.resize(n);
+  if (deletion->size() < n) deletion->resize(n);
+  for (auto& rows : scratch->local) rows.clear();
+  // Bucket per owning shard, batch order kept within a shard — the same
+  // routing as ShardedForest::DeleteRows.
+  for (const RowId g : global_rows) {
+    scratch->local[static_cast<size_t>(base.shard_of(g))].push_back(
+        base.local_of(g));
+  }
+  scratch->rows_rescored = 0;
+  scratch->trees_changed = 0;
+  scratch->shards_changed = 0;
+  scratch->deletion_stats = DeletionStats{};
+  for (size_t s = 0; s < n; ++s) {
+    if (scratch->local[s].empty()) {
+      // No deleted row lives here: the shard predicts exactly like the
+      // base shard, whose probabilities we already hold.
+      scratch->votes[s] = &caches_[s].probs();
+      continue;
+    }
+    ++scratch->shards_changed;
+    TestPredictionCache::WhatIfScratch& ss = scratch->shard_scratch[s];
+    ss.want_probs = true;
+    FUME_RETURN_NOT_OK(caches_[s].ScoreWithout(
+        base.shard(static_cast<int>(s)), scratch->local[s], test, &ss,
+        &(*deletion)[s]));
+    scratch->rows_rescored += ss.rows_rescored;
+    scratch->trees_changed += ss.trees_changed;
+    scratch->deletion_stats.Add(ss.deletion_stats);
+    scratch->votes[s] = &ss.probs;
+  }
+  VoteFromShardProbs(scratch->votes, vote_, &scratch->sum, &scratch->preds);
+  return Status::OK();
+}
+
 void ShardedPredictionCache::ScoreWhatIf(const ShardedForest& base,
                                          const ShardedForest& what_if,
                                          const Dataset& test,
@@ -699,10 +743,10 @@ void ShardedPredictionCache::ScoreWhatIf(const ShardedForest& base,
   FUME_CHECK_EQ(n, static_cast<size_t>(base.num_shards()));
   FUME_CHECK_EQ(n, static_cast<size_t>(what_if.num_shards()));
   scratch->shard_scratch.resize(n);
+  scratch->votes.resize(n);
   scratch->rows_rescored = 0;
   scratch->trees_changed = 0;
   scratch->shards_changed = 0;
-  std::vector<const std::vector<double>*> ptrs(n);
   for (size_t s = 0; s < n; ++s) {
     const DareForest& b = base.shard(static_cast<int>(s));
     const DareForest& w = what_if.shard(static_cast<int>(s));
@@ -716,7 +760,7 @@ void ShardedPredictionCache::ScoreWhatIf(const ShardedForest& base,
     if (!changed) {
       // Every tree root still shared: the clone's shard predicts exactly
       // like the base shard, whose probabilities we already hold.
-      ptrs[s] = &caches_[s].probs();
+      scratch->votes[s] = &caches_[s].probs();
       continue;
     }
     ++scratch->shards_changed;
@@ -725,9 +769,9 @@ void ShardedPredictionCache::ScoreWhatIf(const ShardedForest& base,
     caches_[s].ScoreWhatIf(b, w, test, &ss, arena_full_rescore);
     scratch->rows_rescored += ss.rows_rescored;
     scratch->trees_changed += ss.trees_changed;
-    ptrs[s] = &ss.probs;
+    scratch->votes[s] = &ss.probs;
   }
-  VoteFromShardProbs(ptrs, vote_, &scratch->sum, &scratch->preds);
+  VoteFromShardProbs(scratch->votes, vote_, &scratch->sum, &scratch->preds);
 }
 
 }  // namespace fume

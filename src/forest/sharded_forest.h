@@ -196,6 +196,9 @@ class ShardedForest {
                        const std::vector<bool>& dirty) const;
   static Result<ShardedForest> Load(std::istream& in);
 
+  /// IndexError unless every global id was assigned (DeleteRows' check).
+  Status ValidateGlobalRows(const std::vector<RowId>& global_rows) const;
+
   /// Deterministic id hash used by kHash placement (exposed for tests).
   static uint64_t HashGlobalId(RowId global);
   /// The shard a new global row id would be routed to. `slice_code` is the
@@ -207,8 +210,6 @@ class ShardedForest {
   static constexpr uint64_t kShardSeedStride = 0x9E3779B97F4A7C15ull;
 
  private:
-  Status ValidateGlobalRows(const std::vector<RowId>& global_rows) const;
-
   ShardConfig shard_config_;
   std::vector<DareForest> shards_;
   /// Owning shard / local TrainingStore id for every global id ever
@@ -232,9 +233,9 @@ void VoteFromShardProbs(const std::vector<const std::vector<double>*>& shard_pro
 ///
 /// Mirrors TestPredictionCache's API one level up: Rebuild after training
 /// or loading, Update after an op with the per-shard dirty report, and
-/// ScoreWhatIf against a CoW clone. A what-if evaluation typically mutates
-/// one or two shards; untouched shards (every tree root identical to the
-/// base) contribute their cached probabilities without any walk or copy.
+/// ScoreWithout (or ScoreWhatIf against a CoW clone) for what-ifs. A
+/// what-if typically reaches one or two shards; untouched shards
+/// contribute their cached probabilities without any walk or copy.
 class ShardedPredictionCache {
  public:
   struct WhatIfScratch {
@@ -244,12 +245,18 @@ class ShardedPredictionCache {
     /// Summed across shards (see TestPredictionCache::WhatIfScratch).
     int64_t rows_rescored = 0;
     int64_t trees_changed = 0;
-    /// Shards with at least one changed tree root this evaluation.
+    /// Shards the what-if changed (ScoreWithout: shards owning a deleted
+    /// row; ScoreWhatIf: shards with a changed tree root).
     int64_t shards_changed = 0;
+    /// ScoreWithout only: the deletion's work summed in shard order, as
+    /// ShardedForest::DeleteRows would have counted it (nodes_copied 0).
+    DeletionStats deletion_stats;
 
    private:
     friend class ShardedPredictionCache;
     std::vector<TestPredictionCache::WhatIfScratch> shard_scratch;
+    std::vector<std::vector<RowId>> local;  // per-shard local row ids
+    std::vector<const std::vector<double>*> votes;
     std::vector<double> sum;
   };
 
@@ -260,6 +267,17 @@ class ShardedPredictionCache {
   /// the op and is skipped entirely.
   void Update(const ShardedForest& forest, const Dataset& test,
               const std::vector<std::vector<bool>>& shard_tree_dirty);
+
+  /// Scores the seed ensemble as if the global rows `global_rows` had been
+  /// deleted, shard by shard through TestPredictionCache::ScoreWithout —
+  /// no clone. Bit-identical to ScoreWhatIf on Clone() + DeleteRows().
+  /// Returns DeleteRows' Status for bad ids. `deletion` is resized to
+  /// num_shards and entry s serves shard s. Thread-safe for concurrent
+  /// calls with distinct scratches.
+  Status ScoreWithout(const ShardedForest& base,
+                      const std::vector<RowId>& global_rows,
+                      const Dataset& test, WhatIfScratch* scratch,
+                      std::vector<DeletionScratch>* deletion) const;
 
   /// Scores a Clone() of the seed ensemble (see TestPredictionCache::
   /// ScoreWhatIf). Thread-safe for concurrent calls with distinct

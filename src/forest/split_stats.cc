@@ -35,6 +35,11 @@ void NodeStats::ComputeFromRows(const TrainingStore& store, const RowId* rows,
                                 int64_t n,
                                 std::vector<int> cand_attrs_sorted) {
   cand_attrs = std::move(cand_attrs_sorted);
+  Recompute(store, rows, n);
+}
+
+void NodeStats::Recompute(const TrainingStore& store, const RowId* rows,
+                          int64_t n) {
   count = n;
   pos = 0;
   const size_t num_attrs = cand_attrs.size();
@@ -48,14 +53,16 @@ void NodeStats::ComputeFromRows(const TrainingStore& store, const RowId* rows,
   hist.assign(2 * static_cast<size_t>(total), 0);
   int64_t* const h = hist.data();
   const int32_t* const off = hist_offsets.data();
+  const int* const cand = cand_attrs.data();
   for (int64_t k = 0; k < n; ++k) {
     const RowId r = rows[k];
+    const int32_t* const codes = store.row_codes(r);
     const int y = store.label(r);
     pos += y;
     for (size_t i = 0; i < num_attrs; ++i) {
-      const int32_t v = store.code(r, cand_attrs[i]);
-      int64_t* const bin = h + 2 * (static_cast<size_t>(off[i]) +
-                                    static_cast<size_t>(v));
+      int64_t* const bin =
+          h + 2 * (static_cast<size_t>(off[i]) +
+                   static_cast<size_t>(codes[cand[i]]));
       ++bin[0];
       bin[1] += y;
     }
@@ -63,33 +70,11 @@ void NodeStats::ComputeFromRows(const TrainingStore& store, const RowId* rows,
 }
 
 void NodeStats::RemoveRow(const TrainingStore& store, RowId row) {
-  const int y = store.label(row);
-  --count;
-  pos -= y;
-  int64_t* const h = hist.data();
-  const int32_t* const off = hist_offsets.data();
-  for (size_t i = 0; i < cand_attrs.size(); ++i) {
-    const int32_t v = store.code(row, cand_attrs[i]);
-    int64_t* const bin =
-        h + 2 * (static_cast<size_t>(off[i]) + static_cast<size_t>(v));
-    --bin[0];
-    bin[1] -= y;
-  }
+  RemoveRows(store, &row, 1);
 }
 
 void NodeStats::AddRow(const TrainingStore& store, RowId row) {
-  const int y = store.label(row);
-  ++count;
-  pos += y;
-  int64_t* const h = hist.data();
-  const int32_t* const off = hist_offsets.data();
-  for (size_t i = 0; i < cand_attrs.size(); ++i) {
-    const int32_t v = store.code(row, cand_attrs[i]);
-    int64_t* const bin =
-        h + 2 * (static_cast<size_t>(off[i]) + static_cast<size_t>(v));
-    ++bin[0];
-    bin[1] += y;
-  }
+  AddRows(store, &row, 1);
 }
 
 // Batch update order: rows outer, attributes inner. The store is row-major,
@@ -102,12 +87,14 @@ void NodeStats::RemoveRows(const TrainingStore& store, const RowId* rows,
   const size_t num_attrs = cand_attrs.size();
   int64_t* const h = hist.data();
   const int32_t* const off = hist_offsets.data();
+  const int* const cand = cand_attrs.data();
   for (int64_t k = 0; k < n; ++k) {
     const RowId r = rows[k];
+    const int32_t* const codes = store.row_codes(r);
     const int y = store.label(r);
     pos -= y;
     for (size_t i = 0; i < num_attrs; ++i) {
-      const auto v = static_cast<size_t>(store.code(r, cand_attrs[i]));
+      const auto v = static_cast<size_t>(codes[cand[i]]);
       int64_t* const bin = h + 2 * (static_cast<size_t>(off[i]) + v);
       --bin[0];
       bin[1] -= y;
@@ -121,12 +108,14 @@ void NodeStats::AddRows(const TrainingStore& store, const RowId* rows,
   const size_t num_attrs = cand_attrs.size();
   int64_t* const h = hist.data();
   const int32_t* const off = hist_offsets.data();
+  const int* const cand = cand_attrs.data();
   for (int64_t k = 0; k < n; ++k) {
     const RowId r = rows[k];
+    const int32_t* const codes = store.row_codes(r);
     const int y = store.label(r);
     pos += y;
     for (size_t i = 0; i < num_attrs; ++i) {
-      const auto v = static_cast<size_t>(store.code(r, cand_attrs[i]));
+      const auto v = static_cast<size_t>(codes[cand[i]]);
       int64_t* const bin = h + 2 * (static_cast<size_t>(off[i]) + v);
       ++bin[0];
       bin[1] += y;
@@ -140,28 +129,36 @@ RowId* NodeStats::RemoveRowsAndPartition(const TrainingStore& store,
                                          int32_t threshold,
                                          std::vector<RowId>* spill) {
   const size_t num_attrs = cand_attrs.size();
-  spill->clear();
+  // Branch-free stable partition: every row is stored to both the left
+  // write cursor and the spill cursor, and only the matching cursor
+  // advances. The left cursor never passes the read cursor, so the store
+  // only overwrites rows already read.
+  const auto n = static_cast<size_t>(end - begin);
+  if (spill->size() < n) spill->resize(n);  // grow only: no re-zeroing
   RowId* write = begin;
+  RowId* spilled = spill->data();
   int64_t* const h = hist.data();
   const int32_t* const off = hist_offsets.data();
+  const int* const cand = cand_attrs.data();
   for (RowId* p = begin; p != end; ++p) {
     const RowId r = *p;
+    const int32_t* const codes = store.row_codes(r);
     const int y = store.label(r);
     pos -= y;
     for (size_t i = 0; i < num_attrs; ++i) {
-      const auto v = static_cast<size_t>(store.code(r, cand_attrs[i]));
+      const auto v = static_cast<size_t>(codes[cand[i]]);
       int64_t* const bin = h + 2 * (static_cast<size_t>(off[i]) + v);
       --bin[0];
       bin[1] -= y;
     }
-    if (store.code(r, attr) <= threshold) {
-      *write++ = r;
-    } else {
-      spill->push_back(r);
-    }
+    const bool left = codes[attr] <= threshold;
+    *write = r;
+    *spilled = r;
+    write += left;
+    spilled += !left;
   }
   count -= end - begin;
-  std::copy(spill->begin(), spill->end(), write);
+  std::copy(spill->data(), spilled, write);
   return write;
 }
 
@@ -171,36 +168,43 @@ bool NodeStats::Equals(const NodeStats& other) const {
          hist_offsets == other.hist_offsets && hist == other.hist;
 }
 
-std::vector<int> ChooseCandidateAttrs(uint64_t path_key, int num_attrs,
-                                      int depth, const ForestConfig& config) {
+void ChooseCandidateAttrs(uint64_t path_key, int num_attrs, int depth,
+                          const ForestConfig& config, std::vector<int>* out) {
   int want = config.num_candidate_attrs;
   if (want <= 0) {
     want = static_cast<int>(
         std::ceil(std::sqrt(static_cast<double>(num_attrs))));
   }
   want = std::min(want, num_attrs);
-  std::vector<int> attrs;
-  attrs.reserve(static_cast<size_t>(want) + 1);
-  std::vector<uint8_t> taken(static_cast<size_t>(num_attrs), 0);
+  out->clear();
+  out->reserve(static_cast<size_t>(want) + 1);
+  // Membership is a scan of the picks so far: there are at most ~sqrt(p)
+  // of them, so this beats clearing a per-node p-sized flag array.
+  const auto taken = [out](int a) {
+    return std::find(out->begin(), out->end(), a) != out->end();
+  };
   // Keyed draws until `want` distinct attributes are collected. The sequence
   // depends only on path_key, never on the data.
   uint64_t i = 0;
-  while (static_cast<int>(attrs.size()) < want) {
+  while (static_cast<int>(out->size()) < want) {
     const int a = static_cast<int>(Hash64({path_key, kTagCandAttrs, i++}) %
                                    static_cast<uint64_t>(num_attrs));
-    if (!taken[static_cast<size_t>(a)]) {
-      taken[static_cast<size_t>(a)] = 1;
-      attrs.push_back(a);
-    }
+    if (!taken(a)) out->push_back(a);
   }
   if (depth < config.random_depth) {
     // The random-split attribute must be tracked in the histograms so the
     // validity of the random split stays checkable during unlearning.
     const int a = static_cast<int>(Hash64({path_key, kTagRandomAttr}) %
                                    static_cast<uint64_t>(num_attrs));
-    if (!taken[static_cast<size_t>(a)]) attrs.push_back(a);
+    if (!taken(a)) out->push_back(a);
   }
-  std::sort(attrs.begin(), attrs.end());
+  std::sort(out->begin(), out->end());
+}
+
+std::vector<int> ChooseCandidateAttrs(uint64_t path_key, int num_attrs,
+                                      int depth, const ForestConfig& config) {
+  std::vector<int> attrs;
+  ChooseCandidateAttrs(path_key, num_attrs, depth, config, &attrs);
   return attrs;
 }
 
@@ -279,9 +283,7 @@ SplitDecision DecideSplit(const NodeStats& stats, const TrainingStore& store,
                           int depth, uint64_t path_key,
                           const ForestConfig& config) {
   SplitDecision leaf;  // default: leaf
-  if (stats.count < config.min_samples_split) return leaf;
-  if (stats.pos == 0 || stats.pos == stats.count) return leaf;
-  if (depth >= config.max_depth) return leaf;
+  if (IsForcedLeaf(stats.count, stats.pos, depth, config)) return leaf;
 
   const int min_leaf = std::max(1, config.min_samples_leaf);
 
@@ -320,7 +322,13 @@ SplitDecision DecideSplit(const NodeStats& stats, const TrainingStore& store,
   // rather than materializing the CandidateThresholds vector — this is the
   // hot path of every deletion's per-node decision re-check. Scores are
   // computed from the same integer inputs in the same order as the scan it
-  // replaces, so decisions are bit-identical.
+  // replaces, so decisions are bit-identical. Two skips keep it so:
+  //  * a threshold whose left count did not move since the previous
+  //    candidate of the same attribute (only empty bins were crossed) has
+  //    that candidate's exact score, which was already either taken or
+  //    rejected, so it can never be a strict improvement;
+  //  * the right side only shrinks as the threshold rises, so once it is
+  //    below min_samples_leaf no later threshold of the attribute is valid.
   SplitDecision best = leaf;
   double best_score = 0.0;
   bool have_best = false;
@@ -339,6 +347,7 @@ SplitDecision DecideSplit(const NodeStats& stats, const TrainingStore& store,
         exact ? static_cast<size_t>(num_thresholds) : sampled.size();
     const int64_t* const h = stats.HistRow(i);
     SideCounts left;
+    int64_t prev_left_count = -1;
     int32_t bin = 0;
     for (size_t k = 0; k < num_cand; ++k) {
       const int32_t t = exact ? static_cast<int32_t>(k) : sampled[k];
@@ -346,9 +355,12 @@ SplitDecision DecideSplit(const NodeStats& stats, const TrainingStore& store,
         left.count += h[2 * static_cast<size_t>(bin)];
         left.pos += h[2 * static_cast<size_t>(bin) + 1];
       }
+      if (left.count == prev_left_count) continue;
+      prev_left_count = left.count;
       const int64_t right_count = stats.count - left.count;
       const int64_t right_pos = stats.pos - left.pos;
-      if (left.count < min_leaf || right_count < min_leaf) continue;
+      if (right_count < min_leaf) break;
+      if (left.count < min_leaf) continue;
       const double score =
           WeightedGini(left.count, left.pos, right_count, right_pos);
       if (!have_best || score < best_score - 1e-12) {

@@ -78,6 +78,11 @@ struct NodeStats {
   void ComputeFromRows(const TrainingStore& store, const RowId* rows,
                        int64_t n, std::vector<int> cand_attrs_sorted);
 
+  /// Recomputes counts and histograms from raw rows over the candidate
+  /// attributes already held in cand_attrs. Reuses the buffers' capacity,
+  /// so a scratch NodeStats refilled node after node stops allocating.
+  void Recompute(const TrainingStore& store, const RowId* rows, int64_t n);
+
   /// Subtracts one instance (used during unlearning).
   void RemoveRow(const TrainingStore& store, RowId row);
 
@@ -123,7 +128,12 @@ struct SplitDecision {
 
 /// Deterministic candidate-attribute choice for the node identified by
 /// `path_key`: p~ distinct attributes (plus, at random-depth nodes, the
-/// random split attribute), sorted ascending.
+/// random split attribute), sorted ascending. Written into *out, whose
+/// capacity is reused. Requires num_attrs > 0.
+void ChooseCandidateAttrs(uint64_t path_key, int num_attrs, int depth,
+                          const ForestConfig& config, std::vector<int>* out);
+
+/// Returning form of the above.
 std::vector<int> ChooseCandidateAttrs(uint64_t path_key, int num_attrs,
                                       int depth, const ForestConfig& config);
 
@@ -132,6 +142,17 @@ std::vector<int> ChooseCandidateAttrs(uint64_t path_key, int num_attrs,
 std::vector<int32_t> CandidateThresholds(uint64_t path_key, int attr,
                                          int32_t cardinality,
                                          const ForestConfig& config);
+
+/// The histogram-free part of the split decision: a node with these
+/// counts at this depth is a leaf whatever its histograms say. DecideSplit
+/// starts with this test, and the rebuild recursions (BuildNodeKernel and
+/// the fused what-if walk) call it to skip the histogram pass of nodes it
+/// already settles, so all three agree by construction.
+inline bool IsForcedLeaf(int64_t count, int64_t pos, int depth,
+                         const ForestConfig& config) {
+  return count < config.min_samples_split || pos == 0 || pos == count ||
+         depth >= config.max_depth;
+}
 
 /// The split-decision function. `stats` must already hold the node's
 /// histograms over ChooseCandidateAttrs(path_key, ...).

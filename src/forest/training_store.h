@@ -44,11 +44,15 @@ class TrainingStore {
   int32_t cardinality(int attr) const { return cards_[attr]; }
 
   int32_t code(RowId row, int attr) const {
+    return row_codes(row)[attr];
+  }
+  /// The row's codes, one per attribute. Loops that read several
+  /// attributes of one row resolve its segment once through this.
+  const int32_t* row_codes(RowId row) const {
     const int seg = SegmentOf(row);
     const size_t off = static_cast<size_t>(row) - SegmentStart(seg);
-    return code_segs_[static_cast<size_t>(seg)]
-                     [off * static_cast<size_t>(num_attrs_) +
-                      static_cast<size_t>(attr)];
+    return code_segs_[static_cast<size_t>(seg)].get() +
+           off * static_cast<size_t>(num_attrs_);
   }
   int label(RowId row) const {
     const int seg = SegmentOf(row);

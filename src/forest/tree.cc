@@ -135,6 +135,17 @@ void GatherTagRows(const TreeNode* node, std::vector<RowId>* doomed,
   GatherTagRows(node->right.get(), doomed, tags);
 }
 
+/// The split an internal node currently holds, as a decision to compare
+/// a re-evaluated DecideSplit against.
+SplitDecision SplitOf(const TreeNode* node) {
+  SplitDecision current;
+  current.is_leaf = false;
+  current.attr = node->attr;
+  current.threshold = node->threshold;
+  current.is_random = node->is_random;
+  return current;
+}
+
 }  // namespace
 
 DareTree DareTree::Build(std::shared_ptr<const TrainingStore> store,
@@ -164,9 +175,9 @@ std::shared_ptr<TreeNode> DareTree::BuildNode(const std::vector<RowId>& rows,
                                               int depth, uint64_t path_key) {
   auto node = std::make_shared<TreeNode>();
   NodeStats stats;
-  stats.ComputeFromRows(
-      *store_, rows,
-      ChooseCandidateAttrs(path_key, store_->num_attrs(), depth, config_));
+  ChooseCandidateAttrs(path_key, store_->num_attrs(), depth, config_,
+                       &stats.cand_attrs);
+  stats.Recompute(*store_, rows.data(), static_cast<int64_t>(rows.size()));
   node->count = stats.count;
   node->pos = stats.pos;
 
@@ -215,11 +226,10 @@ std::shared_ptr<TreeNode> DareTree::BuildNodeKernel(RowId* begin, RowId* end,
   }
   node->count = n;
   node->pos = pos;
-  // Histogram-free leaf conditions — must mirror DecideSplit's first three
-  // checks (split_stats.cc) exactly: a node they force into a leaf never
-  // reads its histograms, so skipping ComputeFromRows cannot change bytes.
-  if (n < config_.min_samples_split || pos == 0 || pos == n ||
-      depth >= config_.max_depth) {
+  // Histogram-free leaf conditions — the same test DecideSplit starts
+  // with: a node they force into a leaf never reads its histograms, so
+  // skipping the histogram pass cannot change bytes.
+  if (IsForcedLeaf(n, pos, depth, config_)) {
     node->rows.assign(begin, end);
     return node;
   }
@@ -228,9 +238,9 @@ std::shared_ptr<TreeNode> DareTree::BuildNodeKernel(RowId* begin, RowId* end,
   if (seed_stats != nullptr) {
     stats = std::move(*seed_stats);
   } else {
-    stats.ComputeFromRows(
-        *store_, begin, n,
-        ChooseCandidateAttrs(path_key, store_->num_attrs(), depth, config_));
+    ChooseCandidateAttrs(path_key, store_->num_attrs(), depth, config_,
+                         &stats.cand_attrs);
+    stats.Recompute(*store_, begin, n);
   }
   const SplitDecision decision =
       DecideSplit(stats, *store_, depth, path_key, config_);
@@ -245,7 +255,8 @@ std::shared_ptr<TreeNode> DareTree::BuildNodeKernel(RowId* begin, RowId* end,
   node->stats = std::move(stats);
 
   int64_t left_pos = 0;
-  RowId* mid = PartitionBySplit(node.get(), begin, end, scratch, &left_pos);
+  RowId* mid = PartitionBySplit(decision.attr, decision.threshold, begin, end,
+                                scratch, &left_pos);
   node->left = BuildNodeKernel(begin, mid, depth + 1,
                                ChildPathKey(path_key, 0), scratch,
                                /*seed_stats=*/nullptr, left_pos);
@@ -425,13 +436,7 @@ void DareTree::DeleteFromNode(std::shared_ptr<TreeNode>* slot,
 
   const SplitDecision decision =
       DecideSplit(node->stats, *store_, depth, path_key, config_);
-  SplitDecision current;
-  current.is_leaf = false;
-  current.attr = node->attr;
-  current.threshold = node->threshold;
-  current.is_random = node->is_random;
-
-  if (!decision.SameSplit(current)) {
+  if (!decision.SameSplit(SplitOf(node))) {
     // The split this node would be built with has changed: retrain the
     // subtree from its remaining instances (DaRE's retrain-as-needed step).
     ++stats_out->subtrees_retrained;
@@ -471,24 +476,29 @@ void DareTree::DeleteFromNode(std::shared_ptr<TreeNode>* slot,
   }
 }
 
-RowId* DareTree::PartitionBySplit(const TreeNode* node, RowId* begin,
+RowId* DareTree::PartitionBySplit(int attr, int32_t threshold, RowId* begin,
                                   RowId* end, DeletionScratch* scratch,
                                   int64_t* left_pos_out) const {
+  // Branch-free stable partition (see NodeStats::RemoveRowsAndPartition):
+  // each row is stored to both cursors and only the matching one advances.
   std::vector<RowId>& spill = scratch->partition_tmp;
-  spill.clear();
+  const auto n = static_cast<size_t>(end - begin);
+  if (spill.size() < n) spill.resize(n);  // grow only: no re-zeroing
   RowId* write = begin;
+  RowId* spilled = spill.data();
   int64_t left_pos = 0;
+  const bool want_pos = left_pos_out != nullptr;
   for (RowId* p = begin; p != end; ++p) {
     const RowId r = *p;
-    if (store_->code(r, node->attr) <= node->threshold) {
-      if (left_pos_out != nullptr) left_pos += store_->label(r);
-      *write++ = r;
-    } else {
-      spill.push_back(r);
-    }
+    const bool left = store_->row_codes(r)[attr] <= threshold;
+    if (want_pos) left_pos += static_cast<int>(left) & store_->label(r);
+    *write = r;
+    *spilled = r;
+    write += left;
+    spilled += !left;
   }
-  std::copy(spill.begin(), spill.end(), write);
-  if (left_pos_out != nullptr) *left_pos_out = left_pos;
+  std::copy(spill.data(), spilled, write);
+  if (want_pos) *left_pos_out = left_pos;
   return write;
 }
 
@@ -499,7 +509,7 @@ void DareTree::DeleteFromNodeKernel(std::shared_ptr<TreeNode>* slot,
                                     DeletionScratch* scratch) {
   TreeNode* node = Mutable(slot, stats_out);
   ++stats_out->nodes_visited;
-  const int64_t n = end - begin;
+  [[maybe_unused]] const int64_t n = end - begin;  // checked in debug builds
 
   if (node->is_leaf()) {
     // A leaf can never become an internal node under deletion (leaf
@@ -543,13 +553,7 @@ void DareTree::DeleteFromNodeKernel(std::shared_ptr<TreeNode>* slot,
 
   const SplitDecision decision =
       DecideSplit(node->stats, *store_, depth, path_key, config_);
-  SplitDecision current;
-  current.is_leaf = false;
-  current.attr = node->attr;
-  current.threshold = node->threshold;
-  current.is_random = node->is_random;
-
-  if (!decision.SameSplit(current)) {
+  if (!decision.SameSplit(SplitOf(node))) {
     ++stats_out->subtrees_retrained;
     RecordRetrain(depth, config_.random_depth);
     std::vector<RowId>& remaining = scratch->remaining;
@@ -577,6 +581,181 @@ void DareTree::DeleteFromNodeKernel(std::shared_ptr<TreeNode>* slot,
   if (mid != end) {
     DeleteFromNodeKernel(&node->right, mid, end, depth + 1,
                          ChildPathKey(path_key, 1), stats_out, scratch);
+  }
+}
+
+struct DareTree::WhatIfWalk {
+  const Dataset& test;
+  double* probs;
+  std::vector<int64_t>* rescored;
+  DeletionStats* stats;
+  DeletionScratch* scratch;
+};
+
+namespace {
+
+/// Branch-free unstable partition of test-row indices around a split test
+/// (the order of test rows carries no meaning); returns the boundary.
+int64_t* PartitionTestRows(const Dataset& test, int attr, int32_t threshold,
+                           int64_t* begin, int64_t* end) {
+  int64_t* mid = begin;
+  for (int64_t* p = begin; p != end; ++p) {
+    const int64_t r = *p;
+    const bool left = test.Code(r, attr) <= threshold;
+    *p = *mid;
+    *mid = r;
+    mid += left;
+  }
+  return mid;
+}
+
+/// Writes a what-if leaf's probability for the test rows reaching it —
+/// PredictProb's arithmetic, including the 0.5 for an emptied leaf.
+void EmitLeaf(int64_t count, int64_t pos, const int64_t* tbegin,
+              const int64_t* tend, double* probs,
+              std::vector<int64_t>* rescored) {
+  if (tbegin == tend) return;
+  const double p = count == 0 ? 0.5
+                              : static_cast<double>(pos) /
+                                    static_cast<double>(count);
+  for (const int64_t* t = tbegin; t != tend; ++t) {
+    probs[static_cast<size_t>(*t)] = p;
+    rescored->push_back(*t);
+  }
+}
+
+}  // namespace
+
+void DareTree::ScoreWithout(const std::vector<RowId>& rows,
+                            const Dataset& test, int64_t* test_begin,
+                            int64_t* test_end, double* probs,
+                            std::vector<int64_t>* rescored,
+                            DeletionStats* stats_out,
+                            DeletionScratch* scratch) const {
+  if (rows.empty() || root_ == nullptr) return;
+  // Tags leave stale decisions below them; the walk reads decisions as-is.
+  FUME_CHECK_EQ(lazy_nodes_, 0);
+  DeletionStats local;
+  scratch->route.assign(rows.begin(), rows.end());
+  scratch->settled = 0;
+  WhatIfWalk walk{test, probs, rescored, &local, scratch};
+  ScoreWithoutNode(root_.get(), scratch->route.data(),
+                   scratch->route.data() + scratch->route.size(), test_begin,
+                   test_end, /*depth=*/0, RootPathKey(config_.seed, tree_id_),
+                   &walk);
+  // Same per-tree guard as DeleteRows: every doomed row settled once.
+  FUME_CHECK_EQ(scratch->settled, static_cast<int64_t>(rows.size()));
+  RecordBatch(local);
+  if (stats_out != nullptr) stats_out->Add(local);
+}
+
+void DareTree::ScoreWithoutNode(const TreeNode* node, RowId* begin,
+                                RowId* end, int64_t* tbegin, int64_t* tend,
+                                int depth, uint64_t path_key,
+                                WhatIfWalk* walk) const {
+  DeletionScratch* scratch = walk->scratch;
+  DeletionStats* stats = walk->stats;
+  ++stats->nodes_visited;
+  [[maybe_unused]] const int64_t n = end - begin;  // checked in debug builds
+
+  if (node->is_leaf()) {
+    // DeleteFromNodeKernel's leaf step, counted instead of applied.
+    ++stats->leaves_updated;
+    int64_t removed = 0;
+    int64_t removed_pos = 0;
+    for (const RowId r : node->rows) {
+      if (scratch->IsDoomed(r)) {
+        ++removed;
+        removed_pos += store_->label(r);
+      }
+    }
+    FUME_DCHECK_EQ(removed, n);
+    scratch->settled += removed;
+    EmitLeaf(node->count - removed, node->pos - removed_pos, tbegin, tend,
+             walk->probs, walk->rescored);
+    return;
+  }
+
+  // DeleteFromNodeKernel's internal-node step on a scratch copy of the
+  // cached statistics: the same fused decrement + partition, the same
+  // re-decision.
+  ++stats->nodes_updated;
+  NodeStats& after = scratch->stats;
+  after = node->stats;
+  RowId* mid = after.RemoveRowsAndPartition(*store_, begin, end, node->attr,
+                                            node->threshold,
+                                            &scratch->partition_tmp);
+  const SplitDecision decision =
+      DecideSplit(after, *store_, depth, path_key, config_);
+  if (!decision.SameSplit(SplitOf(node))) {
+    ++stats->subtrees_retrained;
+    RecordRetrain(depth, config_.random_depth);
+    std::vector<RowId>& remaining = scratch->remaining;
+    remaining.clear();
+    const int64_t filtered =
+        CollectLeafRowsFiltered(node, *scratch, &remaining);
+    FUME_DCHECK_EQ(filtered, n);
+    scratch->settled += filtered;
+    stats->rows_retrained += static_cast<int64_t>(remaining.size());
+    // No canonical sort: row order decides only the leaf lists of a built
+    // tree, never its counts, splits or probabilities.
+    if (tbegin != tend) {
+      ScoreRebuilt(remaining.data(), remaining.data() + remaining.size(),
+                   after.pos, tbegin, tend, depth, path_key, &decision, walk);
+    }
+    return;
+  }
+
+  // Same split: test rows follow the doomed rows down. A side the batch
+  // does not reach keeps its base leaves.
+  int64_t* tmid =
+      PartitionTestRows(walk->test, node->attr, node->threshold, tbegin, tend);
+  if (mid != begin) {
+    ScoreWithoutNode(node->left.get(), begin, mid, tbegin, tmid, depth + 1,
+                     ChildPathKey(path_key, 0), walk);
+  }
+  if (mid != end) {
+    ScoreWithoutNode(node->right.get(), mid, end, tmid, tend, depth + 1,
+                     ChildPathKey(path_key, 1), walk);
+  }
+}
+
+void DareTree::ScoreRebuilt(RowId* begin, RowId* end, int64_t pos,
+                            int64_t* tbegin, int64_t* tend, int depth,
+                            uint64_t path_key, const SplitDecision* decided,
+                            WhatIfWalk* walk) const {
+  // BuildNodeKernel's decisions, node for node, minus the node itself.
+  const int64_t n = end - begin;
+  if (IsForcedLeaf(n, pos, depth, config_)) {
+    EmitLeaf(n, pos, tbegin, tend, walk->probs, walk->rescored);
+    return;
+  }
+  SplitDecision decision;
+  if (decided != nullptr) {
+    decision = *decided;
+  } else {
+    NodeStats& stats = walk->scratch->stats;
+    ChooseCandidateAttrs(path_key, store_->num_attrs(), depth, config_,
+                         &stats.cand_attrs);
+    stats.Recompute(*store_, begin, n);
+    decision = DecideSplit(stats, *store_, depth, path_key, config_);
+  }
+  if (decision.is_leaf) {
+    EmitLeaf(n, pos, tbegin, tend, walk->probs, walk->rescored);
+    return;
+  }
+  int64_t left_pos = 0;
+  RowId* mid = PartitionBySplit(decision.attr, decision.threshold, begin, end,
+                                walk->scratch, &left_pos);
+  int64_t* tmid = PartitionTestRows(walk->test, decision.attr,
+                                    decision.threshold, tbegin, tend);
+  if (tmid != tbegin) {
+    ScoreRebuilt(begin, mid, left_pos, tbegin, tmid, depth + 1,
+                 ChildPathKey(path_key, 0), nullptr, walk);
+  }
+  if (tmid != tend) {
+    ScoreRebuilt(mid, end, pos - left_pos, tmid, tend, depth + 1,
+                 ChildPathKey(path_key, 1), nullptr, walk);
   }
 }
 
@@ -638,13 +817,7 @@ void DareTree::DeleteFromNodeLazy(std::shared_ptr<TreeNode>* slot,
 
   const SplitDecision decision =
       DecideSplit(node->stats, *store_, depth, path_key, config_);
-  SplitDecision current;
-  current.is_leaf = false;
-  current.attr = node->attr;
-  current.threshold = node->threshold;
-  current.is_random = node->is_random;
-
-  if (!decision.SameSplit(current)) {
+  if (!decision.SameSplit(SplitOf(node))) {
     // Decision flip — where the eager kernel retrains, lazy installs a tag
     // and returns. The (reordered, abandoned) span order does not matter:
     // the tag is a set, and the flush rebuild sorts canonically anyway.
@@ -827,13 +1000,7 @@ void DareTree::AddToNode(std::shared_ptr<TreeNode>* slot,
 
   const SplitDecision decision =
       DecideSplit(node->stats, *store_, depth, path_key, config_);
-  SplitDecision current;
-  current.is_leaf = false;
-  current.attr = node->attr;
-  current.threshold = node->threshold;
-  current.is_random = node->is_random;
-
-  if (!decision.SameSplit(current)) {
+  if (!decision.SameSplit(SplitOf(node))) {
     ++stats_out->subtrees_retrained;
     std::vector<RowId> remaining;
     CollectLeafRows(node, &remaining);
@@ -900,13 +1067,7 @@ void DareTree::AddToNodeKernel(std::shared_ptr<TreeNode>* slot, RowId* begin,
 
   const SplitDecision decision =
       DecideSplit(node->stats, *store_, depth, path_key, config_);
-  SplitDecision current;
-  current.is_leaf = false;
-  current.attr = node->attr;
-  current.threshold = node->threshold;
-  current.is_random = node->is_random;
-
-  if (!decision.SameSplit(current)) {
+  if (!decision.SameSplit(SplitOf(node))) {
     ++stats_out->subtrees_retrained;
     std::vector<RowId>& remaining = scratch->remaining;
     remaining.clear();
@@ -922,7 +1083,8 @@ void DareTree::AddToNodeKernel(std::shared_ptr<TreeNode>* slot, RowId* begin,
     return;
   }
 
-  RowId* mid = PartitionBySplit(node, begin, end, scratch);
+  RowId* mid =
+      PartitionBySplit(node->attr, node->threshold, begin, end, scratch);
   if (mid != begin) {
     AddToNodeKernel(&node->left, begin, mid, depth + 1,
                     ChildPathKey(path_key, 0), stats_out, scratch);

@@ -16,6 +16,7 @@
 #include <memory>
 #include <vector>
 
+#include "data/dataset.h"
 #include "forest/arena.h"
 #include "forest/config.h"
 #include "forest/deletion_scratch.h"
@@ -132,6 +133,31 @@ class DareTree {
   /// doomed marks, so any scratch works regardless of batch state).
   void AddRows(const std::vector<RowId>& rows, DeletionStats* stats_out,
                DeletionScratch* scratch);
+
+  /// Fused what-if scoring: plays DeleteRows(rows) against this tree
+  /// without writing to it (const — no CoW unshare, no generation bump, no
+  /// arena eviction) and scores test rows against the tree that deletion
+  /// would leave, without building it.
+  ///  * At every node the doomed rows reach, the split is re-decided on a
+  ///    scratch copy of the node's statistics minus those rows — the
+  ///    DeleteFromNodeKernel step.
+  ///  * Where the decision flips, the surviving leaf rows are collected and
+  ///    BuildNodeKernel's decisions are replayed over scratch spans without
+  ///    allocating nodes, descending only where test rows go.
+  /// `scratch` must have the batch's rows marked doomed, as for the scratch
+  /// DeleteRows overload (DareForest::BeginDeletionBatch). [test_begin,
+  /// test_end) holds indices of rows of `test`, and is reordered. A test
+  /// row whose descent reaches a changed region — a leaf that lost rows or
+  /// a rebuilt subtree — gets the what-if leaf probability in probs[row],
+  /// bit-identical to PredictProb on the deleted tree, and is appended to
+  /// *rescored. Other rows still land in their base leaf and probs is not
+  /// written for them. The work is counted as DeleteRows would count it
+  /// (stats_out and the forest.unlearn.* metrics), with nodes_copied 0.
+  /// Requires a flushed tree. Allocation-free once the scratches are warm.
+  void ScoreWithout(const std::vector<RowId>& rows, const Dataset& test,
+                    int64_t* test_begin, int64_t* test_end, double* probs,
+                    std::vector<int64_t>* rescored, DeletionStats* stats_out,
+                    DeletionScratch* scratch) const;
 
   /// Rebuilds every pending LazyTag subtree, topmost first: marks the tag's
   /// doomed rows in a fresh scratch batch, collects the surviving leaf rows,
@@ -291,13 +317,28 @@ class DareTree {
   void AddToNodeKernel(std::shared_ptr<TreeNode>* slot, RowId* begin,
                        RowId* end, int depth, uint64_t path_key,
                        DeletionStats* stats_out, DeletionScratch* scratch);
-  /// Stable split of [begin, end) around this node's split test; returns
-  /// the boundary. One forward pass plus a copy-back from
-  /// scratch->partition_tmp — no allocation once the buffer is warm. When
-  /// `left_pos_out` is non-null it receives the positive-label count of the
-  /// left side (fused with the routing pass; see BuildNodeKernel pos_hint).
-  RowId* PartitionBySplit(const TreeNode* node, RowId* begin, RowId* end,
-                          DeletionScratch* scratch,
+  /// Per-call state of ScoreWithout's recursions (defined in tree.cc).
+  struct WhatIfWalk;
+  /// ScoreWithout below a node the doomed span [begin, end) reaches; the
+  /// test rows [tbegin, tend) descend to the same node.
+  void ScoreWithoutNode(const TreeNode* node, RowId* begin, RowId* end,
+                        int64_t* tbegin, int64_t* tend, int depth,
+                        uint64_t path_key, WhatIfWalk* walk) const;
+  /// Replays BuildNodeKernel on the surviving rows [begin, end) (positive
+  /// count `pos`) for the test rows [tbegin, tend) only. `decided` is the
+  /// rebuild root's split decision, already made on its seed statistics by
+  /// the flip check; nullptr below the root.
+  void ScoreRebuilt(RowId* begin, RowId* end, int64_t pos, int64_t* tbegin,
+                    int64_t* tend, int depth, uint64_t path_key,
+                    const SplitDecision* decided, WhatIfWalk* walk) const;
+  /// Stable split of [begin, end) around the split test (attr, threshold);
+  /// returns the boundary. One branch-free forward pass plus a copy-back
+  /// from scratch->partition_tmp — no allocation once the buffer is warm.
+  /// When `left_pos_out` is non-null it receives the positive-label count
+  /// of the left side (fused with the routing pass; see BuildNodeKernel
+  /// pos_hint).
+  RowId* PartitionBySplit(int attr, int32_t threshold, RowId* begin,
+                          RowId* end, DeletionScratch* scratch,
                           int64_t* left_pos_out = nullptr) const;
   static void CollectLeafRows(const TreeNode* node, std::vector<RowId>* out);
   /// Kernel variant: collects leaf rows left-to-right while dropping doomed

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "core/removal_method.h"
-#include "fairness/metrics.h"
 #include "obs/metrics.h"
 #include "util/check.h"
 
@@ -202,45 +201,30 @@ void Tenant::EvaluateWhatIf(const TenantSnapshot& snap, BatchJob* job,
   out.rows_matched = static_cast<int64_t>(worker->matched.size());
 
   if (!worker->matched.empty()) {
-    // The snapshot forest is flushed by contract, but a clone inherits
-    // lazy_unlearn from the tenant config; this delete is scored right
-    // away, so deferral would only add tag bookkeeping before ScoreWhatIf
-    // flushed it again.
-    const bool arena_rescore =
-        worker->matched.size() >=
-        UnlearnRemovalMethod::kArenaFullRescoreMinBatch;
+    // Unlearn and rescore straight off the shared snapshot: the fused walk
+    // only reads it, so concurrent whatifs share it as is. The snapshot is
+    // flushed by contract and the matched ids are live, so this cannot
+    // fail.
+    const Dataset& test = test_data();
     const std::vector<int>* preds = nullptr;
     if (is_sharded) {
-      ShardedForest clone = snap.sharded->Clone();
-      if (clone.shard(0).config().lazy_unlearn) clone.SetLazyUnlearn(false);
-      FUME_CHECK(clone.DeleteRows(worker->matched, nullptr, /*pool=*/nullptr,
-                                  &worker->shard_deletion)
+      FUME_CHECK(snap.shard_cache
+                     ->ScoreWithout(*snap.sharded, worker->matched, test,
+                                    &worker->shard_scratch,
+                                    &worker->shard_deletion)
                      .ok());
-      snap.shard_cache->ScoreWhatIf(*snap.sharded, clone, test_data(),
-                                    &worker->shard_scratch, arena_rescore);
       preds = &worker->shard_scratch.preds;
     } else {
-      DareForest clone = snap.forest.Clone();
-      if (clone.config().lazy_unlearn) clone.SetLazyUnlearn(false);
-      FUME_CHECK(clone.DeleteRows(worker->matched, nullptr, &worker->deletion)
+      FUME_CHECK(snap.cache
+                     ->ScoreWithout(snap.forest, worker->matched, test,
+                                    &worker->scratch, &worker->deletion)
                      .ok());
-      snap.cache->ScoreWhatIf(snap.forest, clone, test_data(),
-                              &worker->scratch, arena_rescore);
       preds = &worker->scratch.preds;
     }
-    const Dataset& test = test_data();
-    out.after_fairness = ComputeFairness(
+    const ModelEval after = EvaluatePredictions(
         test, *preds, config_.engine.fume.group, config_.engine.fume.metric);
-    int64_t correct = 0;
-    for (int64_t r = 0; r < test.num_rows(); ++r) {
-      if ((*preds)[static_cast<size_t>(r)] == test.Label(r)) {
-        ++correct;
-      }
-    }
-    out.after_accuracy = test.num_rows() == 0
-                             ? 0.0
-                             : static_cast<double>(correct) /
-                                   static_cast<double>(test.num_rows());
+    out.after_fairness = after.fairness;
+    out.after_accuracy = after.accuracy;
     // Same normalized improvement as repair/what_if.cc.
     const double original = std::fabs(out.before_fairness);
     out.parity_reduction =

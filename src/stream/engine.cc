@@ -284,7 +284,7 @@ Status StreamEngine::RunSearch() {
   const char* name = "dare-unlearn-stream";
   if (sharded_.has_value()) {
     shard.emplace(&*sharded_, &test_, config_.fume.group, config_.fume.metric,
-                  ShardedRemovalMethod::Options{}, &shard_cache_);
+                  &shard_cache_);
     inner = &*shard;
     name = "dare-unlearn-sharded-stream";
   } else {

@@ -6,21 +6,6 @@
 
 namespace fume {
 
-uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-uint64_t Hash64(std::initializer_list<uint64_t> words) {
-  uint64_t h = 0x51ed270b76b0b7c9ULL;
-  for (uint64_t w : words) {
-    h = Mix64(h ^ Mix64(w));
-  }
-  return h;
-}
-
 namespace {
 inline uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 }  // namespace

@@ -18,10 +18,23 @@
 namespace fume {
 
 /// SplitMix64 mixing step: maps any 64-bit value to a well-distributed one.
-uint64_t Mix64(uint64_t x);
+/// Inline: every split decision, candidate-attribute draw and child path
+/// key of every tree build and deletion goes through it.
+inline uint64_t Mix64(uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
 
 /// Hashes a variable-length sequence of 64-bit words into one word.
-uint64_t Hash64(std::initializer_list<uint64_t> words);
+inline uint64_t Hash64(std::initializer_list<uint64_t> words) {
+  uint64_t h = 0x51ed270b76b0b7c9ULL;
+  for (uint64_t w : words) {
+    h = Mix64(h ^ Mix64(w));
+  }
+  return h;
+}
 
 /// \brief xoshiro256** generator: small, fast, passes BigCrush.
 ///

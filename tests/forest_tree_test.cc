@@ -57,6 +57,20 @@ TEST(DareForestTest, TrainRejectsBadInput) {
   EXPECT_FALSE(DareForest::Train(numeric, SmallConfig()).ok());
 }
 
+// Regression: every split draw is a keyed hash modulo the attribute count,
+// so a dataset without attributes used to die with SIGFPE in the
+// candidate-attribute draw instead of failing cleanly.
+TEST(DareForestTest, TrainRejectsDatasetWithNoAttributes) {
+  Dataset empty_schema{Schema()};
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(empty_schema.AppendRow({}, i % 2).ok());
+  }
+  ASSERT_EQ(empty_schema.num_rows(), 10);
+  const Result<DareForest> forest =
+      DareForest::Train(empty_schema, SmallConfig());
+  EXPECT_TRUE(forest.status().IsInvalid()) << forest.status().ToString();
+}
+
 TEST(DareForestTest, TrainingIsDeterministic) {
   Dataset data = MakeLearnable(300, 2);
   auto a = DareForest::Train(data, SmallConfig());

@@ -35,6 +35,13 @@ struct LazyCase {
   uint64_t seed;
 };
 
+// Without a printer gtest lists the parameter as its raw bytes, and the
+// dataset pointer would put a per-process address into the test's
+// discovered name.
+void PrintTo(const LazyCase& c, std::ostream* os) {
+  *os << c.dataset << " seed " << c.seed;
+}
+
 std::string CaseName(const testing::TestParamInfo<LazyCase>& info) {
   return std::string(info.param.dataset) + "_s" +
          std::to_string(info.param.seed);

@@ -379,14 +379,15 @@ TEST(ObsFumeTest, SearchPopulatesPruningCountersAndSpans) {
   EXPECT_GT(m.CounterValue("forest.unlearn.nodes_visited"), 0);
   EXPECT_GT(m.CounterValue("posting.match.literal"), 0);
 
-  // Spans from every layer (search levels, evaluation, forest deletes)
-  // made it into one trace, across worker threads.
+  // Spans from every layer (search levels, evaluation, the forest's fused
+  // what-if walks) made it into one trace, across worker threads.
   const std::string json = obs::TraceToJson();
   EXPECT_NE(json.find("\"name\":\"fume.level\""), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"fume.evaluate\""), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"removal.unlearn.evaluate\""),
             std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"forest.delete\""), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"forest.score_without\""),
+            std::string::npos);
   obs::ClearTrace();
 }
 

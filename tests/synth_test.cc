@@ -35,6 +35,11 @@ const Table2Row kTable2[] = {
     {"meps", 11081, 42, 0.6407, 0.2549, 0.1236},
 };
 
+// Without a printer gtest lists the parameter as its raw bytes, and the
+// std::string's heap pointer would put a per-process address into the
+// test's discovered name.
+void PrintTo(const Table2Row& row, std::ostream* os) { *os << row.name; }
+
 class CalibrationSweep : public testing::TestWithParam<Table2Row> {};
 
 TEST_P(CalibrationSweep, MatchesTable2) {
