@@ -1,7 +1,7 @@
 // What-if evaluation throughput across four pipelines, on the parametric
 // forests of the Figure 5 efficiency study (docs/performance.md):
-//  * deep-copy — DeepClone, DeleteRows, full pointer-walk PredictAll (the
-//    seed reference);
+//  * deep-copy — DeepClone, DeleteRows, a per-row Predict loop (pointer
+//    descent; the seed reference);
 //  * cow-delta — CoW Clone, DeleteRows, pointer diff-walk rescore;
 //  * arena — CoW Clone, DeleteRows, and from kArenaFullRescoreMinBatch up
 //    a full rescore of the changed trees through their flat arenas;
@@ -89,6 +89,26 @@ std::vector<std::vector<RowId>> MakeBatches(const Setup& s, int batch_size,
   return batches;
 }
 
+// Hard predictions by single-row pointer descent (DareForest::Predict), the
+// reference the arena batch traversal must reproduce.
+std::vector<int> PointerPredictions(const DareForest& forest,
+                                    const Dataset& data) {
+  std::vector<int> out(static_cast<size_t>(data.num_rows()));
+  for (int64_t r = 0; r < data.num_rows(); ++r) {
+    out[static_cast<size_t>(r)] = forest.Predict(data, r);
+  }
+  return out;
+}
+
+std::vector<double> PointerProbabilities(const DareForest& forest,
+                                         const Dataset& data) {
+  std::vector<double> out(static_cast<size_t>(data.num_rows()));
+  for (int64_t r = 0; r < data.num_rows(); ++r) {
+    out[static_cast<size_t>(r)] = forest.PredictProb(data, r);
+  }
+  return out;
+}
+
 enum class Strategy { kDeepCopy, kCowDelta, kArena, kFused };
 
 struct StrategySpec {
@@ -143,7 +163,7 @@ class CloneRemoval : public RemovalMethod {
       // identity checks diff two independent traversal implementations.
       DareForest what_if = s_.model.DeepClone();
       FUME_RETURN_NOT_OK(what_if.DeleteRows(rows, nullptr, &w->deletion));
-      return EvaluatePredictions(s_.test, what_if.PredictAllPointer(s_.test),
+      return EvaluatePredictions(s_.test, PointerPredictions(what_if, s_.test),
                                  s_.group, FairnessMetric::kStatisticalParity);
     }
     DareForest what_if = s_.model.Clone();
@@ -378,8 +398,8 @@ int main(int argc, char** argv) {
   // Direct arena-vs-pointer probe on the mid-size model: the compiled-arena
   // batch traversal must reproduce the per-row pointer walk byte for byte.
   const bool arena_identical =
-      s.model.PredictProbAll(s.test) == s.model.PredictProbAllPointer(s.test) &&
-      s.model.PredictAll(s.test) == s.model.PredictAllPointer(s.test);
+      s.model.PredictProbAll(s.test) == PointerProbabilities(s.model, s.test) &&
+      s.model.PredictAll(s.test) == PointerPredictions(s.model, s.test);
   // Direct fused-vs-clone probe on the mid-size model over every batch
   // size the throughput cells ran.
   bool fused_identical = true;
@@ -408,6 +428,7 @@ int main(int argc, char** argv) {
   if (json) {
     json.precision(6);
     json << "{\n  \"bench\": \"eval_throughput\",\n"
+         << "  \"machine\": \"" << MachineDescription() << "\",\n"
          << "  \"forest\": \"figure5-parametric (10 trees, depth 8)\",\n"
          << "  \"mid_size_rows\": " << mid_size << ",\n"
          << "  \"headline_batch_rows\": " << kHeadlineBatch << ",\n"

@@ -5,6 +5,8 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <string>
+#include <thread>
 
 #include "forest/tree.h"
 #include "obs/metrics.h"
@@ -167,6 +169,28 @@ void WriteArtifact(const std::string& name,
   std::cout << "artifact written: " << path << " (" << rows.size()
             << " rows)\n";
   WriteMetricsSnapshot(name);
+}
+
+std::string MachineDescription() {
+  std::string cpu = "unknown";
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    if (line.rfind("model name", 0) == 0) {
+      const size_t colon = line.find(':');
+      if (colon != std::string::npos && colon + 2 <= line.size()) {
+        cpu = line.substr(colon + 2);
+      }
+      break;
+    }
+  }
+  std::string out = "nproc=" +
+                    std::to_string(std::thread::hardware_concurrency()) +
+                    "; cpu=" + cpu + "; compiler=" + __VERSION__;
+#ifdef NDEBUG
+  out += "; NDEBUG";
+#endif
+  std::erase_if(out, [](char c) { return c == '"' || c == '\\'; });
+  return out;
 }
 
 void WriteMetricsSnapshot(const std::string& name) {

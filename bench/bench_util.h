@@ -87,6 +87,12 @@ void WriteArtifact(const std::string& name,
 /// CSV to still persist the run's counters.
 void WriteMetricsSnapshot(const std::string& name);
 
+/// One-line description of the host and build for BENCH_*.json artifacts
+/// ("nproc=4; cpu=<model name>; compiler=<__VERSION__>; NDEBUG"), so a
+/// baseline says which machine its numbers came from. JSON-safe: quotes
+/// and backslashes are dropped.
+std::string MachineDescription();
+
 }  // namespace bench
 }  // namespace fume
 

@@ -81,16 +81,20 @@ if [ -f bench_artifacts/BENCH_eval.json ]; then
   done
 fi
 
-# The unlearn bench must have exercised the lazy-tags strategy and attested
-# both lazy exactness invariants: the flushed lazy forest is byte-identical
-# to the eager kernel, and a query-flushed lazy burst leaves the top-k
-# search unchanged.
+# The unlearn bench must have exercised the retrain baseline and the
+# lazy-tags strategy, and attested the exactness invariants: compounded
+# kernel deletions serialize like a same-store retrain on the surviving
+# rows, the flushed lazy forest is byte-identical to the eager kernel, and
+# a query-flushed lazy burst leaves the top-k search unchanged.
 if [ -f bench_artifacts/BENCH_unlearn.json ]; then
-  if ! grep -q '"strategy": *"lazy-tags"' bench_artifacts/BENCH_unlearn.json; then
-    echo "FAIL: no lazy-tags strategy cells in BENCH_unlearn.json"
-    status=1
-  fi
-  for key in lazy_flush_bytes_identical lazy_topk_identical; do
+  for strategy in retrain lazy-tags; do
+    if ! grep -q "\"strategy\": *\"${strategy}\"" bench_artifacts/BENCH_unlearn.json; then
+      echo "FAIL: no ${strategy} strategy cells in BENCH_unlearn.json"
+      status=1
+    fi
+  done
+  for key in compounded_bytes_identical lazy_flush_bytes_identical \
+             lazy_topk_identical; do
     if ! grep -q "\"${key}\": *true" bench_artifacts/BENCH_unlearn.json; then
       echo "FAIL: ${key} attestation missing or false in BENCH_unlearn.json"
       status=1

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Builds with ThreadSanitizer and runs the tests that exercise the
 # lock-free observability counters and the multi-threaded FUME search, so
-# every new atomic is race-checked. Usage:
+# every new atomic is race-checked. A sanitizer report makes the test that
+# produced it exit non-zero, so the sweep passes only with zero reports.
+# Usage:
 #
 #   scripts/run_tsan_tests.sh            # TSan (default)
 #   FUME_SANITIZE=address scripts/run_tsan_tests.sh   # ASan+UBSan instead
@@ -23,8 +25,8 @@ cmake --build "${BUILD_DIR}" -j --target obs_test fume_algorithm_test \
   forest_unlearn_test unlearn_kernel_test forest_cow_test forest_arena_test \
   lazy_unlearn_test stream_test serve_test thread_pool_test query_scope_test \
   bench_check_test sharded_forest_test sharded_stream_test deletion_stats_test \
-  what_if_score_test
+  what_if_score_test serialize_test
 
 cd "${BUILD_DIR}"
 ctest --output-on-failure -j "$(nproc)" \
-  -R '(Obs|Fume|Unlearn|Addition|Stream|Serve|OpLog|PredictionCache|DriftPolicy|Workload|Cow|WhatIfRescore|ThreadPool|Kernel|DeletionScratch|QueryScope|BenchCheck|JsonParser|Arena|Lazy|Sharded|DeletionStats)' "$@"
+  -R '(Obs|Fume|Unlearn|Addition|Stream|Serve|OpLog|PredictionCache|DriftPolicy|Workload|Cow|WhatIfRescore|ThreadPool|Kernel|DeletionScratch|QueryScope|BenchCheck|JsonParser|Arena|Lazy|Sharded|DeletionStats|Serialize)' "$@"

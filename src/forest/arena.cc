@@ -1,5 +1,6 @@
 #include "forest/arena.h"
 
+#include <atomic>
 #include <limits>
 
 #include "forest/tree.h"

@@ -26,7 +26,6 @@
 #ifndef FUME_FOREST_ARENA_H_
 #define FUME_FOREST_ARENA_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -102,16 +101,17 @@ uint64_t NextGeneration();
 /// Total bytes held by live arenas (the forest.arena.bytes gauge's source).
 int64_t LiveArenaBytes();
 
-/// Per-tree cache cell for the compiled arena. The atomic pointer serves
-/// lock-free readers; the mutex serializes compile-on-first-use so
-/// concurrent predictions build one arena, not one each.
+/// Per-tree cache cell for the compiled arena. Every access — a lookup, a
+/// compile-on-first-use, a Clone's seeding read, an invalidation — holds
+/// `mu`, so concurrent predictions build one arena, not one each. Lookups
+/// happen once per tree per batch traversal, never per row.
 struct ArenaSlot {
   std::mutex mu;
-  std::atomic<std::shared_ptr<const TreeArena>> arena{nullptr};
+  std::shared_ptr<const TreeArena> arena;
   /// Node count of the last arena stored here. Survives eager invalidation
   /// (which nulls `arena`), so the recompile after every what-if mutation
   /// still reserves its arrays in one shot instead of growing by doubling.
-  std::atomic<int64_t> size_hint{0};
+  int64_t size_hint = 0;
 };
 
 }  // namespace arena_internal

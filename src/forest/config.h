@@ -40,30 +40,14 @@ struct ForestConfig {
   /// k': thresholds sampled per attribute in kSampled mode.
   int num_sampled_thresholds = 8;
   uint64_t seed = 42;
-  /// Run deletions/additions through the allocation-free batched kernel
-  /// (epoch-stamped DeletionScratch, columnar NodeStats::RemoveRows,
-  /// in-place route partitioning). false restores the per-row baseline —
-  /// byte-identical results, kept for exactness tests and the
-  /// bench_unlearn_kernel comparison. Not part of the serialized model
-  /// (a runtime execution knob, not model state).
-  bool batched_unlearn_kernel = true;
-  /// Route batch prediction (PredictProbAll/PredictAll and the test-set
-  /// prediction cache's tree walks) through per-tree flat SoA arenas —
-  /// compiled lazily from the CoW node graph, invalidated by generation
-  /// stamp, traversed with branch-light index arithmetic. false restores
-  /// the pointer walk everywhere. Results are byte-identical either way
-  /// (FUME_ARENA_VERIFY builds cross-check every call). Like
-  /// batched_unlearn_kernel, a runtime execution knob — not part of the
-  /// serialized model.
-  bool arena_traversal = true;
   /// Defer trigger-subtree retrains (DynFrs-style lazy tags): a deletion
   /// that flips a split decision appends the doomed rows to a per-node
   /// LazyTag instead of rebuilding, keeping ancestor histograms exact, and
   /// the rebuild happens on the first query descent / FlushAll / budget
-  /// overflow. Requires batched_unlearn_kernel. Once flushed the forest is
-  /// byte-identical to the eager kernel on the same op sequence (DESIGN.md
-  /// §6 invariant 9); DeletionStats deliberately differ (lazy does less
-  /// work). Runtime execution knob — not part of the serialized model.
+  /// overflow. Once flushed the forest is byte-identical to the eager
+  /// kernel on the same op sequence (DESIGN.md §6 invariant 9);
+  /// DeletionStats deliberately differ (lazy does less work). Runtime
+  /// execution knob — not part of the serialized model.
   bool lazy_unlearn = false;
   /// Staleness budget: DeleteRows auto-flushes the whole forest when the
   /// pending doomed-row count (resp. tag count) across trees exceeds this.

@@ -4,8 +4,7 @@
 // One DeleteRows call on a forest marks its doomed rows ONCE in an
 // epoch-stamped membership array sized to the training store; every leaf
 // update and subtree retrain in every tree then answers "is this row
-// doomed?" with one array load — where the per-row baseline rebuilt an
-// std::unordered_set of the routed rows at each leaf and each retrain.
+// doomed?" with one array load — no per-leaf or per-retrain hash set.
 // Epoch stamping replaces clearing (the same trick as
 // TestPredictionCache::WhatIfScratch), so a warm scratch performs no
 // allocation and no O(store) work between batches. The routing and
@@ -74,8 +73,8 @@ class DeletionScratch {
   std::vector<RowId> remaining;
   /// Spill buffer for the stable in-place span partition (right-going rows
   /// park here for one pass, then are copied back after the left-going
-  /// rows). Stability keeps leaf membership order — and serialized bytes —
-  /// identical to the per-row baseline.
+  /// rows). Stability keeps leaf membership in canonical (ascending) order,
+  /// so serialized bytes depend only on the row set.
   std::vector<RowId> partition_tmp;
   /// Working statistics of the fused what-if walk (DareTree::ScoreWithout):
   /// a node's cached statistics minus the doomed rows, or a replayed
@@ -84,8 +83,7 @@ class DeletionScratch {
   NodeStats stats;
   /// Doomed rows actually removed so far in the current tree (leaf removals
   /// plus rows filtered out of retrain collections). DareTree::DeleteRows
-  /// checks this against the batch size once per tree — the kernel's
-  /// replacement for the per-leaf membership-count assertion.
+  /// checks this against the batch size once per tree.
   int64_t settled = 0;
 
  private:

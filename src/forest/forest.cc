@@ -1,7 +1,6 @@
 #include "forest/forest.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -96,11 +95,6 @@ Result<DareForest> DareForest::Train(const Dataset& train,
   if (config.random_depth < 0 || config.random_depth > config.max_depth) {
     return Status::Invalid("random_depth must lie in [0, max_depth]");
   }
-  if (config.lazy_unlearn && !config.batched_unlearn_kernel) {
-    return Status::Invalid(
-        "lazy_unlearn requires batched_unlearn_kernel (the flush rebuilds "
-        "run through BuildNodeKernel)");
-  }
   if (config.lazy_unlearn &&
       (config.max_lazy_rows < 1 || config.max_lazy_nodes < 1)) {
     return Status::Invalid("lazy staleness budgets must be positive");
@@ -181,24 +175,11 @@ Status DareForest::DeleteRows(const std::vector<RowId>& rows,
                       {{"rows", static_cast<int64_t>(rows.size())},
                        {"trees", static_cast<int>(trees_.size())}});
   DeletionScratch local_scratch;
-  if (config_.batched_unlearn_kernel) {
-    if (scratch == nullptr) scratch = &local_scratch;
-    FUME_RETURN_NOT_OK(BeginDeletionBatch(rows, scratch));
-  } else {
-    DeletionBatchMetrics::Get().Count(rows.size());
-    std::unordered_set<RowId> seen;
-    for (RowId r : rows) {
-      if (r < 0 || r >= store_->num_rows()) return RowOutOfRange(r);
-      if (!seen.insert(r).second) return DuplicateRow(r);
-    }
-  }
+  if (scratch == nullptr) scratch = &local_scratch;
+  FUME_RETURN_NOT_OK(BeginDeletionBatch(rows, scratch));
   for (size_t t = 0; t < trees_.size(); ++t) {
     DeletionStats local;
-    if (config_.batched_unlearn_kernel) {
-      trees_[t].DeleteRows(rows, &local, scratch);
-    } else {
-      trees_[t].DeleteRows(rows, &local);
-    }
+    trees_[t].DeleteRows(rows, &local, scratch);
     deletion_stats_.Add(local);
     if (per_tree != nullptr) (*per_tree)[t] = local;
   }
@@ -295,20 +276,14 @@ Result<std::vector<RowId>> DareForest::AddData(
     new_ids.push_back(store_->Append(codes, rows.Label(r)));
   }
   DeletionScratch local_scratch;
-  if (config_.batched_unlearn_kernel && scratch == nullptr) {
-    scratch = &local_scratch;
-  }
+  if (scratch == nullptr) scratch = &local_scratch;
   // Additions route through every level of every tree, so pending lazy tags
   // (stale split decisions below them) must be rebuilt first. The flush
   // work lands in per_tree alongside the add work.
   if (config_.lazy_unlearn) FlushAll(per_tree, scratch);
   for (size_t t = 0; t < trees_.size(); ++t) {
     DeletionStats local;
-    if (config_.batched_unlearn_kernel) {
-      trees_[t].AddRows(new_ids, &local, scratch);
-    } else {
-      trees_[t].AddRows(new_ids, &local);
-    }
+    trees_[t].AddRows(new_ids, &local, scratch);
     deletion_stats_.Add(local);
     // Add (not assign): the entry may already carry this call's lazy-flush
     // work from the FlushAll above.
@@ -341,46 +316,21 @@ int DareForest::Predict(const Dataset& data, int64_t row) const {
   return PredictProb(data, row) >= 0.5 ? 1 : 0;
 }
 
-std::vector<double> DareForest::PredictProbAllPointer(
-    const Dataset& data) const {
-  FUME_CHECK(CheckCompatible(data).ok());
-  std::vector<double> out(static_cast<size_t>(data.num_rows()));
-  for (int64_t r = 0; r < data.num_rows(); ++r) {
-    out[static_cast<size_t>(r)] = PredictProb(data, r);
-  }
-  return out;
-}
-
-std::vector<int> DareForest::PredictAllPointer(const Dataset& data) const {
-  std::vector<double> probs = PredictProbAllPointer(data);
-  std::vector<int> out(probs.size());
-  for (size_t i = 0; i < probs.size(); ++i) out[i] = probs[i] >= 0.5 ? 1 : 0;
-  return out;
-}
-
 std::vector<double> DareForest::PredictProbAll(const Dataset& data) const {
-  if (!config_.arena_traversal || trees_.empty()) {
-    return PredictProbAllPointer(data);
-  }
   FUME_CHECK(CheckCompatible(data).ok());
   EnsureFlushed();  // arenas must never be compiled from a tagged tree
   const std::shared_ptr<const PackedCodes> packed = data.packed_codes();
   const int64_t n_rows = data.num_rows();
   std::vector<double> sums(static_cast<size_t>(n_rows), 0.0);
   for (const auto& tree : trees_) {
-    const std::shared_ptr<const TreeArena> arena = tree.arena();
-    if (arena == nullptr) return PredictProbAllPointer(data);
     // Tree-outer accumulation adds per-row leaf probabilities in tree
     // order — the same summation PredictProb performs per row, so the
     // means below are byte-identical to the pointer walk.
-    arena->AccumulateProbs(packed->codes.data(), packed->num_attrs, n_rows,
-                           sums.data());
+    tree.arena()->AccumulateProbs(packed->codes.data(), packed->num_attrs,
+                                  n_rows, sums.data());
   }
   const double tree_count = static_cast<double>(trees_.size());
   for (double& s : sums) s /= tree_count;
-#ifdef FUME_ARENA_VERIFY
-  FUME_CHECK(sums == PredictProbAllPointer(data));
-#endif
   return sums;
 }
 

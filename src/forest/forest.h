@@ -65,7 +65,7 @@ class DareForest {
   /// call so steady-state deletions allocate nothing; a warm reuse bumps
   /// forest.unlearn.scratch_reuse. nullptr uses call-local scratch. The
   /// scratch is an execution resource only — results are byte-identical
-  /// whatever is passed (or with the kernel disabled entirely).
+  /// whatever is passed.
   Status DeleteRows(const std::vector<RowId>& rows,
                     std::vector<DeletionStats>* per_tree,
                     DeletionScratch* scratch);
@@ -121,7 +121,7 @@ class DareForest {
   /// tags.
   void EnsureFlushed() const;
   /// Toggles config().lazy_unlearn on this forest and every tree. Disabling
-  /// flushes pending tags first; enabling requires batched_unlearn_kernel.
+  /// flushes pending tags first.
   /// What-if evaluation disables lazy on its clones (a delete that is
   /// scored immediately gains nothing from deferral).
   void SetLazyUnlearn(bool on);
@@ -134,18 +134,12 @@ class DareForest {
   double PredictProb(const Dataset& data, int64_t row) const;
   /// Hard prediction at the 0.5 probability threshold.
   int Predict(const Dataset& data, int64_t row) const;
-  /// Batch prediction over every row of `data`. With
-  /// config().arena_traversal (the default) the rows stream through each
-  /// tree's flat arena (compiled on demand, cached until the next
-  /// mutation); results are byte-identical to the pointer walk.
+  /// Batch prediction over every row of `data`: the rows stream through
+  /// each tree's flat arena (compiled on demand, cached until the next
+  /// mutation). Results are byte-identical to a PredictProb loop, the
+  /// pointer descent the arena tests compare against.
   std::vector<double> PredictProbAll(const Dataset& data) const;
   std::vector<int> PredictAll(const Dataset& data) const;
-  /// Reference pointer-walk batch prediction (a per-row PredictProb loop,
-  /// ignoring config().arena_traversal). Kept as the exactness baseline the
-  /// arena path is diffed against in tests, FUME_ARENA_VERIFY builds and
-  /// the eval-throughput bench's deep-copy strategy.
-  std::vector<double> PredictProbAllPointer(const Dataset& data) const;
-  std::vector<int> PredictAllPointer(const Dataset& data) const;
 
   /// Fraction of rows of `data` predicted correctly.
   double Accuracy(const Dataset& data) const;

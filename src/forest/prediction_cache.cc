@@ -13,47 +13,12 @@ void TestPredictionCache::WalkTree(const DareForest& forest,
   auto& probs = prob_[static_cast<size_t>(t)];
   leaves.resize(static_cast<size_t>(n_rows));
   probs.resize(static_cast<size_t>(n_rows));
-  if (forest.config().arena_traversal) {
-    // Arena walk: same leaf TreeNode* per row as the pointer loop below
-    // (the stream engine's resume contract keys on those addresses), same
-    // probability bytes.
-    if (const std::shared_ptr<const TreeArena> arena = forest.tree(t).arena()) {
-      const std::shared_ptr<const PackedCodes> packed = test.packed_codes();
-      arena->WalkLeaves(packed->codes.data(), packed->num_attrs, n_rows,
-                        leaves.data(), probs.data());
-#ifdef FUME_ARENA_VERIFY
-      std::vector<const TreeNode*> ref_leaves = leaves;
-      std::vector<double> ref_probs = probs;
-      WalkTreePointer(forest, test, t, ref_leaves.data(), ref_probs.data());
-      FUME_CHECK(leaves == ref_leaves);
-      FUME_CHECK(probs == ref_probs);
-#endif
-      return;
-    }
-  }
-  WalkTreePointer(forest, test, t, leaves.data(), probs.data());
-}
-
-void TestPredictionCache::WalkTreePointer(const DareForest& forest,
-                                          const Dataset& test, int t,
-                                          const TreeNode** leaves,
-                                          double* probs) const {
-  const int64_t n_rows = test.num_rows();
-  const TreeNode* root = forest.tree(t).root();
-  for (int64_t r = 0; r < n_rows; ++r) {
-    const TreeNode* n = root;
-    if (n != nullptr && n->count != 0) {
-      while (!n->is_leaf()) {
-        n = test.Code(r, n->attr) <= n->threshold ? n->left.get()
-                                                  : n->right.get();
-      }
-    }
-    leaves[static_cast<size_t>(r)] = n;
-    probs[static_cast<size_t>(r)] =
-        (n == nullptr || n->count == 0)
-            ? 0.5
-            : static_cast<double>(n->pos) / static_cast<double>(n->count);
-  }
+  // The arena reports the leaf TreeNode* each row reaches — the addresses
+  // ResumeTree and the stream engine's resume contract key on — and
+  // PredictProb's probability bytes.
+  const std::shared_ptr<const PackedCodes> packed = test.packed_codes();
+  forest.tree(t).arena()->WalkLeaves(packed->codes.data(), packed->num_attrs,
+                                     n_rows, leaves.data(), probs.data());
 }
 
 void TestPredictionCache::ResumeTree(const Dataset& test, int t) {
@@ -293,10 +258,8 @@ void TestPredictionCache::ScoreWhatIf(const DareForest& base,
   what_if.EnsureFlushed();
   const size_t n_rows = mean_prob_.size();
   FUME_CHECK_EQ(static_cast<size_t>(test.num_rows()), n_rows);
-  const bool arena_mode =
-      arena_full_rescore && what_if.config().arena_traversal;
   std::shared_ptr<const PackedCodes> packed;
-  if (arena_mode) packed = test.packed_codes();
+  if (arena_full_rescore) packed = test.packed_codes();
   bool rescored_all = false;
 
   BeginWhatIf(s);
@@ -306,19 +269,17 @@ void TestPredictionCache::ScoreWhatIf(const DareForest& base,
     if (broot == nroot) continue;  // whole tree still shared
     ++s->trees_changed;
     s->tree_epoch[t] = s->epoch;
-    if (arena_mode) {
+    if (arena_full_rescore) {
       // Broad mutation: stream every row through the changed tree's arena
       // instead of diff-walking the pointer graphs. Same leaf probability
       // bytes as DiffWalk's descent, just computed for all rows at once.
-      if (const std::shared_ptr<const TreeArena> arena =
-              what_if.tree(static_cast<int>(t)).arena()) {
-        s->tree_prob[t].resize(n_rows);
-        arena->PredictProbs(packed->codes.data(), packed->num_attrs,
-                            static_cast<int64_t>(n_rows),
-                            s->tree_prob[t].data());
-        rescored_all = true;
-        continue;
-      }
+      s->tree_prob[t].resize(n_rows);
+      what_if.tree(static_cast<int>(t))
+          .arena()
+          ->PredictProbs(packed->codes.data(), packed->num_attrs,
+                         static_cast<int64_t>(n_rows), s->tree_prob[t].data());
+      rescored_all = true;
+      continue;
     }
     // Seed with the base probabilities so rows pruned at a shared subtree
     // keep their cached value; DiffWalk overwrites only rescored rows.
@@ -333,9 +294,6 @@ void TestPredictionCache::ScoreWhatIf(const DareForest& base,
   // A full arena rescore invalidates every row's sum, not just the
   // diff-walk's touched list.
   ResumWhatIf(s, rescored_all);
-#ifdef FUME_ARENA_VERIFY
-  FUME_CHECK(s->preds == what_if.PredictAllPointer(test));
-#endif
 }
 
 }  // namespace fume

@@ -118,8 +118,7 @@ class TestPredictionCache {
   /// every test row through each changed tree's flat arena — the right
   /// call when the mutation was broad (large deletion batches unshare most
   /// paths, so the diff-walk would re-walk nearly everything through
-  /// pointers anyway). Requires what_if.config().arena_traversal; results
-  /// are byte-identical either way.
+  /// pointers anyway). Results are byte-identical either way.
   void ScoreWhatIf(const DareForest& base, const DareForest& what_if,
                    const Dataset& test, WhatIfScratch* scratch,
                    bool arena_full_rescore = false) const;
@@ -134,10 +133,6 @@ class TestPredictionCache {
 
  private:
   void WalkTree(const DareForest& forest, const Dataset& test, int t);
-  /// Reference root-to-leaf pointer descent into caller-provided arrays
-  /// (the pre-arena WalkTree body); also the FUME_ARENA_VERIFY oracle.
-  void WalkTreePointer(const DareForest& forest, const Dataset& test, int t,
-                       const TreeNode** leaves, double* probs) const;
   void ResumeTree(const Dataset& test, int t);
   void Finalize(const DareForest& forest);
   void DiffWalk(const TreeNode* base, const TreeNode* changed,

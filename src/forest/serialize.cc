@@ -85,7 +85,15 @@ void WriteNode(std::ostream& out, const TreeNode* node) {
   WriteNode(out, node->right.get());
 }
 
-Result<std::shared_ptr<TreeNode>> ReadNode(std::istream& in, int depth) {
+// Index checks that must pass before anything indexes the store with a
+// value read from the file: ValidateStats recounts statistics through
+// these attributes and row ids.
+bool AttrInRange(int attr, int num_attrs) {
+  return attr >= 0 && attr < num_attrs;
+}
+
+Result<std::shared_ptr<TreeNode>> ReadNode(std::istream& in, int depth,
+                                           int num_attrs, int64_t num_rows) {
   if (depth > 64) return Status::IOError("forest file: tree too deep");
   auto node = std::make_shared<TreeNode>();
   uint8_t is_leaf = 0;
@@ -97,6 +105,11 @@ Result<std::shared_ptr<TreeNode>> ReadNode(std::istream& in, int depth) {
     if (!ReadVec(in, &node->rows, kMaxVec)) {
       return Status::IOError("forest file: truncated leaf rows");
     }
+    for (const RowId r : node->rows) {
+      if (r < 0 || r >= num_rows) {
+        return Status::IOError("forest file: leaf row id out of range");
+      }
+    }
     return node;
   }
   uint8_t is_random = 0;
@@ -105,8 +118,16 @@ Result<std::shared_ptr<TreeNode>> ReadNode(std::istream& in, int depth) {
     return Status::IOError("forest file: truncated split record");
   }
   node->is_random = is_random != 0;
+  if (!AttrInRange(node->attr, num_attrs)) {
+    return Status::IOError("forest file: split attribute out of range");
+  }
   if (!ReadVec(in, &node->stats.cand_attrs, kMaxVec)) {
     return Status::IOError("forest file: truncated candidate attrs");
+  }
+  for (const int a : node->stats.cand_attrs) {
+    if (!AttrInRange(a, num_attrs)) {
+      return Status::IOError("forest file: candidate attribute out of range");
+    }
   }
   uint64_t num_hists = 0;
   if (!ReadPod(in, &num_hists) || num_hists != node->stats.cand_attrs.size()) {
@@ -129,8 +150,10 @@ Result<std::shared_ptr<TreeNode>> ReadNode(std::istream& in, int depth) {
   }
   node->stats.count = node->count;
   node->stats.pos = node->pos;
-  FUME_ASSIGN_OR_RETURN(node->left, ReadNode(in, depth + 1));
-  FUME_ASSIGN_OR_RETURN(node->right, ReadNode(in, depth + 1));
+  FUME_ASSIGN_OR_RETURN(node->left,
+                        ReadNode(in, depth + 1, num_attrs, num_rows));
+  FUME_ASSIGN_OR_RETURN(node->right,
+                        ReadNode(in, depth + 1, num_attrs, num_rows));
   return node;
 }
 
@@ -233,9 +256,14 @@ Result<DareForest> LoadForest(std::istream& in) {
   if (!ReadVec(in, &cards, kMaxVec) || cards.empty()) {
     return Status::IOError("forest file: bad cardinality block");
   }
+  for (const int32_t card : cards) {
+    if (card < 1) return Status::IOError("forest file: bad cardinality");
+  }
   int64_t num_rows = 0;
+  // Both factors are at most kMaxVec, so the product cannot overflow.
   if (!ReadPod(in, &num_rows) || num_rows < 0 ||
-      num_rows > static_cast<int64_t>(kMaxVec)) {
+      num_rows > static_cast<int64_t>(kMaxVec) ||
+      static_cast<uint64_t>(num_rows) * cards.size() > kMaxVec) {
     return Status::IOError("forest file: bad row count");
   }
   std::vector<int32_t> codes(static_cast<size_t>(num_rows) * cards.size());
@@ -249,6 +277,16 @@ Result<DareForest> LoadForest(std::istream& in) {
             static_cast<std::streamsize>(labels.size()));
   }
   if (!in) return Status::IOError("forest file: truncated store block");
+  for (size_t i = 0; i < codes.size(); ++i) {
+    const int32_t card = cards[i % cards.size()];
+    if (codes[i] < 0 || codes[i] >= card) {
+      return Status::IOError("forest file: attribute code out of range");
+    }
+  }
+  for (const uint8_t label : labels) {
+    if (label > 1) return Status::IOError("forest file: label is not 0/1");
+  }
+  const int num_attrs = static_cast<int>(cards.size());
   auto store = TrainingStore::FromParts(std::move(cards), std::move(codes),
                                         std::move(labels));
 
@@ -266,7 +304,7 @@ Result<DareForest> LoadForest(std::istream& in) {
     }
     std::shared_ptr<TreeNode> root;
     if (has_root != 0) {
-      FUME_ASSIGN_OR_RETURN(root, ReadNode(in, 0));
+      FUME_ASSIGN_OR_RETURN(root, ReadNode(in, 0, num_attrs, num_rows));
     }
     trees.push_back(
         DareTree::FromParts(store, config, tree_id, std::move(root)));

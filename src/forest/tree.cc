@@ -158,53 +158,19 @@ DareTree DareTree::Build(std::shared_ptr<const TrainingStore> store,
   tree.store_ = std::move(store);
   tree.config_ = config;
   tree.tree_id_ = tree_id;
-  // Canonical build order: leaf lists are kept sorted ascending everywhere
-  // (here and at every later rebuild), so the serialized tree is a pure
-  // function of the row multiset — the property FlushLazy's byte-identity
-  // with the eager kernel rests on (DESIGN.md §6 invariant 9).
   std::vector<RowId> sorted = rows;
-  std::sort(sorted.begin(), sorted.end());
-  tree.root_ = tree.BuildNode(sorted, /*depth=*/0,
-                              RootPathKey(config.seed, tree_id));
+  DeletionScratch scratch;
+  tree.root_ = tree.BuildRoot(&sorted, &scratch);
   tree.generation_ = arena_internal::NextGeneration();
-  tree.arena_slot_ = std::make_shared<arena_internal::ArenaSlot>();
   return tree;
 }
 
-std::shared_ptr<TreeNode> DareTree::BuildNode(const std::vector<RowId>& rows,
-                                              int depth, uint64_t path_key) {
-  auto node = std::make_shared<TreeNode>();
-  NodeStats stats;
-  ChooseCandidateAttrs(path_key, store_->num_attrs(), depth, config_,
-                       &stats.cand_attrs);
-  stats.Recompute(*store_, rows.data(), static_cast<int64_t>(rows.size()));
-  node->count = stats.count;
-  node->pos = stats.pos;
-
-  const SplitDecision decision =
-      DecideSplit(stats, *store_, depth, path_key, config_);
-  if (decision.is_leaf) {
-    node->rows = rows;
-    return node;
-  }
-
-  node->attr = decision.attr;
-  node->threshold = decision.threshold;
-  node->is_random = decision.is_random;
-  node->stats = std::move(stats);
-
-  std::vector<RowId> left_rows;
-  std::vector<RowId> right_rows;
-  left_rows.reserve(rows.size());
-  right_rows.reserve(rows.size());
-  for (RowId r : rows) {
-    (store_->code(r, decision.attr) <= decision.threshold ? left_rows
-                                                          : right_rows)
-        .push_back(r);
-  }
-  node->left = BuildNode(left_rows, depth + 1, ChildPathKey(path_key, 0));
-  node->right = BuildNode(right_rows, depth + 1, ChildPathKey(path_key, 1));
-  return node;
+std::shared_ptr<TreeNode> DareTree::BuildRoot(std::vector<RowId>* rows,
+                                              DeletionScratch* scratch) {
+  std::sort(rows->begin(), rows->end());
+  return BuildNodeKernel(rows->data(), rows->data() + rows->size(),
+                         /*depth=*/0, RootPathKey(config_.seed, tree_id_),
+                         scratch);
 }
 
 std::shared_ptr<TreeNode> DareTree::BuildNodeKernel(RowId* begin, RowId* end,
@@ -311,10 +277,14 @@ TreeNode* DareTree::Mutable(std::shared_ptr<TreeNode>* slot,
 
 void DareTree::BumpGeneration() {
   generation_ = arena_internal::NextGeneration();
-  if (arena_slot_ == nullptr) return;
   // Drop the stale arena eagerly (the generation check alone would keep it
   // correct) so what-if churn doesn't hold dead arenas alive.
-  if (arena_slot_->arena.exchange(nullptr) != nullptr) {
+  std::shared_ptr<const TreeArena> stale;
+  {
+    std::lock_guard<std::mutex> lock(arena_slot_->mu);
+    stale = std::move(arena_slot_->arena);
+  }
+  if (stale != nullptr) {
     static obs::Counter* invalidates =
         obs::GetCounter("forest.arena.invalidate");
     invalidates->Inc();
@@ -325,15 +295,9 @@ std::shared_ptr<const TreeArena> DareTree::arena() const {
   // A stale (tagged) tree must never be compiled into an arena — traversal
   // entry points flush first (DareForest::EnsureFlushed).
   FUME_DCHECK_EQ(lazy_nodes_, 0);
-  if (arena_slot_ == nullptr) return nullptr;
   static obs::Counter* reuses = obs::GetCounter("forest.arena.reuse");
-  std::shared_ptr<const TreeArena> cur = arena_slot_->arena.load();
-  if (cur != nullptr && cur->generation() == generation_) {
-    reuses->Inc();
-    return cur;
-  }
   std::lock_guard<std::mutex> lock(arena_slot_->mu);
-  cur = arena_slot_->arena.load();
+  std::shared_ptr<const TreeArena>& cur = arena_slot_->arena;
   if (cur != nullptr && cur->generation() == generation_) {
     reuses->Inc();
     return cur;
@@ -341,31 +305,11 @@ std::shared_ptr<const TreeArena> DareTree::arena() const {
   // The last compiled node count is the best size hint available — what-if
   // mutations move it by at most a retrained subtree. The slot remembers it
   // across eager invalidation, so post-mutation recompiles reserve too.
-  std::shared_ptr<const TreeArena> fresh = TreeArena::Compile(
+  cur = TreeArena::Compile(
       root_.get(), generation_,
-      cur == nullptr ? arena_slot_->size_hint.load(std::memory_order_relaxed)
-                     : cur->num_nodes());
-  arena_slot_->size_hint.store(fresh->num_nodes(), std::memory_order_relaxed);
-  arena_slot_->arena.store(fresh);
-  return fresh;
-}
-
-void DareTree::DeleteRows(const std::vector<RowId>& rows,
-                          DeletionStats* stats_out) {
-  if (rows.empty() || root_ == nullptr) return;
-  if (!config_.batched_unlearn_kernel) {
-    BumpGeneration();
-    DeletionStats local;
-    DeleteFromNode(&root_, rows, /*depth=*/0,
-                   RootPathKey(config_.seed, tree_id_), &local);
-    RecordBatch(local);
-    if (stats_out != nullptr) stats_out->Add(local);
-    return;
-  }
-  DeletionScratch scratch;
-  scratch.BeginBatch(store_->num_rows());
-  for (RowId r : rows) FUME_CHECK(scratch.MarkDoomed(r));
-  DeleteRows(rows, stats_out, &scratch);
+      cur == nullptr ? arena_slot_->size_hint : cur->num_nodes());
+  arena_slot_->size_hint = cur->num_nodes();
+  return cur;
 }
 
 void DareTree::DeleteRows(const std::vector<RowId>& rows,
@@ -373,107 +317,24 @@ void DareTree::DeleteRows(const std::vector<RowId>& rows,
   if (rows.empty() || root_ == nullptr) return;
   BumpGeneration();
   DeletionStats local;
-  if (config_.batched_unlearn_kernel) {
-    scratch->route.assign(rows.begin(), rows.end());
-    scratch->settled = 0;
-    if (config_.lazy_unlearn) {
-      DeleteFromNodeLazy(&root_, scratch->route.data(),
-                         scratch->route.data() + scratch->route.size(),
-                         /*depth=*/0, RootPathKey(config_.seed, tree_id_),
-                         &local, scratch);
-    } else {
-      DeleteFromNodeKernel(&root_, scratch->route.data(),
-                           scratch->route.data() + scratch->route.size(),
-                           /*depth=*/0, RootPathKey(config_.seed, tree_id_),
-                           &local, scratch);
-    }
-    // Batch-level replacement for the baseline's per-leaf membership count:
-    // every doomed row must have been settled exactly once in this tree,
-    // either removed at a leaf or filtered out of a retrain collection.
-    FUME_CHECK_EQ(scratch->settled, static_cast<int64_t>(rows.size()));
+  scratch->route.assign(rows.begin(), rows.end());
+  scratch->settled = 0;
+  RowId* const begin = scratch->route.data();
+  RowId* const end = begin + scratch->route.size();
+  const uint64_t root_key = RootPathKey(config_.seed, tree_id_);
+  if (config_.lazy_unlearn) {
+    DeleteFromNodeLazy(&root_, begin, end, /*depth=*/0, root_key, &local,
+                       scratch);
   } else {
-    DeleteFromNode(&root_, rows, /*depth=*/0,
-                   RootPathKey(config_.seed, tree_id_), &local);
+    DeleteFromNodeKernel(&root_, begin, end, /*depth=*/0, root_key, &local,
+                         scratch);
   }
+  // Batch-level membership check: every doomed row must have been settled
+  // exactly once in this tree, either removed at a leaf or filtered out of
+  // a retrain collection.
+  FUME_CHECK_EQ(scratch->settled, static_cast<int64_t>(rows.size()));
   RecordBatch(local);
   if (stats_out != nullptr) stats_out->Add(local);
-}
-
-void DareTree::DeleteFromNode(std::shared_ptr<TreeNode>* slot,
-                              const std::vector<RowId>& rows, int depth,
-                              uint64_t path_key, DeletionStats* stats_out) {
-  TreeNode* node = Mutable(slot, stats_out);
-  ++stats_out->nodes_visited;
-
-  if (node->is_leaf()) {
-    // A leaf can never become an internal node under deletion (leaf
-    // conditions are monotone in shrinking data; see DESIGN.md §6.1), so
-    // only the membership list and label counts change.
-    ++stats_out->leaves_updated;
-    std::unordered_set<RowId> doomed(rows.begin(), rows.end());
-    int64_t removed_pos = 0;
-    size_t kept = 0;
-    for (size_t i = 0; i < node->rows.size(); ++i) {
-      if (doomed.count(node->rows[i]) > 0) {
-        removed_pos += store_->label(node->rows[i]);
-      } else {
-        node->rows[kept++] = node->rows[i];
-      }
-    }
-    FUME_CHECK_EQ(node->rows.size() - kept, rows.size());
-    node->rows.resize(kept);
-    node->count -= static_cast<int64_t>(rows.size());
-    node->pos -= removed_pos;
-    return;
-  }
-
-  // Internal node: decrement cached statistics, then re-evaluate the split
-  // decision from the updated statistics alone.
-  ++stats_out->nodes_updated;
-  for (RowId r : rows) node->stats.RemoveRow(*store_, r);
-  node->count = node->stats.count;
-  node->pos = node->stats.pos;
-
-  const SplitDecision decision =
-      DecideSplit(node->stats, *store_, depth, path_key, config_);
-  if (!decision.SameSplit(SplitOf(node))) {
-    // The split this node would be built with has changed: retrain the
-    // subtree from its remaining instances (DaRE's retrain-as-needed step).
-    ++stats_out->subtrees_retrained;
-    RecordRetrain(depth, config_.random_depth);
-    std::vector<RowId> remaining;
-    CollectLeafRows(node, &remaining);
-    std::unordered_set<RowId> doomed(rows.begin(), rows.end());
-    remaining.erase(std::remove_if(remaining.begin(), remaining.end(),
-                                   [&](RowId r) { return doomed.count(r); }),
-                    remaining.end());
-    // Canonical rebuild order: every retrain sorts its row set ascending, so
-    // leaf lists — and hence serialized bytes — depend only on the surviving
-    // row multiset, not on which intermediate retrains the op sequence took.
-    // This is what lets a deferred FlushLazy rebuild reproduce the eager
-    // result byte-for-byte.
-    std::sort(remaining.begin(), remaining.end());
-    stats_out->rows_retrained += static_cast<int64_t>(remaining.size());
-    std::shared_ptr<TreeNode> rebuilt = BuildNode(remaining, depth, path_key);
-    *node = std::move(*rebuilt);
-    return;
-  }
-
-  // Same split: route the doomed rows to the children they live in.
-  std::vector<RowId> left_rows;
-  std::vector<RowId> right_rows;
-  for (RowId r : rows) {
-    (store_->code(r, node->attr) <= node->threshold ? left_rows : right_rows)
-        .push_back(r);
-  }
-  if (!left_rows.empty()) {
-    DeleteFromNode(&node->left, left_rows, depth + 1,
-                   ChildPathKey(path_key, 0), stats_out);
-  }
-  if (!right_rows.empty()) {
-    DeleteFromNode(&node->right, right_rows, depth + 1,
-                   ChildPathKey(path_key, 1), stats_out);
-  }
 }
 
 RowId* DareTree::PartitionBySplit(int attr, int32_t threshold, RowId* begin,
@@ -487,18 +348,22 @@ RowId* DareTree::PartitionBySplit(int attr, int32_t threshold, RowId* begin,
   RowId* write = begin;
   RowId* spilled = spill.data();
   int64_t left_pos = 0;
-  const bool want_pos = left_pos_out != nullptr;
   for (RowId* p = begin; p != end; ++p) {
     const RowId r = *p;
     const bool left = store_->row_codes(r)[attr] <= threshold;
-    if (want_pos) left_pos += static_cast<int>(left) & store_->label(r);
+    // Counted whether or not the caller wants it. Guarding this add with a
+    // loop-invariant `left_pos_out != nullptr` test lets GCC's loop
+    // unswitching (-funswitch-loops, on at -O3) version the loop, and the
+    // versioned code made a 10k-row, 10-tree Train ~40% slower on GCC 12.2
+    // (docs/performance.md). One label load per row is cheaper than that.
+    left_pos += static_cast<int>(left) & store_->label(r);
     *write = r;
     *spilled = r;
     write += left;
     spilled += !left;
   }
   std::copy(spill.data(), spilled, write);
-  if (want_pos) *left_pos_out = left_pos;
+  if (left_pos_out != nullptr) *left_pos_out = left_pos;
   return write;
 }
 
@@ -561,7 +426,7 @@ void DareTree::DeleteFromNodeKernel(std::shared_ptr<TreeNode>* slot,
     const int64_t filtered = CollectLeafRowsFiltered(node, *scratch, &remaining);
     FUME_DCHECK_EQ(filtered, n);
     scratch->settled += filtered;
-    // Canonical rebuild order (see DeleteFromNode).
+    // Canonical rebuild order (see BuildNodeKernel).
     std::sort(remaining.begin(), remaining.end());
     stats_out->rows_retrained += static_cast<int64_t>(remaining.size());
     std::shared_ptr<TreeNode> rebuilt = BuildNodeKernel(
@@ -571,9 +436,8 @@ void DareTree::DeleteFromNodeKernel(std::shared_ptr<TreeNode>* slot,
     return;
   }
 
-  // Same split: the fused pass above already partitioned the span — the
-  // routed subsets (and their order) match the baseline's left/right
-  // vectors without allocating them.
+  // Same split: the fused pass above already partitioned the span, so each
+  // child gets its doomed rows without a routing allocation.
   if (mid != begin) {
     DeleteFromNodeKernel(&node->left, begin, mid, depth + 1,
                          ChildPathKey(path_key, 0), stats_out, scratch);
@@ -879,7 +743,7 @@ void DareTree::FlushNode(std::shared_ptr<TreeNode>* slot, int depth,
   remaining.clear();
   const int64_t filtered = CollectLeafRowsFiltered(node, *scratch, &remaining);
   FUME_CHECK_EQ(filtered, static_cast<int64_t>(doomed.size()));
-  // Canonical rebuild order (see DeleteFromNode) — this sort is what makes
+  // Canonical rebuild order (see BuildNodeKernel) — this sort is what makes
   // the deferred rebuild land on the eager kernel's exact bytes.
   std::sort(remaining.begin(), remaining.end());
 
@@ -914,35 +778,8 @@ void DareTree::FlushLazy(DeletionStats* stats_out, DeletionScratch* scratch) {
 }
 
 void DareTree::SetLazyUnlearn(bool on) {
-  FUME_CHECK(!on || config_.batched_unlearn_kernel);
   FUME_CHECK(on || lazy_nodes_ == 0);
   config_.lazy_unlearn = on;
-}
-
-void DareTree::AddRows(const std::vector<RowId>& rows,
-                       DeletionStats* stats_out) {
-  if (!config_.batched_unlearn_kernel || rows.empty() || root_ == nullptr) {
-    // Legacy path; also covers empty batches and building a first root,
-    // which need no scratch.
-    if (rows.empty()) return;
-    BumpGeneration();
-    DeletionStats local;
-    if (root_ == nullptr) {
-      // Canonical build order (see Build).
-      std::vector<RowId> sorted = rows;
-      std::sort(sorted.begin(), sorted.end());
-      root_ =
-          BuildNode(sorted, /*depth=*/0, RootPathKey(config_.seed, tree_id_));
-      ++local.subtrees_retrained;
-    } else {
-      AddToNode(&root_, rows, /*depth=*/0,
-                RootPathKey(config_.seed, tree_id_), &local);
-    }
-    if (stats_out != nullptr) stats_out->Add(local);
-    return;
-  }
-  DeletionScratch scratch;
-  AddRows(rows, stats_out, &scratch);
 }
 
 void DareTree::AddRows(const std::vector<RowId>& rows,
@@ -951,82 +788,18 @@ void DareTree::AddRows(const std::vector<RowId>& rows,
   BumpGeneration();
   DeletionStats local;
   if (root_ == nullptr) {
-    // Canonical build order (see Build).
-    std::vector<RowId> sorted = rows;
-    std::sort(sorted.begin(), sorted.end());
-    root_ = BuildNode(sorted, /*depth=*/0, RootPathKey(config_.seed, tree_id_));
+    std::vector<RowId>& sorted = scratch->remaining;
+    sorted.assign(rows.begin(), rows.end());
+    root_ = BuildRoot(&sorted, scratch);
     ++local.subtrees_retrained;
-  } else if (config_.batched_unlearn_kernel) {
+  } else {
     scratch->route.assign(rows.begin(), rows.end());
     AddToNodeKernel(&root_, scratch->route.data(),
                     scratch->route.data() + scratch->route.size(),
                     /*depth=*/0, RootPathKey(config_.seed, tree_id_), &local,
                     scratch);
-  } else {
-    AddToNode(&root_, rows, /*depth=*/0,
-              RootPathKey(config_.seed, tree_id_), &local);
   }
   if (stats_out != nullptr) stats_out->Add(local);
-}
-
-void DareTree::AddToNode(std::shared_ptr<TreeNode>* slot,
-                         const std::vector<RowId>& rows, int depth,
-                         uint64_t path_key, DeletionStats* stats_out) {
-  TreeNode* node = Mutable(slot, stats_out);
-  ++stats_out->nodes_visited;
-
-  if (node->is_leaf()) {
-    // Unlike deletion, addition can turn a leaf into a split (count grows,
-    // purity can break). Rebuilding from the leaf's rows plus the additions
-    // recomputes the decision from scratch — cheap, the set is leaf-sized.
-    // The rebuilt root is moved INTO the existing node so an exclusively
-    // owned leaf keeps its address (the stream prediction cache resumes
-    // descents from it).
-    ++stats_out->leaves_updated;
-    std::vector<RowId> merged = node->rows;
-    merged.insert(merged.end(), rows.begin(), rows.end());
-    // Canonical rebuild order (see DeleteFromNode).
-    std::sort(merged.begin(), merged.end());
-    stats_out->rows_retrained += static_cast<int64_t>(merged.size());
-    std::shared_ptr<TreeNode> rebuilt = BuildNode(merged, depth, path_key);
-    *node = std::move(*rebuilt);
-    return;
-  }
-
-  ++stats_out->nodes_updated;
-  for (RowId r : rows) node->stats.AddRow(*store_, r);
-  node->count = node->stats.count;
-  node->pos = node->stats.pos;
-
-  const SplitDecision decision =
-      DecideSplit(node->stats, *store_, depth, path_key, config_);
-  if (!decision.SameSplit(SplitOf(node))) {
-    ++stats_out->subtrees_retrained;
-    std::vector<RowId> remaining;
-    CollectLeafRows(node, &remaining);
-    remaining.insert(remaining.end(), rows.begin(), rows.end());
-    // Canonical rebuild order (see DeleteFromNode).
-    std::sort(remaining.begin(), remaining.end());
-    stats_out->rows_retrained += static_cast<int64_t>(remaining.size());
-    std::shared_ptr<TreeNode> rebuilt = BuildNode(remaining, depth, path_key);
-    *node = std::move(*rebuilt);
-    return;
-  }
-
-  std::vector<RowId> left_rows;
-  std::vector<RowId> right_rows;
-  for (RowId r : rows) {
-    (store_->code(r, node->attr) <= node->threshold ? left_rows : right_rows)
-        .push_back(r);
-  }
-  if (!left_rows.empty()) {
-    AddToNode(&node->left, left_rows, depth + 1, ChildPathKey(path_key, 0),
-              stats_out);
-  }
-  if (!right_rows.empty()) {
-    AddToNode(&node->right, right_rows, depth + 1, ChildPathKey(path_key, 1),
-              stats_out);
-  }
 }
 
 void DareTree::AddToNodeKernel(std::shared_ptr<TreeNode>* slot, RowId* begin,
@@ -1038,16 +811,19 @@ void DareTree::AddToNodeKernel(std::shared_ptr<TreeNode>* slot, RowId* begin,
   const int64_t n = end - begin;
 
   if (node->is_leaf()) {
-    // Same rebuild-from-merged-rows step as the baseline, with the merge
-    // buffer reused across leaves and batches. The canonical sort makes the
-    // merged order — and hence the rebuilt subtree's leaf lists —
-    // byte-identical to the baseline's.
+    // Unlike deletion, addition can turn a leaf into a split (count grows,
+    // purity can break). Rebuilding from the leaf's rows plus the additions
+    // recomputes the decision from scratch — cheap, the set is leaf-sized.
+    // The rebuilt root is moved INTO the existing node so an exclusively
+    // owned leaf keeps its address (the stream prediction cache resumes
+    // descents from it). The merge buffer is reused across leaves and
+    // batches.
     ++stats_out->leaves_updated;
     std::vector<RowId>& merged = scratch->remaining;
     merged.clear();
     merged.insert(merged.end(), node->rows.begin(), node->rows.end());
     merged.insert(merged.end(), begin, end);
-    // Canonical rebuild order (see DeleteFromNode).
+    // Canonical rebuild order (see BuildNodeKernel).
     std::sort(merged.begin(), merged.end());
     stats_out->rows_retrained += static_cast<int64_t>(merged.size());
     std::shared_ptr<TreeNode> rebuilt = BuildNodeKernel(
@@ -1073,7 +849,7 @@ void DareTree::AddToNodeKernel(std::shared_ptr<TreeNode>* slot, RowId* begin,
     remaining.clear();
     CollectLeafRows(node, &remaining);
     remaining.insert(remaining.end(), begin, end);
-    // Canonical rebuild order (see DeleteFromNode).
+    // Canonical rebuild order (see BuildNodeKernel).
     std::sort(remaining.begin(), remaining.end());
     stats_out->rows_retrained += static_cast<int64_t>(remaining.size());
     std::shared_ptr<TreeNode> rebuilt = BuildNodeKernel(
@@ -1245,13 +1021,9 @@ DareTree DareTree::Clone() const {
   // two trees never alias tag state.
   out.lazy_rows_ = lazy_rows_;
   out.lazy_nodes_ = lazy_nodes_;
-  out.arena_slot_ = std::make_shared<arena_internal::ArenaSlot>();
-  if (arena_slot_ != nullptr) {
-    out.arena_slot_->arena.store(arena_slot_->arena.load());
-    out.arena_slot_->size_hint.store(
-        arena_slot_->size_hint.load(std::memory_order_relaxed),
-        std::memory_order_relaxed);
-  }
+  std::lock_guard<std::mutex> lock(arena_slot_->mu);
+  out.arena_slot_->arena = arena_slot_->arena;
+  out.arena_slot_->size_hint = arena_slot_->size_hint;
   return out;
 }
 
@@ -1266,7 +1038,6 @@ DareTree DareTree::DeepClone() const {
   // Fresh node addresses: a fresh stamp keeps any shared arena (node_
   // points into the source graph) from ever serving this tree.
   out.generation_ = arena_internal::NextGeneration();
-  out.arena_slot_ = std::make_shared<arena_internal::ArenaSlot>();
   return out;
 }
 
@@ -1299,7 +1070,6 @@ DareTree DareTree::FromParts(std::shared_ptr<const TrainingStore> store,
   tree.tree_id_ = tree_id;
   tree.root_ = std::move(root);
   tree.generation_ = arena_internal::NextGeneration();
-  tree.arena_slot_ = std::make_shared<arena_internal::ArenaSlot>();
   return tree;
 }
 

@@ -107,30 +107,23 @@ class DareTree {
                         const std::vector<RowId>& rows, int tree_id,
                         const ForestConfig& config);
 
-  /// Exactly unlearns the given rows (must currently be in the tree; caller
-  /// ensures no duplicates). Appends work counters to *stats_out (nullable).
-  /// Nodes shared with other trees (CoW clones) are unshared before being
-  /// touched; exclusively-owned nodes are updated in place at a stable
-  /// address unless a subtree retrain replaces them.
-  void DeleteRows(const std::vector<RowId>& rows, DeletionStats* stats_out);
-
-  /// Scratch-kernel variant shared across the trees of one forest batch:
+  /// Exactly unlearns the given rows (must currently be in the tree).
   /// `scratch` must have the batch's rows marked doomed (BeginBatch +
-  /// MarkDoomed once per forest-level call). With
-  /// config.batched_unlearn_kernel the recursion routes rows by
-  /// partitioning scratch->route spans in place and answers doomed-row
-  /// membership from the epoch-stamped array — allocation-free when the
-  /// scratch is warm; otherwise falls back to the per-row baseline
-  /// (results byte-identical either way).
+  /// MarkDoomed once per forest-level call, DareForest::BeginDeletionBatch)
+  /// and is shared by the trees of one forest batch: the recursion routes
+  /// rows by partitioning scratch->route spans in place and answers
+  /// doomed-row membership from the epoch-stamped array — allocation-free
+  /// when the scratch is warm. Appends work counters to *stats_out
+  /// (nullable). Nodes shared with other trees (CoW clones) are unshared
+  /// before being touched; exclusively-owned nodes are updated in place at
+  /// a stable address unless a subtree retrain replaces them.
   void DeleteRows(const std::vector<RowId>& rows, DeletionStats* stats_out,
                   DeletionScratch* scratch);
 
   /// Exactly adds rows (already present in the store, not in the tree): the
-  /// result equals Build() on the enlarged row set. Mirrors DeleteRows.
-  void AddRows(const std::vector<RowId>& rows, DeletionStats* stats_out);
-
-  /// Scratch variant of AddRows (routing buffers only — additions need no
-  /// doomed marks, so any scratch works regardless of batch state).
+  /// result equals Build() on the enlarged row set. `scratch` supplies the
+  /// routing buffers only — additions need no doomed marks, so any scratch
+  /// works regardless of batch state.
   void AddRows(const std::vector<RowId>& rows, DeletionStats* stats_out,
                DeletionScratch* scratch);
 
@@ -171,9 +164,9 @@ class DareTree {
   /// Doomed rows (resp. tag nodes) currently deferred in this tree.
   int64_t lazy_rows() const { return lazy_rows_; }
   int64_t lazy_nodes() const { return lazy_nodes_; }
-  /// Toggles config_.lazy_unlearn for subsequent DeleteRows calls. Enabling
-  /// requires the batched kernel; disabling requires pending tags to have
-  /// been flushed first (DareForest::SetLazyUnlearn handles both).
+  /// Toggles config_.lazy_unlearn for subsequent DeleteRows calls.
+  /// Disabling requires pending tags to have been flushed first
+  /// (DareForest::SetLazyUnlearn does).
   void SetLazyUnlearn(bool on);
 
   /// P(label=1) for an instance supplied via an accessor: codes(attr) must
@@ -221,9 +214,8 @@ class DareTree {
   /// The flat SoA arena for the tree's current state: compiled lazily on
   /// first use, cached keyed on the generation stamp, shared by every
   /// caller until the next mutation invalidates it. Thread-safe (concurrent
-  /// first calls compile once). Returns nullptr only for a
-  /// default-constructed tree, which has no cache slot — callers fall back
-  /// to the pointer walk. See docs/performance.md "Flat arena layout".
+  /// first calls compile once). Never null: a rootless tree compiles to the
+  /// 0.5 sentinel. See docs/performance.md "Flat arena layout".
   std::shared_ptr<const TreeArena> arena() const;
   /// Monotonic mutation stamp, drawn from a process-wide counter: bumped
   /// once per DeleteRows/AddRows batch (the granularity at which Mutable()
@@ -249,13 +241,21 @@ class DareTree {
                             std::shared_ptr<TreeNode> root);
 
  private:
-  std::shared_ptr<TreeNode> BuildNode(const std::vector<RowId>& rows,
-                                      int depth, uint64_t path_key);
-  /// Span-based rebuild used by the batched kernel's retrain legs: rows are
-  /// partitioned in place (stable, via scratch->partition_tmp) instead of
-  /// being copied into per-node left/right vectors, and nodes that the
-  /// histogram-free DecideSplit conditions already force into leaves skip
-  /// the candidate-histogram pass entirely (a leaf discards its stats).
+  /// Builds the subtree over the rows [begin, end), partitioning the span
+  /// in place (stable, via scratch->partition_tmp) at every split; the one
+  /// tree builder, used by Build, the first AddRows of a rootless tree and
+  /// every retrain. Nodes that the histogram-free DecideSplit conditions
+  /// already force into leaves skip the candidate-histogram pass entirely
+  /// (a leaf discards its stats).
+  ///
+  /// Canonical build order: every caller passes its rows sorted ascending,
+  /// and the partition is stable, so leaf lists — and hence serialized
+  /// bytes — are a pure function of the row multiset, not of which
+  /// intermediate retrains an op sequence took. That is what makes an
+  /// unlearned tree byte-identical to Build on the surviving rows
+  /// (DESIGN.md §6 invariant 1) and lets a deferred FlushLazy rebuild land
+  /// on the eager kernel's exact bytes (invariant 9).
+  ///
   /// `seed_stats`, when non-null, must equal ComputeFromRows on [begin, end)
   /// with this node's candidate attributes — the retrain call sites pass the
   /// trigger node's just-updated histograms (that equality is the cached-
@@ -263,13 +263,16 @@ class DareTree {
   /// pass over the remaining rows; it is consumed by move. `pos_hint`, when
   /// >= 0, is the positive count of [begin, end) (the recursion derives the
   /// children's counts during partitioning, so only the rebuild root ever
-  /// runs a label pass). Byte-identical output to BuildNode on the same row
-  /// sequence.
+  /// runs a label pass).
   std::shared_ptr<TreeNode> BuildNodeKernel(RowId* begin, RowId* end,
                                             int depth, uint64_t path_key,
                                             DeletionScratch* scratch,
                                             NodeStats* seed_stats = nullptr,
                                             int64_t pos_hint = -1);
+  /// BuildNodeKernel over a whole tree: sorts `rows` (canonical order) and
+  /// builds from the root.
+  std::shared_ptr<TreeNode> BuildRoot(std::vector<RowId>* rows,
+                                      DeletionScratch* scratch);
   /// CoW unshare: returns a privately-owned, mutable view of *slot,
   /// replacing a shared node with a shallow copy first (counted in
   /// stats_out->nodes_copied — a copy changes the node's address, which
@@ -278,20 +281,10 @@ class DareTree {
   /// Advances generation_ and drops a now-stale cached arena. Called once
   /// per mutating batch, before any node is touched.
   void BumpGeneration();
-  // Per-row baseline recursion (config.batched_unlearn_kernel = false):
-  // builds an unordered_set of doomed rows at every leaf/retrain and routes
-  // through freshly allocated per-node vectors. Kept verbatim as the
-  // exactness reference for the kernel.
-  void DeleteFromNode(std::shared_ptr<TreeNode>* slot,
-                      const std::vector<RowId>& rows, int depth,
-                      uint64_t path_key, DeletionStats* stats_out);
-  void AddToNode(std::shared_ptr<TreeNode>* slot,
-                 const std::vector<RowId>& rows, int depth, uint64_t path_key,
-                 DeletionStats* stats_out);
-  // Batched kernel recursion: operates on a span of scratch->route,
-  // partitioned in place at each split (stable, via scratch->partition_tmp,
-  // so leaf membership order — and hence serialized bytes — match the
-  // baseline exactly).
+  // Deletion recursion: operates on a span of scratch->route, partitioned
+  // in place at each split (stable, via scratch->partition_tmp). A split
+  // decision that flips retrains the subtree from its surviving rows in
+  // canonical order (see BuildNodeKernel).
   void DeleteFromNodeKernel(std::shared_ptr<TreeNode>* slot, RowId* begin,
                             RowId* end, int depth, uint64_t path_key,
                             DeletionStats* stats_out, DeletionScratch* scratch);
@@ -359,11 +352,12 @@ class DareTree {
   /// topmost tags drives both back to exactly zero.
   int64_t lazy_rows_ = 0;
   int64_t lazy_nodes_ = 0;
-  /// Arena cache cell. Build/FromParts/DeepClone allocate a fresh one;
-  /// Clone() allocates its own (never shared with the source, so what-if
-  /// churn can't evict the base forest's arenas) seeded with the source's
-  /// current snapshot, which stays valid until either side mutates.
-  std::shared_ptr<arena_internal::ArenaSlot> arena_slot_;
+  /// Arena cache cell, owned from construction. Clone() gets its own (never
+  /// shared with the source, so what-if churn can't evict the base forest's
+  /// arenas) seeded with the source's current snapshot, which stays valid
+  /// until either side mutates.
+  std::shared_ptr<arena_internal::ArenaSlot> arena_slot_ =
+      std::make_shared<arena_internal::ArenaSlot>();
 };
 
 }  // namespace fume

@@ -1,12 +1,12 @@
 // Flat-arena traversal exactness and invalidation (src/forest/arena.h).
 //
 // The arena is a pure execution substrate: every test here asserts
-// byte-identity against the reference pointer walk (PredictProbAllPointer /
-// PredictAllPointer), not approximate agreement — double == double, no
-// tolerance. The invalidation tests pin the generation-stamp contract of
-// DESIGN.md §7: a mutation bumps the owning tree's stamp and evicts only
-// that tree's cached arena; CoW clones have private cache cells, so neither
-// side of a clone can thrash the other.
+// byte-identity against the single-row pointer descent (a DareForest::
+// PredictProb / Predict loop), not approximate agreement — double ==
+// double, no tolerance. The invalidation tests pin the generation-stamp
+// contract of DESIGN.md §7: a mutation bumps the owning tree's stamp and
+// evicts only that tree's cached arena; CoW clones have private cache
+// cells, so neither side of a clone can thrash the other.
 
 #include <gtest/gtest.h>
 
@@ -48,9 +48,27 @@ ArenaCase MakeCase(const Dataset& data, uint64_t forest_seed) {
                    std::move(*forest)};
 }
 
+// The arena's reference: the public pointer descent, one row at a time.
+std::vector<double> PointerProbs(const DareForest& forest,
+                                 const Dataset& test) {
+  std::vector<double> out(static_cast<size_t>(test.num_rows()));
+  for (int64_t r = 0; r < test.num_rows(); ++r) {
+    out[static_cast<size_t>(r)] = forest.PredictProb(test, r);
+  }
+  return out;
+}
+
+std::vector<int> PointerPreds(const DareForest& forest, const Dataset& test) {
+  std::vector<int> out(static_cast<size_t>(test.num_rows()));
+  for (int64_t r = 0; r < test.num_rows(); ++r) {
+    out[static_cast<size_t>(r)] = forest.Predict(test, r);
+  }
+  return out;
+}
+
 void ExpectArenaMatchesPointer(const DareForest& forest, const Dataset& test) {
-  EXPECT_EQ(forest.PredictProbAll(test), forest.PredictProbAllPointer(test));
-  EXPECT_EQ(forest.PredictAll(test), forest.PredictAllPointer(test));
+  EXPECT_EQ(forest.PredictProbAll(test), PointerProbs(forest, test));
+  EXPECT_EQ(forest.PredictAll(test), PointerPreds(forest, test));
 }
 
 /// A small insert batch: `count` rows copied out of `source` at random.
@@ -121,24 +139,6 @@ TEST(ForestArenaTest, ByteIdenticalOverMutationsOnPlantedBias) {
     ArenaCase c = MakeCase(bundle->data, /*forest_seed=*/seed + 40);
     RunMutationSequence(&c, /*seed=*/seed * 977);
   }
-}
-
-TEST(ForestArenaTest, PointerWalkConfigDisablesArena) {
-  synth::PlantedOptions opts;
-  opts.num_rows = 500;
-  auto bundle = synth::MakePlantedBias(opts);
-  ASSERT_TRUE(bundle.ok());
-  SplitOptions split_opts;
-  auto split = SplitTrainTest(bundle->data, split_opts);
-  ASSERT_TRUE(split.ok());
-  ForestConfig config;
-  config.num_trees = 3;
-  config.max_depth = 5;
-  config.arena_traversal = false;
-  auto forest = DareForest::Train(split->train, config);
-  ASSERT_TRUE(forest.ok());
-  // Same bytes either way — arena_traversal only selects the executor.
-  ExpectArenaMatchesPointer(*forest, split->test);
 }
 
 TEST(ForestArenaTest, ArenaIsCachedUntilMutation) {
@@ -220,7 +220,7 @@ TEST(ForestArenaTest, DeepCloneNeverServesTheSourceArena) {
 }
 
 // TSan target: many threads hitting compile-on-first-use on the same trees
-// must agree on one arena per tree (ArenaSlot's mutex + atomic snapshot).
+// must agree on one arena per tree (ArenaSlot's mutex).
 TEST(ForestArenaTest, ConcurrentCompileOnFirstUseYieldsOneArena) {
   synth::PlantedOptions opts;
   opts.num_rows = 600;
@@ -273,11 +273,11 @@ TEST(ForestArenaTest, WhatIfArenaRescoreMatchesPointerPredictions) {
     ASSERT_TRUE(what_if.DeleteRows(doomed).ok());
     cache.ScoreWhatIf(c.forest, what_if, c.test, &scratch,
                       /*arena_full_rescore=*/true);
-    EXPECT_EQ(scratch.preds, what_if.PredictAllPointer(c.test));
+    EXPECT_EQ(scratch.preds, PointerPreds(what_if, c.test));
     // Same rows through the diff-walk leg: identical bytes again.
     cache.ScoreWhatIf(c.forest, what_if, c.test, &scratch,
                       /*arena_full_rescore=*/false);
-    EXPECT_EQ(scratch.preds, what_if.PredictAllPointer(c.test));
+    EXPECT_EQ(scratch.preds, PointerPreds(what_if, c.test));
   }
 }
 

@@ -7,9 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <numeric>
+#include <sstream>
+#include <string>
 
 #include "forest/forest.h"
+#include "forest/serialize.h"
 #include "util/rng.h"
 
 namespace fume {
@@ -34,8 +38,15 @@ Dataset RandomDataset(int64_t n, int p, int card, uint64_t seed,
   return data;
 }
 
-// Exactness check: unlearned forest == scratch-retrained forest, both
-// structurally and in predictions.
+std::string Serialize(const DareForest& forest) {
+  std::ostringstream out;
+  EXPECT_TRUE(SaveForest(forest, out).ok());
+  return out.str();
+}
+
+// Exactness check: unlearned forest == scratch-retrained forest, byte for
+// byte on the same store, and in predictions against a retrain on the
+// reduced dataset.
 void ExpectExactUnlearning(const Dataset& train,
                            const std::vector<RowId>& doomed,
                            const ForestConfig& config) {
@@ -45,15 +56,32 @@ void ExpectExactUnlearning(const Dataset& train,
   ASSERT_TRUE(unlearned.DeleteRows(doomed).ok());
   ASSERT_TRUE(unlearned.ValidateStats());
 
+  // Same-store retrain: every tree built on the surviving rows of a store
+  // holding all of `train`, so leaf row ids keep their original values and
+  // the serialized bytes — splits, cached statistics, leaf membership —
+  // must match node for node. Clone() zeroes the unlearned side's
+  // DeletionStats, which a fresh build does not have.
+  std::vector<uint8_t> gone(static_cast<size_t>(train.num_rows()), 0);
+  for (RowId r : doomed) gone[static_cast<size_t>(r)] = 1;
+  std::vector<RowId> survivors;
+  for (int64_t r = 0; r < train.num_rows(); ++r) {
+    if (!gone[static_cast<size_t>(r)]) {
+      survivors.push_back(static_cast<RowId>(r));
+    }
+  }
+  std::shared_ptr<TrainingStore> store = TrainingStore::Make(train);
+  std::vector<DareTree> trees;
+  for (int t = 0; t < config.num_trees; ++t) {
+    trees.push_back(DareTree::Build(store, survivors, t, config));
+  }
+  const DareForest same_store =
+      DareForest::FromParts(std::move(store), config, std::move(trees));
+  EXPECT_EQ(Serialize(unlearned.Clone()), Serialize(same_store));
+
   std::vector<int64_t> doomed64(doomed.begin(), doomed.end());
   const Dataset reduced = train.DropRows(doomed64);
-  // NOTE: after DropRows row ids shift, so structural equality of leaf
-  // instance lists cannot hold verbatim; instead retrain on a dataset where
-  // the kept rows occupy their original positions. We achieve this by
-  // comparing predictions AND by recreating the reduced training run on the
-  // same store through a second deletion order (see below). Prediction
-  // equality over the full original data is the strongest id-independent
-  // check:
+  // Train on the reduced dataset renumbers row ids, so against it compare
+  // predictions over the full original data and node counts.
   if (reduced.num_rows() > 0) {
     auto retrained = DareForest::Train(reduced, config);
     ASSERT_TRUE(retrained.ok());

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
+#include <string>
 
 #include "forest/serialize.h"
 #include "forest/sharded_forest.h"
@@ -141,21 +143,11 @@ TEST(SerializeTest, LazyTagsNeverReachTheWire) {
 }
 
 TEST(SerializeTest, RuntimeKnobsNeverReachTheWire) {
-  // batched_unlearn_kernel / arena_traversal / lazy_unlearn (and the
-  // ShardConfig routing of a 1-shard container) are execution knobs, not
-  // model state: every combination run over the same train + mutate
-  // sequence must serialize to the same bytes. A knob leaking into the
-  // wire format would fork checkpoints between deployments that only
-  // differ in execution strategy.
-  struct Knobs {
-    bool batched;
-    bool arena;
-    bool lazy;  // requires batched
-  };
-  const std::vector<Knobs> combos = {
-      {true, true, false},  {true, false, false}, {false, true, false},
-      {false, false, false}, {true, true, true},   {true, false, true},
-  };
+  // lazy_unlearn (and the ShardConfig routing of a 1-shard container) are
+  // execution knobs, not model state: the same train + mutate sequence must
+  // serialize to the same bytes with the knob on and off. A knob leaking
+  // into the wire format would fork checkpoints between deployments that
+  // only differ in execution strategy.
   auto bundle = synth::MakeParametric(400, 6, 4, 17);
   ASSERT_TRUE(bundle.ok());
   auto extra = synth::MakeParametric(30, 6, 4, 18);
@@ -163,26 +155,21 @@ TEST(SerializeTest, RuntimeKnobsNeverReachTheWire) {
 
   std::string reference_mono;
   std::string reference_sharded;
-  for (const Knobs& k : combos) {
+  for (const bool lazy : {false, true}) {
     ForestConfig config;
     config.num_trees = 4;
     config.max_depth = 7;
     config.random_depth = 2;
     config.seed = 5;
-    config.batched_unlearn_kernel = k.batched;
-    config.arena_traversal = k.arena;
-    config.lazy_unlearn = k.lazy;
-    const std::string label = std::string("batched=") +
-                              (k.batched ? "1" : "0") +
-                              " arena=" + (k.arena ? "1" : "0") +
-                              " lazy=" + (k.lazy ? "1" : "0");
+    config.lazy_unlearn = lazy;
+    const std::string label = std::string("lazy=") + (lazy ? "1" : "0");
 
     auto forest = DareForest::Train(bundle->data, config);
     ASSERT_TRUE(forest.ok()) << label;
     ASSERT_TRUE(forest->DeleteRows({2, 17, 90, 250, 399}).ok()) << label;
     ASSERT_TRUE(forest->AddData(extra->data).ok()) << label;
     ASSERT_TRUE(forest->DeleteRows({5, 6, 401}).ok()) << label;
-    if (k.lazy) forest->FlushAll();
+    if (lazy) forest->FlushAll();
     // Lazy does less retrain work by design, so its counters differ;
     // zero them everywhere so the comparison pins pure model bytes.
     forest->ResetDeletionStats();
@@ -195,7 +182,7 @@ TEST(SerializeTest, RuntimeKnobsNeverReachTheWire) {
     }
 
     // Same sweep through the sharded container (trained as one shard so
-    // the knobs are the only variable; ShardConfig routing fields ARE
+    // the knob is the only variable; ShardConfig routing fields ARE
     // serialized — deliberately, a checkpoint must re-route identically).
     ShardConfig shard;
     shard.num_shards = 1;
@@ -204,7 +191,7 @@ TEST(SerializeTest, RuntimeKnobsNeverReachTheWire) {
     ASSERT_TRUE(sharded->DeleteRows({2, 17, 90, 250, 399}).ok()) << label;
     ASSERT_TRUE(sharded->AddData(extra->data).ok()) << label;
     ASSERT_TRUE(sharded->DeleteRows({5, 6, 401}).ok()) << label;
-    if (k.lazy) sharded->FlushAll();
+    if (lazy) sharded->FlushAll();
     sharded->ResetDeletionStats();
     std::ostringstream shard_out(std::ios::binary);
     ASSERT_TRUE(sharded->Save(shard_out).ok()) << label;
@@ -245,6 +232,147 @@ TEST(SerializeTest, RejectsCorruptInput) {
     std::istringstream in(blob.substr(0, cut), std::ios::binary);
     EXPECT_FALSE(LoadForest(in).ok()) << "cut at " << cut;
   }
+}
+
+// ---- Hostile-input checks on real saved forests. Each test patches one
+// field of a saved 200-row German Credit forest and expects LoadForest to
+// return IOError before anything indexes the store with the bad value.
+
+// Byte layout of a version-2 forest file, in serialize.cc's write order:
+// magic, version, config block (six int32, a mode byte, an int32, the
+// uint64 seed), DeletionStats block (five int64), then the store block.
+constexpr size_t kStoreBlockOffset = 8 + 4 + 6 * 4 + 1 + 4 + 8 + 5 * 8;
+// A node record opens with is_leaf (uint8), count and pos (int64 each).
+constexpr size_t kNodeHeaderBytes = 1 + 8 + 8;
+
+template <typename T>
+T Peek(const std::string& blob, size_t at) {
+  T value;
+  std::memcpy(&value, blob.data() + at, sizeof(T));
+  return value;
+}
+
+template <typename T>
+std::string Poke(std::string blob, size_t at, T value) {
+  std::memcpy(blob.data() + at, &value, sizeof(T));
+  return blob;
+}
+
+struct SavedForest {
+  std::string blob;
+  int64_t num_attrs = 0;
+  int64_t num_rows = 0;
+  size_t cards = 0;   // first cardinality
+  size_t rows = 0;    // the row count
+  size_t codes = 0;   // row 0's first code
+  size_t labels = 0;  // row 0's label
+  size_t root = 0;    // tree 0's root node record
+};
+
+SavedForest SaveGerman(int min_samples_split) {
+  synth::SynthOptions opts;
+  opts.num_rows = 200;
+  opts.seed = 3;
+  auto bundle = synth::MakeGermanCredit(opts);
+  EXPECT_TRUE(bundle.ok());
+  ForestConfig config;
+  config.num_trees = 3;
+  config.max_depth = 6;
+  config.min_samples_split = min_samples_split;
+  auto forest = DareForest::Train(bundle->data, config);
+  EXPECT_TRUE(forest.ok());
+  std::ostringstream out(std::ios::binary);
+  EXPECT_TRUE(SaveForest(*forest, out).ok());
+
+  SavedForest s;
+  s.blob = out.str();
+  s.num_attrs = static_cast<int64_t>(Peek<uint64_t>(s.blob, kStoreBlockOffset));
+  s.cards = kStoreBlockOffset + 8;
+  s.rows = s.cards + 4 * static_cast<size_t>(s.num_attrs);
+  s.num_rows = Peek<int64_t>(s.blob, s.rows);
+  s.codes = s.rows + 8;
+  s.labels = s.codes + 4 * static_cast<size_t>(s.num_rows * s.num_attrs);
+  // Tree count (int32), then tree 0's id (int32) and has-root flag.
+  s.root = s.labels + static_cast<size_t>(s.num_rows) + 4 + 4 + 1;
+  EXPECT_EQ(s.num_rows, 200);
+  // Unpatched, the file loads: each rejection below is the patch's doing.
+  std::istringstream in(s.blob, std::ios::binary);
+  EXPECT_TRUE(LoadForest(in).ok());
+  return s;
+}
+
+bool RejectedAsIOError(const std::string& blob) {
+  std::istringstream in(blob, std::ios::binary);
+  const auto loaded = LoadForest(in);
+  return !loaded.ok() && loaded.status().IsIOError();
+}
+
+TEST(SerializeTest, LoaderRejectsAttributeCodesOutOfRange) {
+  const SavedForest s = SaveGerman(2);
+  ASSERT_EQ(Peek<uint8_t>(s.blob, s.root), 0) << "root should be a split";
+  const int32_t attr = Peek<int32_t>(s.blob, s.root + kNodeHeaderBytes);
+  ASSERT_GE(attr, 0);
+  ASSERT_LT(attr, s.num_attrs);
+  const int32_t card = Peek<int32_t>(s.blob, s.cards + 4 * attr);
+  // Row 0's code for the root's split attribute: far out of range (used to
+  // crash the stats recount), just past the cardinality, and negative.
+  for (const int32_t bad : {1000000, card, -1}) {
+    EXPECT_TRUE(RejectedAsIOError(Poke(s.blob, s.codes + 4 * attr, bad)))
+        << "code " << bad;
+  }
+}
+
+TEST(SerializeTest, LoaderRejectsNonPositiveCardinality) {
+  const SavedForest s = SaveGerman(2);
+  EXPECT_TRUE(RejectedAsIOError(Poke<int32_t>(s.blob, s.cards, 0)));
+}
+
+TEST(SerializeTest, LoaderRejectsLabelsOtherThanZeroOrOne) {
+  const SavedForest s = SaveGerman(2);
+  EXPECT_TRUE(RejectedAsIOError(Poke<uint8_t>(s.blob, s.labels, 2)));
+}
+
+TEST(SerializeTest, LoaderRejectsSplitAttributeOutOfRange) {
+  const SavedForest s = SaveGerman(2);
+  ASSERT_EQ(Peek<uint8_t>(s.blob, s.root), 0) << "root should be a split";
+  for (const int32_t bad : {static_cast<int32_t>(s.num_attrs), -1}) {
+    EXPECT_TRUE(
+        RejectedAsIOError(Poke(s.blob, s.root + kNodeHeaderBytes, bad)))
+        << "attr " << bad;
+  }
+}
+
+TEST(SerializeTest, LoaderRejectsCandidateAttributeOutOfRange) {
+  const SavedForest s = SaveGerman(2);
+  ASSERT_EQ(Peek<uint8_t>(s.blob, s.root), 0) << "root should be a split";
+  // attr (int32), threshold (int32), is_random (uint8), then the
+  // candidate list's uint64 length and its int32 entries.
+  const size_t cand = s.root + kNodeHeaderBytes + 4 + 4 + 1;
+  ASSERT_GT(Peek<uint64_t>(s.blob, cand), 0u);
+  EXPECT_TRUE(RejectedAsIOError(
+      Poke(s.blob, cand + 8, static_cast<int32_t>(s.num_attrs + 5))));
+}
+
+TEST(SerializeTest, LoaderRejectsLeafRowIdsOutOfRange) {
+  // min_samples_split above the row count makes every root a leaf.
+  const SavedForest s = SaveGerman(1000);
+  ASSERT_EQ(Peek<uint8_t>(s.blob, s.root), 1) << "root should be a leaf";
+  const size_t rows = s.root + kNodeHeaderBytes;
+  ASSERT_GT(Peek<uint64_t>(s.blob, rows), 0u);
+  for (const RowId bad : {static_cast<RowId>(s.num_rows), RowId{-1}}) {
+    EXPECT_TRUE(RejectedAsIOError(Poke(s.blob, rows + 8, bad)))
+        << "row " << bad;
+  }
+}
+
+TEST(SerializeTest, LoaderRejectsStoreBeyondTheVectorBound) {
+  // A row count at the loader's per-vector bound (2^30 elements) times the
+  // attribute count exceeds that bound; it must be refused before the code
+  // matrix is allocated.
+  const SavedForest s = SaveGerman(2);
+  ASSERT_GT(s.num_attrs, 1);
+  EXPECT_TRUE(
+      RejectedAsIOError(Poke(s.blob, s.rows, int64_t{1} << 30)));
 }
 
 }  // namespace

@@ -1,17 +1,22 @@
-// The batched unlearning kernel (DeletionScratch + columnar
-// NodeStats::RemoveRows + in-place route partitioning) must be
-// *byte-identical* to the per-row baseline it replaced: same serialized
-// forest, same DeletionStats, same end-to-end FUME top-k. Swept over
-// datasets, seeds and deletion patterns, with the baseline selected via
-// ForestConfig::batched_unlearn_kernel = false.
+// Exactness of the unlearning kernel against the two oracles that remain
+// now that it is the only tree implementation:
+//  * Retraining. DaRE unlearning is exact, so after every batch the forest
+//    must serialize byte-for-byte like DareTree::Build on the same store's
+//    surviving rows (DESIGN.md §6 invariant 1), work counters aside.
+//  * Pinned bytes. FNV-1a-64 digests of SaveForest output, cumulative
+//    DeletionStats block included, recorded from the per-row deletion
+//    recursion the kernel replaced. They keep that implementation's model
+//    bytes and work counters as a fixed reference, and pin Train too.
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <memory>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "core/fume.h"
 #include "forest/deletion_scratch.h"
 #include "forest/forest.h"
 #include "forest/serialize.h"
@@ -21,13 +26,12 @@
 namespace fume {
 namespace {
 
-ForestConfig KernelForestConfig(bool kernel, uint64_t seed) {
+ForestConfig KernelForestConfig(uint64_t seed) {
   ForestConfig config;
   config.num_trees = 6;
   config.max_depth = 7;
   config.random_depth = 2;
   config.seed = seed;
-  config.batched_unlearn_kernel = kernel;
   return config;
 }
 
@@ -35,6 +39,43 @@ std::string Serialize(const DareForest& forest) {
   std::ostringstream out;
   EXPECT_TRUE(SaveForest(forest, out).ok());
   return out.str();
+}
+
+uint64_t Fnv1a64(const std::string& bytes) {
+  uint64_t h = 14695981039346656037ull;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+// Model bytes without the work counters: a Clone() starts its
+// DeletionStats at zero, like a freshly built forest.
+std::string ModelBytes(const DareForest& forest) {
+  return Serialize(forest.Clone());
+}
+
+// The forest Train would build on the rows `live` of `train`, over a store
+// holding every row of `train` — the same store an unlearned forest keeps,
+// so leaf row ids line up and the bytes are directly comparable.
+DareForest RetrainOnSurvivors(const Dataset& train,
+                              const std::vector<RowId>& live,
+                              const ForestConfig& config) {
+  std::shared_ptr<TrainingStore> store = TrainingStore::Make(train);
+  std::vector<DareTree> trees;
+  for (int t = 0; t < config.num_trees; ++t) {
+    trees.push_back(DareTree::Build(store, live, t, config));
+  }
+  return DareForest::FromParts(std::move(store), config, std::move(trees));
+}
+
+std::vector<RowId> Survivors(const std::vector<uint8_t>& deleted) {
+  std::vector<RowId> live;
+  for (size_t r = 0; r < deleted.size(); ++r) {
+    if (!deleted[r]) live.push_back(static_cast<RowId>(r));
+  }
+  return live;
 }
 
 // Draws `k` distinct row ids from [0, n) (partial Fisher-Yates).
@@ -51,10 +92,23 @@ std::vector<RowId> DrawRows(Rng* rng, int64_t n, int64_t k) {
   return ids;
 }
 
+constexpr int64_t kBatchSizes[] = {1, 7, 40, 150};
+
 struct KernelIdentityCase {
   const char* dataset;  // "german" or "planted"
   uint64_t seed;
+  // Digests after Train, then after each batch of kBatchSizes.
+  uint64_t pins[5];
 };
+
+void PrintTo(const KernelIdentityCase& c, std::ostream* os) {
+  *os << c.dataset << " seed " << c.seed;
+}
+
+std::string CaseName(const testing::TestParamInfo<KernelIdentityCase>& info) {
+  return std::string(info.param.dataset) + "_s" +
+         std::to_string(info.param.seed);
+}
 
 class KernelIdentityTest : public testing::TestWithParam<KernelIdentityCase> {
 };
@@ -76,30 +130,24 @@ Dataset MakeData(const KernelIdentityCase& c) {
   return bundle->data;
 }
 
-// Random deletion batches applied to two forests that differ only in the
-// kernel flag must keep them byte-identical at every step. The kernel-on
-// forest additionally reuses one caller-owned scratch across all batches
-// (the steady-state allocation-free path).
+// Random deletion batches through one warm caller-owned scratch (the
+// steady-state allocation-free path). After Train and after every batch the
+// forest must hit its pin and equal a retrain on the surviving rows.
 TEST_P(KernelIdentityTest, BatchedKernelMatchesPerRowBaselineByteForByte) {
   const KernelIdentityCase c = GetParam();
   const Dataset data = MakeData(c);
+  const ForestConfig config = KernelForestConfig(c.seed + 11);
 
-  auto kernel_forest =
-      DareForest::Train(data, KernelForestConfig(true, c.seed + 11));
-  auto baseline_forest =
-      DareForest::Train(data, KernelForestConfig(false, c.seed + 11));
-  ASSERT_TRUE(kernel_forest.ok());
-  ASSERT_TRUE(baseline_forest.ok());
-  // The flag must not influence training (it only selects the deletion
-  // execution strategy), so the starting points are identical.
-  ASSERT_EQ(Serialize(*kernel_forest), Serialize(*baseline_forest));
+  auto forest = DareForest::Train(data, config);
+  ASSERT_TRUE(forest.ok());
+  EXPECT_EQ(Fnv1a64(Serialize(*forest)), c.pins[0]) << "after Train";
 
   Rng rng(c.seed * 97 + 3);
   DeletionScratch scratch;
   int64_t live = data.num_rows();
   std::vector<uint8_t> deleted(static_cast<size_t>(data.num_rows()), 0);
-  const int64_t batch_sizes[] = {1, 7, 40, 150};
-  for (int64_t want : batch_sizes) {
+  for (size_t step = 0; step < std::size(kBatchSizes); ++step) {
+    const int64_t want = kBatchSizes[step];
     // Draw `want` rows not yet deleted.
     std::vector<RowId> batch;
     while (static_cast<int64_t>(batch.size()) < want && live > 0) {
@@ -110,36 +158,47 @@ TEST_P(KernelIdentityTest, BatchedKernelMatchesPerRowBaselineByteForByte) {
       batch.push_back(r);
       --live;
     }
-    if (batch.empty()) break;
+    ASSERT_FALSE(batch.empty());
 
-    std::vector<DeletionStats> kernel_per_tree, baseline_per_tree;
-    ASSERT_TRUE(
-        kernel_forest->DeleteRows(batch, &kernel_per_tree, &scratch).ok());
-    ASSERT_TRUE(baseline_forest->DeleteRows(batch, &baseline_per_tree).ok());
-
-    ASSERT_EQ(kernel_per_tree.size(), baseline_per_tree.size());
-    for (size_t t = 0; t < kernel_per_tree.size(); ++t) {
-      EXPECT_EQ(kernel_per_tree[t], baseline_per_tree[t])
-          << "per-tree DeletionStats diverged at tree " << t;
-    }
-    EXPECT_EQ(kernel_forest->deletion_stats(),
-              baseline_forest->deletion_stats());
-    EXPECT_TRUE(kernel_forest->StructurallyEquals(*baseline_forest));
-    ASSERT_EQ(Serialize(*kernel_forest), Serialize(*baseline_forest))
-        << "serialized forests diverged after a batch of " << batch.size();
+    ASSERT_TRUE(forest->DeleteRows(batch, nullptr, &scratch).ok());
+    EXPECT_EQ(Fnv1a64(Serialize(*forest)), c.pins[step + 1])
+        << "after a batch of " << batch.size();
+    const DareForest retrained =
+        RetrainOnSurvivors(data, Survivors(deleted), config);
+    ASSERT_EQ(ModelBytes(*forest), Serialize(retrained))
+        << "unlearned forest diverged from the retrain after a batch of "
+        << batch.size();
   }
-  EXPECT_TRUE(kernel_forest->ValidateStats());
+  EXPECT_TRUE(forest->ValidateStats());
 }
 
 INSTANTIATE_TEST_SUITE_P(
     DatasetsAndSeeds, KernelIdentityTest,
-    testing::Values(KernelIdentityCase{"german", 5},
-                    KernelIdentityCase{"german", 91},
-                    KernelIdentityCase{"planted", 5},
-                    KernelIdentityCase{"planted", 91}));
+    testing::Values(
+        KernelIdentityCase{"german",
+                           5,
+                           {0xe0fd01e09181e8e3ull, 0x748a744ed52403c7ull,
+                            0x8f002e9228df6030ull, 0x6ee72628a042e7f9ull,
+                            0x17f56112849e439aull}},
+        KernelIdentityCase{"german",
+                           91,
+                           {0x294a590d5aa120ddull, 0x1695fda3cb7876eeull,
+                            0x84d9cd46560d66d6ull, 0xe6661233b4fa9ef6ull,
+                            0x248b5272dc034238ull}},
+        KernelIdentityCase{"planted",
+                           5,
+                           {0x5d89978a8741248full, 0xcee648715146983eull,
+                            0xa5d998cf5ebba5a6ull, 0x1820cbfcc3787baaull,
+                            0xf73102e81761fa15ull}},
+        KernelIdentityCase{"planted",
+                           91,
+                           {0x801078a12adaa39eull, 0x0dfc67a30a2b259eull,
+                            0x790459ba442e0e7cull, 0x77cb9e2435da0d58ull,
+                            0x510a6fd7a4fe3c5full}}),
+    CaseName);
 
-// AddData through the kernel (batched NodeStats::AddRows + stable span
-// partitioning) must also match the baseline byte-for-byte.
+// AddData (batched NodeStats::AddRows + stable span partitioning) and a
+// delete-back of added rows: pinned bytes and retrain identity at each step.
 TEST(UnlearnKernelTest, AddDataMatchesBaselineByteForByte) {
   synth::PlantedOptions opts;
   opts.num_rows = 1400;
@@ -152,79 +211,40 @@ TEST(UnlearnKernelTest, AddDataMatchesBaselineByteForByte) {
   }
   const Dataset base = bundle->data.Select(base_rows);
   const Dataset extra = bundle->data.Select(extra_rows);
+  const ForestConfig config = KernelForestConfig(31);
 
-  auto kernel_forest = DareForest::Train(base, KernelForestConfig(true, 31));
-  auto baseline_forest =
-      DareForest::Train(base, KernelForestConfig(false, 31));
-  ASSERT_TRUE(kernel_forest.ok());
-  ASSERT_TRUE(baseline_forest.ok());
+  auto forest = DareForest::Train(base, config);
+  ASSERT_TRUE(forest.ok());
+  EXPECT_EQ(Fnv1a64(Serialize(*forest)), 0xdd85e12e85c68cc2ull)
+      << "after Train";
 
   DeletionScratch scratch;
-  std::vector<DeletionStats> kernel_per_tree, baseline_per_tree;
-  auto kernel_ids = kernel_forest->AddData(extra, &kernel_per_tree, &scratch);
-  auto baseline_ids = baseline_forest->AddData(extra, &baseline_per_tree);
-  ASSERT_TRUE(kernel_ids.ok());
-  ASSERT_TRUE(baseline_ids.ok());
-  EXPECT_EQ(*kernel_ids, *baseline_ids);
-  for (size_t t = 0; t < kernel_per_tree.size(); ++t) {
-    EXPECT_EQ(kernel_per_tree[t], baseline_per_tree[t]);
+  auto ids = forest->AddData(extra, nullptr, &scratch);
+  ASSERT_TRUE(ids.ok());
+  // New rows take the next store ids, so the store now holds the whole
+  // bundle in order.
+  ASSERT_EQ(ids->size(), extra_rows.size());
+  for (size_t i = 0; i < ids->size(); ++i) {
+    ASSERT_EQ((*ids)[i], static_cast<RowId>(1000 + i));
   }
-  EXPECT_EQ(Serialize(*kernel_forest), Serialize(*baseline_forest));
-  EXPECT_TRUE(kernel_forest->ValidateStats());
+  EXPECT_EQ(Fnv1a64(Serialize(*forest)), 0xf1d929274d8ae310ull)
+      << "after AddData";
+  std::vector<uint8_t> deleted(static_cast<size_t>(bundle->data.num_rows()),
+                               0);
+  EXPECT_EQ(ModelBytes(*forest),
+            Serialize(RetrainOnSurvivors(bundle->data, Survivors(deleted),
+                                         config)));
+  EXPECT_TRUE(forest->ValidateStats());
 
-  // Interleave: delete some of the added rows again, with the same scratch.
-  std::vector<RowId> doomed(kernel_ids->begin(), kernel_ids->begin() + 120);
-  ASSERT_TRUE(kernel_forest->DeleteRows(doomed, nullptr, &scratch).ok());
-  ASSERT_TRUE(baseline_forest->DeleteRows(doomed).ok());
-  EXPECT_EQ(Serialize(*kernel_forest), Serialize(*baseline_forest));
-}
-
-// The end-to-end search must report the identical top-k whether what-if
-// deletions run through the kernel or the baseline.
-TEST(UnlearnKernelTest, EndToEndTopKIdenticalKernelOnVsOff) {
-  synth::PlantedOptions opts;
-  opts.num_rows = 1500;
-  opts.seed = 1;
-  auto bundle = synth::MakePlantedBias(opts);
-  ASSERT_TRUE(bundle.ok());
-  std::vector<int64_t> train_rows, test_rows;
-  for (int64_t r = 0; r < bundle->data.num_rows(); ++r) {
-    (r % 10 < 7 ? train_rows : test_rows).push_back(r);
-  }
-  const Dataset train = bundle->data.Select(train_rows);
-  const Dataset test = bundle->data.Select(test_rows);
-
-  FumeConfig config;
-  config.top_k = 5;
-  config.support_min = 0.02;
-  config.support_max = 0.25;
-  config.max_literals = 2;
-  config.group = bundle->group;
-  config.lattice.excluded_attrs = {bundle->group.sensitive_attr};
-
-  FumeResult results[2];
-  for (int kernel = 0; kernel < 2; ++kernel) {
-    auto model =
-        DareForest::Train(train, KernelForestConfig(kernel == 1, 23));
-    ASSERT_TRUE(model.ok());
-    auto result = ExplainFairnessViolation(*model, train, test, config);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    results[kernel] = std::move(*result);
-  }
-
-  const FumeResult& off = results[0];
-  const FumeResult& on = results[1];
-  EXPECT_EQ(off.original_fairness, on.original_fairness);
-  ASSERT_EQ(off.top_k.size(), on.top_k.size());
-  for (size_t i = 0; i < off.top_k.size(); ++i) {
-    EXPECT_EQ(off.top_k[i].predicate, on.top_k[i].predicate);
-    EXPECT_EQ(off.top_k[i].phi, on.top_k[i].phi);
-    EXPECT_EQ(off.top_k[i].num_rows, on.top_k[i].num_rows);
-    EXPECT_EQ(off.top_k[i].new_fairness, on.top_k[i].new_fairness);
-  }
-  EXPECT_EQ(off.stats.attribution_evaluations,
-            on.stats.attribution_evaluations);
-  EXPECT_EQ(off.all_candidates.size(), on.all_candidates.size());
+  // Delete some of the added rows again, with the same scratch.
+  std::vector<RowId> doomed(ids->begin(), ids->begin() + 120);
+  ASSERT_TRUE(forest->DeleteRows(doomed, nullptr, &scratch).ok());
+  EXPECT_EQ(Fnv1a64(Serialize(*forest)), 0xe0c482260c42324eull)
+      << "after the delete-back";
+  for (RowId r : doomed) deleted[static_cast<size_t>(r)] = 1;
+  EXPECT_EQ(ModelBytes(*forest),
+            Serialize(RetrainOnSurvivors(bundle->data, Survivors(deleted),
+                                         config)));
 }
 
 // DeletionScratch unit behaviour: duplicate detection, epoch invalidation,
@@ -255,8 +275,8 @@ TEST(UnlearnKernelTest, TreeLevelScratchOverloadMatchesConvenienceOverload) {
   opts.seed = 3;
   auto bundle = synth::MakeGermanCredit(opts);
   ASSERT_TRUE(bundle.ok());
-  auto a = DareForest::Train(bundle->data, KernelForestConfig(true, 7));
-  auto b = DareForest::Train(bundle->data, KernelForestConfig(true, 7));
+  auto a = DareForest::Train(bundle->data, KernelForestConfig(7));
+  auto b = DareForest::Train(bundle->data, KernelForestConfig(7));
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
 
