@@ -120,52 +120,61 @@ if [ -f bench_artifacts/BENCH_shard.json ]; then
   fi
 fi
 
-# Lazy stream smoke: a delete-heavy run with deferred subtree retrains must
-# end with the in-binary identity attestation — the flushed model equals a
-# cold retrain on the surviving rows (fume_stream exits non-zero and prints
-# MISMATCH otherwise).
-echo "=== fume_stream --lazy identity smoke ==="
-if ! "${TOOLS_DIR}/fume_stream" --dataset german-credit --rows 500 --ops 40 \
-    --delete-batch 8 --checkpoint-every 10 --lazy --lazy-budget 64 \
-    > stream-lazy.log 2>&1; then
-  echo "FAIL: fume_stream --lazy exited non-zero"
-  tail -5 stream-lazy.log
-  status=1
-elif ! grep -q "lazy identity: ok" stream-lazy.log; then
-  echo "FAIL: fume_stream --lazy did not print its identity attestation"
-  status=1
-fi
+# Stream identity legs, once per deployment: the default one-shard model
+# and a slice-placed 4-shard ensemble.
+#
+#  * Lazy leg: a delete-heavy run with deferred subtree retrains must end
+#    with the in-binary identity attestation — every flushed shard equals a
+#    cold retrain on its surviving rows (fume_stream exits non-zero and
+#    prints MISMATCH otherwise).
+#  * Replay leg: a run writes its op-log and rewrites its checkpoint at
+#    every checkpoint op; restoring the last checkpoint and replaying the
+#    log (already-applied ops skipped) must land on the same final metric
+#    and accuracy as the uninterrupted run.
+for shards in 1 4; do
+  deployment=(--shards "${shards}")
+  if [ "${shards}" -gt 1 ]; then deployment+=(--placement slice); fi
+  tag="shards${shards}"
 
-# Sharded stream replay smoke: a slice-placed 4-shard run writes its op
-# log and a mid-run checkpoint; restoring the checkpoint and replaying the
-# tail of the log must land on the same final metric and accuracy as the
-# uninterrupted run (v2 per-shard checkpoint container + dirty-shard
-# recovery).
-echo "=== fume_stream --shards replay smoke ==="
-rm -f shard-ops.log shard.ckpt
-if ! "${TOOLS_DIR}/fume_stream" --dataset german-credit --rows 500 --ops 30 \
-    --delete-batch 6 --checkpoint-every 20 --shards 4 --placement slice \
-    --oplog-out shard-ops.log --checkpoint shard.ckpt \
-    > stream-shard.log 2>&1; then
-  echo "FAIL: sharded fume_stream exited non-zero"
-  tail -5 stream-shard.log
-  status=1
-elif ! "${TOOLS_DIR}/fume_stream" --dataset german-credit --rows 500 \
-    --shards 4 --placement slice --oplog shard-ops.log --resume shard.ckpt \
-    > stream-shard-resume.log 2>&1; then
-  echo "FAIL: sharded fume_stream --resume exited non-zero"
-  tail -5 stream-shard-resume.log
-  status=1
-else
-  final_run="$(grep '^final' stream-shard.log)"
-  final_resumed="$(grep '^final' stream-shard-resume.log)"
-  if [ -z "${final_run}" ] || [ "${final_run}" != "${final_resumed}" ]; then
-    echo "FAIL: sharded replay diverged from the uninterrupted run"
-    echo "  run:     ${final_run}"
-    echo "  resumed: ${final_resumed}"
+  echo "=== fume_stream --lazy identity smoke (${deployment[*]}) ==="
+  if ! "${TOOLS_DIR}/fume_stream" --dataset german-credit --rows 500 --ops 40 \
+      --delete-batch 8 --checkpoint-every 10 --lazy --lazy-budget 64 \
+      "${deployment[@]}" > "stream-lazy-${tag}.log" 2>&1; then
+    echo "FAIL: fume_stream --lazy ${deployment[*]} exited non-zero"
+    tail -5 "stream-lazy-${tag}.log"
+    status=1
+  elif ! grep -q "lazy identity: ok" "stream-lazy-${tag}.log"; then
+    echo "FAIL: fume_stream --lazy ${deployment[*]} did not print its" \
+      "identity attestation"
     status=1
   fi
-fi
+
+  echo "=== fume_stream replay smoke (${deployment[*]}) ==="
+  rm -f "ops-${tag}.log" "${tag}.ckpt"
+  if ! "${TOOLS_DIR}/fume_stream" --dataset german-credit --rows 500 --ops 30 \
+      --delete-batch 6 --checkpoint-every 20 "${deployment[@]}" \
+      --oplog-out "ops-${tag}.log" --checkpoint "${tag}.ckpt" \
+      > "stream-${tag}.log" 2>&1; then
+    echo "FAIL: fume_stream ${deployment[*]} exited non-zero"
+    tail -5 "stream-${tag}.log"
+    status=1
+  elif ! "${TOOLS_DIR}/fume_stream" --dataset german-credit --rows 500 \
+      "${deployment[@]}" --oplog "ops-${tag}.log" --resume "${tag}.ckpt" \
+      > "stream-${tag}-resume.log" 2>&1; then
+    echo "FAIL: fume_stream ${deployment[*]} --resume exited non-zero"
+    tail -5 "stream-${tag}-resume.log"
+    status=1
+  else
+    final_run="$(grep '^final' "stream-${tag}.log")"
+    final_resumed="$(grep '^final' "stream-${tag}-resume.log")"
+    if [ -z "${final_run}" ] || [ "${final_run}" != "${final_resumed}" ]; then
+      echo "FAIL: ${deployment[*]} replay diverged from the uninterrupted run"
+      echo "  run:     ${final_run}"
+      echo "  resumed: ${final_resumed}"
+      status=1
+    fi
+  fi
+done
 
 # End-to-end serving smoke: boot fume_serve with a sharded default tenant
 # on an ephemeral port, run the canned fume_client round trips (health/

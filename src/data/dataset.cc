@@ -23,7 +23,7 @@ Dataset& Dataset::operator=(const Dataset& other) {
   schema_ = other.schema_;
   columns_ = other.columns_;
   labels_ = other.labels_;
-  packed_.store(nullptr);
+  ResetPacked();
   return *this;
 }
 
@@ -37,20 +37,21 @@ Dataset& Dataset::operator=(Dataset&& other) noexcept {
   schema_ = std::move(other.schema_);
   columns_ = std::move(other.columns_);
   labels_ = std::move(other.labels_);
-  packed_.store(nullptr);
+  ResetPacked();
   return *this;
 }
 
+void Dataset::ResetPacked() {
+  std::lock_guard<std::mutex> lock(packed_mu_);
+  packed_.reset();
+}
+
 std::shared_ptr<const PackedCodes> Dataset::packed_codes() const {
-  std::shared_ptr<const PackedCodes> cur = packed_.load();
-  if (cur != nullptr) return cur;
+  // Called once per batch traversal, never per row, so the lock is cheap;
+  // concurrent first callers wait for one build.
+  std::lock_guard<std::mutex> lock(packed_mu_);
+  if (packed_ != nullptr) return packed_;
   FUME_CHECK(schema_.AllCategorical());
-  // Builds are rare (once per dataset per process, plus once per append
-  // burst), so one process-wide mutex is plenty; readers never take it.
-  static std::mutex build_mu;
-  std::lock_guard<std::mutex> lock(build_mu);
-  cur = packed_.load();
-  if (cur != nullptr) return cur;
   auto packed = std::make_shared<PackedCodes>();
   const int p = schema_.num_attributes();
   const int64_t n = num_rows();
@@ -64,7 +65,7 @@ std::shared_ptr<const PackedCodes> Dataset::packed_codes() const {
           col[static_cast<size_t>(r)];
     }
   }
-  packed_.store(packed);
+  packed_ = packed;
   return packed;
 }
 
@@ -109,7 +110,7 @@ Status Dataset::AppendRowMixed(const std::vector<int32_t>& codes,
     }
   }
   labels_.push_back(static_cast<uint8_t>(label));
-  packed_.store(nullptr);  // the packed snapshot no longer covers all rows
+  ResetPacked();  // the packed snapshot no longer covers all rows
   return Status::OK();
 }
 

@@ -5,9 +5,9 @@
 #ifndef FUME_DATA_DATASET_H_
 #define FUME_DATA_DATASET_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -122,12 +122,19 @@ class Dataset {
   Status Validate() const;
 
  private:
+  /// Drops the packed view under packed_mu_.
+  void ResetPacked();
+
   Schema schema_;
   std::vector<ColumnData> columns_;
   std::vector<uint8_t> labels_;
   /// Lazily built packed view; null until the first packed_codes() call
-  /// and reset to null by AppendRow/AppendRowMixed.
-  mutable std::atomic<std::shared_ptr<const PackedCodes>> packed_{nullptr};
+  /// and reset to null by AppendRow/AppendRowMixed. Guarded by packed_mu_,
+  /// a plain mutex rather than std::atomic<std::shared_ptr>: libstdc++
+  /// hides that type's lock bit from TSan, which then reports every
+  /// concurrent first build as a race.
+  mutable std::mutex packed_mu_;
+  mutable std::shared_ptr<const PackedCodes> packed_;
 };
 
 }  // namespace fume

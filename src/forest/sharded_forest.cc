@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <cstring>
 #include <functional>
-#include <sstream>
+#include <istream>
+#include <ostream>
 #include <utility>
 
 #include "forest/serialize.h"
@@ -160,8 +161,10 @@ Result<ShardedForest> ShardedForest::Train(const Dataset& train,
                              "or more data");
     }
   }
-  out.shard_of_ = std::move(shard_of);
-  out.local_of_ = std::move(local_of);
+  if (n > 1) {  // one shard keeps no maps: they are the identity
+    out.shard_of_ = std::move(shard_of);
+    out.local_of_ = std::move(local_of);
+  }
   out.shards_.resize(static_cast<size_t>(n));
   std::vector<Status> statuses(static_cast<size_t>(n));
   std::vector<int> all(static_cast<size_t>(n));
@@ -217,8 +220,7 @@ Status ShardedForest::DeleteRows(
   routed->Inc(static_cast<int64_t>(global_rows.size()));
   std::vector<std::vector<RowId>> local(static_cast<size_t>(n));
   for (RowId g : global_rows) {
-    local[(*shard_of_)[static_cast<size_t>(g)]].push_back(
-        (*local_of_)[static_cast<size_t>(g)]);
+    local[static_cast<size_t>(shard_of(g))].push_back(local_of(g));
   }
   std::vector<int> touched;
   for (int s = 0; s < n; ++s) {
@@ -314,7 +316,9 @@ Result<std::vector<RowId>> ShardedForest::AddData(
     FUME_RETURN_NOT_OK(statuses[static_cast<size_t>(s)]);
   }
   // All shards accepted their slice: extend the placement maps (private
-  // copies first if a clone/snapshot still shares them).
+  // copies first if a clone/snapshot still shares them). One shard has
+  // none: shard 0's AddData already numbered the rows `next` onwards.
+  if (shard_of_ == nullptr) return global_ids;
   if (shard_of_.use_count() > 1) {
     shard_of_ = std::make_shared<std::vector<uint8_t>>(*shard_of_);
   }
@@ -441,7 +445,9 @@ bool ShardedForest::StructurallyEquals(const ShardedForest& other) const {
       shard_config_.hot_shards != other.shard_config_.hot_shards) {
     return false;
   }
-  if (*shard_of_ != *other.shard_of_ || *local_of_ != *other.local_of_) {
+  // Equal shard counts: both or neither hold maps (one shard has none).
+  if (shard_of_ != nullptr && (*shard_of_ != *other.shard_of_ ||
+                               *local_of_ != *other.local_of_)) {
     return false;
   }
   for (size_t s = 0; s < shards_.size(); ++s) {
@@ -457,16 +463,19 @@ bool ShardedForest::ValidateStats() const {
   return true;
 }
 
+int64_t ShardedForest::num_global_ids() const {
+  if (shard_of_ != nullptr) return static_cast<int64_t>(shard_of_->size());
+  return shards_.empty() ? 0 : shards_[0].store().num_rows();
+}
+
 int32_t ShardedForest::Code(RowId global, int attr) const {
-  const int s = (*shard_of_)[static_cast<size_t>(global)];
-  return shards_[static_cast<size_t>(s)].store().code(
-      (*local_of_)[static_cast<size_t>(global)], attr);
+  return shards_[static_cast<size_t>(shard_of(global))].store().code(
+      local_of(global), attr);
 }
 
 int ShardedForest::Label(RowId global) const {
-  const int s = (*shard_of_)[static_cast<size_t>(global)];
-  return shards_[static_cast<size_t>(s)].store().label(
-      (*local_of_)[static_cast<size_t>(global)]);
+  return shards_[static_cast<size_t>(shard_of(global))].store().label(
+      local_of(global));
 }
 
 int64_t ShardedForest::num_training_rows() const {
@@ -497,33 +506,7 @@ DeletionStats ShardedForest::deletion_stats() const {
 }
 
 Status ShardedForest::Save(std::ostream& out) const {
-  std::vector<std::string> blobs;
-  return SaveWithCache(out, &blobs, {});
-}
-
-Status ShardedForest::SaveWithCache(std::ostream& out,
-                                    std::vector<std::string>* blobs,
-                                    const std::vector<bool>& dirty) const {
-  static obs::Counter* serialized =
-      obs::GetCounter("shard.checkpoint.shards_serialized");
-  static obs::Counter* reused =
-      obs::GetCounter("shard.checkpoint.shards_reused");
   const int n = num_shards();
-  blobs->resize(static_cast<size_t>(n));
-  for (int s = 0; s < n; ++s) {
-    std::string& blob = (*blobs)[static_cast<size_t>(s)];
-    const bool must_serialize = blob.empty() ||
-                                static_cast<size_t>(s) >= dirty.size() ||
-                                dirty[static_cast<size_t>(s)];
-    if (!must_serialize) {
-      reused->Inc();
-      continue;
-    }
-    std::ostringstream os(std::ios::binary);
-    FUME_RETURN_NOT_OK(SaveForest(shards_[static_cast<size_t>(s)], os));
-    blob = std::move(os).str();
-    serialized->Inc();
-  }
   out.write(kShardMagic, sizeof(kShardMagic));
   WritePod(out, kShardVersion);
   WritePod(out, static_cast<uint32_t>(n));
@@ -532,12 +515,34 @@ Status ShardedForest::SaveWithCache(std::ostream& out,
   WritePod(out, static_cast<int32_t>(shard_config_.slice_attr));
   WritePod(out, shard_config_.slice_value);
   WritePod(out, static_cast<int32_t>(shard_config_.hot_shards));
-  WriteVec(out, *shard_of_);
-  WriteVec(out, *local_of_);
+  if (shard_of_ != nullptr) {
+    WriteVec(out, *shard_of_);
+    WriteVec(out, *local_of_);
+  } else {
+    // One shard: the identity maps the format carries, written without
+    // materializing them.
+    const uint64_t ids = static_cast<uint64_t>(num_global_ids());
+    WritePod(out, ids);
+    for (uint64_t g = 0; g < ids; ++g) WritePod(out, uint8_t{0});
+    WritePod(out, ids);
+    for (uint64_t g = 0; g < ids; ++g) WritePod(out, static_cast<RowId>(g));
+  }
   for (int s = 0; s < n; ++s) {
-    const std::string& blob = (*blobs)[static_cast<size_t>(s)];
-    WritePod(out, static_cast<uint64_t>(blob.size()));
-    out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
+    // Reserve the length prefix, stream the blob, then patch the prefix.
+    const std::streampos prefix = out.tellp();
+    if (prefix == std::streampos(-1)) {
+      return Status::IOError(
+          "sharded forest save needs a stream that reports its position");
+    }
+    WritePod(out, uint64_t{0});
+    FUME_RETURN_NOT_OK(SaveForest(shards_[static_cast<size_t>(s)], out));
+    const std::streampos end = out.tellp();
+    if (end == std::streampos(-1)) {
+      return Status::IOError("sharded forest write failed");
+    }
+    out.seekp(prefix);
+    WritePod(out, static_cast<uint64_t>(end - prefix) - sizeof(uint64_t));
+    out.seekp(end);
   }
   if (!out.good()) return Status::IOError("sharded forest write failed");
   return Status::OK();
@@ -585,16 +590,31 @@ Result<ShardedForest> ShardedForest::Load(std::istream& in) {
   if (shard_of->size() != local_of->size()) {
     return Status::IOError("sharded forest placement maps disagree");
   }
+  if (num_shards == 1) {
+    for (size_t g = 0; g < local_of->size(); ++g) {
+      if ((*shard_of)[g] != 0 || (*local_of)[g] != static_cast<RowId>(g)) {
+        return Status::IOError(
+            "one-shard placement maps are not the identity");
+      }
+    }
+  }
   out.shards_.reserve(num_shards);
   for (uint32_t s = 0; s < num_shards; ++s) {
     uint64_t len = 0;
     FUME_RETURN_NOT_OK(ReadPod(in, &len));
     if (len > kMaxVec) return Status::IOError("implausible shard blob size");
-    std::string blob(len, '\0');
-    in.read(blob.data(), static_cast<std::streamsize>(len));
-    if (!in.good()) return Status::IOError("truncated shard blob");
-    std::istringstream is(blob, std::ios::binary);
-    FUME_ASSIGN_OR_RETURN(DareForest shard, LoadForest(is));
+    const std::streampos start = in.tellg();
+    if (start == std::streampos(-1)) {
+      return Status::IOError(
+          "sharded forest load needs a stream that reports its position");
+    }
+    FUME_ASSIGN_OR_RETURN(DareForest shard, LoadForest(in));
+    const std::streampos end = in.tellg();
+    if (end == std::streampos(-1) ||
+        static_cast<uint64_t>(end - start) != len) {
+      return Status::IOError("shard " + std::to_string(s) +
+                             " blob length disagrees with its prefix");
+    }
     out.shards_.push_back(std::move(shard));
   }
   // Cross-validate the maps against the shard stores: every global id must
@@ -617,8 +637,10 @@ Result<ShardedForest> ShardedForest::Load(std::istream& in) {
       return Status::IOError("placement map does not cover shard store");
     }
   }
-  out.shard_of_ = std::move(shard_of);
-  out.local_of_ = std::move(local_of);
+  if (num_shards > 1) {
+    out.shard_of_ = std::move(shard_of);
+    out.local_of_ = std::move(local_of);
+  }
   return out;
 }
 

@@ -4,8 +4,9 @@
 // ("shards"); the ensemble prediction is a vote over the shard outputs.
 // Because a training row lives in exactly one shard, deleting it touches
 // only that shard — a deletion burst becomes shard-local unlearning that
-// runs concurrently on the shared util::ThreadPool, and a checkpoint only
-// needs to re-serialize the shards an op actually dirtied.
+// runs concurrently on the shared util::ThreadPool. One shard is the
+// monolithic deployment: the stream engine, fume_serve and fume_stream run
+// this type at every shard count.
 //
 // Determinism contract (docs/sharding.md):
 //  * Row placement is a pure function of the global row id (and, in slice
@@ -86,7 +87,9 @@ const char* PlacementName(ShardConfig::Placement placement);
 /// first, then AddData batches), exactly like TrainingStore ids in the
 /// monolithic forest — the same op log drives both. shard_of/local_of map a
 /// global id to its owning shard and the row's TrainingStore id inside it;
-/// like store ids, global ids are never recycled.
+/// like store ids, global ids are never recycled. A one-shard ensemble
+/// stores no maps: every id lives in shard 0 under its own number, which is
+/// how the monolithic forest numbers rows.
 class ShardedForest {
  public:
   ShardedForest() = default;
@@ -165,12 +168,13 @@ class ShardedForest {
 
   /// Total global ids ever assigned (live + deleted), == the id the next
   /// AddData row would get.
-  int64_t num_global_ids() const {
-    return shard_of_ == nullptr ? 0
-                                : static_cast<int64_t>(shard_of_->size());
+  int64_t num_global_ids() const;
+  int shard_of(RowId global) const {
+    return shard_of_ == nullptr ? 0 : (*shard_of_)[global];
   }
-  int shard_of(RowId global) const { return (*shard_of_)[global]; }
-  RowId local_of(RowId global) const { return (*local_of_)[global]; }
+  RowId local_of(RowId global) const {
+    return local_of_ == nullptr ? global : (*local_of_)[global];
+  }
   /// Cell accessors by global id (rows stay addressable after deletion,
   /// like TrainingStore).
   int32_t Code(RowId global, int attr) const;
@@ -183,17 +187,15 @@ class ShardedForest {
   /// Cumulative unlearning work, summed in shard order.
   DeletionStats deletion_stats() const;
 
-  /// Serializes the sharded container: shard config + placement maps +
-  /// one independent SaveForest blob per shard. Requires no pending lazy
-  /// tags (flush first).
+  /// Serializes the sharded container: shard config + placement maps (the
+  /// identity maps for one shard) + one length-prefixed SaveForest blob per
+  /// shard, written straight into `out` (the length is patched in
+  /// afterwards, so `out` must report and seek its position). Lazy tags
+  /// are flushed first.
   Status Save(std::ostream& out) const;
-  /// As Save, but re-serializes only shards with `dirty[s]` true (or with
-  /// no cached blob yet); clean shards reuse `(*blobs)[s]` verbatim.
-  /// `blobs` is updated in place and afterwards holds every shard's
-  /// current bytes — the incremental-checkpoint fast path. Output bytes
-  /// are identical to Save().
-  Status SaveWithCache(std::ostream& out, std::vector<std::string>* blobs,
-                       const std::vector<bool>& dirty) const;
+  /// Reads a Save container, running LoadForest straight off `in`; a blob
+  /// whose length prefix disagrees with the bytes it holds, or one-shard
+  /// maps that are not the identity, are IOErrors.
   static Result<ShardedForest> Load(std::istream& in);
 
   /// IndexError unless every global id was assigned (DeleteRows' check).
@@ -213,10 +215,11 @@ class ShardedForest {
   ShardConfig shard_config_;
   std::vector<DareForest> shards_;
   /// Owning shard / local TrainingStore id for every global id ever
-  /// assigned. uint8_t caps num_shards at 255 (validated ≤ 64). Shared
-  /// copy-on-write with clones/snapshots: a what-if Clone() is O(shards ·
-  /// trees), not O(rows); AddData takes a private copy first when the maps
-  /// are still shared (single-writer contract, same as TrainingStore).
+  /// assigned; null for one shard (the identity). uint8_t caps num_shards
+  /// at 255 (validated ≤ 64). Shared copy-on-write with clones/snapshots: a
+  /// what-if Clone() is O(shards · trees), not O(rows); AddData takes a
+  /// private copy first when the maps are still shared (single-writer
+  /// contract, same as TrainingStore).
   std::shared_ptr<std::vector<uint8_t>> shard_of_;
   std::shared_ptr<std::vector<RowId>> local_of_;
 };

@@ -268,19 +268,10 @@ std::string Server::HandlePredict(const Request& req, Tenant& tenant) {
       return ErrorResponse(req.id, "bad_request", st.message());
     }
   }
+  // Ensemble vote (soft or majority per the tenant's shard config).
   std::vector<double> probs;
   std::vector<int> preds;
-  if (snap->sharded.has_value()) {
-    // Ensemble vote (soft or majority per the tenant's shard config).
-    snap->sharded->Predict(rows, &probs, &preds);
-  } else {
-    probs = snap->forest.PredictProbAll(rows);
-    preds.resize(probs.size());
-    for (size_t i = 0; i < probs.size(); ++i) {
-      // Same 0.5 threshold as DareForest::PredictAll.
-      preds[i] = probs[i] >= 0.5 ? 1 : 0;
-    }
-  }
+  snap->model.Predict(rows, &probs, &preds);
   std::string out = OkHead(req.id);
   AppendField(&out, "seq", snap->seq);
   out.append(",\"predictions\":[");

@@ -72,14 +72,13 @@ void Tenant::PublishSnapshotLocked() {
   snap->accuracy = engine_->current_accuracy();
   snap->staleness = engine_->staleness();
   snap->rows_live = engine_->rows_live();
-  if (engine_->is_sharded()) {
-    snap->sharded.emplace(engine_->sharded_forest().Clone());
-    snap->shard_cache = std::make_shared<const ShardedPredictionCache>(
-        engine_->shard_prediction_cache());
-  } else {
-    snap->forest = engine_->forest().Clone();
-    snap->cache = std::make_shared<const TestPredictionCache>(
-        engine_->prediction_cache());
+  snap->model = engine_->model().Clone();
+  snap->model_cache = std::make_shared<const ShardedPredictionCache>(
+      engine_->prediction_cache());
+  if (snap->model.num_shards() == 1) {
+    snap->forest = snap->model.shard(0).Clone();
+    snap->cache = std::shared_ptr<const TestPredictionCache>(
+        snap->model_cache, &snap->model_cache->shard(0));
   }
   snap->live_ids = engine_->live_ids();
   if (const FumeResult* expl = engine_->explanation()) {
@@ -170,33 +169,17 @@ void Tenant::EvaluateWhatIf(const TenantSnapshot& snap, BatchJob* job,
   out.before_accuracy = snap.accuracy;
 
   // Live rows matching the candidate predicate, against the append-stable
-  // store the snapshot forest references (global ids route through the
-  // sharded placement maps when the tenant is sharded).
-  const bool is_sharded = snap.sharded.has_value();
+  // stores the snapshot's shards reference.
   worker->matched.clear();
-  if (is_sharded) {
-    for (const RowId id : snap.live_ids) {
-      bool all = true;
-      for (const Literal& lit : job->predicate.literals()) {
-        if (!lit.Matches(snap.sharded->Code(id, lit.attr))) {
-          all = false;
-          break;
-        }
+  for (const RowId id : snap.live_ids) {
+    bool all = true;
+    for (const Literal& lit : job->predicate.literals()) {
+      if (!lit.Matches(snap.model.Code(id, lit.attr))) {
+        all = false;
+        break;
       }
-      if (all) worker->matched.push_back(id);
     }
-  } else {
-    const TrainingStore& store = snap.forest.store();
-    for (const RowId id : snap.live_ids) {
-      bool all = true;
-      for (const Literal& lit : job->predicate.literals()) {
-        if (!lit.Matches(store.code(id, lit.attr))) {
-          all = false;
-          break;
-        }
-      }
-      if (all) worker->matched.push_back(id);
-    }
+    if (all) worker->matched.push_back(id);
   }
   out.rows_matched = static_cast<int64_t>(worker->matched.size());
 
@@ -206,23 +189,14 @@ void Tenant::EvaluateWhatIf(const TenantSnapshot& snap, BatchJob* job,
     // flushed by contract and the matched ids are live, so this cannot
     // fail.
     const Dataset& test = test_data();
-    const std::vector<int>* preds = nullptr;
-    if (is_sharded) {
-      FUME_CHECK(snap.shard_cache
-                     ->ScoreWithout(*snap.sharded, worker->matched, test,
-                                    &worker->shard_scratch,
-                                    &worker->shard_deletion)
-                     .ok());
-      preds = &worker->shard_scratch.preds;
-    } else {
-      FUME_CHECK(snap.cache
-                     ->ScoreWithout(snap.forest, worker->matched, test,
-                                    &worker->scratch, &worker->deletion)
-                     .ok());
-      preds = &worker->scratch.preds;
-    }
-    const ModelEval after = EvaluatePredictions(
-        test, *preds, config_.engine.fume.group, config_.engine.fume.metric);
+    FUME_CHECK(snap.model_cache
+                   ->ScoreWithout(snap.model, worker->matched, test,
+                                  &worker->scratch, &worker->deletion)
+                   .ok());
+    const ModelEval after =
+        EvaluatePredictions(test, worker->scratch.preds,
+                            config_.engine.fume.group,
+                            config_.engine.fume.metric);
     out.after_fairness = after.fairness;
     out.after_accuracy = after.accuracy;
     // Same normalized improvement as repair/what_if.cc.

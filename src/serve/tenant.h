@@ -4,13 +4,13 @@
 // snapshot per batch.
 //
 // Snapshot-swap scheme: mutations (stream_op) run under `write_mu_` against
-// the engine, then publish a fresh TenantSnapshot (CoW forest clone + a
+// the engine, then publish a fresh TenantSnapshot (CoW ensemble clone + a
 // copy of the warm prediction cache) by swapping a shared_ptr under a
 // dedicated pointer mutex whose critical section is just that copy.
 // Readers grab the pointer and keep the snapshot alive for as long as
 // they need it, so a predict/explain/whatif never waits behind engine
-// work and never observes a half-applied op. The TrainingStore shared
-// by the engine forest and every snapshot clone is append-stable
+// work and never observes a half-applied op. The TrainingStores shared
+// by the engine's shards and every snapshot clone are append-stable
 // (forest/training_store.h), so concurrent inserts never move the rows a
 // snapshot reader is scanning.
 
@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "forest/deletion_scratch.h"
+#include "forest/sharded_forest.h"
 #include "serve/batcher.h"
 #include "stream/engine.h"
 #include "util/thread_pool.h"
@@ -44,22 +45,23 @@ struct TenantConfig {
 };
 
 /// Immutable published serving state. Readers share it by shared_ptr; the
-/// forest is a CoW clone so the writer's later mutations never touch it.
+/// model is a CoW clone so the writer's later mutations never touch it.
 struct TenantSnapshot {
   int64_t seq = -1;
   double metric = 0.0;
   double accuracy = 0.0;
   int64_t staleness = 0;
   int64_t rows_live = 0;
-  /// Monolithic tenants publish forest/cache; sharded tenants (engine
-  /// config shard.num_shards > 1) publish sharded/shard_cache instead and
-  /// leave forest empty. live_ids are then global row ids.
-  DareForest forest;
-  std::optional<ShardedForest> sharded;
+  ShardedForest model;
+  /// Global row ids (the model's) of the live rows, dense order.
   std::vector<RowId> live_ids;
-  std::shared_ptr<const TestPredictionCache> cache;
-  std::shared_ptr<const ShardedPredictionCache> shard_cache;
+  std::shared_ptr<const ShardedPredictionCache> model_cache;
   std::shared_ptr<const FumeResult> explanation;  // null while fair
+  /// Single-shard view for out-of-tree probes: a clone of model.shard(0)
+  /// and an alias of model_cache->shard(0), filled only when the tenant
+  /// has one shard (empty otherwise). Serving code reads model/model_cache.
+  DareForest forest;
+  std::shared_ptr<const TestPredictionCache> cache;
 };
 
 class Tenant {
@@ -107,11 +109,9 @@ class Tenant {
   /// Per-worker warm scratch so steady-state batches do not allocate.
   struct WhatIfWorker {
     std::vector<RowId> matched;
-    DeletionScratch deletion;
-    TestPredictionCache::WhatIfScratch scratch;
-    /// Sharded-tenant counterparts (shard_deletion entry s serves shard s).
-    std::vector<DeletionScratch> shard_deletion;
-    ShardedPredictionCache::WhatIfScratch shard_scratch;
+    /// Entry s serves shard s.
+    std::vector<DeletionScratch> deletion;
+    ShardedPredictionCache::WhatIfScratch scratch;
   };
 
   Tenant(std::string name, TenantConfig config);

@@ -7,9 +7,6 @@
 #include <limits>
 #include <ostream>
 
-#include "forest/serialize.h"
-
-#include "core/removal_method.h"
 #include "core/sharded_removal.h"
 #include "fairness/metrics.h"
 #include "obs/metrics.h"
@@ -45,15 +42,14 @@ struct StreamMetrics {
 };
 
 /// The engine's removal method: FUME hands it dense indices into
-/// train_data(); it forwards the corresponding engine ids (training-store
-/// ids, or global ids on the sharded path) to the wrapped unlearning
-/// method over the streaming model. Thread-safe like the inner method
-/// (the map is read-only during a search).
+/// train_data(); it forwards the corresponding engine ids (the model's
+/// global ids) to the wrapped unlearning method over the streaming model.
+/// Thread-safe like the inner method (the map is read-only during a
+/// search).
 class MappedRemoval : public RemovalMethod {
  public:
-  MappedRemoval(RemovalMethod* inner, const char* name,
-                const std::vector<RowId>* dense_to_id)
-      : inner_(inner), name_(name), dense_to_id_(dense_to_id) {}
+  MappedRemoval(RemovalMethod* inner, const std::vector<RowId>* dense_to_id)
+      : inner_(inner), dense_to_id_(dense_to_id) {}
 
   Result<ModelEval> EvaluateWithout(const std::vector<RowId>& rows) override {
     return EvaluateWithoutOn(0, rows);
@@ -75,23 +71,20 @@ class MappedRemoval : public RemovalMethod {
     inner_->BeginParallel(num_workers);
   }
   void EndParallel() override { inner_->EndParallel(); }
-  const char* name() const override { return name_; }
+  const char* name() const override { return "dare-unlearn-stream"; }
 
  private:
   RemovalMethod* inner_;
-  const char* name_;
   const std::vector<RowId>* dense_to_id_;
 };
 
 // ---- checkpoint primitives (little-endian native, like forest/serialize).
 
 constexpr char kCkptMagic[8] = {'F', 'U', 'M', 'E', 'S', 'T', 'R', 'M'};
-/// v1: engine state + one monolithic SaveForest blob. v2: identical engine
-/// state block, then a ShardedForest container (shard config + placement
-/// maps + one independent forest blob per shard) instead of the single
-/// forest — written incrementally, re-serializing only dirty shards.
-constexpr uint32_t kCkptVersion = 1;
-constexpr uint32_t kCkptVersionSharded = 2;
+/// The engine state block, then the model's ShardedForest container (shard
+/// config + placement maps + one forest blob per shard). Version 1 held a
+/// bare SaveForest blob instead of the container; it is no longer read.
+constexpr uint32_t kCkptVersion = 2;
 
 template <typename T>
 void WritePod(std::ostream& out, T value) {
@@ -146,6 +139,34 @@ Result<AttributableSubset> ReadSubset(std::istream& in) {
   return s;
 }
 
+/// The cached top-k is printed and served against `schema`, which indexes
+/// attributes unchecked: every literal must name an attribute, operator and
+/// code the lattice could have emitted.
+Status ValidateTopK(const FumeResult& result, const Schema& schema) {
+  for (const AttributableSubset& s : result.top_k) {
+    for (const Literal& lit : s.predicate.literals()) {
+      if (lit.attr < 0 || lit.attr >= schema.num_attributes()) {
+        return Status::IOError("checkpoint: top-k literal attribute " +
+                               std::to_string(lit.attr) + " out of range");
+      }
+      if (static_cast<uint8_t>(lit.op) >
+          static_cast<uint8_t>(LiteralOp::kGt)) {
+        return Status::IOError("checkpoint: top-k literal operator " +
+                               std::to_string(static_cast<int>(lit.op)) +
+                               " is not a LiteralOp");
+      }
+      if (lit.value < 0 ||
+          lit.value >= schema.attribute(lit.attr).cardinality()) {
+        return Status::IOError("checkpoint: top-k literal value " +
+                               std::to_string(lit.value) +
+                               " out of range for '" +
+                               schema.attribute(lit.attr).name + "'");
+      }
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 bool DriftPolicy::ShouldSearch(double last, double now) const {
@@ -168,30 +189,17 @@ Result<StreamEngine> StreamEngine::Create(const Dataset& initial_train,
   obs::TraceSpan span("stream.engine.create",
                       {{"rows", initial_train.num_rows()}});
   StreamEngine engine(std::move(test), std::move(config));
-  if (engine.config_.shard.num_shards > 1) {
-    FUME_ASSIGN_OR_RETURN(
-        ShardedForest sharded,
-        ShardedForest::Train(initial_train, engine.config_.forest,
-                             engine.config_.shard, engine.MaybePool()));
-    engine.sharded_.emplace(std::move(sharded));
-    engine.ckpt_dirty_.assign(
-        static_cast<size_t>(engine.sharded_->num_shards()), true);
-  } else {
-    FUME_ASSIGN_OR_RETURN(engine.forest_, DareForest::Train(
-                                              initial_train,
-                                              engine.config_.forest));
-  }
+  FUME_ASSIGN_OR_RETURN(
+      engine.model_,
+      ShardedForest::Train(initial_train, engine.config_.forest,
+                           engine.config_.shard, engine.MaybePool()));
   engine.train_data_ = initial_train;
   engine.store_ids_.resize(static_cast<size_t>(initial_train.num_rows()));
   for (int64_t r = 0; r < initial_train.num_rows(); ++r) {
     engine.store_ids_[static_cast<size_t>(r)] = static_cast<RowId>(r);
   }
   engine.RebuildLiveIndex();
-  if (engine.sharded_.has_value()) {
-    engine.shard_cache_.Rebuild(*engine.sharded_, engine.test_);
-  } else {
-    engine.cache_.Rebuild(engine.forest_, engine.test_);
-  }
+  engine.cache_.Rebuild(engine.model_, engine.test_);
   engine.RefreshMetric();
   FUME_RETURN_NOT_OK(engine.RunSearch());
   return engine;
@@ -206,24 +214,25 @@ util::ThreadPool* StreamEngine::MaybePool() {
 
 std::vector<std::vector<bool>> StreamEngine::FoldShardDirty(
     const std::vector<std::vector<DeletionStats>>& per_shard) {
+  // A tree's cached leaf pointers go stale when a subtree retrain freed
+  // nodes, or when CoW unsharing (a live snapshot clone held the nodes)
+  // rerouted the mutation into fresh copies while the cache still points
+  // at the originals. Otherwise deletion mutates statistics in place and
+  // addition rebuilds absorbed leaves in place (same node address), so the
+  // cache resumes each row's descent from its cached pointer.
   const size_t n = per_shard.size();
   std::vector<std::vector<bool>> dirty(n);
-  shard_lazy_dirty_.resize(n);
-  if (ckpt_dirty_.size() < n) ckpt_dirty_.resize(n, true);
+  lazy_dirty_.resize(n);
   for (size_t s = 0; s < n; ++s) {
     const auto& per_tree = per_shard[s];
     if (!per_tree.empty()) {
-      // The op touched this shard: its serialized bytes changed (store
-      // rows and/or node stats), so the next incremental checkpoint must
-      // re-serialize it even if no tree needs a cache re-walk.
-      ckpt_dirty_[s] = true;
       dirty[s].assign(per_tree.size(), false);
       for (size_t t = 0; t < per_tree.size(); ++t) {
         dirty[s][t] = per_tree[t].subtrees_retrained > 0 ||
                       per_tree[t].nodes_copied > 0;
       }
     }
-    auto& lazy = shard_lazy_dirty_[s];
+    auto& lazy = lazy_dirty_[s];
     if (!lazy.empty()) {
       if (dirty[s].empty()) dirty[s].assign(lazy.size(), false);
       FUME_CHECK_EQ(lazy.size(), dirty[s].size());
@@ -245,9 +254,7 @@ void StreamEngine::RebuildLiveIndex() {
 }
 
 void StreamEngine::RefreshMetric() {
-  const std::vector<int>& preds = sharded_.has_value()
-                                      ? shard_cache_.predictions()
-                                      : cache_.predictions();
+  const std::vector<int>& preds = cache_.predictions();
   metric_ = ComputeFairness(test_, preds, config_.fume.group,
                             config_.fume.metric);
   int64_t correct = 0;
@@ -276,22 +283,10 @@ Status StreamEngine::RunSearch() {
   ModelEval original;
   original.fairness = metric_;
   original.accuracy = accuracy_;
-  // Sharded engines evaluate leave-outs shard-locally through the warm
-  // per-shard cache; monolithic engines keep the original method.
-  std::optional<UnlearnRemovalMethod> mono;
-  std::optional<ShardedRemovalMethod> shard;
-  RemovalMethod* inner = nullptr;
-  const char* name = "dare-unlearn-stream";
-  if (sharded_.has_value()) {
-    shard.emplace(&*sharded_, &test_, config_.fume.group, config_.fume.metric,
-                  &shard_cache_);
-    inner = &*shard;
-    name = "dare-unlearn-sharded-stream";
-  } else {
-    mono.emplace(&forest_, &test_, config_.fume.group, config_.fume.metric);
-    inner = &*mono;
-  }
-  MappedRemoval removal(inner, name, &store_ids_);
+  // Leave-outs unlearn shard-locally and rescore through the warm cache.
+  ShardedRemovalMethod inner(&model_, &test_, config_.fume.group,
+                             config_.fume.metric, &cache_);
+  MappedRemoval removal(&inner, &store_ids_);
   // Every search of this engine's lifetime shares one worker pool, created
   // at the first parallel search.
   FumeConfig fume_config = config_.fume;
@@ -311,17 +306,10 @@ Status StreamEngine::ApplyInsert(const StreamOp& op) {
   for (const StreamRow& row : op.rows) {
     FUME_RETURN_NOT_OK(batch.AppendRow(row.codes, row.label));
   }
-  std::vector<DeletionStats> per_tree;
   std::vector<std::vector<DeletionStats>> per_shard;
-  std::vector<RowId> new_ids;
-  if (sharded_.has_value()) {
-    FUME_ASSIGN_OR_RETURN(new_ids, sharded_->AddData(batch, &per_shard,
-                                                     MaybePool(),
-                                                     &shard_scratch_));
-  } else {
-    FUME_ASSIGN_OR_RETURN(
-        new_ids, forest_.AddData(batch, &per_tree, &unlearn_scratch_));
-  }
+  FUME_ASSIGN_OR_RETURN(
+      std::vector<RowId> new_ids,
+      model_.AddData(batch, &per_shard, MaybePool(), &scratch_));
   for (size_t i = 0; i < op.rows.size(); ++i) {
     // Validated above; appending to the mirror cannot fail now.
     FUME_CHECK(train_data_.AppendRow(op.rows[i].codes, op.rows[i].label).ok());
@@ -329,43 +317,11 @@ Status StreamEngine::ApplyInsert(const StreamOp& op) {
         static_cast<int64_t>(store_ids_.size());
     store_ids_.push_back(new_ids[i]);
   }
-  if (sharded_.has_value()) {
-    // Same flush-boundary contract as the monolithic branch below: AddData
-    // flushed every pending tag (per-shard reports carry those retrains),
-    // so fold the deferred-burst dirtiness and resume exact metrics.
-    const std::vector<std::vector<bool>> shard_dirty =
-        FoldShardDirty(per_shard);
-    metric_stale_ = false;
-    shard_cache_.Update(*sharded_, test_, shard_dirty);
-    StreamMetrics::Get().inserts->Inc();
-    StreamMetrics::Get().rows_added->Inc(
-        static_cast<int64_t>(op.rows.size()));
-    return Status::OK();
-  }
-  // Addition rebuilds absorbed leaves *in place* (same node address, fresh
-  // children), so cached pointers stay valid and the cache resumes each
-  // row's descent from them. A re-walk from the root is forced when a
-  // subtree retrain freed nodes, or when CoW unsharing (a live snapshot
-  // clone held the nodes) rerouted the mutation into fresh copies while
-  // the cached pointers still reference the untouched originals.
-  std::vector<bool> dirty(per_tree.size());
-  for (size_t t = 0; t < per_tree.size(); ++t) {
-    dirty[t] =
-        per_tree[t].subtrees_retrained > 0 || per_tree[t].nodes_copied > 0;
-  }
-  // An insert is a flush boundary: AddData flushed any pending tags first
-  // (its per_tree report already carries those retrains), so fold in the
-  // dirtiness accumulated by the deferred deletes themselves and resume
-  // exact per-op metrics.
-  if (!lazy_dirty_.empty()) {
-    FUME_CHECK_EQ(lazy_dirty_.size(), dirty.size());
-    for (size_t t = 0; t < dirty.size(); ++t) {
-      if (lazy_dirty_[t]) dirty[t] = true;
-    }
-    lazy_dirty_.assign(lazy_dirty_.size(), false);
-  }
+  // An insert is a flush boundary: AddData flushed every pending tag (the
+  // per-shard reports carry those retrains), so fold in the dirtiness the
+  // deferred deletes accumulated and resume exact per-op metrics.
+  cache_.Update(model_, test_, FoldShardDirty(per_shard));
   metric_stale_ = false;
-  cache_.Update(forest_, test_, dirty);
   StreamMetrics::Get().inserts->Inc();
   StreamMetrics::Get().rows_added->Inc(static_cast<int64_t>(op.rows.size()));
   return Status::OK();
@@ -384,15 +340,9 @@ Status StreamEngine::ApplyDelete(const StreamOp& op) {
     }
     dense_rows.push_back(it->second);
   }
-  std::vector<DeletionStats> per_tree;
   std::vector<std::vector<DeletionStats>> per_shard;
-  if (sharded_.has_value()) {
-    FUME_RETURN_NOT_OK(sharded_->DeleteRows(op.row_ids, &per_shard,
-                                            MaybePool(), &shard_scratch_));
-  } else {
-    FUME_RETURN_NOT_OK(
-        forest_.DeleteRows(op.row_ids, &per_tree, &unlearn_scratch_));
-  }
+  FUME_RETURN_NOT_OK(
+      model_.DeleteRows(op.row_ids, &per_shard, MaybePool(), &scratch_));
   train_data_ = train_data_.DropRows(dense_rows);
   // Drop the same dense positions from the id map, preserving order.
   std::vector<bool> doomed(store_ids_.size(), false);
@@ -403,65 +353,18 @@ Status StreamEngine::ApplyDelete(const StreamOp& op) {
   }
   store_ids_.resize(kept);
   RebuildLiveIndex();
-  if (sharded_.has_value()) {
-    if (config_.forest.lazy_unlearn) {
-      // Deferred burst (see the monolithic branch below): accumulate each
-      // touched shard's per-tree dirtiness and mark it dirty for the next
-      // incremental checkpoint; the cache and metric keep describing the
-      // pre-burst model until the next flush boundary.
-      shard_lazy_dirty_.resize(per_shard.size());
-      if (ckpt_dirty_.size() < per_shard.size()) {
-        ckpt_dirty_.resize(per_shard.size(), true);
-      }
-      for (size_t s = 0; s < per_shard.size(); ++s) {
-        const auto& shard_trees = per_shard[s];
-        if (shard_trees.empty()) continue;
-        ckpt_dirty_[s] = true;
-        auto& lazy = shard_lazy_dirty_[s];
-        lazy.resize(shard_trees.size(), false);
-        for (size_t t = 0; t < shard_trees.size(); ++t) {
-          if (shard_trees[t].subtrees_retrained > 0 ||
-              shard_trees[t].nodes_copied > 0) {
-            lazy[t] = true;
-          }
-        }
-      }
-      metric_stale_ = true;
-    } else {
-      shard_cache_.Update(*sharded_, test_, FoldShardDirty(per_shard));
-    }
-    StreamMetrics::Get().deletes->Inc();
-    StreamMetrics::Get().rows_deleted->Inc(
-        static_cast<int64_t>(op.row_ids.size()));
-    return Status::OK();
-  }
-  // Deletion mutates statistics strictly in place unless a subtree
-  // retrained; leaves stay leaves, so cached pointers survive. As above,
-  // CoW unsharing also invalidates cached pointers: the mutation lands in
-  // fresh private copies while the cache still points at the shared
-  // originals a snapshot clone keeps alive.
-  std::vector<bool> dirty(per_tree.size());
-  for (size_t t = 0; t < per_tree.size(); ++t) {
-    dirty[t] =
-        per_tree[t].subtrees_retrained > 0 || per_tree[t].nodes_copied > 0;
-  }
   if (config_.forest.lazy_unlearn) {
-    // Deferred burst: the forest parked retrain-triggering deletes under
+    // Deferred burst: the shards parked retrain-triggering deletes under
     // lazy tags (a budget overflow may already have flushed them — its
-    // retrains are in per_tree either way). Accumulate the dirtiness and
-    // leave the cache and metric describing the pre-burst model until the
-    // next flush boundary (insert, checkpoint, FlushLazy).
-    lazy_dirty_.resize(dirty.size(), false);
-    for (size_t t = 0; t < dirty.size(); ++t) {
-      if (dirty[t]) lazy_dirty_[t] = true;
-    }
+    // retrains are in per_shard either way). Accumulate each touched
+    // shard's dirtiness and leave the cache and metric describing the
+    // pre-burst model until the next flush boundary (insert, checkpoint,
+    // FlushLazy).
+    lazy_dirty_ = FoldShardDirty(per_shard);
     metric_stale_ = true;
-    StreamMetrics::Get().deletes->Inc();
-    StreamMetrics::Get().rows_deleted->Inc(
-        static_cast<int64_t>(op.row_ids.size()));
-    return Status::OK();
+  } else {
+    cache_.Update(model_, test_, FoldShardDirty(per_shard));
   }
-  cache_.Update(forest_, test_, dirty);
   StreamMetrics::Get().deletes->Inc();
   StreamMetrics::Get().rows_deleted->Inc(
       static_cast<int64_t>(op.row_ids.size()));
@@ -557,46 +460,17 @@ Result<std::vector<OpOutcome>> StreamEngine::Replay(
 }
 
 void StreamEngine::FlushLazy() {
-  if (sharded_.has_value()) {
-    if (!metric_stale_ && !sharded_->HasLazyTags()) return;
-    obs::TraceSpan span("stream.lazy_flush",
-                        {{"rows", sharded_->lazy_rows()},
-                         {"nodes", sharded_->lazy_nodes()}});
-    std::vector<std::vector<DeletionStats>> per_shard;
-    sharded_->FlushAll(&per_shard, MaybePool(), &shard_scratch_);
-    // FoldShardDirty merges each shard's flush retrains with the dirtiness
-    // its deferred deletes accumulated (shard_lazy_dirty_); shards with
-    // neither stay untouched in the cache.
-    shard_cache_.Update(*sharded_, test_, FoldShardDirty(per_shard));
-    metric_stale_ = false;
-    RefreshMetric();
-    return;
-  }
-  if (!metric_stale_ && !forest_.HasLazyTags()) return;
-  obs::TraceSpan span("stream.lazy_flush",
-                      {{"rows", forest_.lazy_rows()},
-                       {"nodes", forest_.lazy_nodes()}});
-  std::vector<DeletionStats> per_tree;
-  forest_.FlushAll(&per_tree, &unlearn_scratch_);
-  // Rewalk trees the flush retrained OR the deferred deletes dirtied
-  // (CoW unshares / leaf removals) — everything else resumes in place.
-  // per_tree stays empty when a budget overflow inside DeleteRows already
-  // retired every tag (FlushAll is then a no-op) — the metric is still
-  // stale and lazy_dirty_ carries that burst's dirtiness below.
-  std::vector<bool> dirty(static_cast<size_t>(forest_.num_trees()), false);
-  FUME_CHECK(per_tree.empty() || per_tree.size() == dirty.size());
-  for (size_t t = 0; t < per_tree.size(); ++t) {
-    dirty[t] =
-        per_tree[t].subtrees_retrained > 0 || per_tree[t].nodes_copied > 0;
-  }
-  if (!lazy_dirty_.empty()) {
-    FUME_CHECK_EQ(lazy_dirty_.size(), dirty.size());
-    for (size_t t = 0; t < dirty.size(); ++t) {
-      if (lazy_dirty_[t]) dirty[t] = true;
-    }
-    lazy_dirty_.assign(lazy_dirty_.size(), false);
-  }
-  cache_.Update(forest_, test_, dirty);
+  if (!metric_stale_ && !model_.HasLazyTags()) return;
+  obs::TraceSpan span("stream.lazy_flush", {{"rows", model_.lazy_rows()},
+                                            {"nodes", model_.lazy_nodes()}});
+  std::vector<std::vector<DeletionStats>> per_shard;
+  model_.FlushAll(&per_shard, MaybePool(), &scratch_);
+  // Rewalk trees the flush retrained OR the deferred deletes dirtied (CoW
+  // unshares / leaf removals); shards with neither stay untouched in the
+  // cache. A shard's report stays empty when a budget overflow inside
+  // DeleteRows already retired its tags — the metric is still stale and
+  // lazy_dirty_ carries that burst's dirtiness.
+  cache_.Update(model_, test_, FoldShardDirty(per_shard));
   metric_stale_ = false;
   RefreshMetric();
 }
@@ -610,8 +484,7 @@ Status StreamEngine::SaveCheckpoint(std::ostream& out) const {
   // (serve holds the writer lock around checkpoints).
   const_cast<StreamEngine*>(this)->FlushLazy();
   out.write(kCkptMagic, sizeof(kCkptMagic));
-  WritePod<uint32_t>(out, sharded_.has_value() ? kCkptVersionSharded
-                                               : kCkptVersion);
+  WritePod<uint32_t>(out, kCkptVersion);
   WritePod<int64_t>(out, last_seq_);
   WritePod<double>(out, metric_);
   WritePod<double>(out, accuracy_);
@@ -633,20 +506,7 @@ Status StreamEngine::SaveCheckpoint(std::ostream& out) const {
       WriteSubset(out, s);
     }
   }
-  if (sharded_.has_value()) {
-    // Incremental: only shards dirtied since the previous checkpoint are
-    // re-serialized; the rest reuse their cached bytes verbatim (counted
-    // by shard.checkpoint.* inside SaveWithCache).
-    if (ckpt_dirty_.size() <
-        static_cast<size_t>(sharded_->num_shards())) {
-      ckpt_dirty_.resize(static_cast<size_t>(sharded_->num_shards()), true);
-    }
-    FUME_RETURN_NOT_OK(
-        sharded_->SaveWithCache(out, &ckpt_blobs_, ckpt_dirty_));
-    ckpt_dirty_.assign(ckpt_dirty_.size(), false);
-  } else {
-    FUME_RETURN_NOT_OK(SaveForest(forest_, out));
-  }
+  FUME_RETURN_NOT_OK(model_.Save(out));
   if (!out) return Status::IOError("checkpoint write failed");
   StreamMetrics::Get().saves->Inc();
   return Status::OK();
@@ -668,9 +528,15 @@ Result<StreamEngine> StreamEngine::Restore(std::istream& in,
     return Status::IOError("not a FUME stream checkpoint (bad magic)");
   }
   uint32_t version = 0;
-  if (!ReadPod(in, &version) ||
-      (version != kCkptVersion && version != kCkptVersionSharded)) {
-    return Status::IOError("unsupported stream checkpoint version");
+  if (!ReadPod(in, &version)) {
+    return Status::IOError("checkpoint: truncated version");
+  }
+  if (version != kCkptVersion) {
+    return Status::IOError(
+        "unsupported stream checkpoint version " + std::to_string(version) +
+        (version == 1 ? " (a monolithic-forest checkpoint, no longer read): "
+                        "replay the op-log from seq 0 instead"
+                      : ""));
   }
   StreamEngine engine(std::move(test), std::move(config));
   double saved_metric = 0.0;
@@ -709,40 +575,25 @@ Result<StreamEngine> StreamEngine::Restore(std::istream& in,
     }
     engine.explanation_ = std::move(cached);
   }
-  if (version == kCkptVersionSharded) {
-    // A sharded checkpoint must be restored as the same SISA deployment:
-    // the persisted routing config is authoritative, and the caller's
-    // config must agree so future ops route and vote identically.
-    if (engine.config_.shard.num_shards <= 1) {
-      return Status::Invalid(
-          "sharded checkpoint restored with config.shard.num_shards <= 1");
-    }
-    FUME_ASSIGN_OR_RETURN(ShardedForest loaded, ShardedForest::Load(in));
-    const ShardConfig& saved = loaded.shard_config();
-    const ShardConfig& want = engine.config_.shard;
-    if (saved.num_shards != want.num_shards ||
-        saved.placement != want.placement || saved.vote != want.vote ||
-        saved.slice_attr != want.slice_attr ||
-        saved.slice_value != want.slice_value ||
-        saved.hot_shards != want.hot_shards) {
-      return Status::Invalid(
-          "checkpoint shard config disagrees with engine config");
-    }
-    engine.sharded_.emplace(std::move(loaded));
-  } else {
-    if (engine.config_.shard.num_shards > 1) {
-      return Status::Invalid(
-          "monolithic checkpoint restored with config.shard.num_shards > 1");
-    }
-    FUME_ASSIGN_OR_RETURN(engine.forest_, LoadForest(in));
+  // The checkpoint must be restored as the same deployment: the persisted
+  // routing config is authoritative, and the caller's config must agree so
+  // future ops route and vote identically.
+  FUME_ASSIGN_OR_RETURN(engine.model_, ShardedForest::Load(in));
+  const ShardConfig& saved = engine.model_.shard_config();
+  const ShardConfig& want = engine.config_.shard;
+  if (saved.num_shards != want.num_shards ||
+      saved.placement != want.placement || saved.vote != want.vote ||
+      saved.slice_attr != want.slice_attr ||
+      saved.slice_value != want.slice_value ||
+      saved.hot_shards != want.hot_shards) {
+    return Status::Invalid(
+        "checkpoint shard config disagrees with engine config");
   }
 
   // Reassemble the dense training mirror from the store and the live-id
   // map, then verify the checkpoint is self-consistent. All shards share
   // one schema (they partition one dataset), so shard 0 speaks for it.
-  const TrainingStore& store = engine.sharded_.has_value()
-                                   ? engine.sharded_->shard(0).store()
-                                   : engine.forest_.store();
+  const TrainingStore& store = engine.model_.shard(0).store();
   if (!schema.AllCategorical() ||
       schema.num_attributes() != store.num_attrs()) {
     return Status::Invalid("restore schema does not match checkpoint store");
@@ -753,49 +604,30 @@ Result<StreamEngine> StreamEngine::Restore(std::istream& in,
                              schema.attribute(j).name + "'");
     }
   }
+  if (engine.explanation_.has_value()) {
+    FUME_RETURN_NOT_OK(ValidateTopK(*engine.explanation_, schema));
+  }
   engine.train_data_ = Dataset(schema);
   std::vector<int32_t> codes(static_cast<size_t>(store.num_attrs()));
-  if (engine.sharded_.has_value()) {
-    const int64_t limit = engine.sharded_->num_global_ids();
-    for (RowId id : engine.store_ids_) {
-      if (id < 0 || static_cast<int64_t>(id) >= limit) {
-        return Status::IOError("checkpoint: live id out of store range");
-      }
-      for (int j = 0; j < store.num_attrs(); ++j) {
-        codes[static_cast<size_t>(j)] = engine.sharded_->Code(id, j);
-      }
-      FUME_RETURN_NOT_OK(
-          engine.train_data_.AppendRow(codes, engine.sharded_->Label(id)));
+  const int64_t limit = engine.model_.num_global_ids();
+  for (RowId id : engine.store_ids_) {
+    if (id < 0 || static_cast<int64_t>(id) >= limit) {
+      return Status::IOError("checkpoint: live id out of store range");
     }
-    if (engine.train_data_.num_rows() !=
-        engine.sharded_->num_training_rows()) {
-      return Status::IOError("checkpoint: live ids disagree with forest");
+    for (int j = 0; j < store.num_attrs(); ++j) {
+      codes[static_cast<size_t>(j)] = engine.model_.Code(id, j);
     }
-  } else {
-    for (RowId id : engine.store_ids_) {
-      if (id < 0 || id >= store.num_rows()) {
-        return Status::IOError("checkpoint: live id out of store range");
-      }
-      for (int j = 0; j < store.num_attrs(); ++j) {
-        codes[static_cast<size_t>(j)] = store.code(id, j);
-      }
-      FUME_RETURN_NOT_OK(engine.train_data_.AppendRow(codes, store.label(id)));
-    }
-    if (engine.train_data_.num_rows() != engine.forest_.num_training_rows()) {
-      return Status::IOError("checkpoint: live ids disagree with forest");
-    }
+    FUME_RETURN_NOT_OK(
+        engine.train_data_.AppendRow(codes, engine.model_.Label(id)));
+  }
+  if (engine.train_data_.num_rows() != engine.model_.num_training_rows()) {
+    return Status::IOError("checkpoint: live ids disagree with forest");
   }
   engine.RebuildLiveIndex();
   if (engine.dense_of_id_.size() != engine.store_ids_.size()) {
     return Status::IOError("checkpoint: duplicate live ids");
   }
-  if (engine.sharded_.has_value()) {
-    engine.ckpt_dirty_.assign(
-        static_cast<size_t>(engine.sharded_->num_shards()), true);
-    engine.shard_cache_.Rebuild(*engine.sharded_, engine.test_);
-  } else {
-    engine.cache_.Rebuild(engine.forest_, engine.test_);
-  }
+  engine.cache_.Rebuild(engine.model_, engine.test_);
   engine.RefreshMetric();
   if (engine.metric_ != saved_metric || engine.accuracy_ != saved_accuracy) {
     return Status::IOError(

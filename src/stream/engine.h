@@ -1,18 +1,20 @@
 // StreamEngine: a long-lived incremental FUME service. It consumes an
 // ordered op-log of training-set mutations (stream/op_log.h), applies them
-// exactly to a DaRE forest via AddData/DeleteRows, keeps the group-fairness
-// metric current through a per-tree test-prediction cache, and re-runs the
+// exactly to a SISA ShardedForest via AddData/DeleteRows (one shard, the
+// default, is the monolithic DaRE forest), keeps the group-fairness metric
+// current through a per-shard, per-tree test-prediction cache, and re-runs the
 // FUME top-k search only when the metric has drifted past a configurable
 // threshold since the last search — otherwise it serves the cached top-k
 // with a staleness annotation.
 //
 // Exactness contract (pinned by tests/stream_test.cc): after any prefix of
-// the op-log, the engine's forest predictions, fairness metric and — right
-// after a search — top-k explanations are byte-identical to training a
-// fresh forest on the surviving rows (same config/seed) and running a
-// fresh FUME search on it. Checkpoints serialize forest + engine state, so
-// an engine killed mid-log can be restored and replayed to the same state
-// an uninterrupted run reaches (docs/streaming.md).
+// the op-log, each shard's predictions are byte-identical to training a
+// fresh forest on that shard's surviving rows (the shard's derived seed),
+// and the fairness metric is the vote of those forests. With one shard
+// that is a cold retrain on the surviving rows, and right after a search
+// the top-k equals a fresh FUME search on it. Checkpoints serialize model +
+// engine state, so an engine killed mid-log can be restored and replayed
+// to the same state an uninterrupted run reaches (docs/streaming.md).
 
 #ifndef FUME_STREAM_ENGINE_H_
 #define FUME_STREAM_ENGINE_H_
@@ -27,7 +29,6 @@
 #include "core/fume.h"
 #include "forest/sharded_forest.h"
 #include "stream/op_log.h"
-#include "stream/prediction_cache.h"
 #include "util/result.h"
 #include "util/thread_pool.h"
 
@@ -51,10 +52,9 @@ struct StreamEngineConfig {
   ForestConfig forest;
   FumeConfig fume;
   DriftPolicy drift;
-  /// shard.num_shards > 1 runs the engine over a SISA ShardedForest: ops
-  /// route to owning shards (fanned out on the search pool), searches use
-  /// ShardedRemovalMethod, and checkpoints re-serialize only dirty shards.
-  /// The monolithic path is untouched at the default of 1.
+  /// The model's SISA layout. Ops route to owning shards (fanned out on
+  /// the search pool) and searches use ShardedRemovalMethod; the default
+  /// of one shard is the monolithic forest, byte for byte.
   ShardConfig shard;
   /// Refresh the explanation at Checkpoint ops when any op was applied
   /// since the last search, regardless of drift — so checkpointed top-k is
@@ -101,19 +101,15 @@ class StreamEngine {
   /// the prediction cache's dirty flags, and refreshes the metric. No-op
   /// unless a delete burst is pending. Called automatically at every flush
   /// boundary — checkpoint ops, inserts, SaveCheckpoint — and callable
-  /// directly before reading forest()/current_metric() mid-burst.
+  /// directly before reading model()/current_metric() mid-burst.
   void FlushLazy();
-  /// True while a deferred delete burst is pending: the forest may hold
+  /// True while a deferred delete burst is pending: the model may hold
   /// lazy tags and current_metric()/prediction_cache() reflect the state
   /// at the last flush, not the last op. Do NOT run predictions through
-  /// forest() while deferring — call FlushLazy() first (the forest would
+  /// model() while deferring — call FlushLazy() first (a shard would
   /// flush itself on first descent, stranding the engine's cached leaf
   /// pointers in freed nodes).
-  bool deferring() const {
-    return metric_stale_ ||
-           (sharded_.has_value() ? sharded_->HasLazyTags()
-                                 : forest_.HasLazyTags());
-  }
+  bool deferring() const { return metric_stale_ || model_.HasLazyTags(); }
 
   // ---- serving state -------------------------------------------------
   int64_t last_seq() const { return last_seq_; }
@@ -130,41 +126,36 @@ class StreamEngine {
   const FumeResult* explanation() const {
     return explanation_.has_value() ? &*explanation_ : nullptr;
   }
-  /// Monolithic accessors; meaningless when is_sharded() (the engine then
-  /// holds an empty DareForest — use sharded_forest() and
-  /// shard_prediction_cache() instead).
-  const DareForest& forest() const { return forest_; }
-  /// Warm test-set prediction cache, kept exact after every Apply. A served
-  /// snapshot copies it so ScoreWhatIf runs off the snapshot's own state.
-  const TestPredictionCache& prediction_cache() const { return cache_; }
-  /// True when config().shard.num_shards > 1 engaged the SISA path.
-  bool is_sharded() const { return sharded_.has_value(); }
-  const ShardedForest& sharded_forest() const { return *sharded_; }
-  const ShardedPredictionCache& shard_prediction_cache() const {
-    return shard_cache_;
-  }
+  /// The model; with one shard, model().shard(0) is the monolithic forest.
+  const ShardedForest& model() const { return model_; }
+  /// Warm per-shard test-set prediction cache, kept exact after every
+  /// Apply. A served snapshot copies it so ScoreWithout runs off the
+  /// snapshot's own state.
+  const ShardedPredictionCache& prediction_cache() const { return cache_; }
   const StreamEngineConfig& config() const { return config_; }
   /// Surviving training rows, dense, in arrival order — what a cold
   /// retrain would train on.
   const Dataset& train_data() const { return train_data_; }
   const Dataset& test_data() const { return test_; }
   int64_t rows_live() const { return train_data_.num_rows(); }
-  /// Engine id (training-store id) of each live row, dense order.
+  /// Engine id (the model's global row id) of each live row, dense order.
   const std::vector<RowId>& live_ids() const { return store_ids_; }
 
   // ---- checkpoint / restore ------------------------------------------
-  /// Serializes forest + engine state (seq, metrics, drift reference,
-  /// live-id map, cached top-k). Search statistics and all_candidates are
-  /// not persisted — a restored engine serves the same top-k but reports
-  /// empty stats until its next search.
+  /// Serializes engine state (seq, metrics, drift reference, live-id map,
+  /// cached top-k) followed by the model's FUMESHRD container. Search
+  /// statistics and all_candidates are not persisted — a restored engine
+  /// serves the same top-k but reports empty stats until its next search.
   Status SaveCheckpoint(std::ostream& out) const;
   Status SaveCheckpointToFile(const std::string& path) const;
 
   /// Rebuilds an engine from a checkpoint. `schema` must be the training
   /// schema the original engine was created with (the checkpoint stores
-  /// codes, not category names); `test` and `config` likewise. Replaying
-  /// the ops with seq > last_seq() afterwards reproduces the uninterrupted
-  /// engine's state exactly.
+  /// codes, not category names); `test` and `config` likewise, and the
+  /// persisted shard layout must equal config.shard. Replaying the ops with
+  /// seq > last_seq() afterwards reproduces the uninterrupted engine's
+  /// state exactly. Version-1 (pre-ensemble) checkpoints are rejected: the
+  /// op-log replayed from seq 0 rebuilds the same state.
   static Result<StreamEngine> Restore(std::istream& in, const Schema& schema,
                                       Dataset test, StreamEngineConfig config);
   static Result<StreamEngine> RestoreFromFile(const std::string& path,
@@ -185,51 +176,37 @@ class StreamEngine {
   void RebuildLiveIndex();
   /// The shared pool, created lazily at first use (nullptr while
   /// config_.fume.num_threads <= 1). Serves both search fan-out and
-  /// sharded op fan-out — never both at once (ops and searches are
+  /// per-shard op fan-out — never both at once (ops and searches are
   /// strictly sequenced by Apply).
   util::ThreadPool* MaybePool();
   /// Builds the per-shard cache-dirty report from an op's per-shard
-  /// per-tree stats, folding in (and clearing) shard_lazy_dirty_; also
-  /// marks touched shards dirty for the next incremental checkpoint.
+  /// per-tree stats, folding in (and clearing) lazy_dirty_.
   std::vector<std::vector<bool>> FoldShardDirty(
       const std::vector<std::vector<DeletionStats>>& per_shard);
 
   Dataset test_;
   StreamEngineConfig config_;
-  DareForest forest_;
-  /// Engaged instead of forest_ when config_.shard.num_shards > 1.
-  std::optional<ShardedForest> sharded_;
-  /// Per-shard warm prediction cache (sharded mode only).
-  ShardedPredictionCache shard_cache_;
-  /// Shard-affine kernel scratches for sharded ops (entry s serves shard s).
-  std::vector<DeletionScratch> shard_scratch_;
-  /// Reused across every insert/delete op this engine applies, keeping the
-  /// unlearning kernel allocation-free in the steady state.
-  DeletionScratch unlearn_scratch_;
+  ShardedForest model_;
+  /// Shard-affine kernel scratches (entry s serves shard s), reused across
+  /// every insert/delete op so the unlearning kernel stays allocation-free
+  /// in the steady state.
+  std::vector<DeletionScratch> scratch_;
   Dataset train_data_;
-  /// store_ids_[dense row] = engine/store id; parallel to train_data_.
+  /// store_ids_[dense row] = engine (global) id; parallel to train_data_.
   std::vector<RowId> store_ids_;
   /// Inverse of store_ids_ for delete lookups.
   std::unordered_map<RowId, int64_t> dense_of_id_;
-  TestPredictionCache cache_;
-  /// Shared evaluation pool for every search this engine runs; created at
-  /// the first search with config_.fume.num_threads > 1.
+  ShardedPredictionCache cache_;
+  /// Shared pool for every search and per-shard op fan-out this engine
+  /// runs; created at first use when config_.fume.num_threads > 1.
   std::unique_ptr<util::ThreadPool> pool_;
 
-  /// Per-tree cache dirtiness accumulated across a deferred delete burst
-  /// (CoW unshares and in-place leaf removals invalidate cached pointers
-  /// even when the subtree retrain itself is deferred). Merged into the
-  /// flush's own dirty flags at the next flush boundary.
-  std::vector<bool> lazy_dirty_;
-  /// Sharded counterpart of lazy_dirty_: entry s is shard s's accumulated
-  /// per-tree dirtiness (empty = clean since the last flush boundary).
-  std::vector<std::vector<bool>> shard_lazy_dirty_;
-  /// Incremental-checkpoint state (sharded mode): the last serialized
-  /// bytes per shard and which shards an op has dirtied since. Mutable
-  /// because SaveCheckpoint is logically const (same reasoning as its
-  /// FlushLazy const_cast).
-  mutable std::vector<std::string> ckpt_blobs_;
-  mutable std::vector<bool> ckpt_dirty_;
+  /// Per-shard, per-tree cache dirtiness accumulated across a deferred
+  /// delete burst (CoW unshares and in-place leaf removals invalidate
+  /// cached pointers even when the subtree retrain itself is deferred).
+  /// Entry s is empty while shard s is clean since the last flush
+  /// boundary; merged into the flush's own dirty flags at the next one.
+  std::vector<std::vector<bool>> lazy_dirty_;
   /// True between a deferred delete and the next flush boundary: metric_,
   /// accuracy_ and cache_ describe the pre-burst model. Drift gating is
   /// suspended while set (evaluated at flush points only).

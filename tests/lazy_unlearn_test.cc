@@ -411,9 +411,9 @@ TEST(LazyUnlearnStreamTest, DeferredBurstsMatchEagerReplay) {
       EXPECT_FALSE(lazy_engine->deferring());
       EXPECT_EQ(lazy_out->metric, eager_out->metric);
       EXPECT_EQ(lazy_out->accuracy, eager_out->accuracy);
-      EXPECT_FALSE(lazy_engine->forest().HasLazyTags());
-      EXPECT_EQ(lazy_engine->forest().PredictProbAll(test),
-                eager_engine->forest().PredictProbAll(test));
+      EXPECT_FALSE(lazy_engine->model().shard(0).HasLazyTags());
+      EXPECT_EQ(lazy_engine->model().shard(0).PredictProbAll(test),
+                eager_engine->model().shard(0).PredictProbAll(test));
     }
   }
 
@@ -429,8 +429,8 @@ TEST(LazyUnlearnStreamTest, DeferredBurstsMatchEagerReplay) {
   EXPECT_EQ(lazy_engine->current_metric(), eager_engine->current_metric());
   EXPECT_EQ(lazy_engine->current_accuracy(),
             eager_engine->current_accuracy());
-  EXPECT_EQ(lazy_engine->forest().PredictProbAll(test),
-            eager_engine->forest().PredictProbAll(test));
+  EXPECT_EQ(lazy_engine->model().shard(0).PredictProbAll(test),
+            eager_engine->model().shard(0).PredictProbAll(test));
 }
 
 TEST(LazyUnlearnStreamTest, BudgetFlushMidBurstThenBoundaryFlush) {
@@ -485,7 +485,7 @@ TEST(LazyUnlearnStreamTest, BudgetFlushMidBurstThenBoundaryFlush) {
       ASSERT_TRUE(eager_engine->Apply(op).ok());
       ASSERT_TRUE(lazy_engine->Apply(op).ok());
       // The budget keeps pending rows bounded even mid-burst...
-      EXPECT_LE(lazy_engine->forest().lazy_rows(), 8);
+      EXPECT_LE(lazy_engine->model().shard(0).lazy_rows(), 8);
       // ...but the engine still defers the metric until the boundary.
       EXPECT_TRUE(lazy_engine->deferring());
     }
@@ -497,8 +497,8 @@ TEST(LazyUnlearnStreamTest, BudgetFlushMidBurstThenBoundaryFlush) {
     EXPECT_FALSE(lazy_engine->deferring());
     EXPECT_EQ(lazy_out->metric, eager_out->metric);
     EXPECT_EQ(lazy_out->accuracy, eager_out->accuracy);
-    EXPECT_EQ(lazy_engine->forest().PredictProbAll(split->test),
-              eager_engine->forest().PredictProbAll(split->test));
+    EXPECT_EQ(lazy_engine->model().shard(0).PredictProbAll(split->test),
+              eager_engine->model().shard(0).PredictProbAll(split->test));
   }
 }
 

@@ -524,7 +524,7 @@ TEST_F(ServeExactnessTest, ServedRepliesMatchOfflineEngineAfterReplay) {
   }
   Dataset probe(pipeline_.test.schema());
   for (const auto& codes : rows) ASSERT_TRUE(probe.AppendRow(codes, 0).ok());
-  const std::vector<double> want = offline->forest().PredictProbAll(probe);
+  const std::vector<double> want = offline->model().shard(0).PredictProbAll(probe);
   JsonValue served = Exchange(sock, EncodePredictRequest(++id, "credit", rows));
   ASSERT_TRUE(served.BoolOr("ok", false)) << served.StringOr("error", "");
   const JsonValue* probs = served.Find("probs");
@@ -576,17 +576,17 @@ TEST_F(ServeExactnessTest, ServedWhatIfMatchesOfflineComputation) {
   const Predicate pred = PredOf(0, 1);
 
   std::vector<RowId> matched;
-  const TrainingStore& store = offline->forest().store();
+  const TrainingStore& store = offline->model().shard(0).store();
   for (const RowId rid : offline->live_ids()) {
     if (pred.literals()[0].Matches(store.code(rid, 0))) matched.push_back(rid);
   }
   ASSERT_GT(matched.size(), 0u) << "pick a predicate that matches rows";
-  DareForest clone = offline->forest().Clone();
+  DareForest clone = offline->model().shard(0).Clone();
   DeletionScratch scratch;
   ASSERT_TRUE(clone.DeleteRows(matched, nullptr, &scratch).ok());
   TestPredictionCache::WhatIfScratch what_if_scratch;
-  offline->prediction_cache().ScoreWhatIf(
-      offline->forest(), clone, pipeline_.test, &what_if_scratch,
+  offline->prediction_cache().shard(0).ScoreWhatIf(
+      offline->model().shard(0), clone, pipeline_.test, &what_if_scratch,
       matched.size() >= UnlearnRemovalMethod::kArenaFullRescoreMinBatch);
   const double after_fairness =
       ComputeFairness(pipeline_.test, what_if_scratch.preds, pipeline_.group,

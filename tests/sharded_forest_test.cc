@@ -4,12 +4,14 @@
 // function of the global id, a 1-shard ensemble is byte-identical to the
 // monolithic forest, a sharded delete equals running each shard's rows
 // through that shard as a standalone monolithic forest, every observable
-// result is identical across thread counts, and the per-shard incremental
-// serialization path (SaveWithCache) emits the same bytes as a full Save.
+// result is identical across thread counts, and the streamed container
+// rejects blobs whose length prefix or one-shard placement maps lie.
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
+#include <streambuf>
 #include <string>
 #include <vector>
 
@@ -312,39 +314,125 @@ TEST(ShardedForestTest, SaveLoadRoundTrip) {
   }
 }
 
-TEST(ShardedForestTest, SaveWithCacheReusesCleanShardsVerbatim) {
-  auto bundle = Bundle(400, 11);
-  auto forest = ShardedForest::Train(bundle.data, Config(19), Shards(4));
+// Byte offset of the first shard's length prefix in a Save container:
+// magic, version, shard count, placement, vote, slice attr/value, hot
+// shards, then the two length-prefixed placement maps.
+size_t FirstBlobPrefixOffset(int64_t num_global_ids) {
+  const size_t header = 8 + 4 + 4 + 1 + 1 + 4 + 4 + 4;
+  const size_t ids = static_cast<size_t>(num_global_ids);
+  return header + 8 + ids * sizeof(uint8_t) + 8 + ids * sizeof(RowId);
+}
+
+template <typename T>
+void Patch(std::string* bytes, size_t offset, T value) {
+  ASSERT_LE(offset + sizeof(T), bytes->size());
+  std::memcpy(bytes->data() + offset, &value, sizeof(T));
+}
+
+template <typename T>
+T Peek(const std::string& bytes, size_t offset) {
+  T value{};
+  std::memcpy(&value, bytes.data() + offset, sizeof(T));
+  return value;
+}
+
+TEST(ShardedForestTest, OneShardContainerCarriesIdentityMaps) {
+  auto bundle = Bundle(300, 12);
+  auto forest = ShardedForest::Train(bundle.data, Config(21), Shards(1));
   ASSERT_TRUE(forest.ok());
-  const std::string full = Bytes(*forest);
-
-  // Cold cache: everything serializes, bytes match Save().
-  std::vector<std::string> blobs;
-  std::ostringstream first(std::ios::binary);
-  ASSERT_TRUE(
-      forest->SaveWithCache(first, &blobs, std::vector<bool>(4, true)).ok());
-  EXPECT_EQ(first.str(), full);
-  ASSERT_EQ(blobs.size(), 4u);
-
-  // All-clean: every shard reuses its cached blob; bytes still match.
-  std::ostringstream clean(std::ios::binary);
-  ASSERT_TRUE(
-      forest->SaveWithCache(clean, &blobs, std::vector<bool>(4, false)).ok());
-  EXPECT_EQ(clean.str(), full);
-
-  // Dirty exactly the shards a delete touched; output equals a full Save.
-  std::vector<RowId> doomed;
+  ASSERT_TRUE(forest->DeleteRows({5, 6, 250}).ok());
+  auto extra = synth::MakeParametric(7, 8, 4, 3);
+  ASSERT_TRUE(extra.ok());
+  auto ids = forest->AddData(extra->data);
+  ASSERT_TRUE(ids.ok());
+  EXPECT_EQ(ids->front(), 300);
+  EXPECT_EQ(forest->num_global_ids(), 307);
   for (RowId g = 0; g < forest->num_global_ids(); ++g) {
-    if (forest->shard_of(g) == 2 && doomed.size() < 12) doomed.push_back(g);
+    ASSERT_EQ(forest->shard_of(g), 0);
+    ASSERT_EQ(forest->local_of(g), g);
   }
-  std::vector<std::vector<DeletionStats>> report;
-  ASSERT_TRUE(forest->DeleteRows(doomed, &report).ok());
-  std::vector<bool> dirty(4, false);
-  for (size_t s = 0; s < report.size(); ++s) dirty[s] = !report[s].empty();
-  EXPECT_EQ(dirty, (std::vector<bool>{false, false, true, false}));
-  std::ostringstream incremental(std::ios::binary);
-  ASSERT_TRUE(forest->SaveWithCache(incremental, &blobs, dirty).ok());
-  EXPECT_EQ(incremental.str(), Bytes(*forest));
+
+  // The container spells out the identity maps and one length-prefixed
+  // SaveForest blob, exactly as a multi-shard container lays out its maps.
+  const std::string bytes = Bytes(*forest);
+  const size_t prefix = FirstBlobPrefixOffset(307);
+  size_t at = prefix - (8 + 307 * sizeof(RowId)) - (8 + 307);
+  EXPECT_EQ(Peek<uint64_t>(bytes, at), 307u);
+  for (size_t g = 0; g < 307; ++g) {
+    ASSERT_EQ(Peek<uint8_t>(bytes, at + 8 + g), 0);
+  }
+  at += 8 + 307;
+  EXPECT_EQ(Peek<uint64_t>(bytes, at), 307u);
+  for (size_t g = 0; g < 307; ++g) {
+    ASSERT_EQ(Peek<RowId>(bytes, at + 8 + g * sizeof(RowId)),
+              static_cast<RowId>(g));
+  }
+  const std::string blob = Bytes(forest->shard(0));
+  EXPECT_EQ(Peek<uint64_t>(bytes, prefix), blob.size());
+  EXPECT_EQ(bytes.substr(prefix + 8), blob);
+
+  std::istringstream in(bytes, std::ios::binary);
+  auto loaded = ShardedForest::Load(in);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_TRUE(loaded->StructurallyEquals(*forest));
+  EXPECT_EQ(loaded->num_global_ids(), 307);
+}
+
+TEST(ShardedForestTest, LoadRejectsNonIdentityOneShardMaps) {
+  auto bundle = Bundle(200, 13);
+  auto forest = ShardedForest::Train(bundle.data, Config(23), Shards(1));
+  ASSERT_TRUE(forest.ok());
+  const std::string bytes = Bytes(*forest);
+  const size_t local_of = FirstBlobPrefixOffset(200) - 200 * sizeof(RowId);
+  // Swapping two local ids still covers the store exactly once, so only
+  // the identity check can catch it.
+  std::string swapped = bytes;
+  Patch<RowId>(&swapped, local_of, 1);
+  Patch<RowId>(&swapped, local_of + sizeof(RowId), 0);
+  std::istringstream in(swapped, std::ios::binary);
+  auto loaded = ShardedForest::Load(in);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_TRUE(loaded.status().IsIOError()) << loaded.status().ToString();
+
+  std::istringstream intact(bytes, std::ios::binary);
+  EXPECT_TRUE(ShardedForest::Load(intact).ok());
+}
+
+TEST(ShardedForestTest, LoadRejectsABlobLengthPrefixOffByOne) {
+  auto bundle = Bundle(300, 14);
+  auto forest = ShardedForest::Train(bundle.data, Config(25), Shards(2));
+  ASSERT_TRUE(forest.ok());
+  const std::string bytes = Bytes(*forest);
+  const size_t prefix = FirstBlobPrefixOffset(forest->num_global_ids());
+  const uint64_t len = Peek<uint64_t>(bytes, prefix);
+  EXPECT_EQ(len, Bytes(forest->shard(0)).size());
+  for (const uint64_t lie : {len - 1, len + 1}) {
+    std::string patched = bytes;
+    Patch<uint64_t>(&patched, prefix, lie);
+    std::istringstream in(patched, std::ios::binary);
+    auto loaded = ShardedForest::Load(in);
+    ASSERT_FALSE(loaded.ok()) << "prefix " << lie;
+    EXPECT_TRUE(loaded.status().IsIOError()) << loaded.status().ToString();
+  }
+}
+
+// A stream buffer that accepts bytes but cannot report its position.
+class UnseekableBuf : public std::streambuf {
+ protected:
+  int_type overflow(int_type ch) override { return ch; }
+  std::streamsize xsputn(const char*, std::streamsize n) override {
+    return n;
+  }
+};
+
+TEST(ShardedForestTest, SaveNeedsAPositionedStream) {
+  auto bundle = Bundle(200, 15);
+  auto forest = ShardedForest::Train(bundle.data, Config(27), Shards(2));
+  ASSERT_TRUE(forest.ok());
+  UnseekableBuf buf;
+  std::ostream out(&buf);
+  const Status st = forest->Save(out);
+  EXPECT_TRUE(st.IsIOError()) << st.ToString();
 }
 
 TEST(ShardedForestTest, VotesAreDeterministicAndMajorityMatchesManual) {

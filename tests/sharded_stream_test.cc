@@ -1,12 +1,13 @@
-// Sharded stream engine suite: StreamEngineConfig::shard.num_shards > 1
-// runs the engine over a SISA ShardedForest. Pins the v2 checkpoint
-// container (per-shard blobs, dirty-shard reuse), restore equivalence with
-// an uninterrupted run, lazy-deferral flush identity, and config/version
-// validation at restore time.
+// Sharded stream engine suite: the engine always runs a SISA
+// ShardedForest; these cases use more than one shard. Pins the checkpoint
+// container (one streamed blob per shard, deterministic bytes), restore
+// equivalence with an uninterrupted run, lazy-deferral flush identity, and
+// config/version validation at restore time.
 
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "data/split.h"
@@ -102,7 +103,7 @@ TEST(ShardedStreamTest, RestoreMidLogMatchesUninterrupted) {
   auto restored = StreamEngine::Restore(blob, p.initial_train.schema(),
                                         p.test, p.config);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  EXPECT_TRUE(restored->is_sharded());
+  EXPECT_EQ(restored->model().num_shards(), 4);
   for (size_t i = cut; i < ops.size(); ++i) {
     ASSERT_TRUE(restored->Apply(ops[i]).ok()) << "op " << i;
   }
@@ -110,28 +111,27 @@ TEST(ShardedStreamTest, RestoreMidLogMatchesUninterrupted) {
   EXPECT_EQ(restored->current_metric(), uninterrupted->current_metric());
   EXPECT_EQ(restored->current_accuracy(), uninterrupted->current_accuracy());
   EXPECT_EQ(restored->live_ids(), uninterrupted->live_ids());
-  const auto a = restored->sharded_forest().PredictProbAll(p.test);
-  const auto b = uninterrupted->sharded_forest().PredictProbAll(p.test);
+  const auto a = restored->model().PredictProbAll(p.test);
+  const auto b = uninterrupted->model().PredictProbAll(p.test);
   ASSERT_EQ(a.size(), b.size());
   for (size_t r = 0; r < a.size(); ++r) ASSERT_EQ(a[r], b[r]) << "row " << r;
-  EXPECT_TRUE(restored->sharded_forest().StructurallyEquals(
-      uninterrupted->sharded_forest()));
+  EXPECT_TRUE(restored->model().StructurallyEquals(
+      uninterrupted->model()));
 }
 
-TEST(ShardedStreamTest, CheckpointBytesAreStableAcrossTheBlobCache) {
+TEST(ShardedStreamTest, CheckpointBytesAreDeterministic) {
   const ShardedPipeline p = BuildPipeline(6, 4);
   auto engine = StreamEngine::Create(p.initial_train, p.test, p.config);
   ASSERT_TRUE(engine.ok());
   for (const StreamOp& op : Ops(p)) ASSERT_TRUE(engine->Apply(op).ok());
 
-  // First save serializes every shard; the second reuses every cached
-  // blob (nothing dirtied in between) and must emit identical bytes.
+  // Saving twice with nothing applied in between emits identical bytes.
   std::ostringstream first(std::ios::binary), second(std::ios::binary);
   ASSERT_TRUE(engine->SaveCheckpoint(first).ok());
   ASSERT_TRUE(engine->SaveCheckpoint(second).ok());
   EXPECT_EQ(first.str(), second.str());
 
-  // A restored engine re-saves to the same bytes (cold blob cache).
+  // A restored engine re-saves to the same bytes.
   std::istringstream in(first.str(), std::ios::binary);
   auto restored = StreamEngine::Restore(in, p.initial_train.schema(), p.test,
                                         p.config);
@@ -140,8 +140,8 @@ TEST(ShardedStreamTest, CheckpointBytesAreStableAcrossTheBlobCache) {
   ASSERT_TRUE(restored->SaveCheckpoint(resaved).ok());
   EXPECT_EQ(resaved.str(), first.str());
 
-  // Dirtying one shard invalidates only that blob; the incremental save
-  // still matches a save from a fresh engine replayed to the same state.
+  // After the same further op, the original and the restored engine save
+  // the same bytes.
   ASSERT_TRUE(engine->Apply(StreamOp::Delete(11, {30, 31})).ok());
   ASSERT_TRUE(restored->Apply(StreamOp::Delete(11, {30, 31})).ok());
   std::ostringstream inc(std::ios::binary), fresh(std::ios::binary);
@@ -168,8 +168,8 @@ TEST(ShardedStreamTest, LazyDeferralFlushesToTheEagerState) {
   }
   lazy->FlushLazy();
   EXPECT_EQ(lazy->current_metric(), eager->current_metric());
-  const auto a = lazy->sharded_forest().PredictProbAll(lazy_p.test);
-  const auto b = eager->sharded_forest().PredictProbAll(eager_p.test);
+  const auto a = lazy->model().PredictProbAll(lazy_p.test);
+  const auto b = eager->model().PredictProbAll(eager_p.test);
   EXPECT_EQ(a, b);
 }
 
@@ -180,7 +180,7 @@ TEST(ShardedStreamTest, RestoreValidatesVersionAndShardConfig) {
   std::ostringstream out(std::ios::binary);
   ASSERT_TRUE(engine->SaveCheckpoint(out).ok());
 
-  // A sharded (v2) checkpoint cannot restore into a monolithic config...
+  // A 2-shard checkpoint cannot restore into a 1-shard config...
   StreamEngineConfig mono = p.config;
   mono.shard.num_shards = 1;
   std::istringstream in1(out.str(), std::ios::binary);
@@ -198,7 +198,7 @@ TEST(ShardedStreamTest, RestoreValidatesVersionAndShardConfig) {
       StreamEngine::Restore(in3, p.initial_train.schema(), p.test, p.config)
           .ok());
 
-  // And a monolithic (v1) checkpoint refuses a sharded config.
+  // And a 1-shard checkpoint refuses a 2-shard config.
   auto mono_engine = StreamEngine::Create(p.initial_train, p.test, mono);
   ASSERT_TRUE(mono_engine.ok());
   std::ostringstream mono_out(std::ios::binary);
@@ -207,6 +207,26 @@ TEST(ShardedStreamTest, RestoreValidatesVersionAndShardConfig) {
   EXPECT_FALSE(
       StreamEngine::Restore(in4, p.initial_train.schema(), p.test, p.config)
           .ok());
+}
+
+TEST(ShardedStreamTest, RestoreRejectsVersionOneWithTheReplayRemedy) {
+  const ShardedPipeline p = BuildPipeline(8, 1);
+  // The FUMESTRM magic and version 1 (the retired monolithic layout); the
+  // rest of the bytes are never read.
+  std::string blob = "FUMESTRM";
+  const uint32_t version = 1;
+  blob.append(reinterpret_cast<const char*>(&version), sizeof(version));
+  blob.append(64, '\0');
+  std::istringstream in(blob, std::ios::binary);
+  auto restored =
+      StreamEngine::Restore(in, p.initial_train.schema(), p.test, p.config);
+  ASSERT_FALSE(restored.ok());
+  EXPECT_TRUE(restored.status().IsIOError()) << restored.status().ToString();
+  EXPECT_NE(restored.status().message().find("version 1"), std::string::npos)
+      << restored.status().message();
+  EXPECT_NE(restored.status().message().find("replay the op-log"),
+            std::string::npos)
+      << restored.status().message();
 }
 
 }  // namespace

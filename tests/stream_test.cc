@@ -11,7 +11,9 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <sstream>
+#include <string>
 
 #include "core/fume.h"
 #include "core/removal_method.h"
@@ -19,7 +21,7 @@
 #include "fairness/metrics.h"
 #include "stream/engine.h"
 #include "stream/op_log.h"
-#include "stream/prediction_cache.h"
+#include "forest/prediction_cache.h"
 #include "stream/workload.h"
 #include "synth/datasets.h"
 
@@ -109,7 +111,7 @@ void ExpectEngineMatchesCold(const StreamEngine& engine,
 
   // Predictions byte-identical (exact doubles, not approx).
   const std::vector<double> engine_probs =
-      engine.forest().PredictProbAll(p.test);
+      engine.model().shard(0).PredictProbAll(p.test);
   const std::vector<double> cold_probs = cold->PredictProbAll(p.test);
   ASSERT_EQ(engine_probs.size(), cold_probs.size());
   for (size_t r = 0; r < cold_probs.size(); ++r) {
@@ -292,6 +294,76 @@ void RunExactness(uint64_t data_seed, uint64_t workload_seed) {
 TEST(StreamExactnessTest, TwoHundredOpsSeedA) { RunExactness(4, 11); }
 TEST(StreamExactnessTest, TwoHundredOpsSeedB) { RunExactness(9, 23); }
 
+// More than one shard: at every checkpoint op, each shard predicts exactly
+// like a forest trained from scratch on that shard's surviving rows with
+// the shard's derived seed, and the served metric and accuracy are the
+// vote of those cold shards.
+TEST(StreamExactnessTest, FourSliceShardsMatchPerShardRetrains) {
+  StreamPipeline p = BuildPipeline(4);
+  p.config.shard.num_shards = 4;
+  p.config.shard.placement = ShardConfig::Placement::kSlice;
+  p.config.shard.slice_attr = p.group.sensitive_attr;
+  p.config.shard.slice_value = p.group.privileged_code;
+  p.config.shard.hot_shards = 1;
+  auto engine = StreamEngine::Create(p.initial_train, p.test, p.config);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+
+  WorkloadOptions w;
+  w.num_ops = 200;
+  w.insert_batch = 4;
+  w.delete_batch = 3;
+  w.checkpoint_every = 40;
+  w.seed = 11;
+  auto ops = SynthesizeOpLog(p.pool, p.initial_train.num_rows(), w);
+  ASSERT_TRUE(ops.ok()) << ops.status().ToString();
+
+  int checkpoints_verified = 0;
+  for (const StreamOp& op : *ops) {
+    ASSERT_TRUE(engine->Apply(op).ok()) << "op seq " << op.seq;
+    if (op.kind != OpKind::kCheckpoint) continue;
+    const ShardedForest& model = engine->model();
+    ASSERT_EQ(model.num_shards(), 4);
+    const std::vector<RowId>& ids = engine->live_ids();
+    std::vector<std::vector<double>> cold_probs(4);
+    for (int s = 0; s < 4; ++s) {
+      std::vector<int64_t> members;
+      for (size_t r = 0; r < ids.size(); ++r) {
+        if (model.shard_of(ids[r]) == s) {
+          members.push_back(static_cast<int64_t>(r));
+        }
+      }
+      ForestConfig cfg = p.config.forest;
+      cfg.seed = p.config.forest.seed +
+                 ShardedForest::kShardSeedStride * static_cast<uint64_t>(s);
+      auto cold = DareForest::Train(engine->train_data().Select(members), cfg);
+      ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+      cold_probs[static_cast<size_t>(s)] = cold->PredictProbAll(p.test);
+      const std::vector<double> live = model.shard(s).PredictProbAll(p.test);
+      ASSERT_EQ(live.size(), cold_probs[static_cast<size_t>(s)].size());
+      for (size_t r = 0; r < live.size(); ++r) {
+        ASSERT_EQ(live[r], cold_probs[static_cast<size_t>(s)][r])
+            << "shard " << s << " test row " << r << " at seq " << op.seq;
+      }
+    }
+    std::vector<const std::vector<double>*> votes;
+    for (const auto& probs : cold_probs) votes.push_back(&probs);
+    std::vector<double> mean;
+    std::vector<int> preds;
+    VoteFromShardProbs(votes, p.config.shard.vote, &mean, &preds);
+    EXPECT_EQ(engine->current_metric(),
+              ComputeFairness(p.test, preds, p.group, p.config.fume.metric));
+    int64_t correct = 0;
+    for (int64_t r = 0; r < p.test.num_rows(); ++r) {
+      if (preds[static_cast<size_t>(r)] == p.test.Label(r)) ++correct;
+    }
+    EXPECT_EQ(engine->current_accuracy(),
+              static_cast<double>(correct) /
+                  static_cast<double>(p.test.num_rows()));
+    ++checkpoints_verified;
+  }
+  EXPECT_GE(checkpoints_verified, 3);
+}
+
 // ---------------------------------------------------------------------------
 // Checkpoint / restore: killing the engine mid-log and resuming replays to
 // exactly the state the uninterrupted engine reaches.
@@ -340,8 +412,8 @@ TEST(StreamCheckpointTest, RestoreMidLogMatchesUninterrupted) {
   EXPECT_EQ(restored->last_seq(), uninterrupted->last_seq());
   EXPECT_EQ(restored->current_metric(), uninterrupted->current_metric());
   EXPECT_EQ(restored->current_accuracy(), uninterrupted->current_accuracy());
-  EXPECT_EQ(restored->forest().PredictProbAll(p.test),
-            uninterrupted->forest().PredictProbAll(p.test));
+  EXPECT_EQ(restored->model().shard(0).PredictProbAll(p.test),
+            uninterrupted->model().shard(0).PredictProbAll(p.test));
   const FumeResult* a = restored->explanation();
   const FumeResult* b = uninterrupted->explanation();
   ASSERT_EQ(a != nullptr, b != nullptr);
@@ -369,6 +441,87 @@ TEST(StreamCheckpointTest, RestoreRejectsGarbageAndWrongSchema) {
   wrong.AddCategorical("only", {"a", "b"});
   EXPECT_FALSE(
       StreamEngine::Restore(blob, wrong, p.test, p.config).ok());
+}
+
+// The cached top-k's literals index the schema when printed or served, so
+// Restore must reject any literal the lattice could not have emitted. Each
+// case patches one field of the first top-k literal of a checkpoint saved
+// by a real engine.
+
+// Byte offset of the first top-k literal's `attr` in a checkpoint: magic,
+// version, seq, metric, accuracy, drift reference, staleness, the live-id
+// block, the explanation flag and header, and the literal count.
+size_t FirstLiteralOffset(const StreamEngine& engine) {
+  const size_t engine_block = 8 + 4 + 8 + 8 + 8 + 8 + 8;
+  const size_t live = 8 + engine.live_ids().size() * sizeof(RowId);
+  return engine_block + live + 1 + 8 + 8 + 4 + 4;
+}
+
+std::string CheckpointWithTopK(const StreamPipeline& p, size_t* attr_at) {
+  auto engine = StreamEngine::Create(p.initial_train, p.test, p.config);
+  EXPECT_TRUE(engine.ok());
+  EXPECT_NE(engine->explanation(), nullptr);
+  EXPECT_FALSE(engine->explanation()->top_k.empty());
+  EXPECT_GE(engine->explanation()->top_k[0].predicate.num_literals(), 1);
+  std::ostringstream out(std::ios::binary);
+  EXPECT_TRUE(engine->SaveCheckpoint(out).ok());
+  *attr_at = FirstLiteralOffset(*engine);
+  // The saved literal is the served one.
+  const Literal& lit = engine->explanation()->top_k[0].predicate.literals()[0];
+  int32_t attr = -1;
+  std::memcpy(&attr, out.str().data() + *attr_at, sizeof(attr));
+  EXPECT_EQ(attr, lit.attr);
+  return out.str();
+}
+
+template <typename T>
+Status RestorePatched(const StreamPipeline& p, std::string bytes,
+                      size_t offset, T value) {
+  std::memcpy(bytes.data() + offset, &value, sizeof(T));
+  std::istringstream in(bytes, std::ios::binary);
+  return StreamEngine::Restore(in, p.initial_train.schema(), p.test, p.config)
+      .status();
+}
+
+TEST(StreamCheckpointTest, RestoreRejectsTopKLiteralAttributeOutOfRange) {
+  StreamPipeline p = BuildPipeline(4);
+  size_t at = 0;
+  const std::string bytes = CheckpointWithTopK(p, &at);
+  int32_t intact = 0;
+  std::memcpy(&intact, bytes.data() + at, sizeof(intact));
+  EXPECT_TRUE(RestorePatched<int32_t>(p, bytes, at, intact).ok());
+  for (const int32_t attr :
+       {int32_t{1000000}, int32_t{-1},
+        static_cast<int32_t>(p.initial_train.num_attributes())}) {
+    const Status st = RestorePatched<int32_t>(p, bytes, at, attr);
+    EXPECT_TRUE(st.IsIOError()) << "attr " << attr << ": " << st.ToString();
+  }
+}
+
+TEST(StreamCheckpointTest, RestoreRejectsTopKLiteralOperatorOutOfRange) {
+  StreamPipeline p = BuildPipeline(4);
+  size_t at = 0;
+  const std::string bytes = CheckpointWithTopK(p, &at);
+  for (const uint8_t op :
+       {static_cast<uint8_t>(static_cast<uint8_t>(LiteralOp::kGt) + 1),
+        uint8_t{255}}) {
+    const Status st = RestorePatched<uint8_t>(p, bytes, at + 4, op);
+    EXPECT_TRUE(st.IsIOError()) << "op " << int{op} << ": " << st.ToString();
+  }
+}
+
+TEST(StreamCheckpointTest, RestoreRejectsTopKLiteralValueOutOfRange) {
+  StreamPipeline p = BuildPipeline(4);
+  size_t at = 0;
+  const std::string bytes = CheckpointWithTopK(p, &at);
+  int32_t attr = 0;
+  std::memcpy(&attr, bytes.data() + at, sizeof(attr));
+  const int32_t card =
+      p.initial_train.schema().attribute(attr).cardinality();
+  for (const int32_t value : {card, int32_t{-1}, int32_t{1000000}}) {
+    const Status st = RestorePatched<int32_t>(p, bytes, at + 5, value);
+    EXPECT_TRUE(st.IsIOError()) << "value " << value << ": " << st.ToString();
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -474,8 +474,8 @@ TEST(FusedUnlearnScoreTest, WarmScratchScoresWithoutAllocating) {
   shards.num_shards = 3;
   auto forest = ShardedForest::Train(bundle->data, BaseConfig(16), shards);
   ASSERT_TRUE(forest.ok());
-  ShardedPredictionCache shard_cache;
-  shard_cache.Rebuild(*forest, bundle->data);
+  ShardedPredictionCache ensemble_cache;
+  ensemble_cache.Rebuild(*forest, bundle->data);
   ShardedPredictionCache::WhatIfScratch shard_scratch;
   std::vector<DeletionScratch> shard_deletion;
   batches.clear();
@@ -483,7 +483,7 @@ TEST(FusedUnlearnScoreTest, WarmScratchScoresWithoutAllocating) {
     batches.push_back(RandomBatch(&rng, forest->num_global_ids(), 90));
   }
   for (const auto& rows : batches) {
-    ASSERT_TRUE(shard_cache
+    ASSERT_TRUE(ensemble_cache
                     .ScoreWithout(*forest, rows, bundle->data, &shard_scratch,
                                   &shard_deletion)
                     .ok());
@@ -491,7 +491,7 @@ TEST(FusedUnlearnScoreTest, WarmScratchScoresWithoutAllocating) {
   alloc_count::allocations = 0;
   alloc_count::counting = true;
   for (const auto& rows : batches) {
-    if (!shard_cache
+    if (!ensemble_cache
              .ScoreWithout(*forest, rows, bundle->data, &shard_scratch,
                            &shard_deletion)
              .ok()) {

@@ -23,7 +23,7 @@
 #include "core/report.h"
 #include "data/split.h"
 #include "fairness/metrics.h"
-#include "forest/forest.h"
+#include "forest/sharded_forest.h"
 #include "forest/tree.h"
 #include "obs/event_log.h"
 #include "obs/metrics.h"
@@ -110,8 +110,7 @@ Model:
                         (default 4096)
   --shards N            SISA shards (default 1 = monolithic): rows
                         hash-partition across N sub-forests, deletes run
-                        shard-locally, searches use the sharded removal
-                        method, checkpoints re-serialize dirty shards only
+                        shard-locally and searches unlearn per shard
   --placement P         hash | slice (default hash); slice concentrates
                         the dataset's sensitive privileged cohort — the
                         rows FUME's deletions target — into the last shard
@@ -539,20 +538,24 @@ int Run(const CliOptions& opts) {
     // final metric below reflects a fully flushed model.
     engine->FlushLazy();
   }
-  if (opts.lazy && !interrupted && engine->is_sharded()) {
-    // Sharded lazy identity: each shard must equal a cold retrain of its
-    // own surviving rows (arrival order, the shard's derived seed). A
-    // whole-ensemble cold ShardedForest::Train would re-place rows under
-    // fresh global ids and legitimately differ — exactness is per shard.
-    const ShardedForest& live_model = engine->sharded_forest();
+  if (opts.lazy && !interrupted) {
+    // Lazy identity attestation (DESIGN.md §6 invariant 9): after the final
+    // flush, each shard must equal a cold retrain of its own surviving rows
+    // (arrival order, the shard's derived seed — the model seed itself at
+    // one shard), and the served metric and accuracy must be the vote of
+    // the flushed model. A whole-ensemble cold ShardedForest::Train would
+    // re-place rows under fresh global ids and legitimately differ —
+    // exactness is per shard. A mismatch is a correctness bug, not noise.
+    const ShardedForest& model = engine->model();
     const Dataset& train = engine->train_data();
+    const Dataset& test = engine->test_data();
     const std::vector<RowId>& ids = engine->live_ids();
-    bool ok = live_model.ValidateStats();
+    bool ok = model.ValidateStats();
     int64_t compared = 0;
-    for (int s = 0; ok && s < live_model.num_shards(); ++s) {
+    for (int s = 0; ok && s < model.num_shards(); ++s) {
       std::vector<int64_t> members;
       for (size_t r = 0; r < ids.size(); ++r) {
-        if (live_model.shard_of(ids[r]) == s) {
+        if (model.shard_of(ids[r]) == s) {
           members.push_back(static_cast<int64_t>(r));
         }
       }
@@ -565,51 +568,23 @@ int Run(const CliOptions& opts) {
         return 1;
       }
       const std::vector<double> live_probs =
-          live_model.shard(s).PredictProbAll(engine->test_data());
-      ok = ok && live_probs == cold->PredictProbAll(engine->test_data());
+          model.shard(s).PredictProbAll(test);
+      ok = ok && live_probs == cold->PredictProbAll(test);
       compared += static_cast<int64_t>(live_probs.size());
     }
-    // The served metric comes from the warm per-shard cache; it must agree
-    // with a fresh ensemble vote over the flushed model.
+    const std::vector<int> voted = model.PredictAll(test);
     ok = ok && engine->current_metric() ==
-                   ComputeFairness(engine->test_data(),
-                                   live_model.PredictAll(engine->test_data()),
-                                   config.fume.group, opts.metric);
+                   ComputeFairness(test, voted, config.fume.group,
+                                   opts.metric);
+    ok = ok && engine->current_accuracy() == model.Accuracy(test);
     if (!ok) {
-      std::cerr << "lazy identity: MISMATCH — flushed sharded model differs "
+      std::cerr << "lazy identity: MISMATCH — the flushed model differs "
                    "from per-shard cold retrains on the surviving rows\n";
       return 1;
     }
-    std::cout << "\nlazy identity: ok (" << live_model.num_shards()
-              << " flushed shards == per-shard cold retrains, " << compared
+    std::cout << "\nlazy identity: ok (" << model.num_shards()
+              << " flushed shard(s) == per-shard cold retrains, " << compared
               << " test predictions compared)\n";
-  } else if (opts.lazy && !interrupted) {
-    // Lazy identity attestation (DESIGN.md §6 invariant 9): after the final
-    // flush, the engine's model must be indistinguishable from a cold
-    // retrain on the surviving rows — predictions, fairness metric, and
-    // accuracy all exact. A mismatch is a correctness bug, not noise.
-    auto cold = DareForest::Train(engine->train_data(), config.forest);
-    if (!cold.ok()) {
-      std::cerr << cold.status().ToString() << "\n";
-      return 1;
-    }
-    const std::vector<double> live =
-        engine->forest().PredictProbAll(engine->test_data());
-    const std::vector<double> cold_probs =
-        cold->PredictProbAll(engine->test_data());
-    bool ok = engine->forest().ValidateStats();
-    ok = ok && live == cold_probs;
-    ok = ok && engine->current_metric() ==
-                   ComputeFairness(*cold, engine->test_data(),
-                                   config.fume.group, opts.metric);
-    ok = ok && engine->current_accuracy() == cold->Accuracy(engine->test_data());
-    if (!ok) {
-      std::cerr << "lazy identity: MISMATCH — flushed lazy model differs "
-                   "from a cold retrain on the surviving rows\n";
-      return 1;
-    }
-    std::cout << "\nlazy identity: ok (flushed model == cold retrain, "
-              << live.size() << " test predictions compared)\n";
   }
 
   std::cout << "\nfinal " << FairnessMetricName(opts.metric) << ": "
