@@ -1,6 +1,6 @@
 // Serving throughput/latency: closed-loop clients over loopback TCP against
 // an in-process fume_serve Server, comparing batch-1 whatif serving (window
-// 0, max_batch 1 — every request is its own ScoreWhatIf pass) against
+// 0, max_batch 1 — every request is its own fused ScoreWithout pass) against
 // grouped serving (the WhatIfBatcher coalesces concurrent requests into one
 // snapshot + scratch pass, deduplicates identical predicates, and scores
 // the group across the tenant's whatif threads). The acceptance bar for the

@@ -19,7 +19,7 @@
 //    the monolithic ones: this is the SISA win and the headline number.
 //
 // What-if evaluation throughput (the FUME search's inner loop) is
-// measured the same two ways through the removal methods. Fidelity is
+// measured the same two ways through UnlearnRemovalMethod. Fidelity is
 // end-to-end: a full FUME search per shard count at mid-size, reporting
 // top-k Jaccard overlap with the monolithic search (the SISA vote
 // trade-off).
@@ -42,7 +42,7 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "core/sharded_removal.h"
+#include "core/removal_method.h"
 #include "forest/deletion_scratch.h"
 #include "forest/serialize.h"
 #include "forest/sharded_forest.h"
@@ -296,7 +296,7 @@ Result<FumeResult> ShardedSearch(const ShardedForest& model, const Setup& s,
   original.fairness = ComputeFairness(s.test, model.PredictAll(s.test),
                                       s.group, config.metric);
   original.accuracy = model.Accuracy(s.test);
-  ShardedRemovalMethod removal(&model, &s.test, s.group, config.metric);
+  UnlearnRemovalMethod removal(&model, &s.test, s.group, config.metric);
   return ExplainWithRemoval(original, s.train, config, &removal);
 }
 
@@ -540,7 +540,7 @@ int main(int argc, char** argv) {
                               (e.shards == 1 && std::string(wk.kind) ==
                                                     "whatif-cohort");
         if (!competes) continue;
-        ShardedRemovalMethod removal(&e.forest, &s.test, s.group,
+        UnlearnRemovalMethod removal(&e.forest, &s.test, s.group,
                                      FairnessMetric::kStatisticalParity);
         Throughput wi;
         for (int rep = 0; rep < kReps; ++rep) {

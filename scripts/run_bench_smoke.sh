@@ -30,7 +30,7 @@ cmake -B "${BUILD_DIR}" -S . -DCMAKE_BUILD_TYPE=Release \
   -DFUME_BUILD_EXAMPLES=OFF
 cmake --build "${BUILD_DIR}" -j --target bench_unlearn_kernel \
   bench_eval_throughput bench_stream_throughput bench_serve bench_shard \
-  bench_check fume_stream_cli fume_serve_cli fume_client
+  bench_check fume_cli fume_stream_cli fume_serve_cli fume_client
 
 REPO_DIR="$(pwd)"
 BENCH_DIR="$(cd "${BUILD_DIR}" && pwd)/bench"
@@ -173,6 +173,43 @@ for shards in 1 4; do
       echo "  resumed: ${final_resumed}"
       status=1
     fi
+  fi
+done
+
+# One-shot audit legs, once per deployment: fume_cli runs one search
+# path at every shard count. Each run must exit 0, print a top-k table,
+# report the search's rescoring work in its per-query cost (the removal
+# method's counters are what QueryScope tracks) and save its model as a
+# FUMESHRD container.
+for shards in 1 4; do
+  deployment=()
+  if [ "${shards}" -gt 1 ]; then
+    deployment=(--shards "${shards}" --placement slice)
+  fi
+  tag="cli-shards${shards}"
+  echo "=== fume_cli audit smoke (${deployment[*]:-default shards}) ==="
+  rm -f "${tag}.model"
+  if ! "${TOOLS_DIR}/fume_cli" --dataset german-credit --threads 4 \
+      --query-cost --save-model "${tag}.model" "${deployment[@]}" \
+      > "${tag}.log" 2>&1; then
+    echo "FAIL: fume_cli ${deployment[*]} exited non-zero"
+    tail -5 "${tag}.log"
+    status=1
+    continue
+  fi
+  if ! grep -q '^| S1 ' "${tag}.log"; then
+    echo "FAIL: fume_cli ${deployment[*]} printed no top-k table"
+    status=1
+  fi
+  if ! grep -qE '^  removal\.unlearn\.cow_rows_rescored \+[1-9]' "${tag}.log"; then
+    echo "FAIL: fume_cli ${deployment[*]} query cost lacks" \
+      "removal.unlearn.cow_rows_rescored"
+    status=1
+  fi
+  if [ "$(head -c 8 "${tag}.model" 2>/dev/null)" != "FUMESHRD" ]; then
+    echo "FAIL: fume_cli ${deployment[*]} --save-model wrote no FUMESHRD" \
+      "container"
+    status=1
   fi
 done
 

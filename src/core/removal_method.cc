@@ -26,7 +26,16 @@ UnlearnRemovalMethod::UnlearnRemovalMethod(const DareForest* model,
                                            const Dataset* test,
                                            GroupSpec group,
                                            FairnessMetric metric)
-    : model_(model), test_(test), group_(group), metric_(metric) {}
+    : forest_(model), test_(test), group_(group), metric_(metric) {}
+
+UnlearnRemovalMethod::UnlearnRemovalMethod(
+    const ShardedForest* model, const Dataset* test, GroupSpec group,
+    FairnessMetric metric, const ShardedPredictionCache* base_cache)
+    : model_(model),
+      test_(test),
+      group_(group),
+      metric_(metric),
+      external_cache_(base_cache) {}
 
 UnlearnRemovalMethod::Worker& UnlearnRemovalMethod::WorkerSlot(int worker) {
   FUME_CHECK_GE(worker, 0);
@@ -42,12 +51,19 @@ UnlearnRemovalMethod::Worker& UnlearnRemovalMethod::WorkerSlot(int worker) {
   return *slot;
 }
 
-const TestPredictionCache& UnlearnRemovalMethod::BaseCache() {
+const ShardedPredictionCache& UnlearnRemovalMethod::BaseCache() {
+  if (external_cache_ != nullptr) return *external_cache_;
   // Seeded lazily at the first evaluation: one full prediction pass over
-  // the base model (flushing any pending lazy deletions first), amortized
-  // across every subsequent what-if.
-  std::call_once(base_cache_once_,
-                 [this] { base_cache_.Rebuild(*model_, *test_); });
+  // the base model, amortized across every subsequent what-if. A bare
+  // forest's one-shard view is built here too, after the caller's own
+  // predictions compiled the arenas its clone inherits.
+  std::call_once(base_cache_once_, [this] {
+    if (model_ == nullptr) {
+      view_ = ShardedForest::FromForest(*forest_);
+      model_ = &view_;
+    }
+    base_cache_.Rebuild(*model_, *test_);
+  });
   return base_cache_;
 }
 
@@ -102,18 +118,23 @@ Result<ModelEval> UnlearnRemovalMethod::EvaluateOnSlot(
       obs::GetHistogram("removal.unlearn.rows_per_evaluation");
   static obs::Counter* rows_rescored =
       obs::GetCounter("removal.unlearn.cow_rows_rescored");
+  static obs::Counter* shards_changed =
+      obs::GetCounter("removal.unlearn.shards_changed");
   evals->Inc();
   rows_hist->Record(static_cast<int64_t>(rows.size()));
   obs::TraceSpan span("removal.unlearn.evaluate",
                       {{"rows", static_cast<int64_t>(rows.size())}});
   Worker& w = WorkerSlot(worker);
-  // Unlearn and rescore in one walk over the shared base forest: nothing
-  // is cloned, and only test rows whose descent reaches a region the
-  // deletion changes are rescored.
-  FUME_RETURN_NOT_OK(BaseCache().ScoreWithout(*model_, rows, *test_,
-                                              &w.scratch, &w.unlearn_scratch));
+  // Unlearn and rescore in one walk per shard owning a deleted row, over
+  // the shared base model: nothing is cloned, and only test rows whose
+  // descent reaches a region the deletion changes are rescored. Shards run
+  // serially: FUME's parallelism is across evaluations.
+  const ShardedPredictionCache& cache = BaseCache();
+  FUME_RETURN_NOT_OK(cache.ScoreWithout(*model_, rows, *test_, &w.scratch,
+                                        &w.unlearn_scratch));
   w.stats.Add(w.scratch.deletion_stats);
   rows_rescored->Inc(w.scratch.rows_rescored);
+  shards_changed->Inc(w.scratch.shards_changed);
 
   const ModelEval eval =
       EvaluatePredictions(*test_, w.scratch.preds, group_, metric_);

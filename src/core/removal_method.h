@@ -14,7 +14,7 @@
 
 #include "fairness/metrics.h"
 #include "forest/forest.h"
-#include "forest/prediction_cache.h"
+#include "forest/sharded_forest.h"
 #include "util/result.h"
 
 namespace fume {
@@ -71,15 +71,18 @@ class RemovalMethod {
 };
 
 /// \brief Machine unlearning removal: exactly unlearns the rows from the
-/// trained DaRE forest — no retraining pass over the data — and rescores
+/// trained DaRE model — no retraining pass over the data — and rescores
 /// the test set.
 ///
-/// Each evaluation is one fused TestPredictionCache::ScoreWithout walk: the
-/// deletion is played against the base forest without writing to it, and
-/// only test rows whose descent reaches a changed region are rescored
-/// against the base model's per-tree predictions (cached once, lazily, at
-/// the first evaluation). No counterfactual forest is built. Results are
-/// bit-identical to cloning the forest, deleting the rows and predicting,
+/// The model is a ShardedForest; a bare DareForest is its one-shard view
+/// (ShardedForest::FromForest), so one class serves offline audits, the
+/// stream engine, fume_cli and repair. Each evaluation is one fused
+/// ShardedPredictionCache::ScoreWithout walk: the deletion is played
+/// against the base model without writing to it, only the shards owning a
+/// deleted row are walked, and only test rows whose descent reaches a
+/// changed region are rescored against the base model's cached
+/// predictions. No counterfactual forest is built. Results are
+/// bit-identical to cloning the model, deleting the rows and predicting,
 /// and to retraining from scratch without them (DESIGN.md §6).
 class UnlearnRemovalMethod : public RemovalMethod {
  public:
@@ -92,9 +95,20 @@ class UnlearnRemovalMethod : public RemovalMethod {
   static constexpr size_t kArenaFullRescoreMinBatch = 16;
 
   /// Pointers must outlive this object. The model must not be mutated
-  /// while evaluations run (the base prediction cache is seeded from it).
+  /// while evaluations run. Its one-shard view and base prediction cache
+  /// are built at the first evaluation: by then the caller has predicted
+  /// on the forest, so the view's clone inherits its compiled arenas.
   UnlearnRemovalMethod(const DareForest* model, const Dataset* test,
                        GroupSpec group, FairnessMetric metric);
+
+  /// As above, over a sharded ensemble. With `base_cache` (e.g. the stream
+  /// engine's warm per-shard cache) rescoring reads it instead of a cache
+  /// built at the first evaluation; it must have been rebuilt/updated
+  /// against `model` and stay valid and unmutated for this object's
+  /// lifetime.
+  UnlearnRemovalMethod(const ShardedForest* model, const Dataset* test,
+                       GroupSpec group, FairnessMetric metric,
+                       const ShardedPredictionCache* base_cache = nullptr);
 
   Result<ModelEval> EvaluateWithout(const std::vector<RowId>& rows) override;
   Result<ModelEval> EvaluateWithoutOn(
@@ -103,10 +117,10 @@ class UnlearnRemovalMethod : public RemovalMethod {
   void EndParallel() override;
   const char* name() const override { return "dare-unlearn"; }
 
-  /// Unlearning work counters accumulated across evaluations. Outside a
-  /// BeginParallel/EndParallel bracket this is up to date after every
-  /// evaluation; inside one, per-worker counters are merged at EndParallel
-  /// (do not call while evaluations are in flight).
+  /// Unlearning work counters accumulated across evaluations, summed in
+  /// shard order. Outside a BeginParallel/EndParallel bracket this is up
+  /// to date after every evaluation; inside one, per-worker counters are
+  /// merged at EndParallel (do not call while evaluations are in flight).
   const DeletionStats& deletion_stats() const { return deletion_stats_; }
 
  private:
@@ -115,20 +129,26 @@ class UnlearnRemovalMethod : public RemovalMethod {
   /// slots cache-isolated.
   struct Worker {
     DeletionStats stats;
-    TestPredictionCache::WhatIfScratch scratch;
-    /// Reused by every what-if this worker scores, so steady-state
+    ShardedPredictionCache::WhatIfScratch scratch;
+    /// Shard-affine deletion scratches (entry s always serves shard s),
+    /// reused by every what-if this worker scores, so steady-state
     /// evaluations run allocation-free.
-    DeletionScratch unlearn_scratch;
+    std::vector<DeletionScratch> unlearn_scratch;
   };
 
   Worker& WorkerSlot(int worker);
-  const TestPredictionCache& BaseCache();
+  const ShardedPredictionCache& BaseCache();
   Result<ModelEval> EvaluateOnSlot(int worker, const std::vector<RowId>& rows);
 
-  const DareForest* model_;
+  /// Source of the one-shard view; null when constructed over an ensemble.
+  const DareForest* forest_ = nullptr;
+  ShardedForest view_;
+  /// The ensemble scored; &view_ once a bare forest's view is built.
+  const ShardedForest* model_ = nullptr;
   const Dataset* test_;
   GroupSpec group_;
   FairnessMetric metric_;
+  const ShardedPredictionCache* external_cache_ = nullptr;
   std::vector<std::unique_ptr<Worker>> workers_;
   bool in_parallel_ = false;
   /// Serializes evaluations outside a BeginParallel bracket (they all share
@@ -136,7 +156,7 @@ class UnlearnRemovalMethod : public RemovalMethod {
   /// concurrency contract without taxing the bracketed per-worker path.
   std::mutex serial_mutex_;
   std::once_flag base_cache_once_;
-  TestPredictionCache base_cache_;
+  ShardedPredictionCache base_cache_;
   DeletionStats deletion_stats_;
 };
 

@@ -117,6 +117,22 @@ const char* PlacementName(ShardConfig::Placement placement) {
   return placement == ShardConfig::Placement::kSlice ? "slice" : "hash";
 }
 
+Result<ShardConfig> ShardConfigFromFlags(int num_shards,
+                                         const std::string& placement,
+                                         int slice_attr,
+                                         int32_t slice_value) {
+  ShardConfig config;
+  config.num_shards = num_shards;
+  if (num_shards <= 1) return config;
+  FUME_ASSIGN_OR_RETURN(config.placement, ParsePlacement(placement));
+  if (config.placement == ShardConfig::Placement::kSlice) {
+    config.slice_attr = slice_attr;
+    config.slice_value = slice_value;
+    config.hot_shards = 1;
+  }
+  return config;
+}
+
 uint64_t ShardedForest::HashGlobalId(RowId global) {
   return SplitMix64(static_cast<uint64_t>(static_cast<uint32_t>(global)));
 }
@@ -183,6 +199,13 @@ Result<ShardedForest> ShardedForest::Train(const Dataset& train,
   for (int s = 0; s < n; ++s) {
     FUME_RETURN_NOT_OK(statuses[static_cast<size_t>(s)]);
   }
+  return out;
+}
+
+ShardedForest ShardedForest::FromForest(const DareForest& forest) {
+  forest.EnsureFlushed();
+  ShardedForest out;  // default ShardConfig: one shard, no maps
+  out.shards_.push_back(forest.Clone());
   return out;
 }
 
@@ -731,7 +754,6 @@ Status ShardedPredictionCache::ScoreWithout(
         base.local_of(g));
   }
   scratch->rows_rescored = 0;
-  scratch->trees_changed = 0;
   scratch->shards_changed = 0;
   scratch->deletion_stats = DeletionStats{};
   for (size_t s = 0; s < n; ++s) {
@@ -748,52 +770,11 @@ Status ShardedPredictionCache::ScoreWithout(
         base.shard(static_cast<int>(s)), scratch->local[s], test, &ss,
         &(*deletion)[s]));
     scratch->rows_rescored += ss.rows_rescored;
-    scratch->trees_changed += ss.trees_changed;
     scratch->deletion_stats.Add(ss.deletion_stats);
     scratch->votes[s] = &ss.probs;
   }
   VoteFromShardProbs(scratch->votes, vote_, &scratch->sum, &scratch->preds);
   return Status::OK();
-}
-
-void ShardedPredictionCache::ScoreWhatIf(const ShardedForest& base,
-                                         const ShardedForest& what_if,
-                                         const Dataset& test,
-                                         WhatIfScratch* scratch,
-                                         bool arena_full_rescore) const {
-  const size_t n = caches_.size();
-  FUME_CHECK_EQ(n, static_cast<size_t>(base.num_shards()));
-  FUME_CHECK_EQ(n, static_cast<size_t>(what_if.num_shards()));
-  scratch->shard_scratch.resize(n);
-  scratch->votes.resize(n);
-  scratch->rows_rescored = 0;
-  scratch->trees_changed = 0;
-  scratch->shards_changed = 0;
-  for (size_t s = 0; s < n; ++s) {
-    const DareForest& b = base.shard(static_cast<int>(s));
-    const DareForest& w = what_if.shard(static_cast<int>(s));
-    bool changed = false;
-    for (int t = 0; t < b.num_trees(); ++t) {
-      if (b.tree(t).root() != w.tree(t).root()) {
-        changed = true;
-        break;
-      }
-    }
-    if (!changed) {
-      // Every tree root still shared: the clone's shard predicts exactly
-      // like the base shard, whose probabilities we already hold.
-      scratch->votes[s] = &caches_[s].probs();
-      continue;
-    }
-    ++scratch->shards_changed;
-    TestPredictionCache::WhatIfScratch& ss = scratch->shard_scratch[s];
-    ss.want_probs = true;
-    caches_[s].ScoreWhatIf(b, w, test, &ss, arena_full_rescore);
-    scratch->rows_rescored += ss.rows_rescored;
-    scratch->trees_changed += ss.trees_changed;
-    scratch->votes[s] = &ss.probs;
-  }
-  VoteFromShardProbs(scratch->votes, vote_, &scratch->sum, &scratch->preds);
 }
 
 }  // namespace fume

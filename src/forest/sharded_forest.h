@@ -5,8 +5,9 @@
 // Because a training row lives in exactly one shard, deleting it touches
 // only that shard — a deletion burst becomes shard-local unlearning that
 // runs concurrently on the shared util::ThreadPool. One shard is the
-// monolithic deployment: the stream engine, fume_serve and fume_stream run
-// this type at every shard count.
+// monolithic deployment: the stream engine, fume_serve, fume_stream,
+// fume_cli and UnlearnRemovalMethod run this type at every shard count (a
+// bare DareForest is searched through its FromForest one-shard view).
 //
 // Determinism contract (docs/sharding.md):
 //  * Row placement is a pure function of the global row id (and, in slice
@@ -81,6 +82,15 @@ struct ShardConfig {
 Result<ShardConfig::Placement> ParsePlacement(const std::string& name);
 const char* PlacementName(ShardConfig::Placement placement);
 
+/// The ShardConfig behind the tools' `--shards N --placement P` flags. One
+/// shard ignores `placement`. Slice placement pins the cohort whose
+/// `slice_attr` code is `slice_value` (the tools pass the sensitive
+/// attribute and its privileged code: the rows a parity-reducing deletion
+/// targets) to one trailing hot shard.
+Result<ShardConfig> ShardConfigFromFlags(int num_shards,
+                                         const std::string& placement,
+                                         int slice_attr, int32_t slice_value);
+
 /// \brief Ensemble of independently trained/unlearned DaRE sub-forests.
 ///
 /// Global row ids are assigned sequentially in arrival order (training rows
@@ -105,6 +115,13 @@ class ShardedForest {
                                      const ForestConfig& config,
                                      const ShardConfig& shard,
                                      util::ThreadPool* pool = nullptr);
+
+  /// One-shard view of a trained forest: identity placement, and a CoW
+  /// Clone() of `forest` as shard 0 (O(trees); pending lazy tags are
+  /// flushed first, so the clone also inherits any compiled arenas).
+  /// Byte-identical to a one-shard Train on the forest's data and config,
+  /// and mutating the view never perturbs `forest`.
+  static ShardedForest FromForest(const DareForest& forest);
 
   /// Exactly unlearns the given global row ids: buckets them per owning
   /// shard (preserving batch order within a shard) and runs shard-local
@@ -236,9 +253,9 @@ void VoteFromShardProbs(const std::vector<const std::vector<double>*>& shard_pro
 ///
 /// Mirrors TestPredictionCache's API one level up: Rebuild after training
 /// or loading, Update after an op with the per-shard dirty report, and
-/// ScoreWithout (or ScoreWhatIf against a CoW clone) for what-ifs. A
-/// what-if typically reaches one or two shards; untouched shards
-/// contribute their cached probabilities without any walk or copy.
+/// ScoreWithout for what-ifs. A what-if typically reaches one or two
+/// shards; untouched shards contribute their cached probabilities without
+/// any walk or copy.
 class ShardedPredictionCache {
  public:
   struct WhatIfScratch {
@@ -247,11 +264,9 @@ class ShardedPredictionCache {
     std::vector<int> preds;
     /// Summed across shards (see TestPredictionCache::WhatIfScratch).
     int64_t rows_rescored = 0;
-    int64_t trees_changed = 0;
-    /// Shards the what-if changed (ScoreWithout: shards owning a deleted
-    /// row; ScoreWhatIf: shards with a changed tree root).
+    /// Shards the what-if changed: the shards owning a deleted row.
     int64_t shards_changed = 0;
-    /// ScoreWithout only: the deletion's work summed in shard order, as
+    /// The deletion's work summed in shard order, as
     /// ShardedForest::DeleteRows would have counted it (nodes_copied 0).
     DeletionStats deletion_stats;
 
@@ -273,7 +288,7 @@ class ShardedPredictionCache {
 
   /// Scores the seed ensemble as if the global rows `global_rows` had been
   /// deleted, shard by shard through TestPredictionCache::ScoreWithout —
-  /// no clone. Bit-identical to ScoreWhatIf on Clone() + DeleteRows().
+  /// no clone. Bit-identical to PredictAll on Clone() + DeleteRows().
   /// Returns DeleteRows' Status for bad ids. `deletion` is resized to
   /// num_shards and entry s serves shard s. Thread-safe for concurrent
   /// calls with distinct scratches.
@@ -281,13 +296,6 @@ class ShardedPredictionCache {
                       const std::vector<RowId>& global_rows,
                       const Dataset& test, WhatIfScratch* scratch,
                       std::vector<DeletionScratch>* deletion) const;
-
-  /// Scores a Clone() of the seed ensemble (see TestPredictionCache::
-  /// ScoreWhatIf). Thread-safe for concurrent calls with distinct
-  /// scratches.
-  void ScoreWhatIf(const ShardedForest& base, const ShardedForest& what_if,
-                   const Dataset& test, WhatIfScratch* scratch,
-                   bool arena_full_rescore = false) const;
 
   /// Voted ensemble probability / predictions per test row;
   /// byte-identical to forest.PredictProbAll / PredictAll.

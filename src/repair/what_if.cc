@@ -8,22 +8,6 @@ namespace fume {
 
 namespace {
 
-ModelEval Evaluate(const DareForest& model, const Dataset& test,
-                   const GroupSpec& group, FairnessMetric metric) {
-  const std::vector<int> preds = model.PredictAll(test);
-  ModelEval eval;
-  eval.fairness = ComputeFairness(test, preds, group, metric);
-  int64_t correct = 0;
-  for (int64_t r = 0; r < test.num_rows(); ++r) {
-    if (preds[static_cast<size_t>(r)] == test.Label(r)) ++correct;
-  }
-  eval.accuracy = test.num_rows() == 0
-                      ? 0.0
-                      : static_cast<double>(correct) /
-                            static_cast<double>(test.num_rows());
-  return eval;
-}
-
 double ParityReduction(const ModelEval& before, const ModelEval& after) {
   const double original = std::fabs(before.fairness);
   if (original == 0.0) return 0.0;
@@ -92,14 +76,16 @@ Result<WhatIfResult> WhatIfRemove(const DareForest& model,
                                   const Predicate& subset) {
   FUME_RETURN_NOT_OK(CheckSubset(subset));
   WhatIfResult result;
-  result.before = Evaluate(model, test, group, metric);
+  result.before =
+      EvaluatePredictions(test, model.PredictAll(test), group, metric);
   const std::vector<int32_t> rows = subset.MatchingRows(train);
   result.rows_affected = static_cast<int64_t>(rows.size());
 
-  DareForest what_if = model.Clone();
-  FUME_RETURN_NOT_OK(
-      what_if.DeleteRows(std::vector<RowId>(rows.begin(), rows.end())));
-  result.after = Evaluate(what_if, test, group, metric);
+  // Unlearn and rescore in one fused walk off `model`: nothing is cloned.
+  UnlearnRemovalMethod removal(&model, &test, group, metric);
+  FUME_ASSIGN_OR_RETURN(result.after,
+                        removal.EvaluateWithout(
+                            std::vector<RowId>(rows.begin(), rows.end())));
   result.parity_reduction = ParityReduction(result.before, result.after);
   return result;
 }
@@ -112,7 +98,8 @@ Result<WhatIfResult> WhatIfRelabel(const DareForest& model,
                                    RelabelPolicy policy) {
   FUME_RETURN_NOT_OK(CheckSubset(subset));
   WhatIfResult result;
-  result.before = Evaluate(model, test, group, metric);
+  result.before =
+      EvaluatePredictions(test, model.PredictAll(test), group, metric);
   const std::vector<int32_t> rows = subset.MatchingRows(train);
   result.rows_affected = static_cast<int64_t>(rows.size());
 
@@ -123,7 +110,8 @@ Result<WhatIfResult> WhatIfRelabel(const DareForest& model,
       what_if.DeleteRows(std::vector<RowId>(rows.begin(), rows.end())));
   const Dataset relabeled = RelabeledRows(train, rows, group, policy);
   FUME_RETURN_NOT_OK(what_if.AddData(relabeled).status());
-  result.after = Evaluate(what_if, test, group, metric);
+  result.after =
+      EvaluatePredictions(test, what_if.PredictAll(test), group, metric);
   result.parity_reduction = ParityReduction(result.before, result.after);
   return result;
 }
@@ -140,7 +128,8 @@ Result<WhatIfResult> WhatIfDuplicate(const DareForest& model,
     return Status::Invalid("extra_copies must be >= 1");
   }
   WhatIfResult result;
-  result.before = Evaluate(model, test, group, metric);
+  result.before =
+      EvaluatePredictions(test, model.PredictAll(test), group, metric);
   const std::vector<int32_t> rows = subset.MatchingRows(train);
   result.rows_affected = static_cast<int64_t>(rows.size());
 
@@ -156,7 +145,8 @@ Result<WhatIfResult> WhatIfDuplicate(const DareForest& model,
   }
   DareForest what_if = model.Clone();
   FUME_RETURN_NOT_OK(what_if.AddData(copies).status());
-  result.after = Evaluate(what_if, test, group, metric);
+  result.after =
+      EvaluatePredictions(test, what_if.PredictAll(test), group, metric);
   result.parity_reduction = ParityReduction(result.before, result.after);
   return result;
 }

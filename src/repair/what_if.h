@@ -41,7 +41,8 @@ struct WhatIfResult {
 };
 
 /// Evaluates removing the subset (the standard FUME counterfactual),
-/// exposed here for side-by-side comparison with the repairs.
+/// exposed here for side-by-side comparison with the repairs. Scored like
+/// a search evaluation, through UnlearnRemovalMethod: no clone.
 Result<WhatIfResult> WhatIfRemove(const DareForest& model,
                                   const Dataset& train, const Dataset& test,
                                   const GroupSpec& group,

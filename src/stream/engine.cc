@@ -7,8 +7,7 @@
 #include <limits>
 #include <ostream>
 
-#include "core/sharded_removal.h"
-#include "fairness/metrics.h"
+#include "core/removal_method.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/check.h"
@@ -254,17 +253,10 @@ void StreamEngine::RebuildLiveIndex() {
 }
 
 void StreamEngine::RefreshMetric() {
-  const std::vector<int>& preds = cache_.predictions();
-  metric_ = ComputeFairness(test_, preds, config_.fume.group,
-                            config_.fume.metric);
-  int64_t correct = 0;
-  for (int64_t r = 0; r < test_.num_rows(); ++r) {
-    if (preds[static_cast<size_t>(r)] == test_.Label(r)) ++correct;
-  }
-  accuracy_ = test_.num_rows() == 0
-                  ? 0.0
-                  : static_cast<double>(correct) /
-                        static_cast<double>(test_.num_rows());
+  const ModelEval eval = EvaluatePredictions(
+      test_, cache_.predictions(), config_.fume.group, config_.fume.metric);
+  metric_ = eval.fairness;
+  accuracy_ = eval.accuracy;
 }
 
 Status StreamEngine::RunSearch() {
@@ -284,7 +276,7 @@ Status StreamEngine::RunSearch() {
   original.fairness = metric_;
   original.accuracy = accuracy_;
   // Leave-outs unlearn shard-locally and rescore through the warm cache.
-  ShardedRemovalMethod inner(&model_, &test_, config_.fume.group,
+  UnlearnRemovalMethod inner(&model_, &test_, config_.fume.group,
                              config_.fume.metric, &cache_);
   MappedRemoval removal(&inner, &store_ids_);
   // Every search of this engine's lifetime shares one worker pool, created

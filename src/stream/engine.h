@@ -53,8 +53,9 @@ struct StreamEngineConfig {
   FumeConfig fume;
   DriftPolicy drift;
   /// The model's SISA layout. Ops route to owning shards (fanned out on
-  /// the search pool) and searches use ShardedRemovalMethod; the default
-  /// of one shard is the monolithic forest, byte for byte.
+  /// the search pool) and searches run UnlearnRemovalMethod over the
+  /// ensemble and its warm cache; the default of one shard is the
+  /// monolithic forest, byte for byte.
   ShardConfig shard;
   /// Refresh the explanation at Checkpoint ops when any op was applied
   /// since the last search, regardless of drift — so checkpointed top-k is

@@ -2,8 +2,9 @@
 // isolation between scopes, nesting containment, attribution of work done
 // by ThreadPool workers back to the enqueuing scope (exercised at several
 // pool widths — the TSan sweep runs this file), reconciliation of a FUME
-// search's scope report against the global registry, and the contract
-// that scoping never changes search results.
+// search's scope report against the global registry (over a bare forest
+// and over a 2-shard ensemble), and the contract that scoping never
+// changes search results.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "core/fume.h"
+#include "forest/sharded_forest.h"
 #include "obs/metrics.h"
 #include "obs/query_scope.h"
 #include "synth/datasets.h"
@@ -200,6 +202,15 @@ struct Fixture {
   DareForest model;
 };
 
+ForestConfig FixtureForestConfig() {
+  ForestConfig forest_config;
+  forest_config.num_trees = 5;
+  forest_config.max_depth = 6;
+  forest_config.random_depth = 2;
+  forest_config.seed = 23;
+  return forest_config;
+}
+
 Fixture MakeFixture(uint64_t seed = 1, int64_t rows = 1500) {
   synth::PlantedOptions opts;
   opts.num_rows = rows;
@@ -212,12 +223,7 @@ Fixture MakeFixture(uint64_t seed = 1, int64_t rows = 1500) {
   }
   Fixture f{bundle->data.Select(train_rows), bundle->data.Select(test_rows),
             bundle->group, DareForest()};
-  ForestConfig forest_config;
-  forest_config.num_trees = 5;
-  forest_config.max_depth = 6;
-  forest_config.random_depth = 2;
-  forest_config.seed = 23;
-  auto model = DareForest::Train(f.train, forest_config);
+  auto model = DareForest::Train(f.train, FixtureForestConfig());
   EXPECT_TRUE(model.ok());
   f.model = std::move(*model);
   return f;
@@ -239,36 +245,66 @@ TEST(QueryScopeFumeTest, SearchCostReconcilesWithGlobalRegistry) {
   Fixture f = MakeFixture(2);
   FumeConfig config = TestFumeConfig(f);
   config.num_threads = 4;
+  ShardConfig two_shards;
+  two_shards.num_shards = 2;
+  auto sharded = ShardedForest::Train(f.train, FixtureForestConfig(),
+                                      two_shards);
+  ASSERT_TRUE(sharded.ok());
+  ModelEval sharded_original;
+  sharded_original.fairness =
+      ComputeFairness(f.test, sharded->PredictAll(f.test), f.group,
+                      config.metric);
+  sharded_original.accuracy = sharded->Accuracy(f.test);
 
-  // With a freshly zeroed registry and exactly one scoped query, every
-  // tracked delta must equal the registry's cumulative value — including
-  // work done on pool worker threads.
-  obs::MetricsRegistry::Global().Reset();
-  obs::QueryScope scope("search");
-  auto result = ExplainFairnessViolation(f.model, f.train, f.test, config);
-  const obs::QueryCost cost = scope.Finish();
-  ASSERT_TRUE(result.ok());
+  // Two inputs: the paper's entry point over a bare forest, and a 2-shard
+  // ensemble searched through the same removal method.
+  for (const int shards : {1, 2}) {
+    SCOPED_TRACE(std::to_string(shards) + " shard(s)");
+    // With a freshly zeroed registry and exactly one scoped query, every
+    // tracked delta must equal the registry's cumulative value — including
+    // work done on pool worker threads.
+    obs::MetricsRegistry::Global().Reset();
+    obs::QueryScope scope("search");
+    Result<FumeResult> result = [&]() -> Result<FumeResult> {
+      if (shards == 1) {
+        return ExplainFairnessViolation(f.model, f.train, f.test, config);
+      }
+      UnlearnRemovalMethod removal(&*sharded, &f.test, f.group,
+                                   config.metric);
+      return ExplainWithRemoval(sharded_original, f.train, config, &removal);
+    }();
+    const obs::QueryCost cost = scope.Finish();
+    ASSERT_TRUE(result.ok());
 
-  const obs::MetricsSnapshot m = obs::MetricsRegistry::Global().Snapshot();
-  for (const obs::QueryCounterDelta& c : cost.counters) {
-    EXPECT_EQ(c.delta, m.CounterValue(c.name)) << c.name;
-  }
-  for (const obs::QueryHistogramDelta& h : cost.histograms) {
-    int64_t global_count = 0, global_sum = 0;
-    for (const auto& entry : m.histograms) {
-      if (entry.first == h.name) {
-        global_count = entry.second.count;
-        global_sum = entry.second.sum;
+    const obs::MetricsSnapshot m = obs::MetricsRegistry::Global().Snapshot();
+    for (const obs::QueryCounterDelta& c : cost.counters) {
+      EXPECT_EQ(c.delta, m.CounterValue(c.name)) << c.name;
+    }
+    int64_t rows_per_evaluation_count = -1;
+    for (const obs::QueryHistogramDelta& h : cost.histograms) {
+      int64_t global_count = 0, global_sum = 0;
+      for (const auto& entry : m.histograms) {
+        if (entry.first == h.name) {
+          global_count = entry.second.count;
+          global_sum = entry.second.sum;
+        }
+      }
+      EXPECT_EQ(h.count, global_count) << h.name;
+      EXPECT_EQ(h.sum, global_sum) << h.name;
+      if (h.name == "removal.unlearn.rows_per_evaluation") {
+        rows_per_evaluation_count = h.count;
       }
     }
-    EXPECT_EQ(h.count, global_count) << h.name;
-    EXPECT_EQ(h.sum, global_sum) << h.name;
-  }
 
-  // The default tracked set actually observed the search.
-  EXPECT_GT(cost.CounterDelta("fume.search.evaluations"), 0);
-  EXPECT_GT(cost.CounterDelta("fume.search.explored_subsets"), 0);
-  EXPECT_GT(cost.wall_seconds, 0.0);
+    // The default tracked set actually observed the search, its removal
+    // work included, whatever the shard count.
+    EXPECT_GT(cost.CounterDelta("fume.search.evaluations"), 0);
+    EXPECT_GT(cost.CounterDelta("fume.search.explored_subsets"), 0);
+    EXPECT_GT(cost.CounterDelta("removal.unlearn.cow_rows_rescored"), 0);
+    EXPECT_EQ(rows_per_evaluation_count,
+              cost.CounterDelta("fume.search.evaluations"));
+    EXPECT_GT(cost.wall_seconds, 0.0);
+  }
 }
 
 TEST(QueryScopeFumeTest, ScopingDoesNotChangeResults) {

@@ -1,8 +1,10 @@
 // Exactness suite for the SISA sharded ensemble (forest/sharded_forest.h).
 //
 // Pins the determinism contract from docs/sharding.md: placement is a pure
-// function of the global id, a 1-shard ensemble is byte-identical to the
-// monolithic forest, a sharded delete equals running each shard's rows
+// function of the global id, a 1-shard ensemble (trained, or a trained
+// forest's FromForest view) is byte-identical to the monolithic forest,
+// UnlearnRemovalMethod scores an ensemble like a clone that deleted the
+// rows, a sharded delete equals running each shard's rows
 // through that shard as a standalone monolithic forest, every observable
 // result is identical across thread counts, and the streamed container
 // rejects blobs whose length prefix or one-shard placement maps lie.
@@ -15,7 +17,7 @@
 #include <string>
 #include <vector>
 
-#include "core/sharded_removal.h"
+#include "core/removal_method.h"
 #include "fairness/metrics.h"
 #include "forest/serialize.h"
 #include "forest/sharded_forest.h"
@@ -81,6 +83,29 @@ TEST(ShardedForestTest, ParsePlacementRoundTrips) {
   EXPECT_STREQ(PlacementName(ShardConfig::Placement::kSlice), "slice");
 }
 
+TEST(ShardedForestTest, ShardConfigFromFlagsIgnoresPlacementAtOneShard) {
+  auto one = ShardConfigFromFlags(1, "no-such-placement", 3, 1);
+  ASSERT_TRUE(one.ok());
+  EXPECT_EQ(one->num_shards, 1);
+  EXPECT_EQ(one->placement, ShardConfig::Placement::kHash);
+  EXPECT_EQ(one->slice_attr, -1);
+
+  auto hash = ShardConfigFromFlags(4, "hash", 3, 1);
+  ASSERT_TRUE(hash.ok());
+  EXPECT_EQ(hash->num_shards, 4);
+  EXPECT_EQ(hash->placement, ShardConfig::Placement::kHash);
+  EXPECT_EQ(hash->slice_attr, -1);
+
+  auto slice = ShardConfigFromFlags(4, "slice", 3, 1);
+  ASSERT_TRUE(slice.ok());
+  EXPECT_EQ(slice->placement, ShardConfig::Placement::kSlice);
+  EXPECT_EQ(slice->slice_attr, 3);
+  EXPECT_EQ(slice->slice_value, 1);
+  EXPECT_EQ(slice->hot_shards, 1);
+
+  EXPECT_FALSE(ShardConfigFromFlags(4, "round-robin", 3, 1).ok());
+}
+
 TEST(ShardedForestTest, RejectsBadConfigs) {
   auto bundle = Bundle(200, 1);
   EXPECT_FALSE(
@@ -116,12 +141,32 @@ TEST(ShardedForestTest, OneShardIsByteIdenticalToMonolithic) {
   }
   EXPECT_EQ(mono->PredictAll(bundle.data), sharded->PredictAll(bundle.data));
 
+  // A bare forest's one-shard view is the same container: identical
+  // bytes and probabilities, identity placement.
+  const ShardedForest view = ShardedForest::FromForest(*mono);
+  EXPECT_EQ(Bytes(view), Bytes(*sharded));
+  const auto view_probs = view.PredictProbAll(bundle.data);
+  ASSERT_EQ(view_probs.size(), shard_probs.size());
+  for (size_t r = 0; r < view_probs.size(); ++r) {
+    ASSERT_EQ(view_probs[r], shard_probs[r]) << "row " << r;
+  }
+  EXPECT_EQ(view.num_global_ids(), mono->num_training_rows());
+  for (RowId g = 0; g < view.num_global_ids(); ++g) {
+    ASSERT_EQ(view.shard_of(g), 0) << "id " << g;
+    ASSERT_EQ(view.local_of(g), g) << "id " << g;
+  }
+
   // And the equivalence survives unlearning.
   const std::vector<RowId> doomed = {3, 17, 90, 222, 391};
+  ShardedForest mutated_view = ShardedForest::FromForest(*mono);
+  const std::string source_bytes = Bytes(*mono);
+  ASSERT_TRUE(mutated_view.DeleteRows(doomed).ok());
+  EXPECT_EQ(Bytes(*mono), source_bytes);  // CoW: the source is untouched
   ASSERT_TRUE(mono->DeleteRows(doomed).ok());
   ASSERT_TRUE(sharded->DeleteRows(doomed).ok());
   EXPECT_TRUE(sharded->shard(0).StructurallyEquals(*mono));
   EXPECT_EQ(Bytes(sharded->shard(0)), Bytes(*mono));
+  EXPECT_EQ(Bytes(mutated_view), Bytes(*sharded));
 }
 
 TEST(ShardedForestTest, HashPlacementIsAPureFunctionOfTheId) {
@@ -523,8 +568,9 @@ TEST(ShardedCachePredictionTest, CacheMatchesForestThroughUpdates) {
   EXPECT_EQ(cache.probs(), forest->PredictProbAll(test));
   EXPECT_EQ(cache.predictions(), forest->PredictAll(test));
 
-  // What-if against a clone: voted preds equal the clone's own PredictAll,
-  // and only the touched shards are counted as changed.
+  // Fused what-if off the updated ensemble: voted preds equal a clone's
+  // own PredictAll after the deletion, and only the touched shard is
+  // counted as changed.
   ShardedForest clone = forest->Clone();
   std::vector<RowId> what_if;
   for (RowId g = 0; g < forest->num_global_ids() && what_if.size() < 10; ++g) {
@@ -533,12 +579,14 @@ TEST(ShardedCachePredictionTest, CacheMatchesForestThroughUpdates) {
   ASSERT_FALSE(what_if.empty());
   ASSERT_TRUE(clone.DeleteRows(what_if).ok());
   ShardedPredictionCache::WhatIfScratch scratch;
-  cache.ScoreWhatIf(*forest, clone, test, &scratch);
+  std::vector<DeletionScratch> deletion;
+  ASSERT_TRUE(
+      cache.ScoreWithout(*forest, what_if, test, &scratch, &deletion).ok());
   EXPECT_EQ(scratch.preds, clone.PredictAll(test));
   EXPECT_EQ(scratch.shards_changed, 1);
 }
 
-TEST(ShardedRemovalMethodTest, MatchesManualCloneDeletePredict) {
+TEST(UnlearnRemovalMethodTest, MatchesManualCloneDeletePredict) {
   auto bundle = Bundle(500, 15);
   std::vector<int64_t> head, tail;
   for (int64_t r = 0; r < 350; ++r) head.push_back(r);
@@ -548,7 +596,7 @@ TEST(ShardedRemovalMethodTest, MatchesManualCloneDeletePredict) {
   auto forest = ShardedForest::Train(train, Config(37), Shards(4));
   ASSERT_TRUE(forest.ok());
 
-  ShardedRemovalMethod removal(&*forest, &test, bundle.group,
+  UnlearnRemovalMethod removal(&*forest, &test, bundle.group,
                                FairnessMetric::kStatisticalParity);
   const std::vector<RowId> rows = {1, 5, 44, 120, 121, 300, 349};
   auto eval = removal.EvaluateWithout(rows);
@@ -576,7 +624,7 @@ TEST(ShardedRemovalMethodTest, MatchesManualCloneDeletePredict) {
   EXPECT_EQ(on3->accuracy, eval->accuracy);
 }
 
-TEST(ShardedRemovalMethodTest, OneShardMatchesMonolithicRemoval) {
+TEST(UnlearnRemovalMethodTest, OneShardMatchesMonolithicRemoval) {
   auto bundle = Bundle(400, 16);
   std::vector<int64_t> head, tail;
   for (int64_t r = 0; r < 280; ++r) head.push_back(r);
@@ -591,7 +639,7 @@ TEST(ShardedRemovalMethodTest, OneShardMatchesMonolithicRemoval) {
 
   UnlearnRemovalMethod mono_removal(&*mono, &test, bundle.group,
                                     FairnessMetric::kStatisticalParity);
-  ShardedRemovalMethod shard_removal(&*sharded, &test, bundle.group,
+  UnlearnRemovalMethod shard_removal(&*sharded, &test, bundle.group,
                                      FairnessMetric::kStatisticalParity);
   for (const auto& rows : std::vector<std::vector<RowId>>{
            {0}, {5, 6, 7}, {10, 50, 90, 130, 170, 210, 250, 279}}) {

@@ -19,12 +19,10 @@
 #include "core/baseline.h"
 #include "core/fume.h"
 #include "core/report.h"
-#include "core/sharded_removal.h"
 #include "core/slice_finder.h"
 #include "data/csv.h"
 #include "data/discretizer.h"
 #include "data/split.h"
-#include "forest/serialize.h"
 #include "forest/sharded_forest.h"
 #include "forest/tree.h"
 #include "obs/event_log.h"
@@ -97,14 +95,18 @@ Model:
   --depth N             max tree depth (default 8)
   --random-depth N      DaRE random upper levels (default 2)
   --model-seed N        forest seed (default 31)
-  --save-model FILE     save the trained forest (binary, reloadable)
-  --shards N            audit a SISA sharded ensemble instead of one
-                        forest (default 1): rows partition across N
+  --save-model FILE     save the trained model as a FUMESHRD sharded
+                        container at every shard count (one shard wraps
+                        the FUMEDARE forest blob); reload it with
+                        ShardedForest::Load
+  --shards N            audit a SISA sharded ensemble (default 1, the
+                        monolithic forest): rows partition across N
                         sub-forests and every what-if unlearns only the
                         shards it touches
-  --placement P         hash | slice (default hash); slice concentrates
-                        the sensitive privileged cohort into the last
-                        shard so bias-targeted deletions stay shard-local
+  --placement P         hash | slice (default hash; ignored at one shard);
+                        slice concentrates the sensitive privileged
+                        cohort into the last shard so bias-targeted
+                        deletions stay shard-local
 
 Search:
   --metric M            statistical-parity | equalized-odds |
@@ -340,109 +342,6 @@ struct ObsOutputs {
   }
 };
 
-// --shards N > 1: audit a SISA sharded ensemble. The search is the same
-// lattice walk; every leave-out evaluation routes through the sharded
-// removal method, unlearning only the shards the candidate subset touches.
-int RunSharded(const CliOptions& opts, const synth::DatasetBundle& bundle,
-               const TrainTestSplit& split, const ForestConfig& forest_config,
-               obs::EventLog& event_log) {
-  ShardConfig shard_config;
-  shard_config.num_shards = opts.shards;
-  auto placement = ParsePlacement(opts.placement);
-  if (!placement.ok()) {
-    std::cerr << placement.status().ToString() << "\n";
-    return 1;
-  }
-  shard_config.placement = *placement;
-  if (shard_config.placement == ShardConfig::Placement::kSlice) {
-    shard_config.slice_attr = bundle.group.sensitive_attr;
-    shard_config.slice_value = bundle.group.privileged_code;
-    shard_config.hot_shards = 1;
-  }
-  obs::QueryScope train_scope("train");
-  auto model = ShardedForest::Train(split.train, forest_config, shard_config);
-  const obs::QueryCost train_cost = train_scope.Finish();
-  if (!model.ok()) {
-    std::cerr << model.status().ToString() << "\n";
-    return 1;
-  }
-  event_log.Event("train")
-      .Field("dataset", bundle.name)
-      .Field("train_rows", split.train.num_rows())
-      .Field("trees", opts.trees)
-      .Field("shards", static_cast<int64_t>(opts.shards))
-      .Field("cost", train_cost)
-      .Write();
-  std::cout << "dataset: " << bundle.name << " (" << bundle.data.num_rows()
-            << " rows, " << bundle.data.num_attributes()
-            << " attributes), sensitive attribute: "
-            << bundle.data.schema().attribute(bundle.group.sensitive_attr).name
-            << "\nmodel: " << opts.shards << " shards ("
-            << PlacementName(shard_config.placement) << " placement) x "
-            << opts.trees << " trees, depth " << opts.depth << ", accuracy "
-            << FormatPercent(model->Accuracy(split.test)) << " on "
-            << split.test.num_rows() << " test rows\n\n";
-
-  if (!opts.save_model.empty()) {
-    std::ofstream out(opts.save_model, std::ios::binary);
-    Status st = out ? model->Save(out)
-                    : Status::IOError("cannot open " + opts.save_model);
-    if (!st.ok()) {
-      std::cerr << st.ToString() << "\n";
-      return 1;
-    }
-    std::cout << "sharded model saved to " << opts.save_model << "\n\n";
-  }
-
-  FumeConfig config;
-  config.top_k = opts.top_k;
-  config.support_min = opts.support_min;
-  config.support_max = opts.support_max;
-  config.max_literals = opts.literals;
-  config.metric = opts.metric;
-  config.group = bundle.group;
-  config.num_threads = opts.threads;
-  config.max_row_overlap = opts.overlap;
-  if (opts.exclude_sensitive) {
-    config.lattice.excluded_attrs = {bundle.group.sensitive_attr};
-  }
-  ModelEval original;
-  original.fairness = ComputeFairness(split.test, model->PredictAll(split.test),
-                                      bundle.group, config.metric);
-  original.accuracy = model->Accuracy(split.test);
-  ShardedRemovalMethod removal(&*model, &split.test, bundle.group,
-                               config.metric);
-  obs::QueryScope search_scope("search");
-  auto result = ExplainWithRemoval(original, split.train, config, &removal);
-  const obs::QueryCost search_cost = search_scope.Finish();
-  event_log.Event("search")
-      .Field("dataset", bundle.name)
-      .Field("top_k", opts.top_k)
-      .Field("threads", opts.threads)
-      .Field("shards", static_cast<int64_t>(opts.shards))
-      .Field("ok", result.ok())
-      .Field("cost", search_cost)
-      .Write();
-  if (!result.ok()) {
-    std::cout << result.status().ToString() << "\n";
-    return result.status().IsInvalid() ? 0 : 1;  // "no violation" is fine
-  }
-  if (opts.query_cost) {
-    std::cout << "\n--- query cost (QueryScope) ---\n";
-    search_cost.PrintText(std::cout);
-    std::cout << "\n";
-  }
-  PrintViolationSummary(*result, config.metric, std::cout);
-  PrintTopK(*result, split.train.schema(), "S", std::cout);
-  std::cout << "\n";
-  PrintExplorationStats(result->stats, std::cout);
-  if (opts.run_baseline || opts.run_slicefinder) {
-    std::cout << "\n(--baseline / --slicefinder are monolithic comparators; "
-                 "rerun without --shards to include them)\n";
-  }
-  return 0;
-}
-
 int Run(const CliOptions& opts) {
   ObsOutputs obs_outputs(opts);
   obs::EventLog event_log(opts.event_log);  // empty path = disabled sink
@@ -470,15 +369,16 @@ int Run(const CliOptions& opts) {
   forest_config.max_depth = opts.depth;
   forest_config.random_depth = opts.random_depth;
   forest_config.seed = opts.model_seed;
-  if (opts.shards != 1) {
-    if (opts.shards < 1) {
-      std::cerr << "--shards must be >= 1\n";
-      return 1;
-    }
-    return RunSharded(opts, *bundle, *split, forest_config, event_log);
+  auto shard_config =
+      ShardConfigFromFlags(opts.shards, opts.placement,
+                           bundle->group.sensitive_attr,
+                           bundle->group.privileged_code);
+  if (!shard_config.ok()) {
+    std::cerr << shard_config.status().ToString() << "\n";
+    return 1;
   }
   obs::QueryScope train_scope("train");
-  auto model = DareForest::Train(split->train, forest_config);
+  auto model = ShardedForest::Train(split->train, forest_config, *shard_config);
   const obs::QueryCost train_cost = train_scope.Finish();
   if (!model.ok()) {
     std::cerr << model.status().ToString() << "\n";
@@ -488,18 +388,26 @@ int Run(const CliOptions& opts) {
       .Field("dataset", bundle->name)
       .Field("train_rows", split->train.num_rows())
       .Field("trees", opts.trees)
+      .Field("shards", static_cast<int64_t>(opts.shards))
       .Field("cost", train_cost)
       .Write();
   std::cout << "dataset: " << bundle->name << " (" << bundle->data.num_rows()
             << " rows, " << bundle->data.num_attributes()
             << " attributes), sensitive attribute: "
             << bundle->data.schema().attribute(bundle->group.sensitive_attr).name
-            << "\nmodel: " << opts.trees << " trees, depth " << opts.depth
-            << ", accuracy " << FormatPercent(model->Accuracy(split->test))
-            << " on " << split->test.num_rows() << " test rows\n\n";
+            << "\nmodel: ";
+  if (opts.shards > 1) {
+    std::cout << opts.shards << " shards ("
+              << PlacementName(shard_config->placement) << " placement) x ";
+  }
+  std::cout << opts.trees << " trees, depth " << opts.depth << ", accuracy "
+            << FormatPercent(model->Accuracy(split->test)) << " on "
+            << split->test.num_rows() << " test rows\n\n";
 
   if (!opts.save_model.empty()) {
-    Status st = SaveForestToFile(*model, opts.save_model);
+    std::ofstream out(opts.save_model, std::ios::binary);
+    Status st = out ? model->Save(out)
+                    : Status::IOError("cannot open " + opts.save_model);
     if (!st.ok()) {
       std::cerr << st.ToString() << "\n";
       return 1;
@@ -519,14 +427,20 @@ int Run(const CliOptions& opts) {
   if (opts.exclude_sensitive) {
     config.lattice.excluded_attrs = {bundle->group.sensitive_attr};
   }
+  ModelEval original;
+  original.fairness = ComputeFairness(
+      split->test, model->PredictAll(split->test), config.group, config.metric);
+  original.accuracy = model->Accuracy(split->test);
+  UnlearnRemovalMethod removal(&*model, &split->test, config.group,
+                               config.metric);
   obs::QueryScope search_scope("search");
-  auto result =
-      ExplainFairnessViolation(*model, split->train, split->test, config);
+  auto result = ExplainWithRemoval(original, split->train, config, &removal);
   const obs::QueryCost search_cost = search_scope.Finish();
   event_log.Event("search")
       .Field("dataset", bundle->name)
       .Field("top_k", opts.top_k)
       .Field("threads", opts.threads)
+      .Field("shards", static_cast<int64_t>(opts.shards))
       .Field("ok", result.ok())
       .Field("cost", search_cost)
       .Write();
@@ -544,6 +458,11 @@ int Run(const CliOptions& opts) {
   std::cout << "\n";
   PrintExplorationStats(result->stats, std::cout);
 
+  if ((opts.run_baseline || opts.run_slicefinder) && opts.shards > 1) {
+    std::cout << "\n(--baseline / --slicefinder are monolithic comparators; "
+                 "rerun without --shards to include them)\n";
+    return 0;
+  }
   if (opts.run_baseline) {
     std::cout << "\n";
     auto baseline = RunDropUnprivUnfavor(split->train, split->test,
@@ -561,7 +480,8 @@ int Run(const CliOptions& opts) {
     slice_config.support_min = opts.support_min;
     slice_config.support_max = opts.support_max;
     slice_config.max_literals = opts.literals;
-    auto slices = FindProblematicSlices(*model, split->train, slice_config);
+    auto slices =
+        FindProblematicSlices(model->shard(0), split->train, slice_config);
     if (slices.ok()) {
       std::cout << "\nSliceFinder-style worst-accuracy slices (for "
                    "contrast):\n";

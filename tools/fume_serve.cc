@@ -360,20 +360,15 @@ int Run(const CliOptions& opts) {
     if (opts.lazy_budget > 0) {
       config.engine.forest.max_lazy_rows = opts.lazy_budget;
     }
-    config.engine.shard.num_shards = opts.shards;
-    if (opts.shards > 1) {
-      auto placement = ParsePlacement(opts.placement);
-      if (!placement.ok()) {
-        std::cerr << placement.status().ToString() << "\n";
-        return 1;
-      }
-      config.engine.shard.placement = *placement;
-      if (config.engine.shard.placement == ShardConfig::Placement::kSlice) {
-        config.engine.shard.slice_attr = bundle->group.sensitive_attr;
-        config.engine.shard.slice_value = bundle->group.privileged_code;
-        config.engine.shard.hot_shards = 1;
-      }
+    auto shard_config =
+        ShardConfigFromFlags(opts.shards, opts.placement,
+                             bundle->group.sensitive_attr,
+                             bundle->group.privileged_code);
+    if (!shard_config.ok()) {
+      std::cerr << shard_config.status().ToString() << "\n";
+      return 1;
     }
+    config.engine.shard = *shard_config;
     if (!opts.checkpoint_dir.empty()) {
       config.engine.checkpoint_path =
           opts.checkpoint_dir + "/" + name + ".ckpt";

@@ -390,22 +390,15 @@ int Run(const CliOptions& opts) {
   config.fume.num_threads = opts.threads;
   config.fume.metric = opts.metric;
   config.fume.group = bundle->group;
-  config.shard.num_shards = opts.shards;
-  if (opts.shards > 1) {
-    auto placement = ParsePlacement(opts.placement);
-    if (!placement.ok()) {
-      std::cerr << placement.status().ToString() << "\n";
-      return 1;
-    }
-    config.shard.placement = *placement;
-    if (config.shard.placement == ShardConfig::Placement::kSlice) {
-      // Concentrate the privileged cohort — the rows a parity-reducing
-      // deletion targets — into the trailing hot shard.
-      config.shard.slice_attr = bundle->group.sensitive_attr;
-      config.shard.slice_value = bundle->group.privileged_code;
-      config.shard.hot_shards = 1;
-    }
+  auto shard_config =
+      ShardConfigFromFlags(opts.shards, opts.placement,
+                           bundle->group.sensitive_attr,
+                           bundle->group.privileged_code);
+  if (!shard_config.ok()) {
+    std::cerr << shard_config.status().ToString() << "\n";
+    return 1;
   }
+  config.shard = *shard_config;
   config.drift.abs_threshold = opts.drift_abs;
   config.drift.rel_threshold = opts.drift_rel;
   config.search_on_checkpoint = !opts.no_search_on_checkpoint;
