@@ -36,19 +36,11 @@ int main(int argc, char** argv) {
   opts.seed = 4;
   auto bundle = synth::MakePlantedBias(opts);
   FUME_ABORT_NOT_OK(bundle.status());
-  SplitOptions split_opts;
-  split_opts.test_fraction = 0.3;
-  split_opts.seed = 2;
-  auto split = SplitTrainTest(bundle->data, split_opts);
-  FUME_ABORT_NOT_OK(split.status());
-
-  const int64_t pool_rows = split->train.num_rows() / 3;
-  std::vector<int64_t> tail, head;
-  for (int64_t r = 0; r < split->train.num_rows(); ++r) {
-    (r < split->train.num_rows() - pool_rows ? head : tail).push_back(r);
-  }
-  const Dataset initial_train = split->train.DropRows(tail);
-  const Dataset pool = split->train.DropRows(head);
+  auto fixture = stream::MakeStreamFixture(*bundle, /*test_fraction=*/0.3);
+  FUME_ABORT_NOT_OK(fixture.status());
+  const Dataset& initial_train = fixture->initial_train;
+  const Dataset& pool = fixture->pool;
+  const Dataset& test = fixture->test;
 
   stream::StreamEngineConfig config;
   config.forest = BenchForestConfig(bundle->name);
@@ -72,7 +64,7 @@ int main(int argc, char** argv) {
   FUME_ABORT_NOT_OK(ops.status());
 
   auto engine =
-      stream::StreamEngine::Create(initial_train, split->test, config);
+      stream::StreamEngine::Create(initial_train, test, config);
   FUME_ABORT_NOT_OK(engine.status());
 
   std::vector<std::vector<std::string>> rows;
@@ -94,11 +86,11 @@ int main(int argc, char** argv) {
     auto cold = DareForest::Train(engine->train_data(), config.forest);
     FUME_ABORT_NOT_OK(cold.status());
     ModelEval original;
-    original.fairness = ComputeFairness(*cold, split->test,
+    original.fairness = ComputeFairness(*cold, test,
                                         config.fume.group, config.fume.metric);
-    original.accuracy = cold->Accuracy(split->test);
+    original.accuracy = cold->Accuracy(test);
     if (std::abs(original.fairness) >= config.fume.min_original_bias) {
-      UnlearnRemovalMethod removal(&*cold, &split->test, config.fume.group,
+      UnlearnRemovalMethod removal(&*cold, &test, config.fume.group,
                                    config.fume.metric);
       auto fresh = ExplainWithRemoval(original, engine->train_data(),
                                       config.fume, &removal);

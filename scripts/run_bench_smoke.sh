@@ -120,6 +120,26 @@ if [ -f bench_artifacts/BENCH_shard.json ]; then
   fi
 fi
 
+# Front-end legs: the five tools share one flag parser. Each must print
+# its help (exit 0) and reject an unknown flag with exit 2; an integer that
+# does not fit its field is rejected (exit 2), never wrapped into a
+# different value.
+echo "=== command-line front end ==="
+expect_exit() {  # expect_exit CODE TOOL ARGS...
+  local want="$1" code=0
+  shift
+  "${TOOLS_DIR}/$1" "${@:2}" > /dev/null 2>&1 || code=$?
+  if [ "${code}" -ne "${want}" ]; then
+    echo "FAIL: $* exited ${code}, not ${want}"
+    status=1
+  fi
+}
+for tool in fume_cli fume_stream fume_serve fume_client bench_check; do
+  expect_exit 0 "${tool}" --help
+  expect_exit 2 "${tool}" --bogus
+done
+expect_exit 2 fume_cli --dataset german-credit --threads 2147483649
+
 # Stream identity legs, once per deployment: the default one-shard model
 # and a slice-placed 4-shard ensemble.
 #
@@ -175,6 +195,20 @@ for shards in 1 4; do
     fi
   fi
 done
+
+# The --flag=value form means what --flag value means.
+echo "=== fume_stream --flag=value smoke ==="
+if ! "${TOOLS_DIR}/fume_stream" --dataset=german-credit --rows=500 --ops=30 \
+    --delete-batch=6 --checkpoint-every=20 --shards=1 \
+    > stream-inline.log 2>&1; then
+  echo "FAIL: fume_stream with --flag=value arguments exited non-zero"
+  tail -5 stream-inline.log
+  status=1
+elif [ "$(grep '^final' stream-inline.log)" != \
+       "$(grep '^final' stream-shards1.log)" ]; then
+  echo "FAIL: fume_stream --flag=value diverged from --flag value"
+  status=1
+fi
 
 # One-shot audit legs, once per deployment: fume_cli runs one search
 # path at every shard count. Each run must exit 0, print a top-k table,
@@ -236,6 +270,19 @@ elif ! "${TOOLS_DIR}/fume_client" --port-file serve.port --smoke; then
   kill -9 "${SERVE_PID}" 2>/dev/null || true
   status=1
 else
+  # A row id past int's range is a bad request, never a delete of the row
+  # it would wrap to (4294967297 would read as row 1).
+  echo '{"id":1,"op":"stream_op","tenant":"default","line":"D 99 4294967297"}' \
+    > wrapped-id.jsonl
+  if "${TOOLS_DIR}/fume_client" --port-file serve.port \
+      --replay wrapped-id.jsonl > wrapped-id.log 2>&1; then
+    echo "FAIL: fume_serve accepted a stream_op with an out-of-range row id"
+    status=1
+  elif ! grep -q '"code":"bad_request"' wrapped-id.log; then
+    echo "FAIL: out-of-range row id was not answered with bad_request"
+    cat wrapped-id.log
+    status=1
+  fi
   kill -TERM "${SERVE_PID}"
   if ! wait "${SERVE_PID}"; then
     echo "FAIL: fume_serve did not exit cleanly on SIGTERM"

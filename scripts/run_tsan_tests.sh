@@ -25,8 +25,9 @@ cmake --build "${BUILD_DIR}" -j --target obs_test fume_algorithm_test \
   forest_unlearn_test unlearn_kernel_test forest_cow_test forest_arena_test \
   lazy_unlearn_test stream_test serve_test thread_pool_test query_scope_test \
   bench_check_test sharded_forest_test sharded_stream_test deletion_stats_test \
-  what_if_score_test what_if_test serialize_test
+  what_if_score_test what_if_test serialize_test util_test data_test \
+  cli_common_test
 
 cd "${BUILD_DIR}"
 ctest --output-on-failure -j "$(nproc)" \
-  -R '(Obs|Fume|Unlearn|Addition|Stream|Serve|OpLog|PredictionCache|DriftPolicy|Workload|Cow|WhatIf|ThreadPool|Kernel|DeletionScratch|QueryScope|BenchCheck|JsonParser|Arena|Lazy|Sharded|DeletionStats|Serialize)' "$@"
+  -R '(Obs|Fume|Unlearn|Addition|Stream|Serve|OpLog|PredictionCache|DriftPolicy|Workload|Cow|WhatIf|ThreadPool|Kernel|DeletionScratch|QueryScope|BenchCheck|JsonParser|Arena|Lazy|Sharded|DeletionStats|Serialize|String|Csv|Cli)' "$@"

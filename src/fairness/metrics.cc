@@ -1,5 +1,7 @@
 #include "fairness/metrics.h"
 
+#include <algorithm>
+
 namespace fume {
 
 const char* FairnessMetricName(FairnessMetric metric) {
@@ -16,6 +18,18 @@ const char* FairnessMetricName(FairnessMetric metric) {
       return "disparate impact";
   }
   return "unknown";
+}
+
+std::optional<FairnessMetric> ParseFairnessMetric(std::string_view name) {
+  for (const FairnessMetric metric :
+       {FairnessMetric::kStatisticalParity, FairnessMetric::kEqualizedOdds,
+        FairnessMetric::kPredictiveParity, FairnessMetric::kEqualOpportunity,
+        FairnessMetric::kDisparateImpact}) {
+    std::string spelling = FairnessMetricName(metric);
+    std::replace(spelling.begin(), spelling.end(), ' ', '-');
+    if (spelling == name) return metric;
+  }
+  return std::nullopt;
 }
 
 double FairnessFromConfusion(const GroupConfusion& confusion,

@@ -5,7 +5,9 @@
 #ifndef FUME_FAIRNESS_METRICS_H_
 #define FUME_FAIRNESS_METRICS_H_
 
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "fairness/confusion.h"
@@ -34,6 +36,10 @@ enum class FairnessMetric {
 };
 
 const char* FairnessMetricName(FairnessMetric metric);
+
+/// The metric a command-line spelling names: FairnessMetricName with '-'
+/// for ' ' ("equalized-odds"). nullopt for any other text.
+std::optional<FairnessMetric> ParseFairnessMetric(std::string_view name);
 
 /// Signed metric value from precomputed group confusions.
 double FairnessFromConfusion(const GroupConfusion& confusion,

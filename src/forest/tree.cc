@@ -322,13 +322,8 @@ void DareTree::DeleteRows(const std::vector<RowId>& rows,
   RowId* const begin = scratch->route.data();
   RowId* const end = begin + scratch->route.size();
   const uint64_t root_key = RootPathKey(config_.seed, tree_id_);
-  if (config_.lazy_unlearn) {
-    DeleteFromNodeLazy(&root_, begin, end, /*depth=*/0, root_key, &local,
+  DeleteFromNodeKernel(&root_, begin, end, /*depth=*/0, root_key, &local,
                        scratch);
-  } else {
-    DeleteFromNodeKernel(&root_, begin, end, /*depth=*/0, root_key, &local,
-                         scratch);
-  }
   // Batch-level membership check: every doomed row must have been settled
   // exactly once in this tree, either removed at a leaf or filtered out of
   // a retrain collection.
@@ -374,7 +369,7 @@ void DareTree::DeleteFromNodeKernel(std::shared_ptr<TreeNode>* slot,
                                     DeletionScratch* scratch) {
   TreeNode* node = Mutable(slot, stats_out);
   ++stats_out->nodes_visited;
-  [[maybe_unused]] const int64_t n = end - begin;  // checked in debug builds
+  const int64_t n = end - begin;
 
   if (node->is_leaf()) {
     // A leaf can never become an internal node under deletion (leaf
@@ -403,12 +398,28 @@ void DareTree::DeleteFromNodeKernel(std::shared_ptr<TreeNode>* slot,
     return;
   }
 
+  if (node->lazy != nullptr) {
+    // Lazy mode only: the subtree is already stale. Keep this node's
+    // histograms exact (at flush they seed the rebuild) and park the routed
+    // rows on the tag — nothing below is touched, which is the whole saving.
+    ++stats_out->nodes_updated;
+    node->stats.RemoveRows(*store_, begin, n);
+    node->count = node->stats.count;
+    node->pos = node->stats.pos;
+    node->lazy->doomed.insert(node->lazy->doomed.end(), begin, end);
+    lazy_rows_ += n;
+    scratch->settled += n;
+    LazyMetrics::Get().tagged_rows->Inc(n);
+    return;
+  }
+
   // Internal node: one fused pass decrements the cached statistics AND
   // stable-partitions the routed span around the current split (each row's
   // store line is touched exactly once), then the split decision is
   // re-evaluated as usual. On the rare decision flip the partition work is
   // discarded — the retrain rebuilds from the collected remaining rows and
-  // never re-reads the (reordered, abandoned) span.
+  // never re-reads the (reordered, abandoned) span. Every decision above a
+  // tag is re-evaluated the same way in lazy mode, so it stays exact.
   ++stats_out->nodes_updated;
   RowId* mid = node->stats.RemoveRowsAndPartition(
       *store_, begin, end, node->attr, node->threshold,
@@ -419,6 +430,13 @@ void DareTree::DeleteFromNodeKernel(std::shared_ptr<TreeNode>* slot,
   const SplitDecision decision =
       DecideSplit(node->stats, *store_, depth, path_key, config_);
   if (!decision.SameSplit(SplitOf(node))) {
+    if (config_.lazy_unlearn) {
+      // Lazy mode defers the retrain: tag the node and return. The tag is a
+      // set, and the flush rebuild sorts canonically anyway.
+      TagNode(node, begin, end);
+      scratch->settled += n;
+      return;
+    }
     ++stats_out->subtrees_retrained;
     RecordRetrain(depth, config_.random_depth);
     std::vector<RowId>& remaining = scratch->remaining;
@@ -620,83 +638,6 @@ void DareTree::ScoreRebuilt(RowId* begin, RowId* end, int64_t pos,
   if (tmid != tend) {
     ScoreRebuilt(mid, end, pos - left_pos, tmid, tend, depth + 1,
                  ChildPathKey(path_key, 1), nullptr, walk);
-  }
-}
-
-void DareTree::DeleteFromNodeLazy(std::shared_ptr<TreeNode>* slot,
-                                  RowId* begin, RowId* end, int depth,
-                                  uint64_t path_key, DeletionStats* stats_out,
-                                  DeletionScratch* scratch) {
-  TreeNode* node = Mutable(slot, stats_out);
-  ++stats_out->nodes_visited;
-  const int64_t n = end - begin;
-
-  if (node->is_leaf()) {
-    // Same in-place membership removal as the eager kernel (leaves never
-    // retrain under deletion, so there is nothing to defer).
-    ++stats_out->leaves_updated;
-    int64_t removed_pos = 0;
-    size_t kept = 0;
-    for (size_t i = 0; i < node->rows.size(); ++i) {
-      const RowId r = node->rows[i];
-      if (scratch->IsDoomed(r)) {
-        removed_pos += store_->label(r);
-      } else {
-        node->rows[kept++] = r;
-      }
-    }
-    const int64_t removed = static_cast<int64_t>(node->rows.size() - kept);
-    FUME_DCHECK_EQ(removed, n);
-    scratch->settled += removed;
-    node->rows.resize(kept);
-    node->count -= removed;
-    node->pos -= removed_pos;
-    return;
-  }
-
-  if (node->lazy != nullptr) {
-    // The subtree is already stale: keep this node's histograms exact (at
-    // flush they seed the rebuild) and park the routed rows on the tag —
-    // nothing below is touched, which is the whole saving.
-    ++stats_out->nodes_updated;
-    node->stats.RemoveRows(*store_, begin, n);
-    node->count = node->stats.count;
-    node->pos = node->stats.pos;
-    node->lazy->doomed.insert(node->lazy->doomed.end(), begin, end);
-    lazy_rows_ += n;
-    scratch->settled += n;
-    LazyMetrics::Get().tagged_rows->Inc(n);
-    return;
-  }
-
-  // Untagged internal node: same fused stats-update + partition and split
-  // re-evaluation as the eager kernel, so every split decision above a tag
-  // stays exact — lazy and eager diverge only below a flipped node.
-  ++stats_out->nodes_updated;
-  RowId* mid = node->stats.RemoveRowsAndPartition(
-      *store_, begin, end, node->attr, node->threshold,
-      &scratch->partition_tmp);
-  node->count = node->stats.count;
-  node->pos = node->stats.pos;
-
-  const SplitDecision decision =
-      DecideSplit(node->stats, *store_, depth, path_key, config_);
-  if (!decision.SameSplit(SplitOf(node))) {
-    // Decision flip — where the eager kernel retrains, lazy installs a tag
-    // and returns. The (reordered, abandoned) span order does not matter:
-    // the tag is a set, and the flush rebuild sorts canonically anyway.
-    TagNode(node, begin, end);
-    scratch->settled += n;
-    return;
-  }
-
-  if (mid != begin) {
-    DeleteFromNodeLazy(&node->left, begin, mid, depth + 1,
-                       ChildPathKey(path_key, 0), stats_out, scratch);
-  }
-  if (mid != end) {
-    DeleteFromNodeLazy(&node->right, mid, end, depth + 1,
-                       ChildPathKey(path_key, 1), stats_out, scratch);
   }
 }
 

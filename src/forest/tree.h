@@ -284,18 +284,13 @@ class DareTree {
   // Deletion recursion: operates on a span of scratch->route, partitioned
   // in place at each split (stable, via scratch->partition_tmp). A split
   // decision that flips retrains the subtree from its surviving rows in
-  // canonical order (see BuildNodeKernel).
+  // canonical order (see BuildNodeKernel). With config.lazy_unlearn a flip
+  // creates a LazyTag instead, and a batch reaching an existing tag just
+  // extends it, decrementing the tag node's stats so they stay a valid
+  // rebuild seed.
   void DeleteFromNodeKernel(std::shared_ptr<TreeNode>* slot, RowId* begin,
                             RowId* end, int depth, uint64_t path_key,
                             DeletionStats* stats_out, DeletionScratch* scratch);
-  // Lazy recursion (config.lazy_unlearn): identical to DeleteFromNodeKernel
-  // at leaves and at untagged nodes whose decision holds, but a decision
-  // flip creates a LazyTag (absorbing any descendant tags) instead of
-  // retraining, and a batch reaching an existing tag just extends it —
-  // decrementing the tag node's stats so they stay a valid rebuild seed.
-  void DeleteFromNodeLazy(std::shared_ptr<TreeNode>* slot, RowId* begin,
-                          RowId* end, int depth, uint64_t path_key,
-                          DeletionStats* stats_out, DeletionScratch* scratch);
   /// Installs a tag on `node` holding [begin, end) and updates the
   /// lazy_rows_/lazy_nodes_ ledgers. Older tags deeper in the subtree stay
   /// in place — the flush at this ancestor gathers their rows and discards

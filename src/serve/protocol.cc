@@ -3,6 +3,7 @@
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 
 #include "util/json.h"
 
@@ -27,14 +28,29 @@ bool NeedsTenant(RequestOp op) {
   return op != RequestOp::kHealth && op != RequestOp::kMetrics;
 }
 
+// A JSON number read as a T no smaller than `lo`: a fraction or a value
+// outside T is a bad request, never truncated or wrapped. max + 1.0 rounds
+// to 2^63 for int64_t, so `<` admits exactly the values whose cast is
+// defined.
+template <typename T>
+Result<T> WholeNumber(const JsonValue& v, const std::string& what,
+                      T lo = std::numeric_limits<T>::min()) {
+  const T hi = std::numeric_limits<T>::max();
+  const double d = v.number_value;
+  if (!v.is_number() || d != std::floor(d) || d < static_cast<double>(lo) ||
+      !(d < static_cast<double>(hi) + 1.0)) {
+    return Status::Invalid(what + " must be an integer in [" +
+                           std::to_string(lo) + ", " + std::to_string(hi) +
+                           "]");
+  }
+  return static_cast<T>(d);
+}
+
 Result<int64_t> IntField(const JsonValue& obj, const std::string& key,
                          int64_t fallback) {
   const JsonValue* v = obj.Find(key);
   if (v == nullptr) return fallback;
-  if (!v->is_number() || v->number_value != std::floor(v->number_value)) {
-    return Status::Invalid("\"" + key + "\" must be an integer");
-  }
-  return static_cast<int64_t>(v->number_value);
+  return WholeNumber<int64_t>(*v, "\"" + key + "\"");
 }
 
 Result<Predicate> ParsePredicateField(const JsonValue& req) {
@@ -58,10 +74,10 @@ Result<Predicate> ParsePredicateField(const JsonValue& req) {
           "\"cmp\"");
     }
     Literal l;
-    l.attr = static_cast<int>(attr->number_value);
-    l.value = static_cast<int32_t>(value->number_value);
+    FUME_ASSIGN_OR_RETURN(l.attr, WholeNumber<int>(*attr, "literal attr", 0));
+    FUME_ASSIGN_OR_RETURN(l.value,
+                          WholeNumber<int32_t>(*value, "literal value"));
     FUME_ASSIGN_OR_RETURN(l.op, LiteralOpFromWireName(cmp->string_value));
-    if (l.attr < 0) return Status::Invalid("literal attr must be >= 0");
     literals.push_back(l);
   }
   return Predicate(std::move(literals));
@@ -82,11 +98,9 @@ Result<std::vector<std::vector<int32_t>>> ParseRowsField(
     std::vector<int32_t> codes;
     codes.reserve(row.array.size());
     for (const JsonValue& code : row.array) {
-      if (!code.is_number() ||
-          code.number_value != std::floor(code.number_value)) {
-        return Status::Invalid("row codes must be integers");
-      }
-      codes.push_back(static_cast<int32_t>(code.number_value));
+      FUME_ASSIGN_OR_RETURN(const int32_t value,
+                            WholeNumber<int32_t>(code, "row code"));
+      codes.push_back(value);
     }
     rows.push_back(std::move(codes));
   }

@@ -1,5 +1,6 @@
 #include "stream/engine.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <fstream>
@@ -197,7 +198,6 @@ Result<StreamEngine> StreamEngine::Create(const Dataset& initial_train,
   for (int64_t r = 0; r < initial_train.num_rows(); ++r) {
     engine.store_ids_[static_cast<size_t>(r)] = static_cast<RowId>(r);
   }
-  engine.RebuildLiveIndex();
   engine.cache_.Rebuild(engine.model_, engine.test_);
   engine.RefreshMetric();
   FUME_RETURN_NOT_OK(engine.RunSearch());
@@ -242,14 +242,6 @@ std::vector<std::vector<bool>> StreamEngine::FoldShardDirty(
     }
   }
   return dirty;
-}
-
-void StreamEngine::RebuildLiveIndex() {
-  dense_of_id_.clear();
-  dense_of_id_.reserve(store_ids_.size());
-  for (size_t dense = 0; dense < store_ids_.size(); ++dense) {
-    dense_of_id_[store_ids_[dense]] = static_cast<int64_t>(dense);
-  }
 }
 
 void StreamEngine::RefreshMetric() {
@@ -305,8 +297,6 @@ Status StreamEngine::ApplyInsert(const StreamOp& op) {
   for (size_t i = 0; i < op.rows.size(); ++i) {
     // Validated above; appending to the mirror cannot fail now.
     FUME_CHECK(train_data_.AppendRow(op.rows[i].codes, op.rows[i].label).ok());
-    dense_of_id_[new_ids[i]] =
-        static_cast<int64_t>(store_ids_.size());
     store_ids_.push_back(new_ids[i]);
   }
   // An insert is a flush boundary: AddData flushed every pending tag (the
@@ -324,13 +314,15 @@ Status StreamEngine::ApplyDelete(const StreamOp& op) {
   std::vector<int64_t> dense_rows;
   dense_rows.reserve(op.row_ids.size());
   for (RowId id : op.row_ids) {
-    auto it = dense_of_id_.find(id);
-    if (it == dense_of_id_.end()) {
+    // store_ids_ is strictly ascending: ids are assigned in arrival order
+    // and deletes keep the order.
+    auto it = std::lower_bound(store_ids_.begin(), store_ids_.end(), id);
+    if (it == store_ids_.end() || *it != id) {
       return Status::KeyError("row id " + std::to_string(id) +
                               " is not live (never inserted, or already "
                               "deleted)");
     }
-    dense_rows.push_back(it->second);
+    dense_rows.push_back(it - store_ids_.begin());
   }
   std::vector<std::vector<DeletionStats>> per_shard;
   FUME_RETURN_NOT_OK(
@@ -344,7 +336,6 @@ Status StreamEngine::ApplyDelete(const StreamOp& op) {
     if (!doomed[dense]) store_ids_[kept++] = store_ids_[dense];
   }
   store_ids_.resize(kept);
-  RebuildLiveIndex();
   if (config_.forest.lazy_unlearn) {
     // Deferred burst: the shards parked retrain-triggering deletes under
     // lazy tags (a budget overflow may already have flushed them — its
@@ -602,10 +593,17 @@ Result<StreamEngine> StreamEngine::Restore(std::istream& in,
   engine.train_data_ = Dataset(schema);
   std::vector<int32_t> codes(static_cast<size_t>(store.num_attrs()));
   const int64_t limit = engine.model_.num_global_ids();
+  RowId prev = -1;
   for (RowId id : engine.store_ids_) {
     if (id < 0 || static_cast<int64_t>(id) >= limit) {
       return Status::IOError("checkpoint: live id out of store range");
     }
+    // Deletes look ids up by binary search, so the block must be strictly
+    // ascending (which also rules out duplicates).
+    if (id <= prev) {
+      return Status::IOError("checkpoint: live ids not strictly ascending");
+    }
+    prev = id;
     for (int j = 0; j < store.num_attrs(); ++j) {
       codes[static_cast<size_t>(j)] = engine.model_.Code(id, j);
     }
@@ -614,10 +612,6 @@ Result<StreamEngine> StreamEngine::Restore(std::istream& in,
   }
   if (engine.train_data_.num_rows() != engine.model_.num_training_rows()) {
     return Status::IOError("checkpoint: live ids disagree with forest");
-  }
-  engine.RebuildLiveIndex();
-  if (engine.dense_of_id_.size() != engine.store_ids_.size()) {
-    return Status::IOError("checkpoint: duplicate live ids");
   }
   engine.cache_.Rebuild(engine.model_, engine.test_);
   engine.RefreshMetric();

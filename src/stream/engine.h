@@ -23,7 +23,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/fume.h"
@@ -174,7 +173,6 @@ class StreamEngine {
   /// Runs the FUME search against the current model (or records "no
   /// violation" when |F| is below the configured floor).
   Status RunSearch();
-  void RebuildLiveIndex();
   /// The shared pool, created lazily at first use (nullptr while
   /// config_.fume.num_threads <= 1). Serves both search fan-out and
   /// per-shard op fan-out — never both at once (ops and searches are
@@ -193,10 +191,9 @@ class StreamEngine {
   /// in the steady state.
   std::vector<DeletionScratch> scratch_;
   Dataset train_data_;
-  /// store_ids_[dense row] = engine (global) id; parallel to train_data_.
+  /// store_ids_[dense row] = engine (global) id; parallel to train_data_
+  /// and strictly ascending, so deletes find ids by binary search.
   std::vector<RowId> store_ids_;
-  /// Inverse of store_ids_ for delete lookups.
-  std::unordered_map<RowId, int64_t> dense_of_id_;
   ShardedPredictionCache cache_;
   /// Shared pool for every search and per-shard op fan-out this engine
   /// runs; created at first use when config_.fume.num_threads > 1.

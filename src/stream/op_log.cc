@@ -89,11 +89,10 @@ Result<StreamOp> ParseOp(const std::string& line) {
   if (fields.size() < 2 || fields[0].size() != 1) {
     return Malformed(line, "expected '<I|D|C> <seq> ...'");
   }
-  int seq_int = 0;
-  if (!ParseInt(fields[1], &seq_int) || seq_int < 0) {
+  int64_t seq = 0;
+  if (!ParseInt64(fields[1], &seq) || seq < 0) {
     return Malformed(line, "bad sequence number '" + fields[1] + "'");
   }
-  const int64_t seq = seq_int;
   switch (fields[0][0]) {
     case 'C': {
       if (fields.size() != 2) return Malformed(line, "checkpoint takes no payload");

@@ -2,10 +2,29 @@
 
 #include <algorithm>
 
+#include "data/split.h"
 #include "util/rng.h"
 
 namespace fume {
 namespace stream {
+
+Result<StreamFixture> MakeStreamFixture(const synth::DatasetBundle& bundle,
+                                        double test_fraction) {
+  SplitOptions split_opts;
+  split_opts.test_fraction = test_fraction;
+  split_opts.seed = 2;
+  FUME_ASSIGN_OR_RETURN(TrainTestSplit split,
+                        SplitTrainTest(bundle.data, split_opts));
+  const int64_t n = split.train.num_rows();
+  std::vector<int64_t> head, tail;
+  for (int64_t r = 0; r < n; ++r) (r < n - n / 3 ? head : tail).push_back(r);
+  StreamFixture fixture;
+  fixture.initial_train = split.train.DropRows(tail);
+  fixture.pool = split.train.DropRows(head);
+  fixture.test = std::move(split.test);
+  fixture.group = bundle.group;
+  return fixture;
+}
 
 Result<std::vector<StreamOp>> SynthesizeOpLog(const Dataset& pool,
                                               int64_t initial_rows,

@@ -1,7 +1,8 @@
 // Deterministic op-log synthesis for tests, the fume_stream CLI and the
 // streaming bench: interleaves insert batches drawn from a held-out row
 // pool with deletes of currently-live rows, dropping a checkpoint every
-// few ops.
+// few ops. MakeStreamFixture carves the initial training set, that pool
+// and the test set out of one dataset.
 
 #ifndef FUME_STREAM_WORKLOAD_H_
 #define FUME_STREAM_WORKLOAD_H_
@@ -10,9 +11,27 @@
 
 #include "data/dataset.h"
 #include "stream/op_log.h"
+#include "synth/common.h"
 
 namespace fume {
 namespace stream {
+
+/// The data one stream runs over: the engine starts from initial_train,
+/// inserts draw from pool, and metrics are read on test.
+struct StreamFixture {
+  Dataset initial_train;
+  Dataset pool;
+  Dataset test;
+  GroupSpec group;
+};
+
+/// Stratified train/test split of bundle.data (seed 2) whose training half
+/// loses its last third to the insert pool. fume_stream, fume_serve, the
+/// streaming bench and the stream tests all start here, so a server fed the
+/// op-log fume_stream synthesized starts from the identical model: the
+/// exactness anchor between served and offline answers.
+Result<StreamFixture> MakeStreamFixture(const synth::DatasetBundle& bundle,
+                                        double test_fraction);
 
 struct WorkloadOptions {
   /// Total operations to emit (checkpoints count toward this).

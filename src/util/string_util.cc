@@ -1,8 +1,10 @@
 #include "util/string_util.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 namespace fume {
 
@@ -51,14 +53,41 @@ bool ParseDouble(std::string_view s, double* out) {
 }
 
 bool ParseInt(std::string_view s, int* out) {
+  int64_t v = 0;
+  if (!ParseInt64(s, &v) || v < std::numeric_limits<int>::min() ||
+      v > std::numeric_limits<int>::max()) {
+    return false;
+  }
+  *out = static_cast<int>(v);
+  return true;
+}
+
+namespace {
+
+// strtoll/strtoull over the whole trimmed string: false on empty input,
+// trailing garbage or a value the type cannot hold (ERANGE).
+template <typename T, typename Convert>
+bool ParseWhole(std::string_view s, Convert convert, T* out) {
   s = Trim(s);
   if (s.empty()) return false;
   std::string buf(s);
   char* end = nullptr;
-  const long v = std::strtol(buf.c_str(), &end, 10);
-  if (end != buf.c_str() + buf.size()) return false;
-  *out = static_cast<int>(v);
+  errno = 0;
+  const T v = convert(buf.c_str(), &end, 10);
+  if (errno == ERANGE || end != buf.c_str() + buf.size()) return false;
+  *out = v;
   return true;
+}
+
+}  // namespace
+
+bool ParseInt64(std::string_view s, int64_t* out) {
+  return ParseWhole(s, std::strtoll, out);
+}
+
+bool ParseUint64(std::string_view s, uint64_t* out) {
+  // strtoull would wrap a minus sign ("-1" -> UINT64_MAX).
+  return !Trim(s).starts_with('-') && ParseWhole(s, std::strtoull, out);
 }
 
 std::string FormatDouble(double v, int decimals) {

@@ -3,6 +3,7 @@
 #ifndef FUME_UTIL_STRING_UTIL_H_
 #define FUME_UTIL_STRING_UTIL_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -22,8 +23,16 @@ std::string Join(const std::vector<std::string>& parts,
 /// Parses a double; returns false on malformed/trailing garbage.
 bool ParseDouble(std::string_view s, double* out);
 
-/// Parses an int; returns false on malformed/trailing garbage.
+/// Parses a base-10 int; returns false on malformed/trailing garbage or a
+/// value outside int's range (never wraps or truncates).
 bool ParseInt(std::string_view s, int* out);
+
+/// ParseInt for int64_t.
+bool ParseInt64(std::string_view s, int64_t* out);
+
+/// ParseInt for uint64_t; a minus sign is malformed, so "-1" never wraps to
+/// UINT64_MAX.
+bool ParseUint64(std::string_view s, uint64_t* out);
 
 /// Formats a double with the given number of decimals ("3.14").
 std::string FormatDouble(double v, int decimals);

@@ -238,6 +238,10 @@ TEST(CsvTest, ErrorsAreReported) {
     std::istringstream in("a,label\nx,2\n");  // non-binary label
     EXPECT_FALSE(ReadCsv(in, CsvReadOptions{}).ok());
   }
+  {
+    std::istringstream in("a,label\nx,4294967297\n");  // would wrap to 1
+    EXPECT_FALSE(ReadCsv(in, CsvReadOptions{}).ok());
+  }
 }
 
 TEST(CsvTest, WriteReadRoundTrip) {

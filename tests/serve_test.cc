@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "core/fume.h"
-#include "data/split.h"
 #include "fairness/metrics.h"
 #include "forest/deletion_scratch.h"
 #include "obs/metrics.h"
@@ -36,6 +35,7 @@
 #include "serve/tenant.h"
 #include "stream/engine.h"
 #include "stream/op_log.h"
+#include "stream/workload.h"
 #include "synth/datasets.h"
 #include "util/json.h"
 #include "util/socket.h"
@@ -54,14 +54,10 @@ using util::ParseJson;
 using util::Socket;
 
 // ---------------------------------------------------------------------------
-// Shared pipeline, mirroring tests/stream_test.cc and tools/fume_serve.cc:
-// initial training data, an insert pool carved off the back, and a test set.
+// Shared pipeline: the stream fixture tools/fume_serve.cc serves (initial
+// training data, an insert pool carved off the back, and a test set).
 
-struct ServePipeline {
-  Dataset initial_train;
-  Dataset pool;
-  Dataset test;
-  GroupSpec group;
+struct ServePipeline : stream::StreamFixture {
   TenantConfig tenant;
 };
 
@@ -71,26 +67,9 @@ ServePipeline BuildPipeline(uint64_t seed) {
   opts.seed = seed;
   auto bundle = synth::MakeGermanCredit(opts);
   EXPECT_TRUE(bundle.ok());
-  SplitOptions split_opts;
-  split_opts.test_fraction = 0.3;
-  split_opts.seed = 2;
-  auto split = SplitTrainTest(bundle->data, split_opts);
-  EXPECT_TRUE(split.ok());
-  const int64_t pool_rows = split->train.num_rows() / 3;
-  std::vector<int64_t> tail;
-  for (int64_t r = split->train.num_rows() - pool_rows;
-       r < split->train.num_rows(); ++r) {
-    tail.push_back(r);
-  }
-  std::vector<int64_t> head;
-  for (int64_t r = 0; r < split->train.num_rows() - pool_rows; ++r) {
-    head.push_back(r);
-  }
-  ServePipeline p;
-  p.initial_train = split->train.DropRows(tail);
-  p.pool = split->train.DropRows(head);
-  p.test = std::move(split->test);
-  p.group = bundle->group;
+  auto fixture = stream::MakeStreamFixture(*bundle, /*test_fraction=*/0.3);
+  EXPECT_TRUE(fixture.ok());
+  ServePipeline p{std::move(*fixture), {}};
   StreamEngineConfig& e = p.tenant.engine;
   e.forest.num_trees = 8;
   e.forest.max_depth = 5;
@@ -216,6 +195,34 @@ TEST(ServeProtocol, MalformedRequestsRejected) {
   EXPECT_FALSE(
       ParseRequest(R"({"id":1,"op":"predict","tenant":"t","rows":[[1.5]]})")
           .ok());
+}
+
+// Numbers are never truncated or wrapped into a different literal, code or
+// row id: 1e20 would otherwise match every row, and 1.5 would read as 1.
+TEST(ServeProtocol, OutOfRangeOrFractionalNumbersRejected) {
+  for (const char* literal :
+       {R"({"attr":0,"cmp":"ge","value":1e20})",
+        R"({"attr":0,"cmp":"eq","value":1.5})",
+        R"({"attr":1.5,"cmp":"eq","value":1})",
+        R"({"attr":4294967296,"cmp":"eq","value":1})",
+        R"({"attr":-1,"cmp":"eq","value":1})"}) {
+    const auto req = ParseRequest(
+        std::string(R"({"id":1,"op":"whatif","tenant":"t","predicate":[)") +
+        literal + "]}");
+    EXPECT_TRUE(req.status().IsInvalid()) << literal;
+  }
+  EXPECT_TRUE(
+      ParseRequest(
+          R"({"id":1,"op":"predict","tenant":"t","rows":[[4294967296]]})")
+          .status()
+          .IsInvalid());
+  EXPECT_TRUE(ParseRequest(R"({"id":1e30,"op":"health"})").status().IsInvalid());
+  // A raw stream_op line is parsed by the op-log reader, with its checks.
+  EXPECT_TRUE(
+      ParseRequest(
+          R"({"id":1,"op":"stream_op","tenant":"t","line":"D 99 4294967297"})")
+          .status()
+          .IsInvalid());
 }
 
 TEST(ServeProtocol, DoubleSerializationRoundTripsExactly) {

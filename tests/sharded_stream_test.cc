@@ -10,19 +10,16 @@
 #include <string>
 #include <vector>
 
-#include "data/split.h"
 #include "stream/engine.h"
 #include "stream/op_log.h"
+#include "stream/workload.h"
 #include "synth/datasets.h"
 
 namespace fume {
 namespace stream {
 namespace {
 
-struct ShardedPipeline {
-  Dataset initial_train;
-  Dataset pool;
-  Dataset test;
+struct ShardedPipeline : StreamFixture {
   StreamEngineConfig config;
 };
 
@@ -32,24 +29,9 @@ ShardedPipeline BuildPipeline(uint64_t seed, int num_shards) {
   opts.seed = seed;
   auto bundle = synth::MakeGermanCredit(opts);
   EXPECT_TRUE(bundle.ok());
-  SplitOptions split_opts;
-  split_opts.test_fraction = 0.3;
-  split_opts.seed = 2;
-  auto split = SplitTrainTest(bundle->data, split_opts);
-  EXPECT_TRUE(split.ok());
-  const int64_t pool_rows = split->train.num_rows() / 3;
-  std::vector<int64_t> tail, head;
-  for (int64_t r = split->train.num_rows() - pool_rows;
-       r < split->train.num_rows(); ++r) {
-    tail.push_back(r);
-  }
-  for (int64_t r = 0; r < split->train.num_rows() - pool_rows; ++r) {
-    head.push_back(r);
-  }
-  ShardedPipeline p;
-  p.initial_train = split->train.DropRows(tail);
-  p.pool = split->train.DropRows(head);
-  p.test = std::move(split->test);
+  auto fixture = MakeStreamFixture(*bundle, /*test_fraction=*/0.3);
+  EXPECT_TRUE(fixture.ok());
+  ShardedPipeline p{std::move(*fixture), {}};
   p.config.forest.num_trees = 8;
   p.config.forest.max_depth = 6;
   p.config.forest.random_depth = 2;

@@ -33,11 +33,7 @@ namespace {
 // Shared fixture data: a small German Credit pipeline split three ways —
 // initial training data, a pool of future insert rows, and a test set.
 
-struct StreamPipeline {
-  Dataset initial_train;
-  Dataset pool;
-  Dataset test;
-  GroupSpec group;
+struct StreamPipeline : StreamFixture {
   StreamEngineConfig config;
 };
 
@@ -47,27 +43,9 @@ StreamPipeline BuildPipeline(uint64_t seed) {
   opts.seed = seed;
   auto bundle = synth::MakeGermanCredit(opts);
   EXPECT_TRUE(bundle.ok());
-  SplitOptions split_opts;
-  split_opts.test_fraction = 0.3;
-  split_opts.seed = 2;
-  auto split = SplitTrainTest(bundle->data, split_opts);
-  EXPECT_TRUE(split.ok());
-  // Carve the insert pool off the back of the training half.
-  const int64_t pool_rows = split->train.num_rows() / 3;
-  std::vector<int64_t> tail;
-  for (int64_t r = split->train.num_rows() - pool_rows;
-       r < split->train.num_rows(); ++r) {
-    tail.push_back(r);
-  }
-  std::vector<int64_t> head;
-  for (int64_t r = 0; r < split->train.num_rows() - pool_rows; ++r) {
-    head.push_back(r);
-  }
-  StreamPipeline p;
-  p.initial_train = split->train.DropRows(tail);
-  p.pool = split->train.DropRows(head);
-  p.test = std::move(split->test);
-  p.group = bundle->group;
+  auto fixture = MakeStreamFixture(*bundle, /*test_fraction=*/0.3);
+  EXPECT_TRUE(fixture.ok());
+  StreamPipeline p{std::move(*fixture), {}};
   p.config.forest.num_trees = 10;
   p.config.forest.max_depth = 6;
   p.config.forest.random_depth = 2;
@@ -143,7 +121,9 @@ TEST(OpLogTest, FormatParseRoundTrip) {
       7, {StreamRow{{1, 0, 3}, 1}, StreamRow{{2, 2, 0}, 0}});
   StreamOp del = StreamOp::Delete(8, {4, 19, 23});
   StreamOp ckpt = StreamOp::Checkpoint(9);
-  for (const StreamOp& op : {insert, del, ckpt}) {
+  // A seq past int's range round-trips instead of wrapping to 0.
+  StreamOp far = StreamOp::Checkpoint(int64_t{1} << 32);
+  for (const StreamOp& op : {insert, del, ckpt, far}) {
     auto parsed = ParseOp(FormatOp(op));
     ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
     EXPECT_TRUE(*parsed == op);
@@ -182,6 +162,12 @@ TEST(OpLogTest, RejectsMalformedLines) {
   EXPECT_FALSE(ParseOp("I 1 1:0,1 0:4").ok());      // ragged widths
   EXPECT_FALSE(ParseOp("D 2").ok());                // delete with no ids
   EXPECT_FALSE(ParseOp("C x").ok());                // non-numeric seq
+  // Values past int's range are rejected, never wrapped: these would read
+  // as a delete of row 1, code 0 and label 1.
+  EXPECT_FALSE(ParseOp("D 7 4294967297").ok());
+  EXPECT_FALSE(ParseOp("I 1 1:0,4294967296").ok());
+  EXPECT_FALSE(ParseOp("I 1 4294967297:0,1").ok());
+  EXPECT_FALSE(ParseOp("C 9223372036854775808").ok());  // seq past int64
   EXPECT_TRUE(ParseOp("C 5").ok());
 
   std::stringstream decreasing("# fume-oplog v1\nC 5\nC 3\n");
@@ -208,6 +194,41 @@ TEST(WorkloadTest, DeterministicAndWellFormed) {
   }
   EXPECT_GE(checkpoints, 3);
   EXPECT_EQ(a->back().kind, OpKind::kCheckpoint);
+}
+
+TEST(WorkloadTest, StreamFixtureCarvesThePoolOffTheTrainingTail) {
+  synth::SynthOptions opts;
+  opts.num_rows = 700;
+  opts.seed = 4;
+  auto bundle = synth::MakeGermanCredit(opts);
+  ASSERT_TRUE(bundle.ok());
+  auto fixture = MakeStreamFixture(*bundle, /*test_fraction=*/0.3);
+  ASSERT_TRUE(fixture.ok()) << fixture.status().ToString();
+  SplitOptions split_opts;
+  split_opts.test_fraction = 0.3;
+  split_opts.seed = 2;
+  auto split = SplitTrainTest(bundle->data, split_opts);
+  ASSERT_TRUE(split.ok());
+  // initial + pool, in order, is the training half, and the pool is its
+  // last floor(n/3) rows: pool row 0 is training row n - floor(n/3).
+  const int64_t n = split->train.num_rows();
+  const Dataset& pool = fixture->pool;
+  ASSERT_EQ(fixture->initial_train.num_rows() + pool.num_rows(), n);
+  ASSERT_EQ(pool.num_rows(), n / 3);
+  auto joined = [&](auto column) {
+    auto out = column(fixture->initial_train);
+    const auto tail = column(pool);
+    out.insert(out.end(), tail.begin(), tail.end());
+    return out;
+  };
+  EXPECT_EQ(joined([](const Dataset& d) { return d.labels(); }),
+            split->train.labels());
+  for (int j = 0; j < split->train.num_attributes(); ++j) {
+    EXPECT_EQ(joined([j](const Dataset& d) { return d.codes(j); }),
+              split->train.codes(j))
+        << "attribute " << j;
+  }
+  EXPECT_EQ(fixture->test.labels(), split->test.labels());
 }
 
 // ---------------------------------------------------------------------------
@@ -481,6 +502,28 @@ Status RestorePatched(const StreamPipeline& p, std::string bytes,
   std::istringstream in(bytes, std::ios::binary);
   return StreamEngine::Restore(in, p.initial_train.schema(), p.test, p.config)
       .status();
+}
+
+// Deletes find live ids by binary search, so a live-id block that is not
+// strictly ascending must not restore. Swaps the first two live ids (0 and
+// 1 in a fresh engine), which follow the engine block and the id count.
+TEST(StreamCheckpointTest, RestoreRejectsNonAscendingLiveIds) {
+  StreamPipeline p = BuildPipeline(4);
+  auto engine = StreamEngine::Create(p.initial_train, p.test, p.config);
+  ASSERT_TRUE(engine.ok());
+  std::ostringstream out(std::ios::binary);
+  ASSERT_TRUE(engine->SaveCheckpoint(out).ok());
+  const size_t ids_at = 8 + 4 + 8 + 8 + 8 + 8 + 8 + 8;
+  RowId saved[2] = {-1, -1};
+  std::memcpy(saved, out.str().data() + ids_at, sizeof(saved));
+  ASSERT_TRUE(saved[0] == 0 && saved[1] == 1);
+  EXPECT_TRUE(RestorePatched<RowId>(p, out.str(), ids_at, 0).ok());
+  std::string swapped = out.str();
+  const RowId one = 1;
+  std::memcpy(swapped.data() + ids_at, &one, sizeof(RowId));
+  const Status st =
+      RestorePatched<RowId>(p, swapped, ids_at + sizeof(RowId), 0);
+  EXPECT_TRUE(st.IsIOError()) << st.ToString();
 }
 
 TEST(StreamCheckpointTest, RestoreRejectsTopKLiteralAttributeOutOfRange) {

@@ -232,6 +232,35 @@ TEST(StringTest, ParseIntStrict) {
   EXPECT_EQ(v, 42);
   EXPECT_FALSE(ParseInt("42.5", &v));
   EXPECT_FALSE(ParseInt("four", &v));
+  // Values that do not fit are rejected, never wrapped or truncated.
+  EXPECT_TRUE(ParseInt("2147483647", &v));
+  EXPECT_EQ(v, 2147483647);
+  EXPECT_TRUE(ParseInt("-2147483648", &v));
+  EXPECT_EQ(v, -2147483647 - 1);
+  EXPECT_FALSE(ParseInt("2147483648", &v));   // INT_MAX + 1
+  EXPECT_FALSE(ParseInt("-2147483649", &v));  // INT_MIN - 1
+  EXPECT_FALSE(ParseInt("4294967297", &v));   // would wrap to 1
+  EXPECT_EQ(v, -2147483647 - 1);              // untouched on failure
+
+  int64_t l = 0;
+  EXPECT_TRUE(ParseInt64("9223372036854775807", &l));
+  EXPECT_EQ(l, INT64_MAX);
+  EXPECT_TRUE(ParseInt64(" -9223372036854775808 ", &l));
+  EXPECT_EQ(l, INT64_MIN);
+  EXPECT_FALSE(ParseInt64("9223372036854775808", &l));  // INT64_MAX + 1
+  EXPECT_FALSE(ParseInt64("-9223372036854775809", &l));
+  EXPECT_FALSE(ParseInt64("12x", &l));
+  EXPECT_FALSE(ParseInt64("", &l));
+
+  uint64_t u = 0;
+  EXPECT_TRUE(ParseUint64("18446744073709551615", &u));
+  EXPECT_EQ(u, UINT64_MAX);
+  EXPECT_TRUE(ParseUint64("4294967301", &u));
+  EXPECT_EQ(u, 4294967301u);
+  EXPECT_FALSE(ParseUint64("18446744073709551616", &u));  // UINT64_MAX + 1
+  EXPECT_FALSE(ParseUint64("-1", &u));  // strtoull would wrap it
+  EXPECT_FALSE(ParseUint64(" -0", &u));
+  EXPECT_FALSE(ParseUint64("1.5", &u));
 }
 
 TEST(StringTest, Formatting) {

@@ -13,11 +13,11 @@
 
 #include <cmath>
 #include <iostream>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "bench_compare.h"
+#include "cli_common.h"
 #include "util/string_util.h"
 
 namespace {
@@ -57,57 +57,6 @@ void PrintUsage() {
                         BENCH_serve.json BENCH_shard.json)
   --help, -h            this text
 )";
-}
-
-bool ParseArgs(int argc, char** argv, CheckOptions* opts, bool* want_help) {
-  for (int i = 1; i < argc; ++i) {
-    std::string flag = argv[i];
-    std::string inline_value;
-    bool has_inline = false;
-    if (flag.rfind("--", 0) == 0) {
-      const size_t eq = flag.find('=');
-      if (eq != std::string::npos) {
-        inline_value = flag.substr(eq + 1);
-        flag.resize(eq);
-        has_inline = true;
-      }
-    }
-    auto need_value = [&]() -> const char* {
-      if (has_inline) return inline_value.c_str();
-      if (i + 1 >= argc) {
-        std::cerr << "missing value for " << flag << "\n";
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    const char* v = nullptr;
-    if (flag == "--help" || flag == "-h") {
-      *want_help = true;
-      return true;
-    } else if (flag == "--smoke") {
-      opts->smoke = true;
-    } else if (flag == "--tolerance") {
-      if ((v = need_value()) == nullptr) return false;
-      double dv = 0.0;
-      if (!ParseDouble(v, &dv) || dv < 0.0 || dv >= 1.0) {
-        std::cerr << "--tolerance needs a value in [0, 1)\n";
-        return false;
-      }
-      opts->tolerance = dv;
-    } else if (flag == "--baseline-dir") {
-      if ((v = need_value()) == nullptr) return false;
-      opts->baseline_dir = v;
-    } else if (flag == "--fresh-dir") {
-      if ((v = need_value()) == nullptr) return false;
-      opts->fresh_dir = v;
-    } else if (flag.rfind("--", 0) == 0) {
-      std::cerr << "unknown flag: " << flag << " (see --help)\n";
-      return false;
-    } else {
-      opts->artifacts.push_back(flag);
-    }
-  }
-  return true;
 }
 
 int Run(const CheckOptions& opts) {
@@ -211,11 +160,20 @@ int Run(const CheckOptions& opts) {
 
 int main(int argc, char** argv) {
   CheckOptions opts;
-  bool want_help = false;
-  if (!ParseArgs(argc, argv, &opts, &want_help)) return 2;
-  if (want_help) {
-    PrintUsage();
-    return 0;
-  }
+  cli::FlagSet flags;
+  flags.Bool("--smoke", &opts.smoke);
+  flags.Custom("--tolerance", [&opts](const std::string& value) {
+    double tolerance = 0.0;
+    if (!ParseDouble(value, &tolerance) || tolerance < 0.0 ||
+        tolerance >= 1.0) {
+      return Status::Invalid("--tolerance needs a value in [0, 1)");
+    }
+    opts.tolerance = tolerance;
+    return Status::OK();
+  });
+  flags.String("--baseline-dir", &opts.baseline_dir);
+  flags.String("--fresh-dir", &opts.fresh_dir);
+  flags.Positional(&opts.artifacts);
+  if (auto exit_code = flags.Parse(argc, argv, PrintUsage)) return *exit_code;
   return Run(opts);
 }

@@ -9,13 +9,11 @@
 //
 // Run with --help for the full flag list.
 
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <optional>
-#include <set>
 #include <string>
 
+#include "cli_common.h"
 #include "core/baseline.h"
 #include "core/fume.h"
 #include "core/report.h"
@@ -24,13 +22,8 @@
 #include "data/discretizer.h"
 #include "data/split.h"
 #include "forest/sharded_forest.h"
-#include "forest/tree.h"
 #include "obs/event_log.h"
-#include "obs/metrics.h"
-#include "obs/process.h"
 #include "obs/query_scope.h"
-#include "obs/trace.h"
-#include "synth/registry.h"
 #include "util/string_util.h"
 #include "util/table_printer.h"
 
@@ -45,35 +38,16 @@ struct CliOptions {
   std::string label = "label";
   std::string sensitive;
   std::string privileged;
-  int64_t rows = 0;
-  uint64_t seed = 4;
   int bins = 4;
-  // Model.
-  int trees = 10;
-  int depth = 8;
-  int random_depth = 2;
-  uint64_t model_seed = 31;
+  cli::DataFlags data;
+  cli::ModelFlags model;
   std::string save_model;
-  int shards = 1;
-  std::string placement = "hash";
-  // Search.
-  FairnessMetric metric = FairnessMetric::kStatisticalParity;
-  int top_k = 5;
-  double support_min = 0.05;
-  double support_max = 0.15;
-  int literals = 2;
-  int threads = 1;
+  cli::SearchFlags search;
   double overlap = 1.0;
   bool exclude_sensitive = false;
   bool run_baseline = false;
   bool run_slicefinder = false;
-  double test_fraction = 0.3;
-  // Observability.
-  bool print_metrics = false;
-  bool query_cost = false;
-  std::string metrics_out;
-  std::string trace_out;
-  std::string event_log;
+  cli::ObsFlags obs;
 };
 
 void PrintUsage() {
@@ -137,140 +111,8 @@ Observability (docs/observability.md; --flag=value also accepted):
 )";
 }
 
-std::optional<FairnessMetric> ParseMetric(const std::string& name) {
-  if (name == "statistical-parity") return FairnessMetric::kStatisticalParity;
-  if (name == "equalized-odds") return FairnessMetric::kEqualizedOdds;
-  if (name == "predictive-parity") return FairnessMetric::kPredictiveParity;
-  if (name == "equal-opportunity") return FairnessMetric::kEqualOpportunity;
-  if (name == "disparate-impact") return FairnessMetric::kDisparateImpact;
-  return std::nullopt;
-}
-
-// Returns false (after printing an error) on malformed flags. Value flags
-// accept both `--flag value` and `--flag=value`.
-bool ParseArgs(int argc, char** argv, CliOptions* opts, bool* want_help) {
-  std::string inline_value;
-  bool has_inline = false;
-  for (int i = 1; i < argc; ++i) {
-    std::string flag = argv[i];
-    has_inline = false;
-    if (flag.rfind("--", 0) == 0) {
-      const size_t eq = flag.find('=');
-      if (eq != std::string::npos) {
-        inline_value = flag.substr(eq + 1);
-        flag.resize(eq);
-        has_inline = true;
-      }
-    }
-    auto need_value = [&]() -> const char* {
-      if (has_inline) return inline_value.c_str();
-      if (i + 1 >= argc) {
-        std::cerr << "missing value for " << flag << "\n";
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    const char* v = nullptr;
-    if (flag == "--help" || flag == "-h") {
-      *want_help = true;
-      return true;
-    } else if (flag == "--exclude-sensitive") {
-      opts->exclude_sensitive = true;
-    } else if (flag == "--baseline") {
-      opts->run_baseline = true;
-    } else if (flag == "--slicefinder") {
-      opts->run_slicefinder = true;
-    } else if (flag == "--metrics") {
-      opts->print_metrics = true;
-    } else if (flag == "--query-cost") {
-      opts->query_cost = true;
-    } else if (flag == "--metrics-out") {
-      if ((v = need_value()) == nullptr) return false;
-      opts->metrics_out = v;
-    } else if (flag == "--trace-out") {
-      if ((v = need_value()) == nullptr) return false;
-      opts->trace_out = v;
-    } else if (flag == "--event-log") {
-      if ((v = need_value()) == nullptr) return false;
-      opts->event_log = v;
-    } else if (flag == "--dataset") {
-      if ((v = need_value()) == nullptr) return false;
-      opts->dataset = v;
-    } else if (flag == "--csv") {
-      if ((v = need_value()) == nullptr) return false;
-      opts->csv = v;
-    } else if (flag == "--label") {
-      if ((v = need_value()) == nullptr) return false;
-      opts->label = v;
-    } else if (flag == "--sensitive") {
-      if ((v = need_value()) == nullptr) return false;
-      opts->sensitive = v;
-    } else if (flag == "--privileged") {
-      if ((v = need_value()) == nullptr) return false;
-      opts->privileged = v;
-    } else if (flag == "--save-model") {
-      if ((v = need_value()) == nullptr) return false;
-      opts->save_model = v;
-    } else if (flag == "--placement") {
-      if ((v = need_value()) == nullptr) return false;
-      opts->placement = v;
-    } else if (flag == "--metric") {
-      if ((v = need_value()) == nullptr) return false;
-      auto metric = ParseMetric(v);
-      if (!metric) {
-        std::cerr << "unknown metric '" << v << "'\n";
-        return false;
-      }
-      opts->metric = *metric;
-    } else {
-      static const std::set<std::string> kNumericFlags = {
-          "--rows",        "--seed",        "--bins",
-          "--trees",       "--depth",       "--random-depth",
-          "--model-seed",  "--k",           "--literals",
-          "--threads",     "--support-min", "--support-max",
-          "--overlap",     "--test-fraction", "--shards"};
-      if (kNumericFlags.count(flag) == 0) {
-        std::cerr << "unknown flag: " << flag << " (see --help)\n";
-        return false;
-      }
-      if ((v = need_value()) == nullptr) return false;
-      int iv = 0;
-      double dv = 0.0;
-      const bool is_int = ParseInt(v, &iv);
-      const bool is_double = ParseDouble(v, &dv);
-      if (flag == "--rows" && is_int) opts->rows = iv;
-      else if (flag == "--seed" && is_int) opts->seed = static_cast<uint64_t>(iv);
-      else if (flag == "--bins" && is_int) opts->bins = iv;
-      else if (flag == "--trees" && is_int) opts->trees = iv;
-      else if (flag == "--depth" && is_int) opts->depth = iv;
-      else if (flag == "--random-depth" && is_int) opts->random_depth = iv;
-      else if (flag == "--model-seed" && is_int) opts->model_seed = static_cast<uint64_t>(iv);
-      else if (flag == "--k" && is_int) opts->top_k = iv;
-      else if (flag == "--literals" && is_int) opts->literals = iv;
-      else if (flag == "--threads" && is_int) opts->threads = iv;
-      else if (flag == "--support-min" && is_double) opts->support_min = dv;
-      else if (flag == "--support-max" && is_double) opts->support_max = dv;
-      else if (flag == "--overlap" && is_double) opts->overlap = dv;
-      else if (flag == "--test-fraction" && is_double) opts->test_fraction = dv;
-      else if (flag == "--shards" && is_int) opts->shards = iv;
-      else {
-        std::cerr << "unknown or malformed flag: " << flag << " " << v << "\n";
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
 Result<synth::DatasetBundle> LoadData(const CliOptions& opts) {
-  if (!opts.dataset.empty()) {
-    FUME_ASSIGN_OR_RETURN(synth::RegisteredDataset registered,
-                          synth::FindDataset(opts.dataset));
-    synth::SynthOptions synth_opts;
-    synth_opts.num_rows = opts.rows;
-    synth_opts.seed = opts.seed;
-    return registered.make(synth_opts);
-  }
+  if (!opts.dataset.empty()) return opts.data.Make(opts.dataset);
   if (opts.csv.empty()) {
     return Status::Invalid("pass --dataset NAME or --csv FILE (see --help)");
   }
@@ -299,96 +141,31 @@ Result<synth::DatasetBundle> LoadData(const CliOptions& opts) {
   return bundle;
 }
 
-// Writes the requested metrics/trace outputs when Run() exits, whichever
-// path it takes (including the "no violation" early return).
-struct ObsOutputs {
-  const CliOptions& opts;
-
-  explicit ObsOutputs(const CliOptions& options) : opts(options) {
-    if (!opts.trace_out.empty()) obs::StartTracing();
-  }
-
-  ~ObsOutputs() {
-    if (!opts.trace_out.empty()) {
-      obs::StopTracing();
-      if (obs::WriteTraceJsonFile(opts.trace_out)) {
-        std::cout << "trace written to " << opts.trace_out << " ("
-                  << obs::TraceEventCount()
-                  << " events; open in chrome://tracing or "
-                     "https://ui.perfetto.dev)\n";
-      } else {
-        std::cerr << "could not write trace to " << opts.trace_out << "\n";
-      }
-    }
-    if (opts.print_metrics || !opts.metrics_out.empty()) {
-      obs::SetProcessGauges();
-      cow_debug::RefreshLiveNodesGauge();
-      const obs::MetricsSnapshot snapshot =
-          obs::MetricsRegistry::Global().Snapshot();
-      if (opts.print_metrics) {
-        std::cout << "\n--- metrics ---\n";
-        snapshot.PrintText(std::cout);
-      }
-      if (!opts.metrics_out.empty()) {
-        std::ofstream out(opts.metrics_out);
-        if (out << snapshot.ToJson() << "\n") {
-          std::cout << "metrics written to " << opts.metrics_out << "\n";
-        } else {
-          std::cerr << "could not write metrics to " << opts.metrics_out
-                    << "\n";
-        }
-      }
-    }
-  }
-};
-
 int Run(const CliOptions& opts) {
-  ObsOutputs obs_outputs(opts);
-  obs::EventLog event_log(opts.event_log);  // empty path = disabled sink
-  if (!opts.event_log.empty() && !event_log.ok()) {
-    std::cerr << "could not open event log " << opts.event_log << "\n";
-    return 1;
-  }
+  cli::ObsExport obs_export(opts.obs);
+  if (!obs_export.ok()) return 1;
+  obs::EventLog& event_log = obs_export.event_log();
   auto bundle = LoadData(opts);
-  if (!bundle.ok()) {
-    std::cerr << bundle.status().ToString() << "\n";
-    return 1;
-  }
+  if (!bundle.ok()) return cli::Fail(bundle.status());
 
   SplitOptions split_opts;
-  split_opts.test_fraction = opts.test_fraction;
+  split_opts.test_fraction = opts.data.test_fraction;
   split_opts.seed = 2;
   auto split = SplitTrainTest(bundle->data, split_opts);
-  if (!split.ok()) {
-    std::cerr << split.status().ToString() << "\n";
-    return 1;
-  }
+  if (!split.ok()) return cli::Fail(split.status());
 
-  ForestConfig forest_config;
-  forest_config.num_trees = opts.trees;
-  forest_config.max_depth = opts.depth;
-  forest_config.random_depth = opts.random_depth;
-  forest_config.seed = opts.model_seed;
-  auto shard_config =
-      ShardConfigFromFlags(opts.shards, opts.placement,
-                           bundle->group.sensitive_attr,
-                           bundle->group.privileged_code);
-  if (!shard_config.ok()) {
-    std::cerr << shard_config.status().ToString() << "\n";
-    return 1;
-  }
+  const ForestConfig forest_config = opts.model.Forest();
+  auto shard_config = opts.model.Shard(bundle->group);
+  if (!shard_config.ok()) return cli::Fail(shard_config.status());
   obs::QueryScope train_scope("train");
   auto model = ShardedForest::Train(split->train, forest_config, *shard_config);
   const obs::QueryCost train_cost = train_scope.Finish();
-  if (!model.ok()) {
-    std::cerr << model.status().ToString() << "\n";
-    return 1;
-  }
+  if (!model.ok()) return cli::Fail(model.status());
   event_log.Event("train")
       .Field("dataset", bundle->name)
       .Field("train_rows", split->train.num_rows())
-      .Field("trees", opts.trees)
-      .Field("shards", static_cast<int64_t>(opts.shards))
+      .Field("trees", opts.model.trees)
+      .Field("shards", static_cast<int64_t>(opts.model.shards))
       .Field("cost", train_cost)
       .Write();
   std::cout << "dataset: " << bundle->name << " (" << bundle->data.num_rows()
@@ -396,11 +173,12 @@ int Run(const CliOptions& opts) {
             << " attributes), sensitive attribute: "
             << bundle->data.schema().attribute(bundle->group.sensitive_attr).name
             << "\nmodel: ";
-  if (opts.shards > 1) {
-    std::cout << opts.shards << " shards ("
+  if (opts.model.shards > 1) {
+    std::cout << opts.model.shards << " shards ("
               << PlacementName(shard_config->placement) << " placement) x ";
   }
-  std::cout << opts.trees << " trees, depth " << opts.depth << ", accuracy "
+  std::cout << opts.model.trees << " trees, depth " << opts.model.depth
+            << ", accuracy "
             << FormatPercent(model->Accuracy(split->test)) << " on "
             << split->test.num_rows() << " test rows\n\n";
 
@@ -408,21 +186,11 @@ int Run(const CliOptions& opts) {
     std::ofstream out(opts.save_model, std::ios::binary);
     Status st = out ? model->Save(out)
                     : Status::IOError("cannot open " + opts.save_model);
-    if (!st.ok()) {
-      std::cerr << st.ToString() << "\n";
-      return 1;
-    }
+    if (!st.ok()) return cli::Fail(st);
     std::cout << "model saved to " << opts.save_model << "\n\n";
   }
 
-  FumeConfig config;
-  config.top_k = opts.top_k;
-  config.support_min = opts.support_min;
-  config.support_max = opts.support_max;
-  config.max_literals = opts.literals;
-  config.metric = opts.metric;
-  config.group = bundle->group;
-  config.num_threads = opts.threads;
+  FumeConfig config = opts.search.Fume(bundle->group);
   config.max_row_overlap = opts.overlap;
   if (opts.exclude_sensitive) {
     config.lattice.excluded_attrs = {bundle->group.sensitive_attr};
@@ -438,9 +206,9 @@ int Run(const CliOptions& opts) {
   const obs::QueryCost search_cost = search_scope.Finish();
   event_log.Event("search")
       .Field("dataset", bundle->name)
-      .Field("top_k", opts.top_k)
-      .Field("threads", opts.threads)
-      .Field("shards", static_cast<int64_t>(opts.shards))
+      .Field("top_k", opts.search.top_k)
+      .Field("threads", opts.search.threads)
+      .Field("shards", static_cast<int64_t>(opts.model.shards))
       .Field("ok", result.ok())
       .Field("cost", search_cost)
       .Write();
@@ -448,7 +216,7 @@ int Run(const CliOptions& opts) {
     std::cout << result.status().ToString() << "\n";
     return result.status().IsInvalid() ? 0 : 1;  // "no violation" is fine
   }
-  if (opts.query_cost) {
+  if (opts.obs.query_cost) {
     std::cout << "\n--- query cost (QueryScope) ---\n";
     search_cost.PrintText(std::cout);
     std::cout << "\n";
@@ -458,7 +226,7 @@ int Run(const CliOptions& opts) {
   std::cout << "\n";
   PrintExplorationStats(result->stats, std::cout);
 
-  if ((opts.run_baseline || opts.run_slicefinder) && opts.shards > 1) {
+  if ((opts.run_baseline || opts.run_slicefinder) && opts.model.shards > 1) {
     std::cout << "\n(--baseline / --slicefinder are monolithic comparators; "
                  "rerun without --shards to include them)\n";
     return 0;
@@ -476,10 +244,10 @@ int Run(const CliOptions& opts) {
   }
   if (opts.run_slicefinder) {
     SliceFinderConfig slice_config;
-    slice_config.top_k = opts.top_k;
-    slice_config.support_min = opts.support_min;
-    slice_config.support_max = opts.support_max;
-    slice_config.max_literals = opts.literals;
+    slice_config.top_k = config.top_k;
+    slice_config.support_min = config.support_min;
+    slice_config.support_max = config.support_max;
+    slice_config.max_literals = config.max_literals;
     auto slices =
         FindProblematicSlices(model->shard(0), split->train, slice_config);
     if (slices.ok()) {
@@ -503,11 +271,26 @@ int Run(const CliOptions& opts) {
 
 int main(int argc, char** argv) {
   CliOptions opts;
-  bool want_help = false;
-  if (!ParseArgs(argc, argv, &opts, &want_help)) return 2;
-  if (want_help || argc == 1) {
+  cli::FlagSet flags;
+  flags.String("--dataset", &opts.dataset);
+  flags.String("--csv", &opts.csv);
+  flags.String("--label", &opts.label);
+  flags.String("--sensitive", &opts.sensitive);
+  flags.String("--privileged", &opts.privileged);
+  flags.Int("--bins", &opts.bins);
+  opts.data.Register(&flags);
+  opts.model.Register(&flags);
+  flags.String("--save-model", &opts.save_model);
+  opts.search.Register(&flags, /*with_metric=*/true);
+  flags.Double("--overlap", &opts.overlap);
+  flags.Bool("--exclude-sensitive", &opts.exclude_sensitive);
+  flags.Bool("--baseline", &opts.run_baseline);
+  flags.Bool("--slicefinder", &opts.run_slicefinder);
+  opts.obs.Register(&flags, /*with_query_cost=*/true);
+  if (argc == 1) {
     PrintUsage();
     return 0;
   }
+  if (auto exit_code = flags.Parse(argc, argv, PrintUsage)) return *exit_code;
   return Run(opts);
 }

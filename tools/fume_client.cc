@@ -21,12 +21,12 @@
 #include <chrono>
 #include <fstream>
 #include <iostream>
-#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "cli_common.h"
 #include "serve/protocol.h"
 #include "stream/op_log.h"
 #include "util/json.h"
@@ -84,87 +84,6 @@ Common:
   --quiet               suppress per-response output (summary only)
   --help, -h            this text
 )";
-}
-
-bool ParseArgs(int argc, char** argv, CliOptions* opts, bool* want_help) {
-  std::string inline_value;
-  bool has_inline = false;
-  for (int i = 1; i < argc; ++i) {
-    std::string flag = argv[i];
-    has_inline = false;
-    if (flag.rfind("--", 0) == 0) {
-      const size_t eq = flag.find('=');
-      if (eq != std::string::npos) {
-        inline_value = flag.substr(eq + 1);
-        flag.resize(eq);
-        has_inline = true;
-      }
-    }
-    auto need_value = [&]() -> const char* {
-      if (has_inline) return inline_value.c_str();
-      if (i + 1 >= argc) {
-        std::cerr << "missing value for " << flag << "\n";
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    const char* v = nullptr;
-    if (flag == "--help" || flag == "-h") {
-      *want_help = true;
-      return true;
-    } else if (flag == "--smoke") {
-      opts->smoke = true;
-    } else if (flag == "--quiet") {
-      opts->quiet = true;
-    } else if (flag == "--host") {
-      if ((v = need_value()) == nullptr) return false;
-      opts->host = v;
-    } else if (flag == "--port-file") {
-      if ((v = need_value()) == nullptr) return false;
-      opts->port_file = v;
-    } else if (flag == "--tenant") {
-      if ((v = need_value()) == nullptr) return false;
-      opts->tenant = v;
-    } else if (flag == "--op") {
-      if ((v = need_value()) == nullptr) return false;
-      opts->op = v;
-    } else if (flag == "--predict") {
-      if ((v = need_value()) == nullptr) return false;
-      opts->predict = v;
-    } else if (flag == "--whatif") {
-      if ((v = need_value()) == nullptr) return false;
-      opts->whatif = v;
-    } else if (flag == "--stream") {
-      if ((v = need_value()) == nullptr) return false;
-      opts->stream = v;
-    } else if (flag == "--replay") {
-      if ((v = need_value()) == nullptr) return false;
-      opts->replay = v;
-    } else if (flag == "--oplog") {
-      if ((v = need_value()) == nullptr) return false;
-      opts->oplog = v;
-    } else {
-      static const std::set<std::string> kNumericFlags = {
-          "--port", "--rate", "--deadline-ms"};
-      if (kNumericFlags.count(flag) == 0) {
-        std::cerr << "unknown flag: " << flag << " (see --help)\n";
-        return false;
-      }
-      if ((v = need_value()) == nullptr) return false;
-      int iv = 0;
-      double dv = 0.0;
-      const bool is_int = ParseInt(v, &iv);
-      const bool is_double = ParseDouble(v, &dv);
-      if (flag == "--port" && is_int) opts->port = iv;
-      else if (flag == "--rate" && is_double) opts->rate = dv;
-      else if (flag == "--deadline-ms" && is_int) opts->deadline_ms = iv;
-      else {
-        std::cerr << "unknown or malformed flag: " << flag << " " << v << "\n";
-        return false;
-      }
-    }
-  }
-  return true;
 }
 
 /// Sends one request line, reads one response line, prints it. Returns
@@ -323,10 +242,7 @@ int Run(const CliOptions& opts) {
     return 1;
   }
   auto connected = util::Socket::Connect(opts.host, port);
-  if (!connected.ok()) {
-    std::cerr << connected.status().ToString() << "\n";
-    return 1;
-  }
+  if (!connected.ok()) return cli::Fail(connected.status());
   util::Socket sock = std::move(connected).ValueOrDie();
 
   if (opts.smoke) return RunSmoke(sock, opts);
@@ -347,10 +263,7 @@ int Run(const CliOptions& opts) {
 
   if (!opts.oplog.empty()) {
     auto ops = stream::ReadOpLogFile(opts.oplog);
-    if (!ops.ok()) {
-      std::cerr << ops.status().ToString() << "\n";
-      return 1;
-    }
+    if (!ops.ok()) return cli::Fail(ops.status());
     std::vector<std::string> requests;
     int64_t id = 1;
     for (const stream::StreamOp& op : *ops) {
@@ -379,10 +292,7 @@ int Run(const CliOptions& opts) {
                                          opts.deadline_ms);
   } else if (!opts.stream.empty()) {
     auto op = stream::ParseOp(opts.stream);
-    if (!op.ok()) {
-      std::cerr << op.status().ToString() << "\n";
-      return 1;
-    }
+    if (!op.ok()) return cli::Fail(op.status());
     request = serve::EncodeStreamOpRequest(1, opts.tenant, *op);
   } else if (opts.op == "health") {
     request = serve::EncodeHealthRequest(1);
@@ -404,11 +314,21 @@ int Run(const CliOptions& opts) {
 
 int main(int argc, char** argv) {
   CliOptions opts;
-  bool want_help = false;
-  if (!ParseArgs(argc, argv, &opts, &want_help)) return 2;
-  if (want_help) {
-    PrintUsage();
-    return 0;
-  }
+  cli::FlagSet flags;
+  flags.String("--host", &opts.host);
+  flags.Int("--port", &opts.port);
+  flags.String("--port-file", &opts.port_file);
+  flags.String("--tenant", &opts.tenant);
+  flags.String("--op", &opts.op);
+  flags.String("--predict", &opts.predict);
+  flags.String("--whatif", &opts.whatif);
+  flags.String("--stream", &opts.stream);
+  flags.String("--replay", &opts.replay);
+  flags.String("--oplog", &opts.oplog);
+  flags.Double("--rate", &opts.rate);
+  flags.Int64("--deadline-ms", &opts.deadline_ms);
+  flags.Bool("--smoke", &opts.smoke);
+  flags.Bool("--quiet", &opts.quiet);
+  if (auto exit_code = flags.Parse(argc, argv, PrintUsage)) return *exit_code;
   return Run(opts);
 }

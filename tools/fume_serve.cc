@@ -13,24 +13,17 @@
 // logs before exit. Run with --help for the full flag list.
 
 #include <csignal>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <optional>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "data/split.h"
+#include "cli_common.h"
 #include "obs/event_log.h"
-#include "obs/metrics.h"
-#include "obs/process.h"
-#include "obs/trace.h"
 #include "serve/server.h"
-#include "synth/registry.h"
-#include "util/string_util.h"
+#include "stream/workload.h"
 
 namespace {
 
@@ -43,26 +36,14 @@ void HandleSignal(int) { g_stop = 1; }
 struct CliOptions {
   // Tenants: NAME=DATASET pairs.
   std::vector<std::pair<std::string, std::string>> tenants;
-  int64_t rows = 0;
-  uint64_t seed = 4;
-  double test_fraction = 0.3;
-  // Model (shared by all tenants).
-  int trees = 10;
-  int depth = 8;
-  int random_depth = 2;
-  uint64_t model_seed = 31;
-  // Search.
-  int top_k = 5;
-  double support_min = 0.05;
-  double support_max = 0.15;
-  int literals = 2;
-  int threads = 1;
+  cli::DataFlags data;
+  // Model and search, shared by all tenants.
+  cli::ModelFlags model;
+  cli::SearchFlags search;
   double drift_abs = 0.01;
   double drift_rel = 0.10;
   bool lazy = false;
   int64_t lazy_budget = 0;  // 0 = ForestConfig default
-  int shards = 1;
-  std::string placement = "hash";
   // Serving.
   int port = 7733;
   std::string port_file;
@@ -74,11 +55,7 @@ struct CliOptions {
   int64_t deadline_ms = 0;
   std::string checkpoint_dir;
   std::string oplog_dir;
-  // Observability.
-  bool print_metrics = false;
-  std::string metrics_out;
-  std::string trace_out;
-  std::string event_log;
+  cli::ObsFlags obs;
 };
 
 void PrintUsage() {
@@ -130,162 +107,10 @@ Observability (docs/observability.md):
 )";
 }
 
-bool ParseArgs(int argc, char** argv, CliOptions* opts, bool* want_help) {
-  std::string inline_value;
-  bool has_inline = false;
-  for (int i = 1; i < argc; ++i) {
-    std::string flag = argv[i];
-    has_inline = false;
-    if (flag.rfind("--", 0) == 0) {
-      const size_t eq = flag.find('=');
-      if (eq != std::string::npos) {
-        inline_value = flag.substr(eq + 1);
-        flag.resize(eq);
-        has_inline = true;
-      }
-    }
-    auto need_value = [&]() -> const char* {
-      if (has_inline) return inline_value.c_str();
-      if (i + 1 >= argc) {
-        std::cerr << "missing value for " << flag << "\n";
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    const char* v = nullptr;
-    if (flag == "--help" || flag == "-h") {
-      *want_help = true;
-      return true;
-    } else if (flag == "--lazy") {
-      opts->lazy = true;
-    } else if (flag == "--metrics") {
-      opts->print_metrics = true;
-    } else if (flag == "--tenant") {
-      if ((v = need_value()) == nullptr) return false;
-      const std::string spec = v;
-      const size_t eq = spec.find('=');
-      if (eq == std::string::npos || eq == 0 || eq + 1 >= spec.size()) {
-        std::cerr << "--tenant needs NAME=DATASET, got '" << spec << "'\n";
-        return false;
-      }
-      opts->tenants.emplace_back(spec.substr(0, eq), spec.substr(eq + 1));
-    } else if (flag == "--placement") {
-      if ((v = need_value()) == nullptr) return false;
-      opts->placement = v;
-    } else if (flag == "--port-file") {
-      if ((v = need_value()) == nullptr) return false;
-      opts->port_file = v;
-    } else if (flag == "--checkpoint-dir") {
-      if ((v = need_value()) == nullptr) return false;
-      opts->checkpoint_dir = v;
-    } else if (flag == "--oplog-dir") {
-      if ((v = need_value()) == nullptr) return false;
-      opts->oplog_dir = v;
-    } else if (flag == "--metrics-out") {
-      if ((v = need_value()) == nullptr) return false;
-      opts->metrics_out = v;
-    } else if (flag == "--trace-out") {
-      if ((v = need_value()) == nullptr) return false;
-      opts->trace_out = v;
-    } else if (flag == "--event-log") {
-      if ((v = need_value()) == nullptr) return false;
-      opts->event_log = v;
-    } else {
-      static const std::set<std::string> kNumericFlags = {
-          "--rows",         "--seed",         "--test-fraction",
-          "--trees",        "--depth",        "--random-depth",
-          "--model-seed",   "--k",            "--support-min",
-          "--support-max",  "--literals",     "--threads",
-          "--drift-abs",    "--drift-rel",    "--port",
-          "--max-connections", "--batch-window-us", "--max-batch",
-          "--queue-cap",    "--whatif-threads", "--deadline-ms",
-          "--lazy-budget",  "--shards"};
-      if (kNumericFlags.count(flag) == 0) {
-        std::cerr << "unknown flag: " << flag << " (see --help)\n";
-        return false;
-      }
-      if ((v = need_value()) == nullptr) return false;
-      int iv = 0;
-      double dv = 0.0;
-      const bool is_int = ParseInt(v, &iv);
-      const bool is_double = ParseDouble(v, &dv);
-      if (flag == "--rows" && is_int) opts->rows = iv;
-      else if (flag == "--seed" && is_int) opts->seed = static_cast<uint64_t>(iv);
-      else if (flag == "--test-fraction" && is_double) opts->test_fraction = dv;
-      else if (flag == "--trees" && is_int) opts->trees = iv;
-      else if (flag == "--depth" && is_int) opts->depth = iv;
-      else if (flag == "--random-depth" && is_int) opts->random_depth = iv;
-      else if (flag == "--model-seed" && is_int) opts->model_seed = static_cast<uint64_t>(iv);
-      else if (flag == "--k" && is_int) opts->top_k = iv;
-      else if (flag == "--support-min" && is_double) opts->support_min = dv;
-      else if (flag == "--support-max" && is_double) opts->support_max = dv;
-      else if (flag == "--literals" && is_int) opts->literals = iv;
-      else if (flag == "--threads" && is_int) opts->threads = iv;
-      else if (flag == "--drift-abs" && is_double) opts->drift_abs = dv;
-      else if (flag == "--drift-rel" && is_double) opts->drift_rel = dv;
-      else if (flag == "--port" && is_int) opts->port = iv;
-      else if (flag == "--max-connections" && is_int) opts->max_connections = iv;
-      else if (flag == "--batch-window-us" && is_int) opts->batch_window_us = iv;
-      else if (flag == "--max-batch" && is_int) opts->max_batch = iv;
-      else if (flag == "--queue-cap" && is_int) opts->queue_cap = iv;
-      else if (flag == "--whatif-threads" && is_int) opts->whatif_threads = iv;
-      else if (flag == "--deadline-ms" && is_int) opts->deadline_ms = iv;
-      else if (flag == "--lazy-budget" && is_int) opts->lazy_budget = iv;
-      else if (flag == "--shards" && is_int) opts->shards = iv;
-      else {
-        std::cerr << "unknown or malformed flag: " << flag << " " << v << "\n";
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
-struct ObsOutputs {
-  const CliOptions& opts;
-
-  explicit ObsOutputs(const CliOptions& options) : opts(options) {
-    if (!opts.trace_out.empty()) obs::StartTracing();
-  }
-
-  ~ObsOutputs() {
-    if (!opts.trace_out.empty()) {
-      obs::StopTracing();
-      if (obs::WriteTraceJsonFile(opts.trace_out)) {
-        std::cout << "trace written to " << opts.trace_out << "\n";
-      } else {
-        std::cerr << "could not write trace to " << opts.trace_out << "\n";
-      }
-    }
-    if (opts.print_metrics || !opts.metrics_out.empty()) {
-      obs::SetProcessGauges();
-      cow_debug::RefreshLiveNodesGauge();
-      const obs::MetricsSnapshot snapshot =
-          obs::MetricsRegistry::Global().Snapshot();
-      if (opts.print_metrics) {
-        std::cout << "\n--- metrics ---\n";
-        snapshot.PrintText(std::cout);
-      }
-      if (!opts.metrics_out.empty()) {
-        std::ofstream out(opts.metrics_out);
-        if (out << snapshot.ToJson() << "\n") {
-          std::cout << "metrics written to " << opts.metrics_out << "\n";
-        } else {
-          std::cerr << "could not write metrics to " << opts.metrics_out
-                    << "\n";
-        }
-      }
-    }
-  }
-};
-
 int Run(const CliOptions& opts) {
-  ObsOutputs obs_outputs(opts);
-  obs::EventLog event_log(opts.event_log);
-  if (!opts.event_log.empty() && !event_log.ok()) {
-    std::cerr << "could not open event log " << opts.event_log << "\n";
-    return 1;
-  }
+  cli::ObsExport obs_export(opts.obs);
+  if (!obs_export.ok()) return 1;
+  obs::EventLog& event_log = obs_export.event_log();
 
   serve::ServerConfig server_config;
   server_config.port = opts.port;
@@ -311,63 +136,22 @@ int Run(const CliOptions& opts) {
   if (tenants.empty()) tenants.emplace_back("default", "german-credit");
 
   for (const auto& [name, dataset] : tenants) {
-    auto registered = synth::FindDataset(dataset);
-    if (!registered.ok()) {
-      std::cerr << registered.status().ToString() << "\n";
-      return 1;
-    }
-    synth::SynthOptions synth_opts;
-    synth_opts.num_rows = opts.rows;
-    synth_opts.seed = opts.seed;
-    auto bundle = registered->make(synth_opts);
-    if (!bundle.ok()) {
-      std::cerr << bundle.status().ToString() << "\n";
-      return 1;
-    }
-    SplitOptions split_opts;
-    split_opts.test_fraction = opts.test_fraction;
-    split_opts.seed = 2;
-    auto split = SplitTrainTest(bundle->data, split_opts);
-    if (!split.ok()) {
-      std::cerr << split.status().ToString() << "\n";
-      return 1;
-    }
-    // Same head/tail carve-out as fume_stream, so a server fed the op-log
-    // that fume_stream synthesized starts from the identical model — the
-    // exactness anchor between served and offline answers.
-    const int64_t pool_rows = split->train.num_rows() / 3;
-    std::vector<int64_t> tail;
-    for (int64_t r = split->train.num_rows() - pool_rows;
-         r < split->train.num_rows(); ++r) {
-      tail.push_back(r);
-    }
-    const Dataset initial_train = split->train.DropRows(tail);
+    auto bundle = opts.data.Make(dataset);
+    if (!bundle.ok()) return cli::Fail(bundle.status());
+    auto fixture = stream::MakeStreamFixture(*bundle, opts.data.test_fraction);
+    if (!fixture.ok()) return cli::Fail(fixture.status());
 
     serve::TenantConfig config;
-    config.engine.forest.num_trees = opts.trees;
-    config.engine.forest.max_depth = opts.depth;
-    config.engine.forest.random_depth = opts.random_depth;
-    config.engine.forest.seed = opts.model_seed;
-    config.engine.fume.top_k = opts.top_k;
-    config.engine.fume.support_min = opts.support_min;
-    config.engine.fume.support_max = opts.support_max;
-    config.engine.fume.max_literals = opts.literals;
-    config.engine.fume.num_threads = opts.threads;
-    config.engine.fume.group = bundle->group;
-    config.engine.drift.abs_threshold = opts.drift_abs;
-    config.engine.drift.rel_threshold = opts.drift_rel;
+    config.engine.forest = opts.model.Forest();
     config.engine.forest.lazy_unlearn = opts.lazy;
     if (opts.lazy_budget > 0) {
       config.engine.forest.max_lazy_rows = opts.lazy_budget;
     }
-    auto shard_config =
-        ShardConfigFromFlags(opts.shards, opts.placement,
-                             bundle->group.sensitive_attr,
-                             bundle->group.privileged_code);
-    if (!shard_config.ok()) {
-      std::cerr << shard_config.status().ToString() << "\n";
-      return 1;
-    }
+    config.engine.fume = opts.search.Fume(fixture->group);
+    config.engine.drift.abs_threshold = opts.drift_abs;
+    config.engine.drift.rel_threshold = opts.drift_rel;
+    auto shard_config = opts.model.Shard(fixture->group);
+    if (!shard_config.ok()) return cli::Fail(shard_config.status());
     config.engine.shard = *shard_config;
     if (!opts.checkpoint_dir.empty()) {
       config.engine.checkpoint_path =
@@ -381,21 +165,18 @@ int Run(const CliOptions& opts) {
     config.batch.max_batch = opts.max_batch;
     config.batch.queue_cap = opts.queue_cap;
 
-    Status st = server.RegisterTenant(name, initial_train,
-                                      std::move(split->test), config);
+    Status st = server.RegisterTenant(name, fixture->initial_train,
+                                      std::move(fixture->test), config);
     if (!st.ok()) {
       std::cerr << "tenant " << name << ": " << st.ToString() << "\n";
       return 1;
     }
     std::cout << "tenant " << name << ": " << dataset << ", "
-              << initial_train.num_rows() << " live rows\n";
+              << fixture->initial_train.num_rows() << " live rows\n";
   }
 
   Status st = server.Start();
-  if (!st.ok()) {
-    std::cerr << st.ToString() << "\n";
-    return 1;
-  }
+  if (!st.ok()) return cli::Fail(st);
   if (!opts.port_file.empty()) {
     std::ofstream pf(opts.port_file);
     if (!(pf << server.port() << "\n")) {
@@ -422,11 +203,34 @@ int Run(const CliOptions& opts) {
 
 int main(int argc, char** argv) {
   CliOptions opts;
-  bool want_help = false;
-  if (!ParseArgs(argc, argv, &opts, &want_help)) return 2;
-  if (want_help) {
-    PrintUsage();
-    return 0;
-  }
+  cli::FlagSet flags;
+  flags.Custom("--tenant", [&opts](const std::string& spec) {
+    const size_t eq = spec.find('=');
+    if (eq == std::string::npos || eq == 0 || eq + 1 >= spec.size()) {
+      return Status::Invalid("--tenant needs NAME=DATASET, got '" + spec +
+                             "'");
+    }
+    opts.tenants.emplace_back(spec.substr(0, eq), spec.substr(eq + 1));
+    return Status::OK();
+  });
+  opts.data.Register(&flags);
+  opts.model.Register(&flags);
+  opts.search.Register(&flags, /*with_metric=*/false);
+  flags.Double("--drift-abs", &opts.drift_abs);
+  flags.Double("--drift-rel", &opts.drift_rel);
+  flags.Bool("--lazy", &opts.lazy);
+  flags.Int64("--lazy-budget", &opts.lazy_budget);
+  flags.Int("--port", &opts.port);
+  flags.String("--port-file", &opts.port_file);
+  flags.Int("--max-connections", &opts.max_connections);
+  flags.Int64("--batch-window-us", &opts.batch_window_us);
+  flags.Int("--max-batch", &opts.max_batch);
+  flags.Int("--queue-cap", &opts.queue_cap);
+  flags.Int("--whatif-threads", &opts.whatif_threads);
+  flags.Int64("--deadline-ms", &opts.deadline_ms);
+  flags.String("--checkpoint-dir", &opts.checkpoint_dir);
+  flags.String("--oplog-dir", &opts.oplog_dir);
+  opts.obs.Register(&flags, /*with_query_cost=*/false);
+  if (auto exit_code = flags.Parse(argc, argv, PrintUsage)) return *exit_code;
   return Run(opts);
 }

@@ -17,22 +17,16 @@
 #include <fstream>
 #include <iostream>
 #include <optional>
-#include <set>
 #include <string>
 
+#include "cli_common.h"
 #include "core/report.h"
-#include "data/split.h"
 #include "fairness/metrics.h"
 #include "forest/sharded_forest.h"
-#include "forest/tree.h"
 #include "obs/event_log.h"
-#include "obs/metrics.h"
-#include "obs/process.h"
 #include "obs/query_scope.h"
-#include "obs/trace.h"
 #include "stream/engine.h"
 #include "stream/workload.h"
-#include "synth/registry.h"
 #include "util/string_util.h"
 
 namespace {
@@ -46,27 +40,12 @@ volatile std::sig_atomic_t g_stop = 0;
 void HandleSignal(int) { g_stop = 1; }
 
 struct CliOptions {
-  // Data.
   std::string dataset = "german-credit";
-  int64_t rows = 0;
-  uint64_t seed = 4;
-  double test_fraction = 0.3;
-  // Model.
-  int trees = 10;
-  int depth = 8;
-  int random_depth = 2;
-  uint64_t model_seed = 31;
+  cli::DataFlags data;
+  cli::ModelFlags model;
   bool lazy = false;
   int64_t lazy_budget = 0;  // 0 = ForestConfig default
-  int shards = 1;
-  std::string placement = "hash";
-  // Search.
-  FairnessMetric metric = FairnessMetric::kStatisticalParity;
-  int top_k = 5;
-  double support_min = 0.05;
-  double support_max = 0.15;
-  int literals = 2;
-  int threads = 1;
+  cli::SearchFlags search;
   // Stream.
   std::string oplog;
   std::string oplog_out;
@@ -80,12 +59,7 @@ struct CliOptions {
   double drift_abs = 0.01;
   double drift_rel = 0.10;
   bool no_search_on_checkpoint = false;
-  // Observability.
-  bool print_metrics = false;
-  bool query_cost = false;
-  std::string metrics_out;
-  std::string trace_out;
-  std::string event_log;
+  cli::ObsFlags obs;
 };
 
 void PrintUsage() {
@@ -152,171 +126,6 @@ Observability (docs/observability.md):
 )";
 }
 
-std::optional<FairnessMetric> ParseMetric(const std::string& name) {
-  if (name == "statistical-parity") return FairnessMetric::kStatisticalParity;
-  if (name == "equalized-odds") return FairnessMetric::kEqualizedOdds;
-  if (name == "predictive-parity") return FairnessMetric::kPredictiveParity;
-  if (name == "equal-opportunity") return FairnessMetric::kEqualOpportunity;
-  if (name == "disparate-impact") return FairnessMetric::kDisparateImpact;
-  return std::nullopt;
-}
-
-bool ParseArgs(int argc, char** argv, CliOptions* opts, bool* want_help) {
-  std::string inline_value;
-  bool has_inline = false;
-  for (int i = 1; i < argc; ++i) {
-    std::string flag = argv[i];
-    has_inline = false;
-    if (flag.rfind("--", 0) == 0) {
-      const size_t eq = flag.find('=');
-      if (eq != std::string::npos) {
-        inline_value = flag.substr(eq + 1);
-        flag.resize(eq);
-        has_inline = true;
-      }
-    }
-    auto need_value = [&]() -> const char* {
-      if (has_inline) return inline_value.c_str();
-      if (i + 1 >= argc) {
-        std::cerr << "missing value for " << flag << "\n";
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    const char* v = nullptr;
-    if (flag == "--help" || flag == "-h") {
-      *want_help = true;
-      return true;
-    } else if (flag == "--no-search-on-checkpoint") {
-      opts->no_search_on_checkpoint = true;
-    } else if (flag == "--lazy") {
-      opts->lazy = true;
-    } else if (flag == "--metrics") {
-      opts->print_metrics = true;
-    } else if (flag == "--query-cost") {
-      opts->query_cost = true;
-    } else if (flag == "--metrics-out") {
-      if ((v = need_value()) == nullptr) return false;
-      opts->metrics_out = v;
-    } else if (flag == "--trace-out") {
-      if ((v = need_value()) == nullptr) return false;
-      opts->trace_out = v;
-    } else if (flag == "--event-log") {
-      if ((v = need_value()) == nullptr) return false;
-      opts->event_log = v;
-    } else if (flag == "--dataset") {
-      if ((v = need_value()) == nullptr) return false;
-      opts->dataset = v;
-    } else if (flag == "--oplog") {
-      if ((v = need_value()) == nullptr) return false;
-      opts->oplog = v;
-    } else if (flag == "--oplog-out") {
-      if ((v = need_value()) == nullptr) return false;
-      opts->oplog_out = v;
-    } else if (flag == "--checkpoint") {
-      if ((v = need_value()) == nullptr) return false;
-      opts->checkpoint = v;
-    } else if (flag == "--resume") {
-      if ((v = need_value()) == nullptr) return false;
-      opts->resume = v;
-    } else if (flag == "--placement") {
-      if ((v = need_value()) == nullptr) return false;
-      opts->placement = v;
-    } else if (flag == "--metric") {
-      if ((v = need_value()) == nullptr) return false;
-      auto metric = ParseMetric(v);
-      if (!metric) {
-        std::cerr << "unknown metric '" << v << "'\n";
-        return false;
-      }
-      opts->metric = *metric;
-    } else {
-      static const std::set<std::string> kNumericFlags = {
-          "--rows",          "--seed",          "--test-fraction",
-          "--trees",         "--depth",         "--random-depth",
-          "--model-seed",    "--k",             "--support-min",
-          "--support-max",   "--literals",      "--threads",
-          "--ops",           "--insert-batch",  "--delete-batch",
-          "--checkpoint-every", "--workload-seed", "--drift-abs",
-          "--drift-rel",     "--lazy-budget",   "--shards"};
-      if (kNumericFlags.count(flag) == 0) {
-        std::cerr << "unknown flag: " << flag << " (see --help)\n";
-        return false;
-      }
-      if ((v = need_value()) == nullptr) return false;
-      int iv = 0;
-      double dv = 0.0;
-      const bool is_int = ParseInt(v, &iv);
-      const bool is_double = ParseDouble(v, &dv);
-      if (flag == "--rows" && is_int) opts->rows = iv;
-      else if (flag == "--seed" && is_int) opts->seed = static_cast<uint64_t>(iv);
-      else if (flag == "--test-fraction" && is_double) opts->test_fraction = dv;
-      else if (flag == "--trees" && is_int) opts->trees = iv;
-      else if (flag == "--depth" && is_int) opts->depth = iv;
-      else if (flag == "--random-depth" && is_int) opts->random_depth = iv;
-      else if (flag == "--model-seed" && is_int) opts->model_seed = static_cast<uint64_t>(iv);
-      else if (flag == "--k" && is_int) opts->top_k = iv;
-      else if (flag == "--support-min" && is_double) opts->support_min = dv;
-      else if (flag == "--support-max" && is_double) opts->support_max = dv;
-      else if (flag == "--literals" && is_int) opts->literals = iv;
-      else if (flag == "--threads" && is_int) opts->threads = iv;
-      else if (flag == "--ops" && is_int) opts->ops = iv;
-      else if (flag == "--insert-batch" && is_int) opts->insert_batch = iv;
-      else if (flag == "--delete-batch" && is_int) opts->delete_batch = iv;
-      else if (flag == "--checkpoint-every" && is_int) opts->checkpoint_every = iv;
-      else if (flag == "--workload-seed" && is_int) opts->workload_seed = static_cast<uint64_t>(iv);
-      else if (flag == "--drift-abs" && is_double) opts->drift_abs = dv;
-      else if (flag == "--drift-rel" && is_double) opts->drift_rel = dv;
-      else if (flag == "--lazy-budget" && is_int) opts->lazy_budget = iv;
-      else if (flag == "--shards" && is_int) opts->shards = iv;
-      else {
-        std::cerr << "unknown or malformed flag: " << flag << " " << v << "\n";
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
-// Mirrors fume_cli's end-of-run metrics/trace dump.
-struct ObsOutputs {
-  const CliOptions& opts;
-
-  explicit ObsOutputs(const CliOptions& options) : opts(options) {
-    if (!opts.trace_out.empty()) obs::StartTracing();
-  }
-
-  ~ObsOutputs() {
-    if (!opts.trace_out.empty()) {
-      obs::StopTracing();
-      if (obs::WriteTraceJsonFile(opts.trace_out)) {
-        std::cout << "trace written to " << opts.trace_out << "\n";
-      } else {
-        std::cerr << "could not write trace to " << opts.trace_out << "\n";
-      }
-    }
-    if (opts.print_metrics || !opts.metrics_out.empty()) {
-      obs::SetProcessGauges();
-      cow_debug::RefreshLiveNodesGauge();
-      const obs::MetricsSnapshot snapshot =
-          obs::MetricsRegistry::Global().Snapshot();
-      if (opts.print_metrics) {
-        std::cout << "\n--- metrics ---\n";
-        snapshot.PrintText(std::cout);
-      }
-      if (!opts.metrics_out.empty()) {
-        std::ofstream out(opts.metrics_out);
-        if (out << snapshot.ToJson() << "\n") {
-          std::cout << "metrics written to " << opts.metrics_out << "\n";
-        } else {
-          std::cerr << "could not write metrics to " << opts.metrics_out
-                    << "\n";
-        }
-      }
-    }
-  }
-};
-
 void PrintTimelineRow(const stream::OpOutcome& outcome) {
   std::printf("%6lld  %-10s %7lld  %+8.4f  %6.1f ms %s",
               static_cast<long long>(outcome.seq),
@@ -337,67 +146,24 @@ void PrintTimelineRow(const stream::OpOutcome& outcome) {
 }
 
 int Run(const CliOptions& opts) {
-  ObsOutputs obs_outputs(opts);
-  obs::EventLog event_log(opts.event_log);  // empty path = disabled sink
-  if (!opts.event_log.empty() && !event_log.ok()) {
-    std::cerr << "could not open event log " << opts.event_log << "\n";
-    return 1;
-  }
+  cli::ObsExport obs_export(opts.obs);
+  if (!obs_export.ok()) return 1;
+  obs::EventLog& event_log = obs_export.event_log();
 
-  auto registered = synth::FindDataset(opts.dataset);
-  if (!registered.ok()) {
-    std::cerr << registered.status().ToString() << "\n";
-    return 1;
-  }
-  synth::SynthOptions synth_opts;
-  synth_opts.num_rows = opts.rows;
-  synth_opts.seed = opts.seed;
-  auto bundle = registered->make(synth_opts);
-  if (!bundle.ok()) {
-    std::cerr << bundle.status().ToString() << "\n";
-    return 1;
-  }
-  SplitOptions split_opts;
-  split_opts.test_fraction = opts.test_fraction;
-  split_opts.seed = 2;
-  auto split = SplitTrainTest(bundle->data, split_opts);
-  if (!split.ok()) {
-    std::cerr << split.status().ToString() << "\n";
-    return 1;
-  }
-
-  // A third of the training half is held back as the insert pool; the
-  // engine starts from the rest.
-  const int64_t pool_rows = split->train.num_rows() / 3;
-  std::vector<int64_t> tail, head;
-  for (int64_t r = 0; r < split->train.num_rows(); ++r) {
-    (r < split->train.num_rows() - pool_rows ? head : tail).push_back(r);
-  }
-  const Dataset initial_train = split->train.DropRows(tail);
-  const Dataset pool = split->train.DropRows(head);
+  auto bundle = opts.data.Make(opts.dataset);
+  if (!bundle.ok()) return cli::Fail(bundle.status());
+  auto fixture = stream::MakeStreamFixture(*bundle, opts.data.test_fraction);
+  if (!fixture.ok()) return cli::Fail(fixture.status());
+  const Dataset& initial_train = fixture->initial_train;
+  const Dataset& test = fixture->test;
 
   stream::StreamEngineConfig config;
-  config.forest.num_trees = opts.trees;
-  config.forest.max_depth = opts.depth;
-  config.forest.random_depth = opts.random_depth;
-  config.forest.seed = opts.model_seed;
+  config.forest = opts.model.Forest();
   config.forest.lazy_unlearn = opts.lazy;
   if (opts.lazy_budget > 0) config.forest.max_lazy_rows = opts.lazy_budget;
-  config.fume.top_k = opts.top_k;
-  config.fume.support_min = opts.support_min;
-  config.fume.support_max = opts.support_max;
-  config.fume.max_literals = opts.literals;
-  config.fume.num_threads = opts.threads;
-  config.fume.metric = opts.metric;
-  config.fume.group = bundle->group;
-  auto shard_config =
-      ShardConfigFromFlags(opts.shards, opts.placement,
-                           bundle->group.sensitive_attr,
-                           bundle->group.privileged_code);
-  if (!shard_config.ok()) {
-    std::cerr << shard_config.status().ToString() << "\n";
-    return 1;
-  }
+  config.fume = opts.search.Fume(fixture->group);
+  auto shard_config = opts.model.Shard(fixture->group);
+  if (!shard_config.ok()) return cli::Fail(shard_config.status());
   config.shard = *shard_config;
   config.drift.abs_threshold = opts.drift_abs;
   config.drift.rel_threshold = opts.drift_rel;
@@ -408,10 +174,7 @@ int Run(const CliOptions& opts) {
   std::vector<stream::StreamOp> ops;
   if (!opts.oplog.empty()) {
     auto read = stream::ReadOpLogFile(opts.oplog);
-    if (!read.ok()) {
-      std::cerr << read.status().ToString() << "\n";
-      return 1;
-    }
+    if (!read.ok()) return cli::Fail(read.status());
     ops = std::move(*read);
   } else {
     stream::WorkloadOptions w;
@@ -421,18 +184,12 @@ int Run(const CliOptions& opts) {
     w.checkpoint_every = opts.checkpoint_every;
     w.seed = opts.workload_seed;
     auto synthesized =
-        stream::SynthesizeOpLog(pool, initial_train.num_rows(), w);
-    if (!synthesized.ok()) {
-      std::cerr << synthesized.status().ToString() << "\n";
-      return 1;
-    }
+        stream::SynthesizeOpLog(fixture->pool, initial_train.num_rows(), w);
+    if (!synthesized.ok()) return cli::Fail(synthesized.status());
     ops = std::move(*synthesized);
     if (!opts.oplog_out.empty()) {
       Status st = stream::WriteOpLogFile(ops, opts.oplog_out);
-      if (!st.ok()) {
-        std::cerr << st.ToString() << "\n";
-        return 1;
-      }
+      if (!st.ok()) return cli::Fail(st);
       std::cout << "op-log written to " << opts.oplog_out << "\n";
     }
   }
@@ -441,11 +198,8 @@ int Run(const CliOptions& opts) {
   std::optional<stream::StreamEngine> engine;
   if (!opts.resume.empty()) {
     auto restored = stream::StreamEngine::RestoreFromFile(
-        opts.resume, initial_train.schema(), split->test, config);
-    if (!restored.ok()) {
-      std::cerr << restored.status().ToString() << "\n";
-      return 1;
-    }
+        opts.resume, initial_train.schema(), test, config);
+    if (!restored.ok()) return cli::Fail(restored.status());
     engine.emplace(std::move(*restored));
     const size_t before = ops.size();
     std::erase_if(ops, [&](const stream::StreamOp& op) {
@@ -456,17 +210,14 @@ int Run(const CliOptions& opts) {
               << " already-applied ops\n";
   } else {
     auto created =
-        stream::StreamEngine::Create(initial_train, split->test, config);
-    if (!created.ok()) {
-      std::cerr << created.status().ToString() << "\n";
-      return 1;
-    }
+        stream::StreamEngine::Create(initial_train, test, config);
+    if (!created.ok()) return cli::Fail(created.status());
     engine.emplace(std::move(*created));
   }
 
   std::cout << "dataset: " << bundle->name << ", " << engine->rows_live()
-            << " live training rows, " << split->test.num_rows()
-            << " test rows\ninitial " << FairnessMetricName(opts.metric)
+            << " live training rows, " << test.num_rows()
+            << " test rows\ninitial " << FairnessMetricName(opts.search.metric)
             << ": " << FormatDouble(engine->current_metric(), 4)
             << ", accuracy " << FormatPercent(engine->current_accuracy())
             << "\n\n   seq  kind          live    metric      apply\n";
@@ -489,7 +240,7 @@ int Run(const CliOptions& opts) {
       return 1;
     }
     PrintTimelineRow(*outcome);
-    if (opts.query_cost) std::cout << "        " << cost.CompactString() << "\n";
+    if (opts.obs.query_cost) std::cout << "        " << cost.CompactString() << "\n";
     event_log.Event("stream_op")
         .Field("op_seq", outcome->seq)
         .Field("kind", stream::OpKindName(outcome->kind))
@@ -541,7 +292,6 @@ int Run(const CliOptions& opts) {
     // exactness is per shard. A mismatch is a correctness bug, not noise.
     const ShardedForest& model = engine->model();
     const Dataset& train = engine->train_data();
-    const Dataset& test = engine->test_data();
     const std::vector<RowId>& ids = engine->live_ids();
     bool ok = model.ValidateStats();
     int64_t compared = 0;
@@ -556,10 +306,7 @@ int Run(const CliOptions& opts) {
       cfg.seed = config.forest.seed +
                  ShardedForest::kShardSeedStride * static_cast<uint64_t>(s);
       auto cold = DareForest::Train(train.Select(members), cfg);
-      if (!cold.ok()) {
-        std::cerr << cold.status().ToString() << "\n";
-        return 1;
-      }
+      if (!cold.ok()) return cli::Fail(cold.status());
       const std::vector<double> live_probs =
           model.shard(s).PredictProbAll(test);
       ok = ok && live_probs == cold->PredictProbAll(test);
@@ -568,7 +315,7 @@ int Run(const CliOptions& opts) {
     const std::vector<int> voted = model.PredictAll(test);
     ok = ok && engine->current_metric() ==
                    ComputeFairness(test, voted, config.fume.group,
-                                   opts.metric);
+                                   opts.search.metric);
     ok = ok && engine->current_accuracy() == model.Accuracy(test);
     if (!ok) {
       std::cerr << "lazy identity: MISMATCH — the flushed model differs "
@@ -580,7 +327,7 @@ int Run(const CliOptions& opts) {
               << " test predictions compared)\n";
   }
 
-  std::cout << "\nfinal " << FairnessMetricName(opts.metric) << ": "
+  std::cout << "\nfinal " << FairnessMetricName(opts.search.metric) << ": "
             << FormatDouble(engine->current_metric(), 4) << ", accuracy "
             << FormatPercent(engine->current_accuracy()) << ", staleness "
             << engine->staleness() << " ops\n";
@@ -598,11 +345,26 @@ int Run(const CliOptions& opts) {
 
 int main(int argc, char** argv) {
   CliOptions opts;
-  bool want_help = false;
-  if (!ParseArgs(argc, argv, &opts, &want_help)) return 2;
-  if (want_help) {
-    PrintUsage();
-    return 0;
-  }
+  cli::FlagSet flags;
+  flags.String("--dataset", &opts.dataset);
+  opts.data.Register(&flags);
+  opts.model.Register(&flags);
+  flags.Bool("--lazy", &opts.lazy);
+  flags.Int64("--lazy-budget", &opts.lazy_budget);
+  opts.search.Register(&flags, /*with_metric=*/true);
+  flags.String("--oplog", &opts.oplog);
+  flags.String("--oplog-out", &opts.oplog_out);
+  flags.Int("--ops", &opts.ops);
+  flags.Int("--insert-batch", &opts.insert_batch);
+  flags.Int("--delete-batch", &opts.delete_batch);
+  flags.Int("--checkpoint-every", &opts.checkpoint_every);
+  flags.Uint64("--workload-seed", &opts.workload_seed);
+  flags.String("--checkpoint", &opts.checkpoint);
+  flags.String("--resume", &opts.resume);
+  flags.Double("--drift-abs", &opts.drift_abs);
+  flags.Double("--drift-rel", &opts.drift_rel);
+  flags.Bool("--no-search-on-checkpoint", &opts.no_search_on_checkpoint);
+  opts.obs.Register(&flags, /*with_query_cost=*/true);
+  if (auto exit_code = flags.Parse(argc, argv, PrintUsage)) return *exit_code;
   return Run(opts);
 }
