@@ -1,11 +1,9 @@
 #!/usr/bin/env bash
 # AddressSanitizer (+UBSan) sweep: the same harness as run_tsan_tests.sh
-# with FUME_SANITIZE=address pinned. The prediction cache holds raw TreeNode
-# pointers across forest mutations (src/forest/prediction_cache.h), CoW
-# clones share refcounted nodes across forests, and compiled tree arenas
-# keep raw TreeNode leaf pointers alive past the mutation that evicted them
-# (src/forest/arena.h node_ array), so this sweep is the use-after-free
-# tripwire for all three contracts. Usage:
+# with FUME_SANITIZE=address pinned. CoW clones share refcounted nodes
+# across forests and served snapshots, and the fused what-if walk reads a
+# snapshot's nodes while the writer replaces its own, so this sweep is the
+# use-after-free tripwire for the node graph. Usage:
 #
 #   scripts/run_asan_tests.sh            # ASan+UBSan
 #

@@ -122,8 +122,8 @@ fi
 
 # Front-end legs: the five tools share one flag parser. Each must print
 # its help (exit 0) and reject an unknown flag with exit 2; an integer that
-# does not fit its field is rejected (exit 2), never wrapped into a
-# different value.
+# does not fit its field, or a switch value other than 0/1/false/true, is
+# rejected (exit 2), never read as a different value.
 echo "=== command-line front end ==="
 expect_exit() {  # expect_exit CODE TOOL ARGS...
   local want="$1" code=0
@@ -139,6 +139,7 @@ for tool in fume_cli fume_stream fume_serve fume_client bench_check; do
   expect_exit 2 "${tool}" --bogus
 done
 expect_exit 2 fume_cli --dataset german-credit --threads 2147483649
+expect_exit 2 fume_stream --lazy=2  # a switch takes 0, 1, false or true
 
 # Stream identity legs, once per deployment: the default one-shard model
 # and a slice-placed 4-shard ensemble.
@@ -282,7 +283,24 @@ else
     echo "FAIL: out-of-range row id was not answered with bad_request"
     cat wrapped-id.log
     status=1
+  elif ! grep -q '^{"id":1,"ok":false' wrapped-id.log; then
+    # A pipelining client must be able to tell which request failed.
+    echo "FAIL: the bad_request answer does not echo the request's id"
+    cat wrapped-id.log
+    status=1
   fi
+  # fume_client sends a request whole or not at all: a fourth literal field
+  # or a trailing comma in a row is malformed (exit 1), never dropped.
+  for bad in --whatif=0:eq:1:junk --predict=0,1,; do
+    code=0
+    "${TOOLS_DIR}/fume_client" --port-file serve.port "${bad}" \
+      > bad-arg.log 2>&1 || code=$?
+    if [ "${code}" -ne 1 ] || ! grep -q '^malformed' bad-arg.log; then
+      echo "FAIL: fume_client ${bad} exited ${code} without a malformed line"
+      cat bad-arg.log
+      status=1
+    fi
+  done
   kill -TERM "${SERVE_PID}"
   if ! wait "${SERVE_PID}"; then
     echo "FAIL: fume_serve did not exit cleanly on SIGTERM"

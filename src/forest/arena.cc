@@ -53,12 +53,10 @@ int32_t TreeArena::AddSlot() {
   threshold_.push_back(std::numeric_limits<int32_t>::max());
   child_.push_back(id);
   prob_.push_back(0.5);
-  node_.push_back(nullptr);
   return id;
 }
 
 void TreeArena::CompileNode(const TreeNode* n, int32_t slot, int depth) {
-  node_[static_cast<size_t>(slot)] = n;
   if (n->is_leaf()) {
     // AddSlot already parked the slot on itself (child == self, threshold
     // INT32_MAX); only the payload needs filling.
@@ -89,23 +87,18 @@ std::shared_ptr<const TreeArena> TreeArena::Compile(const TreeNode* root,
     arena->threshold_.reserve(hint);
     arena->child_.reserve(hint);
     arena->prob_.reserve(hint);
-    arena->node_.reserve(hint);
   }
   const int32_t root_slot = arena->AddSlot();
-  if (root == nullptr || root->count == 0) {
-    // PredictProb answers 0.5 before descending an absent or emptied tree;
-    // a one-slot self-parked leaf reproduces that (node_ keeps the root
-    // pointer so cached-leaf identity matches the pointer walk).
-    arena->node_[0] = root;
-  } else {
+  // PredictProb answers 0.5 before descending an absent or emptied tree; the
+  // one self-parked slot AddSlot made reproduces that.
+  if (root != nullptr && root->count != 0) {
     arena->CompileNode(root, root_slot, 0);
   }
   arena->bytes_ = static_cast<int64_t>(
       arena->attr_.capacity() * sizeof(int32_t) +
       arena->threshold_.capacity() * sizeof(int32_t) +
       arena->child_.capacity() * sizeof(int32_t) +
-      arena->prob_.capacity() * sizeof(double) +
-      arena->node_.capacity() * sizeof(const TreeNode*) + sizeof(TreeArena));
+      arena->prob_.capacity() * sizeof(double) + sizeof(TreeArena));
   AddLiveBytes(arena->bytes_);
   return arena;
 }
@@ -156,16 +149,6 @@ void TreeArena::PredictProbs(const int32_t* codes, int num_attrs,
   const double* const prob = prob_.data();
   Walk(codes, num_attrs, n_rows,
        [&](int64_t row, int32_t leaf) { out[row] = prob[leaf]; });
-}
-
-void TreeArena::WalkLeaves(const int32_t* codes, int num_attrs, int64_t n_rows,
-                           const TreeNode** leaves, double* probs) const {
-  const double* const prob = prob_.data();
-  const TreeNode* const* const node = node_.data();
-  Walk(codes, num_attrs, n_rows, [&](int64_t row, int32_t leaf) {
-    leaves[row] = node[leaf];
-    probs[row] = prob[leaf];
-  });
 }
 
 }  // namespace fume

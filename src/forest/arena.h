@@ -12,7 +12,6 @@
 //                  unconditional: idx = child_[idx] + (code > threshold)
 //                  parks leaves in place because code > INT32_MAX is false.
 //   prob_[i]       leaf positive fraction     (unused for internal nodes)
-//   node_[i]       source TreeNode*           (prediction-cache leaf identity)
 //
 // An arena is an immutable value: mutation goes through the CoW pointer
 // graph, which bumps the owning tree's generation stamp; DareTree::arena()
@@ -58,12 +57,6 @@ class TreeArena {
   void PredictProbs(const int32_t* codes, int num_attrs, int64_t n_rows,
                     double* out) const;
 
-  /// leaves[r] = the source TreeNode each row lands in (nullptr for a
-  /// null-root sentinel), probs[r] = its positive fraction — exactly what
-  /// TestPredictionCache's pointer walk stores per row.
-  void WalkLeaves(const int32_t* codes, int num_attrs, int64_t n_rows,
-                  const TreeNode** leaves, double* probs) const;
-
   uint64_t generation() const { return generation_; }
   /// Root of the node graph this arena was compiled from (debug identity).
   const TreeNode* source_root() const { return source_root_; }
@@ -84,7 +77,6 @@ class TreeArena {
   std::vector<int32_t> threshold_;
   std::vector<int32_t> child_;
   std::vector<double> prob_;
-  std::vector<const TreeNode*> node_;
   int depth_ = 0;
   uint64_t generation_ = 0;
   const TreeNode* source_root_ = nullptr;

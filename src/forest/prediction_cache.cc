@@ -1,47 +1,51 @@
 #include "forest/prediction_cache.h"
 
+#include <numeric>
+
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/check.h"
 
 namespace fume {
 
-void TestPredictionCache::WalkTree(const DareForest& forest,
-                                   const Dataset& test, int t) {
-  const int64_t n_rows = test.num_rows();
-  auto& leaves = leaf_[static_cast<size_t>(t)];
-  auto& probs = prob_[static_cast<size_t>(t)];
-  leaves.resize(static_cast<size_t>(n_rows));
-  probs.resize(static_cast<size_t>(n_rows));
-  // The arena reports the leaf TreeNode* each row reaches — the addresses
-  // ResumeTree and the stream engine's resume contract key on — and
-  // PredictProb's probability bytes.
-  const std::shared_ptr<const PackedCodes> packed = test.packed_codes();
-  forest.tree(t).arena()->WalkLeaves(packed->codes.data(), packed->num_attrs,
-                                     n_rows, leaves.data(), probs.data());
+namespace {
+
+/// Sets probs[r] for the test rows [begin, end) that reach `node` to the
+/// probability of the leaf they reach, descending only through nodes
+/// stamped after `since`: a row routed into an older node keeps its value.
+/// `codes` is the test set's packed row-major matrix. Returns the number of
+/// rows written.
+int64_t RefreshStamped(const TreeNode* node, uint64_t since,
+                       const int32_t* codes, int num_attrs, int64_t* begin,
+                       int64_t* end, double* probs) {
+  if (begin == end || node->generation <= since) return 0;
+  if (node->is_leaf()) {
+    // PredictProb's arithmetic, including the 0.5 of an emptied leaf.
+    const double p = node->count == 0 ? 0.5
+                                      : static_cast<double>(node->pos) /
+                                            static_cast<double>(node->count);
+    for (const int64_t* r = begin; r != end; ++r) {
+      probs[static_cast<size_t>(*r)] = p;
+    }
+    return end - begin;
+  }
+  // Branch-free unstable partition: the order of test rows carries no
+  // meaning.
+  int64_t* mid = begin;
+  for (int64_t* q = begin; q != end; ++q) {
+    const int64_t r = *q;
+    const bool left = codes[r * num_attrs + node->attr] <= node->threshold;
+    *q = *mid;
+    *mid = r;
+    mid += left;
+  }
+  return RefreshStamped(node->left.get(), since, codes, num_attrs, begin, mid,
+                        probs) +
+         RefreshStamped(node->right.get(), since, codes, num_attrs, mid, end,
+                        probs);
 }
 
-void TestPredictionCache::ResumeTree(const Dataset& test, int t) {
-  auto& leaves = leaf_[static_cast<size_t>(t)];
-  auto& probs = prob_[static_cast<size_t>(t)];
-  for (size_t r = 0; r < leaves.size(); ++r) {
-    const TreeNode* n = leaves[r];
-    if (n != nullptr && n->count != 0 && !n->is_leaf()) {
-      // An insert rebuilt this leaf into a split in place (same address);
-      // the row still reaches it, so finish the walk from here.
-      do {
-        n = test.Code(static_cast<int64_t>(r), n->attr) <= n->threshold
-                ? n->left.get()
-                : n->right.get();
-      } while (!n->is_leaf());
-      leaves[r] = n;
-    }
-    probs[r] = (n == nullptr || n->count == 0)
-                   ? 0.5
-                   : static_cast<double>(n->pos) /
-                         static_cast<double>(n->count);
-  }
-}
+}  // namespace
 
 void TestPredictionCache::Finalize(const DareForest& forest) {
   const size_t n_rows = pred_.size();
@@ -61,44 +65,58 @@ void TestPredictionCache::Rebuild(const DareForest& forest,
   obs::TraceSpan span("stream.predcache.rebuild",
                       {{"trees", forest.num_trees()},
                        {"rows", test.num_rows()}});
-  // The cache stores leaf pointers — they must come from a flushed graph.
   forest.EnsureFlushed();
-  leaf_.assign(static_cast<size_t>(forest.num_trees()), {});
-  prob_.assign(static_cast<size_t>(forest.num_trees()), {});
-  mean_prob_.assign(static_cast<size_t>(test.num_rows()), 0.0);
-  pred_.assign(static_cast<size_t>(test.num_rows()), 0);
-  for (int t = 0; t < forest.num_trees(); ++t) WalkTree(forest, test, t);
+  const size_t num_trees = static_cast<size_t>(forest.num_trees());
+  const int64_t n_rows = test.num_rows();
+  prob_.assign(num_trees, std::vector<double>(static_cast<size_t>(n_rows)));
+  synced_.resize(num_trees);
+  mean_prob_.assign(static_cast<size_t>(n_rows), 0.0);
+  pred_.assign(static_cast<size_t>(n_rows), 0);
+  const std::shared_ptr<const PackedCodes> packed = test.packed_codes();
+  for (size_t t = 0; t < num_trees; ++t) {
+    const DareTree& tree = forest.tree(static_cast<int>(t));
+    tree.arena()->PredictProbs(packed->codes.data(), packed->num_attrs, n_rows,
+                               prob_[t].data());
+    synced_[t] = tree.generation();
+  }
   Finalize(forest);
 }
 
-void TestPredictionCache::Update(const DareForest& forest, const Dataset& test,
-                                 const std::vector<bool>& tree_dirty) {
-  FUME_CHECK_EQ(tree_dirty.size(), leaf_.size());
-  FUME_CHECK_EQ(static_cast<size_t>(forest.num_trees()), leaf_.size());
-  static obs::Counter* rewalked =
+void TestPredictionCache::Update(const DareForest& forest,
+                                 const Dataset& test) {
+  FUME_CHECK_EQ(static_cast<size_t>(forest.num_trees()), prob_.size());
+  static obs::Counter* trees_rewalked =
       obs::GetCounter("stream.predcache.trees_rewalked");
-  static obs::Counter* resumed =
-      obs::GetCounter("stream.predcache.trees_refreshed");
+  static obs::Counter* rows_rewalked =
+      obs::GetCounter("stream.predcache.rows_rewalked");
   obs::TraceSpan span("stream.predcache.update");
-  // Flushing here would be unsound, not just unexpected: a flush retrain
-  // frees nodes in trees the caller's dirty flags call clean, and ResumeTree
-  // would then chase freed leaf pointers. Callers must flush first and fold
-  // the flush retrains into tree_dirty (DareForest::FlushAll's per_tree
-  // report), as StreamEngine does.
+  // A tag leaves stale decisions below it; callers flush first.
   FUME_CHECK(!forest.HasLazyTags());
-  int64_t walked = 0;
-  for (int t = 0; t < forest.num_trees(); ++t) {
-    if (tree_dirty[static_cast<size_t>(t)]) {
-      WalkTree(forest, test, t);
-      ++walked;
-    } else {
-      ResumeTree(test, t);
+  std::shared_ptr<const PackedCodes> packed;
+  std::vector<int64_t> order;
+  int64_t trees = 0;
+  int64_t rows = 0;
+  for (size_t t = 0; t < prob_.size(); ++t) {
+    const DareTree& tree = forest.tree(static_cast<int>(t));
+    const TreeNode* root = tree.root();
+    if (root != nullptr && root->generation > synced_[t]) {
+      if (packed == nullptr) {
+        packed = test.packed_codes();
+        order.resize(static_cast<size_t>(test.num_rows()));
+      }
+      std::iota(order.begin(), order.end(), int64_t{0});
+      rows += RefreshStamped(root, synced_[t], packed->codes.data(),
+                             packed->num_attrs, order.data(),
+                             order.data() + order.size(), prob_[t].data());
+      ++trees;
     }
+    synced_[t] = tree.generation();
   }
-  rewalked->Inc(walked);
-  resumed->Inc(forest.num_trees() - walked);
-  span.AddArg("rewalked", walked);
-  Finalize(forest);
+  trees_rewalked->Inc(trees);
+  rows_rewalked->Inc(rows);
+  span.AddArg("trees", trees);
+  span.AddArg("rows", rows);
+  if (trees > 0) Finalize(forest);
 }
 
 void TestPredictionCache::DiffWalk(const TreeNode* base,
@@ -151,7 +169,7 @@ void TestPredictionCache::DiffWalk(const TreeNode* base,
 }
 
 void TestPredictionCache::BeginWhatIf(WhatIfScratch* s) const {
-  const size_t num_trees = leaf_.size();
+  const size_t num_trees = prob_.size();
   const size_t n_rows = mean_prob_.size();
   // Epoch bump takes the place of clearing the per-tree/per-row markers;
   // on (unlikely) wrap-around, reset them for real.
@@ -171,7 +189,7 @@ void TestPredictionCache::ResumWhatIf(WhatIfScratch* s, bool all) const {
   // Re-sum each rescored row over every tree in tree order — the same
   // order and arithmetic as Finalize/PredictProb, so the result is
   // byte-identical to what_if.PredictAll(test).
-  const size_t num_trees = leaf_.size();
+  const size_t num_trees = prob_.size();
   s->preds = pred_;
   if (s->want_probs) s->probs = mean_prob_;
   const double tree_count = static_cast<double>(num_trees);
@@ -201,7 +219,7 @@ Status TestPredictionCache::ScoreWithout(const DareForest& base,
                                          const Dataset& test,
                                          WhatIfScratch* s,
                                          DeletionScratch* deletion) const {
-  const size_t num_trees = leaf_.size();
+  const size_t num_trees = prob_.size();
   FUME_CHECK_EQ(static_cast<size_t>(base.num_trees()), num_trees);
   const size_t n_rows = mean_prob_.size();
   FUME_CHECK_EQ(static_cast<size_t>(test.num_rows()), n_rows);
@@ -250,7 +268,7 @@ void TestPredictionCache::ScoreWhatIf(const DareForest& base,
                                       const DareForest& what_if,
                                       const Dataset& test, WhatIfScratch* s,
                                       bool arena_full_rescore) const {
-  const size_t num_trees = leaf_.size();
+  const size_t num_trees = prob_.size();
   FUME_CHECK_EQ(static_cast<size_t>(base.num_trees()), num_trees);
   FUME_CHECK_EQ(static_cast<size_t>(what_if.num_trees()), num_trees);
   // The base graph this cache was walked against is flushed by contract;

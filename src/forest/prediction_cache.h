@@ -1,16 +1,15 @@
 // Per-tree test-set prediction cache.
 //
-// A DaRE op (add/delete) leaves most trees structurally intact: existing
-// nodes keep their addresses and their split decisions; the only events
-// that free nodes are counted subtree retrains (DeletionStats::
-// subtrees_retrained — a split decision flipped and `*node =
-// std::move(*rebuilt)` replaced the subtree, dangling its descendants).
-// This cache exploits that: it remembers, per tree, the node each test row
-// lands in. After an op it re-walks a tree from the root only if that tree
-// retrained a subtree; otherwise it *resumes* each row's descent from the
-// cached node — a no-op when the node is still a leaf (deletion never
-// grows leaves), and a short walk into the grown subtree when an insert
-// rebuilt the leaf into a split in place (same address, fresh children).
+// The cache keeps, per tree, the leaf probability each test row reaches,
+// and the tree generation it last synced with. Every node records the
+// generation of the batch that last wrote it (tree.h), and a DaRE op
+// writes only the nodes on the paths it changes: each leaf whose counts
+// moved, each retrained subtree, and their ancestors. Update() therefore
+// partitions the test rows from the root only through nodes stamped since
+// the last sync and rewrites only the rows that reach a stamped leaf. A
+// node stamped earlier heads a subtree no op since has changed, reached by
+// the same rows as at the sync, so those rows keep their cached
+// probability; a tree whose root is unstamped is not visited at all.
 //
 // ScoreWithout() serves a second consumer: FUME's what-if evaluations. It
 // plays a deletion against the base forest without writing to it
@@ -77,16 +76,14 @@ class TestPredictionCache {
     uint32_t epoch = 0;
   };
 
-  /// Full walk of every tree for every test row. Call after building,
-  /// loading or replacing the forest.
+  /// Full pass of every test row through every tree's arena. Call after
+  /// building, loading or replacing the forest.
   void Rebuild(const DareForest& forest, const Dataset& test);
 
-  /// Incrementally refreshes after one forest op. `tree_dirty[t]` must be
-  /// true when tree t may have freed nodes during the op (any subtree
-  /// retrain) — those trees are re-walked from the root; the rest resume
-  /// from their cached nodes.
-  void Update(const DareForest& forest, const Dataset& test,
-              const std::vector<bool>& tree_dirty);
+  /// Incrementally refreshes after any number of ops on the forest this
+  /// cache last synced with (by Rebuild or Update), through the nodes
+  /// stamped since that sync only. The forest must be flushed.
+  void Update(const DareForest& forest, const Dataset& test);
 
   /// Scores the forest this cache was seeded from as if `rows` had been
   /// deleted from it, without cloning or mutating it: each tree plays the
@@ -129,11 +126,9 @@ class TestPredictionCache {
   /// Hard predictions at the 0.5 threshold; byte-identical to PredictAll.
   const std::vector<int>& predictions() const { return pred_; }
 
-  int num_trees() const { return static_cast<int>(leaf_.size()); }
+  int num_trees() const { return static_cast<int>(prob_.size()); }
 
  private:
-  void WalkTree(const DareForest& forest, const Dataset& test, int t);
-  void ResumeTree(const Dataset& test, int t);
   void Finalize(const DareForest& forest);
   void DiffWalk(const TreeNode* base, const TreeNode* changed,
                 const Dataset& test, int t, size_t begin, size_t end,
@@ -144,10 +139,11 @@ class TestPredictionCache {
   /// tree order into scratch->preds / probs.
   void ResumWhatIf(WhatIfScratch* scratch, bool all) const;
 
-  // leaf_[t][r]: the leaf of tree t that test row r reaches (nullptr when
-  // the tree has no root). prob_[t][r]: that leaf's positive fraction.
-  std::vector<std::vector<const TreeNode*>> leaf_;
+  // prob_[t][r]: the positive fraction of the leaf of tree t that test row
+  // r reaches (0.5 when the tree has no root). synced_[t]: tree t's
+  // generation when prob_[t] was last brought up to date.
   std::vector<std::vector<double>> prob_;
+  std::vector<uint64_t> synced_;
   std::vector<double> mean_prob_;
   std::vector<int> pred_;
 };

@@ -716,15 +716,11 @@ void ShardedPredictionCache::Rebuild(const ShardedForest& forest,
   FinalizeVote();
 }
 
-void ShardedPredictionCache::Update(
-    const ShardedForest& forest, const Dataset& test,
-    const std::vector<std::vector<bool>>& shard_tree_dirty) {
+void ShardedPredictionCache::Update(const ShardedForest& forest,
+                                    const Dataset& test) {
   FUME_CHECK_EQ(caches_.size(), static_cast<size_t>(forest.num_shards()));
-  FUME_CHECK_EQ(shard_tree_dirty.size(), caches_.size());
   for (size_t s = 0; s < caches_.size(); ++s) {
-    if (shard_tree_dirty[s].empty()) continue;  // shard untouched by the op
-    caches_[s].Update(forest.shard(static_cast<int>(s)), test,
-                      shard_tree_dirty[s]);
+    caches_[s].Update(forest.shard(static_cast<int>(s)), test);
   }
   FinalizeVote();
 }

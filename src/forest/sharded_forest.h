@@ -252,10 +252,9 @@ void VoteFromShardProbs(const std::vector<const std::vector<double>*>& shard_pro
 /// \brief Per-shard TestPredictionCache with a voted ensemble view.
 ///
 /// Mirrors TestPredictionCache's API one level up: Rebuild after training
-/// or loading, Update after an op with the per-shard dirty report, and
-/// ScoreWithout for what-ifs. A what-if typically reaches one or two
-/// shards; untouched shards contribute their cached probabilities without
-/// any walk or copy.
+/// or loading, Update after ops, and ScoreWithout for what-ifs. An op or a
+/// what-if typically reaches one or two shards; untouched shards contribute
+/// their cached probabilities without any walk or copy.
 class ShardedPredictionCache {
  public:
   struct WhatIfScratch {
@@ -280,11 +279,9 @@ class ShardedPredictionCache {
 
   void Rebuild(const ShardedForest& forest, const Dataset& test);
 
-  /// Refreshes after one ensemble op. `shard_tree_dirty[s]` is shard s's
-  /// per-tree dirty flags; an EMPTY entry means shard s was untouched by
-  /// the op and is skipped entirely.
-  void Update(const ShardedForest& forest, const Dataset& test,
-              const std::vector<std::vector<bool>>& shard_tree_dirty);
+  /// Refreshes after ensemble ops (TestPredictionCache::Update per shard;
+  /// a shard no op touched costs one root check per tree).
+  void Update(const ShardedForest& forest, const Dataset& test);
 
   /// Scores the seed ensemble as if the global rows `global_rows` had been
   /// deleted, shard by shard through TestPredictionCache::ScoreWithout —

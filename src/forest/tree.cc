@@ -45,6 +45,7 @@ void RefreshLiveNodesGauge() {
 TreeNode::TreeNode(const TreeNode& other)
     : count(other.count),
       pos(other.pos),
+      generation(other.generation),
       attr(other.attr),
       threshold(other.threshold),
       is_random(other.is_random),
@@ -160,8 +161,8 @@ DareTree DareTree::Build(std::shared_ptr<const TrainingStore> store,
   tree.tree_id_ = tree_id;
   std::vector<RowId> sorted = rows;
   DeletionScratch scratch;
-  tree.root_ = tree.BuildRoot(&sorted, &scratch);
   tree.generation_ = arena_internal::NextGeneration();
+  tree.root_ = tree.BuildRoot(&sorted, &scratch);
   return tree;
 }
 
@@ -180,6 +181,7 @@ std::shared_ptr<TreeNode> DareTree::BuildNodeKernel(RowId* begin, RowId* end,
                                                     NodeStats* seed_stats,
                                                     int64_t pos_hint) {
   auto node = std::make_shared<TreeNode>();
+  node->generation = generation_;
   const int64_t n = end - begin;
   int64_t pos = 0;
   if (seed_stats != nullptr) {
@@ -263,16 +265,17 @@ TreeNode* DareTree::Mutable(std::shared_ptr<TreeNode>* slot,
                             DeletionStats* stats_out) {
   // use_count() == 1 means this tree holds the only reference: another
   // forest can neither reach the node nor (being confined to its own
-  // thread) resurrect a reference to it, so in-place mutation is safe and
-  // keeps the node's address stable. A concurrent release by a clone being
-  // destroyed can at worst leave a stale >1, which only costs a spurious
-  // private copy.
+  // thread) resurrect a reference to it, so in-place mutation is safe. A
+  // concurrent release by a clone being destroyed can at worst leave a
+  // stale >1, which only costs a spurious private copy.
   if ((*slot).use_count() > 1) {
     UnlearnMetrics::Get().cow_nodes_copied->Inc();
     ++stats_out->nodes_copied;
     *slot = std::make_shared<TreeNode>(**slot);  // shallow: children shared
   }
-  return slot->get();
+  TreeNode* node = slot->get();
+  node->generation = generation_;
+  return node;
 }
 
 void DareTree::BumpGeneration() {
@@ -755,10 +758,7 @@ void DareTree::AddToNodeKernel(std::shared_ptr<TreeNode>* slot, RowId* begin,
     // Unlike deletion, addition can turn a leaf into a split (count grows,
     // purity can break). Rebuilding from the leaf's rows plus the additions
     // recomputes the decision from scratch — cheap, the set is leaf-sized.
-    // The rebuilt root is moved INTO the existing node so an exclusively
-    // owned leaf keeps its address (the stream prediction cache resumes
-    // descents from it). The merge buffer is reused across leaves and
-    // batches.
+    // The merge buffer is reused across leaves and batches.
     ++stats_out->leaves_updated;
     std::vector<RowId>& merged = scratch->remaining;
     merged.clear();
@@ -976,8 +976,7 @@ DareTree DareTree::DeepClone() const {
   if (root_ != nullptr) out.root_ = DeepCloneNode(root_.get());
   out.lazy_rows_ = lazy_rows_;
   out.lazy_nodes_ = lazy_nodes_;
-  // Fresh node addresses: a fresh stamp keeps any shared arena (node_
-  // points into the source graph) from ever serving this tree.
+  // Fresh nodes, fresh stamp, as after Build.
   out.generation_ = arena_internal::NextGeneration();
   return out;
 }

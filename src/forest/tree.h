@@ -6,9 +6,15 @@
 // mutation unshares exactly the nodes on its path — a shared node is
 // replaced in the mutating tree by a private shallow copy before being
 // touched, so a what-if clone never perturbs the forest it was cloned
-// from. A node owned exclusively (refcount 1) is still mutated strictly in
-// place, preserving the address-stability contract the stream engine's
-// prediction cache relies on.
+// from. A node owned exclusively (refcount 1) is mutated in place.
+//
+// Every node carries the generation of the last batch that wrote it: a
+// batch bumps the tree's generation, then stamps each node it creates
+// (BuildNodeKernel) or touches (Mutable, which every delete, insert and
+// lazy flush passes through on each ancestor of what it changes). A node
+// stamped no later than generation G therefore heads a subtree that no
+// batch after G has changed, which is how the stream engine's prediction
+// cache finds the test rows an op can have moved.
 
 #ifndef FUME_FOREST_TREE_H_
 #define FUME_FOREST_TREE_H_
@@ -71,6 +77,10 @@ struct LazyTag {
 struct TreeNode {
   int64_t count = 0;
   int64_t pos = 0;
+  /// DareTree::generation() of the batch that last created or wrote this
+  /// node (0 for a node read from disk or deep-copied). Never serialized or
+  /// compared.
+  uint64_t generation = 0;
   // Internal-node fields.
   int attr = -1;
   int32_t threshold = -1;
@@ -115,8 +125,7 @@ class DareTree {
   /// doomed-row membership from the epoch-stamped array — allocation-free
   /// when the scratch is warm. Appends work counters to *stats_out
   /// (nullable). Nodes shared with other trees (CoW clones) are unshared
-  /// before being touched; exclusively-owned nodes are updated in place at
-  /// a stable address unless a subtree retrain replaces them.
+  /// before being touched; exclusively-owned nodes are updated in place.
   void DeleteRows(const std::vector<RowId>& rows, DeletionStats* stats_out,
                   DeletionScratch* scratch);
 
@@ -275,8 +284,7 @@ class DareTree {
                                       DeletionScratch* scratch);
   /// CoW unshare: returns a privately-owned, mutable view of *slot,
   /// replacing a shared node with a shallow copy first (counted in
-  /// stats_out->nodes_copied — a copy changes the node's address, which
-  /// identity-keyed caches must observe).
+  /// stats_out->nodes_copied), stamped with the current generation.
   TreeNode* Mutable(std::shared_ptr<TreeNode>* slot, DeletionStats* stats_out);
   /// Advances generation_ and drops a now-stale cached arena. Called once
   /// per mutating batch, before any node is touched.

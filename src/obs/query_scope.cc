@@ -184,6 +184,7 @@ const std::vector<std::string>& QueryScope::DefaultCounters() {
       "lattice.rowset.scratch",
       "pool.jobs_dispatched",
       "stream.predcache.trees_rewalked",
+      "stream.predcache.rows_rewalked",
       "stream.rows.inserted",
       "stream.rows.deleted",
   };

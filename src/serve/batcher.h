@@ -1,15 +1,17 @@
 // WhatIfBatcher: leader–follower group commit for concurrent `whatif`
 // requests against one tenant.
 //
-// Connection threads call Submit() and block. The thread whose job is at
-// the queue front becomes the leader: it waits up to `window_us` for the
-// queue to fill (or until `max_batch` jobs are waiting), drains the batch,
-// expires past-deadline jobs, dedups identical predicates, and hands the
-// unique representatives to the executor in ONE call — which lets the
-// tenant score the whole batch off a single snapshot with one warm scratch
-// set. Followers get their results copied and wake up. With
-// window_us == 0 / max_batch == 1 the same path degenerates to batch-1
-// serving (the bench's comparison baseline).
+// Connection threads call Submit() and block. Once no batch is executing,
+// the thread whose job is at the queue front becomes the leader: it drains
+// up to `max_batch` jobs, expires past-deadline jobs, dedups identical
+// predicates, and hands the unique representatives to the executor in ONE
+// call — which lets the tenant score the whole batch off a single snapshot
+// with one warm scratch set. Followers get their results copied and wake
+// up. By default the leader never waits, so a batch is whatever queued
+// while the previous one ran (natural group commit) and a lone job runs at
+// once; a positive `window_us` makes the leader hold the batch open first.
+// With max_batch == 1 the same path degenerates to batch-1 serving (the
+// bench's comparison baseline).
 //
 // Admission control: a bounded queue (`queue_cap`) rejects excess load with
 // an explicit kOverloaded instead of queueing unboundedly, and per-job
@@ -35,8 +37,9 @@ namespace fume::serve {
 
 /// Batching / admission knobs for one tenant.
 struct BatchConfig {
-  /// How long the leader waits for the batch to fill. 0 disables grouping.
-  int64_t window_us = 200;
+  /// How long a leader waits for its batch to fill (or for max_batch jobs)
+  /// before executing. 0 never waits.
+  int64_t window_us = 0;
   /// Max jobs grouped into one executor call (1 = batch-1 serving).
   int max_batch = 16;
   /// Max jobs waiting; beyond this Submit returns kOverloaded immediately.

@@ -164,11 +164,12 @@ Result<LiteralOp> LiteralOpFromWireName(const std::string& name) {
   return Status::Invalid("unknown literal cmp \"" + name + "\"");
 }
 
-Result<Request> ParseRequest(const std::string& line) {
+Result<Request> ParseRequest(const std::string& line, int64_t* id) {
   FUME_ASSIGN_OR_RETURN(JsonValue doc, util::ParseJson(line));
   if (!doc.is_object()) return Status::Invalid("request must be an object");
   Request req;
   FUME_ASSIGN_OR_RETURN(req.id, IntField(doc, "id", 0));
+  if (id != nullptr) *id = req.id;
   const JsonValue* op = doc.Find("op");
   if (op == nullptr || !op->is_string()) {
     return Status::Invalid("request needs a string \"op\"");

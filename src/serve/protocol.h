@@ -57,8 +57,10 @@ struct Request {
 };
 
 /// Parses one request line; malformed input yields a Status whose message
-/// is safe to echo back in a "bad_request" response.
-Result<Request> ParseRequest(const std::string& line);
+/// is safe to echo back in a "bad_request" response. When `id` is non-null
+/// and the line's JSON carries a valid id, *id receives it before any later
+/// field is checked, so that response can echo the id.
+Result<Request> ParseRequest(const std::string& line, int64_t* id = nullptr);
 
 // ---- request encoders (client / tests / bench) ----
 

@@ -183,9 +183,10 @@ void Server::ConnectionLoop(util::Socket sock) {
     if (line.empty()) continue;
     received->Inc();
     std::string response;
-    Result<Request> req = ParseRequest(line);
+    int64_t id = 0;
+    Result<Request> req = ParseRequest(line, &id);
     if (!req.ok()) {
-      response = ErrorResponse(0, "bad_request", req.status().message());
+      response = ErrorResponse(id, "bad_request", req.status().message());
     } else {
       const EndpointMetrics ep = Endpoint(req.ValueOrDie().op);
       ep.requests->Inc();

@@ -84,10 +84,14 @@ void Tenant::PublishSnapshotLocked() {
   if (const FumeResult* expl = engine_->explanation()) {
     snap->explanation = std::make_shared<const FumeResult>(*expl);
   }
+  std::shared_ptr<const TenantSnapshot> replaced = std::move(snap);
   {
     std::lock_guard<std::mutex> lk(snapshot_mu_);
-    snapshot_ = std::move(snap);
+    snapshot_.swap(replaced);
   }
+  // `replaced` now holds the old snapshot. When no reader still shares it,
+  // its node frees run as it goes out of scope: after the unlock, not
+  // inside the lock every reader takes.
   published->Inc();
 }
 

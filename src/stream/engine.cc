@@ -6,6 +6,7 @@
 #include <fstream>
 #include <istream>
 #include <limits>
+#include <numeric>
 #include <ostream>
 
 #include "core/removal_method.h"
@@ -193,11 +194,9 @@ Result<StreamEngine> StreamEngine::Create(const Dataset& initial_train,
       engine.model_,
       ShardedForest::Train(initial_train, engine.config_.forest,
                            engine.config_.shard, engine.MaybePool()));
-  engine.train_data_ = initial_train;
+  engine.schema_ = initial_train.schema();
   engine.store_ids_.resize(static_cast<size_t>(initial_train.num_rows()));
-  for (int64_t r = 0; r < initial_train.num_rows(); ++r) {
-    engine.store_ids_[static_cast<size_t>(r)] = static_cast<RowId>(r);
-  }
+  std::iota(engine.store_ids_.begin(), engine.store_ids_.end(), RowId{0});
   engine.cache_.Rebuild(engine.model_, engine.test_);
   engine.RefreshMetric();
   FUME_RETURN_NOT_OK(engine.RunSearch());
@@ -211,37 +210,18 @@ util::ThreadPool* StreamEngine::MaybePool() {
   return pool_.get();
 }
 
-std::vector<std::vector<bool>> StreamEngine::FoldShardDirty(
-    const std::vector<std::vector<DeletionStats>>& per_shard) {
-  // A tree's cached leaf pointers go stale when a subtree retrain freed
-  // nodes, or when CoW unsharing (a live snapshot clone held the nodes)
-  // rerouted the mutation into fresh copies while the cache still points
-  // at the originals. Otherwise deletion mutates statistics in place and
-  // addition rebuilds absorbed leaves in place (same node address), so the
-  // cache resumes each row's descent from its cached pointer.
-  const size_t n = per_shard.size();
-  std::vector<std::vector<bool>> dirty(n);
-  lazy_dirty_.resize(n);
-  for (size_t s = 0; s < n; ++s) {
-    const auto& per_tree = per_shard[s];
-    if (!per_tree.empty()) {
-      dirty[s].assign(per_tree.size(), false);
-      for (size_t t = 0; t < per_tree.size(); ++t) {
-        dirty[s][t] = per_tree[t].subtrees_retrained > 0 ||
-                      per_tree[t].nodes_copied > 0;
-      }
+Dataset StreamEngine::train_data() const {
+  Dataset live(schema_);
+  std::vector<int32_t> codes(static_cast<size_t>(schema_.num_attributes()));
+  for (const RowId id : store_ids_) {
+    for (int j = 0; j < schema_.num_attributes(); ++j) {
+      codes[static_cast<size_t>(j)] = model_.Code(id, j);
     }
-    auto& lazy = lazy_dirty_[s];
-    if (!lazy.empty()) {
-      if (dirty[s].empty()) dirty[s].assign(lazy.size(), false);
-      FUME_CHECK_EQ(lazy.size(), dirty[s].size());
-      for (size_t t = 0; t < lazy.size(); ++t) {
-        if (lazy[t]) dirty[s][t] = true;
-      }
-      lazy.clear();
-    }
+    // Every stored row was validated against schema_ on its way in (Create,
+    // ApplyInsert, or Restore's cardinality check).
+    FUME_CHECK(live.AppendRow(codes, model_.Label(id)).ok());
   }
-  return dirty;
+  return live;
 }
 
 void StreamEngine::RefreshMetric() {
@@ -254,7 +234,7 @@ void StreamEngine::RefreshMetric() {
 Status StreamEngine::RunSearch() {
   obs::TraceSpan span("stream.search",
                       {{"staleness", staleness_ops_},
-                       {"rows", train_data_.num_rows()}});
+                       {"rows", rows_live()}});
   StreamMetrics::Get().searches->Inc();
   metric_at_last_search_ = metric_;
   staleness_ops_ = 0;
@@ -279,30 +259,25 @@ Status StreamEngine::RunSearch() {
   }
   FUME_ASSIGN_OR_RETURN(
       FumeResult result,
-      ExplainWithRemoval(original, train_data_, fume_config, &removal));
+      ExplainWithRemoval(original, train_data(), fume_config, &removal));
   explanation_ = std::move(result);
   return Status::OK();
 }
 
 Status StreamEngine::ApplyInsert(const StreamOp& op) {
   if (op.rows.empty()) return Status::Invalid("insert op carries no rows");
-  Dataset batch(train_data_.schema());
+  Dataset batch(schema_);
   for (const StreamRow& row : op.rows) {
     FUME_RETURN_NOT_OK(batch.AppendRow(row.codes, row.label));
   }
-  std::vector<std::vector<DeletionStats>> per_shard;
   FUME_ASSIGN_OR_RETURN(
       std::vector<RowId> new_ids,
-      model_.AddData(batch, &per_shard, MaybePool(), &scratch_));
-  for (size_t i = 0; i < op.rows.size(); ++i) {
-    // Validated above; appending to the mirror cannot fail now.
-    FUME_CHECK(train_data_.AppendRow(op.rows[i].codes, op.rows[i].label).ok());
-    store_ids_.push_back(new_ids[i]);
-  }
-  // An insert is a flush boundary: AddData flushed every pending tag (the
-  // per-shard reports carry those retrains), so fold in the dirtiness the
-  // deferred deletes accumulated and resume exact per-op metrics.
-  cache_.Update(model_, test_, FoldShardDirty(per_shard));
+      model_.AddData(batch, nullptr, MaybePool(), &scratch_));
+  store_ids_.insert(store_ids_.end(), new_ids.begin(), new_ids.end());
+  // An insert is a flush boundary: AddData flushed every pending tag, so
+  // the cache catches up on the deferred deletes too and exact per-op
+  // metrics resume.
+  cache_.Update(model_, test_);
   metric_stale_ = false;
   StreamMetrics::Get().inserts->Inc();
   StreamMetrics::Get().rows_added->Inc(static_cast<int64_t>(op.rows.size()));
@@ -324,11 +299,9 @@ Status StreamEngine::ApplyDelete(const StreamOp& op) {
     }
     dense_rows.push_back(it - store_ids_.begin());
   }
-  std::vector<std::vector<DeletionStats>> per_shard;
   FUME_RETURN_NOT_OK(
-      model_.DeleteRows(op.row_ids, &per_shard, MaybePool(), &scratch_));
-  train_data_ = train_data_.DropRows(dense_rows);
-  // Drop the same dense positions from the id map, preserving order.
+      model_.DeleteRows(op.row_ids, nullptr, MaybePool(), &scratch_));
+  // Drop the dense positions from the id map, preserving order.
   std::vector<bool> doomed(store_ids_.size(), false);
   for (int64_t dense : dense_rows) doomed[static_cast<size_t>(dense)] = true;
   size_t kept = 0;
@@ -338,15 +311,13 @@ Status StreamEngine::ApplyDelete(const StreamOp& op) {
   store_ids_.resize(kept);
   if (config_.forest.lazy_unlearn) {
     // Deferred burst: the shards parked retrain-triggering deletes under
-    // lazy tags (a budget overflow may already have flushed them — its
-    // retrains are in per_shard either way). Accumulate each touched
-    // shard's dirtiness and leave the cache and metric describing the
-    // pre-burst model until the next flush boundary (insert, checkpoint,
-    // FlushLazy).
-    lazy_dirty_ = FoldShardDirty(per_shard);
+    // lazy tags (a budget overflow may already have flushed them). Leave
+    // the cache and metric describing the pre-burst model until the next
+    // flush boundary (insert, checkpoint, FlushLazy); the node stamps
+    // remember everything the burst wrote.
     metric_stale_ = true;
   } else {
-    cache_.Update(model_, test_, FoldShardDirty(per_shard));
+    cache_.Update(model_, test_);
   }
   StreamMetrics::Get().deletes->Inc();
   StreamMetrics::Get().rows_deleted->Inc(
@@ -446,14 +417,10 @@ void StreamEngine::FlushLazy() {
   if (!metric_stale_ && !model_.HasLazyTags()) return;
   obs::TraceSpan span("stream.lazy_flush", {{"rows", model_.lazy_rows()},
                                             {"nodes", model_.lazy_nodes()}});
-  std::vector<std::vector<DeletionStats>> per_shard;
-  model_.FlushAll(&per_shard, MaybePool(), &scratch_);
-  // Rewalk trees the flush retrained OR the deferred deletes dirtied (CoW
-  // unshares / leaf removals); shards with neither stay untouched in the
-  // cache. A shard's report stays empty when a budget overflow inside
-  // DeleteRows already retired its tags — the metric is still stale and
-  // lazy_dirty_ carries that burst's dirtiness.
-  cache_.Update(model_, test_, FoldShardDirty(per_shard));
+  model_.FlushAll(nullptr, MaybePool(), &scratch_);
+  // Covers the deferred deletes as well as the flush retrains, including
+  // tags a budget overflow inside DeleteRows already retired.
+  cache_.Update(model_, test_);
   metric_stale_ = false;
   RefreshMetric();
 }
@@ -573,9 +540,8 @@ Result<StreamEngine> StreamEngine::Restore(std::istream& in,
         "checkpoint shard config disagrees with engine config");
   }
 
-  // Reassemble the dense training mirror from the store and the live-id
-  // map, then verify the checkpoint is self-consistent. All shards share
-  // one schema (they partition one dataset), so shard 0 speaks for it.
+  // Verify the checkpoint is self-consistent. All shards share one schema
+  // (they partition one dataset), so shard 0 speaks for it.
   const TrainingStore& store = engine.model_.shard(0).store();
   if (!schema.AllCategorical() ||
       schema.num_attributes() != store.num_attrs()) {
@@ -590,8 +556,7 @@ Result<StreamEngine> StreamEngine::Restore(std::istream& in,
   if (engine.explanation_.has_value()) {
     FUME_RETURN_NOT_OK(ValidateTopK(*engine.explanation_, schema));
   }
-  engine.train_data_ = Dataset(schema);
-  std::vector<int32_t> codes(static_cast<size_t>(store.num_attrs()));
+  engine.schema_ = schema;
   const int64_t limit = engine.model_.num_global_ids();
   RowId prev = -1;
   for (RowId id : engine.store_ids_) {
@@ -604,13 +569,8 @@ Result<StreamEngine> StreamEngine::Restore(std::istream& in,
       return Status::IOError("checkpoint: live ids not strictly ascending");
     }
     prev = id;
-    for (int j = 0; j < store.num_attrs(); ++j) {
-      codes[static_cast<size_t>(j)] = engine.model_.Code(id, j);
-    }
-    FUME_RETURN_NOT_OK(
-        engine.train_data_.AppendRow(codes, engine.model_.Label(id)));
   }
-  if (engine.train_data_.num_rows() != engine.model_.num_training_rows()) {
+  if (engine.rows_live() != engine.model_.num_training_rows()) {
     return Status::IOError("checkpoint: live ids disagree with forest");
   }
   engine.cache_.Rebuild(engine.model_, engine.test_);

@@ -97,18 +97,15 @@ class StreamEngine {
   Result<std::vector<OpOutcome>> Replay(const std::vector<StreamOp>& ops);
 
   // ---- lazy deferral (config.forest.lazy_unlearn) --------------------
-  /// Retires every deferred subtree retrain, folds the retrain work into
-  /// the prediction cache's dirty flags, and refreshes the metric. No-op
+  /// Retires every deferred subtree retrain, brings the prediction cache
+  /// up to date with the whole burst, and refreshes the metric. No-op
   /// unless a delete burst is pending. Called automatically at every flush
   /// boundary — checkpoint ops, inserts, SaveCheckpoint — and callable
   /// directly before reading model()/current_metric() mid-burst.
   void FlushLazy();
   /// True while a deferred delete burst is pending: the model may hold
   /// lazy tags and current_metric()/prediction_cache() reflect the state
-  /// at the last flush, not the last op. Do NOT run predictions through
-  /// model() while deferring — call FlushLazy() first (a shard would
-  /// flush itself on first descent, stranding the engine's cached leaf
-  /// pointers in freed nodes).
+  /// at the last flush, not the last op.
   bool deferring() const { return metric_stale_ || model_.HasLazyTags(); }
 
   // ---- serving state -------------------------------------------------
@@ -134,10 +131,11 @@ class StreamEngine {
   const ShardedPredictionCache& prediction_cache() const { return cache_; }
   const StreamEngineConfig& config() const { return config_; }
   /// Surviving training rows, dense, in arrival order — what a cold
-  /// retrain would train on.
-  const Dataset& train_data() const { return train_data_; }
+  /// retrain would train on. Built from the model's stores on each call
+  /// (O(rows × attributes)); a search builds it once.
+  Dataset train_data() const;
   const Dataset& test_data() const { return test_; }
-  int64_t rows_live() const { return train_data_.num_rows(); }
+  int64_t rows_live() const { return static_cast<int64_t>(store_ids_.size()); }
   /// Engine id (the model's global row id) of each live row, dense order.
   const std::vector<RowId>& live_ids() const { return store_ids_; }
 
@@ -178,33 +176,25 @@ class StreamEngine {
   /// per-shard op fan-out — never both at once (ops and searches are
   /// strictly sequenced by Apply).
   util::ThreadPool* MaybePool();
-  /// Builds the per-shard cache-dirty report from an op's per-shard
-  /// per-tree stats, folding in (and clearing) lazy_dirty_.
-  std::vector<std::vector<bool>> FoldShardDirty(
-      const std::vector<std::vector<DeletionStats>>& per_shard);
 
   Dataset test_;
   StreamEngineConfig config_;
+  /// The training schema: inserted rows are validated against it, and
+  /// train_data() is built with it.
+  Schema schema_;
   ShardedForest model_;
   /// Shard-affine kernel scratches (entry s serves shard s), reused across
   /// every insert/delete op so the unlearning kernel stays allocation-free
   /// in the steady state.
   std::vector<DeletionScratch> scratch_;
-  Dataset train_data_;
-  /// store_ids_[dense row] = engine (global) id; parallel to train_data_
-  /// and strictly ascending, so deletes find ids by binary search.
+  /// store_ids_[dense row] = engine (global) id of each live row, strictly
+  /// ascending, so deletes find ids by binary search.
   std::vector<RowId> store_ids_;
   ShardedPredictionCache cache_;
   /// Shared pool for every search and per-shard op fan-out this engine
   /// runs; created at first use when config_.fume.num_threads > 1.
   std::unique_ptr<util::ThreadPool> pool_;
 
-  /// Per-shard, per-tree cache dirtiness accumulated across a deferred
-  /// delete burst (CoW unshares and in-place leaf removals invalidate
-  /// cached pointers even when the subtree retrain itself is deferred).
-  /// Entry s is empty while shard s is clean since the last flush
-  /// boundary; merged into the flush's own dirty flags at the next one.
-  std::vector<std::vector<bool>> lazy_dirty_;
   /// True between a deferred delete and the next flush boundary: metric_,
   /// accuracy_ and cache_ describe the pre-burst model. Drift gating is
   /// suspended while set (evaluated at flush points only).

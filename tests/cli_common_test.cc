@@ -1,6 +1,6 @@
 // The tools' shared front end (tools/cli_common.h): both value forms,
-// errors, --help, repeated and positional arguments, and the rule that an
-// integer must fit its field.
+// errors, --help, switch values, repeated and positional arguments, and the
+// rule that an integer must fit its field.
 
 #include "cli_common.h"
 
@@ -67,8 +67,27 @@ TEST(CliFlagSetTest, BothValueFormsParse) {
   EXPECT_EQ(t.name, "c=d");  // the last occurrence wins; '=' splits once
   EXPECT_TRUE(t.verbose);
   Tool u;
-  EXPECT_EQ(u.Parse({"--verbose=0"}), std::nullopt);  // a Bool ignores =value
-  EXPECT_TRUE(u.verbose);
+  EXPECT_EQ(u.Parse({"--verbose=0"}), std::nullopt);  // =0 switches off
+  EXPECT_FALSE(u.verbose);
+}
+
+TEST(CliFlagSetTest, SwitchesTakeOnlyBooleanValues) {
+  Tool t;
+  EXPECT_EQ(t.Parse({"--verbose=true"}), std::nullopt);
+  EXPECT_TRUE(t.verbose);
+  EXPECT_EQ(t.Parse({"--verbose=false"}), std::nullopt);
+  EXPECT_FALSE(t.verbose);
+  EXPECT_EQ(t.Parse({"--verbose=1"}), std::nullopt);
+  EXPECT_TRUE(t.verbose);
+  EXPECT_EQ(t.Parse({"--verbose", "--verbose=0"}), std::nullopt);
+  EXPECT_FALSE(t.verbose);  // the last occurrence wins
+  EXPECT_EQ(t.Parse({"--verbose=yes"}), 2);
+  EXPECT_EQ(t.err,
+            "malformed value for --verbose: yes (a switch takes 0, 1, false "
+            "or true)\n");
+  EXPECT_EQ(t.Parse({"--verbose="}), 2);
+  EXPECT_EQ(t.Parse({"--verbose=2"}), 2);
+  EXPECT_FALSE(t.verbose);
 }
 
 TEST(CliFlagSetTest, MissingValueAndUnknownFlagExitTwo) {

@@ -295,14 +295,6 @@ TEST(ForestArenaTest, NullRootCompilesToTheSentinel) {
   arena->PredictProbs(codes, /*num_attrs=*/2, /*n_rows=*/2, probs);
   EXPECT_EQ(probs[0], 0.5);
   EXPECT_EQ(probs[1], 0.5);
-
-  const TreeNode* leaves[2] = {};
-  double walk_probs[2] = {-1.0, -1.0};
-  arena->WalkLeaves(codes, 2, 2, leaves, walk_probs);
-  EXPECT_EQ(leaves[0], nullptr);
-  EXPECT_EQ(leaves[1], nullptr);
-  EXPECT_EQ(walk_probs[0], 0.5);
-  EXPECT_EQ(walk_probs[1], 0.5);
 }
 
 TEST(DatasetPackedCodesTest, MatchesCodesAndInvalidatesOnAppend) {

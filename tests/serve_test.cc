@@ -225,6 +225,27 @@ TEST(ServeProtocol, OutOfRangeOrFractionalNumbersRejected) {
           .IsInvalid());
 }
 
+// A line that fails validation after its JSON parsed reports its id, so
+// the bad_request response can echo it to a pipelining client.
+TEST(ServeProtocol, FailedParseReportsTheRequestId) {
+  int64_t id = 0;
+  EXPECT_TRUE(
+      ParseRequest(
+          R"({"id":1,"op":"stream_op","tenant":"default","line":"D 99 4294967297"})",
+          &id)
+          .status()
+          .IsInvalid());
+  EXPECT_EQ(id, 1);
+  EXPECT_FALSE(
+      ParseRequest(R"({"id":7,"op":"whatif","tenant":"t","predicate":[]})", &id)
+          .ok());
+  EXPECT_EQ(id, 7);
+  id = 0;
+  EXPECT_FALSE(ParseRequest("not json", &id).ok());
+  EXPECT_FALSE(ParseRequest(R"({"id":1.5,"op":"health"})", &id).ok());
+  EXPECT_EQ(id, 0);  // no valid id to echo
+}
+
 TEST(ServeProtocol, DoubleSerializationRoundTripsExactly) {
   const double values[] = {0.1, 1.0 / 3.0, -0.034090909090909061,
                            1e-300, 12345.678901234567};
@@ -370,6 +391,47 @@ void AwaitQueueDepth(int64_t depth) {
   while (gauge->Value() < depth) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
+}
+
+TEST(ServeBatcher, DefaultConfigGroupsTheQueueAndNeverWaitsAlone) {
+  const BatchConfig config;
+  GatedExecutor exec;  // gate closed: the first job wedges the executor
+  WhatIfBatcher batcher(config, exec.AsExecutor());
+
+  // Jobs that queue while a batch runs form the next batch, all of them.
+  BatchJob wedged;
+  wedged.predicate = PredOf(0, 0);
+  std::thread leader([&] { batcher.Submit(&wedged); });
+  exec.AwaitBatches(1);
+  std::vector<BatchJob> queued(3);
+  std::vector<std::thread> waiters;
+  for (int i = 0; i < 3; ++i) {
+    queued[static_cast<size_t>(i)].predicate = PredOf(i + 1, 0);
+    waiters.emplace_back([&batcher, &queued, i] {
+      EXPECT_EQ(batcher.Submit(&queued[static_cast<size_t>(i)]),
+                AdmitResult::kOk);
+    });
+  }
+  AwaitQueueDepth(3);
+  exec.Open();
+  leader.join();
+  for (std::thread& t : waiters) t.join();
+  ASSERT_EQ(exec.batches.size(), 2u);
+  EXPECT_EQ(exec.batches[1].size(), 3u);
+  for (const BatchJob& job : queued) EXPECT_EQ(job.batch_size, 3);
+
+  // A lone job runs at once, inline on its own thread: 100 of them finish
+  // in well under the 20 ms that holding even a 200 us window open for
+  // each would take.
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < 100; ++i) {
+    BatchJob lone;
+    lone.predicate = PredOf(i, 1);
+    ASSERT_EQ(batcher.Submit(&lone), AdmitResult::kOk);
+    EXPECT_EQ(lone.batch_size, 1);
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(20));
 }
 
 TEST(ServeBatcher, OverloadRejectsBeyondQueueCap) {
@@ -689,6 +751,19 @@ TEST_F(ServeExactnessTest, WireErrorsCarryMachineCodes) {
       sock, EncodeStreamOpRequest(4, "credit", StreamOp::Delete(-5, {0})));
   EXPECT_FALSE(stale.BoolOr("ok", true));
   EXPECT_EQ(stale.StringOr("code", ""), "bad_request");
+}
+
+TEST_F(ServeExactnessTest, BadRequestsEchoTheirId) {
+  Socket sock = ConnectTo(*server_);
+  JsonValue wrapped = Exchange(
+      sock,
+      R"({"id":1,"op":"stream_op","tenant":"credit","line":"D 99 4294967297"})"
+      "\n");
+  EXPECT_EQ(wrapped.NumberOr("id", -1), 1);
+  EXPECT_EQ(wrapped.StringOr("code", ""), "bad_request");
+  JsonValue garbled = Exchange(sock, "{\"id\":2,\n");
+  EXPECT_EQ(garbled.NumberOr("id", -1), 0);  // the JSON never parsed
+  EXPECT_EQ(garbled.StringOr("code", ""), "bad_request");
 }
 
 // ---------------------------------------------------------------------------

@@ -551,20 +551,13 @@ TEST(ShardedCachePredictionTest, CacheMatchesForestThroughUpdates) {
   EXPECT_EQ(cache.probs(), forest->PredictProbAll(test));
   EXPECT_EQ(cache.predictions(), forest->PredictAll(test));
 
-  // Mutate two shards, refresh with per-shard tree-dirty flags.
+  // Mutate two shards and refresh.
   std::vector<RowId> doomed;
   for (RowId g = 0; g < forest->num_global_ids() && doomed.size() < 30; ++g) {
     if (forest->shard_of(g) <= 1) doomed.push_back(g);
   }
-  std::vector<std::vector<DeletionStats>> report;
-  ASSERT_TRUE(forest->DeleteRows(doomed, &report).ok());
-  std::vector<std::vector<bool>> dirty(4);
-  for (size_t s = 0; s < report.size(); ++s) {
-    if (!report[s].empty()) {
-      dirty[s].assign(report[s].size(), true);
-    }
-  }
-  cache.Update(*forest, test, dirty);
+  ASSERT_TRUE(forest->DeleteRows(doomed).ok());
+  cache.Update(*forest, test);
   EXPECT_EQ(cache.probs(), forest->PredictProbAll(test));
   EXPECT_EQ(cache.predictions(), forest->PredictAll(test));
 

@@ -22,6 +22,7 @@
 #include "stream/engine.h"
 #include "stream/op_log.h"
 #include "forest/prediction_cache.h"
+#include "obs/metrics.h"
 #include "stream/workload.h"
 #include "synth/datasets.h"
 
@@ -246,15 +247,10 @@ TEST(PredictionCacheTest, MatchesForestThroughMixedOps) {
 
   // Delete a spread of rows, then add some back; after each op the cache
   // must still agree exactly with a full re-prediction.
-  std::vector<DeletionStats> per_tree;
   std::vector<RowId> doomed;
   for (RowId id = 3; id < 120; id += 7) doomed.push_back(id);
-  ASSERT_TRUE(forest->DeleteRows(doomed, &per_tree).ok());
-  std::vector<bool> dirty(per_tree.size());
-  for (size_t t = 0; t < per_tree.size(); ++t) {
-    dirty[t] = per_tree[t].subtrees_retrained > 0;
-  }
-  cache.Update(*forest, p.test, dirty);
+  ASSERT_TRUE(forest->DeleteRows(doomed).ok());
+  cache.Update(*forest, p.test);
   EXPECT_EQ(cache.probs(), forest->PredictProbAll(p.test));
   EXPECT_EQ(cache.predictions(), forest->PredictAll(p.test));
 
@@ -266,14 +262,118 @@ TEST(PredictionCacheTest, MatchesForestThroughMixedOps) {
     if (r >= 20) drop.push_back(r);
   }
   batch = batch.DropRows(drop);
-  auto added = forest->AddData(batch, &per_tree);
+  auto added = forest->AddData(batch);
   ASSERT_TRUE(added.ok());
-  for (size_t t = 0; t < per_tree.size(); ++t) {
-    dirty[t] = per_tree[t].subtrees_retrained > 0;
-  }
-  cache.Update(*forest, p.test, dirty);
+  cache.Update(*forest, p.test);
   EXPECT_EQ(cache.probs(), forest->PredictProbAll(p.test));
   EXPECT_EQ(cache.predictions(), forest->PredictAll(p.test));
+}
+
+// The engine's cache follows the node stamps alone, so it must stay exact
+// however a write reaches the nodes. Here a snapshot clone taken before
+// every op, as a serving tenant publishes one, shares every node, so each
+// write copies the paths it touches. The op-log mixes 12-row inserts, which
+// grow leaves into splits, with 3-row deletes; the lazy engine defers each
+// run of deletes until the next insert or checkpoint flushes it.
+void ExpectCacheExactUnderLiveSnapshots(StreamPipeline p, int num_shards) {
+  if (num_shards > 1) {
+    p.config.shard.num_shards = num_shards;
+    p.config.shard.placement = ShardConfig::Placement::kSlice;
+    p.config.shard.slice_attr = p.group.sensitive_attr;
+    p.config.shard.slice_value = p.group.privileged_code;
+    p.config.shard.hot_shards = 1;
+  }
+  WorkloadOptions w;
+  w.num_ops = 60;
+  w.insert_batch = 12;
+  w.delete_batch = 3;
+  w.delete_fraction = 0.6;
+  w.checkpoint_every = 20;
+  w.seed = 5;
+  auto ops = SynthesizeOpLog(p.pool, p.initial_train.num_rows(), w);
+  ASSERT_TRUE(ops.ok()) << ops.status().ToString();
+  for (const bool lazy : {false, true}) {
+    SCOPED_TRACE(lazy ? "lazy" : "eager");
+    p.config.forest.lazy_unlearn = lazy;
+    auto engine = StreamEngine::Create(p.initial_train, p.test, p.config);
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    int64_t grown = 0;
+    int64_t flushed_bursts = 0;
+    int64_t checked = 0;
+    for (const StreamOp& op : *ops) {
+      const bool was_deferring = engine->deferring();
+      const ShardedForest snapshot = engine->model().Clone();
+      const std::vector<double> snapshot_probs =
+          engine->prediction_cache().probs();
+      const int64_t nodes = engine->model().num_nodes();
+      ASSERT_TRUE(engine->Apply(op).ok()) << "op seq " << op.seq;
+      if (op.kind == OpKind::kInsert && engine->model().num_nodes() > nodes) {
+        ++grown;
+      }
+      if (!was_deferring) {
+        // The write copied what it touched: the snapshot still predicts
+        // what the cache said before the op.
+        EXPECT_EQ(snapshot.PredictProbAll(p.test), snapshot_probs)
+            << "op seq " << op.seq;
+      }
+      // Mid-burst the cache describes the pre-burst model by contract.
+      if (engine->deferring()) continue;
+      if (was_deferring) ++flushed_bursts;
+      ASSERT_EQ(engine->prediction_cache().probs(),
+                engine->model().PredictProbAll(p.test))
+          << "op seq " << op.seq;
+      ASSERT_EQ(engine->prediction_cache().predictions(),
+                engine->model().PredictAll(p.test))
+          << "op seq " << op.seq;
+      ++checked;
+    }
+    EXPECT_GT(grown, 0);
+    if (lazy) {
+      EXPECT_GT(flushed_bursts, 3);
+      EXPECT_GT(checked, 10);
+    } else {
+      EXPECT_EQ(checked, static_cast<int64_t>(ops->size()));
+    }
+  }
+}
+
+TEST(PredictionCacheTest, ExactUnderLiveSnapshotsOneShard) {
+  ExpectCacheExactUnderLiveSnapshots(BuildPipeline(6), 1);
+}
+
+TEST(PredictionCacheTest, ExactUnderLiveSnapshotsFourSliceShards) {
+  ExpectCacheExactUnderLiveSnapshots(BuildPipeline(6), 4);
+}
+
+// Update rewrites only the (row, tree) pairs whose leaf an op wrote: here
+// under half of every test row in every visited tree. Exact counts: they
+// depend only on the data, the seeds and the op-log.
+TEST(PredictionCacheTest, RewalkCountsArePinned) {
+  StreamPipeline p = BuildPipeline(4);
+  auto engine = StreamEngine::Create(p.initial_train, p.test, p.config);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  WorkloadOptions w;
+  w.num_ops = 30;
+  w.checkpoint_every = 0;
+  w.seed = 11;
+  auto ops = SynthesizeOpLog(p.pool, p.initial_train.num_rows(), w);
+  ASSERT_TRUE(ops.ok()) << ops.status().ToString();
+  obs::Counter* trees = obs::GetCounter("stream.predcache.trees_rewalked");
+  obs::Counter* rows = obs::GetCounter("stream.predcache.rows_rewalked");
+  const int64_t trees_before = trees->Value();
+  const int64_t rows_before = rows->Value();
+  int64_t writes = 0;
+  for (const StreamOp& op : *ops) {
+    ASSERT_TRUE(engine->Apply(op).ok()) << "op seq " << op.seq;
+    if (op.kind != OpKind::kCheckpoint) ++writes;
+  }
+  const int64_t trees_rewalked = trees->Value() - trees_before;
+  const int64_t rows_rewalked = rows->Value() - rows_before;
+  ASSERT_EQ(writes, 29);
+  // Each tree holds every row, so every write reaches all ten trees.
+  EXPECT_EQ(trees_rewalked, writes * p.config.forest.num_trees);
+  EXPECT_EQ(rows_rewalked, 27307);
+  EXPECT_LT(rows_rewalked, trees_rewalked * p.test.num_rows() / 2);
 }
 
 // ---------------------------------------------------------------------------

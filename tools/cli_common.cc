@@ -26,10 +26,18 @@ void FlagSet::Number(std::string name, T* out,
 }
 
 void FlagSet::Bool(std::string name, bool* out) {
-  flags_.push_back({std::move(name), false, [out](const std::string&) {
-                      *out = true;
-                      return Status::OK();
-                    }});
+  Handler set = [name, out](const std::string& value) {
+    if (value == "1" || value == "true") {
+      *out = true;
+    } else if (value == "0" || value == "false") {
+      *out = false;
+    } else {
+      return Status::Invalid("malformed value for " + name + ": " + value +
+                             " (a switch takes 0, 1, false or true)");
+    }
+    return Status::OK();
+  };
+  flags_.push_back({std::move(name), false, std::move(set)});
 }
 
 void FlagSet::Int(std::string name, int* out) {
@@ -86,16 +94,15 @@ std::optional<int> FlagSet::Parse(int argc, const char* const* argv,
       std::cerr << "unknown flag: " << arg << " (see --help)\n";
       return 2;
     }
-    std::string value;
-    if (flag->takes_value) {
-      if (inline_value.has_value()) {
-        value = *inline_value;
-      } else if (i + 1 < argc) {
-        value = argv[++i];
-      } else {
+    // A bare switch turns on; a value flag without `=value` takes the next
+    // argument.
+    std::string value = inline_value.value_or("true");
+    if (flag->takes_value && !inline_value.has_value()) {
+      if (i + 1 >= argc) {
         std::cerr << "missing value for " << arg << "\n";
         return 2;
       }
+      value = argv[++i];
     }
     const Status st = flag->set(value);
     if (!st.ok()) {

@@ -27,8 +27,9 @@ namespace cli {
 
 /// \brief The flags one tool accepts.
 ///
-/// Value flags take `--flag value` or `--flag=value`; a Bool flag takes no
-/// value and ignores any `=value`. Each typed flag parses at its field's
+/// Value flags take `--flag value` or `--flag=value`; a Bool flag is a
+/// switch, on when bare and set by `=1`/`=true` or `=0`/`=false` (any other
+/// `=value` is an error). Each typed flag parses at its field's
 /// type and rejects what would not fit it (ParseInt, ParseInt64,
 /// ParseUint64, ParseDouble). A later occurrence overrides an earlier one;
 /// a Custom flag sees every occurrence.

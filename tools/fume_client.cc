@@ -103,49 +103,36 @@ bool Exchange(util::Socket& sock, const std::string& request,
   return response->find("\"ok\":true") != std::string::npos;
 }
 
+// Both parsers split with Split, which keeps empty fields, so a stray
+// delimiter or a fourth literal field is malformed rather than dropped.
 bool ParsePredictRows(const std::string& spec,
                       std::vector<std::vector<int32_t>>* rows) {
-  std::stringstream row_stream(spec);
-  std::string row;
-  while (std::getline(row_stream, row, ';')) {
+  for (const std::string& row : Split(spec, ';')) {
     std::vector<int32_t> codes;
-    std::stringstream code_stream(row);
-    std::string code;
-    while (std::getline(code_stream, code, ',')) {
+    for (const std::string& code : Split(row, ',')) {
       int value = 0;
-      if (!ParseInt(code.c_str(), &value)) return false;
+      if (!ParseInt(code, &value)) return false;
       codes.push_back(value);
     }
-    if (codes.empty()) return false;
     rows->push_back(std::move(codes));
   }
-  return !rows->empty();
+  return true;
 }
 
 bool ParseWhatIfPredicate(const std::string& spec, Predicate* predicate) {
   std::vector<Literal> literals;
-  std::stringstream lit_stream(spec);
-  std::string lit;
-  while (std::getline(lit_stream, lit, ',')) {
-    std::stringstream part_stream(lit);
-    std::string attr, cmp, value;
-    if (!std::getline(part_stream, attr, ':') ||
-        !std::getline(part_stream, cmp, ':') ||
-        !std::getline(part_stream, value, ':')) {
+  for (const std::string& lit : Split(spec, ',')) {
+    const std::vector<std::string> parts = Split(lit, ':');
+    Literal l;
+    if (parts.size() != 3 || !ParseInt(parts[0], &l.attr) || l.attr < 0 ||
+        !ParseInt(parts[2], &l.value)) {
       return false;
     }
-    Literal l;
-    int iv = 0;
-    if (!ParseInt(attr.c_str(), &iv) || iv < 0) return false;
-    l.attr = iv;
-    auto op = serve::LiteralOpFromWireName(cmp);
+    auto op = serve::LiteralOpFromWireName(parts[1]);
     if (!op.ok()) return false;
     l.op = *op;
-    if (!ParseInt(value.c_str(), &iv)) return false;
-    l.value = iv;
     literals.push_back(l);
   }
-  if (literals.empty()) return false;
   *predicate = Predicate(std::move(literals));
   return true;
 }

@@ -48,7 +48,7 @@ struct CliOptions {
   int port = 7733;
   std::string port_file;
   int max_connections = 64;
-  int64_t batch_window_us = 200;
+  int64_t batch_window_us = 0;
   int max_batch = 16;
   int queue_cap = 64;
   int whatif_threads = 2;
@@ -89,7 +89,8 @@ Serving:
   --port N              TCP port on 127.0.0.1 (default 7733; 0 = ephemeral)
   --port-file FILE      write the bound port to FILE (for scripts)
   --max-connections N   connection admission limit (default 64)
-  --batch-window-us N   whatif grouping window (default 200; 0 = batch-1)
+  --batch-window-us N   microseconds a whatif batch waits to fill (default
+                        0: a batch is what queued during the last one)
   --max-batch N         max whatifs grouped per batch (default 16)
   --queue-cap N         per-tenant whatif queue bound (default 64)
   --whatif-threads N    per-tenant batch scoring threads (default 2)

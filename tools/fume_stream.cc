@@ -291,7 +291,7 @@ int Run(const CliOptions& opts) {
     // re-place rows under fresh global ids and legitimately differ —
     // exactness is per shard. A mismatch is a correctness bug, not noise.
     const ShardedForest& model = engine->model();
-    const Dataset& train = engine->train_data();
+    const Dataset train = engine->train_data();
     const std::vector<RowId>& ids = engine->live_ids();
     bool ok = model.ValidateStats();
     int64_t compared = 0;
