@@ -340,6 +340,7 @@ int main(int argc, char** argv) {
   if (json) {
     json.precision(6);
     json << "{\n  \"bench\": \"serve\",\n"
+         << "  \"machine\": \"" << MachineDescription() << "\",\n"
          << "  \"substrate\": \"" << bundle->name << " (" << opts.num_rows
          << " rows)\",\n"
          << "  \"whatif_identical\": "

@@ -178,7 +178,7 @@ std::string ShardBytes(const ShardedForest& forest) {
 
 // A privately-owned copy of the pristine ensemble (every node refcount 1),
 // so the timed loop below contains pure deletion work — the sharded
-// counterpart of DareForest::DeepClone.
+// counterpart of bench::PrivateCopy.
 ShardedForest PrivateCopy(const std::string& pristine_bytes) {
   std::istringstream in(pristine_bytes, std::ios::binary);
   auto loaded = ShardedForest::Load(in);
@@ -206,10 +206,10 @@ Throughput MeasureDeleteMono(const DareForest& model,
                              const std::vector<std::vector<RowId>>& batches) {
   DeletionScratch scratch;
   {
-    DareForest warm = model.DeepClone();
+    DareForest warm = bench::PrivateCopy(model);
     FUME_ABORT_NOT_OK(warm.DeleteRows(batches.front(), nullptr, &scratch));
   }
-  DareForest victim = model.DeepClone();
+  DareForest victim = bench::PrivateCopy(model);
   Throughput t;
   Stopwatch watch;
   for (const auto& rows : batches) {
@@ -639,6 +639,7 @@ int main(int argc, char** argv) {
   if (json) {
     json.precision(6);
     json << "{\n  \"bench\": \"shard\",\n"
+         << "  \"machine\": \"" << MachineDescription() << "\",\n"
          << "  \"forest\": \"figure5-parametric p=10 d=8 (10 trees, depth "
             "8)\",\n"
          << "  \"mid_size_rows\": " << mid_size << ",\n"

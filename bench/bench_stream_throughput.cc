@@ -130,6 +130,7 @@ int main(int argc, char** argv) {
   if (json) {
     json.precision(6);
     json << "{\n  \"bench\": \"stream_throughput\",\n"
+         << "  \"machine\": \"" << MachineDescription() << "\",\n"
          << "  \"substrate\": \"planted-bias (" << opts.num_rows
          << " rows)\",\n"
          << "  \"data_ops\": " << data_ops << ",\n"

@@ -4,8 +4,8 @@
 // from scratch on the surviving rows after every batch — the cost exact
 // unlearning is weighed against in paper Table 8.
 //
-// The kernel measurements delete compounding batches from a private
-// DeepClone of the model, reusing one DeletionScratch across all of them
+// The kernel measurements delete compounding batches from a PrivateCopy of
+// the model, reusing one DeletionScratch across all of them
 // (the steady-state allocation-free path). Exactness is re-checked
 // in-bench: a compounding deletion run must leave the forest serialized
 // byte-identical to a same-store retrain on the surviving rows, lazy
@@ -141,7 +141,7 @@ Throughput MeasureRetrain(const Setup& s,
 }
 
 // Compounding deletions on a privately-owned copy of the model: after the
-// (untimed) DeepClone every node has refcount 1, so the timed loop contains
+// (untimed) PrivateCopy every node has refcount 1, so the timed loop contains
 // pure deletion work — no CoW unshares. This is also the stream engine's
 // workload shape (ops mutate one long-lived forest).
 //
@@ -159,12 +159,12 @@ Throughput MeasureDelete(const DareForest& model,
   DeletionScratch scratch;
   {
     // Warm-up: faults in the store, sizes the scratch, seeds allocators.
-    DareForest warm = model.DeepClone();
+    DareForest warm = PrivateCopy(model);
     if (strategy == Strategy::kLazy) warm.SetLazyUnlearn(true);
     FUME_ABORT_NOT_OK(warm.DeleteRows(batches.front(), nullptr, &scratch));
     warm.FlushAll(nullptr, &scratch);
   }
-  DareForest victim = model.DeepClone();
+  DareForest victim = PrivateCopy(model);
   if (strategy == Strategy::kLazy) victim.SetLazyUnlearn(true);
   Throughput t;
   // Thread CPU time: the loop is single-threaded, and CPU time is immune
@@ -224,8 +224,8 @@ bool CompoundingRunsByteIdentical(const Setup& s,
 // (lazy does fewer rebuilds), so both are zeroed before each comparison.
 bool LazyFlushByteIdentical(const Setup& s,
                             const std::vector<std::vector<RowId>>& all) {
-  DareForest eager = s.model.DeepClone();
-  DareForest lazy = s.model.DeepClone();
+  DareForest eager = PrivateCopy(s.model);
+  DareForest lazy = PrivateCopy(s.model);
   lazy.SetLazyUnlearn(true);
   DeletionScratch eager_scratch, lazy_scratch;
   const int burst = BurstLength(
@@ -284,7 +284,7 @@ int main(int argc, char** argv) {
   const int num_batches = smoke ? 8 : (full ? 128 : 64);
   // Each cell is measured several times with the strategies interleaved and
   // reported as the fastest repetition — the work is deterministic (same
-  // batches on a fresh DeepClone, or the same retrains, each repetition),
+  // batches on a fresh PrivateCopy, or the same retrains, each repetition),
   // so the minimum time is the least-noise estimate.
   const int kReps = smoke ? 1 : 7;
 
@@ -365,7 +365,7 @@ int main(int argc, char** argv) {
   std::cout << "\nSearch identity check (mid-size forest, " << mid_size
             << " rows)\n";
   Setup s = MakeSetup(mid_size);
-  DareForest lazy_model = s.model.DeepClone();
+  DareForest lazy_model = PrivateCopy(s.model);
   lazy_model.SetLazyUnlearn(true);
   // Burst-delete the TAIL of the training data from both models (the lazy
   // one defers), then search over the tail-dropped dataset: surviving train

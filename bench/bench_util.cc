@@ -5,9 +5,11 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <thread>
 
+#include "forest/serialize.h"
 #include "forest/tree.h"
 #include "obs/metrics.h"
 #include "obs/process.h"
@@ -191,6 +193,14 @@ std::string MachineDescription() {
 #endif
   std::erase_if(out, [](char c) { return c == '"' || c == '\\'; });
   return out;
+}
+
+DareForest PrivateCopy(const DareForest& model) {
+  std::stringstream bytes(std::ios::in | std::ios::out | std::ios::binary);
+  FUME_ABORT_NOT_OK(SaveForest(model, bytes));
+  auto loaded = LoadForest(bytes);
+  FUME_ABORT_NOT_OK(loaded.status());
+  return std::move(*loaded);
 }
 
 void WriteMetricsSnapshot(const std::string& name) {

@@ -93,6 +93,12 @@ void WriteMetricsSnapshot(const std::string& name);
 /// and backslashes are dropped.
 std::string MachineDescription();
 
+/// A privately-owned copy of `model` — every node refcount 1, its own
+/// training store — made by an untimed SaveForest -> LoadForest round trip,
+/// so a timed loop over the copy contains pure deletion work (no CoW
+/// unshares).
+DareForest PrivateCopy(const DareForest& model);
+
 }  // namespace bench
 }  // namespace fume
 

@@ -1,17 +1,17 @@
 // Extensibility demo (paper §5): FUME is model-agnostic — swapping the
 // removal method is all it takes to debug a different model family. Here
-// the same planted-bias dataset is audited twice: once with a DaRE random
-// forest (unlearning via cached-statistics deletion) and once with a k-NN
-// classifier (unlearning by removing neighbours), plus the ERT-style
-// all-random-levels forest variant.
+// the same planted-bias dataset is audited three times: with a DaRE random
+// forest (unlearning via cached-statistics deletion), with its ERT-style
+// all-random-levels variant, and with a HedgeCut forest (unlearning by
+// swapping in maintained split variants) — the two unlearnable forests the
+// paper's §5.1 names.
 
 #include <iostream>
 
 #include "core/fume.h"
 #include "core/report.h"
 #include "data/split.h"
-#include "gbdt/gbdt.h"
-#include "knn/knn.h"
+#include "hedgecut/hedgecut.h"
 #include "synth/datasets.h"
 #include "util/string_util.h"
 
@@ -85,41 +85,25 @@ int main() {
                 train.schema());
   }
 
-  // 3. k-NN: a different non-parametric family entirely. The generic
+  // 3. HedgeCut: a different unlearnable forest. The generic
   //    ExplainWithRemoval overload takes any RemovalMethod.
   {
-    KnnConfig knn_config;
-    knn_config.num_neighbors = 9;
-    auto model = KnnClassifier::Train(train, knn_config);
+    HedgecutConfig hedgecut_config;
+    hedgecut_config.num_trees = 10;
+    hedgecut_config.max_depth = 7;
+    hedgecut_config.seed = 31;
+    auto model = HedgecutForest::Train(train, hedgecut_config);
     FUME_ABORT_NOT_OK(model.status());
     const ModelEval original =
-        EvaluateKnn(*model, test, config.group, config.metric);
-    KnnUnlearnRemovalMethod removal(&*model, &test, config.group,
-                                    config.metric);
-    PrintResult("k-nearest neighbours (k = 9)",
+        EvaluateHedgecut(*model, test, config.group, config.metric);
+    HedgecutUnlearnRemovalMethod removal(&*model, &test, config.group,
+                                         config.metric);
+    PrintResult("HedgeCut forest (maintained split variants)",
                 ExplainWithRemoval(original, train, config, &removal),
                 train.schema());
   }
 
-  // 4. Gradient boosted trees: no cheap exact unlearning exists (boosting
-  //    is sequential), so the removal method is a deterministic cascade
-  //    retrain — the honest cost of the model-agnostic route.
-  {
-    GbdtConfig gbdt_config;
-    gbdt_config.num_rounds = 30;
-    gbdt_config.max_depth = 3;
-    auto model = GbdtClassifier::Train(train, gbdt_config);
-    FUME_ABORT_NOT_OK(model.status());
-    const ModelEval original =
-        EvaluateGbdt(*model, test, config.group, config.metric);
-    GbdtUnlearnRemovalMethod removal(&*model, &test, config.group,
-                                     config.metric);
-    PrintResult("Gradient boosted trees (cascade retrain)",
-                ExplainWithRemoval(original, train, config, &removal),
-                train.schema());
-  }
-
-  std::cout << "All four audits search the same lattice; only the removal "
+  std::cout << "All three audits search the same lattice; only the removal "
                "method changed (paper §5).\n";
   return 0;
 }

@@ -26,15 +26,18 @@ cd "$(dirname "$0")/.."
 
 BUILD_DIR="${BUILD_DIR:-build-bench-smoke}"
 
+# Examples stay ON: a reused tree (BUILD_DIR=build) keeps building them.
 cmake -B "${BUILD_DIR}" -S . -DCMAKE_BUILD_TYPE=Release \
-  -DFUME_BUILD_EXAMPLES=OFF
+  -DFUME_BUILD_EXAMPLES=ON
 cmake --build "${BUILD_DIR}" -j --target bench_unlearn_kernel \
   bench_eval_throughput bench_stream_throughput bench_serve bench_shard \
-  bench_check fume_cli fume_stream_cli fume_serve_cli fume_client
+  bench_check fume_cli fume_stream_cli fume_serve_cli fume_client \
+  extensibility_demo
 
 REPO_DIR="$(pwd)"
 BENCH_DIR="$(cd "${BUILD_DIR}" && pwd)/bench"
 TOOLS_DIR="$(cd "${BUILD_DIR}" && pwd)/tools"
+EXAMPLES_DIR="$(cd "${BUILD_DIR}" && pwd)/examples"
 SCRATCH="${BUILD_DIR}/bench-smoke"
 mkdir -p "${SCRATCH}"
 cd "${SCRATCH}"
@@ -49,7 +52,8 @@ for bench in bench_unlearn_kernel bench_eval_throughput bench_stream_throughput 
   fi
 done
 
-# Belt and braces: no NaN/inf in the machine-readable artifacts.
+# Belt and braces: no NaN/inf in the machine-readable artifacts, and each
+# records the machine its numbers came from.
 for artifact in bench_artifacts/BENCH_unlearn.json bench_artifacts/BENCH_eval.json \
                 bench_artifacts/BENCH_incremental.json bench_artifacts/BENCH_serve.json \
                 bench_artifacts/BENCH_shard.json; do
@@ -59,20 +63,21 @@ for artifact in bench_artifacts/BENCH_unlearn.json bench_artifacts/BENCH_eval.js
   elif grep -qiE 'nan|inf' "${artifact}"; then
     echo "FAIL: non-finite value in ${artifact}"
     status=1
+  elif ! grep -q '"machine": *"[^"]' "${artifact}"; then
+    echo "FAIL: ${artifact} does not record its machine"
+    status=1
   fi
 done
 
-# The eval bench must have exercised the arena and fused strategies (and
-# attested their identity against the pointer walk and the clone path)
-# even at smoke size — a silently dropped strategy column would otherwise
-# pass every structural check.
+# The eval bench must have exercised the fused strategy (and attested its
+# identity against the pointer walk and the clone path) even at smoke
+# size — a silently dropped strategy column would otherwise pass every
+# structural check.
 if [ -f bench_artifacts/BENCH_eval.json ]; then
-  for strategy in arena fused; do
-    if ! grep -q "\"strategy\": *\"${strategy}\"" bench_artifacts/BENCH_eval.json; then
-      echo "FAIL: no ${strategy} strategy cells in BENCH_eval.json"
-      status=1
-    fi
-  done
+  if ! grep -q '"strategy": *"fused"' bench_artifacts/BENCH_eval.json; then
+    echo "FAIL: no fused strategy cells in BENCH_eval.json"
+    status=1
+  fi
   for key in arena_pointer_identical fused_clone_identical; do
     if ! grep -q "\"${key}\": *true" bench_artifacts/BENCH_eval.json; then
       echo "FAIL: ${key} attestation missing or false in BENCH_eval.json"
@@ -247,6 +252,21 @@ for shards in 1 4; do
     status=1
   fi
 done
+
+# Model-agnostic leg: the extensibility demo audits one dataset through
+# three removal methods (DaRE, ERT, HedgeCut) and must print all three.
+echo "=== extensibility_demo ==="
+if ! "${EXAMPLES_DIR}/extensibility_demo" > extensibility.log 2>&1; then
+  echo "FAIL: extensibility_demo exited non-zero"
+  tail -5 extensibility.log
+  status=1
+else
+  headers="$(grep -c '^--- ' extensibility.log || true)"
+  if [ "${headers}" -ne 3 ]; then
+    echo "FAIL: extensibility_demo printed ${headers} audit headers, not 3"
+    status=1
+  fi
+fi
 
 # End-to-end serving smoke: boot fume_serve with a sharded default tenant
 # on an ephemeral port, run the canned fume_client round trips (health/

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Builds with ThreadSanitizer and runs the tests that exercise the
-# lock-free observability counters and the multi-threaded FUME search, so
-# every new atomic is race-checked. A sanitizer report makes the test that
+# lock-free observability counters and the multi-threaded FUME search
+# (over DaRE and over HedgeCut, the one non-DaRE family), so every new
+# atomic is race-checked. A sanitizer report makes the test that
 # produced it exit non-zero, so the sweep passes only with zero reports.
 # Usage:
 #
@@ -26,8 +27,8 @@ cmake --build "${BUILD_DIR}" -j --target obs_test fume_algorithm_test \
   lazy_unlearn_test stream_test serve_test thread_pool_test query_scope_test \
   bench_check_test sharded_forest_test sharded_stream_test deletion_stats_test \
   what_if_score_test what_if_test serialize_test util_test data_test \
-  cli_common_test
+  cli_common_test hedgecut_test
 
 cd "${BUILD_DIR}"
 ctest --output-on-failure -j "$(nproc)" \
-  -R '(Obs|Fume|Unlearn|Addition|Stream|Serve|OpLog|PredictionCache|DriftPolicy|Workload|Cow|WhatIf|ThreadPool|Kernel|DeletionScratch|QueryScope|BenchCheck|JsonParser|Arena|Lazy|Sharded|DeletionStats|Serialize|String|Csv|Cli)' "$@"
+  -R '(Obs|Fume|Unlearn|Addition|Stream|Serve|OpLog|PredictionCache|DriftPolicy|Workload|Cow|WhatIf|ThreadPool|Kernel|DeletionScratch|QueryScope|BenchCheck|JsonParser|Arena|Lazy|Sharded|DeletionStats|Serialize|String|Csv|Cli|Hedgecut)' "$@"

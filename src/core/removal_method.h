@@ -90,8 +90,8 @@ class UnlearnRemovalMethod : public RemovalMethod {
   /// clone (TestPredictionCache::ScoreWhatIf) should pass
   /// arena_full_rescore: at 4 doomed rows the pointer diff-walk still
   /// rescores a small fraction of the test set; by 64 it touches most of
-  /// it (bench_eval_throughput). Evaluations of this class use
-  /// ScoreWithout, which needs no such switch.
+  /// it. Evaluations of this class use ScoreWithout, which needs no such
+  /// switch.
   static constexpr size_t kArenaFullRescoreMinBatch = 16;
 
   /// Pointers must outlive this object. The model must not be mutated

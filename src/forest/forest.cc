@@ -368,15 +368,6 @@ DareForest DareForest::Clone() const {
   return out;
 }
 
-DareForest DareForest::DeepClone() const {
-  DareForest out;
-  out.store_ = store_;
-  out.config_ = config_;
-  out.trees_.reserve(trees_.size());
-  for (const auto& tree : trees_) out.trees_.push_back(tree.DeepClone());
-  return out;
-}
-
 bool DareForest::StructurallyEquals(const DareForest& other) const {
   if (trees_.size() != other.trees_.size()) return false;
   for (size_t i = 0; i < trees_.size(); ++i) {
@@ -407,12 +398,6 @@ DareForest DareForest::FromParts(std::shared_ptr<TrainingStore> store,
 int64_t DareForest::num_nodes() const {
   int64_t total = 0;
   for (const auto& tree : trees_) total += tree.num_nodes();
-  return total;
-}
-
-int64_t DareForest::ApproxHeapBytes() const {
-  int64_t total = 0;
-  for (const auto& tree : trees_) total += tree.ApproxHeapBytes();
   return total;
 }
 

@@ -29,8 +29,7 @@ class DareForest {
   /// Debug builds audit the CoW node graph on destruction
   /// (DareTree::DebugCheckCowConsistency); release builds do nothing.
   ~DareForest();
-  // Copying is explicit — Clone() (CoW, cheap) or DeepClone() (eager) —
-  // so an accidental `DareForest f = other;` can't silently share node
+  // Copying is explicit — Clone() (CoW, cheap) — so an accidental `DareForest f = other;` can't silently share node
   // graphs and pay surprise CoW unshares later.
   DareForest(const DareForest&) = delete;
   DareForest& operator=(const DareForest&) = delete;
@@ -150,10 +149,6 @@ class DareForest {
   /// behaviour. This is what FUME's what-if evaluations use.
   DareForest Clone() const;
 
-  /// Eager copy of every node — the pre-CoW Clone() behaviour, kept as the
-  /// reference path for exactness tests and the eval-throughput bench.
-  DareForest DeepClone() const;
-
   bool StructurallyEquals(const DareForest& other) const;
   /// Revalidates every cached node statistic in every tree.
   bool ValidateStats() const;
@@ -161,9 +156,6 @@ class DareForest {
   int num_trees() const { return static_cast<int>(trees_.size()); }
   const DareTree& tree(int i) const { return trees_[i]; }
   int64_t num_nodes() const;
-  /// Approximate heap footprint of all node graphs — what DeepClone() has to
-  /// allocate and copy and what Clone() avoids.
-  int64_t ApproxHeapBytes() const;
   /// Rows still learned (after deletions).
   int64_t num_training_rows() const;
   const ForestConfig& config() const { return config_; }

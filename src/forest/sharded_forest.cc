@@ -513,15 +513,6 @@ int64_t ShardedForest::num_nodes() const {
   return total;
 }
 
-int64_t ShardedForest::ApproxHeapBytes() const {
-  int64_t total = static_cast<int64_t>(
-      shard_of_ == nullptr ? 0
-                           : shard_of_->capacity() * sizeof(uint8_t) +
-                                 local_of_->capacity() * sizeof(RowId));
-  for (const auto& s : shards_) total += s.ApproxHeapBytes();
-  return total;
-}
-
 DeletionStats ShardedForest::deletion_stats() const {
   DeletionStats total;
   for (const auto& s : shards_) total.Add(s.deletion_stats());

@@ -200,7 +200,6 @@ class ShardedForest {
   /// Live training rows summed across shards.
   int64_t num_training_rows() const;
   int64_t num_nodes() const;
-  int64_t ApproxHeapBytes() const;
   /// Cumulative unlearning work, summed in shard order.
   DeletionStats deletion_stats() const;
 

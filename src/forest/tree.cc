@@ -814,25 +814,6 @@ void DareTree::AddToNodeKernel(std::shared_ptr<TreeNode>* slot, RowId* begin,
 
 namespace {
 
-std::shared_ptr<TreeNode> DeepCloneNode(const TreeNode* node) {
-  auto out = std::make_shared<TreeNode>();
-  out->count = node->count;
-  out->pos = node->pos;
-  out->attr = node->attr;
-  out->threshold = node->threshold;
-  out->is_random = node->is_random;
-  out->stats = node->stats;
-  out->rows = node->rows;
-  if (node->lazy != nullptr) {
-    out->lazy = std::make_unique<LazyTag>(*node->lazy);
-  }
-  if (!node->is_leaf()) {
-    out->left = DeepCloneNode(node->left.get());
-    out->right = DeepCloneNode(node->right.get());
-  }
-  return out;
-}
-
 bool NodesEqual(const TreeNode* a, const TreeNode* b) {
   if (a == b) return true;  // CoW-shared subtrees are identical by identity
   if (a->count != b->count || a->pos != b->pos) return false;
@@ -915,20 +896,6 @@ int Depth(const TreeNode* node) {
   return 1 + std::max(Depth(node->left.get()), Depth(node->right.get()));
 }
 
-int64_t NodeHeapBytes(const TreeNode* node) {
-  if (node == nullptr) return 0;
-  int64_t bytes = static_cast<int64_t>(sizeof(TreeNode));
-  bytes += static_cast<int64_t>(node->rows.capacity() * sizeof(RowId));
-  bytes += static_cast<int64_t>(node->stats.cand_attrs.capacity() *
-                                sizeof(int));
-  bytes += static_cast<int64_t>(node->stats.hist_offsets.capacity() *
-                                sizeof(int32_t));
-  bytes += static_cast<int64_t>(node->stats.hist.capacity() *
-                                sizeof(int64_t));
-  return bytes + NodeHeapBytes(node->left.get()) +
-         NodeHeapBytes(node->right.get());
-}
-
 #ifndef NDEBUG
 void CheckCowNode(const TreeNode* node,
                   std::unordered_set<const TreeNode*>* seen) {
@@ -968,19 +935,6 @@ DareTree DareTree::Clone() const {
   return out;
 }
 
-DareTree DareTree::DeepClone() const {
-  DareTree out;
-  out.store_ = store_;
-  out.config_ = config_;
-  out.tree_id_ = tree_id_;
-  if (root_ != nullptr) out.root_ = DeepCloneNode(root_.get());
-  out.lazy_rows_ = lazy_rows_;
-  out.lazy_nodes_ = lazy_nodes_;
-  // Fresh nodes, fresh stamp, as after Build.
-  out.generation_ = arena_internal::NextGeneration();
-  return out;
-}
-
 bool DareTree::StructurallyEquals(const DareTree& other) const {
   if ((root_ == nullptr) != (other.root_ == nullptr)) return false;
   if (root_ == nullptr) return true;
@@ -1016,8 +970,5 @@ DareTree DareTree::FromParts(std::shared_ptr<const TrainingStore> store,
 int64_t DareTree::num_nodes() const { return CountNodes(root_.get()); }
 int64_t DareTree::num_leaves() const { return CountLeaves(root_.get()); }
 int DareTree::depth() const { return Depth(root_.get()); }
-int64_t DareTree::ApproxHeapBytes() const {
-  return NodeHeapBytes(root_.get());
-}
 
 }  // namespace fume

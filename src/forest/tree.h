@@ -78,8 +78,7 @@ struct TreeNode {
   int64_t count = 0;
   int64_t pos = 0;
   /// DareTree::generation() of the batch that last created or wrote this
-  /// node (0 for a node read from disk or deep-copied). Never serialized or
-  /// compared.
+  /// node (0 for a node read from disk). Never serialized or compared.
   uint64_t generation = 0;
   // Internal-node fields.
   int attr = -1;
@@ -196,10 +195,6 @@ class DareTree {
   /// privately copies just the nodes it touches.
   DareTree Clone() const;
 
-  /// Eager full copy of every node (the pre-CoW Clone behaviour). Kept as
-  /// the reference path for exactness tests and the eval-throughput bench.
-  DareTree DeepClone() const;
-
   /// Structural equality: same shape, same splits, same cached statistics,
   /// same leaf membership (order-insensitive). Shared subtrees short-circuit
   /// by node identity.
@@ -212,9 +207,6 @@ class DareTree {
   int64_t num_nodes() const;
   int64_t num_leaves() const;
   int depth() const;
-  /// Approximate heap footprint of the node graph (what a DeepClone would
-  /// have to allocate and copy); used by the eval-throughput bench.
-  int64_t ApproxHeapBytes() const;
   const TreeNode* root() const { return root_.get(); }
   /// The refcounted root handle (node-identity diffing, e.g. the prediction
   /// cache's what-if rescoring, compares these graphs by address).
@@ -228,7 +220,7 @@ class DareTree {
   std::shared_ptr<const TreeArena> arena() const;
   /// Monotonic mutation stamp, drawn from a process-wide counter: bumped
   /// once per DeleteRows/AddRows batch (the granularity at which Mutable()
-  /// unshares CoW nodes), assigned fresh by Build/DeepClone/FromParts and
+  /// unshares CoW nodes), assigned fresh by Build/FromParts and
   /// inherited by Clone(). Two trees with equal stamps are byte-identical —
   /// stamps diverge forever at the first mutation after a Clone — which is
   /// what makes the stamp alone a sound arena cache key (DESIGN.md §7).

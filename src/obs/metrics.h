@@ -42,8 +42,9 @@ struct ScopeHook;
 
 /// Innermost active scope of the current thread (null when none). Worker
 /// threads borrow the caller's hook for the duration of a ThreadPool batch
-/// via internal::ScopeAttachGuard.
-extern thread_local ScopeHook* tls_scope;
+/// via internal::ScopeAttachGuard. constinit: it is constant-initialized,
+/// so a read needs no TLS-init guard.
+extern constinit thread_local ScopeHook* tls_scope;
 
 void ScopeCounterAdd(ScopeHook* hook, const Counter* counter, int64_t n);
 void ScopeHistogramRecord(ScopeHook* hook, const Histogram* histogram,

@@ -13,7 +13,7 @@ namespace obs {
 
 namespace internal {
 
-thread_local ScopeHook* tls_scope = nullptr;
+constinit thread_local ScopeHook* tls_scope = nullptr;
 
 namespace {
 

@@ -202,23 +202,6 @@ TEST(ForestArenaTest, CloneInvalidationIsolatesParentAndChild) {
   ExpectArenaMatchesPointer(clone, c.test);
 }
 
-TEST(ForestArenaTest, DeepCloneNeverServesTheSourceArena) {
-  synth::PlantedOptions opts;
-  opts.num_rows = 300;
-  auto bundle = synth::MakePlantedBias(opts);
-  ASSERT_TRUE(bundle.ok());
-  ArenaCase c = MakeCase(bundle->data, 33);
-  auto base_arena = c.forest.tree(0).arena();
-  ASSERT_NE(base_arena, nullptr);
-  DareForest deep = c.forest.DeepClone();
-  auto deep_arena = deep.tree(0).arena();
-  ASSERT_NE(deep_arena, nullptr);
-  // Fresh node addresses require a fresh arena (node_ leaf identity).
-  EXPECT_NE(deep_arena.get(), base_arena.get());
-  EXPECT_NE(deep_arena->source_root(), base_arena->source_root());
-  ExpectArenaMatchesPointer(deep, c.test);
-}
-
 // TSan target: many threads hitting compile-on-first-use on the same trees
 // must agree on one arena per tree (ArenaSlot's mutex).
 TEST(ForestArenaTest, ConcurrentCompileOnFirstUseYieldsOneArena) {

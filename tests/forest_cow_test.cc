@@ -73,6 +73,14 @@ Fixture MakeGermanFixture() {
   return f;
 }
 
+// An unshared reference: a same-seed retrain on the fixture's rows (the
+// DESIGN.md §6 oracle), which shares no node with f.model.
+DareForest Retrain(const Fixture& f) {
+  auto model = DareForest::Train(f.train, f.model.config());
+  EXPECT_TRUE(model.ok());
+  return std::move(*model);
+}
+
 // A spread-out batch of live row ids, keyed so different callers get
 // different batches.
 std::vector<RowId> PickRows(const DareForest& forest, uint64_t key,
@@ -91,22 +99,21 @@ std::vector<RowId> PickRows(const DareForest& forest, uint64_t key,
   return rows;
 }
 
-TEST(CowCloneTest, CloneSharesNodesDeepCloneDoesNot) {
+TEST(CowCloneTest, CloneSharesNodesRetrainDoesNot) {
   Fixture f = MakeFixture();
   const DareForest cow = f.model.Clone();
-  const DareForest deep = f.model.DeepClone();
+  const DareForest retrained = Retrain(f);
   for (int t = 0; t < f.model.num_trees(); ++t) {
     EXPECT_EQ(f.model.tree(t).root(), cow.tree(t).root());
-    EXPECT_NE(f.model.tree(t).root(), deep.tree(t).root());
+    EXPECT_NE(f.model.tree(t).root(), retrained.tree(t).root());
   }
   EXPECT_TRUE(f.model.StructurallyEquals(cow));
-  EXPECT_TRUE(f.model.StructurallyEquals(deep));
-  EXPECT_GT(f.model.ApproxHeapBytes(), 0);
+  EXPECT_TRUE(f.model.StructurallyEquals(retrained));
 }
 
 TEST(CowCloneTest, MutatingCloneNeverPerturbsBase) {
   Fixture f = MakeFixture();
-  const DareForest snapshot = f.model.DeepClone();
+  const DareForest snapshot = Retrain(f);
   const std::vector<double> base_probs = f.model.PredictProbAll(f.test);
 
   DareForest clone = f.model.Clone();
@@ -118,8 +125,8 @@ TEST(CowCloneTest, MutatingCloneNeverPerturbsBase) {
   EXPECT_TRUE(f.model.ValidateStats());
   EXPECT_EQ(f.model.PredictProbAll(f.test), base_probs);
 
-  // The clone matches the deep-copy reference path exactly.
-  DareForest reference = snapshot.DeepClone();
+  // The clone matches the retrained reference exactly.
+  DareForest reference = Retrain(f);
   ASSERT_TRUE(reference.DeleteRows(PickRows(f.model, 3, 40)).ok());
   EXPECT_TRUE(clone.StructurallyEquals(reference));
   EXPECT_TRUE(clone.ValidateStats());
@@ -128,14 +135,14 @@ TEST(CowCloneTest, MutatingCloneNeverPerturbsBase) {
 
 TEST(CowCloneTest, SiblingClonesAreIsolated) {
   Fixture f = MakeFixture(2);
-  const DareForest snapshot = f.model.DeepClone();
+  const DareForest snapshot = Retrain(f);
   DareForest a = f.model.Clone();
   DareForest b = f.model.Clone();
   ASSERT_TRUE(a.DeleteRows(PickRows(f.model, 11, 30)).ok());
   ASSERT_TRUE(b.DeleteRows(PickRows(f.model, 47, 55)).ok());
 
-  DareForest ref_a = snapshot.DeepClone();
-  DareForest ref_b = snapshot.DeepClone();
+  DareForest ref_a = Retrain(f);
+  DareForest ref_b = Retrain(f);
   ASSERT_TRUE(ref_a.DeleteRows(PickRows(f.model, 11, 30)).ok());
   ASSERT_TRUE(ref_b.DeleteRows(PickRows(f.model, 47, 55)).ok());
 
@@ -151,9 +158,10 @@ TEST(CowCloneTest, CloneOfMutatedCloneKeepsUnlearningExact) {
   DareForest second = first.Clone();
   ASSERT_TRUE(second.DeleteRows(PickRows(f.model, 63, 25)).ok());
 
-  DareForest reference = f.model.DeepClone();
+  DareForest reference = Retrain(f);
   ASSERT_TRUE(reference.DeleteRows(PickRows(f.model, 5, 25)).ok());
-  DareForest ref_second = reference.DeepClone();
+  DareForest ref_second = Retrain(f);
+  ASSERT_TRUE(ref_second.DeleteRows(PickRows(f.model, 5, 25)).ok());
   ASSERT_TRUE(ref_second.DeleteRows(PickRows(f.model, 63, 25)).ok());
 
   EXPECT_TRUE(first.StructurallyEquals(reference));
@@ -169,10 +177,10 @@ TEST(CowAliasingTest, InterleavedCloneDeletePredictAcrossThreads) {
   constexpr int kThreads = 8;
   constexpr int kIters = 4;
 
-  // Reference evaluations computed serially via the deep-copy path.
+  // Reference evaluations computed serially on same-seed retrains.
   std::vector<std::vector<double>> want(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    DareForest reference = f.model.DeepClone();
+    DareForest reference = Retrain(f);
     ASSERT_TRUE(
         reference.DeleteRows(PickRows(f.model, static_cast<uint64_t>(t), 20))
             .ok());
