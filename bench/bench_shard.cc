@@ -114,7 +114,6 @@ ShardConfig SliceShards(int n) {
   shard.placement = ShardConfig::Placement::kSlice;
   shard.slice_attr = kSliceAttr;
   shard.slice_value = kSliceValue;
-  shard.hot_shards = 1;
   return shard;
 }
 
@@ -229,14 +228,13 @@ Throughput MeasureDeleteSharded(const std::string& pristine_bytes,
   std::vector<DeletionScratch> scratch;
   {
     ShardedForest warm = PrivateCopy(pristine_bytes);
-    FUME_ABORT_NOT_OK(
-        warm.DeleteRows(batches.front(), nullptr, pool, &scratch));
+    FUME_ABORT_NOT_OK(warm.DeleteRows(batches.front(), pool, &scratch));
   }
   ShardedForest victim = PrivateCopy(pristine_bytes);
   Throughput t;
   Stopwatch watch;
   for (const auto& rows : batches) {
-    FUME_ABORT_NOT_OK(victim.DeleteRows(rows, nullptr, pool, &scratch));
+    FUME_ABORT_NOT_OK(victim.DeleteRows(rows, pool, &scratch));
     t.rows_processed += static_cast<int64_t>(rows.size());
   }
   t.seconds = watch.ElapsedSeconds();
@@ -369,8 +367,7 @@ bool ThreadCountsByteIdentical(const std::string& pristine_bytes,
     ShardedForest victim = PrivateCopy(pristine_bytes);
     std::vector<DeletionScratch> scratch;
     for (const auto& rows : batches) {
-      FUME_ABORT_NOT_OK(
-          victim.DeleteRows(rows, nullptr, pool.get(), &scratch));
+      FUME_ABORT_NOT_OK(victim.DeleteRows(rows, pool.get(), &scratch));
     }
     const std::string bytes = ShardBytes(victim);
     if (reference.empty()) {

@@ -7,7 +7,8 @@
 # on a non-finite value leaking into the JSON artifacts. The artifacts are
 # then structurally validated by `bench_check --smoke` (parse, non-empty
 # cells, finite-positive throughput, exactness attestations true), and the
-# metric-name lint runs over the tree. Takes ~a minute; no perf thresholds
+# metric-name lint runs over the tree. The build itself must print no
+# compiler warning. Takes ~a minute; no perf thresholds
 # are asserted — throughput numbers from a shared CI box are noise,
 # identity is not. (Perf regressions are caught by running the benches at
 # full size and `bench_check --baseline-dir bench_artifacts` — see
@@ -29,10 +30,17 @@ BUILD_DIR="${BUILD_DIR:-build-bench-smoke}"
 # Examples stay ON: a reused tree (BUILD_DIR=build) keeps building them.
 cmake -B "${BUILD_DIR}" -S . -DCMAKE_BUILD_TYPE=Release \
   -DFUME_BUILD_EXAMPLES=ON
+# The build must be warning-free: its output is kept and any compiler
+# warning fails the smoke (a target that is already up to date compiles
+# nothing and prints none).
 cmake --build "${BUILD_DIR}" -j --target bench_unlearn_kernel \
   bench_eval_throughput bench_stream_throughput bench_serve bench_shard \
   bench_check fume_cli fume_stream_cli fume_serve_cli fume_client \
-  extensibility_demo
+  extensibility_demo 2>&1 | tee "${BUILD_DIR}/smoke-build.log"
+if grep -q 'warning:' "${BUILD_DIR}/smoke-build.log"; then
+  echo "FAIL: the build printed compiler warnings (see above)"
+  exit 1
+fi
 
 REPO_DIR="$(pwd)"
 BENCH_DIR="$(cd "${BUILD_DIR}" && pwd)/bench"

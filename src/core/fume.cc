@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -139,8 +140,7 @@ Result<FumeResult> ExplainWithRemoval(const ModelEval& original,
       Status status;
     };
     std::vector<EvalJob> jobs;
-    std::unordered_map<RowsKey, size_t, RowsKeyHash> job_index;
-    std::vector<size_t> job_of_node(frontier.size(), SIZE_MAX);
+    std::unordered_set<RowsKey, RowsKeyHash> job_keys;
     std::vector<uint8_t> created_job(frontier.size(), 0);
     for (size_t i = 0; i < frontier.size(); ++i) {
       LatticeNode& node = frontier[i];
@@ -160,17 +160,15 @@ Result<FumeResult> ExplainWithRemoval(const ModelEval& original,
       if (node.support_count == 0) continue;
       fates[i] = NodeFate::kEvaluate;
       keys[i].rows = node.rows.ToRows();
-      if (config.cache_by_rowset && memo.count(keys[i]) > 0) continue;
-      // Duplicate row sets within a level always share one job: the
+      // Each distinct row set is evaluated once per search: the
       // RemovalMethod contract requires the evaluation to be a pure
-      // function of the row set, so re-running it could only waste work
-      // (cache_by_rowset additionally memoizes results across levels).
-      auto [it, inserted] = job_index.emplace(keys[i], jobs.size());
-      if (inserted) {
+      // function of the row set, so re-running it could only waste work.
+      // The memo serves prior levels; `job_keys` serves this one.
+      if (memo.count(keys[i]) > 0) continue;
+      if (job_keys.insert(keys[i]).second) {
         jobs.push_back(EvalJob{keys[i], ModelEval{}, Status::OK()});
         created_job[i] = 1;
       }
-      job_of_node[i] = it->second;
     }
 
     // ---- Phase 2: run the evaluations, optionally across threads. Each
@@ -203,11 +201,9 @@ Result<FumeResult> ExplainWithRemoval(const ModelEval& original,
       for (EvalJob& job : jobs) {
         FUME_RETURN_NOT_OK(job.status);
         ++result.stats.attribution_evaluations;
-        if (config.cache_by_rowset) {
-          memo.emplace(std::move(job.key), job.eval);
-          ++result.stats.cache_inserts;
-          metrics.cache_insert->Inc();
-        }
+        memo.emplace(std::move(job.key), job.eval);
+        ++result.stats.cache_inserts;
+        metrics.cache_insert->Inc();
       }
     }
 
@@ -221,17 +217,12 @@ Result<FumeResult> ExplainWithRemoval(const ModelEval& original,
         expandable.push_back(std::move(node));
         continue;
       }
-      ModelEval eval;
-      if (config.cache_by_rowset) {
-        auto it = memo.find(keys[i]);
-        FUME_CHECK(it != memo.end());
-        eval = it->second;
-      } else {
-        eval = jobs[job_of_node[i]].eval;
-      }
+      auto found = memo.find(keys[i]);
+      FUME_CHECK(found != memo.end());
+      const ModelEval& eval = found->second;
       // A node that did not create its own job shared another node's
-      // identical row set this level or (with the memo) reused a prior
-      // level's entry; either way the evaluation was saved.
+      // identical row set this level or reused a prior level's entry;
+      // either way the evaluation was saved.
       if (!created_job[i]) {
         ++result.stats.cache_hits;
         metrics.cache_hit->Inc();

@@ -44,10 +44,6 @@ struct FumeConfig {
   /// A |F(h)| below this is treated as "no violation" and refused.
   double min_original_bias = 1e-9;
 
-  /// Memoize attribution evaluations by matched row set (distinct predicates
-  /// selecting identical rows share one unlearning pass).
-  bool cache_by_rowset = true;
-
   /// Worker threads for attribution evaluations within a level (1 =
   /// sequential). Results are deterministic regardless of thread count.
   /// With > 1, the RemovalMethod's EvaluateWithout must be thread-safe

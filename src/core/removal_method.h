@@ -42,10 +42,9 @@ class RemovalMethod {
   virtual ~RemovalMethod() = default;
 
   /// Must be a deterministic pure function of the row set (for fixed
-  /// construction state): FUME relies on this to evaluate each distinct
-  /// row set at most once per lattice level — duplicates within a level
-  /// share a single evaluation even with FumeConfig::cache_by_rowset off,
-  /// and the rowset cache additionally memoizes results across levels. A
+  /// construction state): FUME memoizes results by row set, so each
+  /// distinct row set is evaluated at most once per search — duplicates
+  /// within a level and repeats across levels share one evaluation. A
   /// stochastic implementation would make those reuses observable.
   virtual Result<ModelEval> EvaluateWithout(
       const std::vector<RowId>& rows) = 0;

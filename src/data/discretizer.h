@@ -39,9 +39,6 @@ class Discretizer {
   /// attributes pass through unchanged.
   Result<Dataset> Transform(const Dataset& data) const;
 
-  /// The transformed schema (all categorical).
-  const Schema& output_schema() const { return output_schema_; }
-
   /// Upper bin edges for a numeric attribute (size = num bins - 1).
   const std::vector<double>& edges(int attr) const { return edges_[attr]; }
 

@@ -52,7 +52,7 @@ struct ForestConfig {
   /// Staleness budget: DeleteRows auto-flushes the whole forest when the
   /// pending doomed-row count (resp. tag count) across trees exceeds this.
   int64_t max_lazy_rows = 4096;
-  int64_t max_lazy_nodes = 512;
+  static constexpr int64_t kMaxLazyNodes = 512;
 };
 
 /// Counters describing the work done by one DeleteRows call; used by the
@@ -64,8 +64,7 @@ struct DeletionStats {
   int64_t rows_retrained = 0;    // instances gathered into rebuilds
   int64_t leaves_updated = 0;
   // Nodes replaced by a private shallow copy (CoW unshare) because a live
-  // clone still referenced them. Non-zero means the op changed node
-  // addresses, so caches keyed on node identity must re-walk this tree.
+  // clone still referenced them.
   int64_t nodes_copied = 0;
 
   void Add(const DeletionStats& other) {

@@ -95,9 +95,8 @@ Result<DareForest> DareForest::Train(const Dataset& train,
   if (config.random_depth < 0 || config.random_depth > config.max_depth) {
     return Status::Invalid("random_depth must lie in [0, max_depth]");
   }
-  if (config.lazy_unlearn &&
-      (config.max_lazy_rows < 1 || config.max_lazy_nodes < 1)) {
-    return Status::Invalid("lazy staleness budgets must be positive");
+  if (config.lazy_unlearn && config.max_lazy_rows < 1) {
+    return Status::Invalid("lazy staleness budget must be positive");
   }
   obs::TraceSpan span("forest.train", {{"rows", train.num_rows()},
                                        {"trees", config.num_trees}});
@@ -183,11 +182,12 @@ Status DareForest::DeleteRows(const std::vector<RowId>& rows,
     deletion_stats_.Add(local);
     if (per_tree != nullptr) (*per_tree)[t] = local;
   }
-  if (config_.lazy_unlearn && (lazy_rows() > config_.max_lazy_rows ||
-                               lazy_nodes() > config_.max_lazy_nodes)) {
+  if (config_.lazy_unlearn &&
+      (lazy_rows() > config_.max_lazy_rows ||
+       lazy_nodes() > ForestConfig::kMaxLazyNodes)) {
     // Staleness budget exceeded: retire the deferred work now rather than
     // letting an unbounded burst pile up retrain debt. The flush retrains
-    // land in per_tree so callers see the trees whose nodes moved.
+    // land in per_tree, so the report covers all of this call's work.
     static obs::Counter* budget_flushes =
         obs::GetCounter("forest.lazy.budget_flushes");
     budget_flushes->Inc();

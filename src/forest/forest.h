@@ -50,10 +50,8 @@ class DareForest {
   }
 
   /// As above, additionally reporting the work done in each tree by THIS
-  /// call (one entry per tree, zeroed first). A tree whose entry has
-  /// subtrees_retrained == 0 kept every node object alive — callers holding
-  /// pointers into it (e.g. the stream engine's prediction cache) may keep
-  /// them. Pass nullptr to skip the report.
+  /// call (one entry per tree, zeroed first). Pass nullptr to skip the
+  /// report.
   Status DeleteRows(const std::vector<RowId>& rows,
                     std::vector<DeletionStats>* per_tree) {
     return DeleteRows(rows, per_tree, nullptr);
@@ -102,8 +100,7 @@ class DareForest {
   /// none are pending — only meaningful with config().lazy_unlearn). The
   /// retrain work lands in deletion_stats() and, when `per_tree` is
   /// non-null, is ADDED into its entries (zero-sized vectors are sized and
-  /// zeroed first), so callers tracking per-tree dirtiness across a
-  /// deferred burst see the flush retrains too.
+  /// zeroed first).
   void FlushAll(std::vector<DeletionStats>* per_tree = nullptr,
                 DeletionScratch* scratch = nullptr);
   /// True while any tree holds a pending LazyTag.
@@ -121,8 +118,6 @@ class DareForest {
   void EnsureFlushed() const;
   /// Toggles config().lazy_unlearn on this forest and every tree. Disabling
   /// flushes pending tags first.
-  /// What-if evaluation disables lazy on its clones (a delete that is
-  /// scored immediately gains nothing from deferral).
   void SetLazyUnlearn(bool on);
   /// Zeroes deletion_stats(). Lazy-vs-eager byte-identity checks reset both
   /// forests' counters before serializing: the model bytes converge after a

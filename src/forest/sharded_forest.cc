@@ -18,6 +18,11 @@ namespace {
 constexpr char kShardMagic[8] = {'F', 'U', 'M', 'E', 'S', 'H', 'R', 'D'};
 constexpr uint32_t kShardVersion = 1;
 constexpr uint64_t kMaxVec = 1ull << 30;
+// FUMESHRD v1 header fields with one legal value: the vote byte (0, the
+// soft vote) and the hot-shard count of slice placement (1). Every
+// container holds these; any other value is rejected as corrupt.
+constexpr uint8_t kSoftVoteByte = 0;
+constexpr int32_t kHotShardCount = 1;
 
 uint64_t SplitMix64(uint64_t x) {
   x += 0x9E3779B97F4A7C15ull;
@@ -72,9 +77,6 @@ Status ValidateShardConfig(const ShardConfig& sc) {
     if (sc.num_shards < 2) {
       return Status::Invalid("slice placement requires at least 2 shards");
     }
-    if (sc.hot_shards < 1 || sc.hot_shards >= sc.num_shards) {
-      return Status::Invalid("hot_shards must be in [1, num_shards)");
-    }
   }
   return Status::OK();
 }
@@ -95,11 +97,10 @@ void ForShards(const std::vector<int>& touched, util::ThreadPool* pool,
 int PlaceRowImpl(const ShardConfig& sc, RowId global, int32_t slice_code) {
   const uint64_t h = ShardedForest::HashGlobalId(global);
   if (sc.placement == ShardConfig::Placement::kSlice) {
-    const int cold = sc.num_shards - sc.hot_shards;
-    if (slice_code == sc.slice_value) {
-      return cold + static_cast<int>(h % static_cast<uint64_t>(sc.hot_shards));
-    }
-    return static_cast<int>(h % static_cast<uint64_t>(cold));
+    // The cohort goes to the last shard; the rest hash across the others.
+    const int hot = sc.num_shards - 1;
+    if (slice_code == sc.slice_value) return hot;
+    return static_cast<int>(h % static_cast<uint64_t>(hot));
   }
   return static_cast<int>(h % static_cast<uint64_t>(sc.num_shards));
 }
@@ -128,7 +129,6 @@ Result<ShardConfig> ShardConfigFromFlags(int num_shards,
   if (config.placement == ShardConfig::Placement::kSlice) {
     config.slice_attr = slice_attr;
     config.slice_value = slice_value;
-    config.hot_shards = 1;
   }
   return config;
 }
@@ -221,14 +221,10 @@ Status ShardedForest::ValidateGlobalRows(
   return Status::OK();
 }
 
-Status ShardedForest::DeleteRows(
-    const std::vector<RowId>& global_rows,
-    std::vector<std::vector<DeletionStats>>* per_shard_tree,
-    util::ThreadPool* pool, std::vector<DeletionScratch>* scratch) {
+Status ShardedForest::DeleteRows(const std::vector<RowId>& global_rows,
+                                 util::ThreadPool* pool,
+                                 std::vector<DeletionScratch>* scratch) {
   const int n = num_shards();
-  if (per_shard_tree != nullptr) {
-    per_shard_tree->assign(static_cast<size_t>(n), {});
-  }
   if (scratch != nullptr && static_cast<int>(scratch->size()) < n) {
     scratch->resize(static_cast<size_t>(n));
   }
@@ -256,10 +252,7 @@ Status ShardedForest::DeleteRows(
   // as fatal, matching the monolithic engine's contract.
   ForShards(touched, pool, [&](int s) {
     statuses[static_cast<size_t>(s)] = shards_[static_cast<size_t>(s)]
-        .DeleteRows(local[static_cast<size_t>(s)],
-                    per_shard_tree != nullptr
-                        ? &(*per_shard_tree)[static_cast<size_t>(s)]
-                        : nullptr,
+        .DeleteRows(local[static_cast<size_t>(s)], nullptr,
                     scratch != nullptr ? &(*scratch)[static_cast<size_t>(s)]
                                        : nullptr);
   });
@@ -270,12 +263,9 @@ Status ShardedForest::DeleteRows(
 }
 
 Result<std::vector<RowId>> ShardedForest::AddData(
-    const Dataset& rows, std::vector<std::vector<DeletionStats>>* per_shard_tree,
-    util::ThreadPool* pool, std::vector<DeletionScratch>* scratch) {
+    const Dataset& rows, util::ThreadPool* pool,
+    std::vector<DeletionScratch>* scratch) {
   const int n = num_shards();
-  if (per_shard_tree != nullptr) {
-    per_shard_tree->assign(static_cast<size_t>(n), {});
-  }
   if (scratch != nullptr && static_cast<int>(scratch->size()) < n) {
     scratch->resize(static_cast<size_t>(n));
   }
@@ -305,8 +295,7 @@ Result<std::vector<RowId>> ShardedForest::AddData(
   }
   // An insert is an ensemble-wide flush boundary: shards receiving rows
   // flush inside their own AddData; shards with pending tags but no new
-  // row flush here so no tag survives the op (their retrains land in the
-  // same per-shard report).
+  // row flush here so no tag survives the op.
   std::vector<int> tasks;
   for (int s = 0; s < n; ++s) {
     if (!sub[static_cast<size_t>(s)].empty() ||
@@ -317,18 +306,15 @@ Result<std::vector<RowId>> ShardedForest::AddData(
   std::vector<Status> statuses(static_cast<size_t>(n));
   std::vector<std::vector<RowId>> new_local(static_cast<size_t>(n));
   ForShards(tasks, pool, [&](int s) {
-    auto* report = per_shard_tree != nullptr
-                       ? &(*per_shard_tree)[static_cast<size_t>(s)]
-                       : nullptr;
     auto* sc = scratch != nullptr ? &(*scratch)[static_cast<size_t>(s)]
                                   : nullptr;
     auto& dst = shards_[static_cast<size_t>(s)];
     if (sub[static_cast<size_t>(s)].empty()) {
-      dst.FlushAll(report, sc);
+      dst.FlushAll(nullptr, sc);
       return;
     }
     const Dataset part = rows.Select(sub[static_cast<size_t>(s)]);
-    auto added = dst.AddData(part, report, sc);
+    auto added = dst.AddData(part, nullptr, sc);
     if (!added.ok()) {
       statuses[static_cast<size_t>(s)] = added.status();
       return;
@@ -358,13 +344,9 @@ Result<std::vector<RowId>> ShardedForest::AddData(
   return global_ids;
 }
 
-void ShardedForest::FlushAll(
-    std::vector<std::vector<DeletionStats>>* per_shard_tree,
-    util::ThreadPool* pool, std::vector<DeletionScratch>* scratch) {
+void ShardedForest::FlushAll(util::ThreadPool* pool,
+                             std::vector<DeletionScratch>* scratch) {
   const int n = num_shards();
-  if (per_shard_tree != nullptr) {
-    per_shard_tree->assign(static_cast<size_t>(n), {});
-  }
   if (scratch != nullptr && static_cast<int>(scratch->size()) < n) {
     scratch->resize(static_cast<size_t>(n));
   }
@@ -378,8 +360,7 @@ void ShardedForest::FlushAll(
   flushed->Inc(static_cast<int64_t>(touched.size()));
   ForShards(touched, pool, [&](int s) {
     shards_[static_cast<size_t>(s)].FlushAll(
-        per_shard_tree != nullptr ? &(*per_shard_tree)[static_cast<size_t>(s)]
-                                  : nullptr,
+        nullptr,
         scratch != nullptr ? &(*scratch)[static_cast<size_t>(s)] : nullptr);
   });
 }
@@ -403,10 +384,6 @@ int64_t ShardedForest::lazy_nodes() const {
   return total;
 }
 
-void ShardedForest::SetLazyUnlearn(bool on) {
-  for (auto& s : shards_) s.SetLazyUnlearn(on);
-}
-
 void ShardedForest::EnsureFlushed() const {
   for (const auto& s : shards_) s.EnsureFlushed();
 }
@@ -423,7 +400,7 @@ void ShardedForest::Predict(const Dataset& data, std::vector<double>* probs,
   }
   std::vector<const std::vector<double>*> ptrs(shards_.size());
   for (size_t s = 0; s < shards_.size(); ++s) ptrs[s] = &shard_probs[s];
-  VoteFromShardProbs(ptrs, shard_config_.vote, probs, preds);
+  VoteFromShardProbs(ptrs, probs, preds);
 }
 
 std::vector<double> ShardedForest::PredictProbAll(const Dataset& data) const {
@@ -460,12 +437,8 @@ ShardedForest ShardedForest::Clone() const {
 }
 
 bool ShardedForest::StructurallyEquals(const ShardedForest& other) const {
-  if (num_shards() != other.num_shards()) return false;
-  if (shard_config_.placement != other.shard_config_.placement ||
-      shard_config_.vote != other.shard_config_.vote ||
-      shard_config_.slice_attr != other.shard_config_.slice_attr ||
-      shard_config_.slice_value != other.shard_config_.slice_value ||
-      shard_config_.hot_shards != other.shard_config_.hot_shards) {
+  if (num_shards() != other.num_shards() ||
+      shard_config_ != other.shard_config_) {
     return false;
   }
   // Equal shard counts: both or neither hold maps (one shard has none).
@@ -525,10 +498,10 @@ Status ShardedForest::Save(std::ostream& out) const {
   WritePod(out, kShardVersion);
   WritePod(out, static_cast<uint32_t>(n));
   WritePod(out, static_cast<uint8_t>(shard_config_.placement));
-  WritePod(out, static_cast<uint8_t>(shard_config_.vote));
+  WritePod(out, kSoftVoteByte);
   WritePod(out, static_cast<int32_t>(shard_config_.slice_attr));
   WritePod(out, shard_config_.slice_value);
-  WritePod(out, static_cast<int32_t>(shard_config_.hot_shards));
+  WritePod(out, kHotShardCount);
   if (shard_of_ != nullptr) {
     WriteVec(out, *shard_of_);
     WriteVec(out, *local_of_);
@@ -586,16 +559,15 @@ Result<ShardedForest> ShardedForest::Load(std::istream& in) {
   FUME_RETURN_NOT_OK(ReadPod(in, &slice_attr));
   FUME_RETURN_NOT_OK(ReadPod(in, &slice_value));
   FUME_RETURN_NOT_OK(ReadPod(in, &hot_shards));
-  if (placement > 1 || vote > 1) {
+  if (placement > 1 || vote != kSoftVoteByte ||
+      hot_shards != kHotShardCount) {
     return Status::IOError("corrupt sharded forest header");
   }
   ShardedForest out;
   out.shard_config_.num_shards = static_cast<int>(num_shards);
   out.shard_config_.placement = static_cast<ShardConfig::Placement>(placement);
-  out.shard_config_.vote = static_cast<ShardConfig::Vote>(vote);
   out.shard_config_.slice_attr = slice_attr;
   out.shard_config_.slice_value = slice_value;
-  out.shard_config_.hot_shards = hot_shards;
   FUME_RETURN_NOT_OK(ValidateShardConfig(out.shard_config_));
   auto shard_of = std::make_shared<std::vector<uint8_t>>();
   auto local_of = std::make_shared<std::vector<RowId>>();
@@ -660,8 +632,7 @@ Result<ShardedForest> ShardedForest::Load(std::istream& in) {
 
 void VoteFromShardProbs(
     const std::vector<const std::vector<double>*>& shard_probs,
-    ShardConfig::Vote vote, std::vector<double>* mean,
-    std::vector<int>* preds) {
+    std::vector<double>* mean, std::vector<int>* preds) {
   const size_t num_shards = shard_probs.size();
   FUME_CHECK(num_shards > 0);
   const size_t n = shard_probs[0]->size();
@@ -677,28 +648,11 @@ void VoteFromShardProbs(
   for (size_t r = 0; r < n; ++r) (*mean)[r] /= count;
   if (preds == nullptr) return;
   preds->resize(n);
-  if (vote == ShardConfig::Vote::kSoft) {
-    for (size_t r = 0; r < n; ++r) {
-      (*preds)[r] = (*mean)[r] >= 0.5 ? 1 : 0;
-    }
-    return;
-  }
-  for (size_t r = 0; r < n; ++r) {
-    int votes = 0;
-    for (size_t s = 0; s < num_shards; ++s) {
-      if ((*shard_probs[s])[r] >= 0.5) ++votes;
-    }
-    const int twice = 2 * votes;
-    (*preds)[r] = twice > static_cast<int>(num_shards) ? 1
-                  : twice < static_cast<int>(num_shards)
-                      ? 0
-                      : ((*mean)[r] >= 0.5 ? 1 : 0);
-  }
+  for (size_t r = 0; r < n; ++r) (*preds)[r] = (*mean)[r] >= 0.5 ? 1 : 0;
 }
 
 void ShardedPredictionCache::Rebuild(const ShardedForest& forest,
                                      const Dataset& test) {
-  vote_ = forest.shard_config().vote;
   caches_.assign(static_cast<size_t>(forest.num_shards()),
                  TestPredictionCache{});
   for (int s = 0; s < forest.num_shards(); ++s) {
@@ -719,7 +673,7 @@ void ShardedPredictionCache::Update(const ShardedForest& forest,
 void ShardedPredictionCache::FinalizeVote() {
   std::vector<const std::vector<double>*> ptrs(caches_.size());
   for (size_t s = 0; s < caches_.size(); ++s) ptrs[s] = &caches_[s].probs();
-  VoteFromShardProbs(ptrs, vote_, &mean_prob_, &pred_);
+  VoteFromShardProbs(ptrs, &mean_prob_, &pred_);
 }
 
 Status ShardedPredictionCache::ScoreWithout(
@@ -760,7 +714,7 @@ Status ShardedPredictionCache::ScoreWithout(
     scratch->deletion_stats.Add(ss.deletion_stats);
     scratch->votes[s] = &ss.probs;
   }
-  VoteFromShardProbs(scratch->votes, vote_, &scratch->sum, &scratch->preds);
+  VoteFromShardProbs(scratch->votes, &scratch->sum, &scratch->preds);
   return Status::OK();
 }
 

@@ -1,7 +1,9 @@
 // SISA-style sharded DaRE ensemble (Bourtoule et al., arXiv 1912.03817).
 //
 // Training data is partitioned across N independent DaRE sub-forests
-// ("shards"); the ensemble prediction is a vote over the shard outputs.
+// ("shards"); the ensemble prediction is the soft vote over the shard
+// outputs: the mean of the shard mean-probabilities, predicting 1 at
+// >= 0.5.
 // Because a training row lives in exactly one shard, deleting it touches
 // only that shard — a deletion burst becomes shard-local unlearning that
 // runs concurrently on the shared util::ThreadPool. One shard is the
@@ -18,8 +20,8 @@
 //    single shard is byte-identical to the monolithic DareForest.
 //  * DeleteRows/AddData/FlushAll may fan out across shards on a pool, but
 //    every observable result — per-shard DeletionStats, serialized bytes,
-//    vote outputs — is merged in ascending shard order, so runs are
-//    reproducible across thread counts {1, 4, 8, ...}.
+//    vote outputs — is per shard or merged in ascending shard order, so
+//    runs are reproducible across thread counts {1, 4, 8, ...}.
 //  * Votes accumulate shard mean probabilities in shard order and divide
 //    once, mirroring DareForest::PredictProb's sum-then-divide; for one
 //    shard the division is by 1.0 and the ensemble probability is
@@ -44,38 +46,28 @@
 
 namespace fume {
 
-/// \brief How rows are partitioned across shards and how shard outputs are
-/// aggregated. Routing fields are model state: they are serialized with the
-/// sharded container (a checkpoint must re-route future ops identically),
-/// unlike the runtime execution knobs of ForestConfig.
+/// \brief How rows are partitioned across shards. Routing fields are model
+/// state: they are serialized with the sharded container (a checkpoint must
+/// re-route future ops identically), unlike the runtime execution knobs of
+/// ForestConfig.
 struct ShardConfig {
   enum class Placement : uint8_t {
     /// splitmix64(global id) % num_shards — uniform, workload-oblivious.
     kHash = 0,
     /// Rows whose `slice_attr` code equals `slice_value` (the planted-bias
-    /// cohort — the rows FUME's search is most likely to delete) are
-    /// concentrated into the LAST `hot_shards` shards; the rest hash across
-    /// the remaining cold shards. A deletion burst aimed at the biased
-    /// slice then touches only the hot shards.
+    /// cohort — the rows FUME's search is most likely to delete) go to the
+    /// LAST shard; the rest hash across the other, cold shards. A deletion
+    /// burst aimed at the biased slice then touches only the hot shard.
     kSlice = 1,
-  };
-  enum class Vote : uint8_t {
-    /// Ensemble probability = mean of shard mean-probabilities; predict
-    /// mean >= 0.5. Monolithic-identical at num_shards == 1.
-    kSoft = 0,
-    /// Each shard casts a hard 0/1 vote (its mean prob >= 0.5); majority
-    /// wins, ties fall back to the soft mean.
-    kMajority = 1,
   };
 
   int num_shards = 1;
   Placement placement = Placement::kHash;
-  Vote vote = Vote::kSoft;
   /// kSlice only: the attribute/code defining the hot cohort.
   int slice_attr = -1;
   int32_t slice_value = 0;
-  /// kSlice only: number of trailing shards reserved for the hot cohort.
-  int hot_shards = 1;
+
+  friend bool operator==(const ShardConfig&, const ShardConfig&) = default;
 };
 
 /// Parses "hash" / "slice" into a Placement.
@@ -86,7 +78,7 @@ const char* PlacementName(ShardConfig::Placement placement);
 /// shard ignores `placement`. Slice placement pins the cohort whose
 /// `slice_attr` code is `slice_value` (the tools pass the sensitive
 /// attribute and its privileged code: the rows a parity-reducing deletion
-/// targets) to one trailing hot shard.
+/// targets) to the last shard.
 Result<ShardConfig> ShardConfigFromFlags(int num_shards,
                                          const std::string& placement,
                                          int slice_attr, int32_t slice_value);
@@ -125,46 +117,35 @@ class ShardedForest {
 
   /// Exactly unlearns the given global row ids: buckets them per owning
   /// shard (preserving batch order within a shard) and runs shard-local
-  /// DeleteRows, fanning out on `pool` when given. `per_shard_tree`, when
-  /// non-null, is sized to num_shards; entry s is that shard's per-tree
-  /// DeletionStats report for THIS call, left empty when shard s owned no
-  /// row of the batch. `scratch`, when non-null, is resized to num_shards
-  /// and entry s is handed to shard s (shard-affine, so reuse stays warm
-  /// across calls). Statuses are checked in shard order.
+  /// DeleteRows, fanning out on `pool` when given. `scratch`, when
+  /// non-null, is resized to num_shards and entry s is handed to shard s
+  /// (shard-affine, so reuse stays warm across calls). Statuses are checked
+  /// in shard order.
   Status DeleteRows(const std::vector<RowId>& global_rows,
-                    std::vector<std::vector<DeletionStats>>* per_shard_tree =
-                        nullptr,
                     util::ThreadPool* pool = nullptr,
                     std::vector<DeletionScratch>* scratch = nullptr);
 
   /// Exactly adds new rows, routing each to its placed shard; returns the
   /// assigned global ids in input order. An insert is a flush boundary for
   /// the WHOLE ensemble: shards holding pending lazy tags are flushed even
-  /// if they receive no new row (their flush retrains land in their
-  /// `per_shard_tree` entry), mirroring DareForest::AddData's contract.
+  /// if they receive no new row, mirroring DareForest::AddData's contract.
   Result<std::vector<RowId>> AddData(
-      const Dataset& rows,
-      std::vector<std::vector<DeletionStats>>* per_shard_tree = nullptr,
-      util::ThreadPool* pool = nullptr,
+      const Dataset& rows, util::ThreadPool* pool = nullptr,
       std::vector<DeletionScratch>* scratch = nullptr);
 
   /// Flushes pending lazy-tag subtrees in every shard (see DareForest::
-  /// FlushAll); `per_shard_tree` entry s stays empty when shard s had no
-  /// tags. Fans out on `pool` when given.
-  void FlushAll(std::vector<std::vector<DeletionStats>>* per_shard_tree =
-                    nullptr,
-                util::ThreadPool* pool = nullptr,
+  /// FlushAll). Fans out on `pool` when given.
+  void FlushAll(util::ThreadPool* pool = nullptr,
                 std::vector<DeletionScratch>* scratch = nullptr);
   bool HasLazyTags() const;
   int64_t lazy_rows() const;
   int64_t lazy_nodes() const;
-  void SetLazyUnlearn(bool on);
   void EnsureFlushed() const;
   void ResetDeletionStats();
 
-  /// Ensemble probability per row of `data` (vote over shard means).
+  /// Ensemble probability per row of `data` (mean of shard means).
   std::vector<double> PredictProbAll(const Dataset& data) const;
-  /// Hard ensemble predictions per the configured vote mode.
+  /// Hard ensemble predictions: ensemble probability >= 0.5.
   std::vector<int> PredictAll(const Dataset& data) const;
   /// Both of the above in one pass over the shards.
   void Predict(const Dataset& data, std::vector<double>* probs,
@@ -180,7 +161,6 @@ class ShardedForest {
 
   int num_shards() const { return static_cast<int>(shards_.size()); }
   const DareForest& shard(int s) const { return shards_[s]; }
-  DareForest& mutable_shard(int s) { return shards_[s]; }
   const ShardConfig& shard_config() const { return shard_config_; }
 
   /// Total global ids ever assigned (live + deleted), == the id the next
@@ -240,13 +220,12 @@ class ShardedForest {
   std::shared_ptr<std::vector<RowId>> local_of_;
 };
 
-/// Combines per-shard mean probabilities (shard order) into ensemble
-/// probabilities and hard predictions. `mean` is always filled; `preds`
-/// may be null. Shared by ShardedForest::Predict and the sharded
-/// prediction cache so every consumer votes identically.
+/// Combines per-shard mean probabilities (shard order) into the soft
+/// vote's ensemble probabilities and hard predictions. `mean` is always
+/// filled; `preds` may be null. Shared by ShardedForest::Predict and the
+/// sharded prediction cache so every consumer votes identically.
 void VoteFromShardProbs(const std::vector<const std::vector<double>*>& shard_probs,
-                        ShardConfig::Vote vote, std::vector<double>* mean,
-                        std::vector<int>* preds);
+                        std::vector<double>* mean, std::vector<int>* preds);
 
 /// \brief Per-shard TestPredictionCache with a voted ensemble view.
 ///
@@ -304,7 +283,6 @@ class ShardedPredictionCache {
  private:
   void FinalizeVote();
 
-  ShardConfig::Vote vote_ = ShardConfig::Vote::kSoft;
   std::vector<TestPredictionCache> caches_;
   std::vector<double> mean_prob_;
   std::vector<int> pred_;

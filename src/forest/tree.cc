@@ -885,12 +885,6 @@ int64_t CountNodes(const TreeNode* node) {
   return 1 + CountNodes(node->left.get()) + CountNodes(node->right.get());
 }
 
-int64_t CountLeaves(const TreeNode* node) {
-  if (node == nullptr) return 0;
-  if (node->is_leaf()) return 1;
-  return CountLeaves(node->left.get()) + CountLeaves(node->right.get());
-}
-
 int Depth(const TreeNode* node) {
   if (node == nullptr || node->is_leaf()) return 0;
   return 1 + std::max(Depth(node->left.get()), Depth(node->right.get()));
@@ -968,7 +962,6 @@ DareTree DareTree::FromParts(std::shared_ptr<const TrainingStore> store,
 }
 
 int64_t DareTree::num_nodes() const { return CountNodes(root_.get()); }
-int64_t DareTree::num_leaves() const { return CountLeaves(root_.get()); }
 int DareTree::depth() const { return Depth(root_.get()); }
 
 }  // namespace fume

@@ -205,12 +205,8 @@ class DareTree {
   bool ValidateStats() const;
 
   int64_t num_nodes() const;
-  int64_t num_leaves() const;
   int depth() const;
   const TreeNode* root() const { return root_.get(); }
-  /// The refcounted root handle (node-identity diffing, e.g. the prediction
-  /// cache's what-if rescoring, compares these graphs by address).
-  const std::shared_ptr<TreeNode>& root_handle() const { return root_; }
 
   /// The flat SoA arena for the tree's current state: compiled lazily on
   /// first use, cached keyed on the generation stamp, shared by every

@@ -3,6 +3,8 @@
 #include <chrono>
 #include <cstdio>
 
+#include "util/json.h"
+
 namespace fume {
 namespace obs {
 
@@ -14,35 +16,11 @@ int64_t UnixMicros() {
       .count();
 }
 
-void AppendEscaped(const std::string& s, std::ostream& os) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      case '\t':
-        os << "\\t";
-        break;
-      case '\r':
-        os << "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
+// `,"key":` — keys are plain identifiers and are not escaped.
+void AppendKey(std::string* line, const char* key) {
+  line->append(",\"");
+  line->append(key);
+  line->append("\":");
 }
 
 }  // namespace
@@ -52,17 +30,14 @@ EventLog::EventLog(const std::string& path) {
 }
 
 EventLog::Builder::Builder(EventLog* log, const std::string& event)
-    : log_(log) {
-  line_ << "\"event\":\"";
-  AppendEscaped(event, line_);
-  line_ << '"';
+    : log_(log), line_("\"event\":") {
+  util::AppendJsonString(&line_, event);
 }
 
 EventLog::Builder& EventLog::Builder::Field(const char* key,
                                             const std::string& value) {
-  line_ << ",\"" << key << "\":\"";
-  AppendEscaped(value, line_);
-  line_ << '"';
+  AppendKey(&line_, key);
+  util::AppendJsonString(&line_, value);
   return *this;
 }
 
@@ -72,31 +47,35 @@ EventLog::Builder& EventLog::Builder::Field(const char* key,
 }
 
 EventLog::Builder& EventLog::Builder::Field(const char* key, int64_t value) {
-  line_ << ",\"" << key << "\":" << value;
+  AppendKey(&line_, key);
+  line_.append(std::to_string(value));
   return *this;
 }
 
 EventLog::Builder& EventLog::Builder::Field(const char* key, double value) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.6g", value);
-  line_ << ",\"" << key << "\":" << buf;
+  AppendKey(&line_, key);
+  line_.append(buf);
   return *this;
 }
 
 EventLog::Builder& EventLog::Builder::Field(const char* key, bool value) {
-  line_ << ",\"" << key << "\":" << (value ? "true" : "false");
+  AppendKey(&line_, key);
+  line_.append(value ? "true" : "false");
   return *this;
 }
 
 EventLog::Builder& EventLog::Builder::Field(const char* key,
                                             const QueryCost& cost) {
-  line_ << ",\"" << key << "\":" << cost.ToJson();
+  AppendKey(&line_, key);
+  line_.append(cost.ToJson());
   return *this;
 }
 
 void EventLog::Builder::Write() {
   if (log_ == nullptr) return;
-  log_->WriteLine(line_.str());
+  log_->WriteLine(line_);
   log_ = nullptr;
 }
 

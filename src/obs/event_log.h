@@ -29,7 +29,6 @@
 #include <cstdint>
 #include <fstream>
 #include <mutex>
-#include <sstream>
 #include <string>
 
 #include "obs/query_scope.h"
@@ -89,7 +88,7 @@ class EventLog {
     Builder(EventLog* log, const std::string& event);
 
     EventLog* log_;  // nullptr once written or when the log is disabled
-    std::ostringstream line_;
+    std::string line_;
   };
 
   /// Starts a line with `"event":"<event>"`.

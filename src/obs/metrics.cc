@@ -1,8 +1,9 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
+
+#include "util/json.h"
 
 namespace fume {
 namespace obs {
@@ -81,39 +82,20 @@ void MetricsSnapshot::PrintText(std::ostream& os) const {
 
 namespace {
 
-// Metric names are restricted to [a-z0-9._-] by convention, but escape
-// anyway so the output is always valid JSON.
-void AppendJsonString(const std::string& s, std::ostream& os) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
 template <typename T, typename Fn>
 void AppendJsonObject(const std::vector<std::pair<std::string, T>>& items,
                       std::ostream& os, Fn&& append_value) {
   os << '{';
   bool first = true;
+  std::string key;
   for (const auto& [name, value] : items) {
     if (!first) os << ',';
     first = false;
-    AppendJsonString(name, os);
-    os << ':';
+    // Metric names are restricted to [a-z0-9._-] by convention, but escape
+    // anyway so the output is always valid JSON.
+    key.clear();
+    util::AppendJsonString(&key, name);
+    os << key << ':';
     append_value(value);
   }
   os << '}';

@@ -25,6 +25,7 @@
 
 #include "stream/op_log.h"
 #include "subset/predicate.h"
+#include "util/json.h"
 #include "util/result.h"
 
 namespace fume::serve {
@@ -80,7 +81,7 @@ std::string EncodeCheckpointRequest(int64_t id, const std::string& tenant);
 // ---- JSON writing helpers shared by server responses and encoders ----
 
 /// Appends a quoted, escaped JSON string.
-void AppendJsonString(std::string* out, const std::string& s);
+using util::AppendJsonString;
 /// Appends a double with %.17g (bit-exact round trip through ParseJson).
 void AppendJsonDouble(std::string* out, double v);
 

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "obs/metrics.h"
-#include "obs/query_scope.h"
 #include "serve/protocol.h"
 #include "util/check.h"
 
@@ -259,7 +258,6 @@ std::string Server::HandleMetrics(const Request& req) {
 }
 
 std::string Server::HandlePredict(const Request& req, Tenant& tenant) {
-  obs::QueryScope scope("serve.predict");
   const std::shared_ptr<const TenantSnapshot> snap = tenant.snapshot();
   Dataset rows(tenant.schema());
   for (const std::vector<int32_t>& codes : req.rows) {
@@ -269,7 +267,7 @@ std::string Server::HandlePredict(const Request& req, Tenant& tenant) {
       return ErrorResponse(req.id, "bad_request", st.message());
     }
   }
-  // Ensemble vote (soft or majority per the tenant's shard config).
+  // Ensemble soft vote: the mean of the shard mean-probabilities.
   std::vector<double> probs;
   std::vector<int> preds;
   snap->model.Predict(rows, &probs, &preds);
@@ -286,12 +284,10 @@ std::string Server::HandlePredict(const Request& req, Tenant& tenant) {
     AppendJsonDouble(&out, probs[i]);
   }
   out.append("]}\n");
-  scope.Finish();
   return out;
 }
 
 std::string Server::HandleExplain(const Request& req, Tenant& tenant) {
-  obs::QueryScope scope("serve.explain");
   const std::shared_ptr<const TenantSnapshot> snap = tenant.snapshot();
   std::string out = OkHead(req.id);
   AppendField(&out, "seq", snap->seq);
@@ -318,12 +314,10 @@ std::string Server::HandleExplain(const Request& req, Tenant& tenant) {
     }
   }
   out.append("]}\n");
-  scope.Finish();
   return out;
 }
 
 std::string Server::HandleWhatIf(const Request& req, Tenant& tenant) {
-  obs::QueryScope scope("serve.whatif");
   const Schema& schema = tenant.schema();
   for (const Literal& lit : req.predicate.literals()) {
     if (lit.attr >= schema.num_attributes()) {
@@ -357,12 +351,10 @@ std::string Server::HandleWhatIf(const Request& req, Tenant& tenant) {
   AppendField(&out, "after_accuracy", job.outcome.after_accuracy);
   AppendField(&out, "parity_reduction", job.outcome.parity_reduction);
   out.append("}\n");
-  scope.Finish();
   return out;
 }
 
 std::string Server::HandleStreamOp(const Request& req, Tenant& tenant) {
-  obs::QueryScope scope("serve.stream_op");
   Result<stream::OpOutcome> outcome = tenant.ApplyStreamOp(req.stream_op);
   if (!outcome.ok()) return StatusError(req.id, outcome.status());
   const stream::OpOutcome& o = outcome.ValueOrDie();
@@ -375,18 +367,15 @@ std::string Server::HandleStreamOp(const Request& req, Tenant& tenant) {
   AppendField(&out, "searched", o.searched);
   AppendField(&out, "staleness", o.staleness_ops);
   out.append("}\n");
-  scope.Finish();
   return out;
 }
 
 std::string Server::HandleCheckpoint(const Request& req, Tenant& tenant) {
-  obs::QueryScope scope("serve.checkpoint");
   Result<std::string> path = tenant.Checkpoint();
   if (!path.ok()) return StatusError(req.id, path.status());
   std::string out = OkHead(req.id);
   AppendField(&out, "path", path.ValueOrDie());
   out.append("}\n");
-  scope.Finish();
   return out;
 }
 

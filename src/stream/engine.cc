@@ -270,9 +270,8 @@ Status StreamEngine::ApplyInsert(const StreamOp& op) {
   for (const StreamRow& row : op.rows) {
     FUME_RETURN_NOT_OK(batch.AppendRow(row.codes, row.label));
   }
-  FUME_ASSIGN_OR_RETURN(
-      std::vector<RowId> new_ids,
-      model_.AddData(batch, nullptr, MaybePool(), &scratch_));
+  FUME_ASSIGN_OR_RETURN(std::vector<RowId> new_ids,
+                        model_.AddData(batch, MaybePool(), &scratch_));
   store_ids_.insert(store_ids_.end(), new_ids.begin(), new_ids.end());
   // An insert is a flush boundary: AddData flushed every pending tag, so
   // the cache catches up on the deferred deletes too and exact per-op
@@ -299,8 +298,7 @@ Status StreamEngine::ApplyDelete(const StreamOp& op) {
     }
     dense_rows.push_back(it - store_ids_.begin());
   }
-  FUME_RETURN_NOT_OK(
-      model_.DeleteRows(op.row_ids, nullptr, MaybePool(), &scratch_));
+  FUME_RETURN_NOT_OK(model_.DeleteRows(op.row_ids, MaybePool(), &scratch_));
   // Drop the dense positions from the id map, preserving order.
   std::vector<bool> doomed(store_ids_.size(), false);
   for (int64_t dense : dense_rows) doomed[static_cast<size_t>(dense)] = true;
@@ -417,7 +415,7 @@ void StreamEngine::FlushLazy() {
   if (!metric_stale_ && !model_.HasLazyTags()) return;
   obs::TraceSpan span("stream.lazy_flush", {{"rows", model_.lazy_rows()},
                                             {"nodes", model_.lazy_nodes()}});
-  model_.FlushAll(nullptr, MaybePool(), &scratch_);
+  model_.FlushAll(MaybePool(), &scratch_);
   // Covers the deferred deletes as well as the flush retrains, including
   // tags a budget overflow inside DeleteRows already retired.
   cache_.Update(model_, test_);
@@ -527,15 +525,9 @@ Result<StreamEngine> StreamEngine::Restore(std::istream& in,
   }
   // The checkpoint must be restored as the same deployment: the persisted
   // routing config is authoritative, and the caller's config must agree so
-  // future ops route and vote identically.
+  // future ops route identically.
   FUME_ASSIGN_OR_RETURN(engine.model_, ShardedForest::Load(in));
-  const ShardConfig& saved = engine.model_.shard_config();
-  const ShardConfig& want = engine.config_.shard;
-  if (saved.num_shards != want.num_shards ||
-      saved.placement != want.placement || saved.vote != want.vote ||
-      saved.slice_attr != want.slice_attr ||
-      saved.slice_value != want.slice_value ||
-      saved.hot_shards != want.hot_shards) {
+  if (engine.model_.shard_config() != engine.config_.shard) {
     return Status::Invalid(
         "checkpoint shard config disagrees with engine config");
   }

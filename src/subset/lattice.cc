@@ -21,23 +21,15 @@ std::vector<Literal> Lattice::MakeLiterals() const {
                      options_.excluded_attrs.end(),
                      attr) != options_.excluded_attrs.end();
   };
+  // Generated in (attribute, value) order, which is Literal's canonical
+  // order for equality literals, so the level is already sorted.
   for (int j = 0; j < schema_->num_attributes(); ++j) {
     if (excluded(j)) continue;
     const int32_t card = schema_->attribute(j).cardinality();
-    if (options_.equality_literals) {
-      for (int32_t v = 0; v < card; ++v) {
-        literals.push_back(Literal{j, LiteralOp::kEq, v});
-      }
-    }
-    if (options_.range_literals && card > 2) {
-      // Interior cut points only; the extreme cuts duplicate equalities.
-      for (int32_t v = 1; v + 1 < card; ++v) {
-        literals.push_back(Literal{j, LiteralOp::kLe, v});
-        literals.push_back(Literal{j, LiteralOp::kGe, v});
-      }
+    for (int32_t v = 0; v < card; ++v) {
+      literals.push_back(Literal{j, LiteralOp::kEq, v});
     }
   }
-  std::sort(literals.begin(), literals.end());
   return literals;
 }
 

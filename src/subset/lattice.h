@@ -33,14 +33,9 @@ struct LatticeNode {
   bool attribution_known() const { return attribution == attribution; }
 };
 
+/// Level 1 holds one equality literal per (attribute, value) pair of the
+/// discretized data: the paper's construction.
 struct LatticeOptions {
-  /// Generate equality literals for every (attribute, value) pair at level 1
-  /// (the paper's construction over discretized data).
-  bool equality_literals = true;
-  /// Additionally generate range literals (<= v and >= v) for attributes
-  /// whose code order is meaningful (discretized numerics). Off by default
-  /// to mirror the paper's experiments.
-  bool range_literals = false;
   /// Attributes excluded from literals (e.g. the sensitive attribute when
   /// the practitioner wants explanations not phrased in terms of it).
   std::vector<int> excluded_attrs;

@@ -87,7 +87,7 @@ std::string Predicate::ToString(const Schema& schema) const {
   std::string out;
   for (size_t i = 0; i < literals_.size(); ++i) {
     if (i > 0) out += " AND ";
-    out += "(" + literals_[i].ToString(schema) + ")";
+    out.append("(").append(literals_[i].ToString(schema)).append(")");
   }
   return out;
 }

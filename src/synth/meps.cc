@@ -67,7 +67,7 @@ SynthModel MepsModel() {
     a.name = "SurveyItem" + std::to_string(i + 1);
     const int card = 2 + (i % 3);  // cardinalities 2..4
     for (int v = 0; v < card; ++v) {
-      a.categories.push_back("V" + std::to_string(v));
+      a.categories.push_back(std::string("V").append(std::to_string(v)));
     }
     a.priv_weights = RoughUniform(card, 0x3e95ULL + static_cast<uint64_t>(i));
     m.attrs.push_back(std::move(a));

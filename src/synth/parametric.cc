@@ -37,7 +37,7 @@ Result<DatasetBundle> MakeParametric(int64_t num_rows, int num_attrs,
     AttrSpec a;
     a.name = "X" + std::to_string(j);
     for (int v = 0; v < values_per_attr; ++v) {
-      a.categories.push_back("v" + std::to_string(v));
+      a.categories.push_back(std::string("v").append(std::to_string(v)));
     }
     a.priv_weights =
         RoughUniform(values_per_attr, Hash64({seed, 0x9a4aULL,

@@ -1,9 +1,10 @@
 // A small strict JSON parser for tooling (bench artifact comparison,
-// metrics-snapshot inspection in tests).
+// metrics-snapshot inspection in tests), and the one JSON string escaper
+// every writer shares.
 //
-// The repo's hot paths *emit* JSON with hand-rolled writers (obs/, bench/)
-// and never parse it; parsing only happens in offline tools, so this
-// parser optimizes for being obviously correct, not fast. It accepts
+// The repo's hot paths *emit* JSON with hand-rolled writers (obs/, serve/,
+// bench/) and never parse it; parsing only happens in offline tools, so
+// this parser optimizes for being obviously correct, not fast. It accepts
 // exactly the JSON our writers produce (RFC 8259 minus \uXXXX surrogate
 // pairs, which are copied through verbatim) and rejects everything else
 // with a position-annotated Status.
@@ -13,6 +14,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -60,6 +62,33 @@ Result<JsonValue> ParseJson(const std::string& text);
 
 /// Reads and parses a JSON file.
 Result<JsonValue> ParseJsonFile(const std::string& path);
+
+/// Appends `s` as a quoted JSON string: `"`, `\`, newline, carriage
+/// return and tab get their short escapes, other control bytes \u00XX,
+/// and every other byte (UTF-8 included) is copied through. Inline so that
+/// obs, which this library links, writes JSON through the same escaper.
+inline void AppendJsonString(std::string* out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  out->push_back('"');
+  for (const char c : s) {
+    switch (c) {
+      case '"': out->append("\\\""); break;
+      case '\\': out->append("\\\\"); break;
+      case '\n': out->append("\\n"); break;
+      case '\r': out->append("\\r"); break;
+      case '\t': out->append("\\t"); break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          out->append("\\u00");
+          out->push_back(kHex[static_cast<unsigned char>(c) >> 4]);
+          out->push_back(kHex[c & 0xf]);
+        } else {
+          out->push_back(c);
+        }
+    }
+  }
+  out->push_back('"');
+}
 
 }  // namespace util
 }  // namespace fume

@@ -38,7 +38,6 @@ class Socket {
                                 int timeout_ms = 5000);
 
   bool valid() const { return fd_ >= 0; }
-  int fd() const { return fd_; }
   void Close();
 
   /// Writes all of `data`, looping over partial writes. SIGPIPE-safe.

@@ -24,8 +24,12 @@ Dataset RandomDataset(int64_t n, int p, int card, uint64_t seed,
   Schema schema;
   for (int j = 0; j < p; ++j) {
     std::vector<std::string> cats;
-    for (int v = 0; v < card; ++v) cats.push_back("v" + std::to_string(v));
-    EXPECT_TRUE(schema.AddCategorical("x" + std::to_string(j), cats).ok());
+    for (int v = 0; v < card; ++v) {
+      cats.push_back(std::string("v").append(std::to_string(v)));
+    }
+    EXPECT_TRUE(
+        schema.AddCategorical(std::string("x").append(std::to_string(j)), cats)
+            .ok());
   }
   Dataset data(schema);
   Rng rng(seed);
@@ -106,10 +110,17 @@ struct SweepCase {
 
 std::string CaseName(const testing::TestParamInfo<SweepCase>& info) {
   const SweepCase& c = info.param;
-  return "n" + std::to_string(c.n) + "_p" + std::to_string(c.p) + "_d" +
-         std::to_string(c.card) + "_del" + std::to_string(c.num_delete) +
-         (c.mode == ThresholdMode::kExact ? "_exact" : "_sampled") + "_s" +
-         std::to_string(c.seed);
+  return std::string("n")
+      .append(std::to_string(c.n))
+      .append("_p")
+      .append(std::to_string(c.p))
+      .append("_d")
+      .append(std::to_string(c.card))
+      .append("_del")
+      .append(std::to_string(c.num_delete))
+      .append(c.mode == ThresholdMode::kExact ? "_exact" : "_sampled")
+      .append("_s")
+      .append(std::to_string(c.seed));
 }
 
 class UnlearnExactnessSweep : public testing::TestWithParam<SweepCase> {};

@@ -214,39 +214,27 @@ TEST(FumeTest, DisablingRules4And5ExploresMoreAtLevel2) {
 TEST(FumeTest, CacheDeduplicatesIdenticalRowSets) {
   Fixture f = MakeFixture(10, 600);
   FumeConfig config = TestFumeConfig(f);
-  auto with_cache = ExplainFairnessViolation(f.model, f.train, f.test, config);
-  config.cache_by_rowset = false;
-  auto without = ExplainFairnessViolation(f.model, f.train, f.test, config);
-  ASSERT_TRUE(with_cache.ok() && without.ok());
-  // Duplicate row sets within one level are deduplicated in both modes;
-  // the memo additionally spans levels, so it can only save evaluations.
+  auto result = ExplainFairnessViolation(f.model, f.train, f.test, config);
+  ASSERT_TRUE(result.ok());
+  // Every explored node is either an evaluation or a memo hit, and every
+  // evaluation enters the memo exactly once.
   const auto explored = [](const FumeResult& r) {
     int64_t total = 0;
     for (const LevelStats& level : r.stats.levels) total += level.explored;
     return total;
   };
-  EXPECT_EQ(with_cache->stats.attribution_evaluations +
-                with_cache->stats.cache_hits,
-            explored(*with_cache));
-  EXPECT_EQ(without->stats.attribution_evaluations +
-                without->stats.cache_hits,
-            explored(*without));
-  EXPECT_GE(without->stats.attribution_evaluations,
-            with_cache->stats.attribution_evaluations);
-  EXPECT_EQ(without->stats.cache_inserts, 0);
-  // Same results either way.
-  ASSERT_EQ(with_cache->top_k.size(), without->top_k.size());
-  for (size_t i = 0; i < with_cache->top_k.size(); ++i) {
-    EXPECT_DOUBLE_EQ(with_cache->top_k[i].attribution,
-                     without->top_k[i].attribution);
-  }
+  EXPECT_EQ(result->stats.attribution_evaluations + result->stats.cache_hits,
+            explored(*result));
+  EXPECT_EQ(result->stats.cache_inserts, result->stats.attribution_evaluations);
 }
 
 // Regression: predicates over distinct attributes can still select the very
 // same training rows. Such duplicates within one level must share a single
-// evaluation even with the cross-level row-set memo disabled, and every
-// duplicate must report identical results. A dataset with a copied column
-// guarantees the collision; a counting removal observes the evaluations.
+// evaluation, and every duplicate must report identical results. A
+// one-level search never reads a prior level's memo entry, so the sharing
+// seen here is the within-level deduplication. A dataset with a copied
+// column guarantees the collision; a counting removal observes the
+// evaluations.
 TEST(FumeTest, DuplicateRowSetsEvaluatedOnceWithoutRowsetCache) {
   class CountingRemoval : public RemovalMethod {
    public:
@@ -278,7 +266,6 @@ TEST(FumeTest, DuplicateRowSetsEvaluatedOnceWithoutRowsetCache) {
   config.support_min = 0.2;
   config.support_max = 0.5;
   config.max_literals = 1;
-  config.cache_by_rowset = false;
   ModelEval original;
   original.fairness = 0.5;
   original.accuracy = 0.9;

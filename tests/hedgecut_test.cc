@@ -18,8 +18,12 @@ Dataset RandomDataset(int64_t n, int p, int card, uint64_t seed) {
   Schema schema;
   for (int j = 0; j < p; ++j) {
     std::vector<std::string> cats;
-    for (int v = 0; v < card; ++v) cats.push_back("v" + std::to_string(v));
-    EXPECT_TRUE(schema.AddCategorical("x" + std::to_string(j), cats).ok());
+    for (int v = 0; v < card; ++v) {
+      cats.push_back(std::string("v").append(std::to_string(v)));
+    }
+    EXPECT_TRUE(
+        schema.AddCategorical(std::string("x").append(std::to_string(j)), cats)
+            .ok());
   }
   Dataset data(schema);
   Rng rng(seed);

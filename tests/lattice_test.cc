@@ -54,18 +54,6 @@ TEST(LatticeTest, ExcludedAttrsAreSkipped) {
   EXPECT_EQ(lattice.MakeLevel1().size(), 7u);
 }
 
-TEST(LatticeTest, RangeLiteralsOptIn) {
-  Dataset data = LatticeData();
-  LatticeOptions opts;
-  opts.range_literals = true;
-  Lattice lattice(data, opts);
-  bool saw_range = false;
-  for (const auto& node : lattice.MakeLevel1()) {
-    if (node.predicate.literals()[0].op != LiteralOp::kEq) saw_range = true;
-  }
-  EXPECT_TRUE(saw_range);
-}
-
 TEST(LatticeTest, Level2JoinNeverRepeatsAttributes) {
   Dataset data = LatticeData();
   Lattice lattice(data, LatticeOptions{});

@@ -216,7 +216,7 @@ TEST(LazyUnlearnTest, StalenessBudgetTriggersFlush) {
     // The budget is an invariant, not a hint: pending work never exceeds it
     // past the end of a DeleteRows call.
     EXPECT_LE(lazy->lazy_rows(), config.max_lazy_rows);
-    EXPECT_LE(lazy->lazy_nodes(), config.max_lazy_nodes);
+    EXPECT_LE(lazy->lazy_nodes(), ForestConfig::kMaxLazyNodes);
   }
   lazy->FlushAll();
   EXPECT_EQ(ModelBytes(&*lazy), ModelBytes(&*eager));

@@ -400,7 +400,9 @@ TEST(ObsFumeTest, LevelStatsRuleBreakdownIsConsistent) {
     // Everything classified at this level is either estimated or pruned by
     // rule 2; rules 4/5 only discard already-estimated nodes.
     EXPECT_LE(level.rule4_pruned + level.rule5_pruned, level.explored);
-    if (level.level == 1) EXPECT_EQ(level.rule1_pruned, 0);
+    if (level.level == 1) {
+      EXPECT_EQ(level.rule1_pruned, 0);
+    }
     EXPECT_GE(level.rule2_pruned_low, 0);
     EXPECT_GE(level.rule2_expand_only, 0);
   }

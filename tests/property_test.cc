@@ -24,7 +24,10 @@ Dataset RandomDataset(int64_t n, int p, int max_card, uint64_t seed) {
     cards.push_back(card);
     std::vector<std::string> cats;
     for (int v = 0; v < card; ++v) {
-      cats.push_back("a" + std::to_string(j) + "v" + std::to_string(v));
+      cats.push_back(std::string("a")
+                         .append(std::to_string(j))
+                         .append("v")
+                         .append(std::to_string(v)));
     }
     EXPECT_TRUE(schema.AddCategorical("attr" + std::to_string(j), cats).ok());
   }

@@ -95,7 +95,7 @@ TEST(QueryScopeTest, WallAndCpuTimesAreSane) {
   obs::QueryScope scope("timing", {});
   // Burn a little CPU so thread-CPU time is measurably nonzero.
   volatile int64_t sink = 0;
-  for (int i = 0; i < 2000000; ++i) sink += i;
+  for (int i = 0; i < 2000000; ++i) sink = sink + i;
   const obs::QueryCost cost = scope.Finish();
   EXPECT_GT(cost.wall_seconds, 0.0);
   EXPECT_GE(cost.cpu_seconds, 0.0);

@@ -6,8 +6,9 @@
 // UnlearnRemovalMethod scores an ensemble like a clone that deleted the
 // rows, a sharded delete equals running each shard's rows
 // through that shard as a standalone monolithic forest, every observable
-// result is identical across thread counts, and the streamed container
-// rejects blobs whose length prefix or one-shard placement maps lie.
+// result is identical across thread counts, the streamed container's
+// header bytes are pinned, and the container rejects blobs whose length
+// prefix or one-shard placement maps lie.
 
 #include <gtest/gtest.h>
 
@@ -101,7 +102,6 @@ TEST(ShardedForestTest, ShardConfigFromFlagsIgnoresPlacementAtOneShard) {
   EXPECT_EQ(slice->placement, ShardConfig::Placement::kSlice);
   EXPECT_EQ(slice->slice_attr, 3);
   EXPECT_EQ(slice->slice_value, 1);
-  EXPECT_EQ(slice->hot_shards, 1);
 
   EXPECT_FALSE(ShardConfigFromFlags(4, "round-robin", 3, 1).ok());
 }
@@ -117,7 +117,7 @@ TEST(ShardedForestTest, RejectsBadConfigs) {
   slice.slice_attr = -1;  // slice mode needs a slice attribute
   EXPECT_FALSE(ShardedForest::Train(bundle.data, Config(9), slice).ok());
   slice.slice_attr = 0;
-  slice.hot_shards = 4;  // must leave at least one cold shard
+  slice.num_shards = 1;  // the hot shard needs a cold shard beside it
   EXPECT_FALSE(ShardedForest::Train(bundle.data, Config(9), slice).ok());
 }
 
@@ -194,7 +194,6 @@ TEST(ShardedForestTest, SlicePlacementConcentratesTheHotCohort) {
   shard.placement = ShardConfig::Placement::kSlice;
   shard.slice_attr = 0;
   shard.slice_value = bundle.data.Code(0, 0);  // a code that exists
-  shard.hot_shards = 1;
   auto forest = ShardedForest::Train(bundle.data, Config(5), shard);
   ASSERT_TRUE(forest.ok());
   for (RowId g = 0; g < forest->num_global_ids(); ++g) {
@@ -238,9 +237,7 @@ TEST(ShardedForestTest, ShardedDeleteEqualsPerShardMonolithicDelete) {
     local[static_cast<size_t>(forest->shard_of(g))].push_back(
         forest->local_of(g));
   }
-  std::vector<std::vector<DeletionStats>> report;
-  ASSERT_TRUE(forest->DeleteRows(doomed, &report).ok());
-  ASSERT_EQ(report.size(), 4u);
+  ASSERT_TRUE(forest->DeleteRows(doomed).ok());
   for (int s = 0; s < 4; ++s) {
     ASSERT_TRUE(
         reference[static_cast<size_t>(s)].DeleteRows(local[static_cast<size_t>(s)]).ok());
@@ -249,8 +246,8 @@ TEST(ShardedForestTest, ShardedDeleteEqualsPerShardMonolithicDelete) {
         << "shard " << s;
     EXPECT_EQ(Bytes(forest->shard(s)), Bytes(reference[static_cast<size_t>(s)]))
         << "shard " << s << " after delete";
-    // The per-call report covers exactly the touched shards.
-    EXPECT_EQ(report[static_cast<size_t>(s)].empty(),
+    // Exactly the touched shards did unlearning work.
+    EXPECT_EQ(forest->shard(s).deletion_stats() == DeletionStats{},
               local[static_cast<size_t>(s)].empty());
   }
   EXPECT_TRUE(forest->ValidateStats());
@@ -264,29 +261,32 @@ TEST(ShardedForestTest, ResultsAreIdenticalAcrossThreadCounts) {
 
   std::string serial_bytes;
   std::vector<double> serial_probs;
-  std::vector<std::vector<DeletionStats>> serial_report;
+  std::vector<DeletionStats> serial_stats;
   for (const int threads : {0, 1, 4, 8}) {
     std::unique_ptr<util::ThreadPool> pool;
     if (threads > 0) pool = std::make_unique<util::ThreadPool>(threads);
     auto forest =
         ShardedForest::Train(bundle.data, config, Shards(4), pool.get());
     ASSERT_TRUE(forest.ok());
-    std::vector<std::vector<DeletionStats>> report;
     std::vector<DeletionScratch> scratch;
-    ASSERT_TRUE(forest->DeleteRows(doomed, &report, pool.get(), &scratch).ok());
+    ASSERT_TRUE(forest->DeleteRows(doomed, pool.get(), &scratch).ok());
     const std::string bytes = Bytes(*forest);
     const auto probs = forest->PredictProbAll(bundle.data);
+    std::vector<DeletionStats> stats;
+    for (int s = 0; s < forest->num_shards(); ++s) {
+      stats.push_back(forest->shard(s).deletion_stats());
+    }
     if (threads == 0) {
       serial_bytes = bytes;
       serial_probs = probs;
-      serial_report = report;
+      serial_stats = stats;
     } else {
       EXPECT_EQ(bytes, serial_bytes) << threads << " threads";
       EXPECT_EQ(probs, serial_probs) << threads << " threads";
-      // The merged per-shard reports are schedule-independent too.
-      ASSERT_EQ(report.size(), serial_report.size());
-      for (size_t s = 0; s < report.size(); ++s) {
-        EXPECT_EQ(report[s], serial_report[s]) << "shard " << s;
+      // Each shard's unlearning work is schedule-independent too.
+      ASSERT_EQ(stats.size(), serial_stats.size());
+      for (size_t s = 0; s < stats.size(); ++s) {
+        EXPECT_EQ(stats[s], serial_stats[s]) << "shard " << s;
       }
     }
   }
@@ -379,6 +379,60 @@ T Peek(const std::string& bytes, size_t offset) {
   T value{};
   std::memcpy(&value, bytes.data() + offset, sizeof(T));
   return value;
+}
+
+// FUMESHRD v1 keeps a vote byte and a hot-shard count in its header, each
+// with one legal value: 0 (the soft vote) and 1. Any other value is not a
+// container this code writes, so Load rejects it.
+TEST(ShardedForestTest, HeaderBytesArePinned) {
+  auto bundle = Bundle(300, 16);
+  auto one = ShardedForest::Train(bundle.data, Config(29), Shards(1));
+  ASSERT_TRUE(one.ok());
+  ShardConfig slice_config = Shards(4);
+  slice_config.placement = ShardConfig::Placement::kSlice;
+  slice_config.slice_attr = 2;
+  slice_config.slice_value = bundle.data.Code(0, 2);
+  auto slice = ShardedForest::Train(bundle.data, Config(29), slice_config);
+  ASSERT_TRUE(slice.ok());
+
+  struct Header {
+    const ShardedForest* forest;
+    uint32_t shards;
+    uint8_t placement;
+    int32_t slice_attr;
+    int32_t slice_value;
+  };
+  for (const Header& want :
+       {Header{&*one, 1, 0, -1, 0},
+        Header{&*slice, 4, 1, 2, slice_config.slice_value}}) {
+    SCOPED_TRACE(testing::Message() << want.shards << " shards");
+    const std::string bytes = Bytes(*want.forest);
+    EXPECT_EQ(bytes.substr(0, 8), "FUMESHRD");
+    EXPECT_EQ(Peek<uint32_t>(bytes, 8), 1u);  // version
+    EXPECT_EQ(Peek<uint32_t>(bytes, 12), want.shards);
+    EXPECT_EQ(Peek<uint8_t>(bytes, 16), want.placement);
+    EXPECT_EQ(Peek<uint8_t>(bytes, 17), 0);  // vote byte: the soft vote
+    EXPECT_EQ(Peek<int32_t>(bytes, 18), want.slice_attr);
+    EXPECT_EQ(Peek<int32_t>(bytes, 22), want.slice_value);
+    EXPECT_EQ(Peek<int32_t>(bytes, 26), 1);  // hot-shard count
+
+    std::string voted = bytes;
+    Patch<uint8_t>(&voted, 17, 1);
+    std::istringstream voted_in(voted, std::ios::binary);
+    auto loaded = ShardedForest::Load(voted_in);
+    ASSERT_FALSE(loaded.ok()) << "vote byte 1 loaded";
+    EXPECT_TRUE(loaded.status().IsIOError()) << loaded.status().ToString();
+
+    std::string hot = bytes;
+    Patch<int32_t>(&hot, 26, 2);
+    std::istringstream hot_in(hot, std::ios::binary);
+    loaded = ShardedForest::Load(hot_in);
+    ASSERT_FALSE(loaded.ok()) << "hot-shard count 2 loaded";
+    EXPECT_TRUE(loaded.status().IsIOError()) << loaded.status().ToString();
+
+    std::istringstream intact(bytes, std::ios::binary);
+    EXPECT_TRUE(ShardedForest::Load(intact).ok());
+  }
 }
 
 TEST(ShardedForestTest, OneShardContainerCarriesIdentityMaps) {
@@ -480,11 +534,9 @@ TEST(ShardedForestTest, SaveNeedsAPositionedStream) {
   EXPECT_TRUE(st.IsIOError()) << st.ToString();
 }
 
-TEST(ShardedForestTest, VotesAreDeterministicAndMajorityMatchesManual) {
+TEST(ShardedForestTest, VoteIsTheMeanOfShardMeans) {
   auto bundle = Bundle(300, 12);
-  ShardConfig majority = Shards(3);
-  majority.vote = ShardConfig::Vote::kMajority;
-  auto forest = ShardedForest::Train(bundle.data, Config(23), majority);
+  auto forest = ShardedForest::Train(bundle.data, Config(23), Shards(3));
   ASSERT_TRUE(forest.ok());
   std::vector<double> probs;
   std::vector<int> preds;
@@ -498,18 +550,15 @@ TEST(ShardedForestTest, VotesAreDeterministicAndMajorityMatchesManual) {
   for (const auto& p : shard_probs) ptrs.push_back(&p);
   std::vector<double> mean;
   std::vector<int> manual;
-  VoteFromShardProbs(ptrs, ShardConfig::Vote::kMajority, &mean, &manual);
+  VoteFromShardProbs(ptrs, &mean, &manual);
   EXPECT_EQ(probs, mean);
   EXPECT_EQ(preds, manual);
-  for (int64_t r = 0; r < bundle.data.num_rows(); ++r) {
-    int votes = 0;
-    for (int s = 0; s < 3; ++s) {
-      if (shard_probs[static_cast<size_t>(s)][static_cast<size_t>(r)] >= 0.5) {
-        ++votes;
-      }
-    }
-    const int expect = 2 * votes > 3 ? 1 : (2 * votes < 3 ? 0 : (mean[static_cast<size_t>(r)] >= 0.5 ? 1 : 0));
-    ASSERT_EQ(preds[static_cast<size_t>(r)], expect) << "row " << r;
+  for (size_t r = 0; r < mean.size(); ++r) {
+    // Summed in shard order, divided once.
+    const double sum =
+        shard_probs[0][r] + shard_probs[1][r] + shard_probs[2][r];
+    ASSERT_EQ(mean[r], sum / 3.0) << "row " << r;
+    ASSERT_EQ(preds[r], mean[r] >= 0.5 ? 1 : 0) << "row " << r;
   }
 }
 
@@ -526,8 +575,7 @@ TEST(ShardedForestTest, LazyFlushMatchesEagerBytes) {
   for (RowId g = 0; g < 200; g += 2) doomed.push_back(g);
   ASSERT_TRUE(eager->DeleteRows(doomed).ok());
   ASSERT_TRUE(lazy->DeleteRows(doomed).ok());
-  std::vector<std::vector<DeletionStats>> flush_report;
-  lazy->FlushAll(&flush_report);
+  lazy->FlushAll();
   EXPECT_FALSE(lazy->HasLazyTags());
   // Work counters legitimately differ (lazy does less); zero both before
   // the byte comparison, as in serialize_test's monolithic twin.

@@ -281,7 +281,6 @@ void ExpectCacheExactUnderLiveSnapshots(StreamPipeline p, int num_shards) {
     p.config.shard.placement = ShardConfig::Placement::kSlice;
     p.config.shard.slice_attr = p.group.sensitive_attr;
     p.config.shard.slice_value = p.group.privileged_code;
-    p.config.shard.hot_shards = 1;
   }
   WorkloadOptions w;
   w.num_ops = 60;
@@ -425,7 +424,6 @@ TEST(StreamExactnessTest, FourSliceShardsMatchPerShardRetrains) {
   p.config.shard.placement = ShardConfig::Placement::kSlice;
   p.config.shard.slice_attr = p.group.sensitive_attr;
   p.config.shard.slice_value = p.group.privileged_code;
-  p.config.shard.hot_shards = 1;
   auto engine = StreamEngine::Create(p.initial_train, p.test, p.config);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
 
@@ -470,7 +468,7 @@ TEST(StreamExactnessTest, FourSliceShardsMatchPerShardRetrains) {
     for (const auto& probs : cold_probs) votes.push_back(&probs);
     std::vector<double> mean;
     std::vector<int> preds;
-    VoteFromShardProbs(votes, p.config.shard.vote, &mean, &preds);
+    VoteFromShardProbs(votes, &mean, &preds);
     EXPECT_EQ(engine->current_metric(),
               ComputeFairness(p.test, preds, p.group, p.config.fume.metric));
     int64_t correct = 0;

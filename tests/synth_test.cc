@@ -86,8 +86,8 @@ TEST_P(CalibrationSweep, MatchesTable2) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Table2, CalibrationSweep, testing::ValuesIn(kTable2),
-                         [](const testing::TestParamInfo<Table2Row>& info) {
-                           std::string name = info.param.name;
+                         [](const testing::TestParamInfo<Table2Row>& row) {
+                           std::string name = row.param.name;
                            for (char& c : name) {
                              if (c == '-') c = '_';
                            }

@@ -358,49 +358,45 @@ TEST(FusedUnlearnScoreTest, LazilyDeletedBaseMatchesEagerClone) {
 }
 
 TEST(FusedUnlearnScoreTest, ShardedCacheMatchesShardedClonePath) {
-  for (const ShardConfig::Vote vote :
-       {ShardConfig::Vote::kSoft, ShardConfig::Vote::kMajority}) {
-    auto bundle = synth::MakeParametric(900, 8, 4, 21);
-    ASSERT_TRUE(bundle.ok());
-    std::vector<int64_t> head, tail;
-    for (int64_t r = 0; r < 900; ++r) (r < 630 ? head : tail).push_back(r);
-    const Dataset train = bundle->data.Select(head);
-    const Dataset test = bundle->data.Select(tail);
-    ShardConfig shards;
-    shards.num_shards = 4;
-    shards.vote = vote;
-    auto forest = ShardedForest::Train(train, BaseConfig(22), shards);
-    ASSERT_TRUE(forest.ok());
-    ShardedPredictionCache cache;
-    cache.Rebuild(*forest, test);
-    ShardedPredictionCache::WhatIfScratch scratch;
-    std::vector<DeletionScratch> deletion;
-    Rng rng(23);
-    for (int i = 0; i < 8; ++i) {
-      const std::vector<RowId> rows =
-          RandomBatch(&rng, forest->num_global_ids(), i < 4 ? 8 : 120);
-      ASSERT_TRUE(
-          cache.ScoreWithout(*forest, rows, test, &scratch, &deletion).ok());
-      ShardedForest what_if = forest->Clone();
-      ASSERT_TRUE(what_if.DeleteRows(rows).ok());
-      EXPECT_EQ(scratch.preds, what_if.PredictAll(test)) << "i=" << i;
-      std::vector<bool> owns(4, false);
-      for (const RowId g : rows) {
-        owns[static_cast<size_t>(forest->shard_of(g))] = true;
-      }
-      EXPECT_EQ(scratch.shards_changed,
-                std::count(owns.begin(), owns.end(), true))
-          << "i=" << i;
-      DeletionStats want = what_if.deletion_stats();
-      want.nodes_copied = 0;
-      EXPECT_EQ(scratch.deletion_stats, want) << "i=" << i;
+  auto bundle = synth::MakeParametric(900, 8, 4, 21);
+  ASSERT_TRUE(bundle.ok());
+  std::vector<int64_t> head, tail;
+  for (int64_t r = 0; r < 900; ++r) (r < 630 ? head : tail).push_back(r);
+  const Dataset train = bundle->data.Select(head);
+  const Dataset test = bundle->data.Select(tail);
+  ShardConfig shards;
+  shards.num_shards = 4;
+  auto forest = ShardedForest::Train(train, BaseConfig(22), shards);
+  ASSERT_TRUE(forest.ok());
+  ShardedPredictionCache cache;
+  cache.Rebuild(*forest, test);
+  ShardedPredictionCache::WhatIfScratch scratch;
+  std::vector<DeletionScratch> deletion;
+  Rng rng(23);
+  for (int i = 0; i < 8; ++i) {
+    const std::vector<RowId> rows =
+        RandomBatch(&rng, forest->num_global_ids(), i < 4 ? 8 : 120);
+    ASSERT_TRUE(
+        cache.ScoreWithout(*forest, rows, test, &scratch, &deletion).ok());
+    ShardedForest what_if = forest->Clone();
+    ASSERT_TRUE(what_if.DeleteRows(rows).ok());
+    EXPECT_EQ(scratch.preds, what_if.PredictAll(test)) << "i=" << i;
+    std::vector<bool> owns(4, false);
+    for (const RowId g : rows) {
+      owns[static_cast<size_t>(forest->shard_of(g))] = true;
     }
-    const auto n = static_cast<RowId>(forest->num_global_ids());
-    EXPECT_TRUE(cache.ScoreWithout(*forest, {0, n}, test, &scratch, &deletion)
-                    .IsIndexError());
-    EXPECT_FALSE(
-        cache.ScoreWithout(*forest, {5, 5}, test, &scratch, &deletion).ok());
+    EXPECT_EQ(scratch.shards_changed,
+              std::count(owns.begin(), owns.end(), true))
+        << "i=" << i;
+    DeletionStats want = what_if.deletion_stats();
+    want.nodes_copied = 0;
+    EXPECT_EQ(scratch.deletion_stats, want) << "i=" << i;
   }
+  const auto n = static_cast<RowId>(forest->num_global_ids());
+  EXPECT_TRUE(cache.ScoreWithout(*forest, {0, n}, test, &scratch, &deletion)
+                  .IsIndexError());
+  EXPECT_FALSE(
+      cache.ScoreWithout(*forest, {5, 5}, test, &scratch, &deletion).ok());
 }
 
 // The TSan anchor: four workers score different what-ifs against one shared

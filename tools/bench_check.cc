@@ -4,7 +4,7 @@
 //   bench_check --smoke --fresh-dir build-bench-smoke/bench-smoke/bench_artifacts
 //
 //   # full compare: fresh full-run artifacts vs the committed baseline
-//   bench_check --baseline-dir bench_artifacts --fresh-dir /tmp/bench_artifacts \
+//   bench_check --baseline-dir bench_artifacts --fresh-dir /tmp/bench_artifacts
 //               --tolerance 0.30
 //
 // Exits 0 when every artifact passes, 1 on any regression or structural

@@ -4,7 +4,7 @@
 //   fume_cli --dataset german-credit --metric statistical-parity
 //
 //   # audit your own CSV (numeric columns are quantile-binned)
-//   fume_cli --csv data.csv --label outcome --sensitive gender \
+//   fume_cli --csv data.csv --label outcome --sensitive gender
 //            --privileged male --support-min 0.05 --support-max 0.15
 //
 // Run with --help for the full flag list.
