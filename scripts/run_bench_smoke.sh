@@ -1,14 +1,14 @@
 #!/usr/bin/env bash
-# CI smoke for the perf benches: builds bench_unlearn_kernel,
-# bench_eval_throughput and bench_stream_throughput and runs each on the
-# smallest substrate (--smoke), failing on crash, on an in-bench exactness
+# CI smoke for the perf benches: builds every target (library, tools,
+# tests, benches, examples) and runs each bench on the smallest substrate
+# (--smoke), failing on crash, on an in-bench exactness
 # violation (the benches exit non-zero when top-k / DeletionStats /
 # serialized-bytes identity breaks or a NaN shows up in a measurement), or
 # on a non-finite value leaking into the JSON artifacts. The artifacts are
 # then structurally validated by `bench_check --smoke` (parse, non-empty
 # cells, finite-positive throughput, exactness attestations true), and the
 # metric-name lint runs over the tree. The build itself must print no
-# compiler warning. Takes ~a minute; no perf thresholds
+# compiler warning, tests included. Takes ~a minute; no perf thresholds
 # are asserted — throughput numbers from a shared CI box are noise,
 # identity is not. (Perf regressions are caught by running the benches at
 # full size and `bench_check --baseline-dir bench_artifacts` — see
@@ -30,13 +30,12 @@ BUILD_DIR="${BUILD_DIR:-build-bench-smoke}"
 # Examples stay ON: a reused tree (BUILD_DIR=build) keeps building them.
 cmake -B "${BUILD_DIR}" -S . -DCMAKE_BUILD_TYPE=Release \
   -DFUME_BUILD_EXAMPLES=ON
-# The build must be warning-free: its output is kept and any compiler
-# warning fails the smoke (a target that is already up to date compiles
-# nothing and prints none).
-cmake --build "${BUILD_DIR}" -j --target bench_unlearn_kernel \
-  bench_eval_throughput bench_stream_throughput bench_serve bench_shard \
-  bench_check fume_cli fume_stream_cli fume_serve_cli fume_client \
-  extensibility_demo 2>&1 | tee "${BUILD_DIR}/smoke-build.log"
+# The build must be warning-free: it covers every target, tests included,
+# its output is kept and any compiler warning fails the smoke (a target
+# that is already up to date compiles nothing and prints none). One job
+# per core: a bare -j lets make start every compile of the tree at once.
+cmake --build "${BUILD_DIR}" -j "$(nproc)" 2>&1 |
+  tee "${BUILD_DIR}/smoke-build.log"
 if grep -q 'warning:' "${BUILD_DIR}/smoke-build.log"; then
   echo "FAIL: the build printed compiler warnings (see above)"
   exit 1

@@ -125,10 +125,10 @@ Result<ModelEval> UnlearnRemovalMethod::EvaluateOnSlot(
   obs::TraceSpan span("removal.unlearn.evaluate",
                       {{"rows", static_cast<int64_t>(rows.size())}});
   Worker& w = WorkerSlot(worker);
-  // Unlearn and rescore in one walk per shard owning a deleted row, over
-  // the shared base model: nothing is cloned, and only test rows whose
-  // descent reaches a region the deletion changes are rescored. Shards run
-  // serially: FUME's parallelism is across evaluations.
+  // Unlearn and rescore in one walk per tree of each shard owning a deleted
+  // row, over the shared base model: nothing is cloned, and only test rows
+  // whose descent reaches a region the deletion changes are rescored. No
+  // pool: FUME's parallelism is across evaluations.
   const ShardedPredictionCache& cache = BaseCache();
   FUME_RETURN_NOT_OK(cache.ScoreWithout(*model_, rows, *test_, &w.scratch,
                                         &w.unlearn_scratch));

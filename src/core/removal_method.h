@@ -129,9 +129,10 @@ class UnlearnRemovalMethod : public RemovalMethod {
   struct Worker {
     DeletionStats stats;
     ShardedPredictionCache::WhatIfScratch scratch;
-    /// Shard-affine deletion scratches (entry s always serves shard s),
-    /// reused by every what-if this worker scores, so steady-state
-    /// evaluations run allocation-free.
+    /// Kernel scratch of the serial ScoreWithout (one entry: a search
+    /// parallelises across evaluations, never inside one), reused by every
+    /// what-if this worker scores, so steady-state evaluations run
+    /// allocation-free.
     std::vector<DeletionScratch> unlearn_scratch;
   };
 

@@ -7,14 +7,19 @@
 // doomed?" with one array load — no per-leaf or per-retrain hash set.
 // Epoch stamping replaces clearing (the same trick as
 // TestPredictionCache::WhatIfScratch), so a warm scratch performs no
-// allocation and no O(store) work between batches. The routing and
-// retrain-collection buffers are likewise reused across the trees of one
-// batch and across batches.
+// allocation and, but for one clear every 255 batches when the one-byte
+// epoch wraps, no O(store) work between batches. One byte per store row
+// keeps the array small: a served tenant holds one scratch per pool
+// worker, each sized to every row id its store ever assigned. The routing
+// and retrain-collection buffers are likewise reused across the trees of
+// one batch and across batches.
 //
 // Ownership: DareForest::DeleteRows/AddData accept an optional scratch;
-// long-lived callers (UnlearnRemovalMethod workers, the stream engine)
-// keep one per worker so thousands of what-if evaluations share the same
-// memory. A scratch must never be used by two threads at once.
+// long-lived callers (UnlearnRemovalMethod workers, the stream engine, a
+// tenant's what-if pool) keep one per worker thread so thousands of
+// what-if evaluations share the same memory. A ShardedForest op fanned out
+// by tree hands each pool worker its own. A scratch must never be used by
+// two threads at once.
 
 #ifndef FUME_FOREST_DELETION_SCRATCH_H_
 #define FUME_FOREST_DELETION_SCRATCH_H_
@@ -60,6 +65,14 @@ class DeletionScratch {
     return true;
   }
 
+  /// Starts a batch and marks `rows` doomed without checking them: how a
+  /// pool worker stamps a batch its caller already validated
+  /// (DareForest::BeginDeletionBatch) into its own scratch.
+  void MarkBatch(int64_t num_store_rows, const std::vector<RowId>& rows) {
+    BeginBatch(num_store_rows);
+    for (const RowId r : rows) MarkDoomed(r);
+  }
+
   bool IsDoomed(RowId row) const {
     return static_cast<size_t>(row) < epoch_of_.size() &&
            epoch_of_[static_cast<size_t>(row)] == epoch_;
@@ -88,8 +101,8 @@ class DeletionScratch {
 
  private:
   /// epoch_of_[row] == epoch_  <=>  row is doomed in the current batch.
-  std::vector<uint32_t> epoch_of_;
-  uint32_t epoch_ = 0;
+  std::vector<uint8_t> epoch_of_;
+  uint8_t epoch_ = 0;
 };
 
 }  // namespace fume

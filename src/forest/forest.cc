@@ -77,6 +77,18 @@ RowId TrainingStore::Append(const std::vector<int32_t>& codes, int label) {
 
 Result<DareForest> DareForest::Train(const Dataset& train,
                                      const ForestConfig& config) {
+  obs::TraceSpan span("forest.train", {{"rows", train.num_rows()},
+                                       {"trees", config.num_trees}});
+  FUME_ASSIGN_OR_RETURN(DareForest forest, TrainUntreed(train, config));
+  forest.trees_.reserve(static_cast<size_t>(config.num_trees));
+  for (int t = 0; t < config.num_trees; ++t) {
+    forest.trees_.push_back(forest.BuildTree(t));
+  }
+  return forest;
+}
+
+Result<DareForest> DareForest::TrainUntreed(const Dataset& train,
+                                            const ForestConfig& config) {
   if (!train.schema().AllCategorical()) {
     return Status::Invalid(
         "DareForest requires an all-categorical dataset; discretize numeric "
@@ -98,23 +110,20 @@ Result<DareForest> DareForest::Train(const Dataset& train,
   if (config.lazy_unlearn && config.max_lazy_rows < 1) {
     return Status::Invalid("lazy staleness budget must be positive");
   }
-  obs::TraceSpan span("forest.train", {{"rows", train.num_rows()},
-                                       {"trees", config.num_trees}});
   static obs::Counter* trains = obs::GetCounter("forest.train.calls");
   trains->Inc();
   DareForest forest;
   forest.config_ = config;
   forest.store_ = TrainingStore::Make(train);
-  std::vector<RowId> all_rows(static_cast<size_t>(train.num_rows()));
-  for (int64_t r = 0; r < train.num_rows(); ++r) {
-    all_rows[static_cast<size_t>(r)] = static_cast<RowId>(r);
-  }
-  forest.trees_.reserve(static_cast<size_t>(config.num_trees));
-  for (int t = 0; t < config.num_trees; ++t) {
-    forest.trees_.push_back(DareTree::Build(forest.store_, all_rows, t,
-                                            config));
-  }
   return forest;
+}
+
+DareTree DareForest::BuildTree(int t) const {
+  std::vector<RowId> all_rows(static_cast<size_t>(store_->num_rows()));
+  for (size_t r = 0; r < all_rows.size(); ++r) {
+    all_rows[r] = static_cast<RowId>(r);
+  }
+  return DareTree::Build(store_, all_rows, t, config_);
 }
 
 namespace {
@@ -176,24 +185,38 @@ Status DareForest::DeleteRows(const std::vector<RowId>& rows,
   DeletionScratch local_scratch;
   if (scratch == nullptr) scratch = &local_scratch;
   FUME_RETURN_NOT_OK(BeginDeletionBatch(rows, scratch));
-  for (size_t t = 0; t < trees_.size(); ++t) {
-    DeletionStats local;
-    trees_[t].DeleteRows(rows, &local, scratch);
-    deletion_stats_.Add(local);
-    if (per_tree != nullptr) (*per_tree)[t] = local;
+  for (int t = 0; t < num_trees(); ++t) {
+    AddTreeWork(t, DeleteFromTree(t, rows, scratch), per_tree);
   }
-  if (config_.lazy_unlearn &&
-      (lazy_rows() > config_.max_lazy_rows ||
-       lazy_nodes() > ForestConfig::kMaxLazyNodes)) {
-    // Staleness budget exceeded: retire the deferred work now rather than
-    // letting an unbounded burst pile up retrain debt. The flush retrains
-    // land in per_tree, so the report covers all of this call's work.
-    static obs::Counter* budget_flushes =
-        obs::GetCounter("forest.lazy.budget_flushes");
-    budget_flushes->Inc();
-    FlushAll(per_tree, scratch);
-  }
+  // Staleness budget exceeded: retire the deferred work now rather than
+  // letting an unbounded burst pile up retrain debt. The flush retrains
+  // land in per_tree, so the report covers all of this call's work.
+  if (LazyBudgetExceeded()) FlushAll(per_tree, scratch);
   return Status::OK();
+}
+
+DeletionStats DareForest::DeleteFromTree(int t, const std::vector<RowId>& rows,
+                                         DeletionScratch* scratch) {
+  DeletionStats work;
+  trees_[static_cast<size_t>(t)].DeleteRows(rows, &work, scratch);
+  return work;
+}
+
+bool DareForest::LazyBudgetExceeded() const {
+  if (!config_.lazy_unlearn || (lazy_rows() <= config_.max_lazy_rows &&
+                                lazy_nodes() <= ForestConfig::kMaxLazyNodes)) {
+    return false;
+  }
+  static obs::Counter* budget_flushes =
+      obs::GetCounter("forest.lazy.budget_flushes");
+  budget_flushes->Inc();
+  return true;
+}
+
+void DareForest::AddTreeWork(int t, const DeletionStats& work,
+                             std::vector<DeletionStats>* per_tree) {
+  deletion_stats_.Add(work);
+  if (per_tree != nullptr) (*per_tree)[static_cast<size_t>(t)].Add(work);
 }
 
 void DareForest::FlushAll(std::vector<DeletionStats>* per_tree,
@@ -206,13 +229,17 @@ void DareForest::FlushAll(std::vector<DeletionStats>* per_tree,
   if (per_tree != nullptr && per_tree->empty()) {
     per_tree->assign(trees_.size(), DeletionStats{});
   }
-  for (size_t t = 0; t < trees_.size(); ++t) {
-    if (!trees_[t].has_lazy_tags()) continue;
-    DeletionStats local;
-    trees_[t].FlushLazy(&local, scratch);
-    deletion_stats_.Add(local);
-    if (per_tree != nullptr) (*per_tree)[t].Add(local);
+  for (int t = 0; t < num_trees(); ++t) {
+    if (trees_[static_cast<size_t>(t)].has_lazy_tags()) {
+      AddTreeWork(t, FlushTree(t, scratch), per_tree);
+    }
   }
+}
+
+DeletionStats DareForest::FlushTree(int t, DeletionScratch* scratch) {
+  DeletionStats work;
+  trees_[static_cast<size_t>(t)].FlushLazy(&work, scratch);
+  return work;
 }
 
 bool DareForest::HasLazyTags() const {
@@ -254,6 +281,16 @@ Result<std::vector<RowId>> DareForest::AddData(
     per_tree->assign(trees_.size(), DeletionStats{});
   }
   obs::TraceSpan span("forest.add", {{"rows", rows.num_rows()}});
+  FUME_ASSIGN_OR_RETURN(std::vector<RowId> new_ids, AppendRows(rows));
+  DeletionScratch local_scratch;
+  if (scratch == nullptr) scratch = &local_scratch;
+  for (int t = 0; t < num_trees(); ++t) {
+    AddTreeWork(t, AddToTree(t, new_ids, scratch), per_tree);
+  }
+  return new_ids;
+}
+
+Result<std::vector<RowId>> DareForest::AppendRows(const Dataset& rows) {
   static obs::Counter* adds = obs::GetCounter("forest.add.batches");
   static obs::Counter* added_rows = obs::GetCounter("forest.add.rows_added");
   adds->Inc();
@@ -275,21 +312,19 @@ Result<std::vector<RowId>> DareForest::AddData(
     }
     new_ids.push_back(store_->Append(codes, rows.Label(r)));
   }
-  DeletionScratch local_scratch;
-  if (scratch == nullptr) scratch = &local_scratch;
-  // Additions route through every level of every tree, so pending lazy tags
-  // (stale split decisions below them) must be rebuilt first. The flush
-  // work lands in per_tree alongside the add work.
-  if (config_.lazy_unlearn) FlushAll(per_tree, scratch);
-  for (size_t t = 0; t < trees_.size(); ++t) {
-    DeletionStats local;
-    trees_[t].AddRows(new_ids, &local, scratch);
-    deletion_stats_.Add(local);
-    // Add (not assign): the entry may already carry this call's lazy-flush
-    // work from the FlushAll above.
-    if (per_tree != nullptr) (*per_tree)[t].Add(local);
-  }
   return new_ids;
+}
+
+DeletionStats DareForest::AddToTree(int t, const std::vector<RowId>& ids,
+                                    DeletionScratch* scratch) {
+  DareTree& tree = trees_[static_cast<size_t>(t)];
+  // Additions route through every level of the tree, so pending lazy tags
+  // (stale split decisions below them) must be rebuilt first. The flush
+  // work is reported alongside the add work.
+  DeletionStats work;
+  if (tree.has_lazy_tags()) tree.FlushLazy(&work, scratch);
+  tree.AddRows(ids, &work, scratch);
+  return work;
 }
 
 Status DareForest::CheckCompatible(const Dataset& data) const {

@@ -168,7 +168,46 @@ class DareForest {
                               const DeletionStats& stats = DeletionStats{});
 
  private:
+  friend class ShardedForest;
+
   Status CheckCompatible(const Dataset& data) const;
+
+  // ---- per-tree steps -------------------------------------------------
+  // Train, DeleteRows, AddData and FlushAll each set up once, run one
+  // independent step per tree, and add the trees' work into
+  // deletion_stats_ in tree order. A step touches only its own tree and
+  // the scratch it is handed, so the steps may run in any order on any
+  // threads, one scratch per thread. This class runs them in a loop;
+  // ShardedForest fans the steps of all its shards out as one pool batch.
+
+  /// Train's set-up: validates the config, counts the call and stores
+  /// `train`. The forest has no trees until BuildTree fills them.
+  static Result<DareForest> TrainUntreed(const Dataset& train,
+                                         const ForestConfig& config);
+  /// Train's step: tree t built over every stored row.
+  DareTree BuildTree(int t) const;
+  /// AddData's set-up: counts the batch, validates `rows` and appends them
+  /// to the store; returns their ids.
+  Result<std::vector<RowId>> AppendRows(const Dataset& rows);
+  /// DeleteRows' step: unlearns `rows` from tree t. `scratch` must hold the
+  /// batch's doomed marks (BeginDeletionBatch, or DeletionScratch::
+  /// MarkBatch on a batch already validated).
+  DeletionStats DeleteFromTree(int t, const std::vector<RowId>& rows,
+                               DeletionScratch* scratch);
+  /// AddData's step: retires tree t's pending tags (an insert is a flush
+  /// boundary), then adds the appended `ids` to it.
+  DeletionStats AddToTree(int t, const std::vector<RowId>& ids,
+                          DeletionScratch* scratch);
+  /// FlushAll's step on tree t (no work without tags).
+  DeletionStats FlushTree(int t, DeletionScratch* scratch);
+  /// Adds tree t's step work into deletion_stats_ and, when non-null,
+  /// into (*per_tree)[t].
+  void AddTreeWork(int t, const DeletionStats& work,
+                   std::vector<DeletionStats>* per_tree);
+  /// True when pending lazy tags exceed the staleness budget, so the
+  /// delete that left them must flush now (counted in
+  /// forest.lazy.budget_flushes).
+  bool LazyBudgetExceeded() const;
 
   std::shared_ptr<TrainingStore> store_;
   ForestConfig config_;

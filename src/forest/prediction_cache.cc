@@ -2,7 +2,6 @@
 
 #include <numeric>
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/check.h"
 
@@ -66,57 +65,47 @@ void TestPredictionCache::Rebuild(const DareForest& forest,
                       {{"trees", forest.num_trees()},
                        {"rows", test.num_rows()}});
   forest.EnsureFlushed();
-  const size_t num_trees = static_cast<size_t>(forest.num_trees());
-  const int64_t n_rows = test.num_rows();
-  prob_.assign(num_trees, std::vector<double>(static_cast<size_t>(n_rows)));
-  synced_.resize(num_trees);
-  mean_prob_.assign(static_cast<size_t>(n_rows), 0.0);
-  pred_.assign(static_cast<size_t>(n_rows), 0);
+  Reset(forest, test.num_rows());
   const std::shared_ptr<const PackedCodes> packed = test.packed_codes();
-  for (size_t t = 0; t < num_trees; ++t) {
-    const DareTree& tree = forest.tree(static_cast<int>(t));
-    tree.arena()->PredictProbs(packed->codes.data(), packed->num_attrs, n_rows,
-                               prob_[t].data());
-    synced_[t] = tree.generation();
+  for (int t = 0; t < forest.num_trees(); ++t) {
+    RebuildTree(forest, t, *packed);
   }
   Finalize(forest);
 }
 
-void TestPredictionCache::Update(const DareForest& forest,
-                                 const Dataset& test) {
-  FUME_CHECK_EQ(static_cast<size_t>(forest.num_trees()), prob_.size());
-  static obs::Counter* trees_rewalked =
-      obs::GetCounter("stream.predcache.trees_rewalked");
-  static obs::Counter* rows_rewalked =
-      obs::GetCounter("stream.predcache.rows_rewalked");
-  obs::TraceSpan span("stream.predcache.update");
-  // A tag leaves stale decisions below it; callers flush first.
-  FUME_CHECK(!forest.HasLazyTags());
-  std::shared_ptr<const PackedCodes> packed;
-  std::vector<int64_t> order;
-  int64_t trees = 0;
-  int64_t rows = 0;
-  for (size_t t = 0; t < prob_.size(); ++t) {
-    const DareTree& tree = forest.tree(static_cast<int>(t));
-    const TreeNode* root = tree.root();
-    if (root != nullptr && root->generation > synced_[t]) {
-      if (packed == nullptr) {
-        packed = test.packed_codes();
-        order.resize(static_cast<size_t>(test.num_rows()));
-      }
-      std::iota(order.begin(), order.end(), int64_t{0});
-      rows += RefreshStamped(root, synced_[t], packed->codes.data(),
-                             packed->num_attrs, order.data(),
-                             order.data() + order.size(), prob_[t].data());
-      ++trees;
-    }
-    synced_[t] = tree.generation();
+void TestPredictionCache::Reset(const DareForest& forest, int64_t n_rows) {
+  const size_t num_trees = static_cast<size_t>(forest.num_trees());
+  prob_.assign(num_trees, std::vector<double>(static_cast<size_t>(n_rows)));
+  synced_.resize(num_trees);
+  mean_prob_.assign(static_cast<size_t>(n_rows), 0.0);
+  pred_.assign(static_cast<size_t>(n_rows), 0);
+}
+
+void TestPredictionCache::RebuildTree(const DareForest& forest, int t,
+                                      const PackedCodes& packed) {
+  const DareTree& tree = forest.tree(t);
+  tree.arena()->PredictProbs(packed.codes.data(), packed.num_attrs,
+                             static_cast<int64_t>(mean_prob_.size()),
+                             prob_[static_cast<size_t>(t)].data());
+  synced_[static_cast<size_t>(t)] = tree.generation();
+}
+
+int64_t TestPredictionCache::UpdateTree(const DareForest& forest, int t,
+                                        const PackedCodes& packed,
+                                        std::vector<int64_t>* order) {
+  const DareTree& tree = forest.tree(t);
+  const TreeNode* root = tree.root();
+  uint64_t& synced = synced_[static_cast<size_t>(t)];
+  int64_t rows = -1;
+  if (root != nullptr && root->generation > synced) {
+    order->resize(mean_prob_.size());
+    std::iota(order->begin(), order->end(), int64_t{0});
+    rows = RefreshStamped(root, synced, packed.codes.data(), packed.num_attrs,
+                          order->data(), order->data() + order->size(),
+                          prob_[static_cast<size_t>(t)].data());
   }
-  trees_rewalked->Inc(trees);
-  rows_rewalked->Inc(rows);
-  span.AddArg("trees", trees);
-  span.AddArg("rows", rows);
-  if (trees > 0) Finalize(forest);
+  synced = tree.generation();
+  return rows;
 }
 
 void TestPredictionCache::DiffWalk(const TreeNode* base,
@@ -219,10 +208,25 @@ Status TestPredictionCache::ScoreWithout(const DareForest& base,
                                          const Dataset& test,
                                          WhatIfScratch* s,
                                          DeletionScratch* deletion) const {
+  FUME_RETURN_NOT_OK(BeginScoreWithout(base, rows, test, s, deletion));
+  if (!rows.empty()) {
+    obs::TraceSpan span("forest.score_without",
+                        {{"rows", static_cast<int64_t>(rows.size())},
+                         {"trees", base.num_trees()}});
+    for (int t = 0; t < base.num_trees(); ++t) {
+      ScoreTreeWithout(base, t, rows, test, s, &s->order, deletion);
+    }
+  }
+  FinishScoreWithout(s);
+  return Status::OK();
+}
+
+Status TestPredictionCache::BeginScoreWithout(
+    const DareForest& base, const std::vector<RowId>& rows,
+    const Dataset& test, WhatIfScratch* s, DeletionScratch* deletion) const {
   const size_t num_trees = prob_.size();
   FUME_CHECK_EQ(static_cast<size_t>(base.num_trees()), num_trees);
-  const size_t n_rows = mean_prob_.size();
-  FUME_CHECK_EQ(static_cast<size_t>(test.num_rows()), n_rows);
+  FUME_CHECK_EQ(static_cast<size_t>(test.num_rows()), mean_prob_.size());
   if (base.HasLazyTags()) {
     return Status::Invalid(
         "what-if scoring needs a flushed base forest (pending lazy "
@@ -230,38 +234,50 @@ Status TestPredictionCache::ScoreWithout(const DareForest& base,
   }
   BeginWhatIf(s);
   s->deletion_stats = DeletionStats{};
-  if (!rows.empty()) {
-    FUME_RETURN_NOT_OK(base.BeginDeletionBatch(rows, deletion));
-    obs::TraceSpan span("forest.score_without",
-                        {{"rows", static_cast<int64_t>(rows.size())},
-                         {"trees", base.num_trees()}});
-    s->order.resize(n_rows);
-    for (size_t t = 0; t < num_trees; ++t) {
-      // Seed with the base probabilities: the walk overwrites only rows
-      // that reach a changed region, and the re-sum reads every row of a
-      // changed tree.
-      s->tree_prob[t] = prob_[t];
-      for (size_t i = 0; i < n_rows; ++i) {
-        s->order[i] = static_cast<int64_t>(i);
-      }
-      s->rescored.clear();
-      base.tree(static_cast<int>(t))
-          .ScoreWithout(rows, test, s->order.data(),
-                        s->order.data() + n_rows, s->tree_prob[t].data(),
-                        &s->rescored, &s->deletion_stats, deletion);
-      if (s->rescored.empty()) continue;
-      ++s->trees_changed;
-      s->tree_epoch[t] = s->epoch;
-      for (const int64_t r : s->rescored) {
-        if (s->row_epoch[static_cast<size_t>(r)] != s->epoch) {
-          s->row_epoch[static_cast<size_t>(r)] = s->epoch;
-          s->touched.push_back(r);
-        }
+  s->tree_rescored.resize(num_trees);
+  s->tree_stats.resize(num_trees);
+  for (size_t t = 0; t < num_trees; ++t) {
+    s->tree_rescored[t].clear();
+    s->tree_stats[t] = DeletionStats{};
+  }
+  if (rows.empty()) return Status::OK();
+  return base.BeginDeletionBatch(rows, deletion);
+}
+
+void TestPredictionCache::ScoreTreeWithout(const DareForest& base, int t,
+                                           const std::vector<RowId>& rows,
+                                           const Dataset& test,
+                                           WhatIfScratch* s,
+                                           std::vector<int64_t>* order,
+                                           DeletionScratch* deletion) const {
+  const size_t tree = static_cast<size_t>(t);
+  const size_t n_rows = mean_prob_.size();
+  // Seed with the base probabilities: the walk overwrites only rows that
+  // reach a changed region, and the re-sum reads every row of a changed
+  // tree.
+  s->tree_prob[tree] = prob_[tree];
+  order->resize(n_rows);
+  std::iota(order->begin(), order->end(), int64_t{0});
+  base.tree(t).ScoreWithout(rows, test, order->data(), order->data() + n_rows,
+                            s->tree_prob[tree].data(), &s->tree_rescored[tree],
+                            &s->tree_stats[tree], deletion);
+}
+
+void TestPredictionCache::FinishScoreWithout(WhatIfScratch* s) const {
+  for (size_t t = 0; t < prob_.size(); ++t) {
+    s->deletion_stats.Add(s->tree_stats[t]);
+    const std::vector<int64_t>& rescored = s->tree_rescored[t];
+    if (rescored.empty()) continue;
+    ++s->trees_changed;
+    s->tree_epoch[t] = s->epoch;
+    for (const int64_t r : rescored) {
+      if (s->row_epoch[static_cast<size_t>(r)] != s->epoch) {
+        s->row_epoch[static_cast<size_t>(r)] = s->epoch;
+        s->touched.push_back(r);
       }
     }
   }
   ResumWhatIf(s, /*all=*/false);
-  return Status::OK();
 }
 
 void TestPredictionCache::ScoreWhatIf(const DareForest& base,

@@ -4,9 +4,11 @@
 // and the tree generation it last synced with. Every node records the
 // generation of the batch that last wrote it (tree.h), and a DaRE op
 // writes only the nodes on the paths it changes: each leaf whose counts
-// moved, each retrained subtree, and their ancestors. Update() therefore
-// partitions the test rows from the root only through nodes stamped since
-// the last sync and rewrites only the rows that reach a stamped leaf. A
+// moved, each retrained subtree, and their ancestors. The refresh after an
+// op (UpdateTree, driven for every shard's trees by
+// ShardedPredictionCache::Update) therefore partitions the test rows from
+// the root only through nodes stamped since the last sync and rewrites
+// only the rows that reach a stamped leaf. A
 // node stamped earlier heads a subtree no op since has changed, reached by
 // the same rows as at the sync, so those rows keep their cached
 // probability; a tree whose root is unstamped is not visited at all.
@@ -70,20 +72,17 @@ class TestPredictionCache {
     std::vector<std::vector<double>> tree_prob;  // [t][r] where tree dirty
     std::vector<uint32_t> tree_epoch;
     std::vector<uint32_t> row_epoch;
-    std::vector<int64_t> touched;   // rows rescored this evaluation
-    std::vector<int64_t> order;     // row-index buffer, partitioned in place
-    std::vector<int64_t> rescored;  // one tree's rescored rows
+    std::vector<int64_t> touched;  // rows rescored this evaluation
+    std::vector<int64_t> order;    // row-index buffer, partitioned in place
+    /// ScoreWithout's per-tree outputs, merged in tree order at the end.
+    std::vector<std::vector<int64_t>> tree_rescored;
+    std::vector<DeletionStats> tree_stats;
     uint32_t epoch = 0;
   };
 
   /// Full pass of every test row through every tree's arena. Call after
   /// building, loading or replacing the forest.
   void Rebuild(const DareForest& forest, const Dataset& test);
-
-  /// Incrementally refreshes after any number of ops on the forest this
-  /// cache last synced with (by Rebuild or Update), through the nodes
-  /// stamped since that sync only. The forest must be flushed.
-  void Update(const DareForest& forest, const Dataset& test);
 
   /// Scores the forest this cache was seeded from as if `rows` had been
   /// deleted from it, without cloning or mutating it: each tree plays the
@@ -129,7 +128,47 @@ class TestPredictionCache {
   int num_trees() const { return static_cast<int>(prob_.size()); }
 
  private:
+  friend class ShardedPredictionCache;
+
+  // ---- per-tree steps -------------------------------------------------
+  // Rebuild, the refresh after ops, and ScoreWithout set up once, run one
+  // independent step per tree, and finish with a pass in tree order. A step writes only its
+  // own tree's entries and the buffers it is handed, so the steps may run
+  // in any order on any threads. This class runs them in a loop;
+  // ShardedPredictionCache fans the steps of all its shards out as one
+  // pool batch.
+
+  /// Rebuild's set-up: sizes the cache for `forest` and `n_rows` test rows.
+  void Reset(const DareForest& forest, int64_t n_rows);
+  /// Rebuild's step: every test row through tree t's arena.
+  void RebuildTree(const DareForest& forest, int t, const PackedCodes& packed);
+  /// ShardedPredictionCache::Update's step: after any number of ops on the
+  /// (flushed) forest this cache last synced with, rewrites the rows of
+  /// tree t that reach a node stamped since that sync. Returns the rows
+  /// rewritten, or -1 when no op since has changed the tree. `order` is
+  /// the caller's row buffer.
+  int64_t UpdateTree(const DareForest& forest, int t, const PackedCodes& packed,
+                     std::vector<int64_t>* order);
+  /// Rebuild's finish, and Update's for a shard it changed: every row's
+  /// mean and prediction.
   void Finalize(const DareForest& forest);
+  /// ScoreWithout's set-up: checks the base, starts an evaluation on
+  /// `scratch`, and validates `rows` and marks them doomed in `deletion`
+  /// (counted as the DeleteRows it stands in for).
+  Status BeginScoreWithout(const DareForest& base,
+                           const std::vector<RowId>& rows, const Dataset& test,
+                           WhatIfScratch* scratch,
+                           DeletionScratch* deletion) const;
+  /// ScoreWithout's step: plays the deletion through tree t into the
+  /// scratch's entries for t. `deletion` must hold the batch's doomed
+  /// marks; `order` is the caller's row buffer.
+  void ScoreTreeWithout(const DareForest& base, int t,
+                        const std::vector<RowId>& rows, const Dataset& test,
+                        WhatIfScratch* scratch, std::vector<int64_t>* order,
+                        DeletionScratch* deletion) const;
+  /// ScoreWithout's finish: merges the trees' work and rescored rows in
+  /// tree order, then re-sums the rescored rows.
+  void FinishScoreWithout(WhatIfScratch* scratch) const;
   void DiffWalk(const TreeNode* base, const TreeNode* changed,
                 const Dataset& test, int t, size_t begin, size_t end,
                 WhatIfScratch* scratch) const;

@@ -81,17 +81,57 @@ Status ValidateShardConfig(const ShardConfig& sc) {
   return Status::OK();
 }
 
-/// Runs fn(s) once per shard in `touched`, fanning out on `pool` when it
-/// has parked workers and there is more than one shard of work. Outputs
-/// are per-shard (per-index), so results never depend on thread count.
-void ForShards(const std::vector<int>& touched, util::ThreadPool* pool,
-               const std::function<void(int)>& fn) {
-  if (pool == nullptr || pool->num_threads() <= 1 || touched.size() <= 1) {
-    for (int s : touched) fn(s);
+/// Appends shard s's trees to `jobs` as (s, t) jobs in tree order.
+void AppendTreeJobs(int shard, int num_trees,
+                    std::vector<ShardTreeJob>* jobs) {
+  for (int t = 0; t < num_trees; ++t) jobs->push_back({shard, t});
+}
+
+/// Worker scratches a fan-out on `pool` uses: one per pool worker.
+size_t NumWorkers(const util::ThreadPool* pool) {
+  return pool == nullptr ? 1 : static_cast<size_t>(pool->num_threads());
+}
+
+/// The kernel scratches of a fan-out on `pool`: the caller's, or `own`
+/// when it passed none, grown to one per pool worker.
+std::vector<DeletionScratch>* WorkerScratch(
+    util::ThreadPool* pool, std::vector<DeletionScratch>* given,
+    std::vector<DeletionScratch>* own) {
+  std::vector<DeletionScratch>* scratch = given != nullptr ? given : own;
+  if (scratch->size() < NumWorkers(pool)) scratch->resize(NumWorkers(pool));
+  return scratch;
+}
+
+/// Runs fn(worker, i) once per job index i, fanned out on `pool` when it
+/// has parked workers and there is more than one job, serially as worker 0
+/// otherwise. A worker claims indices in ascending order, so each worker
+/// meets a shard's jobs in one run. Callers keep per-job outputs and merge
+/// them in ascending (shard, tree) order, so results never depend on the
+/// thread count.
+template <typename Fn>
+void ForTrees(const std::vector<ShardTreeJob>& jobs, util::ThreadPool* pool,
+              Fn&& fn) {
+  if (pool == nullptr || pool->num_threads() <= 1 || jobs.size() <= 1) {
+    for (size_t i = 0; i < jobs.size(); ++i) fn(0, i);
     return;
   }
-  pool->ParallelFor(touched.size(),
-                    [&](int /*worker*/, size_t i) { fn(touched[i]); });
+  pool->ParallelFor(jobs.size(),
+                    [&fn](int worker, size_t i) { fn(worker, i); });
+}
+
+/// Makes worker `worker`'s scratch hold the doomed marks of `shard`'s
+/// slice `rows` of a fanned-out deletion. The caller validates each
+/// shard's slice once on worker 0's scratch; a worker stamps a shard's rows
+/// into its own scratch the first time it takes one of that shard's trees,
+/// so no tree walk writes shared state. (*marked)[w] is the shard whose
+/// marks worker w's scratch holds (-1: none).
+void EnsureMarked(int worker, int shard, const DareForest& forest,
+                  const std::vector<RowId>& rows, std::vector<int>* marked,
+                  DeletionScratch* scratch) {
+  int& holds = (*marked)[static_cast<size_t>(worker)];
+  if (holds == shard) return;
+  scratch->MarkBatch(forest.store().num_rows(), rows);
+  holds = shard;
 }
 
 int PlaceRowImpl(const ShardConfig& sc, RowId global, int32_t slice_code) {
@@ -181,23 +221,26 @@ Result<ShardedForest> ShardedForest::Train(const Dataset& train,
     out.shard_of_ = std::move(shard_of);
     out.local_of_ = std::move(local_of);
   }
-  out.shards_.resize(static_cast<size_t>(n));
-  std::vector<Status> statuses(static_cast<size_t>(n));
-  std::vector<int> all(static_cast<size_t>(n));
-  for (int s = 0; s < n; ++s) all[static_cast<size_t>(s)] = s;
-  ForShards(all, pool, [&](int s) {
+  out.shards_.reserve(static_cast<size_t>(n));
+  std::vector<ShardTreeJob> jobs;
+  for (int s = 0; s < n; ++s) {
     ForestConfig cfg = config;
     cfg.seed = config.seed + kShardSeedStride * static_cast<uint64_t>(s);
-    const Dataset part = train.Select(members[static_cast<size_t>(s)]);
-    auto trained = DareForest::Train(part, cfg);
-    if (!trained.ok()) {
-      statuses[static_cast<size_t>(s)] = trained.status();
-      return;
-    }
-    out.shards_[static_cast<size_t>(s)] = std::move(trained).ValueOrDie();
+    FUME_ASSIGN_OR_RETURN(
+        DareForest untreed,
+        DareForest::TrainUntreed(
+            train.Select(members[static_cast<size_t>(s)]), cfg));
+    out.shards_.push_back(std::move(untreed));
+    AppendTreeJobs(s, cfg.num_trees, &jobs);
+  }
+  std::vector<DareTree> built(jobs.size());
+  ForTrees(jobs, pool, [&](int /*worker*/, size_t i) {
+    built[i] = out.shards_[static_cast<size_t>(jobs[i].shard)].BuildTree(
+        jobs[i].tree);
   });
-  for (int s = 0; s < n; ++s) {
-    FUME_RETURN_NOT_OK(statuses[static_cast<size_t>(s)]);
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    out.shards_[static_cast<size_t>(jobs[i].shard)].trees_.push_back(
+        std::move(built[i]));
   }
   return out;
 }
@@ -221,13 +264,24 @@ Status ShardedForest::ValidateGlobalRows(
   return Status::OK();
 }
 
+template <typename Step>
+void ShardedForest::RunTreeSteps(const std::vector<ShardTreeJob>& jobs,
+                                 util::ThreadPool* pool,
+                                 std::vector<DeletionScratch>* scratch,
+                                 Step&& step) {
+  std::vector<DeletionStats> work(jobs.size());
+  ForTrees(jobs, pool, [&](int worker, size_t i) {
+    work[i] = step(worker, jobs[i], &(*scratch)[static_cast<size_t>(worker)]);
+  });
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    shards_[static_cast<size_t>(jobs[i].shard)].AddTreeWork(jobs[i].tree,
+                                                            work[i], nullptr);
+  }
+}
+
 Status ShardedForest::DeleteRows(const std::vector<RowId>& global_rows,
                                  util::ThreadPool* pool,
                                  std::vector<DeletionScratch>* scratch) {
-  const int n = num_shards();
-  if (scratch != nullptr && static_cast<int>(scratch->size()) < n) {
-    scratch->resize(static_cast<size_t>(n));
-  }
   FUME_RETURN_NOT_OK(ValidateGlobalRows(global_rows));
   obs::TraceSpan span("shard.delete",
                       {{"rows", static_cast<int64_t>(global_rows.size())}});
@@ -237,38 +291,52 @@ Status ShardedForest::DeleteRows(const std::vector<RowId>& global_rows,
       obs::GetHistogram("shard.delete.shards_touched");
   batches->Inc();
   routed->Inc(static_cast<int64_t>(global_rows.size()));
+  const int n = num_shards();
   std::vector<std::vector<RowId>> local(static_cast<size_t>(n));
   for (RowId g : global_rows) {
     local[static_cast<size_t>(shard_of(g))].push_back(local_of(g));
   }
+  std::vector<DeletionScratch> own_scratch;
+  scratch = WorkerScratch(pool, scratch, &own_scratch);
+  // Every shard's slice is validated (ids in range, no duplicates) and
+  // counted as one deletion batch of that shard before any tree changes,
+  // so a bad batch leaves the ensemble untouched.
   std::vector<int> touched;
+  std::vector<ShardTreeJob> jobs;
   for (int s = 0; s < n; ++s) {
-    if (!local[static_cast<size_t>(s)].empty()) touched.push_back(s);
+    if (local[static_cast<size_t>(s)].empty()) continue;
+    FUME_RETURN_NOT_OK(shards_[static_cast<size_t>(s)].BeginDeletionBatch(
+        local[static_cast<size_t>(s)], &(*scratch)[0]));
+    touched.push_back(s);
+    AppendTreeJobs(s, shards_[static_cast<size_t>(s)].num_trees(), &jobs);
   }
   touched_hist->Record(static_cast<double>(touched.size()));
-  std::vector<Status> statuses(static_cast<size_t>(n));
-  // On a non-OK status some shards may already have unlearned their slice
-  // of the batch (no cross-shard rollback); callers treat a failed delete
-  // as fatal, matching the monolithic engine's contract.
-  ForShards(touched, pool, [&](int s) {
-    statuses[static_cast<size_t>(s)] = shards_[static_cast<size_t>(s)]
-        .DeleteRows(local[static_cast<size_t>(s)], nullptr,
-                    scratch != nullptr ? &(*scratch)[static_cast<size_t>(s)]
-                                       : nullptr);
-  });
-  for (int s = 0; s < n; ++s) {
-    FUME_RETURN_NOT_OK(statuses[static_cast<size_t>(s)]);
+  if (touched.empty()) return Status::OK();
+  std::vector<int> marked(scratch->size(), -1);
+  marked[0] = touched.back();
+  RunTreeSteps(jobs, pool, scratch,
+               [&](int worker, const ShardTreeJob& job, DeletionScratch* sc) {
+                 DareForest& shard = shards_[static_cast<size_t>(job.shard)];
+                 const std::vector<RowId>& rows =
+                     local[static_cast<size_t>(job.shard)];
+                 EnsureMarked(worker, job.shard, shard, rows, &marked, sc);
+                 return shard.DeleteFromTree(job.tree, rows, sc);
+               });
+  // A lazy shard whose deferred rows now exceed its staleness budget
+  // flushes inside the same op, as DareForest::DeleteRows does.
+  std::vector<int> over_budget;
+  for (const int s : touched) {
+    if (shards_[static_cast<size_t>(s)].LazyBudgetExceeded()) {
+      over_budget.push_back(s);
+    }
   }
+  if (!over_budget.empty()) FlushShards(over_budget, pool, scratch);
   return Status::OK();
 }
 
 Result<std::vector<RowId>> ShardedForest::AddData(
     const Dataset& rows, util::ThreadPool* pool,
     std::vector<DeletionScratch>* scratch) {
-  const int n = num_shards();
-  if (scratch != nullptr && static_cast<int>(scratch->size()) < n) {
-    scratch->resize(static_cast<size_t>(n));
-  }
   if (shard_config_.slice_attr >= rows.num_attributes() &&
       shard_config_.placement == ShardConfig::Placement::kSlice) {
     return Status::Invalid("slice_attr out of range for inserted rows");
@@ -278,6 +346,7 @@ Result<std::vector<RowId>> ShardedForest::AddData(
   static obs::Counter* routed = obs::GetCounter("shard.add.rows_routed");
   batches->Inc();
   routed->Inc(rows.num_rows());
+  const int n = num_shards();
   const int64_t count = rows.num_rows();
   const RowId next = static_cast<RowId>(num_global_ids());
   std::vector<RowId> global_ids(static_cast<size_t>(count));
@@ -293,40 +362,32 @@ Result<std::vector<RowId>> ShardedForest::AddData(
     placed[static_cast<size_t>(i)] = s;
     sub[static_cast<size_t>(s)].push_back(i);
   }
-  // An insert is an ensemble-wide flush boundary: shards receiving rows
-  // flush inside their own AddData; shards with pending tags but no new
-  // row flush here so no tag survives the op.
-  std::vector<int> tasks;
-  for (int s = 0; s < n; ++s) {
-    if (!sub[static_cast<size_t>(s)].empty() ||
-        shards_[static_cast<size_t>(s)].HasLazyTags()) {
-      tasks.push_back(s);
-    }
-  }
-  std::vector<Status> statuses(static_cast<size_t>(n));
+  // Each shard receiving rows appends them to its store; then every tree
+  // of those shards, and of shards still holding lazy tags (an insert is
+  // an ensemble-wide flush boundary, so no tag survives the op), takes its
+  // step as one fan-out.
   std::vector<std::vector<RowId>> new_local(static_cast<size_t>(n));
-  ForShards(tasks, pool, [&](int s) {
-    auto* sc = scratch != nullptr ? &(*scratch)[static_cast<size_t>(s)]
-                                  : nullptr;
-    auto& dst = shards_[static_cast<size_t>(s)];
-    if (sub[static_cast<size_t>(s)].empty()) {
-      dst.FlushAll(nullptr, sc);
-      return;
-    }
-    const Dataset part = rows.Select(sub[static_cast<size_t>(s)]);
-    auto added = dst.AddData(part, nullptr, sc);
-    if (!added.ok()) {
-      statuses[static_cast<size_t>(s)] = added.status();
-      return;
-    }
-    new_local[static_cast<size_t>(s)] = std::move(added).ValueOrDie();
-  });
+  std::vector<ShardTreeJob> jobs;
   for (int s = 0; s < n; ++s) {
-    FUME_RETURN_NOT_OK(statuses[static_cast<size_t>(s)]);
+    DareForest& shard = shards_[static_cast<size_t>(s)];
+    if (!sub[static_cast<size_t>(s)].empty()) {
+      FUME_ASSIGN_OR_RETURN(
+          new_local[static_cast<size_t>(s)],
+          shard.AppendRows(rows.Select(sub[static_cast<size_t>(s)])));
+    } else if (!shard.HasLazyTags()) {
+      continue;
+    }
+    AppendTreeJobs(s, shard.num_trees(), &jobs);
   }
+  std::vector<DeletionScratch> own_scratch;
+  RunTreeSteps(jobs, pool, WorkerScratch(pool, scratch, &own_scratch),
+               [&](int, const ShardTreeJob& job, DeletionScratch* sc) {
+                 return shards_[static_cast<size_t>(job.shard)].AddToTree(
+                     job.tree, new_local[static_cast<size_t>(job.shard)], sc);
+               });
   // All shards accepted their slice: extend the placement maps (private
   // copies first if a clone/snapshot still shares them). One shard has
-  // none: shard 0's AddData already numbered the rows `next` onwards.
+  // none: shard 0's store already numbered the rows `next` onwards.
   if (shard_of_ == nullptr) return global_ids;
   if (shard_of_.use_count() > 1) {
     shard_of_ = std::make_shared<std::vector<uint8_t>>(*shard_of_);
@@ -346,23 +407,33 @@ Result<std::vector<RowId>> ShardedForest::AddData(
 
 void ShardedForest::FlushAll(util::ThreadPool* pool,
                              std::vector<DeletionScratch>* scratch) {
-  const int n = num_shards();
-  if (scratch != nullptr && static_cast<int>(scratch->size()) < n) {
-    scratch->resize(static_cast<size_t>(n));
+  std::vector<int> tagged;
+  for (int s = 0; s < num_shards(); ++s) {
+    if (shards_[static_cast<size_t>(s)].HasLazyTags()) tagged.push_back(s);
   }
-  std::vector<int> touched;
-  for (int s = 0; s < n; ++s) {
-    if (shards_[static_cast<size_t>(s)].HasLazyTags()) touched.push_back(s);
-  }
-  if (touched.empty()) return;
+  if (tagged.empty()) return;
+  std::vector<DeletionScratch> own_scratch;
+  FlushShards(tagged, pool, WorkerScratch(pool, scratch, &own_scratch));
+}
+
+void ShardedForest::FlushShards(const std::vector<int>& shards,
+                                util::ThreadPool* pool,
+                                std::vector<DeletionScratch>* scratch) {
   static obs::Counter* flushed =
       obs::GetCounter("shard.flush.shards_flushed");
-  flushed->Inc(static_cast<int64_t>(touched.size()));
-  ForShards(touched, pool, [&](int s) {
-    shards_[static_cast<size_t>(s)].FlushAll(
-        nullptr,
-        scratch != nullptr ? &(*scratch)[static_cast<size_t>(s)] : nullptr);
-  });
+  flushed->Inc(static_cast<int64_t>(shards.size()));
+  std::vector<ShardTreeJob> jobs;
+  for (const int s : shards) {
+    const DareForest& shard = shards_[static_cast<size_t>(s)];
+    for (int t = 0; t < shard.num_trees(); ++t) {
+      if (shard.tree(t).has_lazy_tags()) jobs.push_back({s, t});
+    }
+  }
+  RunTreeSteps(jobs, pool, scratch,
+               [&](int, const ShardTreeJob& job, DeletionScratch* sc) {
+                 return shards_[static_cast<size_t>(job.shard)].FlushTree(
+                     job.tree, sc);
+               });
 }
 
 bool ShardedForest::HasLazyTags() const {
@@ -652,20 +723,70 @@ void VoteFromShardProbs(
 }
 
 void ShardedPredictionCache::Rebuild(const ShardedForest& forest,
-                                     const Dataset& test) {
+                                     const Dataset& test,
+                                     util::ThreadPool* pool) {
+  obs::TraceSpan span("stream.predcache.rebuild",
+                      {{"shards", forest.num_shards()},
+                       {"rows", test.num_rows()}});
+  forest.EnsureFlushed();
+  const std::shared_ptr<const PackedCodes> packed = test.packed_codes();
   caches_.assign(static_cast<size_t>(forest.num_shards()),
                  TestPredictionCache{});
+  std::vector<ShardTreeJob> jobs;
   for (int s = 0; s < forest.num_shards(); ++s) {
-    caches_[static_cast<size_t>(s)].Rebuild(forest.shard(s), test);
+    caches_[static_cast<size_t>(s)].Reset(forest.shard(s), test.num_rows());
+    AppendTreeJobs(s, forest.shard(s).num_trees(), &jobs);
+  }
+  ForTrees(jobs, pool, [&](int /*worker*/, size_t i) {
+    caches_[static_cast<size_t>(jobs[i].shard)].RebuildTree(
+        forest.shard(jobs[i].shard), jobs[i].tree, *packed);
+  });
+  for (int s = 0; s < forest.num_shards(); ++s) {
+    caches_[static_cast<size_t>(s)].Finalize(forest.shard(s));
   }
   FinalizeVote();
 }
 
 void ShardedPredictionCache::Update(const ShardedForest& forest,
-                                    const Dataset& test) {
+                                    const Dataset& test,
+                                    util::ThreadPool* pool) {
   FUME_CHECK_EQ(caches_.size(), static_cast<size_t>(forest.num_shards()));
+  // A tag leaves stale decisions below it; callers flush first.
+  FUME_CHECK(!forest.HasLazyTags());
+  static obs::Counter* trees_rewalked =
+      obs::GetCounter("stream.predcache.trees_rewalked");
+  static obs::Counter* rows_rewalked =
+      obs::GetCounter("stream.predcache.rows_rewalked");
+  obs::TraceSpan span("stream.predcache.update");
+  const std::shared_ptr<const PackedCodes> packed = test.packed_codes();
+  std::vector<ShardTreeJob> jobs;
+  for (int s = 0; s < forest.num_shards(); ++s) {
+    AppendTreeJobs(s, forest.shard(s).num_trees(), &jobs);
+  }
+  std::vector<int64_t> rewritten(jobs.size());
+  std::vector<std::vector<int64_t>> order(NumWorkers(pool));
+  ForTrees(jobs, pool, [&](int worker, size_t i) {
+    rewritten[i] = caches_[static_cast<size_t>(jobs[i].shard)].UpdateTree(
+        forest.shard(jobs[i].shard), jobs[i].tree, *packed,
+        &order[static_cast<size_t>(worker)]);
+  });
+  // A shard is re-finalized only when an op since the last sync changed
+  // one of its trees; untouched shards keep their cached vote inputs.
+  std::vector<bool> changed(caches_.size(), false);
+  int64_t trees = 0;
+  int64_t rows = 0;
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    if (rewritten[i] < 0) continue;
+    changed[static_cast<size_t>(jobs[i].shard)] = true;
+    ++trees;
+    rows += rewritten[i];
+  }
+  trees_rewalked->Inc(trees);
+  rows_rewalked->Inc(rows);
+  span.AddArg("trees", trees);
+  span.AddArg("rows", rows);
   for (size_t s = 0; s < caches_.size(); ++s) {
-    caches_[s].Update(forest.shard(static_cast<int>(s)), test);
+    if (changed[s]) caches_[s].Finalize(forest.shard(static_cast<int>(s)));
   }
   FinalizeVote();
 }
@@ -679,14 +800,15 @@ void ShardedPredictionCache::FinalizeVote() {
 Status ShardedPredictionCache::ScoreWithout(
     const ShardedForest& base, const std::vector<RowId>& global_rows,
     const Dataset& test, WhatIfScratch* scratch,
-    std::vector<DeletionScratch>* deletion) const {
+    std::vector<DeletionScratch>* deletion, util::ThreadPool* pool) const {
   const size_t n = caches_.size();
   FUME_CHECK_EQ(n, static_cast<size_t>(base.num_shards()));
   FUME_RETURN_NOT_OK(base.ValidateGlobalRows(global_rows));
+  const size_t workers = NumWorkers(pool);
+  WorkerScratch(pool, deletion, nullptr);
   scratch->shard_scratch.resize(n);
   scratch->local.resize(n);
   scratch->votes.resize(n);
-  if (deletion->size() < n) deletion->resize(n);
   for (auto& rows : scratch->local) rows.clear();
   // Bucket per owning shard, batch order kept within a shard — the same
   // routing as ShardedForest::DeleteRows.
@@ -697,6 +819,41 @@ Status ShardedPredictionCache::ScoreWithout(
   scratch->rows_rescored = 0;
   scratch->shards_changed = 0;
   scratch->deletion_stats = DeletionStats{};
+  // Each owning shard's slice is validated and counted once, on worker 0's
+  // scratch, before any tree is walked.
+  scratch->jobs.clear();
+  int validated = -1;
+  for (size_t s = 0; s < n; ++s) {
+    if (scratch->local[s].empty()) continue;
+    TestPredictionCache::WhatIfScratch& ss = scratch->shard_scratch[s];
+    ss.want_probs = true;
+    const DareForest& shard = base.shard(static_cast<int>(s));
+    FUME_RETURN_NOT_OK(caches_[s].BeginScoreWithout(
+        shard, scratch->local[s], test, &ss, &(*deletion)[0]));
+    validated = static_cast<int>(s);
+    AppendTreeJobs(validated, shard.num_trees(), &scratch->jobs);
+  }
+  if (!scratch->jobs.empty()) {
+    obs::TraceSpan span("forest.score_without",
+                        {{"rows", static_cast<int64_t>(global_rows.size())},
+                         {"trees",
+                          static_cast<int64_t>(scratch->jobs.size())}});
+    if (scratch->order.size() < workers) scratch->order.resize(workers);
+    scratch->marked.assign(workers, -1);
+    scratch->marked[0] = validated;
+    const std::vector<ShardTreeJob>& jobs = scratch->jobs;
+    ForTrees(jobs, pool, [&](int worker, size_t i) {
+      const size_t s = static_cast<size_t>(jobs[i].shard);
+      const DareForest& shard = base.shard(jobs[i].shard);
+      DeletionScratch* sc = &(*deletion)[static_cast<size_t>(worker)];
+      EnsureMarked(worker, jobs[i].shard, shard, scratch->local[s],
+                   &scratch->marked, sc);
+      caches_[s].ScoreTreeWithout(shard, jobs[i].tree, scratch->local[s], test,
+                                  &scratch->shard_scratch[s],
+                                  &scratch->order[static_cast<size_t>(worker)],
+                                  sc);
+    });
+  }
   for (size_t s = 0; s < n; ++s) {
     if (scratch->local[s].empty()) {
       // No deleted row lives here: the shard predicts exactly like the
@@ -706,15 +863,12 @@ Status ShardedPredictionCache::ScoreWithout(
     }
     ++scratch->shards_changed;
     TestPredictionCache::WhatIfScratch& ss = scratch->shard_scratch[s];
-    ss.want_probs = true;
-    FUME_RETURN_NOT_OK(caches_[s].ScoreWithout(
-        base.shard(static_cast<int>(s)), scratch->local[s], test, &ss,
-        &(*deletion)[s]));
+    caches_[s].FinishScoreWithout(&ss);
     scratch->rows_rescored += ss.rows_rescored;
     scratch->deletion_stats.Add(ss.deletion_stats);
     scratch->votes[s] = &ss.probs;
   }
-  VoteFromShardProbs(scratch->votes, &scratch->sum, &scratch->preds);
+  VoteFromShardProbs(scratch->votes, &scratch->probs, &scratch->preds);
   return Status::OK();
 }
 

@@ -5,11 +5,16 @@
 // outputs: the mean of the shard mean-probabilities, predicting 1 at
 // >= 0.5.
 // Because a training row lives in exactly one shard, deleting it touches
-// only that shard — a deletion burst becomes shard-local unlearning that
-// runs concurrently on the shared util::ThreadPool. One shard is the
-// monolithic deployment: the stream engine, fume_serve, fume_stream,
-// fume_cli and UnlearnRemovalMethod run this type at every shard count (a
-// bare DareForest is searched through its FromForest one-shard view).
+// only that shard — a deletion burst becomes shard-local unlearning. The
+// unit of parallel work is the (shard, tree) pair: DaRE trees train and
+// unlearn independently, so every per-tree loop of an op (Train,
+// DeleteRows, AddData, FlushAll, and the prediction cache's Rebuild,
+// Update and ScoreWithout) runs the trees of every shard it reaches as one
+// batch on the util::ThreadPool its caller holds, and one shard uses every
+// pool thread too. One shard is the monolithic deployment: the stream
+// engine, fume_serve, fume_stream, fume_cli and UnlearnRemovalMethod run
+// this type at every shard count (a bare DareForest is searched through
+// its FromForest one-shard view).
 //
 // Determinism contract (docs/sharding.md):
 //  * Row placement is a pure function of the global row id (and, in slice
@@ -18,10 +23,12 @@
 //    shard contents and structure are a pure function of (data, config,
 //    shard config). With num_shards == 1 the stride term vanishes and the
 //    single shard is byte-identical to the monolithic DareForest.
-//  * DeleteRows/AddData/FlushAll may fan out across shards on a pool, but
-//    every observable result — per-shard DeletionStats, serialized bytes,
-//    vote outputs — is per shard or merged in ascending shard order, so
-//    runs are reproducible across thread counts {1, 4, 8, ...}.
+//  * A fanned-out op keeps one output per (shard, tree) job — built trees,
+//    DeletionStats, per-tree probabilities, touched rows — and merges them
+//    in ascending (shard, tree) order; kernel scratch is per pool worker
+//    and never shared. Serialized bytes, vote outputs and work counters
+//    are therefore identical at every thread count {1, 2, 4, 8, ...}
+//    (DESIGN.md §6 invariant 8).
 //  * Votes accumulate shard mean probabilities in shard order and divide
 //    once, mirroring DareForest::PredictProb's sum-then-divide; for one
 //    shard the division is by 1.0 and the ensemble probability is
@@ -83,6 +90,12 @@ Result<ShardConfig> ShardConfigFromFlags(int num_shards,
                                          const std::string& placement,
                                          int slice_attr, int32_t slice_value);
 
+/// One unit of a fanned-out ensemble op: tree `tree` of shard `shard`.
+struct ShardTreeJob {
+  int shard;
+  int tree;
+};
+
 /// \brief Ensemble of independently trained/unlearned DaRE sub-forests.
 ///
 /// Global row ids are assigned sequentially in arrival order (training rows
@@ -101,8 +114,8 @@ class ShardedForest {
   ShardedForest& operator=(ShardedForest&&) = default;
 
   /// Partitions `train` per `shard.placement` and trains each shard with
-  /// its derived seed, concurrently when `pool` is non-null. Errors if any
-  /// shard would receive zero rows.
+  /// its derived seed, building every (shard, tree) on `pool` when given.
+  /// Errors if any shard would receive zero rows.
   static Result<ShardedForest> Train(const Dataset& train,
                                      const ForestConfig& config,
                                      const ShardConfig& shard,
@@ -116,11 +129,12 @@ class ShardedForest {
   static ShardedForest FromForest(const DareForest& forest);
 
   /// Exactly unlearns the given global row ids: buckets them per owning
-  /// shard (preserving batch order within a shard) and runs shard-local
-  /// DeleteRows, fanning out on `pool` when given. `scratch`, when
-  /// non-null, is resized to num_shards and entry s is handed to shard s
-  /// (shard-affine, so reuse stays warm across calls). Statuses are checked
-  /// in shard order.
+  /// shard (preserving batch order within a shard), validates every
+  /// shard's slice before any tree changes, then unlearns each owning
+  /// shard's trees as DareForest::DeleteRows would, fanned out by (shard,
+  /// tree) on `pool` when given. `scratch`, when non-null, is grown to the
+  /// pool's worker count and entry w serves pool worker w (entry 0 when
+  /// serial), so reuse stays warm across calls.
   Status DeleteRows(const std::vector<RowId>& global_rows,
                     util::ThreadPool* pool = nullptr,
                     std::vector<DeletionScratch>* scratch = nullptr);
@@ -129,12 +143,13 @@ class ShardedForest {
   /// assigned global ids in input order. An insert is a flush boundary for
   /// the WHOLE ensemble: shards holding pending lazy tags are flushed even
   /// if they receive no new row, mirroring DareForest::AddData's contract.
+  /// Fans out by (shard, tree) like DeleteRows.
   Result<std::vector<RowId>> AddData(
       const Dataset& rows, util::ThreadPool* pool = nullptr,
       std::vector<DeletionScratch>* scratch = nullptr);
 
   /// Flushes pending lazy-tag subtrees in every shard (see DareForest::
-  /// FlushAll). Fans out on `pool` when given.
+  /// FlushAll), fanned out by (shard, tree) like DeleteRows.
   void FlushAll(util::ThreadPool* pool = nullptr,
                 std::vector<DeletionScratch>* scratch = nullptr);
   bool HasLazyTags() const;
@@ -208,6 +223,18 @@ class ShardedForest {
   static constexpr uint64_t kShardSeedStride = 0x9E3779B97F4A7C15ull;
 
  private:
+  /// Flushes the tagged trees of `shards` as one fan-out; `scratch` holds
+  /// one entry per pool worker.
+  void FlushShards(const std::vector<int>& shards, util::ThreadPool* pool,
+                   std::vector<DeletionScratch>* scratch);
+  /// Runs step(worker, job, worker's scratch) for every job, fanned out on
+  /// `pool`, and adds each job's returned DeletionStats into its shard's
+  /// deletion_stats() in job order.
+  template <typename Step>
+  void RunTreeSteps(const std::vector<ShardTreeJob>& jobs,
+                    util::ThreadPool* pool,
+                    std::vector<DeletionScratch>* scratch, Step&& step);
+
   ShardConfig shard_config_;
   std::vector<DareForest> shards_;
   /// Owning shard / local TrainingStore id for every global id ever
@@ -232,13 +259,20 @@ void VoteFromShardProbs(const std::vector<const std::vector<double>*>& shard_pro
 /// Mirrors TestPredictionCache's API one level up: Rebuild after training
 /// or loading, Update after ops, and ScoreWithout for what-ifs. An op or a
 /// what-if typically reaches one or two shards; untouched shards contribute
-/// their cached probabilities without any walk or copy.
+/// their cached probabilities without any walk or copy. Each call runs the
+/// per-tree steps of every shard it reaches as one (shard, tree) fan-out on
+/// the pool it is given (serially without one) and merges them in
+/// ascending (shard, tree) order, so results are identical at every thread
+/// count.
 class ShardedPredictionCache {
  public:
   struct WhatIfScratch {
     /// Voted ensemble predictions for the what-if forest, byte-identical
     /// to what_if.PredictAll(test).
     std::vector<int> preds;
+    /// Voted ensemble probabilities, byte-identical to
+    /// what_if.PredictProbAll(test).
+    std::vector<double> probs;
     /// Summed across shards (see TestPredictionCache::WhatIfScratch).
     int64_t rows_rescored = 0;
     /// Shards the what-if changed: the shards owning a deleted row.
@@ -252,25 +286,34 @@ class ShardedPredictionCache {
     std::vector<TestPredictionCache::WhatIfScratch> shard_scratch;
     std::vector<std::vector<RowId>> local;  // per-shard local row ids
     std::vector<const std::vector<double>*> votes;
-    std::vector<double> sum;
+    std::vector<ShardTreeJob> jobs;
+    std::vector<std::vector<int64_t>> order;  // per pool worker
+    std::vector<int> marked;  // shard whose marks each worker holds
   };
 
-  void Rebuild(const ShardedForest& forest, const Dataset& test);
+  /// Full pass of every test row through every (shard, tree) arena.
+  void Rebuild(const ShardedForest& forest, const Dataset& test,
+               util::ThreadPool* pool = nullptr);
 
-  /// Refreshes after ensemble ops (TestPredictionCache::Update per shard;
-  /// a shard no op touched costs one root check per tree).
-  void Update(const ShardedForest& forest, const Dataset& test);
+  /// Refreshes after any number of ensemble ops since the last Rebuild or
+  /// Update, through the nodes they stamped only (TestPredictionCache::
+  /// UpdateTree on every tree; a tree no op touched costs one root check).
+  /// The forest must be flushed.
+  void Update(const ShardedForest& forest, const Dataset& test,
+              util::ThreadPool* pool = nullptr);
 
   /// Scores the seed ensemble as if the global rows `global_rows` had been
-  /// deleted, shard by shard through TestPredictionCache::ScoreWithout —
-  /// no clone. Bit-identical to PredictAll on Clone() + DeleteRows().
-  /// Returns DeleteRows' Status for bad ids. `deletion` is resized to
-  /// num_shards and entry s serves shard s. Thread-safe for concurrent
-  /// calls with distinct scratches.
+  /// deleted, through TestPredictionCache::ScoreWithout's per-tree steps on
+  /// the shards owning a deleted row — no clone. Bit-identical to
+  /// PredictAll on Clone() + DeleteRows(). Returns DeleteRows' Status for
+  /// bad ids. `deletion` is grown to the pool's worker count and entry w
+  /// serves pool worker w (entry 0 when serial). Thread-safe for
+  /// concurrent calls with distinct scratches and pools.
   Status ScoreWithout(const ShardedForest& base,
                       const std::vector<RowId>& global_rows,
                       const Dataset& test, WhatIfScratch* scratch,
-                      std::vector<DeletionScratch>* deletion) const;
+                      std::vector<DeletionScratch>* deletion,
+                      util::ThreadPool* pool = nullptr) const;
 
   /// Voted ensemble probability / predictions per test row;
   /// byte-identical to forest.PredictProbAll / PredictAll.

@@ -36,9 +36,6 @@ Result<std::unique_ptr<Tenant>> Tenant::Make(std::string name,
   }
   tenant->pool_ =
       std::make_unique<util::ThreadPool>(tenant->config_.whatif_threads);
-  for (int w = 0; w < tenant->config_.whatif_threads; ++w) {
-    tenant->workers_.push_back(std::make_unique<WhatIfWorker>());
-  }
   tenant->batcher_ = std::make_unique<WhatIfBatcher>(
       tenant->config_.batch, [t = tenant.get()](
                                  const std::vector<BatchJob*>& batch) {
@@ -81,9 +78,7 @@ void Tenant::PublishSnapshotLocked() {
         snap->model_cache, &snap->model_cache->shard(0));
   }
   snap->live_ids = engine_->live_ids();
-  if (const FumeResult* expl = engine_->explanation()) {
-    snap->explanation = std::make_shared<const FumeResult>(*expl);
-  }
+  snap->explanation = engine_->shared_explanation();
   std::shared_ptr<const TenantSnapshot> replaced = std::move(snap);
   {
     std::lock_guard<std::mutex> lk(snapshot_mu_);
@@ -153,20 +148,15 @@ void Tenant::Shutdown() {
 void Tenant::ExecuteBatch(const std::vector<BatchJob*>& batch) {
   // One snapshot and one warm scratch set for the whole batch — the point
   // of grouping. The batcher guarantees one batch in flight per tenant, so
-  // the pool's single job slot and the worker scratches are exclusive.
+  // the pool and the scratch are exclusive. Jobs run one after another,
+  // each using every pool thread on its own trees, so a lone whatif is as
+  // parallel as a full batch.
   std::shared_ptr<const TenantSnapshot> snap = snapshot();
-  const auto eval = [&](int worker, size_t i) {
-    EvaluateWhatIf(*snap, batch[i], workers_[static_cast<size_t>(worker)].get());
-  };
-  if (pool_ != nullptr && batch.size() > 1 && config_.whatif_threads > 1) {
-    pool_->ParallelFor(batch.size(), eval);
-  } else {
-    for (size_t i = 0; i < batch.size(); ++i) eval(0, i);
-  }
+  for (BatchJob* job : batch) EvaluateWhatIf(*snap, job);
 }
 
-void Tenant::EvaluateWhatIf(const TenantSnapshot& snap, BatchJob* job,
-                            WhatIfWorker* worker) {
+void Tenant::EvaluateWhatIf(const TenantSnapshot& snap, BatchJob* job) {
+  WhatIfState& state = whatif_;
   WhatIfOutcome out;
   out.snapshot_seq = snap.seq;
   out.before_fairness = snap.metric;
@@ -174,7 +164,7 @@ void Tenant::EvaluateWhatIf(const TenantSnapshot& snap, BatchJob* job,
 
   // Live rows matching the candidate predicate, against the append-stable
   // stores the snapshot's shards reference.
-  worker->matched.clear();
+  state.matched.clear();
   for (const RowId id : snap.live_ids) {
     bool all = true;
     for (const Literal& lit : job->predicate.literals()) {
@@ -183,22 +173,23 @@ void Tenant::EvaluateWhatIf(const TenantSnapshot& snap, BatchJob* job,
         break;
       }
     }
-    if (all) worker->matched.push_back(id);
+    if (all) state.matched.push_back(id);
   }
-  out.rows_matched = static_cast<int64_t>(worker->matched.size());
+  out.rows_matched = static_cast<int64_t>(state.matched.size());
 
-  if (!worker->matched.empty()) {
-    // Unlearn and rescore straight off the shared snapshot: the fused walk
-    // only reads it, so concurrent whatifs share it as is. The snapshot is
-    // flushed by contract and the matched ids are live, so this cannot
-    // fail.
+  if (!state.matched.empty()) {
+    // Unlearn and rescore straight off the shared snapshot, by (shard,
+    // tree) on the what-if pool: the fused walk only reads the snapshot,
+    // so readers share it as is. The snapshot is flushed by contract and
+    // the matched ids are live, so this cannot fail.
     const Dataset& test = test_data();
     FUME_CHECK(snap.model_cache
-                   ->ScoreWithout(snap.model, worker->matched, test,
-                                  &worker->scratch, &worker->deletion)
+                   ->ScoreWithout(snap.model, state.matched, test,
+                                  &state.scratch, &state.deletion,
+                                  pool_.get())
                    .ok());
     const ModelEval after =
-        EvaluatePredictions(test, worker->scratch.preds,
+        EvaluatePredictions(test, state.scratch.preds,
                             config_.engine.fume.group,
                             config_.engine.fume.metric);
     out.after_fairness = after.fairness;

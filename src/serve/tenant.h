@@ -1,7 +1,8 @@
 // Tenant: one registered dataset's serving state — a live StreamEngine
 // behind a writer lock, an atomically published CoW snapshot for readers,
 // and a WhatIfBatcher that scores grouped what-if candidates off one
-// snapshot per batch.
+// snapshot per batch: one job after another, each fanned out by (shard,
+// tree) on the tenant's what-if pool.
 //
 // Snapshot-swap scheme: mutations (stream_op) run under `write_mu_` against
 // the engine, then publish a fresh TenantSnapshot (CoW ensemble clone + a
@@ -39,7 +40,7 @@ struct TenantConfig {
   /// When non-empty, every applied stream op is appended (and flushed) to
   /// this op-log file so the served history stays replayable offline.
   std::string oplog_path;
-  /// Threads scoring one whatif batch in parallel (1 = serial).
+  /// Threads scoring each whatif, by (shard, tree) (1 = serial).
   int whatif_threads = 2;
   BatchConfig batch;
 };
@@ -56,7 +57,10 @@ struct TenantSnapshot {
   /// Global row ids (the model's) of the live rows, dense order.
   std::vector<RowId> live_ids;
   std::shared_ptr<const ShardedPredictionCache> model_cache;
-  std::shared_ptr<const FumeResult> explanation;  // null while fair
+  /// The engine's explanation, shared (not copied) by every snapshot
+  /// published until the next search or restore replaces it; null while
+  /// fair.
+  std::shared_ptr<const FumeResult> explanation;
   /// Single-shard view for out-of-tree probes: a clone of model.shard(0)
   /// and an alias of model_cache->shard(0), filled only when the tenant
   /// has one shard (empty otherwise). Serving code reads model/model_cache.
@@ -106,10 +110,12 @@ class Tenant {
   void Shutdown();
 
  private:
-  /// Per-worker warm scratch so steady-state batches do not allocate.
-  struct WhatIfWorker {
+  /// Warm what-if scratch so steady-state batches do not allocate. The
+  /// batcher runs one batch at a time, and a batch scores one job at a
+  /// time, so one set serves every whatif.
+  struct WhatIfState {
     std::vector<RowId> matched;
-    /// Entry s serves shard s.
+    /// Entry w serves what-if pool worker w.
     std::vector<DeletionScratch> deletion;
     ShardedPredictionCache::WhatIfScratch scratch;
   };
@@ -117,8 +123,7 @@ class Tenant {
   Tenant(std::string name, TenantConfig config);
   void PublishSnapshotLocked();
   void ExecuteBatch(const std::vector<BatchJob*>& batch);
-  void EvaluateWhatIf(const TenantSnapshot& snap, BatchJob* job,
-                      WhatIfWorker* worker);
+  void EvaluateWhatIf(const TenantSnapshot& snap, BatchJob* job);
 
   const std::string name_;
   const TenantConfig config_;
@@ -131,8 +136,9 @@ class Tenant {
   mutable std::mutex snapshot_mu_;
   std::shared_ptr<const TenantSnapshot> snapshot_;  // guarded by snapshot_mu_
 
+  /// whatif_threads workers fanning out each whatif's trees.
   std::unique_ptr<util::ThreadPool> pool_;
-  std::vector<std::unique_ptr<WhatIfWorker>> workers_;
+  WhatIfState whatif_;  // used by the one batch in flight
   std::unique_ptr<WhatIfBatcher> batcher_;
 };
 

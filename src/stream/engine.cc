@@ -197,7 +197,7 @@ Result<StreamEngine> StreamEngine::Create(const Dataset& initial_train,
   engine.schema_ = initial_train.schema();
   engine.store_ids_.resize(static_cast<size_t>(initial_train.num_rows()));
   std::iota(engine.store_ids_.begin(), engine.store_ids_.end(), RowId{0});
-  engine.cache_.Rebuild(engine.model_, engine.test_);
+  engine.cache_.Rebuild(engine.model_, engine.test_, engine.MaybePool());
   engine.RefreshMetric();
   FUME_RETURN_NOT_OK(engine.RunSearch());
   return engine;
@@ -260,7 +260,7 @@ Status StreamEngine::RunSearch() {
   FUME_ASSIGN_OR_RETURN(
       FumeResult result,
       ExplainWithRemoval(original, train_data(), fume_config, &removal));
-  explanation_ = std::move(result);
+  explanation_ = std::make_shared<const FumeResult>(std::move(result));
   return Status::OK();
 }
 
@@ -276,7 +276,7 @@ Status StreamEngine::ApplyInsert(const StreamOp& op) {
   // An insert is a flush boundary: AddData flushed every pending tag, so
   // the cache catches up on the deferred deletes too and exact per-op
   // metrics resume.
-  cache_.Update(model_, test_);
+  cache_.Update(model_, test_, MaybePool());
   metric_stale_ = false;
   StreamMetrics::Get().inserts->Inc();
   StreamMetrics::Get().rows_added->Inc(static_cast<int64_t>(op.rows.size()));
@@ -315,7 +315,7 @@ Status StreamEngine::ApplyDelete(const StreamOp& op) {
     // remember everything the burst wrote.
     metric_stale_ = true;
   } else {
-    cache_.Update(model_, test_);
+    cache_.Update(model_, test_, MaybePool());
   }
   StreamMetrics::Get().deletes->Inc();
   StreamMetrics::Get().rows_deleted->Inc(
@@ -418,7 +418,7 @@ void StreamEngine::FlushLazy() {
   model_.FlushAll(MaybePool(), &scratch_);
   // Covers the deferred deletes as well as the flush retrains, including
   // tags a budget overflow inside DeleteRows already retired.
-  cache_.Update(model_, test_);
+  cache_.Update(model_, test_, MaybePool());
   metric_stale_ = false;
   RefreshMetric();
 }
@@ -444,8 +444,8 @@ Status StreamEngine::SaveCheckpoint(std::ostream& out) const {
               static_cast<std::streamsize>(store_ids_.size() *
                                            sizeof(RowId)));
   }
-  WritePod<uint8_t>(out, explanation_.has_value() ? 1 : 0);
-  if (explanation_.has_value()) {
+  WritePod<uint8_t>(out, explanation_ != nullptr ? 1 : 0);
+  if (explanation_ != nullptr) {
     WritePod<double>(out, explanation_->original_fairness);
     WritePod<double>(out, explanation_->original_accuracy);
     WritePod<uint32_t>(out,
@@ -521,7 +521,8 @@ Result<StreamEngine> StreamEngine::Restore(std::istream& in,
       FUME_ASSIGN_OR_RETURN(AttributableSubset s, ReadSubset(in));
       cached.top_k.push_back(std::move(s));
     }
-    engine.explanation_ = std::move(cached);
+    engine.explanation_ =
+        std::make_shared<const FumeResult>(std::move(cached));
   }
   // The checkpoint must be restored as the same deployment: the persisted
   // routing config is authoritative, and the caller's config must agree so
@@ -545,7 +546,7 @@ Result<StreamEngine> StreamEngine::Restore(std::istream& in,
                              schema.attribute(j).name + "'");
     }
   }
-  if (engine.explanation_.has_value()) {
+  if (engine.explanation_ != nullptr) {
     FUME_RETURN_NOT_OK(ValidateTopK(*engine.explanation_, schema));
   }
   engine.schema_ = schema;
@@ -565,7 +566,7 @@ Result<StreamEngine> StreamEngine::Restore(std::istream& in,
   if (engine.rows_live() != engine.model_.num_training_rows()) {
     return Status::IOError("checkpoint: live ids disagree with forest");
   }
-  engine.cache_.Rebuild(engine.model_, engine.test_);
+  engine.cache_.Rebuild(engine.model_, engine.test_, engine.MaybePool());
   engine.RefreshMetric();
   if (engine.metric_ != saved_metric || engine.accuracy_ != saved_accuracy) {
     return Status::IOError(

@@ -21,7 +21,6 @@
 
 #include <iosfwd>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -51,9 +50,9 @@ struct StreamEngineConfig {
   ForestConfig forest;
   FumeConfig fume;
   DriftPolicy drift;
-  /// The model's SISA layout. Ops route to owning shards (fanned out on
-  /// the search pool) and searches run UnlearnRemovalMethod over the
-  /// ensemble and its warm cache; the default of one shard is the
+  /// The model's SISA layout. Ops route to owning shards and run by
+  /// (shard, tree) on the engine's pool; searches run UnlearnRemovalMethod
+  /// over the ensemble and its warm cache. The default of one shard is the
   /// monolithic forest, byte for byte.
   ShardConfig shard;
   /// Refresh the explanation at Checkpoint ops when any op was applied
@@ -120,8 +119,12 @@ class StreamEngine {
   /// Cached explanation from the last search; nullptr when the model
   /// satisfied the metric at every search so far. Valid until the next
   /// Apply() that searches.
-  const FumeResult* explanation() const {
-    return explanation_.has_value() ? &*explanation_ : nullptr;
+  const FumeResult* explanation() const { return explanation_.get(); }
+  /// The same explanation, shared: only a search or a restore replaces it,
+  /// so every snapshot published between two searches holds this pointer
+  /// instead of a copy.
+  const std::shared_ptr<const FumeResult>& shared_explanation() const {
+    return explanation_;
   }
   /// The model; with one shard, model().shard(0) is the monolithic forest.
   const ShardedForest& model() const { return model_; }
@@ -172,9 +175,10 @@ class StreamEngine {
   /// violation" when |F| is below the configured floor).
   Status RunSearch();
   /// The shared pool, created lazily at first use (nullptr while
-  /// config_.fume.num_threads <= 1). Serves both search fan-out and
-  /// per-shard op fan-out — never both at once (ops and searches are
-  /// strictly sequenced by Apply).
+  /// config_.fume.num_threads <= 1). Serves search fan-out across
+  /// evaluations and the (shard, tree) fan-out of training, ops and cache
+  /// refresh — never two at once (ops and searches are strictly sequenced
+  /// by Apply, and a search passes no pool into its evaluations).
   util::ThreadPool* MaybePool();
 
   Dataset test_;
@@ -183,15 +187,15 @@ class StreamEngine {
   /// train_data() is built with it.
   Schema schema_;
   ShardedForest model_;
-  /// Shard-affine kernel scratches (entry s serves shard s), reused across
-  /// every insert/delete op so the unlearning kernel stays allocation-free
-  /// in the steady state.
+  /// Kernel scratches, one per pool worker (entry w serves worker w),
+  /// reused across every insert/delete op so the unlearning kernel stays
+  /// allocation-free in the steady state.
   std::vector<DeletionScratch> scratch_;
   /// store_ids_[dense row] = engine (global) id of each live row, strictly
   /// ascending, so deletes find ids by binary search.
   std::vector<RowId> store_ids_;
   ShardedPredictionCache cache_;
-  /// Shared pool for every search and per-shard op fan-out this engine
+  /// Shared pool for every search and (shard, tree) fan-out this engine
   /// runs; created at first use when config_.fume.num_threads > 1.
   std::unique_ptr<util::ThreadPool> pool_;
 
@@ -205,7 +209,7 @@ class StreamEngine {
   double accuracy_ = 0.0;
   double metric_at_last_search_ = 0.0;
   int64_t staleness_ops_ = 0;
-  std::optional<FumeResult> explanation_;
+  std::shared_ptr<const FumeResult> explanation_;
 };
 
 }  // namespace stream

@@ -17,6 +17,24 @@ constexpr uint64_t GenTag(uint64_t generation) {
   return generation & kIndexMask;
 }
 
+/// The pool whose batch the calling thread is running a job of, or null:
+/// what ParallelFor checks its no-reentry contract against.
+thread_local const ThreadPool* tls_running_pool = nullptr;
+
+/// Marks the calling thread as running jobs of `pool` while in scope.
+class RunningJobs {
+ public:
+  explicit RunningJobs(const ThreadPool* pool) : outer_(tls_running_pool) {
+    tls_running_pool = pool;
+  }
+  ~RunningJobs() { tls_running_pool = outer_; }
+  RunningJobs(const RunningJobs&) = delete;
+  RunningJobs& operator=(const RunningJobs&) = delete;
+
+ private:
+  const ThreadPool* outer_;
+};
+
 }  // namespace
 
 ThreadPool::ThreadPool(int num_threads) {
@@ -68,6 +86,8 @@ void ThreadPool::RunChunk(int worker, uint64_t gen,
 }
 
 void ThreadPool::WorkerLoop(int worker) {
+  // A parked worker only ever runs this pool's jobs.
+  const RunningJobs running(this);
   uint64_t seen = 0;
   while (true) {
     uint64_t gen;
@@ -119,11 +139,17 @@ void ThreadPool::WorkerLoop(int worker) {
 
 void ThreadPool::ParallelFor(size_t n,
                              const std::function<void(int, size_t)>& fn) {
+  // A nested call would hand its items worker id 0, which the outer caller
+  // is using, then wait for active_workers_ == 0 while its own thread is
+  // still an active worker of the outer batch: it would hang.
+  FUME_CHECK(tls_running_pool != this &&
+             "ParallelFor called from a job of the same pool");
   if (n == 0) return;
   static obs::Counter* calls = obs::GetCounter("pool.parallel_for.calls");
   static obs::Counter* jobs = obs::GetCounter("pool.jobs_dispatched");
   calls->Inc();
   jobs->Inc(static_cast<int64_t>(n));
+  const RunningJobs running(this);
   if (threads_.empty() || n == 1) {
     for (size_t i = 0; i < n; ++i) fn(0, i);
     return;

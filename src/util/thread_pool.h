@@ -50,7 +50,9 @@ class ThreadPool {
   /// indices across workers, and returns when all calls have completed.
   /// `worker` is in [0, num_threads()); concurrent calls with the same
   /// worker id never happen, so per-worker scratch needs no locking. Not
-  /// reentrant: fn must not call ParallelFor on the same pool.
+  /// reentrant: fn must not call ParallelFor on the same pool (a
+  /// FUME_CHECK aborts a nested call, which would otherwise hang); calling
+  /// it on another pool is fine.
   ///
   /// Observability: the caller's active obs::QueryScope (if any) is
   /// propagated to every worker for the duration of its chunk, so metric

@@ -18,6 +18,7 @@
 #include <cmath>
 #include <condition_variable>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <sstream>
@@ -26,6 +27,7 @@
 #include <vector>
 
 #include "core/fume.h"
+#include "core/removal_method.h"
 #include "fairness/metrics.h"
 #include "forest/deletion_scratch.h"
 #include "obs/metrics.h"
@@ -721,6 +723,119 @@ TEST_F(ServeExactnessTest, BatchedWhatIfEqualsSequentialWhatIf) {
           << preds[i].ToString(pipeline_.test.schema()) << " " << key;
     }
   }
+}
+
+// A tenant scores each whatif by (shard, tree) on its what-if pool, and a
+// batch's jobs one after another. A lone whatif and every job of a batch
+// of three must answer exactly as serial UnlearnRemovalMethod evaluations
+// of the same snapshot do.
+TEST_F(ServeExactnessTest, PooledWhatIfsMatchSerialEvaluationsOfTheSnapshot) {
+  const std::vector<Predicate> preds = {PredOf(0, 1), PredOf(1, 0),
+                                        PredOf(2, 1)};
+  for (const bool batched : {false, true}) {
+    SCOPED_TRACE(batched ? "batch of three" : "lone whatifs");
+    TenantConfig config = pipeline_.tenant;
+    ASSERT_EQ(config.whatif_threads, 2);
+    if (batched) {
+      // The leader holds the batch open until all three have queued.
+      config.batch.window_us = 30'000'000;
+      config.batch.max_batch = 3;
+    }
+    auto made = Tenant::Make("pooled", pipeline_.initial_train,
+                             pipeline_.test, config);
+    ASSERT_TRUE(made.ok()) << made.status().ToString();
+    std::unique_ptr<Tenant> tenant = std::move(made).ValueOrDie();
+    const std::shared_ptr<const TenantSnapshot> snap = tenant->snapshot();
+    UnlearnRemovalMethod serial(&snap->model, &pipeline_.test,
+                                config.engine.fume.group,
+                                config.engine.fume.metric,
+                                snap->model_cache.get());
+
+    std::vector<BatchJob> jobs(preds.size());
+    for (size_t i = 0; i < preds.size(); ++i) jobs[i].predicate = preds[i];
+    if (batched) {
+      std::vector<std::thread> threads;
+      for (BatchJob& job : jobs) {
+        threads.emplace_back([&tenant, &job] {
+          EXPECT_EQ(tenant->WhatIf(&job), AdmitResult::kOk);
+        });
+      }
+      for (std::thread& t : threads) t.join();
+    } else {
+      for (BatchJob& job : jobs) {
+        EXPECT_EQ(tenant->WhatIf(&job), AdmitResult::kOk);
+      }
+    }
+    for (const BatchJob& job : jobs) {
+      EXPECT_EQ(job.batch_size, batched ? 3 : 1);
+      std::vector<RowId> matched;
+      for (const RowId id : snap->live_ids) {
+        const Literal& lit = job.predicate.literals()[0];
+        if (lit.Matches(snap->model.Code(id, lit.attr))) matched.push_back(id);
+      }
+      ASSERT_FALSE(matched.empty());
+      auto want = serial.EvaluateWithout(matched);
+      ASSERT_TRUE(want.ok());
+      EXPECT_EQ(job.outcome.snapshot_seq, snap->seq);
+      EXPECT_EQ(job.outcome.rows_matched,
+                static_cast<int64_t>(matched.size()));
+      EXPECT_EQ(job.outcome.after_fairness, want->fairness);
+      EXPECT_EQ(job.outcome.after_accuracy, want->accuracy);
+    }
+    tenant->Shutdown();
+  }
+}
+
+// Snapshots published between two searches share the engine's explanation
+// instead of copying it: a write that runs no search republishes the same
+// pointer, a search replaces it, and the served top-k bytes stay the same
+// across the write.
+TEST_F(ServeExactnessTest, SnapshotsShareTheExplanationUntilASearch) {
+  TenantConfig config = pipeline_.tenant;
+  config.engine.drift.abs_threshold = std::numeric_limits<double>::infinity();
+  config.engine.drift.rel_threshold = std::numeric_limits<double>::infinity();
+  Server server{ServerConfig{}};
+  ASSERT_TRUE(server
+                  .RegisterTenant("pinned", pipeline_.initial_train,
+                                  pipeline_.test, config)
+                  .ok());
+  ASSERT_TRUE(server.Start().ok());
+  Tenant* tenant = server.FindTenant("pinned");
+  ASSERT_NE(tenant, nullptr);
+  const std::shared_ptr<const TenantSnapshot> created = tenant->snapshot();
+  ASSERT_NE(created->explanation, nullptr) << "the pipeline must be unfair";
+
+  Socket sock = ConnectTo(server);
+  // The explain response's top-k array, as served bytes.
+  const auto served_top_k = [&sock](int64_t id) {
+    EXPECT_TRUE(sock.SendAll(EncodeExplainRequest(id, "pinned")).ok());
+    std::string line;
+    auto rr = sock.ReadLine(&line, 30000);
+    EXPECT_TRUE(rr.ok() && rr.ValueOrDie() == Socket::ReadResult::kLine);
+    const size_t at = line.find("\"top_k\":");
+    EXPECT_NE(at, std::string::npos) << line;
+    return at == std::string::npos ? line : line.substr(at);
+  };
+  const std::string top_k_created = served_top_k(1);
+
+  JsonValue write = Exchange(
+      sock, EncodeStreamOpRequest(2, "pinned", StreamOp::Delete(1, {3, 11})));
+  ASSERT_TRUE(write.BoolOr("ok", false)) << write.StringOr("error", "");
+  ASSERT_FALSE(write.BoolOr("searched", true));
+  const std::shared_ptr<const TenantSnapshot> written = tenant->snapshot();
+  EXPECT_NE(written.get(), created.get());
+  EXPECT_EQ(written->seq, 1);
+  EXPECT_EQ(written->explanation.get(), created->explanation.get());
+  EXPECT_EQ(served_top_k(3), top_k_created);
+
+  JsonValue checkpoint = Exchange(
+      sock, EncodeStreamOpRequest(4, "pinned", StreamOp::Checkpoint(2)));
+  ASSERT_TRUE(checkpoint.BoolOr("ok", false));
+  ASSERT_TRUE(checkpoint.BoolOr("searched", false));
+  const std::shared_ptr<const TenantSnapshot> searched = tenant->snapshot();
+  ASSERT_NE(searched->explanation, nullptr);
+  EXPECT_NE(searched->explanation.get(), created->explanation.get());
+  server.Shutdown();
 }
 
 TEST_F(ServeExactnessTest, WireErrorsCarryMachineCodes) {

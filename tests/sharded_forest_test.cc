@@ -22,6 +22,7 @@
 #include "fairness/metrics.h"
 #include "forest/serialize.h"
 #include "forest/sharded_forest.h"
+#include "obs/metrics.h"
 #include "synth/datasets.h"
 #include "util/thread_pool.h"
 
@@ -253,40 +254,82 @@ TEST(ShardedForestTest, ShardedDeleteEqualsPerShardMonolithicDelete) {
   EXPECT_TRUE(forest->ValidateStats());
 }
 
+// Every (shard, tree) job keeps its own output and the merge runs in
+// ascending (shard, tree) order, so the pool's size never shows: training,
+// a delete, an insert and (lazily) a budget flush and a full flush leave
+// the same bytes, probabilities, per-shard work and cache at every thread
+// count, at one shard and at four.
 TEST(ShardedForestTest, ResultsAreIdenticalAcrossThreadCounts) {
   auto bundle = Bundle(400, 7);
-  const ForestConfig config = Config(33);
+  std::vector<int64_t> head, tail;
+  for (int64_t r = 0; r < 400; ++r) (r < 360 ? head : tail).push_back(r);
+  const Dataset train = bundle.data.Select(head);
+  const Dataset inserts = bundle.data.Select(tail);
   std::vector<RowId> doomed;
-  for (RowId g = 1; g < 400; g += 5) doomed.push_back(g);
+  for (RowId g = 1; g < 360; g += 5) doomed.push_back(g);
 
-  std::string serial_bytes;
-  std::vector<double> serial_probs;
-  std::vector<DeletionStats> serial_stats;
-  for (const int threads : {0, 1, 4, 8}) {
-    std::unique_ptr<util::ThreadPool> pool;
-    if (threads > 0) pool = std::make_unique<util::ThreadPool>(threads);
-    auto forest =
-        ShardedForest::Train(bundle.data, config, Shards(4), pool.get());
-    ASSERT_TRUE(forest.ok());
-    std::vector<DeletionScratch> scratch;
-    ASSERT_TRUE(forest->DeleteRows(doomed, pool.get(), &scratch).ok());
-    const std::string bytes = Bytes(*forest);
-    const auto probs = forest->PredictProbAll(bundle.data);
+  // Everything observable about the ensemble and a cache kept in sync.
+  struct Observed {
+    std::string trained, deleted, added, flushed;
+    std::vector<double> probs;
     std::vector<DeletionStats> stats;
-    for (int s = 0; s < forest->num_shards(); ++s) {
-      stats.push_back(forest->shard(s).deletion_stats());
-    }
-    if (threads == 0) {
-      serial_bytes = bytes;
-      serial_probs = probs;
-      serial_stats = stats;
-    } else {
-      EXPECT_EQ(bytes, serial_bytes) << threads << " threads";
-      EXPECT_EQ(probs, serial_probs) << threads << " threads";
-      // Each shard's unlearning work is schedule-independent too.
-      ASSERT_EQ(stats.size(), serial_stats.size());
-      for (size_t s = 0; s < stats.size(); ++s) {
-        EXPECT_EQ(stats[s], serial_stats[s]) << "shard " << s;
+    std::vector<double> cache_probs;
+  };
+  obs::Counter* budget_flushes = obs::GetCounter("forest.lazy.budget_flushes");
+  for (const int num_shards : {1, 4}) {
+    for (const bool lazy : {false, true}) {
+      ForestConfig config = Config(33);
+      config.lazy_unlearn = lazy;
+      config.max_lazy_rows = 40;  // the delete below overflows it
+      Observed serial;
+      for (const int threads : {0, 1, 2, 4, 8}) {
+        SCOPED_TRACE(testing::Message() << num_shards << " shards, lazy="
+                                        << lazy << ", " << threads
+                                        << " threads");
+        std::unique_ptr<util::ThreadPool> pool;
+        if (threads > 0) pool = std::make_unique<util::ThreadPool>(threads);
+        auto forest =
+            ShardedForest::Train(train, config, Shards(num_shards), pool.get());
+        ASSERT_TRUE(forest.ok());
+        Observed seen;
+        seen.trained = Bytes(*forest);
+        ShardedPredictionCache cache;
+        cache.Rebuild(*forest, bundle.data, pool.get());
+        std::vector<DeletionScratch> scratch;
+        const int64_t flushes_before = budget_flushes->Value();
+        ASSERT_TRUE(forest->DeleteRows(doomed, pool.get(), &scratch).ok());
+        EXPECT_EQ(budget_flushes->Value() > flushes_before, lazy);
+        if (!lazy) cache.Update(*forest, bundle.data, pool.get());
+        ShardedForest after_delete = forest->Clone();
+        seen.deleted = Bytes(after_delete);
+        ASSERT_TRUE(forest->AddData(inserts, pool.get(), &scratch).ok());
+        EXPECT_FALSE(forest->HasLazyTags());
+        cache.Update(*forest, bundle.data, pool.get());
+        seen.added = Bytes(*forest);
+        ASSERT_TRUE(forest->DeleteRows({2, 3, 370}, pool.get(), &scratch).ok());
+        forest->FlushAll(pool.get(), &scratch);
+        cache.Update(*forest, bundle.data, pool.get());
+        seen.flushed = Bytes(*forest);
+        seen.probs = forest->PredictProbAll(bundle.data);
+        for (int s = 0; s < forest->num_shards(); ++s) {
+          seen.stats.push_back(forest->shard(s).deletion_stats());
+        }
+        seen.cache_probs = cache.probs();
+        EXPECT_EQ(seen.cache_probs, seen.probs) << "cache out of sync";
+        if (threads == 0) {
+          serial = std::move(seen);
+          continue;
+        }
+        EXPECT_EQ(seen.trained, serial.trained);
+        EXPECT_EQ(seen.deleted, serial.deleted);
+        EXPECT_EQ(seen.added, serial.added);
+        EXPECT_EQ(seen.flushed, serial.flushed);
+        EXPECT_EQ(seen.probs, serial.probs);
+        EXPECT_EQ(seen.cache_probs, serial.cache_probs);
+        ASSERT_EQ(seen.stats.size(), serial.stats.size());
+        for (size_t s = 0; s < seen.stats.size(); ++s) {
+          EXPECT_EQ(seen.stats[s], serial.stats[s]) << "shard " << s;
+        }
       }
     }
   }

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "stream/engine.h"
 #include "stream/op_log.h"
 #include "stream/workload.h"
@@ -153,6 +154,86 @@ TEST(ShardedStreamTest, LazyDeferralFlushesToTheEagerState) {
   const auto a = lazy->model().PredictProbAll(lazy_p.test);
   const auto b = eager->model().PredictProbAll(eager_p.test);
   EXPECT_EQ(a, b);
+}
+
+// Everything one applied op leaves observable, as exact text: the op's
+// outcome, the metrics the engine serves, and (when `checkpoint`) the
+// checkpoint bytes.
+std::string Observed(const StreamEngine& engine, const OpOutcome& out,
+                     bool checkpoint) {
+  std::ostringstream s(std::ios::binary);
+  s << std::hexfloat << out.seq << ' ' << static_cast<int>(out.kind) << ' '
+    << out.metric << ' ' << out.accuracy << ' ' << out.rows_live << ' '
+    << out.searched << ' ' << out.staleness_ops << ' '
+    << engine.current_metric() << ' ' << engine.current_accuracy() << ' '
+    << engine.staleness() << ' ' << engine.live_ids().size() << '\n';
+  if (checkpoint) {
+    EXPECT_TRUE(engine.SaveCheckpoint(s).ok());
+  }
+  return s.str();
+}
+
+// The engine's pool sizes only how its work is spread, never what it
+// computes (DESIGN.md §6 invariant 8): one 60-op log of inserts, deletes
+// and checkpoints, replayed at fume.num_threads 1, 2 and 4, at one shard
+// and at four slice shards, eagerly and lazily with budget flushes, gives
+// the same outcome, served metrics and checkpoint bytes at every op. An
+// eager engine is checkpointed after every op; a lazy one at its flush
+// boundaries (the checkpoint ops), since saving flushes.
+TEST(ShardedStreamTest, ThreadCountsReplayIdentically) {
+  obs::Counter* budget_flushes = obs::GetCounter("forest.lazy.budget_flushes");
+  for (const int num_shards : {1, 4}) {
+    for (const bool lazy : {false, true}) {
+      SCOPED_TRACE(testing::Message()
+                   << num_shards << " shards, lazy=" << lazy);
+      ShardedPipeline p = BuildPipeline(12, num_shards);
+      if (num_shards > 1) {
+        p.config.shard.placement = ShardConfig::Placement::kSlice;
+        p.config.shard.slice_attr = p.group.sensitive_attr;
+        p.config.shard.slice_value = p.group.privileged_code;
+      }
+      p.config.forest.lazy_unlearn = lazy;
+      p.config.forest.max_lazy_rows = 32;
+      WorkloadOptions w;
+      w.num_ops = 60;
+      w.insert_batch = 5;
+      w.delete_batch = 6;
+      w.checkpoint_every = 20;
+      w.seed = 29;
+      auto ops = SynthesizeOpLog(p.pool, p.initial_train.num_rows(), w);
+      ASSERT_TRUE(ops.ok()) << ops.status().ToString();
+      ASSERT_EQ(ops->size(), 60u);
+
+      std::vector<std::string> serial;
+      for (const int threads : {1, 2, 4}) {
+        StreamEngineConfig config = p.config;
+        config.fume.num_threads = threads;
+        auto engine = StreamEngine::Create(p.initial_train, p.test, config);
+        ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+        const int64_t flushes_before = budget_flushes->Value();
+        std::vector<std::string> seen;
+        for (const StreamOp& op : *ops) {
+          auto out = engine->Apply(op);
+          ASSERT_TRUE(out.ok()) << out.status().ToString();
+          seen.push_back(Observed(
+              *engine, *out, !lazy || op.kind == OpKind::kCheckpoint));
+        }
+        if (lazy) {
+          EXPECT_GT(budget_flushes->Value(), flushes_before)
+              << "the staleness budget must flush mid-burst";
+        }
+        if (threads == 1) {
+          serial = std::move(seen);
+          continue;
+        }
+        ASSERT_EQ(seen.size(), serial.size());
+        for (size_t i = 0; i < seen.size(); ++i) {
+          ASSERT_EQ(seen[i], serial[i])
+              << threads << " threads, op " << (*ops)[i].seq;
+        }
+      }
+    }
+  }
 }
 
 TEST(ShardedStreamTest, RestoreValidatesVersionAndShardConfig) {

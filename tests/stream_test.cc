@@ -237,10 +237,11 @@ TEST(WorkloadTest, StreamFixtureCarvesThePoolOffTheTrainingTail) {
 
 TEST(PredictionCacheTest, MatchesForestThroughMixedOps) {
   StreamPipeline p = BuildPipeline(4);
-  auto forest = DareForest::Train(p.initial_train, p.config.forest);
+  auto forest =
+      ShardedForest::Train(p.initial_train, p.config.forest, ShardConfig{});
   ASSERT_TRUE(forest.ok());
 
-  TestPredictionCache cache;
+  ShardedPredictionCache cache;
   cache.Rebuild(*forest, p.test);
   EXPECT_EQ(cache.probs(), forest->PredictProbAll(p.test));
   EXPECT_EQ(cache.predictions(), forest->PredictAll(p.test));

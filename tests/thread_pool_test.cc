@@ -79,6 +79,47 @@ TEST(ThreadPoolTest, BackToBackBatchesDoNotLeakAcrossGenerations) {
   }
 }
 
+// ParallelFor's no-reentry contract is checked, not just documented: a
+// job that calls ParallelFor on its own pool would hand out worker id 0,
+// which its caller holds, and then wait for itself forever. It aborts
+// instead, on a pool with parked workers and on one that runs inline.
+TEST(ThreadPoolDeathTest, NestedParallelForOnTheSamePoolAborts) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        ThreadPool pool(2);
+        pool.ParallelFor(2, [&pool](int, size_t) {
+          pool.ParallelFor(2, [](int, size_t) {});
+        });
+      },
+      "ParallelFor called from a job of the same pool");
+  EXPECT_DEATH(
+      {
+        ThreadPool pool(1);
+        pool.ParallelFor(3, [&pool](int, size_t) {
+          pool.ParallelFor(1, [](int, size_t) {});
+        });
+      },
+      "ParallelFor called from a job of the same pool");
+}
+
+// The contract is per pool: a job may fan out on a different pool (one
+// caller at a time, like any ParallelFor), and the marker is cleared once
+// the outer call returns.
+TEST(ThreadPoolTest, JobsMayFanOutOnAnotherPool) {
+  ThreadPool outer(2);
+  ThreadPool inner(3);
+  std::vector<std::atomic<int>> hits(5);
+  outer.ParallelFor(2, [&](int, size_t i) {
+    if (i != 0) return;
+    inner.ParallelFor(hits.size(), [&](int, size_t j) {
+      hits[j].fetch_add(1, std::memory_order_relaxed);
+    });
+  });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  outer.ParallelFor(2, [&](int, size_t) {});
+}
+
 }  // namespace
 }  // namespace util
 }  // namespace fume

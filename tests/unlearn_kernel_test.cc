@@ -264,6 +264,16 @@ TEST(DeletionScratchTest, EpochSemantics) {
 
   EXPECT_FALSE(scratch.BeginBatch(200));  // store grew: cold again
   EXPECT_TRUE(scratch.BeginBatch(150));   // smaller batch on big array: warm
+
+  // The one-byte epoch wraps every 255 batches and the wrap clears every
+  // stamp, so no mark ever reads as doomed in a later batch.
+  EXPECT_TRUE(scratch.MarkDoomed(9));
+  int cold = 0;
+  for (int batch = 0; batch < 600; ++batch) {
+    cold += scratch.BeginBatch(150) ? 0 : 1;
+    ASSERT_FALSE(scratch.IsDoomed(9)) << "batch " << batch;
+  }
+  EXPECT_EQ(cold, 2);  // the two wraps
 }
 
 // Deleting the same batch through a tree-level call with a caller scratch

@@ -23,6 +23,7 @@
 #include "obs/metrics.h"
 #include "synth/datasets.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 // Counts this thread's heap allocations while `counting` is set, so a
 // test can assert that a warm what-if allocates nothing.
@@ -381,6 +382,8 @@ TEST(FusedUnlearnScoreTest, ShardedCacheMatchesShardedClonePath) {
     ShardedForest what_if = forest->Clone();
     ASSERT_TRUE(what_if.DeleteRows(rows).ok());
     EXPECT_EQ(scratch.preds, what_if.PredictAll(test)) << "i=" << i;
+    EXPECT_TRUE(SameBits(scratch.probs, what_if.PredictProbAll(test)))
+        << "i=" << i;
     std::vector<bool> owns(4, false);
     for (const RowId g : rows) {
       owns[static_cast<size_t>(forest->shard_of(g))] = true;
@@ -397,6 +400,71 @@ TEST(FusedUnlearnScoreTest, ShardedCacheMatchesShardedClonePath) {
                   .IsIndexError());
   EXPECT_FALSE(
       cache.ScoreWithout(*forest, {5, 5}, test, &scratch, &deletion).ok());
+}
+
+// A served whatif fans its (shard, tree) walks out on the tenant's pool;
+// a search scores serially. Both must give the same answer bit for bit:
+// predictions, voted probabilities, rescored rows and the deletion's work,
+// at one shard and at four, on german and planted data.
+TEST(FusedUnlearnScoreTest, ShardedScoreIsIdenticalAcrossThreadCounts) {
+  util::ThreadPool two(2);
+  util::ThreadPool four(4);
+  for (const bool german : {false, true}) {
+    for (const int num_shards : {1, 4}) {
+      Fixture f = MakeFixture(german, 17, BaseConfig(17));
+      ShardConfig shards;
+      shards.num_shards = num_shards;
+      auto forest = ShardedForest::Train(f.train, BaseConfig(17), shards);
+      ASSERT_TRUE(forest.ok());
+      ShardedPredictionCache cache;
+      cache.Rebuild(*forest, f.test);
+      ShardedPredictionCache::WhatIfScratch serial, pooled;
+      std::vector<DeletionScratch> serial_deletion, pooled_deletion;
+      Rng rng(num_shards * 101 + (german ? 1 : 0));
+      for (int i = 0; i < 10; ++i) {
+        SCOPED_TRACE(testing::Message() << "german=" << german << " shards="
+                                        << num_shards << " i=" << i);
+        const std::vector<RowId> rows =
+            RandomBatch(&rng, forest->num_global_ids(), i < 5 ? 8 : 120);
+        ASSERT_TRUE(cache
+                        .ScoreWithout(*forest, rows, f.test, &serial,
+                                      &serial_deletion)
+                        .ok());
+        for (util::ThreadPool* pool : {&two, &four}) {
+          ASSERT_TRUE(cache
+                          .ScoreWithout(*forest, rows, f.test, &pooled,
+                                        &pooled_deletion, pool)
+                          .ok());
+          EXPECT_EQ(pooled.preds, serial.preds) << pool->num_threads();
+          EXPECT_TRUE(SameBits(pooled.probs, serial.probs))
+              << pool->num_threads();
+          EXPECT_EQ(pooled.rows_rescored, serial.rows_rescored);
+          EXPECT_EQ(pooled.shards_changed, serial.shards_changed);
+          EXPECT_EQ(pooled.deletion_stats, serial.deletion_stats);
+        }
+      }
+      // A bad batch fails the same way on a pool, and leaves the
+      // scratches usable.
+      const auto n = static_cast<RowId>(forest->num_global_ids());
+      EXPECT_TRUE(cache
+                      .ScoreWithout(*forest, {0, n}, f.test, &pooled,
+                                    &pooled_deletion, &four)
+                      .IsIndexError());
+      EXPECT_FALSE(cache
+                       .ScoreWithout(*forest, {5, 9, 5}, f.test, &pooled,
+                                     &pooled_deletion, &four)
+                       .ok());
+      ASSERT_TRUE(cache
+                      .ScoreWithout(*forest, {5, 9}, f.test, &pooled,
+                                    &pooled_deletion, &four)
+                      .ok());
+      ASSERT_TRUE(cache
+                      .ScoreWithout(*forest, {5, 9}, f.test, &serial,
+                                    &serial_deletion)
+                      .ok());
+      EXPECT_TRUE(SameBits(pooled.probs, serial.probs));
+    }
+  }
 }
 
 // The TSan anchor: four workers score different what-ifs against one shared

@@ -69,8 +69,12 @@ Tenants (repeatable; default is one tenant "default=german-credit"):
 
 Model / search (applied to every tenant; same defaults as fume_stream):
   --trees N --depth N --random-depth N --model-seed N
-  --k N --support-min F --support-max F --literals N --threads N
+  --k N --support-min F --support-max F --literals N
   --drift-abs F --drift-rel F
+  --threads N           engine threads per tenant (default 1): searches
+                        score candidates in parallel, and training,
+                        stream ops and the prediction-cache refresh run
+                        tree by tree
   --lazy                defer subtree retrains across delete bursts; readers
                         keep serving the last published (fully flushed)
                         snapshot until the burst flushes — a published
@@ -93,7 +97,9 @@ Serving:
                         0: a batch is what queued during the last one)
   --max-batch N         max whatifs grouped per batch (default 16)
   --queue-cap N         per-tenant whatif queue bound (default 64)
-  --whatif-threads N    per-tenant batch scoring threads (default 2)
+  --whatif-threads N    per-tenant threads scoring each whatif tree by
+                        tree; a batch's whatifs run one after another
+                        (default 2)
   --deadline-ms N       default per-request deadline (default 0 = none)
   --checkpoint-dir DIR  per-tenant checkpoints DIR/NAME.ckpt (enables the
                         checkpoint endpoint and the final shutdown write)

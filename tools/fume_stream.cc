@@ -97,7 +97,10 @@ Search:
   --support-min F       Rule 2 lower bound (default 0.05)
   --support-max F       Rule 2 upper bound (default 0.15)
   --literals N          Rule 3 max literals (default 2)
-  --threads N           parallel attribution workers (default 1)
+  --threads N           engine threads (default 1): searches score
+                        candidates in parallel, and training, inserts,
+                        deletes and the prediction-cache refresh run
+                        tree by tree
 
 Stream:
   --oplog FILE          replay ops from FILE instead of synthesizing
