@@ -10,7 +10,6 @@
 #include <thread>
 
 #include "forest/serialize.h"
-#include "forest/tree.h"
 #include "obs/metrics.h"
 #include "obs/process.h"
 #include "obs/query_scope.h"
@@ -205,9 +204,8 @@ DareForest PrivateCopy(const DareForest& model) {
 
 void WriteMetricsSnapshot(const std::string& name) {
   // Sample the process-level gauges first so every snapshot carries the
-  // run's peak RSS and live CoW node population.
+  // run's peak RSS.
   obs::SetProcessGauges();
-  cow_debug::RefreshLiveNodesGauge();
   std::error_code ec;
   std::filesystem::create_directories("bench_artifacts", ec);
   const std::string path = "bench_artifacts/" + name + ".metrics.json";

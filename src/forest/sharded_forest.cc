@@ -1,7 +1,6 @@
 #include "forest/sharded_forest.h"
 
 #include <algorithm>
-#include <cstring>
 #include <functional>
 #include <istream>
 #include <ostream>
@@ -10,6 +9,7 @@
 #include "forest/serialize.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/binary_io.h"
 #include "util/check.h"
 
 namespace fume {
@@ -17,7 +17,6 @@ namespace {
 
 constexpr char kShardMagic[8] = {'F', 'U', 'M', 'E', 'S', 'H', 'R', 'D'};
 constexpr uint32_t kShardVersion = 1;
-constexpr uint64_t kMaxVec = 1ull << 30;
 // FUMESHRD v1 header fields with one legal value: the vote byte (0, the
 // soft vote) and the hot-shard count of slice placement (1). Every
 // container holds these; any other value is rejected as corrupt.
@@ -29,41 +28,6 @@ uint64_t SplitMix64(uint64_t x) {
   x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
   x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
   return x ^ (x >> 31);
-}
-
-template <typename T>
-void WritePod(std::ostream& out, const T& value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-Status ReadPod(std::istream& in, T* value) {
-  in.read(reinterpret_cast<char*>(value), sizeof(T));
-  if (!in.good()) return Status::IOError("truncated sharded forest stream");
-  return Status::OK();
-}
-
-template <typename T>
-void WriteVec(std::ostream& out, const std::vector<T>& v) {
-  WritePod(out, static_cast<uint64_t>(v.size()));
-  if (!v.empty()) {
-    out.write(reinterpret_cast<const char*>(v.data()),
-              static_cast<std::streamsize>(v.size() * sizeof(T)));
-  }
-}
-
-template <typename T>
-Status ReadVec(std::istream& in, std::vector<T>* v) {
-  uint64_t count = 0;
-  FUME_RETURN_NOT_OK(ReadPod(in, &count));
-  if (count > kMaxVec) return Status::IOError("implausible vector length");
-  v->resize(count);
-  if (count > 0) {
-    in.read(reinterpret_cast<char*>(v->data()),
-            static_cast<std::streamsize>(count * sizeof(T)));
-    if (!in.good()) return Status::IOError("truncated sharded forest stream");
-  }
-  return Status::OK();
 }
 
 Status ValidateShardConfig(const ShardConfig& sc) {
@@ -565,25 +529,25 @@ DeletionStats ShardedForest::deletion_stats() const {
 
 Status ShardedForest::Save(std::ostream& out) const {
   const int n = num_shards();
-  out.write(kShardMagic, sizeof(kShardMagic));
-  WritePod(out, kShardVersion);
-  WritePod(out, static_cast<uint32_t>(n));
-  WritePod(out, static_cast<uint8_t>(shard_config_.placement));
-  WritePod(out, kSoftVoteByte);
-  WritePod(out, static_cast<int32_t>(shard_config_.slice_attr));
-  WritePod(out, shard_config_.slice_value);
-  WritePod(out, kHotShardCount);
+  util::BinaryWriter w(out);
+  w.Header(kShardMagic, kShardVersion);
+  w.Pod(static_cast<uint32_t>(n));
+  w.Pod(static_cast<uint8_t>(shard_config_.placement));
+  w.Pod(kSoftVoteByte);
+  w.Pod(static_cast<int32_t>(shard_config_.slice_attr));
+  w.Pod(shard_config_.slice_value);
+  w.Pod(kHotShardCount);
   if (shard_of_ != nullptr) {
-    WriteVec(out, *shard_of_);
-    WriteVec(out, *local_of_);
+    w.Vec(*shard_of_);
+    w.Vec(*local_of_);
   } else {
     // One shard: the identity maps the format carries, written without
     // materializing them.
     const uint64_t ids = static_cast<uint64_t>(num_global_ids());
-    WritePod(out, ids);
-    for (uint64_t g = 0; g < ids; ++g) WritePod(out, uint8_t{0});
-    WritePod(out, ids);
-    for (uint64_t g = 0; g < ids; ++g) WritePod(out, static_cast<RowId>(g));
+    w.Pod(ids);
+    for (uint64_t g = 0; g < ids; ++g) w.Pod(uint8_t{0});
+    w.Pod(ids);
+    for (uint64_t g = 0; g < ids; ++g) w.Pod(static_cast<RowId>(g));
   }
   for (int s = 0; s < n; ++s) {
     // Reserve the length prefix, stream the blob, then patch the prefix.
@@ -592,31 +556,24 @@ Status ShardedForest::Save(std::ostream& out) const {
       return Status::IOError(
           "sharded forest save needs a stream that reports its position");
     }
-    WritePod(out, uint64_t{0});
+    w.Pod(uint64_t{0});
     FUME_RETURN_NOT_OK(SaveForest(shards_[static_cast<size_t>(s)], out));
     const std::streampos end = out.tellp();
     if (end == std::streampos(-1)) {
       return Status::IOError("sharded forest write failed");
     }
     out.seekp(prefix);
-    WritePod(out, static_cast<uint64_t>(end - prefix) - sizeof(uint64_t));
+    w.Pod(static_cast<uint64_t>(end - prefix) - sizeof(uint64_t));
     out.seekp(end);
   }
-  if (!out.good()) return Status::IOError("sharded forest write failed");
+  if (!w.ok()) return Status::IOError("sharded forest write failed");
   return Status::OK();
 }
 
 Result<ShardedForest> ShardedForest::Load(std::istream& in) {
-  char magic[8];
-  in.read(magic, sizeof(magic));
-  if (!in.good() || std::memcmp(magic, kShardMagic, sizeof(magic)) != 0) {
-    return Status::IOError("not a FUME sharded forest (bad magic)");
-  }
-  uint32_t version = 0;
-  FUME_RETURN_NOT_OK(ReadPod(in, &version));
-  if (version != kShardVersion) {
-    return Status::IOError("unsupported sharded forest version " +
-                           std::to_string(version));
+  util::BinaryReader r(in);
+  if (!r.Header(kShardMagic, kShardVersion, "sharded forest")) {
+    return r.status();
   }
   uint32_t num_shards = 0;
   uint8_t placement = 0;
@@ -624,12 +581,10 @@ Result<ShardedForest> ShardedForest::Load(std::istream& in) {
   int32_t slice_attr = 0;
   int32_t slice_value = 0;
   int32_t hot_shards = 0;
-  FUME_RETURN_NOT_OK(ReadPod(in, &num_shards));
-  FUME_RETURN_NOT_OK(ReadPod(in, &placement));
-  FUME_RETURN_NOT_OK(ReadPod(in, &vote));
-  FUME_RETURN_NOT_OK(ReadPod(in, &slice_attr));
-  FUME_RETURN_NOT_OK(ReadPod(in, &slice_value));
-  FUME_RETURN_NOT_OK(ReadPod(in, &hot_shards));
+  if (!r.Pods(&num_shards, &placement, &vote, &slice_attr, &slice_value,
+              &hot_shards)) {
+    return r.Error("sharded forest: header");
+  }
   if (placement > 1 || vote != kSoftVoteByte ||
       hot_shards != kHotShardCount) {
     return Status::IOError("corrupt sharded forest header");
@@ -642,8 +597,9 @@ Result<ShardedForest> ShardedForest::Load(std::istream& in) {
   FUME_RETURN_NOT_OK(ValidateShardConfig(out.shard_config_));
   auto shard_of = std::make_shared<std::vector<uint8_t>>();
   auto local_of = std::make_shared<std::vector<RowId>>();
-  FUME_RETURN_NOT_OK(ReadVec(in, shard_of.get()));
-  FUME_RETURN_NOT_OK(ReadVec(in, local_of.get()));
+  if (!r.Vec(shard_of.get()) || !r.Vec(local_of.get())) {
+    return r.Error("sharded forest: placement maps");
+  }
   if (shard_of->size() != local_of->size()) {
     return Status::IOError("sharded forest placement maps disagree");
   }
@@ -658,17 +614,13 @@ Result<ShardedForest> ShardedForest::Load(std::istream& in) {
   out.shards_.reserve(num_shards);
   for (uint32_t s = 0; s < num_shards; ++s) {
     uint64_t len = 0;
-    FUME_RETURN_NOT_OK(ReadPod(in, &len));
-    if (len > kMaxVec) return Status::IOError("implausible shard blob size");
-    const std::streampos start = in.tellg();
-    if (start == std::streampos(-1)) {
-      return Status::IOError(
-          "sharded forest load needs a stream that reports its position");
+    if (!r.Pod(&len)) return r.Error("sharded forest: shard blob length");
+    if (len > util::BinaryReader::kMaxElements) {
+      return Status::IOError("implausible shard blob size");
     }
-    FUME_ASSIGN_OR_RETURN(DareForest shard, LoadForest(in));
-    const std::streampos end = in.tellg();
-    if (end == std::streampos(-1) ||
-        static_cast<uint64_t>(end - start) != len) {
+    const uint64_t start = r.consumed();
+    FUME_ASSIGN_OR_RETURN(DareForest shard, LoadForest(r));
+    if (r.consumed() - start != len) {
       return Status::IOError("shard " + std::to_string(s) +
                              " blob length disagrees with its prefix");
     }

@@ -204,9 +204,10 @@ class ShardedForest {
   /// afterwards, so `out` must report and seek its position). Lazy tags
   /// are flushed first.
   Status Save(std::ostream& out) const;
-  /// Reads a Save container, running LoadForest straight off `in`; a blob
-  /// whose length prefix disagrees with the bytes it holds, or one-shard
-  /// maps that are not the identity, are IOErrors.
+  /// Reads a Save container, running LoadForest straight off `in` through
+  /// one util::BinaryReader; a blob whose length prefix disagrees with the
+  /// bytes the reader consumed for it, or one-shard maps that are not the
+  /// identity, are IOErrors.
   static Result<ShardedForest> Load(std::istream& in);
 
   /// IndexError unless every global id was assigned (DeleteRows' check).

@@ -35,11 +35,6 @@ int64_t LiveTreeNodes() {
 int64_t LiveTreeNodes() { return 0; }
 #endif
 
-void RefreshLiveNodesGauge() {
-  static obs::Gauge* live = obs::GetGauge("forest.live_nodes");
-  live->Set(LiveTreeNodes());
-}
-
 }  // namespace cow_debug
 
 TreeNode::TreeNode(const TreeNode& other)

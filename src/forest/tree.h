@@ -48,11 +48,6 @@ struct NodeTally {
 /// Number of TreeNode objects currently alive (always 0 under NDEBUG).
 int64_t LiveTreeNodes();
 
-/// Samples LiveTreeNodes() into the `forest.live_nodes` gauge. Called by
-/// the CLIs and benches right before a metrics export so snapshots carry
-/// the live CoW node population alongside proc.rss_peak_kb.
-void RefreshLiveNodesGauge();
-
 }  // namespace cow_debug
 
 /// Deferred-retrain marker (ForestConfig::lazy_unlearn). A deletion that

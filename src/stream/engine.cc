@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <fstream>
 #include <istream>
 #include <limits>
@@ -12,6 +11,7 @@
 #include "core/removal_method.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/binary_io.h"
 #include "util/check.h"
 #include "util/stopwatch.h"
 
@@ -79,7 +79,7 @@ class MappedRemoval : public RemovalMethod {
   const std::vector<RowId>* dense_to_id_;
 };
 
-// ---- checkpoint primitives (little-endian native, like forest/serialize).
+// ---- checkpoint format (util/binary_io.h).
 
 constexpr char kCkptMagic[8] = {'F', 'U', 'M', 'E', 'S', 'T', 'R', 'M'};
 /// The engine state block, then the model's ShardedForest container (shard
@@ -87,35 +87,25 @@ constexpr char kCkptMagic[8] = {'F', 'U', 'M', 'E', 'S', 'T', 'R', 'M'};
 /// bare SaveForest blob instead of the container; it is no longer read.
 constexpr uint32_t kCkptVersion = 2;
 
-template <typename T>
-void WritePod(std::ostream& out, T value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-bool ReadPod(std::istream& in, T* value) {
-  in.read(reinterpret_cast<char*>(value), sizeof(T));
-  return static_cast<bool>(in);
-}
-
-void WriteSubset(std::ostream& out, const AttributableSubset& s) {
-  WritePod<uint32_t>(out, static_cast<uint32_t>(s.predicate.num_literals()));
+void WriteSubset(util::BinaryWriter& out, const AttributableSubset& s) {
+  out.Pod<uint32_t>(static_cast<uint32_t>(s.predicate.num_literals()));
   for (const Literal& lit : s.predicate.literals()) {
-    WritePod<int32_t>(out, lit.attr);
-    WritePod<uint8_t>(out, static_cast<uint8_t>(lit.op));
-    WritePod<int32_t>(out, lit.value);
+    out.Pod<int32_t>(lit.attr);
+    out.Pod<uint8_t>(static_cast<uint8_t>(lit.op));
+    out.Pod<int32_t>(lit.value);
   }
-  WritePod<double>(out, s.support);
-  WritePod<int64_t>(out, s.num_rows);
-  WritePod<double>(out, s.phi);
-  WritePod<double>(out, s.attribution);
-  WritePod<double>(out, s.new_fairness);
-  WritePod<double>(out, s.new_accuracy);
+  out.Pod<double>(s.support);
+  out.Pod<int64_t>(s.num_rows);
+  out.Pod<double>(s.phi);
+  out.Pod<double>(s.attribution);
+  out.Pod<double>(s.new_fairness);
+  out.Pod<double>(s.new_accuracy);
 }
 
-Result<AttributableSubset> ReadSubset(std::istream& in) {
+Result<AttributableSubset> ReadSubset(util::BinaryReader& in) {
   uint32_t num_literals = 0;
-  if (!ReadPod(in, &num_literals) || num_literals > 64) {
+  if (!in.Pod(&num_literals)) return in.Error("checkpoint: literal count");
+  if (num_literals > 64) {
     return Status::IOError("checkpoint: bad literal count");
   }
   std::vector<Literal> literals;
@@ -123,19 +113,17 @@ Result<AttributableSubset> ReadSubset(std::istream& in) {
   for (uint32_t i = 0; i < num_literals; ++i) {
     Literal lit;
     uint8_t op = 0;
-    if (!ReadPod(in, &lit.attr) || !ReadPod(in, &op) ||
-        !ReadPod(in, &lit.value)) {
-      return Status::IOError("checkpoint: truncated literal");
+    if (!in.Pods(&lit.attr, &op, &lit.value)) {
+      return in.Error("checkpoint: literal");
     }
     lit.op = static_cast<LiteralOp>(op);
     literals.push_back(lit);
   }
   AttributableSubset s;
   s.predicate = Predicate(std::move(literals));
-  if (!ReadPod(in, &s.support) || !ReadPod(in, &s.num_rows) ||
-      !ReadPod(in, &s.phi) || !ReadPod(in, &s.attribution) ||
-      !ReadPod(in, &s.new_fairness) || !ReadPod(in, &s.new_accuracy)) {
-    return Status::IOError("checkpoint: truncated subset record");
+  if (!in.Pods(&s.support, &s.num_rows, &s.phi, &s.attribution,
+               &s.new_fairness, &s.new_accuracy)) {
+    return in.Error("checkpoint: subset record");
   }
   return s;
 }
@@ -431,31 +419,25 @@ Status StreamEngine::SaveCheckpoint(std::ostream& out) const {
   // DareForest::EnsureFlushed — a deferring engine is thread-confined
   // (serve holds the writer lock around checkpoints).
   const_cast<StreamEngine*>(this)->FlushLazy();
-  out.write(kCkptMagic, sizeof(kCkptMagic));
-  WritePod<uint32_t>(out, kCkptVersion);
-  WritePod<int64_t>(out, last_seq_);
-  WritePod<double>(out, metric_);
-  WritePod<double>(out, accuracy_);
-  WritePod<double>(out, metric_at_last_search_);
-  WritePod<int64_t>(out, staleness_ops_);
-  WritePod<uint64_t>(out, store_ids_.size());
-  if (!store_ids_.empty()) {
-    out.write(reinterpret_cast<const char*>(store_ids_.data()),
-              static_cast<std::streamsize>(store_ids_.size() *
-                                           sizeof(RowId)));
-  }
-  WritePod<uint8_t>(out, explanation_ != nullptr ? 1 : 0);
+  util::BinaryWriter w(out);
+  w.Header(kCkptMagic, kCkptVersion);
+  w.Pod<int64_t>(last_seq_);
+  w.Pod<double>(metric_);
+  w.Pod<double>(accuracy_);
+  w.Pod<double>(metric_at_last_search_);
+  w.Pod<int64_t>(staleness_ops_);
+  w.Vec(store_ids_);
+  w.Pod<uint8_t>(explanation_ != nullptr ? 1 : 0);
   if (explanation_ != nullptr) {
-    WritePod<double>(out, explanation_->original_fairness);
-    WritePod<double>(out, explanation_->original_accuracy);
-    WritePod<uint32_t>(out,
-                       static_cast<uint32_t>(explanation_->top_k.size()));
+    w.Pod<double>(explanation_->original_fairness);
+    w.Pod<double>(explanation_->original_accuracy);
+    w.Pod<uint32_t>(static_cast<uint32_t>(explanation_->top_k.size()));
     for (const AttributableSubset& s : explanation_->top_k) {
-      WriteSubset(out, s);
+      WriteSubset(w, s);
     }
   }
   FUME_RETURN_NOT_OK(model_.Save(out));
-  if (!out) return Status::IOError("checkpoint write failed");
+  if (!w.ok()) return Status::IOError("checkpoint write failed");
   StreamMetrics::Get().saves->Inc();
   return Status::OK();
 }
@@ -470,55 +452,32 @@ Result<StreamEngine> StreamEngine::Restore(std::istream& in,
                                            const Schema& schema, Dataset test,
                                            StreamEngineConfig config) {
   obs::TraceSpan span("stream.restore");
-  char magic[8];
-  in.read(magic, sizeof(magic));
-  if (!in || std::memcmp(magic, kCkptMagic, sizeof(kCkptMagic)) != 0) {
-    return Status::IOError("not a FUME stream checkpoint (bad magic)");
-  }
-  uint32_t version = 0;
-  if (!ReadPod(in, &version)) {
-    return Status::IOError("checkpoint: truncated version");
-  }
-  if (version != kCkptVersion) {
-    return Status::IOError(
-        "unsupported stream checkpoint version " + std::to_string(version) +
-        (version == 1 ? " (a monolithic-forest checkpoint, no longer read): "
-                        "replay the op-log from seq 0 instead"
-                      : ""));
+  util::BinaryReader r(in);
+  if (!r.Header(kCkptMagic, kCkptVersion, "stream checkpoint",
+                " (a monolithic-forest checkpoint, no longer read): replay "
+                "the op-log from seq 0 instead")) {
+    return r.status();
   }
   StreamEngine engine(std::move(test), std::move(config));
   double saved_metric = 0.0;
   double saved_accuracy = 0.0;
-  if (!ReadPod(in, &engine.last_seq_) || !ReadPod(in, &saved_metric) ||
-      !ReadPod(in, &saved_accuracy) ||
-      !ReadPod(in, &engine.metric_at_last_search_) ||
-      !ReadPod(in, &engine.staleness_ops_)) {
-    return Status::IOError("checkpoint: truncated engine state");
-  }
-  uint64_t num_live = 0;
-  if (!ReadPod(in, &num_live) || num_live > (1ull << 30)) {
-    return Status::IOError("checkpoint: bad live-row count");
-  }
-  engine.store_ids_.resize(num_live);
-  if (num_live > 0) {
-    in.read(reinterpret_cast<char*>(engine.store_ids_.data()),
-            static_cast<std::streamsize>(num_live * sizeof(RowId)));
+  if (!r.Pods(&engine.last_seq_, &saved_metric, &saved_accuracy,
+              &engine.metric_at_last_search_, &engine.staleness_ops_)) {
+    return r.Error("checkpoint: engine state");
   }
   uint8_t has_explanation = 0;
-  if (!in || !ReadPod(in, &has_explanation)) {
-    return Status::IOError("checkpoint: truncated live-id block");
+  if (!r.Vec(&engine.store_ids_) || !r.Pod(&has_explanation)) {
+    return r.Error("checkpoint: live-id block");
   }
   if (has_explanation != 0) {
     FumeResult cached;
     uint32_t k = 0;
-    if (!ReadPod(in, &cached.original_fairness) ||
-        !ReadPod(in, &cached.original_accuracy) || !ReadPod(in, &k) ||
-        k > 100000) {
-      return Status::IOError("checkpoint: truncated explanation header");
+    if (!r.Pods(&cached.original_fairness, &cached.original_accuracy, &k)) {
+      return r.Error("checkpoint: explanation header");
     }
-    cached.top_k.reserve(k);
+    if (k > 100000) return Status::IOError("checkpoint: bad top-k count");
     for (uint32_t i = 0; i < k; ++i) {
-      FUME_ASSIGN_OR_RETURN(AttributableSubset s, ReadSubset(in));
+      FUME_ASSIGN_OR_RETURN(AttributableSubset s, ReadSubset(r));
       cached.top_k.push_back(std::move(s));
     }
     engine.explanation_ =

@@ -156,7 +156,9 @@ class StreamEngine {
   /// persisted shard layout must equal config.shard. Replaying the ops with
   /// seq > last_seq() afterwards reproduces the uninterrupted engine's
   /// state exactly. Version-1 (pre-ensemble) checkpoints are rejected: the
-  /// op-log replayed from seq 0 rebuilds the same state.
+  /// op-log replayed from seq 0 rebuilds the same state. Forged or
+  /// truncated bytes are an IOError, read in bounded memory
+  /// (util/binary_io.h).
   static Result<StreamEngine> Restore(std::istream& in, const Schema& schema,
                                       Dataset test, StreamEngineConfig config);
   static Result<StreamEngine> RestoreFromFile(const std::string& path,

@@ -42,7 +42,7 @@ std::vector<LatticeNode> Lattice::MakeLevel1() const {
   for (const Literal& lit : MakeLiterals()) {
     LatticeNode node;
     node.predicate = Predicate::Of(lit);
-    node.rows = index_.LiteralBitmap(lit);
+    node.rows = index_.EqualityBitmap(lit.attr, lit.value);
     node.support_count = node.rows.Count();
     node.support = num_rows_ == 0
                        ? 0.0

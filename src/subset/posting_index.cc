@@ -8,31 +8,15 @@ namespace fume {
 
 namespace {
 
-// Posting-list work counters: how many literal/predicate lookups the
-// search issues and how many bitmap combines they cost. One relaxed add
-// per Match call — per-row work stays uninstrumented.
-obs::Counter* LiteralMatches() {
-  static obs::Counter* c = obs::GetCounter("posting.match.literal");
-  return c;
-}
+// Posting-list work counters: how many predicate lookups the search issues
+// and how many bitmap intersections they cost. One relaxed add per Match
+// call — per-row work stays uninstrumented.
 obs::Counter* PredicateMatches() {
   static obs::Counter* c = obs::GetCounter("posting.match.predicate");
   return c;
 }
-obs::Counter* BitmapUnions() {
-  static obs::Counter* c = obs::GetCounter("posting.bitmap.union");
-  return c;
-}
 obs::Counter* BitmapIntersections() {
   static obs::Counter* c = obs::GetCounter("posting.bitmap.intersect");
-  return c;
-}
-obs::Counter* LiteralCacheHits() {
-  static obs::Counter* c = obs::GetCounter("posting.literal_cache.hit");
-  return c;
-}
-obs::Counter* LiteralCacheMisses() {
-  static obs::Counter* c = obs::GetCounter("posting.literal_cache.miss");
   return c;
 }
 // Predicate rowsets materialized from scratch (vs the lattice's
@@ -50,11 +34,9 @@ PostingIndex PostingIndex::Build(const Dataset& data) {
   PostingIndex index;
   index.num_rows_ = data.num_rows();
   const int p = data.num_attributes();
-  index.cards_.resize(static_cast<size_t>(p));
   index.maps_.resize(static_cast<size_t>(p));
   for (int j = 0; j < p; ++j) {
     const int32_t card = data.schema().attribute(j).cardinality();
-    index.cards_[static_cast<size_t>(j)] = card;
     index.maps_[static_cast<size_t>(j)].assign(static_cast<size_t>(card),
                                                Bitmap(data.num_rows()));
     const auto& codes = data.codes(j);
@@ -71,37 +53,6 @@ const Bitmap& PostingIndex::EqualityBitmap(int attr, int32_t value) const {
   return maps_[static_cast<size_t>(attr)][static_cast<size_t>(value)];
 }
 
-const Bitmap& PostingIndex::LiteralBitmap(const Literal& literal) const {
-  LiteralMatches()->Inc();
-  // Equality literals ARE the precomputed posting lists — no union, no
-  // cache entry needed.
-  if (literal.op == LiteralOp::kEq) {
-    LiteralCacheHits()->Inc();
-    return EqualityBitmap(literal.attr, literal.value);
-  }
-  std::lock_guard<std::mutex> lock(cache_->mutex);
-  auto it = cache_->entries.find(literal);
-  if (it != cache_->entries.end()) {
-    LiteralCacheHits()->Inc();
-    return it->second;
-  }
-  LiteralCacheMisses()->Inc();
-  const int32_t card = cards_[static_cast<size_t>(literal.attr)];
-  Bitmap out(num_rows_);
-  for (int32_t c = 0; c < card; ++c) {
-    if (literal.Matches(c)) {
-      BitmapUnions()->Inc();
-      out.UnionWith(maps_[static_cast<size_t>(literal.attr)]
-                         [static_cast<size_t>(c)]);
-    }
-  }
-  return cache_->entries.emplace(literal, std::move(out)).first->second;
-}
-
-Bitmap PostingIndex::Match(const Literal& literal) const {
-  return LiteralBitmap(literal);
-}
-
 Bitmap PostingIndex::Match(const Predicate& predicate) const {
   PredicateMatches()->Inc();
   ScratchRowsets()->Inc();
@@ -110,41 +61,16 @@ Bitmap PostingIndex::Match(const Predicate& predicate) const {
     for (int64_t r = 0; r < num_rows_; ++r) out.Set(r);
     return out;
   }
+  for (const Literal& lit : predicate.literals()) {
+    FUME_CHECK(lit.op == LiteralOp::kEq);
+  }
   const auto& literals = predicate.literals();
-  Bitmap out = LiteralBitmap(literals.front());
+  Bitmap out = EqualityBitmap(literals.front().attr, literals.front().value);
   for (size_t i = 1; i < literals.size(); ++i) {
     BitmapIntersections()->Inc();
-    out.IntersectWith(LiteralBitmap(literals[i]));
+    out.IntersectWith(EqualityBitmap(literals[i].attr, literals[i].value));
   }
   return out;
-}
-
-double PostingIndex::Support(const Predicate& predicate) const {
-  if (num_rows_ == 0) return 0.0;
-  const auto& literals = predicate.literals();
-  int64_t count = 0;
-  if (literals.empty()) {
-    count = num_rows_;
-  } else if (literals.size() == 1) {
-    count = LiteralBitmap(literals[0]).Count();
-  } else if (literals.size() == 2) {
-    BitmapIntersections()->Inc();
-    count = Bitmap::IntersectCount(LiteralBitmap(literals[0]),
-                                   LiteralBitmap(literals[1]));
-  } else {
-    // Three or more literals need one intermediate; the final AND is fused
-    // with the count, so no full Match() bitmap is ever materialized.
-    Bitmap acc;
-    BitmapIntersections()->Inc();
-    acc.AssignIntersect(LiteralBitmap(literals[0]), LiteralBitmap(literals[1]));
-    for (size_t i = 2; i + 1 < literals.size(); ++i) {
-      BitmapIntersections()->Inc();
-      acc.IntersectWith(LiteralBitmap(literals[i]));
-    }
-    BitmapIntersections()->Inc();
-    count = Bitmap::IntersectCount(acc, LiteralBitmap(literals.back()));
-  }
-  return static_cast<double>(count) / static_cast<double>(num_rows_);
 }
 
 }  // namespace fume

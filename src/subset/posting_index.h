@@ -1,29 +1,21 @@
 // PostingIndex: per-literal row bitmaps over a training set. Level-1 lattice
 // nodes take their bitmap straight from the index; deeper nodes intersect
 // parent bitmaps, so no predicate ever rescans the data.
-//
-// Non-equality literals (ranges) are unions of several equality bitmaps;
-// those unions are computed once per literal and cached, so a literal that
-// appears in many lattice candidates pays its union exactly once per index.
 
 #ifndef FUME_SUBSET_POSTING_INDEX_H_
 #define FUME_SUBSET_POSTING_INDEX_H_
 
-#include <map>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 #include "data/dataset.h"
 #include "subset/bitmap.h"
-#include "subset/literal.h"
 #include "subset/predicate.h"
 
 namespace fume {
 
 /// \brief Precomputed equality bitmaps for every (attribute, code) pair of an
-/// all-categorical dataset; arbitrary literals/predicates are evaluated by
-/// combining them.
+/// all-categorical dataset; conjunctions of equality literals are evaluated
+/// by intersecting them.
 class PostingIndex {
  public:
   /// Builds bitmaps for `data` (must be all-categorical).
@@ -34,41 +26,17 @@ class PostingIndex {
   /// Bitmap of rows with code(attr) == value.
   const Bitmap& EqualityBitmap(int attr, int32_t value) const;
 
-  /// Bitmap of rows matching an arbitrary literal. Equality literals
-  /// resolve to their precomputed map; other operators are unions over the
-  /// matching codes, computed on first use and cached for the index's
-  /// lifetime (counters posting.literal_cache.{hit,miss}). The returned
-  /// reference stays valid as long as the index lives. Thread-safe.
-  const Bitmap& LiteralBitmap(const Literal& literal) const;
-
-  /// Bitmap of rows matching an arbitrary literal, as an owned copy.
-  Bitmap Match(const Literal& literal) const;
-
-  /// Bitmap of rows matching a conjunction, built from scratch by
-  /// intersecting the (cached) literal bitmaps. The lattice never calls
+  /// Bitmap of rows matching a conjunction of equality literals (the only
+  /// kind the lattice emits; any other operator FUME_CHECK-aborts), built
+  /// from scratch by intersecting their bitmaps. The lattice never calls
   /// this on its search path — children derive from parent rowsets — so a
   /// call here counts as lattice.rowset.scratch.
   Bitmap Match(const Predicate& predicate) const;
 
-  /// sup(predicate) = |match| / |D|, counted without materializing a rowset
-  /// (fused AND+popcount over the literal bitmaps).
-  double Support(const Predicate& predicate) const;
-
  private:
   int64_t num_rows_ = 0;
-  std::vector<int32_t> cards_;
   /// maps_[attr][code]
   std::vector<std::vector<Bitmap>> maps_;
-  /// Union-of-equality bitmaps for non-equality literals, filled lazily.
-  /// std::map keeps node addresses stable, so LiteralBitmap can hand out
-  /// references that outlive later insertions. Behind a unique_ptr because
-  /// std::mutex would pin the index in place (Build returns by value).
-  struct LiteralCache {
-    std::mutex mutex;
-    std::map<Literal, Bitmap> entries;
-  };
-  mutable std::unique_ptr<LiteralCache> cache_ =
-      std::make_unique<LiteralCache>();
 };
 
 }  // namespace fume

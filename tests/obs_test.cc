@@ -377,7 +377,7 @@ TEST(ObsFumeTest, SearchPopulatesPruningCountersAndSpans) {
   EXPECT_EQ(m.CounterValue("fume.rowset_cache.insert"),
             result->stats.cache_inserts);
   EXPECT_GT(m.CounterValue("forest.unlearn.nodes_visited"), 0);
-  EXPECT_GT(m.CounterValue("posting.match.literal"), 0);
+  EXPECT_GT(m.CounterValue("lattice.rowset.derived"), 0);
 
   // Spans from every layer (search levels, evaluation, the forest's fused
   // what-if walks) made it into one trace, across worker threads.

@@ -365,6 +365,15 @@ TEST(SerializeTest, LoaderRejectsLeafRowIdsOutOfRange) {
   }
 }
 
+TEST(SerializeTest, LoaderRefusesVersionOne) {
+  // Version 1 lacked the deletion-stats block; nothing writes it any more.
+  const SavedForest s = SaveGerman(2);
+  std::istringstream in(Poke<uint32_t>(s.blob, 8, 1), std::ios::binary);
+  const Status st = LoadForest(in).status();
+  EXPECT_TRUE(st.IsIOError()) << st.ToString();
+  EXPECT_NE(st.message().find("version 1"), std::string::npos) << st.message();
+}
+
 TEST(SerializeTest, LoaderRejectsStoreBeyondTheVectorBound) {
   // A row count at the loader's per-vector bound (2^30 elements) times the
   // attribute count exceeds that bound; it must be refused before the code

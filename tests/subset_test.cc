@@ -195,52 +195,28 @@ TEST(PostingIndexTest, EqualityBitmapsMatchScan) {
 TEST(PostingIndexTest, ArbitraryLiteralsAndPredicates) {
   Dataset data = TestData();
   PostingIndex index = PostingIndex::Build(data);
-  Literal ge{0, LiteralOp::kGe, 1};  // age >= mid
-  EXPECT_EQ(index.Match(ge).ToRows(),
-            Predicate::Of(ge).MatchingRows(data));
-  Predicate conj({ge, Literal{1, LiteralOp::kEq, 1}});
+  const Literal mid_age{0, LiteralOp::kEq, 1};
+  EXPECT_EQ(index.Match(Predicate::Of(mid_age)).ToRows(),
+            Predicate::Of(mid_age).MatchingRows(data));
+  Predicate conj({mid_age, Literal{1, LiteralOp::kEq, 1}});
   EXPECT_EQ(index.Match(conj).ToRows(), conj.MatchingRows(data));
-  EXPECT_DOUBLE_EQ(index.Support(conj), conj.Support(data));
+}
+
+// The lattice emits only equality literals; a range literal reaching the
+// index is a caller bug. Predicate::Match still evaluates ranges by scan.
+TEST(PostingIndexTest, RangeLiteralsAreRejected) {
+  Dataset data = TestData();
+  PostingIndex index = PostingIndex::Build(data);
+  const Predicate at_least_mid = Predicate::Of(Literal{0, LiteralOp::kGe, 1});
+  EXPECT_EQ(at_least_mid.Match(data).ToRows(),
+            (std::vector<int32_t>{1, 2, 4, 5}));
+  EXPECT_DEATH(index.Match(at_least_mid), "FUME_CHECK failed");
 }
 
 TEST(PostingIndexTest, EmptyPredicateMatchesEverything) {
   Dataset data = TestData();
   PostingIndex index = PostingIndex::Build(data);
   EXPECT_EQ(index.Match(Predicate()).Count(), data.num_rows());
-}
-
-TEST(PostingIndexTest, LiteralBitmapIsCachedAndStable) {
-  Dataset data = TestData();
-  PostingIndex index = PostingIndex::Build(data);
-  const Literal ge{0, LiteralOp::kGe, 1};
-  const Bitmap& first = index.LiteralBitmap(ge);
-  EXPECT_EQ(first.ToRows(), Predicate::Of(ge).MatchingRows(data));
-  // Populating other cache entries must not invalidate the reference.
-  for (int32_t v = 0; v < 3; ++v) {
-    index.LiteralBitmap(Literal{0, LiteralOp::kNe, v});
-    index.LiteralBitmap(Literal{2, LiteralOp::kLe, v});
-  }
-  const Bitmap& again = index.LiteralBitmap(ge);
-  EXPECT_EQ(&first, &again);  // same cache node, not a recompute
-  EXPECT_EQ(again.ToRows(), Predicate::Of(ge).MatchingRows(data));
-  // kEq literals come straight from the posting lists.
-  const Literal eq{1, LiteralOp::kEq, 0};
-  EXPECT_EQ(&index.LiteralBitmap(eq), &index.EqualityBitmap(1, 0));
-}
-
-TEST(PostingIndexTest, SupportIsAllocationFreeCountAtEveryWidth) {
-  Dataset data = TestData();
-  PostingIndex index = PostingIndex::Build(data);
-  const Literal l0{0, LiteralOp::kGe, 1};
-  const Literal l1{1, LiteralOp::kEq, 0};
-  const Literal l2{2, LiteralOp::kLe, 2};
-  const std::vector<Predicate> widths = {
-      Predicate(), Predicate::Of(l0), Predicate({l0, l1}),
-      Predicate({l0, l1, l2})};
-  for (const Predicate& p : widths) {
-    EXPECT_DOUBLE_EQ(index.Support(p), p.Support(data))
-        << p.ToString(data.schema());
-  }
 }
 
 }  // namespace

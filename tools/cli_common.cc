@@ -4,7 +4,6 @@
 #include <fstream>
 #include <iostream>
 
-#include "forest/tree.h"
 #include "obs/metrics.h"
 #include "obs/process.h"
 #include "obs/trace.h"
@@ -216,7 +215,6 @@ ObsExport::~ObsExport() {
   }
   if (!flags_.print_metrics && flags_.metrics_out.empty()) return;
   obs::SetProcessGauges();
-  cow_debug::RefreshLiveNodesGauge();
   const obs::MetricsSnapshot snapshot =
       obs::MetricsRegistry::Global().Snapshot();
   if (flags_.print_metrics) {
