@@ -1,7 +1,10 @@
 // Sharded vs monolithic unlearning: SISA ShardedForest ensembles at shard
-// counts {1, 2, 4, 8} against the single DaRE forest, on a parametric
+// counts {2, 4, 8} against the one-shard ensemble (hash-1), on a parametric
 // Figure-5 substrate (10 attributes, 8 values per attribute — the d=8 cell
-// of the Figure-5 (b) sweep — across Figure-5 (a) instance counts).
+// of the Figure-5 (b) sweep — across Figure-5 (a) instance counts). hash-1
+// is the monolithic forest in its container, as the tools deploy it at
+// --shards 1, and every ensemble fans its (shard, tree) jobs out on the
+// same pool, so each cell's speedup compares placements, not thread use.
 //
 // Two deletion workloads are measured, because sharding's cost model is
 // workload-shaped:
@@ -9,14 +12,12 @@
 //  * delete-uniform — a burst of uniformly drawn rows under hash
 //    placement. Every batch touches every shard, so each shard pays the
 //    batched kernel's per-call node scan on a depth-saturated forest
-//    nearly as large as the monolithic one. On a single core this is a
-//    net LOSS; these cells are kept to keep the trade-off honest (on
-//    multi-core the per-shard deletes fan out on the pool instead).
+//    nearly as large as the monolithic one.
 //  * delete-cohort — a burst aimed at the planted-bias cohort (the rows
 //    FUME's search identifies for removal) under slice placement, which
 //    concentrates that cohort into one hot shard. The burst touches only
 //    the hot shard, whose forest and subtree retrains are a fraction of
-//    the monolithic ones: this is the SISA win and the headline number.
+//    the monolithic ones.
 //
 // What-if evaluation throughput (the FUME search's inner loop) is
 // measured the same two ways through UnlearnRemovalMethod. Fidelity is
@@ -197,31 +198,10 @@ struct Throughput {
   bool finite() const { return seconds == seconds && per_sec == per_sec; }
 };
 
-// Compounding deletion burst on a privately-owned monolithic forest.
-// Wall time, not thread CPU time: the sharded competitor may fan out on a
-// pool, so wall is the comparable axis (best-of-reps absorbs scheduler
-// noise).
-Throughput MeasureDeleteMono(const DareForest& model,
-                             const std::vector<std::vector<RowId>>& batches) {
-  DeletionScratch scratch;
-  {
-    DareForest warm = bench::PrivateCopy(model);
-    FUME_ABORT_NOT_OK(warm.DeleteRows(batches.front(), nullptr, &scratch));
-  }
-  DareForest victim = bench::PrivateCopy(model);
-  Throughput t;
-  Stopwatch watch;
-  for (const auto& rows : batches) {
-    FUME_ABORT_NOT_OK(victim.DeleteRows(rows, nullptr, &scratch));
-    t.rows_processed += static_cast<int64_t>(rows.size());
-  }
-  t.seconds = watch.ElapsedSeconds();
-  t.Finish();
-  return t;
-}
-
-// Same burst through the sharded ensemble: rows route to owning shards and
-// unlearn shard-locally, fanned out on `pool` when non-null.
+// Compounding deletion burst through the sharded ensemble: rows route to
+// owning shards and unlearn shard-locally, fanned out on `pool` when
+// non-null. Wall time, not thread CPU time, because of that fan-out
+// (best-of-reps absorbs scheduler noise).
 Throughput MeasureDeleteSharded(const std::string& pristine_bytes,
                                 const std::vector<std::vector<RowId>>& batches,
                                 util::ThreadPool* pool) {
@@ -243,9 +223,9 @@ Throughput MeasureDeleteSharded(const std::string& pristine_bytes,
 }
 
 // What-if evaluation throughput: leave-out evaluations through the removal
-// method, the FUME search's inner loop. Single-threaded on both sides
-// (search parallelism is across evaluations), so thread CPU time is the
-// low-noise clock.
+// method, the FUME search's inner loop. Single-threaded for every
+// ensemble (search parallelism is across evaluations), so thread CPU time
+// is the low-noise clock.
 Throughput MeasureWhatIf(RemovalMethod* removal,
                          const std::vector<std::vector<RowId>>& batches,
                          int evals) {
@@ -407,7 +387,8 @@ int main(int argc, char** argv) {
   const int kHeadlineShards = 4;
   util::ThreadPool pool(8);
 
-  TablePrinter table({"rows", "kind", "model", "rows/sec", "speedup vs mono"});
+  TablePrinter table(
+      {"rows", "kind", "model", "rows/sec", "speedup vs hash-1"});
   std::vector<std::vector<std::string>> artifact;
   double delete_cohort_speedup_mid = 0.0;
   double whatif_cohort_speedup_mid = 0.0;
@@ -451,117 +432,60 @@ int main(int argc, char** argv) {
       return ensembles.front();
     };
 
-    // Deletion bursts: uniform rows route everywhere (hash ensembles);
-    // cohort rows land in the slice ensembles' hot shard. The 1-shard
-    // ensemble competes in both kinds (it IS the monolithic forest in a
-    // sharded container — the container-overhead row).
+    // Every kind times hash-1 first, as its 1.00x base, then the
+    // ensembles whose label starts with the kind's prefix: uniform rows
+    // route everywhere (hash ensembles), cohort rows land in the slice
+    // ensembles' hot shard. Each cell is the best of kReps runs.
     struct WorkloadKind {
       const char* kind;
       const std::vector<std::vector<RowId>>* batches;
       const char* prefix;  // which ensembles compete
     };
-    const WorkloadKind delete_kinds[] = {
-        {"delete-uniform", &uniform, "hash-"},
-        {"delete-cohort", &cohort, "slice-"},
-    };
-    for (const WorkloadKind& dk : delete_kinds) {
-      Throughput mono_del;
-      for (int rep = 0; rep < kReps; ++rep) {
-        const Throughput t = MeasureDeleteMono(s.mono, *dk.batches);
-        if (rep == 0 || t.per_sec > mono_del.per_sec) mono_del = t;
-      }
-      all_finite = all_finite && mono_del.finite();
-      table.AddRow({std::to_string(rows), dk.kind, "mono",
-                    FormatDouble(mono_del.per_sec, 0), "1.00x"});
-      artifact.push_back({std::to_string(rows), std::to_string(kBatch),
-                          dk.kind, "mono",
-                          std::to_string(mono_del.rows_processed),
-                          FormatDouble(mono_del.seconds, 4),
-                          FormatDouble(mono_del.per_sec, 2), "1.000"});
+    const auto run_kind = [&](const WorkloadKind& k, const auto& measure) {
+      double base = 0.0;
       for (const Ensemble& e : ensembles) {
-        const bool competes = e.label.rfind(dk.prefix, 0) == 0 ||
-                              (e.shards == 1 && std::string(dk.kind) ==
-                                                    "delete-cohort");
-        if (!competes) continue;
-        Throughput del;
+        if (e.shards != 1 && e.label.rfind(k.prefix, 0) != 0) continue;
+        Throughput best;
         for (int rep = 0; rep < kReps; ++rep) {
-          const Throughput t =
-              MeasureDeleteSharded(e.pristine, *dk.batches, &pool);
-          if (rep == 0 || t.per_sec > del.per_sec) del = t;
+          const Throughput t = measure(e);
+          if (rep == 0 || t.per_sec > best.per_sec) best = t;
         }
-        all_finite = all_finite && del.finite();
-        const double speedup =
-            mono_del.per_sec > 0.0 ? del.per_sec / mono_del.per_sec : 0.0;
-        if (rows == mid_size && e.shards == kHeadlineShards &&
-            std::string(dk.kind) == "delete-cohort") {
-          delete_cohort_speedup_mid = speedup;
+        all_finite = all_finite && best.finite();
+        if (e.shards == 1) base = best.per_sec;
+        const double speedup = base > 0.0 ? best.per_sec / base : 0.0;
+        if (rows == mid_size && e.shards == kHeadlineShards) {
+          if (std::string(k.kind) == "delete-cohort") {
+            delete_cohort_speedup_mid = speedup;
+          } else if (std::string(k.kind) == "whatif-cohort") {
+            whatif_cohort_speedup_mid = speedup;
+          }
         }
-        table.AddRow({std::to_string(rows), dk.kind, e.label,
-                      FormatDouble(del.per_sec, 0),
+        table.AddRow({std::to_string(rows), k.kind, e.label,
+                      FormatDouble(best.per_sec, 0),
                       FormatDouble(speedup, 2) + "x"});
         artifact.push_back({std::to_string(rows), std::to_string(kBatch),
-                            dk.kind, e.label,
-                            std::to_string(del.rows_processed),
-                            FormatDouble(del.seconds, 4),
-                            FormatDouble(del.per_sec, 2),
+                            k.kind, e.label,
+                            std::to_string(best.rows_processed),
+                            FormatDouble(best.seconds, 4),
+                            FormatDouble(best.per_sec, 2),
                             FormatDouble(speedup, 3)});
       }
-    }
-
-    // What-if evaluation throughput, same two workload shapes.
-    const WorkloadKind whatif_kinds[] = {
-        {"whatif-uniform", &uniform, "hash-"},
-        {"whatif-cohort", &cohort, "slice-"},
     };
-    for (const WorkloadKind& wk : whatif_kinds) {
-      Throughput mono_wi;
-      {
-        UnlearnRemovalMethod removal(&s.mono, &s.test, s.group,
-                                     FairnessMetric::kStatisticalParity);
-        for (int rep = 0; rep < kReps; ++rep) {
-          const Throughput t =
-              MeasureWhatIf(&removal, *wk.batches, whatif_evals);
-          if (rep == 0 || t.per_sec > mono_wi.per_sec) mono_wi = t;
-        }
-      }
-      all_finite = all_finite && mono_wi.finite();
-      table.AddRow({std::to_string(rows), wk.kind, "mono",
-                    FormatDouble(mono_wi.per_sec, 0), "1.00x"});
-      artifact.push_back({std::to_string(rows), std::to_string(kBatch),
-                          wk.kind, "mono",
-                          std::to_string(mono_wi.rows_processed),
-                          FormatDouble(mono_wi.seconds, 4),
-                          FormatDouble(mono_wi.per_sec, 2), "1.000"});
-      for (const Ensemble& e : ensembles) {
-        const bool competes = e.label.rfind(wk.prefix, 0) == 0 ||
-                              (e.shards == 1 && std::string(wk.kind) ==
-                                                    "whatif-cohort");
-        if (!competes) continue;
+    for (const WorkloadKind& k :
+         {WorkloadKind{"delete-uniform", &uniform, "hash-"},
+          WorkloadKind{"delete-cohort", &cohort, "slice-"}}) {
+      run_kind(k, [&](const Ensemble& e) {
+        return MeasureDeleteSharded(e.pristine, *k.batches, &pool);
+      });
+    }
+    for (const WorkloadKind& k :
+         {WorkloadKind{"whatif-uniform", &uniform, "hash-"},
+          WorkloadKind{"whatif-cohort", &cohort, "slice-"}}) {
+      run_kind(k, [&](const Ensemble& e) {
         UnlearnRemovalMethod removal(&e.forest, &s.test, s.group,
                                      FairnessMetric::kStatisticalParity);
-        Throughput wi;
-        for (int rep = 0; rep < kReps; ++rep) {
-          const Throughput t =
-              MeasureWhatIf(&removal, *wk.batches, whatif_evals);
-          if (rep == 0 || t.per_sec > wi.per_sec) wi = t;
-        }
-        all_finite = all_finite && wi.finite();
-        const double speedup =
-            mono_wi.per_sec > 0.0 ? wi.per_sec / mono_wi.per_sec : 0.0;
-        if (rows == mid_size && e.shards == kHeadlineShards &&
-            std::string(wk.kind) == "whatif-cohort") {
-          whatif_cohort_speedup_mid = speedup;
-        }
-        table.AddRow({std::to_string(rows), wk.kind, e.label,
-                      FormatDouble(wi.per_sec, 0),
-                      FormatDouble(speedup, 2) + "x"});
-        artifact.push_back({std::to_string(rows), std::to_string(kBatch),
-                            wk.kind, e.label,
-                            std::to_string(wi.rows_processed),
-                            FormatDouble(wi.seconds, 4),
-                            FormatDouble(wi.per_sec, 2),
-                            FormatDouble(speedup, 3)});
-      }
+        return MeasureWhatIf(&removal, *k.batches, whatif_evals);
+      });
     }
 
     // Exactness attestations per size (cheap relative to the sweeps). The
@@ -606,7 +530,7 @@ int main(int argc, char** argv) {
   table.Print(std::cout);
   WriteArtifact("shard",
                 {"rows", "batch_rows", "kind", "model", "rows_processed",
-                 "seconds", "rows_per_sec", "speedup_vs_mono"},
+                 "seconds", "rows_per_sec", "speedup_vs_hash1"},
                 artifact);
 
   std::cout << "\ntop-k fidelity vs monolithic (" << mid_size
@@ -666,7 +590,7 @@ int main(int argc, char** argv) {
            << ", \"kind\": \"" << row[2] << "\", \"model\": \"" << row[3]
            << "\", \"rows_processed\": " << row[4]
            << ", \"seconds\": " << row[5] << ", \"rows_per_sec\": " << row[6]
-           << ", \"speedup_vs_mono\": " << row[7] << '}'
+           << ", \"speedup_vs_hash1\": " << row[7] << '}'
            << (i + 1 < artifact.size() ? "," : "") << '\n';
     }
     json << "  ]\n}\n";

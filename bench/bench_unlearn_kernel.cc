@@ -1,6 +1,6 @@
 // Deletion throughput on the parametric Figure-5 substrates: the batched
-// unlearning kernel (DeletionScratch + columnar NodeStats::RemoveRows +
-// in-place route partitioning) and its lazy-tag mode, against retraining
+// unlearning kernel (DeletionScratch + the fused NodeStats::
+// RemoveRowsAndPartition + in-place route partitioning) against retraining
 // from scratch on the surviving rows after every batch — the cost exact
 // unlearning is weighed against in paper Table 8.
 //
@@ -8,9 +8,7 @@
 // the model, reusing one DeletionScratch across all of them
 // (the steady-state allocation-free path). Exactness is re-checked
 // in-bench: a compounding deletion run must leave the forest serialized
-// byte-identical to a same-store retrain on the surviving rows, lazy
-// flushes must land on the eager kernel's bytes, and a full FUME search
-// over a model with a pending lazy burst must report the eager top-k.
+// byte-identical to a same-store retrain on the surviving rows.
 // Artifacts: unlearn_kernel.csv (+ metrics snapshot) and BENCH_unlearn.json
 // in bench_artifacts/.
 
@@ -88,22 +86,6 @@ std::vector<std::vector<RowId>> MakeBatches(int64_t num_rows, int batch_size,
   return batches;
 }
 
-enum class Strategy { kRetrain, kKernel, kLazy };
-
-const char* StrategyName(Strategy s) {
-  switch (s) {
-    case Strategy::kRetrain: return "retrain";
-    case Strategy::kKernel: return "batched-kernel";
-    case Strategy::kLazy: return "lazy-tags";
-  }
-  return "?";
-}
-
-// Bursts per flush for a given batch size: the delete-burst-then-query
-// workload shape (a run of delete ops, then a traversal that forces every
-// deferred retrain). Small batches arrive in longer bursts.
-int BurstLength(int batch) { return std::max(1, std::min(8, 4096 / batch)); }
-
 struct Throughput {
   int64_t rows_unlearned = 0;
   double seconds = 0.0;
@@ -144,42 +126,23 @@ Throughput MeasureRetrain(const Setup& s,
 // (untimed) PrivateCopy every node has refcount 1, so the timed loop contains
 // pure deletion work — no CoW unshares. This is also the stream engine's
 // workload shape (ops mutate one long-lived forest).
-//
-// The workload is burst-shaped: BurstLength(batch) delete ops, then a
-// FlushAll — a no-op for the eager kernel (so its numbers keep measuring
-// pure deletion), the deferred-retrain settlement for lazy. The flush is
-// timed INSIDE the loop: lazy's throughput edge is real work avoided (one
-// rebuild per subtree per burst instead of one per op), not work moved off
-// the clock.
 Throughput MeasureDelete(const DareForest& model,
-                         const std::vector<std::vector<RowId>>& batches,
-                         Strategy strategy) {
-  const int burst = BurstLength(
-      batches.empty() ? 1 : static_cast<int>(batches.front().size()));
+                         const std::vector<std::vector<RowId>>& batches) {
   DeletionScratch scratch;
   {
     // Warm-up: faults in the store, sizes the scratch, seeds allocators.
     DareForest warm = PrivateCopy(model);
-    if (strategy == Strategy::kLazy) warm.SetLazyUnlearn(true);
     FUME_ABORT_NOT_OK(warm.DeleteRows(batches.front(), nullptr, &scratch));
-    warm.FlushAll(nullptr, &scratch);
   }
   DareForest victim = PrivateCopy(model);
-  if (strategy == Strategy::kLazy) victim.SetLazyUnlearn(true);
   Throughput t;
   // Thread CPU time: the loop is single-threaded, and CPU time is immune
   // to scheduler preemption on a loaded machine (wall time is not).
   ThreadCpuStopwatch watch;
-  int in_burst = 0;
   for (const auto& rows : batches) {
     FUME_ABORT_NOT_OK(victim.DeleteRows(rows, nullptr, &scratch));
     t.rows_unlearned += static_cast<int64_t>(rows.size());
-    if (++in_burst == burst) {
-      victim.FlushAll(nullptr, &scratch);
-      in_burst = 0;
-    }
   }
-  victim.FlushAll(nullptr, &scratch);
   t.seconds = watch.ElapsedSeconds();
   return Finish(t);
 }
@@ -218,47 +181,6 @@ bool CompoundingRunsByteIdentical(const Setup& s,
   return SerializeForest(kernel) == SerializeForest(retrained);
 }
 
-// The lazy invariant (DESIGN.md §6 invariant 9): a compounded run with
-// deferred retrains and mid-run flushes lands on the eager kernel's exact
-// serialized bytes after every flush. The work counters deliberately differ
-// (lazy does fewer rebuilds), so both are zeroed before each comparison.
-bool LazyFlushByteIdentical(const Setup& s,
-                            const std::vector<std::vector<RowId>>& all) {
-  DareForest eager = PrivateCopy(s.model);
-  DareForest lazy = PrivateCopy(s.model);
-  lazy.SetLazyUnlearn(true);
-  DeletionScratch eager_scratch, lazy_scratch;
-  const int burst = BurstLength(
-      all.empty() ? 1 : static_cast<int>(all.front().size()));
-  int in_burst = 0;
-  for (size_t b = 0; b < all.size() && b < 16; ++b) {
-    FUME_ABORT_NOT_OK(eager.DeleteRows(all[b], nullptr, &eager_scratch));
-    FUME_ABORT_NOT_OK(lazy.DeleteRows(all[b], nullptr, &lazy_scratch));
-    if (++in_burst == burst) {
-      lazy.FlushAll(nullptr, &lazy_scratch);
-      in_burst = 0;
-      eager.ResetDeletionStats();
-      lazy.ResetDeletionStats();
-      if (SerializeForest(eager) != SerializeForest(lazy)) return false;
-    }
-  }
-  lazy.FlushAll(nullptr, &lazy_scratch);
-  eager.ResetDeletionStats();
-  lazy.ResetDeletionStats();
-  return SerializeForest(eager) == SerializeForest(lazy);
-}
-
-std::string TopKSignature(const FumeResult& result, const Schema& schema) {
-  std::ostringstream os;
-  os.precision(17);
-  for (const auto& s : result.top_k) {
-    os << s.predicate.ToString(schema) << '|' << s.attribution << '|'
-       << s.new_fairness << '|' << s.new_accuracy << '\n';
-  }
-  os << result.stats.attribution_evaluations;
-  return os.str();
-}
-
 bool IsFiniteRow(const Throughput& t) {
   return t.seconds == t.seconds && t.rows_per_sec == t.rows_per_sec;
 }
@@ -292,9 +214,7 @@ int main(int argc, char** argv) {
                       "rows/sec", "speedup"});
   std::vector<std::vector<std::string>> artifact;
   double headline_speedup = 0.0;
-  double lazy_headline_speedup = 0.0;
   bool bytes_identical = true;
-  bool lazy_bytes_identical = true;
   bool all_finite = true;
 
   for (int64_t rows : sizes) {
@@ -302,42 +222,32 @@ int main(int argc, char** argv) {
     const int64_t train_rows = s.model.num_training_rows();
     for (int batch : batch_sizes) {
       const auto batches = MakeBatches(train_rows, batch, num_batches);
-      Throughput retrain, kern, lazy;
+      Throughput retrain, kern;
       for (int rep = 0; rep < kReps; ++rep) {
         const Throughput r = MeasureRetrain(s, batches);
-        const Throughput k = MeasureDelete(s.model, batches, Strategy::kKernel);
-        const Throughput l = MeasureDelete(s.model, batches, Strategy::kLazy);
+        const Throughput k = MeasureDelete(s.model, batches);
         if (rep == 0 || r.rows_per_sec > retrain.rows_per_sec) retrain = r;
         if (rep == 0 || k.rows_per_sec > kern.rows_per_sec) kern = k;
-        if (rep == 0 || l.rows_per_sec > lazy.rows_per_sec) lazy = l;
       }
-      all_finite = all_finite && IsFiniteRow(retrain) && IsFiniteRow(kern) &&
-                   IsFiniteRow(lazy);
+      all_finite = all_finite && IsFiniteRow(retrain) && IsFiniteRow(kern);
       const double speedup = retrain.rows_per_sec > 0.0
                                  ? kern.rows_per_sec / retrain.rows_per_sec
                                  : 0.0;
-      const double lazy_speedup =
-          retrain.rows_per_sec > 0.0 ? lazy.rows_per_sec / retrain.rows_per_sec
-                                     : 0.0;
       if (rows == mid_size && batch == kHeadlineBatch) {
         headline_speedup = speedup;
-        lazy_headline_speedup =
-            kern.rows_per_sec > 0.0 ? lazy.rows_per_sec / kern.rows_per_sec
-                                    : 0.0;
       }
-      const Throughput* cells[] = {&retrain, &kern, &lazy};
-      const Strategy strategies[] = {Strategy::kRetrain, Strategy::kKernel,
-                                     Strategy::kLazy};
-      const double speedups[] = {1.0, speedup, lazy_speedup};
-      for (int c = 0; c < 3; ++c) {
+      const Throughput* cells[] = {&retrain, &kern};
+      const char* const strategies[] = {"retrain", "batched-kernel"};
+      const double speedups[] = {1.0, speedup};
+      for (int c = 0; c < 2; ++c) {
         const Throughput* t = cells[c];
         table.AddRow({std::to_string(rows), std::to_string(batch),
-                      StrategyName(strategies[c]),
+                      strategies[c],
                       std::to_string(t->rows_unlearned),
                       FormatDouble(t->rows_per_sec, 0),
                       FormatDouble(speedups[c], 2) + "x"});
         artifact.push_back({std::to_string(rows), std::to_string(batch),
-                            StrategyName(strategies[c]),
+                            strategies[c],
                             std::to_string(t->rows_unlearned),
                             FormatDouble(t->seconds, 4),
                             FormatDouble(t->rows_per_sec, 2),
@@ -348,10 +258,6 @@ int main(int argc, char** argv) {
         bytes_identical &&
         CompoundingRunsByteIdentical(
             s, MakeBatches(train_rows, kHeadlineBatch, 8));
-    lazy_bytes_identical =
-        lazy_bytes_identical &&
-        LazyFlushByteIdentical(s,
-                               MakeBatches(train_rows, kHeadlineBatch, 16));
   }
   table.Print(std::cout);
   WriteArtifact("unlearn_kernel",
@@ -359,65 +265,11 @@ int main(int argc, char** argv) {
                  "seconds", "rows_per_sec", "speedup_vs_retrain"},
                 artifact);
 
-  // End-to-end: a lazy model carrying a pending delete burst must report
-  // the eager model's top-k — the search's first traversal is the query
-  // that flushes it (no explicit FlushAll here, on purpose).
-  std::cout << "\nSearch identity check (mid-size forest, " << mid_size
-            << " rows)\n";
-  Setup s = MakeSetup(mid_size);
-  DareForest lazy_model = PrivateCopy(s.model);
-  lazy_model.SetLazyUnlearn(true);
-  // Burst-delete the TAIL of the training data from both models (the lazy
-  // one defers), then search over the tail-dropped dataset: surviving train
-  // indices still equal store ids, which the search's removal method relies
-  // on.
-  {
-    const int64_t n = s.train.num_rows();
-    const int64_t burst_rows = std::min<int64_t>(256, n / 8);
-    DeletionScratch scratch;
-    std::vector<int64_t> tail_idx;
-    for (int64_t off = 0; off < burst_rows; off += burst_rows / 4) {
-      std::vector<RowId> batch;
-      for (int64_t i = off; i < std::min(burst_rows, off + burst_rows / 4);
-           ++i) {
-        batch.push_back(static_cast<RowId>(n - burst_rows + i));
-        tail_idx.push_back(n - burst_rows + i);
-      }
-      FUME_ABORT_NOT_OK(s.model.DeleteRows(batch, nullptr, &scratch));
-      FUME_ABORT_NOT_OK(lazy_model.DeleteRows(batch, nullptr, &scratch));
-    }
-    s.train = s.train.DropRows(tail_idx);
-  }
-  FumeConfig config = BenchFumeConfig(s.group);
-  std::string kernel_sig, lazy_sig;
-  double kernel_sec = 0.0, lazy_sec = 0.0;
-  for (const Strategy strategy : {Strategy::kKernel, Strategy::kLazy}) {
-    const bool is_lazy = strategy == Strategy::kLazy;
-    Stopwatch watch;
-    auto result = ExplainFairnessViolation(is_lazy ? lazy_model : s.model,
-                                           s.train, s.test, config);
-    (is_lazy ? lazy_sec : kernel_sec) = watch.ElapsedSeconds();
-    FUME_ABORT_NOT_OK(result.status());
-    (is_lazy ? lazy_sig : kernel_sig) =
-        TopKSignature(*result, s.train.schema());
-  }
-  const bool lazy_topk_identical =
-      lazy_sig == kernel_sig && !lazy_model.HasLazyTags();
-  std::cout << "search sec: kernel " << FormatDouble(kernel_sec, 3)
-            << ", lazy " << FormatDouble(lazy_sec, 3) << '\n'
-            << "top-k identical after query-flushed lazy burst: "
-            << (lazy_topk_identical ? "yes" : "NO — exactness violation")
-            << '\n'
-            << "compounded forests byte-identical to same-store retrain: "
+  std::cout << "\ncompounded forests byte-identical to same-store retrain: "
             << (bytes_identical ? "yes" : "NO") << '\n'
-            << "lazy flush byte-identical to eager kernel: "
-            << (lazy_bytes_identical ? "yes" : "NO") << '\n'
             << "kernel speedup vs retrain at " << mid_size << " rows, batch "
             << kHeadlineBatch << ": " << FormatDouble(headline_speedup, 2)
-            << "x\n"
-            << "lazy speedup vs eager kernel at " << mid_size
-            << " rows, batch " << kHeadlineBatch << ": "
-            << FormatDouble(lazy_headline_speedup, 2) << "x\n";
+            << "x\n";
 
   std::ofstream json("bench_artifacts/BENCH_unlearn.json");
   if (json) {
@@ -429,14 +281,8 @@ int main(int argc, char** argv) {
          << "  \"headline_batch_rows\": " << kHeadlineBatch << ",\n"
          << "  \"kernel_speedup_vs_retrain_mid\": " << headline_speedup
          << ",\n"
-         << "  \"lazy_speedup_vs_kernel_mid\": " << lazy_headline_speedup
-         << ",\n"
-         << "  \"lazy_topk_identical\": "
-         << (lazy_topk_identical ? "true" : "false") << ",\n"
          << "  \"compounded_bytes_identical\": "
          << (bytes_identical ? "true" : "false") << ",\n"
-         << "  \"lazy_flush_bytes_identical\": "
-         << (lazy_bytes_identical ? "true" : "false") << ",\n"
          << "  \"cells\": [\n";
     for (size_t i = 0; i < artifact.size(); ++i) {
       const auto& row = artifact[i];
@@ -453,8 +299,6 @@ int main(int argc, char** argv) {
     std::cout << "could not write bench_artifacts/BENCH_unlearn.json\n";
   }
 
-  const bool exact =
-      lazy_topk_identical && bytes_identical && lazy_bytes_identical;
   if (!all_finite) std::cout << "NaN detected in measurements\n";
-  return exact && all_finite ? 0 : 1;
+  return bytes_identical && all_finite ? 0 : 1;
 }

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Lints the metric names used by production code (src/, tools/, bench/,
-# examples/ — tests may register throwaway names) against two rules:
+# examples/ — tests may register throwaway names) against three rules:
 #
 #   1. Scheme: every literal passed to obs::GetCounter / GetGauge /
 #      GetHistogram matches the dotted lowercase naming scheme
@@ -10,6 +10,9 @@
 #      either verbatim, or via a documented `prefix.*` wildcard row that
 #      also lists the name's remaining suffix (the doc's table style, e.g.
 #      the `fume.prune.*` row listing `rule4_parent`).
+#   3. Live snapshots: every counter, gauge and histogram in a committed
+#      bench_artifacts/*.metrics.json is a name production code registers,
+#      so no snapshot keeps reporting a metric that was deleted.
 #
 # Run from anywhere; exits non-zero listing every violation. Wired into
 # scripts/run_bench_smoke.sh so CI catches undocumented or misnamed
@@ -67,7 +70,32 @@ for name in ${names}; do
   fi
 done
 
+registered="$(printf '%s\n' ${names} | LC_ALL=C sort -u)"
+snapshots=0
+for snapshot in bench_artifacts/*.metrics.json; do
+  [ -f "${snapshot}" ] || continue
+  snapshots=$((snapshots + 1))
+  recorded="$(python3 -c '
+import json, sys
+snapshot = json.load(open(sys.argv[1]))
+for kind in ("counters", "gauges", "histograms"):
+    for name in snapshot.get(kind, {}):
+        print(name)
+' "${snapshot}" | LC_ALL=C sort -u)" || {
+    echo "FAIL: ${snapshot} is not a readable metrics snapshot"
+    status=1
+    continue
+  }
+  for name in $(LC_ALL=C comm -23 <(printf '%s\n' "${recorded}") \
+                                  <(printf '%s\n' "${registered}")); do
+    echo "FAIL: ${snapshot} records '${name}', which no production code" \
+      "registers"
+    status=1
+  done
+done
+
 if [ "${status}" -eq 0 ]; then
-  echo "metric names OK (${count} names checked against ${DOC})"
+  echo "metric names OK (${count} names checked against ${DOC}," \
+    "${snapshots} committed snapshots hold only registered names)"
 fi
 exit "${status}"

@@ -94,24 +94,21 @@ if [ -f bench_artifacts/BENCH_eval.json ]; then
 fi
 
 # The unlearn bench must have exercised the retrain baseline and the
-# lazy-tags strategy, and attested the exactness invariants: compounded
-# kernel deletions serialize like a same-store retrain on the surviving
-# rows, the flushed lazy forest is byte-identical to the eager kernel, and
-# a query-flushed lazy burst leaves the top-k search unchanged.
+# batched kernel, and attested that compounded kernel deletions serialize
+# like a same-store retrain on the surviving rows.
 if [ -f bench_artifacts/BENCH_unlearn.json ]; then
-  for strategy in retrain lazy-tags; do
+  for strategy in retrain batched-kernel; do
     if ! grep -q "\"strategy\": *\"${strategy}\"" bench_artifacts/BENCH_unlearn.json; then
       echo "FAIL: no ${strategy} strategy cells in BENCH_unlearn.json"
       status=1
     fi
   done
-  for key in compounded_bytes_identical lazy_flush_bytes_identical \
-             lazy_topk_identical; do
-    if ! grep -q "\"${key}\": *true" bench_artifacts/BENCH_unlearn.json; then
-      echo "FAIL: ${key} attestation missing or false in BENCH_unlearn.json"
-      status=1
-    fi
-  done
+  if ! grep -q '"compounded_bytes_identical": *true' \
+      bench_artifacts/BENCH_unlearn.json; then
+    echo "FAIL: compounded_bytes_identical attestation missing or false in" \
+      "BENCH_unlearn.json"
+    status=1
+  fi
 fi
 
 # The shard bench must attest every SISA exactness invariant: the 1-shard
@@ -151,36 +148,17 @@ for tool in fume_cli fume_stream fume_serve fume_client bench_check; do
   expect_exit 2 "${tool}" --bogus
 done
 expect_exit 2 fume_cli --dataset german-credit --threads 2147483649
-expect_exit 2 fume_stream --lazy=2  # a switch takes 0, 1, false or true
+expect_exit 2 fume_stream --metrics=2  # a switch takes 0, 1, false or true
 
-# Stream identity legs, once per deployment: the default one-shard model
-# and a slice-placed 4-shard ensemble.
-#
-#  * Lazy leg: a delete-heavy run with deferred subtree retrains must end
-#    with the in-binary identity attestation — every flushed shard equals a
-#    cold retrain on its surviving rows (fume_stream exits non-zero and
-#    prints MISMATCH otherwise).
-#  * Replay leg: a run writes its op-log and rewrites its checkpoint at
-#    every checkpoint op; restoring the last checkpoint and replaying the
-#    log (already-applied ops skipped) must land on the same final metric
-#    and accuracy as the uninterrupted run.
+# Stream replay legs, once per deployment: the default one-shard model
+# and a slice-placed 4-shard ensemble. A run writes its op-log and
+# rewrites its checkpoint at every checkpoint op; restoring the last
+# checkpoint and replaying the log (already-applied ops skipped) must land
+# on the same final metric and accuracy as the uninterrupted run.
 for shards in 1 4; do
   deployment=(--shards "${shards}")
   if [ "${shards}" -gt 1 ]; then deployment+=(--placement slice); fi
   tag="shards${shards}"
-
-  echo "=== fume_stream --lazy identity smoke (${deployment[*]}) ==="
-  if ! "${TOOLS_DIR}/fume_stream" --dataset german-credit --rows 500 --ops 40 \
-      --delete-batch 8 --checkpoint-every 10 --lazy --lazy-budget 64 \
-      "${deployment[@]}" > "stream-lazy-${tag}.log" 2>&1; then
-    echo "FAIL: fume_stream --lazy ${deployment[*]} exited non-zero"
-    tail -5 "stream-lazy-${tag}.log"
-    status=1
-  elif ! grep -q "lazy identity: ok" "stream-lazy-${tag}.log"; then
-    echo "FAIL: fume_stream --lazy ${deployment[*]} did not print its" \
-      "identity attestation"
-    status=1
-  fi
 
   echo "=== fume_stream replay smoke (${deployment[*]}) ==="
   rm -f "ops-${tag}.log" "${tag}.ckpt"
@@ -282,7 +260,7 @@ fi
 echo "=== fume_serve --shards / fume_client --smoke ==="
 rm -f serve.port
 "${TOOLS_DIR}/fume_serve" --rows 600 --port 0 --port-file serve.port \
-  --checkpoint-dir serve-state --oplog-dir serve-state --lazy \
+  --checkpoint-dir serve-state --oplog-dir serve-state \
   --shards 2 --placement slice &
 SERVE_PID=$!
 for _ in $(seq 1 100); do

@@ -40,19 +40,6 @@ struct ForestConfig {
   /// k': thresholds sampled per attribute in kSampled mode.
   int num_sampled_thresholds = 8;
   uint64_t seed = 42;
-  /// Defer trigger-subtree retrains (DynFrs-style lazy tags): a deletion
-  /// that flips a split decision appends the doomed rows to a per-node
-  /// LazyTag instead of rebuilding, keeping ancestor histograms exact, and
-  /// the rebuild happens on the first query descent / FlushAll / budget
-  /// overflow. Once flushed the forest is byte-identical to the eager
-  /// kernel on the same op sequence (DESIGN.md §6 invariant 9);
-  /// DeletionStats deliberately differ (lazy does less work). Runtime
-  /// execution knob — not part of the serialized model.
-  bool lazy_unlearn = false;
-  /// Staleness budget: DeleteRows auto-flushes the whole forest when the
-  /// pending doomed-row count (resp. tag count) across trees exceeds this.
-  int64_t max_lazy_rows = 4096;
-  static constexpr int64_t kMaxLazyNodes = 512;
 };
 
 /// Counters describing the work done by one DeleteRows call; used by the

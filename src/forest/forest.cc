@@ -107,9 +107,6 @@ Result<DareForest> DareForest::TrainUntreed(const Dataset& train,
   if (config.random_depth < 0 || config.random_depth > config.max_depth) {
     return Status::Invalid("random_depth must lie in [0, max_depth]");
   }
-  if (config.lazy_unlearn && config.max_lazy_rows < 1) {
-    return Status::Invalid("lazy staleness budget must be positive");
-  }
   static obs::Counter* trains = obs::GetCounter("forest.train.calls");
   trains->Inc();
   DareForest forest;
@@ -186,12 +183,10 @@ Status DareForest::DeleteRows(const std::vector<RowId>& rows,
   if (scratch == nullptr) scratch = &local_scratch;
   FUME_RETURN_NOT_OK(BeginDeletionBatch(rows, scratch));
   for (int t = 0; t < num_trees(); ++t) {
-    AddTreeWork(t, DeleteFromTree(t, rows, scratch), per_tree);
+    const DeletionStats work = DeleteFromTree(t, rows, scratch);
+    deletion_stats_.Add(work);
+    if (per_tree != nullptr) (*per_tree)[static_cast<size_t>(t)] = work;
   }
-  // Staleness budget exceeded: retire the deferred work now rather than
-  // letting an unbounded burst pile up retrain debt. The flush retrains
-  // land in per_tree, so the report covers all of this call's work.
-  if (LazyBudgetExceeded()) FlushAll(per_tree, scratch);
   return Status::OK();
 }
 
@@ -202,90 +197,14 @@ DeletionStats DareForest::DeleteFromTree(int t, const std::vector<RowId>& rows,
   return work;
 }
 
-bool DareForest::LazyBudgetExceeded() const {
-  if (!config_.lazy_unlearn || (lazy_rows() <= config_.max_lazy_rows &&
-                                lazy_nodes() <= ForestConfig::kMaxLazyNodes)) {
-    return false;
-  }
-  static obs::Counter* budget_flushes =
-      obs::GetCounter("forest.lazy.budget_flushes");
-  budget_flushes->Inc();
-  return true;
-}
-
-void DareForest::AddTreeWork(int t, const DeletionStats& work,
-                             std::vector<DeletionStats>* per_tree) {
-  deletion_stats_.Add(work);
-  if (per_tree != nullptr) (*per_tree)[static_cast<size_t>(t)].Add(work);
-}
-
-void DareForest::FlushAll(std::vector<DeletionStats>* per_tree,
-                          DeletionScratch* scratch) {
-  if (!HasLazyTags()) return;
-  obs::TraceSpan span("forest.lazy_flush",
-                      {{"rows", lazy_rows()}, {"tags", lazy_nodes()}});
-  DeletionScratch local_scratch;
-  if (scratch == nullptr) scratch = &local_scratch;
-  if (per_tree != nullptr && per_tree->empty()) {
-    per_tree->assign(trees_.size(), DeletionStats{});
-  }
-  for (int t = 0; t < num_trees(); ++t) {
-    if (trees_[static_cast<size_t>(t)].has_lazy_tags()) {
-      AddTreeWork(t, FlushTree(t, scratch), per_tree);
-    }
-  }
-}
-
-DeletionStats DareForest::FlushTree(int t, DeletionScratch* scratch) {
-  DeletionStats work;
-  trees_[static_cast<size_t>(t)].FlushLazy(&work, scratch);
-  return work;
-}
-
-bool DareForest::HasLazyTags() const {
-  for (const auto& tree : trees_) {
-    if (tree.has_lazy_tags()) return true;
-  }
-  return false;
-}
-
-int64_t DareForest::lazy_rows() const {
-  int64_t total = 0;
-  for (const auto& tree : trees_) total += tree.lazy_rows();
-  return total;
-}
-
-int64_t DareForest::lazy_nodes() const {
-  int64_t total = 0;
-  for (const auto& tree : trees_) total += tree.lazy_nodes();
-  return total;
-}
-
-void DareForest::EnsureFlushed() const {
-  if (!config_.lazy_unlearn || !HasLazyTags()) return;
-  // Logically const (see forest.h): a tagged forest is thread-confined, so
-  // this cannot race with another reader.
-  const_cast<DareForest*>(this)->FlushAll();
-}
-
-void DareForest::SetLazyUnlearn(bool on) {
-  if (!on) FlushAll();
-  config_.lazy_unlearn = on;
-  for (auto& tree : trees_) tree.SetLazyUnlearn(on);
-}
-
-Result<std::vector<RowId>> DareForest::AddData(
-    const Dataset& rows, std::vector<DeletionStats>* per_tree,
-    DeletionScratch* scratch) {
-  if (per_tree != nullptr) {
-    per_tree->assign(trees_.size(), DeletionStats{});
-  }
+Result<std::vector<RowId>> DareForest::AddData(const Dataset& rows,
+                                               DeletionScratch* scratch) {
   obs::TraceSpan span("forest.add", {{"rows", rows.num_rows()}});
   FUME_ASSIGN_OR_RETURN(std::vector<RowId> new_ids, AppendRows(rows));
   DeletionScratch local_scratch;
   if (scratch == nullptr) scratch = &local_scratch;
   for (int t = 0; t < num_trees(); ++t) {
-    AddTreeWork(t, AddToTree(t, new_ids, scratch), per_tree);
+    deletion_stats_.Add(AddToTree(t, new_ids, scratch));
   }
   return new_ids;
 }
@@ -317,13 +236,8 @@ Result<std::vector<RowId>> DareForest::AppendRows(const Dataset& rows) {
 
 DeletionStats DareForest::AddToTree(int t, const std::vector<RowId>& ids,
                                     DeletionScratch* scratch) {
-  DareTree& tree = trees_[static_cast<size_t>(t)];
-  // Additions route through every level of the tree, so pending lazy tags
-  // (stale split decisions below them) must be rebuilt first. The flush
-  // work is reported alongside the add work.
   DeletionStats work;
-  if (tree.has_lazy_tags()) tree.FlushLazy(&work, scratch);
-  tree.AddRows(ids, &work, scratch);
+  trees_[static_cast<size_t>(t)].AddRows(ids, &work, scratch);
   return work;
 }
 
@@ -339,7 +253,6 @@ Status DareForest::CheckCompatible(const Dataset& data) const {
 
 double DareForest::PredictProb(const Dataset& data, int64_t row) const {
   FUME_DCHECK(CheckCompatible(data).ok());
-  EnsureFlushed();  // first query descent retires any deferred retrains
   double sum = 0.0;
   for (const auto& tree : trees_) {
     sum += tree.PredictProb([&](int attr) { return data.Code(row, attr); });
@@ -353,7 +266,6 @@ int DareForest::Predict(const Dataset& data, int64_t row) const {
 
 std::vector<double> DareForest::PredictProbAll(const Dataset& data) const {
   FUME_CHECK(CheckCompatible(data).ok());
-  EnsureFlushed();  // arenas must never be compiled from a tagged tree
   const std::shared_ptr<const PackedCodes> packed = data.packed_codes();
   const int64_t n_rows = data.num_rows();
   std::vector<double> sums(static_cast<size_t>(n_rows), 0.0);

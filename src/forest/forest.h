@@ -18,11 +18,14 @@ namespace fume {
 /// Train() is a pure function of (training data, config.seed): two forests
 /// trained on identical data with identical configs are structurally equal.
 /// DeleteRows() exactly unlearns training rows, yielding the forest Train()
-/// would produce on the reduced data. Typical FUME usage:
+/// would produce on the reduced data. FUME never mutates the forest it
+/// audits: each what-if "trained without T" is scored by a const walk of
+/// the base forest (TestPredictionCache::ScoreWithout, reached through
+/// UnlearnRemovalMethod), which counts the work DeleteRows(T) would do.
 ///
 ///   auto forest = DareForest::Train(train, config).ValueOrDie();
-///   DareForest what_if = forest.Clone();
-///   what_if.DeleteRows(subset_row_ids);   // estimate "trained without T"
+///   UnlearnRemovalMethod removal(&forest, &test, group, metric);
+///   auto eval = removal.EvaluateWithout(subset_row_ids);
 class DareForest {
  public:
   DareForest() = default;
@@ -46,23 +49,16 @@ class DareForest {
   /// Exactly unlearns training rows (ids into the training dataset given to
   /// Train). Duplicate ids are an error.
   Status DeleteRows(const std::vector<RowId>& rows) {
-    return DeleteRows(rows, nullptr);
+    return DeleteRows(rows, nullptr, nullptr);
   }
 
   /// As above, additionally reporting the work done in each tree by THIS
-  /// call (one entry per tree, zeroed first). Pass nullptr to skip the
-  /// report.
-  Status DeleteRows(const std::vector<RowId>& rows,
-                    std::vector<DeletionStats>* per_tree) {
-    return DeleteRows(rows, per_tree, nullptr);
-  }
-
-  /// As above with caller-owned kernel scratch. Long-lived callers (what-if
-  /// evaluation workers, the stream engine) pass the same scratch to every
-  /// call so steady-state deletions allocate nothing; a warm reuse bumps
-  /// forest.unlearn.scratch_reuse. nullptr uses call-local scratch. The
-  /// scratch is an execution resource only — results are byte-identical
-  /// whatever is passed.
+  /// call (one entry per tree, zeroed first; nullptr skips the report),
+  /// with caller-owned kernel scratch. Long-lived callers pass the same
+  /// scratch to every call so steady-state deletions allocate nothing; a
+  /// warm reuse bumps forest.unlearn.scratch_reuse. nullptr uses call-local
+  /// scratch. The scratch is an execution resource only — results are
+  /// byte-identical whatever is passed.
   Status DeleteRows(const std::vector<RowId>& rows,
                     std::vector<DeletionStats>* per_tree,
                     DeletionScratch* scratch);
@@ -81,47 +77,11 @@ class DareForest {
   /// on the enlarged dataset (same config/seed). `rows` must be
   /// all-categorical with the same attribute count and cardinalities as the
   /// training data. Returns the ids assigned to the new rows.
-  Result<std::vector<RowId>> AddData(const Dataset& rows) {
-    return AddData(rows, nullptr);
-  }
-
-  /// As above with the per-tree work report of DeleteRows' overload.
   Result<std::vector<RowId>> AddData(const Dataset& rows,
-                                     std::vector<DeletionStats>* per_tree) {
-    return AddData(rows, per_tree, nullptr);
-  }
+                                     DeletionScratch* scratch = nullptr);
 
-  /// As above with caller-owned kernel scratch (see DeleteRows).
-  Result<std::vector<RowId>> AddData(const Dataset& rows,
-                                     std::vector<DeletionStats>* per_tree,
-                                     DeletionScratch* scratch);
-
-  /// Rebuilds every pending lazy-tag subtree across all trees (no-op when
-  /// none are pending — only meaningful with config().lazy_unlearn). The
-  /// retrain work lands in deletion_stats() and, when `per_tree` is
-  /// non-null, is ADDED into its entries (zero-sized vectors are sized and
-  /// zeroed first).
-  void FlushAll(std::vector<DeletionStats>* per_tree = nullptr,
-                DeletionScratch* scratch = nullptr);
-  /// True while any tree holds a pending LazyTag.
-  bool HasLazyTags() const;
-  /// Pending deferred doomed rows / tag nodes summed across trees.
-  int64_t lazy_rows() const;
-  int64_t lazy_nodes() const;
-  /// Logically-const flush used by the const traversal entry points
-  /// (PredictProbAll and friends, the prediction cache's walks). A tagged
-  /// forest is thread-confined by contract — engine forests live behind the
-  /// stream/serve writer lock and what-if clones are worker-private, while
-  /// every published snapshot is flushed before it is shared — so the
-  /// const_cast never races. No-op unless lazy_unlearn is on with pending
-  /// tags.
-  void EnsureFlushed() const;
-  /// Toggles config().lazy_unlearn on this forest and every tree. Disabling
-  /// flushes pending tags first.
-  void SetLazyUnlearn(bool on);
-  /// Zeroes deletion_stats(). Lazy-vs-eager byte-identity checks reset both
-  /// forests' counters before serializing: the model bytes converge after a
-  /// flush, the work counters (deliberately) do not — lazy does less work.
+  /// Zeroes deletion_stats(), so an unlearned forest serializes like a
+  /// retrain on its surviving rows, whose counters start at zero.
   void ResetDeletionStats() { deletion_stats_ = DeletionStats{}; }
 
   /// P(label = 1): mean of per-tree leaf positive fractions.
@@ -173,7 +133,7 @@ class DareForest {
   Status CheckCompatible(const Dataset& data) const;
 
   // ---- per-tree steps -------------------------------------------------
-  // Train, DeleteRows, AddData and FlushAll each set up once, run one
+  // Train, DeleteRows and AddData each set up once, run one
   // independent step per tree, and add the trees' work into
   // deletion_stats_ in tree order. A step touches only its own tree and
   // the scratch it is handed, so the steps may run in any order on any
@@ -194,20 +154,9 @@ class DareForest {
   /// MarkBatch on a batch already validated).
   DeletionStats DeleteFromTree(int t, const std::vector<RowId>& rows,
                                DeletionScratch* scratch);
-  /// AddData's step: retires tree t's pending tags (an insert is a flush
-  /// boundary), then adds the appended `ids` to it.
+  /// AddData's step: adds the appended `ids` to tree t.
   DeletionStats AddToTree(int t, const std::vector<RowId>& ids,
                           DeletionScratch* scratch);
-  /// FlushAll's step on tree t (no work without tags).
-  DeletionStats FlushTree(int t, DeletionScratch* scratch);
-  /// Adds tree t's step work into deletion_stats_ and, when non-null,
-  /// into (*per_tree)[t].
-  void AddTreeWork(int t, const DeletionStats& work,
-                   std::vector<DeletionStats>* per_tree);
-  /// True when pending lazy tags exceed the staleness budget, so the
-  /// delete that left them must flush now (counted in
-  /// forest.lazy.budget_flushes).
-  bool LazyBudgetExceeded() const;
 
   std::shared_ptr<TrainingStore> store_;
   ForestConfig config_;

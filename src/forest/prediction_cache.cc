@@ -64,7 +64,6 @@ void TestPredictionCache::Rebuild(const DareForest& forest,
   obs::TraceSpan span("stream.predcache.rebuild",
                       {{"trees", forest.num_trees()},
                        {"rows", test.num_rows()}});
-  forest.EnsureFlushed();
   Reset(forest, test.num_rows());
   const std::shared_ptr<const PackedCodes> packed = test.packed_codes();
   for (int t = 0; t < forest.num_trees(); ++t) {
@@ -227,11 +226,6 @@ Status TestPredictionCache::BeginScoreWithout(
   const size_t num_trees = prob_.size();
   FUME_CHECK_EQ(static_cast<size_t>(base.num_trees()), num_trees);
   FUME_CHECK_EQ(static_cast<size_t>(test.num_rows()), mean_prob_.size());
-  if (base.HasLazyTags()) {
-    return Status::Invalid(
-        "what-if scoring needs a flushed base forest (pending lazy "
-        "deletions)");
-  }
   BeginWhatIf(s);
   s->deletion_stats = DeletionStats{};
   s->tree_rescored.resize(num_trees);
@@ -287,9 +281,6 @@ void TestPredictionCache::ScoreWhatIf(const DareForest& base,
   const size_t num_trees = prob_.size();
   FUME_CHECK_EQ(static_cast<size_t>(base.num_trees()), num_trees);
   FUME_CHECK_EQ(static_cast<size_t>(what_if.num_trees()), num_trees);
-  // The base graph this cache was walked against is flushed by contract;
-  // flush the (caller-private) what-if clone before diffing against it.
-  what_if.EnsureFlushed();
   const size_t n_rows = mean_prob_.size();
   FUME_CHECK_EQ(static_cast<size_t>(test.num_rows()), n_rows);
   std::shared_ptr<const PackedCodes> packed;

@@ -92,9 +92,8 @@ class TestPredictionCache {
   /// scratch->preds (and scratch->probs when wanted) bit-identically to
   /// ScoreWhatIf on Clone() + DeleteRows(rows), and scratch->
   /// deletion_stats with the deletion's work. Returns the Status DeleteRows
-  /// would for out-of-range or duplicate ids, and Invalid for a base with
-  /// pending lazy deletions (flush first; Rebuild does). `deletion` is the
-  /// caller's kernel scratch. Thread-safe for concurrent calls on one
+  /// would for out-of-range or duplicate ids. `deletion` is the caller's
+  /// kernel scratch. Thread-safe for concurrent calls on one
   /// cache and one base with distinct scratches; allocation-free once they
   /// are warm.
   Status ScoreWithout(const DareForest& base, const std::vector<RowId>& rows,
@@ -143,7 +142,7 @@ class TestPredictionCache {
   /// Rebuild's step: every test row through tree t's arena.
   void RebuildTree(const DareForest& forest, int t, const PackedCodes& packed);
   /// ShardedPredictionCache::Update's step: after any number of ops on the
-  /// (flushed) forest this cache last synced with, rewrites the rows of
+  /// forest this cache last synced with, rewrites the rows of
   /// tree t that reach a node stamped since that sync. Returns the rows
   /// rewritten, or -1 when no op since has changed the tree. `order` is
   /// the caller's row buffer.

@@ -120,12 +120,6 @@ Result<std::shared_ptr<TreeNode>> ReadNode(BinaryReader& in, int depth,
 }  // namespace
 
 Status SaveForest(const DareForest& forest, std::ostream& stream) {
-  // No tag escapes a flush boundary (DESIGN.md §6 invariant 9): a lazily
-  // deferred forest is flushed before a single byte is written, so saved
-  // models — and every checkpoint built on this — are always exact. The
-  // CHECK is belt-and-braces for forests mutated concurrently (illegal).
-  forest.EnsureFlushed();
-  FUME_CHECK(!forest.HasLazyTags());
   BinaryWriter out(stream);
   out.Header(kMagic, kVersion);
 

@@ -210,7 +210,6 @@ Result<ShardedForest> ShardedForest::Train(const Dataset& train,
 }
 
 ShardedForest ShardedForest::FromForest(const DareForest& forest) {
-  forest.EnsureFlushed();
   ShardedForest out;  // default ShardConfig: one shard, no maps
   out.shards_.push_back(forest.Clone());
   return out;
@@ -238,8 +237,7 @@ void ShardedForest::RunTreeSteps(const std::vector<ShardTreeJob>& jobs,
     work[i] = step(worker, jobs[i], &(*scratch)[static_cast<size_t>(worker)]);
   });
   for (size_t i = 0; i < jobs.size(); ++i) {
-    shards_[static_cast<size_t>(jobs[i].shard)].AddTreeWork(jobs[i].tree,
-                                                            work[i], nullptr);
+    shards_[static_cast<size_t>(jobs[i].shard)].deletion_stats_.Add(work[i]);
   }
 }
 
@@ -286,15 +284,6 @@ Status ShardedForest::DeleteRows(const std::vector<RowId>& global_rows,
                  EnsureMarked(worker, job.shard, shard, rows, &marked, sc);
                  return shard.DeleteFromTree(job.tree, rows, sc);
                });
-  // A lazy shard whose deferred rows now exceed its staleness budget
-  // flushes inside the same op, as DareForest::DeleteRows does.
-  std::vector<int> over_budget;
-  for (const int s : touched) {
-    if (shards_[static_cast<size_t>(s)].LazyBudgetExceeded()) {
-      over_budget.push_back(s);
-    }
-  }
-  if (!over_budget.empty()) FlushShards(over_budget, pool, scratch);
   return Status::OK();
 }
 
@@ -327,20 +316,15 @@ Result<std::vector<RowId>> ShardedForest::AddData(
     sub[static_cast<size_t>(s)].push_back(i);
   }
   // Each shard receiving rows appends them to its store; then every tree
-  // of those shards, and of shards still holding lazy tags (an insert is
-  // an ensemble-wide flush boundary, so no tag survives the op), takes its
-  // step as one fan-out.
+  // of those shards takes its step as one fan-out.
   std::vector<std::vector<RowId>> new_local(static_cast<size_t>(n));
   std::vector<ShardTreeJob> jobs;
   for (int s = 0; s < n; ++s) {
+    if (sub[static_cast<size_t>(s)].empty()) continue;
     DareForest& shard = shards_[static_cast<size_t>(s)];
-    if (!sub[static_cast<size_t>(s)].empty()) {
-      FUME_ASSIGN_OR_RETURN(
-          new_local[static_cast<size_t>(s)],
-          shard.AppendRows(rows.Select(sub[static_cast<size_t>(s)])));
-    } else if (!shard.HasLazyTags()) {
-      continue;
-    }
+    FUME_ASSIGN_OR_RETURN(
+        new_local[static_cast<size_t>(s)],
+        shard.AppendRows(rows.Select(sub[static_cast<size_t>(s)])));
     AppendTreeJobs(s, shard.num_trees(), &jobs);
   }
   std::vector<DeletionScratch> own_scratch;
@@ -367,64 +351,6 @@ Result<std::vector<RowId>> ShardedForest::AddData(
         new_local[static_cast<size_t>(s)][consumed[static_cast<size_t>(s)]++]);
   }
   return global_ids;
-}
-
-void ShardedForest::FlushAll(util::ThreadPool* pool,
-                             std::vector<DeletionScratch>* scratch) {
-  std::vector<int> tagged;
-  for (int s = 0; s < num_shards(); ++s) {
-    if (shards_[static_cast<size_t>(s)].HasLazyTags()) tagged.push_back(s);
-  }
-  if (tagged.empty()) return;
-  std::vector<DeletionScratch> own_scratch;
-  FlushShards(tagged, pool, WorkerScratch(pool, scratch, &own_scratch));
-}
-
-void ShardedForest::FlushShards(const std::vector<int>& shards,
-                                util::ThreadPool* pool,
-                                std::vector<DeletionScratch>* scratch) {
-  static obs::Counter* flushed =
-      obs::GetCounter("shard.flush.shards_flushed");
-  flushed->Inc(static_cast<int64_t>(shards.size()));
-  std::vector<ShardTreeJob> jobs;
-  for (const int s : shards) {
-    const DareForest& shard = shards_[static_cast<size_t>(s)];
-    for (int t = 0; t < shard.num_trees(); ++t) {
-      if (shard.tree(t).has_lazy_tags()) jobs.push_back({s, t});
-    }
-  }
-  RunTreeSteps(jobs, pool, scratch,
-               [&](int, const ShardTreeJob& job, DeletionScratch* sc) {
-                 return shards_[static_cast<size_t>(job.shard)].FlushTree(
-                     job.tree, sc);
-               });
-}
-
-bool ShardedForest::HasLazyTags() const {
-  for (const auto& s : shards_) {
-    if (s.HasLazyTags()) return true;
-  }
-  return false;
-}
-
-int64_t ShardedForest::lazy_rows() const {
-  int64_t total = 0;
-  for (const auto& s : shards_) total += s.lazy_rows();
-  return total;
-}
-
-int64_t ShardedForest::lazy_nodes() const {
-  int64_t total = 0;
-  for (const auto& s : shards_) total += s.lazy_nodes();
-  return total;
-}
-
-void ShardedForest::EnsureFlushed() const {
-  for (const auto& s : shards_) s.EnsureFlushed();
-}
-
-void ShardedForest::ResetDeletionStats() {
-  for (auto& s : shards_) s.ResetDeletionStats();
 }
 
 void ShardedForest::Predict(const Dataset& data, std::vector<double>* probs,
@@ -680,7 +606,6 @@ void ShardedPredictionCache::Rebuild(const ShardedForest& forest,
   obs::TraceSpan span("stream.predcache.rebuild",
                       {{"shards", forest.num_shards()},
                        {"rows", test.num_rows()}});
-  forest.EnsureFlushed();
   const std::shared_ptr<const PackedCodes> packed = test.packed_codes();
   caches_.assign(static_cast<size_t>(forest.num_shards()),
                  TestPredictionCache{});
@@ -703,8 +628,6 @@ void ShardedPredictionCache::Update(const ShardedForest& forest,
                                     const Dataset& test,
                                     util::ThreadPool* pool) {
   FUME_CHECK_EQ(caches_.size(), static_cast<size_t>(forest.num_shards()));
-  // A tag leaves stale decisions below it; callers flush first.
-  FUME_CHECK(!forest.HasLazyTags());
   static obs::Counter* trees_rewalked =
       obs::GetCounter("stream.predcache.trees_rewalked");
   static obs::Counter* rows_rewalked =

@@ -8,7 +8,7 @@
 // only that shard — a deletion burst becomes shard-local unlearning. The
 // unit of parallel work is the (shard, tree) pair: DaRE trees train and
 // unlearn independently, so every per-tree loop of an op (Train,
-// DeleteRows, AddData, FlushAll, and the prediction cache's Rebuild,
+// DeleteRows, AddData, and the prediction cache's Rebuild,
 // Update and ScoreWithout) runs the trees of every shard it reaches as one
 // batch on the util::ThreadPool its caller holds, and one shard uses every
 // pool thread too. One shard is the monolithic deployment: the stream
@@ -122,8 +122,8 @@ class ShardedForest {
                                      util::ThreadPool* pool = nullptr);
 
   /// One-shard view of a trained forest: identity placement, and a CoW
-  /// Clone() of `forest` as shard 0 (O(trees); pending lazy tags are
-  /// flushed first, so the clone also inherits any compiled arenas).
+  /// Clone() of `forest` as shard 0 (O(trees); the clone also inherits any
+  /// compiled arenas).
   /// Byte-identical to a one-shard Train on the forest's data and config,
   /// and mutating the view never perturbs `forest`.
   static ShardedForest FromForest(const DareForest& forest);
@@ -140,23 +140,11 @@ class ShardedForest {
                     std::vector<DeletionScratch>* scratch = nullptr);
 
   /// Exactly adds new rows, routing each to its placed shard; returns the
-  /// assigned global ids in input order. An insert is a flush boundary for
-  /// the WHOLE ensemble: shards holding pending lazy tags are flushed even
-  /// if they receive no new row, mirroring DareForest::AddData's contract.
-  /// Fans out by (shard, tree) like DeleteRows.
+  /// assigned global ids in input order. Fans out the trees of the shards
+  /// receiving rows by (shard, tree) like DeleteRows.
   Result<std::vector<RowId>> AddData(
       const Dataset& rows, util::ThreadPool* pool = nullptr,
       std::vector<DeletionScratch>* scratch = nullptr);
-
-  /// Flushes pending lazy-tag subtrees in every shard (see DareForest::
-  /// FlushAll), fanned out by (shard, tree) like DeleteRows.
-  void FlushAll(util::ThreadPool* pool = nullptr,
-                std::vector<DeletionScratch>* scratch = nullptr);
-  bool HasLazyTags() const;
-  int64_t lazy_rows() const;
-  int64_t lazy_nodes() const;
-  void EnsureFlushed() const;
-  void ResetDeletionStats();
 
   /// Ensemble probability per row of `data` (mean of shard means).
   std::vector<double> PredictProbAll(const Dataset& data) const;
@@ -201,8 +189,7 @@ class ShardedForest {
   /// Serializes the sharded container: shard config + placement maps (the
   /// identity maps for one shard) + one length-prefixed SaveForest blob per
   /// shard, written straight into `out` (the length is patched in
-  /// afterwards, so `out` must report and seek its position). Lazy tags
-  /// are flushed first.
+  /// afterwards, so `out` must report and seek its position).
   Status Save(std::ostream& out) const;
   /// Reads a Save container, running LoadForest straight off `in` through
   /// one util::BinaryReader; a blob whose length prefix disagrees with the
@@ -224,10 +211,6 @@ class ShardedForest {
   static constexpr uint64_t kShardSeedStride = 0x9E3779B97F4A7C15ull;
 
  private:
-  /// Flushes the tagged trees of `shards` as one fan-out; `scratch` holds
-  /// one entry per pool worker.
-  void FlushShards(const std::vector<int>& shards, util::ThreadPool* pool,
-                   std::vector<DeletionScratch>* scratch);
   /// Runs step(worker, job, worker's scratch) for every job, fanned out on
   /// `pool`, and adds each job's returned DeletionStats into its shard's
   /// deletion_stats() in job order.
@@ -299,7 +282,6 @@ class ShardedPredictionCache {
   /// Refreshes after any number of ensemble ops since the last Rebuild or
   /// Update, through the nodes they stamped only (TestPredictionCache::
   /// UpdateTree on every tree; a tree no op touched costs one root check).
-  /// The forest must be flushed.
   void Update(const ShardedForest& forest, const Dataset& test,
               util::ThreadPool* pool = nullptr);
 

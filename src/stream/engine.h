@@ -95,18 +95,6 @@ class StreamEngine {
   /// Convenience: applies every op in order, returning per-op outcomes.
   Result<std::vector<OpOutcome>> Replay(const std::vector<StreamOp>& ops);
 
-  // ---- lazy deferral (config.forest.lazy_unlearn) --------------------
-  /// Retires every deferred subtree retrain, brings the prediction cache
-  /// up to date with the whole burst, and refreshes the metric. No-op
-  /// unless a delete burst is pending. Called automatically at every flush
-  /// boundary — checkpoint ops, inserts, SaveCheckpoint — and callable
-  /// directly before reading model()/current_metric() mid-burst.
-  void FlushLazy();
-  /// True while a deferred delete burst is pending: the model may hold
-  /// lazy tags and current_metric()/prediction_cache() reflect the state
-  /// at the last flush, not the last op.
-  bool deferring() const { return metric_stale_ || model_.HasLazyTags(); }
-
   // ---- serving state -------------------------------------------------
   int64_t last_seq() const { return last_seq_; }
   /// Signed F(h, D_test) of the current model.
@@ -200,11 +188,6 @@ class StreamEngine {
   /// Shared pool for every search and (shard, tree) fan-out this engine
   /// runs; created at first use when config_.fume.num_threads > 1.
   std::unique_ptr<util::ThreadPool> pool_;
-
-  /// True between a deferred delete and the next flush boundary: metric_,
-  /// accuracy_ and cache_ describe the pre-burst model. Drift gating is
-  /// suspended while set (evaluated at flush points only).
-  bool metric_stale_ = false;
 
   int64_t last_seq_ = -1;
   double metric_ = 0.0;

@@ -8,7 +8,6 @@
 #include <string>
 
 #include "forest/serialize.h"
-#include "forest/sharded_forest.h"
 #include "synth/datasets.h"
 #include "util/rng.h"
 
@@ -104,103 +103,6 @@ TEST(SerializeTest, DeletionStatsSurviveMixedOpsRoundTrip) {
   ASSERT_TRUE(loaded->DeleteRows({5, 200, 333}).ok());
   EXPECT_TRUE(loaded->StructurallyEquals(forest));
   EXPECT_EQ(loaded->deletion_stats(), forest.deletion_stats());
-}
-
-TEST(SerializeTest, LazyTagsNeverReachTheWire) {
-  // DESIGN.md §6 invariant 9: no tag escapes a flush boundary. SaveForest
-  // flushes a lazily-deleted forest before writing, so the bytes it emits
-  // equal the eager kernel's on the same op sequence (work counters zeroed
-  // on both sides — lazy deliberately does less retrain work).
-  DareForest eager = TrainedForest(8, ThresholdMode::kExact);
-  DareForest lazy = TrainedForest(8, ThresholdMode::kExact);
-  lazy.SetLazyUnlearn(true);
-  std::vector<RowId> doomed;
-  for (RowId r = 0; r < 160; r += 2) doomed.push_back(r);
-  ASSERT_TRUE(eager.DeleteRows(doomed).ok());
-  ASSERT_TRUE(lazy.DeleteRows(doomed).ok());
-  ASSERT_TRUE(lazy.HasLazyTags());
-
-  // The first save triggers the flush (its retrain work lands in the lazy
-  // DeletionStats, which v2 serializes); the byte comparison zeroes both
-  // sides' counters afterwards and saves again.
-  std::ostringstream first(std::ios::binary);
-  ASSERT_TRUE(SaveForest(lazy, first).ok());
-  EXPECT_FALSE(lazy.HasLazyTags());
-  eager.ResetDeletionStats();
-  lazy.ResetDeletionStats();
-  std::ostringstream eager_out(std::ios::binary);
-  std::ostringstream lazy_out(std::ios::binary);
-  ASSERT_TRUE(SaveForest(eager, eager_out).ok());
-  ASSERT_TRUE(SaveForest(lazy, lazy_out).ok());
-  EXPECT_EQ(lazy_out.str(), eager_out.str());
-
-  std::istringstream in(lazy_out.str(), std::ios::binary);
-  auto loaded = LoadForest(in);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_TRUE(loaded->StructurallyEquals(eager));
-  // lazy_unlearn is a runtime knob, never model state.
-  EXPECT_FALSE(loaded->config().lazy_unlearn);
-}
-
-TEST(SerializeTest, RuntimeKnobsNeverReachTheWire) {
-  // lazy_unlearn (and the ShardConfig routing of a 1-shard container) are
-  // execution knobs, not model state: the same train + mutate sequence must
-  // serialize to the same bytes with the knob on and off. A knob leaking
-  // into the wire format would fork checkpoints between deployments that
-  // only differ in execution strategy.
-  auto bundle = synth::MakeParametric(400, 6, 4, 17);
-  ASSERT_TRUE(bundle.ok());
-  auto extra = synth::MakeParametric(30, 6, 4, 18);
-  ASSERT_TRUE(extra.ok());
-
-  std::string reference_mono;
-  std::string reference_sharded;
-  for (const bool lazy : {false, true}) {
-    ForestConfig config;
-    config.num_trees = 4;
-    config.max_depth = 7;
-    config.random_depth = 2;
-    config.seed = 5;
-    config.lazy_unlearn = lazy;
-    const std::string label = std::string("lazy=") + (lazy ? "1" : "0");
-
-    auto forest = DareForest::Train(bundle->data, config);
-    ASSERT_TRUE(forest.ok()) << label;
-    ASSERT_TRUE(forest->DeleteRows({2, 17, 90, 250, 399}).ok()) << label;
-    ASSERT_TRUE(forest->AddData(extra->data).ok()) << label;
-    ASSERT_TRUE(forest->DeleteRows({5, 6, 401}).ok()) << label;
-    if (lazy) forest->FlushAll();
-    // Lazy does less retrain work by design, so its counters differ;
-    // zero them everywhere so the comparison pins pure model bytes.
-    forest->ResetDeletionStats();
-    std::ostringstream out(std::ios::binary);
-    ASSERT_TRUE(SaveForest(*forest, out).ok()) << label;
-    if (reference_mono.empty()) {
-      reference_mono = out.str();
-    } else {
-      EXPECT_EQ(out.str(), reference_mono) << label;
-    }
-
-    // Same sweep through the sharded container (trained as one shard so
-    // the knob is the only variable; ShardConfig routing fields ARE
-    // serialized — deliberately, a checkpoint must re-route identically).
-    ShardConfig shard;
-    shard.num_shards = 1;
-    auto sharded = ShardedForest::Train(bundle->data, config, shard);
-    ASSERT_TRUE(sharded.ok()) << label;
-    ASSERT_TRUE(sharded->DeleteRows({2, 17, 90, 250, 399}).ok()) << label;
-    ASSERT_TRUE(sharded->AddData(extra->data).ok()) << label;
-    ASSERT_TRUE(sharded->DeleteRows({5, 6, 401}).ok()) << label;
-    if (lazy) sharded->FlushAll();
-    sharded->ResetDeletionStats();
-    std::ostringstream shard_out(std::ios::binary);
-    ASSERT_TRUE(sharded->Save(shard_out).ok()) << label;
-    if (reference_sharded.empty()) {
-      reference_sharded = shard_out.str();
-    } else {
-      EXPECT_EQ(shard_out.str(), reference_sharded) << label;
-    }
-  }
 }
 
 TEST(SerializeTest, FileRoundTrip) {

@@ -22,7 +22,6 @@
 #include "fairness/metrics.h"
 #include "forest/serialize.h"
 #include "forest/sharded_forest.h"
-#include "obs/metrics.h"
 #include "synth/datasets.h"
 #include "util/thread_pool.h"
 
@@ -256,9 +255,9 @@ TEST(ShardedForestTest, ShardedDeleteEqualsPerShardMonolithicDelete) {
 
 // Every (shard, tree) job keeps its own output and the merge runs in
 // ascending (shard, tree) order, so the pool's size never shows: training,
-// a delete, an insert and (lazily) a budget flush and a full flush leave
-// the same bytes, probabilities, per-shard work and cache at every thread
-// count, at one shard and at four.
+// a delete, an insert and a second delete leave the same bytes,
+// probabilities, per-shard work and cache at every thread count, at one
+// shard and at four.
 TEST(ShardedForestTest, ResultsAreIdenticalAcrossThreadCounts) {
   auto bundle = Bundle(400, 7);
   std::vector<int64_t> head, tail;
@@ -270,66 +269,55 @@ TEST(ShardedForestTest, ResultsAreIdenticalAcrossThreadCounts) {
 
   // Everything observable about the ensemble and a cache kept in sync.
   struct Observed {
-    std::string trained, deleted, added, flushed;
+    std::string trained, deleted, added, redeleted;
     std::vector<double> probs;
     std::vector<DeletionStats> stats;
     std::vector<double> cache_probs;
   };
-  obs::Counter* budget_flushes = obs::GetCounter("forest.lazy.budget_flushes");
   for (const int num_shards : {1, 4}) {
-    for (const bool lazy : {false, true}) {
-      ForestConfig config = Config(33);
-      config.lazy_unlearn = lazy;
-      config.max_lazy_rows = 40;  // the delete below overflows it
-      Observed serial;
-      for (const int threads : {0, 1, 2, 4, 8}) {
-        SCOPED_TRACE(testing::Message() << num_shards << " shards, lazy="
-                                        << lazy << ", " << threads
-                                        << " threads");
-        std::unique_ptr<util::ThreadPool> pool;
-        if (threads > 0) pool = std::make_unique<util::ThreadPool>(threads);
-        auto forest =
-            ShardedForest::Train(train, config, Shards(num_shards), pool.get());
-        ASSERT_TRUE(forest.ok());
-        Observed seen;
-        seen.trained = Bytes(*forest);
-        ShardedPredictionCache cache;
-        cache.Rebuild(*forest, bundle.data, pool.get());
-        std::vector<DeletionScratch> scratch;
-        const int64_t flushes_before = budget_flushes->Value();
-        ASSERT_TRUE(forest->DeleteRows(doomed, pool.get(), &scratch).ok());
-        EXPECT_EQ(budget_flushes->Value() > flushes_before, lazy);
-        if (!lazy) cache.Update(*forest, bundle.data, pool.get());
-        ShardedForest after_delete = forest->Clone();
-        seen.deleted = Bytes(after_delete);
-        ASSERT_TRUE(forest->AddData(inserts, pool.get(), &scratch).ok());
-        EXPECT_FALSE(forest->HasLazyTags());
-        cache.Update(*forest, bundle.data, pool.get());
-        seen.added = Bytes(*forest);
-        ASSERT_TRUE(forest->DeleteRows({2, 3, 370}, pool.get(), &scratch).ok());
-        forest->FlushAll(pool.get(), &scratch);
-        cache.Update(*forest, bundle.data, pool.get());
-        seen.flushed = Bytes(*forest);
-        seen.probs = forest->PredictProbAll(bundle.data);
-        for (int s = 0; s < forest->num_shards(); ++s) {
-          seen.stats.push_back(forest->shard(s).deletion_stats());
-        }
-        seen.cache_probs = cache.probs();
-        EXPECT_EQ(seen.cache_probs, seen.probs) << "cache out of sync";
-        if (threads == 0) {
-          serial = std::move(seen);
-          continue;
-        }
-        EXPECT_EQ(seen.trained, serial.trained);
-        EXPECT_EQ(seen.deleted, serial.deleted);
-        EXPECT_EQ(seen.added, serial.added);
-        EXPECT_EQ(seen.flushed, serial.flushed);
-        EXPECT_EQ(seen.probs, serial.probs);
-        EXPECT_EQ(seen.cache_probs, serial.cache_probs);
-        ASSERT_EQ(seen.stats.size(), serial.stats.size());
-        for (size_t s = 0; s < seen.stats.size(); ++s) {
-          EXPECT_EQ(seen.stats[s], serial.stats[s]) << "shard " << s;
-        }
+    Observed serial;
+    for (const int threads : {0, 1, 2, 4, 8}) {
+      SCOPED_TRACE(testing::Message()
+                   << num_shards << " shards, " << threads << " threads");
+      std::unique_ptr<util::ThreadPool> pool;
+      if (threads > 0) pool = std::make_unique<util::ThreadPool>(threads);
+      auto forest = ShardedForest::Train(train, Config(33), Shards(num_shards),
+                                         pool.get());
+      ASSERT_TRUE(forest.ok());
+      Observed seen;
+      seen.trained = Bytes(*forest);
+      ShardedPredictionCache cache;
+      cache.Rebuild(*forest, bundle.data, pool.get());
+      std::vector<DeletionScratch> scratch;
+      ASSERT_TRUE(forest->DeleteRows(doomed, pool.get(), &scratch).ok());
+      cache.Update(*forest, bundle.data, pool.get());
+      ShardedForest after_delete = forest->Clone();
+      seen.deleted = Bytes(after_delete);
+      ASSERT_TRUE(forest->AddData(inserts, pool.get(), &scratch).ok());
+      cache.Update(*forest, bundle.data, pool.get());
+      seen.added = Bytes(*forest);
+      ASSERT_TRUE(forest->DeleteRows({2, 3, 370}, pool.get(), &scratch).ok());
+      cache.Update(*forest, bundle.data, pool.get());
+      seen.redeleted = Bytes(*forest);
+      seen.probs = forest->PredictProbAll(bundle.data);
+      for (int s = 0; s < forest->num_shards(); ++s) {
+        seen.stats.push_back(forest->shard(s).deletion_stats());
+      }
+      seen.cache_probs = cache.probs();
+      EXPECT_EQ(seen.cache_probs, seen.probs) << "cache out of sync";
+      if (threads == 0) {
+        serial = std::move(seen);
+        continue;
+      }
+      EXPECT_EQ(seen.trained, serial.trained);
+      EXPECT_EQ(seen.deleted, serial.deleted);
+      EXPECT_EQ(seen.added, serial.added);
+      EXPECT_EQ(seen.redeleted, serial.redeleted);
+      EXPECT_EQ(seen.probs, serial.probs);
+      EXPECT_EQ(seen.cache_probs, serial.cache_probs);
+      ASSERT_EQ(seen.stats.size(), serial.stats.size());
+      for (size_t s = 0; s < seen.stats.size(); ++s) {
+        EXPECT_EQ(seen.stats[s], serial.stats[s]) << "shard " << s;
       }
     }
   }
@@ -603,28 +591,6 @@ TEST(ShardedForestTest, VoteIsTheMeanOfShardMeans) {
     ASSERT_EQ(mean[r], sum / 3.0) << "row " << r;
     ASSERT_EQ(preds[r], mean[r] >= 0.5 ? 1 : 0) << "row " << r;
   }
-}
-
-TEST(ShardedForestTest, LazyFlushMatchesEagerBytes) {
-  auto bundle = Bundle(400, 13);
-  ForestConfig eager_cfg = Config(27);
-  ForestConfig lazy_cfg = eager_cfg;
-  lazy_cfg.lazy_unlearn = true;
-  auto eager = ShardedForest::Train(bundle.data, eager_cfg, Shards(4));
-  auto lazy = ShardedForest::Train(bundle.data, lazy_cfg, Shards(4));
-  ASSERT_TRUE(eager.ok());
-  ASSERT_TRUE(lazy.ok());
-  std::vector<RowId> doomed;
-  for (RowId g = 0; g < 200; g += 2) doomed.push_back(g);
-  ASSERT_TRUE(eager->DeleteRows(doomed).ok());
-  ASSERT_TRUE(lazy->DeleteRows(doomed).ok());
-  lazy->FlushAll();
-  EXPECT_FALSE(lazy->HasLazyTags());
-  // Work counters legitimately differ (lazy does less); zero both before
-  // the byte comparison, as in serialize_test's monolithic twin.
-  eager->ResetDeletionStats();
-  lazy->ResetDeletionStats();
-  EXPECT_EQ(Bytes(*lazy), Bytes(*eager));
 }
 
 TEST(ShardedCachePredictionTest, CacheMatchesForestThroughUpdates) {

@@ -1,8 +1,8 @@
 // Sharded stream engine suite: the engine always runs a SISA
-// ShardedForest; these cases use more than one shard. Pins the checkpoint
+// ShardedForest; most cases use more than one shard. Pins the checkpoint
 // container (one streamed blob per shard, deterministic bytes), restore
-// equivalence with an uninterrupted run, lazy-deferral flush identity, and
-// config/version validation at restore time.
+// equivalence with an uninterrupted run, the write path's bytes and work at
+// every thread count, and config/version validation at restore time.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/metrics.h"
 #include "stream/engine.h"
 #include "stream/op_log.h"
 #include "stream/workload.h"
@@ -133,29 +132,6 @@ TEST(ShardedStreamTest, CheckpointBytesAreDeterministic) {
   EXPECT_EQ(inc.str(), fresh.str());
 }
 
-TEST(ShardedStreamTest, LazyDeferralFlushesToTheEagerState) {
-  ShardedPipeline eager_p = BuildPipeline(7, 4);
-  ShardedPipeline lazy_p = BuildPipeline(7, 4);
-  lazy_p.config.forest.lazy_unlearn = true;
-  auto eager = StreamEngine::Create(eager_p.initial_train, eager_p.test,
-                                    eager_p.config);
-  auto lazy =
-      StreamEngine::Create(lazy_p.initial_train, lazy_p.test, lazy_p.config);
-  ASSERT_TRUE(eager.ok());
-  ASSERT_TRUE(lazy.ok());
-  for (int seq = 1; seq <= 3; ++seq) {
-    const StreamOp op = StreamOp::Delete(
-        seq, {seq * 10, seq * 10 + 1, seq * 10 + 2, seq * 100});
-    ASSERT_TRUE(eager->Apply(op).ok());
-    ASSERT_TRUE(lazy->Apply(op).ok());
-  }
-  lazy->FlushLazy();
-  EXPECT_EQ(lazy->current_metric(), eager->current_metric());
-  const auto a = lazy->model().PredictProbAll(lazy_p.test);
-  const auto b = eager->model().PredictProbAll(eager_p.test);
-  EXPECT_EQ(a, b);
-}
-
 // Everything one applied op leaves observable, as exact text: the op's
 // outcome, the metrics the engine serves, and (when `checkpoint`) the
 // checkpoint bytes.
@@ -173,64 +149,80 @@ std::string Observed(const StreamEngine& engine, const OpOutcome& out,
   return s.str();
 }
 
+uint64_t Fnv1a64(const std::string& bytes) {
+  uint64_t h = 14695981039346656037ull;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
 // The engine's pool sizes only how its work is spread, never what it
 // computes (DESIGN.md §6 invariant 8): one 60-op log of inserts, deletes
 // and checkpoints, replayed at fume.num_threads 1, 2 and 4, at one shard
-// and at four slice shards, eagerly and lazily with budget flushes, gives
-// the same outcome, served metrics and checkpoint bytes at every op. An
-// eager engine is checkpointed after every op; a lazy one at its flush
-// boundaries (the checkpoint ops), since saving flushes.
+// and at four slice shards, gives the same outcome, served metrics and
+// checkpoint bytes after every op. Those observations and the engine's
+// summed unlearning work are pinned too, so the write path's bytes and
+// work cannot drift at all thread counts at once: an FNV-1a-64 digest of
+// the 60 observations, and the model's final DeletionStats.
 TEST(ShardedStreamTest, ThreadCountsReplayIdentically) {
-  obs::Counter* budget_flushes = obs::GetCounter("forest.lazy.budget_flushes");
-  for (const int num_shards : {1, 4}) {
-    for (const bool lazy : {false, true}) {
-      SCOPED_TRACE(testing::Message()
-                   << num_shards << " shards, lazy=" << lazy);
-      ShardedPipeline p = BuildPipeline(12, num_shards);
-      if (num_shards > 1) {
-        p.config.shard.placement = ShardConfig::Placement::kSlice;
-        p.config.shard.slice_attr = p.group.sensitive_attr;
-        p.config.shard.slice_value = p.group.privileged_code;
-      }
-      p.config.forest.lazy_unlearn = lazy;
-      p.config.forest.max_lazy_rows = 32;
-      WorkloadOptions w;
-      w.num_ops = 60;
-      w.insert_batch = 5;
-      w.delete_batch = 6;
-      w.checkpoint_every = 20;
-      w.seed = 29;
-      auto ops = SynthesizeOpLog(p.pool, p.initial_train.num_rows(), w);
-      ASSERT_TRUE(ops.ok()) << ops.status().ToString();
-      ASSERT_EQ(ops->size(), 60u);
+  struct Pin {
+    int num_shards;
+    uint64_t digest;
+    DeletionStats work;
+  };
+  const Pin pins[] = {
+      {1, 0x024ca05655fd29b0ull, {6633, 5494, 602, 66707, 1139, 0}},
+      {4, 0x9865d25a5b0f1087ull, {8308, 7239, 937, 43215, 1069, 0}},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(testing::Message() << pin.num_shards << " shards");
+    ShardedPipeline p = BuildPipeline(12, pin.num_shards);
+    if (pin.num_shards > 1) {
+      p.config.shard.placement = ShardConfig::Placement::kSlice;
+      p.config.shard.slice_attr = p.group.sensitive_attr;
+      p.config.shard.slice_value = p.group.privileged_code;
+    }
+    WorkloadOptions w;
+    w.num_ops = 60;
+    w.insert_batch = 5;
+    w.delete_batch = 6;
+    w.checkpoint_every = 20;
+    w.seed = 29;
+    auto ops = SynthesizeOpLog(p.pool, p.initial_train.num_rows(), w);
+    ASSERT_TRUE(ops.ok()) << ops.status().ToString();
+    ASSERT_EQ(ops->size(), 60u);
 
-      std::vector<std::string> serial;
-      for (const int threads : {1, 2, 4}) {
-        StreamEngineConfig config = p.config;
-        config.fume.num_threads = threads;
-        auto engine = StreamEngine::Create(p.initial_train, p.test, config);
-        ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-        const int64_t flushes_before = budget_flushes->Value();
-        std::vector<std::string> seen;
-        for (const StreamOp& op : *ops) {
-          auto out = engine->Apply(op);
-          ASSERT_TRUE(out.ok()) << out.status().ToString();
-          seen.push_back(Observed(
-              *engine, *out, !lazy || op.kind == OpKind::kCheckpoint));
-        }
-        if (lazy) {
-          EXPECT_GT(budget_flushes->Value(), flushes_before)
-              << "the staleness budget must flush mid-burst";
-        }
-        if (threads == 1) {
-          serial = std::move(seen);
-          continue;
-        }
-        ASSERT_EQ(seen.size(), serial.size());
-        for (size_t i = 0; i < seen.size(); ++i) {
-          ASSERT_EQ(seen[i], serial[i])
-              << threads << " threads, op " << (*ops)[i].seq;
-        }
+    std::vector<std::string> serial;
+    for (const int threads : {1, 2, 4}) {
+      StreamEngineConfig config = p.config;
+      config.fume.num_threads = threads;
+      auto engine = StreamEngine::Create(p.initial_train, p.test, config);
+      ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+      std::vector<std::string> seen;
+      std::string all;
+      for (const StreamOp& op : *ops) {
+        auto out = engine->Apply(op);
+        ASSERT_TRUE(out.ok()) << out.status().ToString();
+        seen.push_back(Observed(*engine, *out, /*checkpoint=*/true));
+        all += seen.back();
+      }
+      EXPECT_EQ(Fnv1a64(all), pin.digest) << threads << " threads";
+      const DeletionStats work = engine->model().deletion_stats();
+      EXPECT_EQ(work, pin.work)
+          << threads << " threads: {" << work.nodes_visited << ", "
+          << work.nodes_updated << ", " << work.subtrees_retrained << ", "
+          << work.rows_retrained << ", " << work.leaves_updated << ", "
+          << work.nodes_copied << "}";
+      if (threads == 1) {
+        serial = std::move(seen);
+        continue;
+      }
+      ASSERT_EQ(seen.size(), serial.size());
+      for (size_t i = 0; i < seen.size(); ++i) {
+        ASSERT_EQ(seen[i], serial[i])
+            << threads << " threads, op " << (*ops)[i].seq;
       }
     }
   }

@@ -274,8 +274,7 @@ TEST(PredictionCacheTest, MatchesForestThroughMixedOps) {
 // however a write reaches the nodes. Here a snapshot clone taken before
 // every op, as a serving tenant publishes one, shares every node, so each
 // write copies the paths it touches. The op-log mixes 12-row inserts, which
-// grow leaves into splits, with 3-row deletes; the lazy engine defers each
-// run of deletes until the next insert or checkpoint flushes it.
+// grow leaves into splits, with 3-row deletes.
 void ExpectCacheExactUnderLiveSnapshots(StreamPipeline p, int num_shards) {
   if (num_shards > 1) {
     p.config.shard.num_shards = num_shards;
@@ -292,49 +291,30 @@ void ExpectCacheExactUnderLiveSnapshots(StreamPipeline p, int num_shards) {
   w.seed = 5;
   auto ops = SynthesizeOpLog(p.pool, p.initial_train.num_rows(), w);
   ASSERT_TRUE(ops.ok()) << ops.status().ToString();
-  for (const bool lazy : {false, true}) {
-    SCOPED_TRACE(lazy ? "lazy" : "eager");
-    p.config.forest.lazy_unlearn = lazy;
-    auto engine = StreamEngine::Create(p.initial_train, p.test, p.config);
-    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-    int64_t grown = 0;
-    int64_t flushed_bursts = 0;
-    int64_t checked = 0;
-    for (const StreamOp& op : *ops) {
-      const bool was_deferring = engine->deferring();
-      const ShardedForest snapshot = engine->model().Clone();
-      const std::vector<double> snapshot_probs =
-          engine->prediction_cache().probs();
-      const int64_t nodes = engine->model().num_nodes();
-      ASSERT_TRUE(engine->Apply(op).ok()) << "op seq " << op.seq;
-      if (op.kind == OpKind::kInsert && engine->model().num_nodes() > nodes) {
-        ++grown;
-      }
-      if (!was_deferring) {
-        // The write copied what it touched: the snapshot still predicts
-        // what the cache said before the op.
-        EXPECT_EQ(snapshot.PredictProbAll(p.test), snapshot_probs)
-            << "op seq " << op.seq;
-      }
-      // Mid-burst the cache describes the pre-burst model by contract.
-      if (engine->deferring()) continue;
-      if (was_deferring) ++flushed_bursts;
-      ASSERT_EQ(engine->prediction_cache().probs(),
-                engine->model().PredictProbAll(p.test))
-          << "op seq " << op.seq;
-      ASSERT_EQ(engine->prediction_cache().predictions(),
-                engine->model().PredictAll(p.test))
-          << "op seq " << op.seq;
-      ++checked;
+  auto engine = StreamEngine::Create(p.initial_train, p.test, p.config);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  int64_t grown = 0;
+  for (const StreamOp& op : *ops) {
+    const ShardedForest snapshot = engine->model().Clone();
+    const std::vector<double> snapshot_probs =
+        engine->prediction_cache().probs();
+    const int64_t nodes = engine->model().num_nodes();
+    ASSERT_TRUE(engine->Apply(op).ok()) << "op seq " << op.seq;
+    if (op.kind == OpKind::kInsert && engine->model().num_nodes() > nodes) {
+      ++grown;
     }
-    EXPECT_GT(grown, 0);
-    if (lazy) {
-      EXPECT_GT(flushed_bursts, 3);
-      EXPECT_GT(checked, 10);
-    } else {
-      EXPECT_EQ(checked, static_cast<int64_t>(ops->size()));
-    }
+    // The write copied what it touched: the snapshot still predicts what
+    // the cache said before the op.
+    EXPECT_EQ(snapshot.PredictProbAll(p.test), snapshot_probs)
+        << "op seq " << op.seq;
+    ASSERT_EQ(engine->prediction_cache().probs(),
+              engine->model().PredictProbAll(p.test))
+        << "op seq " << op.seq;
+    ASSERT_EQ(engine->prediction_cache().predictions(),
+              engine->model().PredictAll(p.test))
+        << "op seq " << op.seq;
   }
+  EXPECT_GT(grown, 0);
 }
 
 TEST(PredictionCacheTest, ExactUnderLiveSnapshotsOneShard) {

@@ -219,7 +219,7 @@ TEST(UnlearnKernelTest, AddDataMatchesBaselineByteForByte) {
       << "after Train";
 
   DeletionScratch scratch;
-  auto ids = forest->AddData(extra, nullptr, &scratch);
+  auto ids = forest->AddData(extra, &scratch);
   ASSERT_TRUE(ids.ok());
   // New rows take the next store ids, so the store now holds the whole
   // bundle in order.

@@ -322,42 +322,6 @@ TEST(FusedUnlearnScoreTest, ConfigVariantsMatchClonePath) {
   }
 }
 
-TEST(FusedUnlearnScoreTest, LazilyDeletedBaseMatchesEagerClone) {
-  ForestConfig config = BaseConfig(12);
-  config.lazy_unlearn = true;
-  Fixture f = MakeFixture(false, 12, config);
-  Rng rng(12);
-  // A deferred burst leaves tags in the base forest.
-  const std::vector<RowId> burst =
-      RandomBatch(&rng, f.model.num_training_rows(), 60);
-  ASSERT_TRUE(f.model.DeleteRows(burst).ok());
-  ASSERT_TRUE(f.model.HasLazyTags());
-  TestPredictionCache::WhatIfScratch scratch;
-  DeletionScratch deletion;
-  {
-    // A cache seeded from a flushed copy, asked to score the tagged base.
-    DareForest flushed = f.model.Clone();
-    flushed.FlushAll();
-    TestPredictionCache stale;
-    stale.Rebuild(flushed, f.test);
-    EXPECT_FALSE(
-        stale.ScoreWithout(f.model, {1, 2}, f.test, &scratch, &deletion).ok())
-        << "a tagged base must be refused";
-  }
-  TestPredictionCache cache;
-  cache.Rebuild(f.model, f.test);  // flushes the base
-  ASSERT_FALSE(f.model.HasLazyTags());
-  // A what-if over rows still live after the burst.
-  std::vector<RowId> live;
-  for (RowId r = 0; r < f.model.num_training_rows() && live.size() < 70;
-       r += 7) {
-    if (std::find(burst.begin(), burst.end(), r) == burst.end()) {
-      live.push_back(r);
-    }
-  }
-  ExpectMatchesClone(cache, f.model, live, f.test, &scratch, &deletion);
-}
-
 TEST(FusedUnlearnScoreTest, ShardedCacheMatchesShardedClonePath) {
   auto bundle = synth::MakeParametric(900, 8, 4, 21);
   ASSERT_TRUE(bundle.ok());

@@ -42,8 +42,6 @@ struct CliOptions {
   cli::SearchFlags search;
   double drift_abs = 0.01;
   double drift_rel = 0.10;
-  bool lazy = false;
-  int64_t lazy_budget = 0;  // 0 = ForestConfig default
   // Serving.
   int port = 7733;
   std::string port_file;
@@ -75,12 +73,6 @@ Model / search (applied to every tenant; same defaults as fume_stream):
                         score candidates in parallel, and training,
                         stream ops and the prediction-cache refresh run
                         tree by tree
-  --lazy                defer subtree retrains across delete bursts; readers
-                        keep serving the last published (fully flushed)
-                        snapshot until the burst flushes — a published
-                        snapshot never contains pending work
-  --lazy-budget N       auto-flush once N doomed rows are pending per tenant
-                        (default 4096)
   --shards N            SISA shards per tenant (default 1 = monolithic):
                         each tenant serves a hash-partitioned ensemble,
                         stream deletes unlearn shard-locally and whatifs
@@ -150,10 +142,6 @@ int Run(const CliOptions& opts) {
 
     serve::TenantConfig config;
     config.engine.forest = opts.model.Forest();
-    config.engine.forest.lazy_unlearn = opts.lazy;
-    if (opts.lazy_budget > 0) {
-      config.engine.forest.max_lazy_rows = opts.lazy_budget;
-    }
     config.engine.fume = opts.search.Fume(fixture->group);
     config.engine.drift.abs_threshold = opts.drift_abs;
     config.engine.drift.rel_threshold = opts.drift_rel;
@@ -225,8 +213,6 @@ int main(int argc, char** argv) {
   opts.search.Register(&flags, /*with_metric=*/false);
   flags.Double("--drift-abs", &opts.drift_abs);
   flags.Double("--drift-rel", &opts.drift_rel);
-  flags.Bool("--lazy", &opts.lazy);
-  flags.Int64("--lazy-budget", &opts.lazy_budget);
   flags.Int("--port", &opts.port);
   flags.String("--port-file", &opts.port_file);
   flags.Int("--max-connections", &opts.max_connections);

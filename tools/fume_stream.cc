@@ -22,7 +22,6 @@
 #include "cli_common.h"
 #include "core/report.h"
 #include "fairness/metrics.h"
-#include "forest/sharded_forest.h"
 #include "obs/event_log.h"
 #include "obs/query_scope.h"
 #include "stream/engine.h"
@@ -43,8 +42,6 @@ struct CliOptions {
   std::string dataset = "german-credit";
   cli::DataFlags data;
   cli::ModelFlags model;
-  bool lazy = false;
-  int64_t lazy_budget = 0;  // 0 = ForestConfig default
   cli::SearchFlags search;
   // Stream.
   std::string oplog;
@@ -76,12 +73,6 @@ Model:
   --depth N             max tree depth (default 8)
   --random-depth N      DaRE random upper levels (default 2)
   --model-seed N        forest seed (default 31)
-  --lazy                defer subtree retrains across delete bursts
-                        (DynFrs-style tags); flushed at inserts,
-                        checkpoints and queries — end of run attests the
-                        final model equals a cold retrain exactly
-  --lazy-budget N       auto-flush once N doomed rows are pending
-                        (default 4096)
   --shards N            SISA shards (default 1 = monolithic): rows
                         hash-partition across N sub-forests, deletes run
                         shard-locally and searches unlearn per shard
@@ -162,8 +153,6 @@ int Run(const CliOptions& opts) {
 
   stream::StreamEngineConfig config;
   config.forest = opts.model.Forest();
-  config.forest.lazy_unlearn = opts.lazy;
-  if (opts.lazy_budget > 0) config.forest.max_lazy_rows = opts.lazy_budget;
   config.fume = opts.search.Fume(fixture->group);
   auto shard_config = opts.model.Shard(fixture->group);
   if (!shard_config.ok()) return cli::Fail(shard_config.status());
@@ -280,56 +269,6 @@ int Run(const CliOptions& opts) {
     }
   }
 
-  if (opts.lazy) {
-    // Retire any retrains still deferred from the tail of the stream so the
-    // final metric below reflects a fully flushed model.
-    engine->FlushLazy();
-  }
-  if (opts.lazy && !interrupted) {
-    // Lazy identity attestation (DESIGN.md §6 invariant 9): after the final
-    // flush, each shard must equal a cold retrain of its own surviving rows
-    // (arrival order, the shard's derived seed — the model seed itself at
-    // one shard), and the served metric and accuracy must be the vote of
-    // the flushed model. A whole-ensemble cold ShardedForest::Train would
-    // re-place rows under fresh global ids and legitimately differ —
-    // exactness is per shard. A mismatch is a correctness bug, not noise.
-    const ShardedForest& model = engine->model();
-    const Dataset train = engine->train_data();
-    const std::vector<RowId>& ids = engine->live_ids();
-    bool ok = model.ValidateStats();
-    int64_t compared = 0;
-    for (int s = 0; ok && s < model.num_shards(); ++s) {
-      std::vector<int64_t> members;
-      for (size_t r = 0; r < ids.size(); ++r) {
-        if (model.shard_of(ids[r]) == s) {
-          members.push_back(static_cast<int64_t>(r));
-        }
-      }
-      ForestConfig cfg = config.forest;
-      cfg.seed = config.forest.seed +
-                 ShardedForest::kShardSeedStride * static_cast<uint64_t>(s);
-      auto cold = DareForest::Train(train.Select(members), cfg);
-      if (!cold.ok()) return cli::Fail(cold.status());
-      const std::vector<double> live_probs =
-          model.shard(s).PredictProbAll(test);
-      ok = ok && live_probs == cold->PredictProbAll(test);
-      compared += static_cast<int64_t>(live_probs.size());
-    }
-    const std::vector<int> voted = model.PredictAll(test);
-    ok = ok && engine->current_metric() ==
-                   ComputeFairness(test, voted, config.fume.group,
-                                   opts.search.metric);
-    ok = ok && engine->current_accuracy() == model.Accuracy(test);
-    if (!ok) {
-      std::cerr << "lazy identity: MISMATCH — the flushed model differs "
-                   "from per-shard cold retrains on the surviving rows\n";
-      return 1;
-    }
-    std::cout << "\nlazy identity: ok (" << model.num_shards()
-              << " flushed shard(s) == per-shard cold retrains, " << compared
-              << " test predictions compared)\n";
-  }
-
   std::cout << "\nfinal " << FairnessMetricName(opts.search.metric) << ": "
             << FormatDouble(engine->current_metric(), 4) << ", accuracy "
             << FormatPercent(engine->current_accuracy()) << ", staleness "
@@ -352,8 +291,6 @@ int main(int argc, char** argv) {
   flags.String("--dataset", &opts.dataset);
   opts.data.Register(&flags);
   opts.model.Register(&flags);
-  flags.Bool("--lazy", &opts.lazy);
-  flags.Int64("--lazy-budget", &opts.lazy_budget);
   opts.search.Register(&flags, /*with_metric=*/true);
   flags.String("--oplog", &opts.oplog);
   flags.String("--oplog-out", &opts.oplog_out);
