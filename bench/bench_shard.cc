@@ -1,23 +1,24 @@
 // Sharded vs monolithic unlearning: SISA ShardedForest ensembles at shard
-// counts {2, 4, 8} against the one-shard ensemble (hash-1), on a parametric
-// Figure-5 substrate (10 attributes, 8 values per attribute — the d=8 cell
-// of the Figure-5 (b) sweep — across Figure-5 (a) instance counts). hash-1
-// is the monolithic forest in its container, as the tools deploy it at
-// --shards 1, and every ensemble fans its (shard, tree) jobs out on the
-// same pool, so each cell's speedup compares placements, not thread use.
+// counts {2, 4, 8} (slice-N: the planted-bias cohort in the last shard, the
+// other rows hashed across the rest) against the one-shard ensemble
+// (one-shard), on a parametric Figure-5 substrate (10 attributes, 8 values
+// per attribute — the d=8 cell of the Figure-5 (b) sweep — across
+// Figure-5 (a) instance counts). one-shard is the monolithic forest in its
+// container, as the tools deploy it at --shards 1, and every ensemble fans
+// its (shard, tree) jobs out on the same pool, so each cell's speedup
+// compares shard counts, not thread use.
 //
 // Two deletion workloads are measured, because sharding's cost model is
 // workload-shaped:
 //
-//  * delete-uniform — a burst of uniformly drawn rows under hash
-//    placement. Every batch touches every shard, so each shard pays the
-//    batched kernel's per-call node scan on a depth-saturated forest
-//    nearly as large as the monolithic one.
+//  * delete-uniform — a burst of uniformly drawn rows. Every batch touches
+//    every shard, so each shard pays the batched kernel's per-call node
+//    scan on a depth-saturated forest nearly as large as the monolithic
+//    one.
 //  * delete-cohort — a burst aimed at the planted-bias cohort (the rows
-//    FUME's search identifies for removal) under slice placement, which
-//    concentrates that cohort into one hot shard. The burst touches only
-//    the hot shard, whose forest and subtree retrains are a fraction of
-//    the monolithic ones.
+//    FUME's search identifies for removal). The burst touches only the hot
+//    shard, whose forest and subtree retrains are a fraction of the
+//    monolithic ones.
 //
 // What-if evaluation throughput (the FUME search's inner loop) is
 // measured the same two ways through UnlearnRemovalMethod. Fidelity is
@@ -57,7 +58,7 @@ using namespace fume;
 using namespace fume::bench;
 
 // The attribute/code whose rows carry the planted bias cohort targeted by
-// the delete-cohort workload (and by kSlice placement).
+// the delete-cohort workload and sliced into the last shard.
 constexpr int kSliceAttr = 1;
 constexpr int32_t kSliceValue = 0;
 
@@ -101,21 +102,6 @@ Setup MakeSetup(int64_t rows) {
     }
   }
   return s;
-}
-
-ShardConfig HashShards(int n) {
-  ShardConfig shard;
-  shard.num_shards = n;
-  return shard;
-}
-
-ShardConfig SliceShards(int n) {
-  ShardConfig shard;
-  shard.num_shards = n;
-  shard.placement = ShardConfig::Placement::kSlice;
-  shard.slice_attr = kSliceAttr;
-  shard.slice_value = kSliceValue;
-  return shard;
 }
 
 // Disjoint deterministic uniform batches, as in bench_unlearn_kernel:
@@ -282,7 +268,7 @@ Result<FumeResult> ShardedSearch(const ShardedForest& model, const Setup& s,
 // bytes at rest and in lockstep through a compounding delete run.
 bool Shard1ByteIdentical(const Setup& s,
                          const std::vector<std::vector<RowId>>& batches) {
-  auto sharded = ShardedForest::Train(s.train, s.config, HashShards(1));
+  auto sharded = ShardedForest::Train(s.train, s.config, ShardConfig{});
   FUME_ABORT_NOT_OK(sharded.status());
   if (MonoBytes(sharded->shard(0)) != MonoBytes(s.mono)) return false;
   DareForest mono = s.mono.Clone();
@@ -360,7 +346,7 @@ bool ThreadCountsByteIdentical(const std::string& pristine_bytes,
 }
 
 struct Ensemble {
-  std::string label;  // "hash-4" / "slice-2" / ...
+  std::string label;  // "one-shard" / "slice-2" / ...
   int shards = 0;
   ShardedForest forest;
   std::string pristine;  // serialized bytes for private copies
@@ -388,7 +374,7 @@ int main(int argc, char** argv) {
   util::ThreadPool pool(8);
 
   TablePrinter table(
-      {"rows", "kind", "model", "rows/sec", "speedup vs hash-1"});
+      {"rows", "kind", "model", "rows/sec", "speedup vs one-shard"});
   std::vector<std::vector<std::string>> artifact;
   double delete_cohort_speedup_mid = 0.0;
   double whatif_cohort_speedup_mid = 0.0;
@@ -405,24 +391,18 @@ int main(int argc, char** argv) {
     const auto uniform = UniformBatches(train_rows, kBatch, num_batches);
     const auto cohort = CohortBatches(s.cohort, kBatch);
 
-    // Ensembles under both placements. Slice placement needs >= 2 shards
-    // (at 1 shard routing is the identity and hash == slice == mono).
+    // The one-shard base, then the slice ensembles.
     std::vector<Ensemble> ensembles;
     for (const int n : shard_counts) {
-      auto hash =
-          ShardedForest::Train(s.train, s.config, HashShards(n), &pool);
-      FUME_ABORT_NOT_OK(hash.status());
-      Ensemble e{"hash-" + std::to_string(n), n, std::move(*hash), {}};
+      auto forest = ShardedForest::Train(
+          s.train, s.config, ShardConfigFromFlags(n, kSliceAttr, kSliceValue),
+          &pool);
+      FUME_ABORT_NOT_OK(forest.status());
+      Ensemble e{n == 1 ? std::string("one-shard")
+                        : std::string("slice-").append(std::to_string(n)),
+                 n, std::move(*forest), {}};
       e.pristine = ShardBytes(e.forest);
       ensembles.push_back(std::move(e));
-      if (n >= 2) {
-        auto slice =
-            ShardedForest::Train(s.train, s.config, SliceShards(n), &pool);
-        FUME_ABORT_NOT_OK(slice.status());
-        Ensemble se{"slice-" + std::to_string(n), n, std::move(*slice), {}};
-        se.pristine = ShardBytes(se.forest);
-        ensembles.push_back(std::move(se));
-      }
     }
     const auto find = [&](const std::string& label) -> const Ensemble& {
       for (const auto& e : ensembles) {
@@ -432,19 +412,18 @@ int main(int argc, char** argv) {
       return ensembles.front();
     };
 
-    // Every kind times hash-1 first, as its 1.00x base, then the
-    // ensembles whose label starts with the kind's prefix: uniform rows
-    // route everywhere (hash ensembles), cohort rows land in the slice
-    // ensembles' hot shard. Each cell is the best of kReps runs.
+    // Every kind times one-shard first, as its 1.00x base, then every slice
+    // ensemble: uniform rows route to every shard, cohort rows land in the
+    // hot shard. Each cell is the best of kReps runs after one discarded
+    // run, so no cell is timed cold.
     struct WorkloadKind {
       const char* kind;
       const std::vector<std::vector<RowId>>* batches;
-      const char* prefix;  // which ensembles compete
     };
     const auto run_kind = [&](const WorkloadKind& k, const auto& measure) {
       double base = 0.0;
       for (const Ensemble& e : ensembles) {
-        if (e.shards != 1 && e.label.rfind(k.prefix, 0) != 0) continue;
+        measure(e);  // discarded warm-up run
         Throughput best;
         for (int rep = 0; rep < kReps; ++rep) {
           const Throughput t = measure(e);
@@ -471,16 +450,14 @@ int main(int argc, char** argv) {
                             FormatDouble(speedup, 3)});
       }
     };
-    for (const WorkloadKind& k :
-         {WorkloadKind{"delete-uniform", &uniform, "hash-"},
-          WorkloadKind{"delete-cohort", &cohort, "slice-"}}) {
+    for (const WorkloadKind& k : {WorkloadKind{"delete-uniform", &uniform},
+                                  WorkloadKind{"delete-cohort", &cohort}}) {
       run_kind(k, [&](const Ensemble& e) {
         return MeasureDeleteSharded(e.pristine, *k.batches, &pool);
       });
     }
-    for (const WorkloadKind& k :
-         {WorkloadKind{"whatif-uniform", &uniform, "hash-"},
-          WorkloadKind{"whatif-cohort", &cohort, "slice-"}}) {
+    for (const WorkloadKind& k : {WorkloadKind{"whatif-uniform", &uniform},
+                                  WorkloadKind{"whatif-cohort", &cohort}}) {
       run_kind(k, [&](const Ensemble& e) {
         UnlearnRemovalMethod removal(&e.forest, &s.test, s.group,
                                      FairnessMetric::kStatisticalParity);
@@ -530,7 +507,7 @@ int main(int argc, char** argv) {
   table.Print(std::cout);
   WriteArtifact("shard",
                 {"rows", "batch_rows", "kind", "model", "rows_processed",
-                 "seconds", "rows_per_sec", "speedup_vs_hash1"},
+                 "seconds", "rows_per_sec", "speedup_vs_one_shard"},
                 artifact);
 
   std::cout << "\ntop-k fidelity vs monolithic (" << mid_size
@@ -550,10 +527,10 @@ int main(int argc, char** argv) {
             << (threads_identical ? "yes" : "NO — determinism violation")
             << '\n'
             << "cohort-burst delete speedup at " << mid_size << " rows, "
-            << kHeadlineShards << " shards (slice placement): "
+            << kHeadlineShards << " shards: "
             << FormatDouble(delete_cohort_speedup_mid, 2) << "x\n"
             << "cohort what-if speedup at " << mid_size << " rows, "
-            << kHeadlineShards << " shards (slice placement): "
+            << kHeadlineShards << " shards: "
             << FormatDouble(whatif_cohort_speedup_mid, 2) << "x\n";
 
   std::ofstream json("bench_artifacts/BENCH_shard.json");
@@ -590,7 +567,7 @@ int main(int argc, char** argv) {
            << ", \"kind\": \"" << row[2] << "\", \"model\": \"" << row[3]
            << "\", \"rows_processed\": " << row[4]
            << ", \"seconds\": " << row[5] << ", \"rows_per_sec\": " << row[6]
-           << ", \"speedup_vs_hash1\": " << row[7] << '}'
+           << ", \"speedup_vs_one_shard\": " << row[7] << '}'
            << (i + 1 < artifact.size() ? "," : "") << '\n';
     }
     json << "  ]\n}\n";

@@ -75,6 +75,13 @@ for artifact in bench_artifacts/BENCH_unlearn.json bench_artifacts/BENCH_eval.js
     status=1
   fi
 done
+# The committed baselines too: a number without its machine is no baseline.
+for artifact in "${REPO_DIR}"/bench_artifacts/BENCH_*.json; do
+  if ! grep -q '"machine": *"[^"]' "${artifact}"; then
+    echo "FAIL: committed ${artifact#"${REPO_DIR}"/} does not record its machine"
+    status=1
+  fi
+done
 
 # The eval bench must have exercised the fused strategy (and attested its
 # identity against the pointer walk and the clone path) even at smoke
@@ -123,8 +130,15 @@ if [ -f bench_artifacts/BENCH_shard.json ]; then
       status=1
     fi
   done
-  if ! grep -q '"kind": *"delete-cohort"' bench_artifacts/BENCH_shard.json; then
-    echo "FAIL: no delete-cohort cells in BENCH_shard.json"
+  for kind in delete-uniform delete-cohort; do
+    if ! grep -q "\"kind\": *\"${kind}\"" bench_artifacts/BENCH_shard.json; then
+      echo "FAIL: no ${kind} cells in BENCH_shard.json"
+      status=1
+    fi
+  done
+  # One placement: every multi-shard ensemble slices the cohort.
+  if grep -q '"model": *"hash-' bench_artifacts/BENCH_shard.json; then
+    echo "FAIL: BENCH_shard.json times a hash-placed model"
     status=1
   fi
 fi
@@ -149,15 +163,18 @@ for tool in fume_cli fume_stream fume_serve fume_client bench_check; do
 done
 expect_exit 2 fume_cli --dataset german-credit --threads 2147483649
 expect_exit 2 fume_stream --metrics=2  # a switch takes 0, 1, false or true
+# --shards N always slices the cohort: there is no placement to choose.
+for tool in fume_cli fume_stream fume_serve; do
+  expect_exit 2 "${tool}" --placement slice
+done
 
 # Stream replay legs, once per deployment: the default one-shard model
-# and a slice-placed 4-shard ensemble. A run writes its op-log and
+# and a 4-shard ensemble. A run writes its op-log and
 # rewrites its checkpoint at every checkpoint op; restoring the last
 # checkpoint and replaying the log (already-applied ops skipped) must land
 # on the same final metric and accuracy as the uninterrupted run.
 for shards in 1 4; do
   deployment=(--shards "${shards}")
-  if [ "${shards}" -gt 1 ]; then deployment+=(--placement slice); fi
   tag="shards${shards}"
 
   echo "=== fume_stream replay smoke (${deployment[*]}) ==="
@@ -208,9 +225,7 @@ fi
 # FUMESHRD container.
 for shards in 1 4; do
   deployment=()
-  if [ "${shards}" -gt 1 ]; then
-    deployment=(--shards "${shards}" --placement slice)
-  fi
+  if [ "${shards}" -gt 1 ]; then deployment=(--shards "${shards}"); fi
   tag="cli-shards${shards}"
   echo "=== fume_cli audit smoke (${deployment[*]:-default shards}) ==="
   rm -f "${tag}.model"
@@ -260,8 +275,7 @@ fi
 echo "=== fume_serve --shards / fume_client --smoke ==="
 rm -f serve.port
 "${TOOLS_DIR}/fume_serve" --rows 600 --port 0 --port-file serve.port \
-  --checkpoint-dir serve-state --oplog-dir serve-state \
-  --shards 2 --placement slice &
+  --checkpoint-dir serve-state --oplog-dir serve-state --shards 2 &
 SERVE_PID=$!
 for _ in $(seq 1 100); do
   [ -s serve.port ] && break

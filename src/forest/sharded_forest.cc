@@ -4,6 +4,7 @@
 #include <functional>
 #include <istream>
 #include <ostream>
+#include <string>
 #include <utility>
 
 #include "forest/serialize.h"
@@ -18,10 +19,15 @@ namespace {
 constexpr char kShardMagic[8] = {'F', 'U', 'M', 'E', 'S', 'H', 'R', 'D'};
 constexpr uint32_t kShardVersion = 1;
 // FUMESHRD v1 header fields with one legal value: the vote byte (0, the
-// soft vote) and the hot-shard count of slice placement (1). Every
-// container holds these; any other value is rejected as corrupt.
+// soft vote) and the hot-shard count (1). Every container holds these; any
+// other value is rejected as corrupt.
 constexpr uint8_t kSoftVoteByte = 0;
 constexpr int32_t kHotShardCount = 1;
+
+// The header's placement byte is a constant of the shard count: 0 at one
+// shard, 1 (the cohort sliced into the last shard) above. Retired hash
+// placement wrote 0 above one shard.
+uint8_t PlacementByte(uint32_t num_shards) { return num_shards > 1 ? 1 : 0; }
 
 uint64_t SplitMix64(uint64_t x) {
   x += 0x9E3779B97F4A7C15ull;
@@ -34,13 +40,10 @@ Status ValidateShardConfig(const ShardConfig& sc) {
   if (sc.num_shards < 1 || sc.num_shards > 64) {
     return Status::Invalid("num_shards must be in [1, 64]");
   }
-  if (sc.placement == ShardConfig::Placement::kSlice) {
-    if (sc.slice_attr < 0) {
-      return Status::Invalid("slice placement requires slice_attr >= 0");
-    }
-    if (sc.num_shards < 2) {
-      return Status::Invalid("slice placement requires at least 2 shards");
-    }
+  if (sc.num_shards > 1 && sc.slice_attr < 0) {
+    return Status::Invalid(
+        "more than one shard requires slice_attr >= 0 (the cohort the last "
+        "shard holds)");
   }
   return Status::OK();
 }
@@ -99,38 +102,22 @@ void EnsureMarked(int worker, int shard, const DareForest& forest,
 }
 
 int PlaceRowImpl(const ShardConfig& sc, RowId global, int32_t slice_code) {
-  const uint64_t h = ShardedForest::HashGlobalId(global);
-  if (sc.placement == ShardConfig::Placement::kSlice) {
-    // The cohort goes to the last shard; the rest hash across the others.
-    const int hot = sc.num_shards - 1;
-    if (slice_code == sc.slice_value) return hot;
-    return static_cast<int>(h % static_cast<uint64_t>(hot));
-  }
-  return static_cast<int>(h % static_cast<uint64_t>(sc.num_shards));
+  // One shard holds every row. Otherwise the cohort goes to the last shard
+  // and the rest hash across the others.
+  const int hot = sc.num_shards - 1;
+  if (hot == 0) return 0;
+  if (slice_code == sc.slice_value) return hot;
+  return static_cast<int>(ShardedForest::HashGlobalId(global) %
+                          static_cast<uint64_t>(hot));
 }
 
 }  // namespace
 
-Result<ShardConfig::Placement> ParsePlacement(const std::string& name) {
-  if (name == "hash") return ShardConfig::Placement::kHash;
-  if (name == "slice") return ShardConfig::Placement::kSlice;
-  return Status::Invalid("unknown placement '" + name +
-                         "' (expected hash|slice)");
-}
-
-const char* PlacementName(ShardConfig::Placement placement) {
-  return placement == ShardConfig::Placement::kSlice ? "slice" : "hash";
-}
-
-Result<ShardConfig> ShardConfigFromFlags(int num_shards,
-                                         const std::string& placement,
-                                         int slice_attr,
-                                         int32_t slice_value) {
+ShardConfig ShardConfigFromFlags(int num_shards, int slice_attr,
+                                 int32_t slice_value) {
   ShardConfig config;
   config.num_shards = num_shards;
-  if (num_shards <= 1) return config;
-  FUME_ASSIGN_OR_RETURN(config.placement, ParsePlacement(placement));
-  if (config.placement == ShardConfig::Placement::kSlice) {
+  if (num_shards > 1) {
     config.slice_attr = slice_attr;
     config.slice_value = slice_value;
   }
@@ -150,8 +137,7 @@ Result<ShardedForest> ShardedForest::Train(const Dataset& train,
                                            const ShardConfig& shard,
                                            util::ThreadPool* pool) {
   FUME_RETURN_NOT_OK(ValidateShardConfig(shard));
-  if (shard.placement == ShardConfig::Placement::kSlice &&
-      shard.slice_attr >= train.num_attributes()) {
+  if (shard.slice_attr >= train.num_attributes()) {
     return Status::Invalid("slice_attr out of range");
   }
   obs::TraceSpan span("shard.train", {{"shards", shard.num_shards},
@@ -290,8 +276,7 @@ Status ShardedForest::DeleteRows(const std::vector<RowId>& global_rows,
 Result<std::vector<RowId>> ShardedForest::AddData(
     const Dataset& rows, util::ThreadPool* pool,
     std::vector<DeletionScratch>* scratch) {
-  if (shard_config_.slice_attr >= rows.num_attributes() &&
-      shard_config_.placement == ShardConfig::Placement::kSlice) {
+  if (shard_config_.slice_attr >= rows.num_attributes()) {
     return Status::Invalid("slice_attr out of range for inserted rows");
   }
   obs::TraceSpan span("shard.add", {{"rows", rows.num_rows()}});
@@ -458,7 +443,7 @@ Status ShardedForest::Save(std::ostream& out) const {
   util::BinaryWriter w(out);
   w.Header(kShardMagic, kShardVersion);
   w.Pod(static_cast<uint32_t>(n));
-  w.Pod(static_cast<uint8_t>(shard_config_.placement));
+  w.Pod(PlacementByte(static_cast<uint32_t>(n)));
   w.Pod(kSoftVoteByte);
   w.Pod(static_cast<int32_t>(shard_config_.slice_attr));
   w.Pod(shard_config_.slice_value);
@@ -511,16 +496,25 @@ Result<ShardedForest> ShardedForest::Load(std::istream& in) {
               &hot_shards)) {
     return r.Error("sharded forest: header");
   }
-  if (placement > 1 || vote != kSoftVoteByte ||
+  if (num_shards > 1 && placement == 0) {
+    return Status::IOError(
+        "sharded forest: a hash-placed container (placement byte 0), which "
+        "is no longer read: retrain, or replay the op-log from seq 0 into a "
+        "sliced engine");
+  }
+  if (placement != PlacementByte(num_shards) || vote != kSoftVoteByte ||
       hot_shards != kHotShardCount) {
     return Status::IOError("corrupt sharded forest header");
   }
   ShardedForest out;
   out.shard_config_.num_shards = static_cast<int>(num_shards);
-  out.shard_config_.placement = static_cast<ShardConfig::Placement>(placement);
   out.shard_config_.slice_attr = slice_attr;
   out.shard_config_.slice_value = slice_value;
-  FUME_RETURN_NOT_OK(ValidateShardConfig(out.shard_config_));
+  const Status valid = ValidateShardConfig(out.shard_config_);
+  if (!valid.ok()) {
+    return Status::IOError("corrupt sharded forest header: " +
+                           valid.message());
+  }
   auto shard_of = std::make_shared<std::vector<uint8_t>>();
   auto local_of = std::make_shared<std::vector<RowId>>();
   if (!r.Vec(shard_of.get()) || !r.Vec(local_of.get())) {
@@ -549,6 +543,15 @@ Result<ShardedForest> ShardedForest::Load(std::istream& in) {
     if (r.consumed() - start != len) {
       return Status::IOError("shard " + std::to_string(s) +
                              " blob length disagrees with its prefix");
+    }
+    // Train and AddData read every row's slice code.
+    if (slice_attr >= shard.store().num_attrs()) {
+      return Status::IOError(
+          std::string("sharded forest: slice attribute ")
+              .append(std::to_string(slice_attr))
+              .append(" out of range for shard ")
+              .append(std::to_string(s))
+              .append("'s store"));
     }
     out.shards_.push_back(std::move(shard));
   }

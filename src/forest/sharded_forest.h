@@ -17,8 +17,8 @@
 // its FromForest one-shard view).
 //
 // Determinism contract (docs/sharding.md):
-//  * Row placement is a pure function of the global row id (and, in slice
-//    mode, the row's slice attribute code) — never of thread schedule.
+//  * Row placement is a pure function of the global row id and the row's
+//    slice attribute code — never of thread schedule.
 //  * Shard s trains with seed `config.seed + kShardSeedStride * s`, so
 //    shard contents and structure are a pure function of (data, config,
 //    shard config). With num_shards == 1 the stride term vanishes and the
@@ -40,7 +40,6 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "data/dataset.h"
@@ -57,38 +56,29 @@ namespace fume {
 /// state: they are serialized with the sharded container (a checkpoint must
 /// re-route future ops identically), unlike the runtime execution knobs of
 /// ForestConfig.
+///
+/// One shard holds every row. Above one shard, rows whose `slice_attr` code
+/// equals `slice_value` (the planted-bias cohort — the rows FUME's search
+/// is most likely to delete) go to the LAST shard, and every other row goes
+/// to shard HashGlobalId(id) % (num_shards - 1). A deletion burst aimed at
+/// the biased slice then touches only the hot shard.
 struct ShardConfig {
-  enum class Placement : uint8_t {
-    /// splitmix64(global id) % num_shards — uniform, workload-oblivious.
-    kHash = 0,
-    /// Rows whose `slice_attr` code equals `slice_value` (the planted-bias
-    /// cohort — the rows FUME's search is most likely to delete) go to the
-    /// LAST shard; the rest hash across the other, cold shards. A deletion
-    /// burst aimed at the biased slice then touches only the hot shard.
-    kSlice = 1,
-  };
-
   int num_shards = 1;
-  Placement placement = Placement::kHash;
-  /// kSlice only: the attribute/code defining the hot cohort.
+  /// The attribute/code defining the hot cohort; required (>= 0) above one
+  /// shard.
   int slice_attr = -1;
   int32_t slice_value = 0;
 
   friend bool operator==(const ShardConfig&, const ShardConfig&) = default;
 };
 
-/// Parses "hash" / "slice" into a Placement.
-Result<ShardConfig::Placement> ParsePlacement(const std::string& name);
-const char* PlacementName(ShardConfig::Placement placement);
-
-/// The ShardConfig behind the tools' `--shards N --placement P` flags. One
-/// shard ignores `placement`. Slice placement pins the cohort whose
-/// `slice_attr` code is `slice_value` (the tools pass the sensitive
-/// attribute and its privileged code: the rows a parity-reducing deletion
-/// targets) to the last shard.
-Result<ShardConfig> ShardConfigFromFlags(int num_shards,
-                                         const std::string& placement,
-                                         int slice_attr, int32_t slice_value);
+/// The ShardConfig behind the tools' `--shards N` flag. One shard keeps the
+/// default slice fields; above one, the cohort whose `slice_attr` code is
+/// `slice_value` (the tools pass the sensitive attribute and its privileged
+/// code: the rows a parity-reducing deletion targets) goes to the last
+/// shard.
+ShardConfig ShardConfigFromFlags(int num_shards, int slice_attr,
+                                 int32_t slice_value);
 
 /// One unit of a fanned-out ensemble op: tree `tree` of shard `shard`.
 struct ShardTreeJob {
@@ -113,15 +103,15 @@ class ShardedForest {
   ShardedForest(ShardedForest&&) = default;
   ShardedForest& operator=(ShardedForest&&) = default;
 
-  /// Partitions `train` per `shard.placement` and trains each shard with
-  /// its derived seed, building every (shard, tree) on `pool` when given.
-  /// Errors if any shard would receive zero rows.
+  /// Partitions `train` per `shard` and trains each shard with its derived
+  /// seed, building every (shard, tree) on `pool` when given. Errors if any
+  /// shard would receive zero rows.
   static Result<ShardedForest> Train(const Dataset& train,
                                      const ForestConfig& config,
                                      const ShardConfig& shard,
                                      util::ThreadPool* pool = nullptr);
 
-  /// One-shard view of a trained forest: identity placement, and a CoW
+  /// One-shard view of a trained forest: identity maps, and a CoW
   /// Clone() of `forest` as shard 0 (O(trees); the clone also inherits any
   /// compiled arenas).
   /// Byte-identical to a one-shard Train on the forest's data and config,
@@ -193,17 +183,19 @@ class ShardedForest {
   Status Save(std::ostream& out) const;
   /// Reads a Save container, running LoadForest straight off `in` through
   /// one util::BinaryReader; a blob whose length prefix disagrees with the
-  /// bytes the reader consumed for it, or one-shard maps that are not the
-  /// identity, are IOErrors.
+  /// bytes the reader consumed for it, one-shard maps that are not the
+  /// identity, a slice attribute the shard stores lack, and a multi-shard
+  /// container of the retired hash placement are IOErrors.
   static Result<ShardedForest> Load(std::istream& in);
 
   /// IndexError unless every global id was assigned (DeleteRows' check).
   Status ValidateGlobalRows(const std::vector<RowId>& global_rows) const;
 
-  /// Deterministic id hash used by kHash placement (exposed for tests).
+  /// Deterministic id hash that spreads the rows outside the cohort across
+  /// the cold shards (exposed for tests).
   static uint64_t HashGlobalId(RowId global);
   /// The shard a new global row id would be routed to. `slice_code` is the
-  /// row's code at shard_config().slice_attr (ignored under kHash).
+  /// row's code at shard_config().slice_attr (ignored at one shard).
   int PlaceRow(RowId global, int32_t slice_code) const;
 
   /// Per-shard derived seed stride (shard s trains with base seed +

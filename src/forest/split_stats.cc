@@ -69,40 +69,11 @@ void NodeStats::Recompute(const TrainingStore& store, const RowId* rows,
   }
 }
 
-void NodeStats::RemoveRow(const TrainingStore& store, RowId row) {
-  RemoveRows(store, &row, 1);
-}
-
-void NodeStats::AddRow(const TrainingStore& store, RowId row) {
-  AddRows(store, &row, 1);
-}
-
 // Batch update order: rows outer, attributes inner. The store is row-major,
 // so each (scattered) row's cache line is touched exactly once, with its
 // label loaded once; the histograms are a few dozen entries and live in L1
-// across the whole batch. Integer increments commute, so the result is
-// byte-identical to n RemoveRow/AddRow calls in any order.
-void NodeStats::RemoveRows(const TrainingStore& store, const RowId* rows,
-                           int64_t n) {
-  const size_t num_attrs = cand_attrs.size();
-  int64_t* const h = hist.data();
-  const int32_t* const off = hist_offsets.data();
-  const int* const cand = cand_attrs.data();
-  for (int64_t k = 0; k < n; ++k) {
-    const RowId r = rows[k];
-    const int32_t* const codes = store.row_codes(r);
-    const int y = store.label(r);
-    pos -= y;
-    for (size_t i = 0; i < num_attrs; ++i) {
-      const auto v = static_cast<size_t>(codes[cand[i]]);
-      int64_t* const bin = h + 2 * (static_cast<size_t>(off[i]) + v);
-      --bin[0];
-      bin[1] -= y;
-    }
-  }
-  count -= n;
-}
-
+// across the whole batch. Integer updates commute, so the result does not
+// depend on row order.
 void NodeStats::AddRows(const TrainingStore& store, const RowId* rows,
                         int64_t n) {
   const size_t num_attrs = cand_attrs.size();

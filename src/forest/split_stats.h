@@ -83,29 +83,20 @@ struct NodeStats {
   /// so a scratch NodeStats refilled node after node stops allocating.
   void Recompute(const TrainingStore& store, const RowId* rows, int64_t n);
 
-  /// Subtracts one instance (used during unlearning).
-  void RemoveRow(const TrainingStore& store, RowId row);
-
-  /// Adds one instance (used during incremental addition).
-  void AddRow(const TrainingStore& store, RowId row);
-
-  /// Subtracts a batch in one pass over the rows: each row-major store line
-  /// and label is loaded exactly once while the small histograms stay
-  /// cache-resident for the whole batch. Integer decrements commute, so the
-  /// result is byte-identical to n RemoveRow calls.
-  void RemoveRows(const TrainingStore& store, const RowId* rows, int64_t n);
-
-  /// Batch counterpart of AddRow (same access pattern as RemoveRows).
+  /// Adds a batch (used during incremental addition) in one pass over the
+  /// rows: each row-major store line and label is loaded exactly once while
+  /// the small histograms stay cache-resident for the whole batch.
   void AddRows(const TrainingStore& store, const RowId* rows, int64_t n);
 
-  /// Fused RemoveRows + stable partition of [begin, end) around
-  /// (attr, threshold): every row's store line is visited exactly once to
-  /// update the histograms AND route the row (left side kept in place,
-  /// right side staged in *spill and copied back). Returns the boundary.
-  /// Identical statistics to RemoveRows and identical ordering to a stable
-  /// partition — the batched kernel's one-pass internal-node step.
-  /// (Deletion-only: the add path cannot fuse — an add retrain reuses its
-  /// routed span in batch order, which partitioning would destroy.)
+  /// Subtracts the rows of [begin, end) and stably partitions them around
+  /// (attr, threshold) in one pass: every row's store line is visited
+  /// exactly once to update the histograms AND route the row (left side
+  /// kept in place, right side staged in *spill and copied back). Returns
+  /// the boundary. Integer decrements commute, so the statistics equal a
+  /// ComputeFromRows over the surviving rows — the batched kernel's
+  /// one-pass internal-node step. (Deletion-only: the add path cannot fuse
+  /// — an add retrain reuses its routed span in batch order, which
+  /// partitioning would destroy.)
   RowId* RemoveRowsAndPartition(const TrainingStore& store, RowId* begin,
                                 RowId* end, int attr, int32_t threshold,
                                 std::vector<RowId>* spill);

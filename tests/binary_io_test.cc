@@ -233,7 +233,7 @@ TEST(ForgedFileTest, ShardedPlacementLengthIsRefusedCheaply) {
   const char magic[8] = {'F', 'U', 'M', 'E', 'S', 'H', 'R', 'D'};
   w.Header(magic, 1);
   w.Pod<uint32_t>(1);   // shards
-  w.Pod<uint8_t>(0);    // hash placement
+  w.Pod<uint8_t>(0);    // placement byte of one shard
   w.Pod<uint8_t>(0);    // soft vote
   w.Pod<int32_t>(-1);   // slice attribute
   w.Pod<int32_t>(0);    // slice value

@@ -157,21 +157,29 @@ TEST(CliGroupsTest, GroupsRegisterTheirFlagsAndBuildConfigs) {
   obs.Register(&flags, /*with_query_cost=*/false);
   const char* argv[] = {"tool", "--trees", "3", "--model-seed=9",
                         "--metric", "equalized-odds", "--k", "2",
-                        "--metrics"};
-  EXPECT_EQ(flags.Parse(9, argv, CountUsage), std::nullopt);
+                        "--metrics", "--shards=4"};
+  EXPECT_EQ(flags.Parse(10, argv, CountUsage), std::nullopt);
   testing::internal::CaptureStderr();
   const char* query_cost[] = {"tool", "--query-cost"};
   EXPECT_EQ(flags.Parse(2, query_cost, CountUsage), 2);
   const char* bad_metric[] = {"tool", "--metric", "statistical parity"};
   EXPECT_EQ(flags.Parse(3, bad_metric, CountUsage), 2);
+  // Shards slice one cohort; there is no placement to choose.
+  const char* placement[] = {"tool", "--placement", "slice"};
+  EXPECT_EQ(flags.Parse(3, placement, CountUsage), 2);
   EXPECT_EQ(testing::internal::GetCapturedStderr(),
             "unknown flag: --query-cost (see --help)\n"
-            "unknown metric 'statistical parity'\n");
+            "unknown metric 'statistical parity'\n"
+            "unknown flag: --placement (see --help)\n");
   EXPECT_TRUE(obs.print_metrics);
   const ForestConfig forest = model.Forest();
   EXPECT_EQ(forest.num_trees, 3);
   EXPECT_EQ(forest.max_depth, 8);
   EXPECT_EQ(forest.seed, 9u);
+  const ShardConfig shard = model.Shard(GroupSpec{1, 0});
+  EXPECT_EQ(shard.num_shards, 4);
+  EXPECT_EQ(shard.slice_attr, 1);
+  EXPECT_EQ(shard.slice_value, 0);
   const FumeConfig fume = search.Fume(GroupSpec{1, 0});
   EXPECT_EQ(fume.top_k, 2);
   EXPECT_EQ(fume.metric, FairnessMetric::kEqualizedOdds);

@@ -125,12 +125,19 @@ TEST(NodeStatsTest, ComputeAndRemoveAgree) {
   EXPECT_EQ(full.HistCount(0, 0), 2);  // x == 0 twice
   EXPECT_EQ(full.HistPos(0, 0), 2);
 
-  // Remove rows 0 and 3; must equal recompute on {1,2,4,5}.
+  // The kernel's step removes rows 5, 0, 3, 2 and partitions them on
+  // x <= 1: the statistics must equal a recompute on the survivors {1, 4},
+  // and each side keeps the batch order.
   NodeStats removed = full;
-  removed.RemoveRow(*store, 0);
-  removed.RemoveRow(*store, 3);
+  std::vector<RowId> doomed = {5, 0, 3, 2};
+  std::vector<RowId> spill;
+  RowId* mid = removed.RemoveRowsAndPartition(
+      *store, doomed.data(), doomed.data() + doomed.size(), /*attr=*/0,
+      /*threshold=*/1, &spill);
+  EXPECT_EQ(mid, doomed.data() + 2);
+  EXPECT_EQ(doomed, (std::vector<RowId>{0, 2, 5, 3}));
   NodeStats expect;
-  expect.ComputeFromRows(*store, {1, 2, 4, 5}, {0, 1});
+  expect.ComputeFromRows(*store, {1, 4}, {0, 1});
   EXPECT_TRUE(removed.Equals(expect));
 }
 

@@ -245,10 +245,9 @@ TEST(QueryScopeFumeTest, SearchCostReconcilesWithGlobalRegistry) {
   Fixture f = MakeFixture(2);
   FumeConfig config = TestFumeConfig(f);
   config.num_threads = 4;
-  ShardConfig two_shards;
-  two_shards.num_shards = 2;
-  auto sharded = ShardedForest::Train(f.train, FixtureForestConfig(),
-                                      two_shards);
+  auto sharded = ShardedForest::Train(
+      f.train, FixtureForestConfig(),
+      ShardConfigFromFlags(2, f.group.sensitive_attr, f.group.privileged_code));
   ASSERT_TRUE(sharded.ok());
   ModelEval sharded_original;
   sharded_original.fairness =

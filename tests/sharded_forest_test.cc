@@ -1,14 +1,15 @@
 // Exactness suite for the SISA sharded ensemble (forest/sharded_forest.h).
 //
 // Pins the determinism contract from docs/sharding.md: placement is a pure
-// function of the global id, a 1-shard ensemble (trained, or a trained
-// forest's FromForest view) is byte-identical to the monolithic forest,
-// UnlearnRemovalMethod scores an ensemble like a clone that deleted the
-// rows, a sharded delete equals running each shard's rows
+// function of the global id and the row's slice code, a 1-shard ensemble
+// (trained, or a trained forest's FromForest view) is byte-identical to the
+// monolithic forest, UnlearnRemovalMethod scores an ensemble like a clone
+// that deleted the rows, a sharded delete equals running each shard's rows
 // through that shard as a standalone monolithic forest, every observable
 // result is identical across thread counts, the streamed container's
 // header bytes are pinned, and the container rejects blobs whose length
-// prefix or one-shard placement maps lie.
+// prefix or one-shard placement maps lie, a slice attribute its stores
+// lack, and the retired hash placement.
 
 #include <gtest/gtest.h>
 
@@ -43,11 +44,9 @@ ForestConfig Config(uint64_t seed) {
   return config;
 }
 
-ShardConfig Shards(int n) {
-  ShardConfig shard;
-  shard.num_shards = n;
-  return shard;
-}
+// n shards; above one, the rows whose attribute-0 code is 0 are the hot
+// cohort in the last shard.
+ShardConfig Shards(int n) { return ShardConfigFromFlags(n, 0, 0); }
 
 std::string Bytes(const ShardedForest& forest) {
   std::ostringstream out(std::ios::binary);
@@ -72,38 +71,12 @@ std::vector<std::vector<int64_t>> MembersPerShard(const ShardedForest& f) {
   return members;
 }
 
-TEST(ShardedForestTest, ParsePlacementRoundTrips) {
-  auto hash = ParsePlacement("hash");
-  ASSERT_TRUE(hash.ok());
-  EXPECT_EQ(*hash, ShardConfig::Placement::kHash);
-  auto slice = ParsePlacement("slice");
-  ASSERT_TRUE(slice.ok());
-  EXPECT_EQ(*slice, ShardConfig::Placement::kSlice);
-  EXPECT_FALSE(ParsePlacement("round-robin").ok());
-  EXPECT_STREQ(PlacementName(ShardConfig::Placement::kHash), "hash");
-  EXPECT_STREQ(PlacementName(ShardConfig::Placement::kSlice), "slice");
-}
-
-TEST(ShardedForestTest, ShardConfigFromFlagsIgnoresPlacementAtOneShard) {
-  auto one = ShardConfigFromFlags(1, "no-such-placement", 3, 1);
-  ASSERT_TRUE(one.ok());
-  EXPECT_EQ(one->num_shards, 1);
-  EXPECT_EQ(one->placement, ShardConfig::Placement::kHash);
-  EXPECT_EQ(one->slice_attr, -1);
-
-  auto hash = ShardConfigFromFlags(4, "hash", 3, 1);
-  ASSERT_TRUE(hash.ok());
-  EXPECT_EQ(hash->num_shards, 4);
-  EXPECT_EQ(hash->placement, ShardConfig::Placement::kHash);
-  EXPECT_EQ(hash->slice_attr, -1);
-
-  auto slice = ShardConfigFromFlags(4, "slice", 3, 1);
-  ASSERT_TRUE(slice.ok());
-  EXPECT_EQ(slice->placement, ShardConfig::Placement::kSlice);
-  EXPECT_EQ(slice->slice_attr, 3);
-  EXPECT_EQ(slice->slice_value, 1);
-
-  EXPECT_FALSE(ShardConfigFromFlags(4, "round-robin", 3, 1).ok());
+TEST(ShardedForestTest, ShardConfigFromFlagsSlicesAboveOneShard) {
+  EXPECT_EQ(ShardConfigFromFlags(1, 3, 1), ShardConfig{});
+  const ShardConfig four = ShardConfigFromFlags(4, 3, 1);
+  EXPECT_EQ(four.num_shards, 4);
+  EXPECT_EQ(four.slice_attr, 3);
+  EXPECT_EQ(four.slice_value, 1);
 }
 
 TEST(ShardedForestTest, RejectsBadConfigs) {
@@ -112,13 +85,14 @@ TEST(ShardedForestTest, RejectsBadConfigs) {
       ShardedForest::Train(bundle.data, Config(9), Shards(0)).ok());
   EXPECT_FALSE(
       ShardedForest::Train(bundle.data, Config(9), Shards(65)).ok());
-  ShardConfig slice = Shards(4);
-  slice.placement = ShardConfig::Placement::kSlice;
-  slice.slice_attr = -1;  // slice mode needs a slice attribute
-  EXPECT_FALSE(ShardedForest::Train(bundle.data, Config(9), slice).ok());
-  slice.slice_attr = 0;
-  slice.num_shards = 1;  // the hot shard needs a cold shard beside it
-  EXPECT_FALSE(ShardedForest::Train(bundle.data, Config(9), slice).ok());
+  ShardConfig unsliced = Shards(4);
+  unsliced.slice_attr = -1;  // more than one shard needs a cohort to slice
+  EXPECT_TRUE(ShardedForest::Train(bundle.data, Config(9), unsliced)
+                  .status()
+                  .IsInvalid());
+  ShardConfig beyond = Shards(4);
+  beyond.slice_attr = bundle.data.num_attributes();
+  EXPECT_FALSE(ShardedForest::Train(bundle.data, Config(9), beyond).ok());
 }
 
 TEST(ShardedForestTest, OneShardIsByteIdenticalToMonolithic) {
@@ -169,38 +143,27 @@ TEST(ShardedForestTest, OneShardIsByteIdenticalToMonolithic) {
   EXPECT_EQ(Bytes(mutated_view), Bytes(*sharded));
 }
 
-TEST(ShardedForestTest, HashPlacementIsAPureFunctionOfTheId) {
-  auto bundle = Bundle(300, 3);
-  auto forest = ShardedForest::Train(bundle.data, Config(5), Shards(4));
-  ASSERT_TRUE(forest.ok());
-  for (RowId g = 0; g < forest->num_global_ids(); ++g) {
-    const int expect =
-        static_cast<int>(ShardedForest::HashGlobalId(g) % 4);
-    EXPECT_EQ(forest->shard_of(g), expect) << "global id " << g;
-    EXPECT_EQ(forest->PlaceRow(g, /*slice_code=*/0), expect);
-  }
-  // Placement maps address the original cells by global id.
-  for (RowId g = 0; g < forest->num_global_ids(); ++g) {
-    EXPECT_EQ(forest->Label(g), bundle.data.Label(g));
-    for (int a = 0; a < bundle.data.num_attributes(); ++a) {
-      ASSERT_EQ(forest->Code(g, a), bundle.data.Code(g, a));
-    }
-  }
-}
-
+// Placement is a pure function of the global id and the row's slice code:
+// the cohort goes to the last shard, every other row to
+// HashGlobalId(id) % (shards - 1).
 TEST(ShardedForestTest, SlicePlacementConcentratesTheHotCohort) {
   auto bundle = Bundle(400, 4);
   ShardConfig shard = Shards(4);
-  shard.placement = ShardConfig::Placement::kSlice;
-  shard.slice_attr = 0;
   shard.slice_value = bundle.data.Code(0, 0);  // a code that exists
   auto forest = ShardedForest::Train(bundle.data, Config(5), shard);
   ASSERT_TRUE(forest.ok());
   for (RowId g = 0; g < forest->num_global_ids(); ++g) {
-    if (bundle.data.Code(g, 0) == shard.slice_value) {
-      EXPECT_EQ(forest->shard_of(g), 3) << "hot row " << g;
-    } else {
-      EXPECT_LT(forest->shard_of(g), 3) << "cold row " << g;
+    const int32_t code = bundle.data.Code(g, 0);
+    const int expect =
+        code == shard.slice_value
+            ? 3
+            : static_cast<int>(ShardedForest::HashGlobalId(g) % 3);
+    EXPECT_EQ(forest->shard_of(g), expect) << "global id " << g;
+    EXPECT_EQ(forest->PlaceRow(g, code), expect);
+    // Placement maps address the original cells by global id.
+    EXPECT_EQ(forest->Label(g), bundle.data.Label(g));
+    for (int a = 0; a < bundle.data.num_attributes(); ++a) {
+      ASSERT_EQ(forest->Code(g, a), bundle.data.Code(g, a));
     }
   }
 }
@@ -420,7 +383,6 @@ TEST(ShardedForestTest, HeaderBytesArePinned) {
   auto one = ShardedForest::Train(bundle.data, Config(29), Shards(1));
   ASSERT_TRUE(one.ok());
   ShardConfig slice_config = Shards(4);
-  slice_config.placement = ShardConfig::Placement::kSlice;
   slice_config.slice_attr = 2;
   slice_config.slice_value = bundle.data.Code(0, 2);
   auto slice = ShardedForest::Train(bundle.data, Config(29), slice_config);
@@ -464,6 +426,56 @@ TEST(ShardedForestTest, HeaderBytesArePinned) {
     std::istringstream intact(bytes, std::ios::binary);
     EXPECT_TRUE(ShardedForest::Load(intact).ok());
   }
+}
+
+// The placement byte is 0 at one shard and 1 above. A multi-shard 0 is a
+// container of the retired hash placement, whose rows sit where the slice
+// rule would not put them: Load refuses it and names the remedy.
+TEST(ShardedForestTest, LoadRefusesTheRetiredHashPlacement) {
+  auto bundle = Bundle(300, 17);
+  auto one = ShardedForest::Train(bundle.data, Config(31), Shards(1));
+  auto four = ShardedForest::Train(bundle.data, Config(31), Shards(4));
+  ASSERT_TRUE(one.ok());
+  ASSERT_TRUE(four.ok());
+
+  std::string hashed = Bytes(*four);
+  ASSERT_EQ(Peek<uint8_t>(hashed, 16), 1);
+  Patch<uint8_t>(&hashed, 16, 0);
+  std::istringstream hashed_in(hashed, std::ios::binary);
+  auto loaded = ShardedForest::Load(hashed_in);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_TRUE(loaded.status().IsIOError()) << loaded.status().ToString();
+  EXPECT_NE(loaded.status().message().find("retrain"), std::string::npos)
+      << loaded.status().message();
+  EXPECT_NE(loaded.status().message().find("replay the op-log from seq 0"),
+            std::string::npos)
+      << loaded.status().message();
+
+  // One shard has nothing to slice: its placement byte 1 is corrupt.
+  std::string sliced_one = Bytes(*one);
+  ASSERT_EQ(Peek<uint8_t>(sliced_one, 16), 0);
+  Patch<uint8_t>(&sliced_one, 16, 1);
+  std::istringstream one_in(sliced_one, std::ios::binary);
+  loaded = ShardedForest::Load(one_in);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_TRUE(loaded.status().IsIOError()) << loaded.status().ToString();
+}
+
+// Train and AddData read every row's code at the slice attribute, so a
+// header naming an attribute the shard stores lack is refused at load, not
+// at the first insert.
+TEST(ShardedForestTest, LoadRefusesASliceAttributeTheStoresLack) {
+  auto bundle = Bundle(300, 18);
+  auto forest = ShardedForest::Train(bundle.data, Config(33), Shards(4));
+  ASSERT_TRUE(forest.ok());
+  const std::string bytes = Bytes(*forest);
+  ASSERT_EQ(Peek<int32_t>(bytes, 18), 0);
+  std::string forged = bytes;
+  Patch<int32_t>(&forged, 18, bundle.data.num_attributes());
+  std::istringstream in(forged, std::ios::binary);
+  auto loaded = ShardedForest::Load(in);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_TRUE(loaded.status().IsIOError()) << loaded.status().ToString();
 }
 
 TEST(ShardedForestTest, OneShardContainerCarriesIdentityMaps) {

@@ -1,8 +1,9 @@
 // Sharded stream engine suite: the engine always runs a SISA
-// ShardedForest; most cases use more than one shard. Pins the checkpoint
-// container (one streamed blob per shard, deterministic bytes), restore
-// equivalence with an uninterrupted run, the write path's bytes and work at
-// every thread count, and config/version validation at restore time.
+// ShardedForest; most cases use more than one shard, slicing the
+// privileged cohort into the last one. Pins the checkpoint container (one
+// streamed blob per shard, deterministic bytes), restore equivalence with
+// an uninterrupted run, the write path's bytes and work at every thread
+// count, and config/version/placement validation at restore time.
 
 #include <gtest/gtest.h>
 
@@ -41,7 +42,8 @@ ShardedPipeline BuildPipeline(uint64_t seed, int num_shards) {
   p.config.fume.support_max = 0.30;
   p.config.fume.max_literals = 1;
   p.config.fume.group = bundle->group;
-  p.config.shard.num_shards = num_shards;
+  p.config.shard = ShardConfigFromFlags(
+      num_shards, bundle->group.sensitive_attr, bundle->group.privileged_code);
   return p;
 }
 
@@ -178,12 +180,7 @@ TEST(ShardedStreamTest, ThreadCountsReplayIdentically) {
   };
   for (const Pin& pin : pins) {
     SCOPED_TRACE(testing::Message() << pin.num_shards << " shards");
-    ShardedPipeline p = BuildPipeline(12, pin.num_shards);
-    if (pin.num_shards > 1) {
-      p.config.shard.placement = ShardConfig::Placement::kSlice;
-      p.config.shard.slice_attr = p.group.sensitive_attr;
-      p.config.shard.slice_value = p.group.privileged_code;
-    }
+    const ShardedPipeline p = BuildPipeline(12, pin.num_shards);
     WorkloadOptions w;
     w.num_ops = 60;
     w.insert_batch = 5;
@@ -262,6 +259,30 @@ TEST(ShardedStreamTest, RestoreValidatesVersionAndShardConfig) {
   EXPECT_FALSE(
       StreamEngine::Restore(in4, p.initial_train.schema(), p.test, p.config)
           .ok());
+}
+
+// A checkpoint whose model container was hash-placed (placement byte 0
+// above one shard) is refused with the remedy: its rows sit where the
+// slice rule would not route them.
+TEST(ShardedStreamTest, RestoreRefusesTheRetiredHashPlacement) {
+  const ShardedPipeline p = BuildPipeline(9, 4);
+  auto engine = StreamEngine::Create(p.initial_train, p.test, p.config);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  std::ostringstream out(std::ios::binary);
+  ASSERT_TRUE(engine->SaveCheckpoint(out).ok());
+  std::string blob = out.str();
+  const size_t container = blob.find("FUMESHRD");
+  ASSERT_NE(container, std::string::npos);
+  ASSERT_EQ(blob[container + 16], '\1');  // the placement byte
+  blob[container + 16] = '\0';
+  std::istringstream in(blob, std::ios::binary);
+  auto restored =
+      StreamEngine::Restore(in, p.initial_train.schema(), p.test, p.config);
+  ASSERT_FALSE(restored.ok());
+  EXPECT_TRUE(restored.status().IsIOError()) << restored.status().ToString();
+  EXPECT_NE(restored.status().message().find("replay the op-log from seq 0"),
+            std::string::npos)
+      << restored.status().message();
 }
 
 TEST(ShardedStreamTest, RestoreRejectsVersionOneWithTheReplayRemedy) {

@@ -276,12 +276,8 @@ TEST(PredictionCacheTest, MatchesForestThroughMixedOps) {
 // write copies the paths it touches. The op-log mixes 12-row inserts, which
 // grow leaves into splits, with 3-row deletes.
 void ExpectCacheExactUnderLiveSnapshots(StreamPipeline p, int num_shards) {
-  if (num_shards > 1) {
-    p.config.shard.num_shards = num_shards;
-    p.config.shard.placement = ShardConfig::Placement::kSlice;
-    p.config.shard.slice_attr = p.group.sensitive_attr;
-    p.config.shard.slice_value = p.group.privileged_code;
-  }
+  p.config.shard = ShardConfigFromFlags(num_shards, p.group.sensitive_attr,
+                                        p.group.privileged_code);
   WorkloadOptions w;
   w.num_ops = 60;
   w.insert_batch = 12;
@@ -401,10 +397,8 @@ TEST(StreamExactnessTest, TwoHundredOpsSeedB) { RunExactness(9, 23); }
 // vote of those cold shards.
 TEST(StreamExactnessTest, FourSliceShardsMatchPerShardRetrains) {
   StreamPipeline p = BuildPipeline(4);
-  p.config.shard.num_shards = 4;
-  p.config.shard.placement = ShardConfig::Placement::kSlice;
-  p.config.shard.slice_attr = p.group.sensitive_attr;
-  p.config.shard.slice_value = p.group.privileged_code;
+  p.config.shard = ShardConfigFromFlags(4, p.group.sensitive_attr,
+                                        p.group.privileged_code);
   auto engine = StreamEngine::Create(p.initial_train, p.test, p.config);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
 

@@ -329,8 +329,8 @@ TEST(FusedUnlearnScoreTest, ShardedCacheMatchesShardedClonePath) {
   for (int64_t r = 0; r < 900; ++r) (r < 630 ? head : tail).push_back(r);
   const Dataset train = bundle->data.Select(head);
   const Dataset test = bundle->data.Select(tail);
-  ShardConfig shards;
-  shards.num_shards = 4;
+  const ShardConfig shards = ShardConfigFromFlags(
+      4, bundle->group.sensitive_attr, bundle->group.privileged_code);
   auto forest = ShardedForest::Train(train, BaseConfig(22), shards);
   ASSERT_TRUE(forest.ok());
   ShardedPredictionCache cache;
@@ -376,8 +376,8 @@ TEST(FusedUnlearnScoreTest, ShardedScoreIsIdenticalAcrossThreadCounts) {
   for (const bool german : {false, true}) {
     for (const int num_shards : {1, 4}) {
       Fixture f = MakeFixture(german, 17, BaseConfig(17));
-      ShardConfig shards;
-      shards.num_shards = num_shards;
+      const ShardConfig shards = ShardConfigFromFlags(
+          num_shards, f.group.sensitive_attr, f.group.privileged_code);
       auto forest = ShardedForest::Train(f.train, BaseConfig(17), shards);
       ASSERT_TRUE(forest.ok());
       ShardedPredictionCache cache;
@@ -502,8 +502,8 @@ TEST(FusedUnlearnScoreTest, WarmScratchScoresWithoutAllocating) {
 
   auto bundle = synth::MakeParametric(600, 8, 4, 16);
   ASSERT_TRUE(bundle.ok());
-  ShardConfig shards;
-  shards.num_shards = 3;
+  const ShardConfig shards = ShardConfigFromFlags(
+      3, bundle->group.sensitive_attr, bundle->group.privileged_code);
   auto forest = ShardedForest::Train(bundle->data, BaseConfig(16), shards);
   ASSERT_TRUE(forest.ok());
   ShardedPredictionCache ensemble_cache;

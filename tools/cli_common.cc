@@ -138,7 +138,6 @@ void ModelFlags::Register(FlagSet* flags) {
   flags->Int("--random-depth", &random_depth);
   flags->Uint64("--model-seed", &model_seed);
   flags->Int("--shards", &shards);
-  flags->String("--placement", &placement);
 }
 
 ForestConfig ModelFlags::Forest() const {
@@ -150,8 +149,8 @@ ForestConfig ModelFlags::Forest() const {
   return config;
 }
 
-Result<ShardConfig> ModelFlags::Shard(const GroupSpec& group) const {
-  return ShardConfigFromFlags(shards, placement, group.sensitive_attr,
+ShardConfig ModelFlags::Shard(const GroupSpec& group) const {
+  return ShardConfigFromFlags(shards, group.sensitive_attr,
                               group.privileged_code);
 }
 

@@ -83,19 +83,18 @@ struct DataFlags {
   Result<synth::DatasetBundle> Make(const std::string& name) const;
 };
 
-/// --trees, --depth, --random-depth, --model-seed, --shards, --placement.
+/// --trees, --depth, --random-depth, --model-seed, --shards.
 struct ModelFlags {
   int trees = 10;
   int depth = 8;
   int random_depth = 2;
   uint64_t model_seed = 31;
   int shards = 1;
-  std::string placement = "hash";
 
   void Register(FlagSet* flags);
   ForestConfig Forest() const;
   /// ShardConfigFromFlags, slicing on `group`'s privileged cohort.
-  Result<ShardConfig> Shard(const GroupSpec& group) const;
+  ShardConfig Shard(const GroupSpec& group) const;
 };
 
 /// --k, --support-min, --support-max, --literals, --threads, and --metric

@@ -74,13 +74,11 @@ Model:
                         the FUMEDARE forest blob); reload it with
                         ShardedForest::Load
   --shards N            audit a SISA sharded ensemble (default 1, the
-                        monolithic forest): rows partition across N
-                        sub-forests and every what-if unlearns only the
-                        shards it touches
-  --placement P         hash | slice (default hash; ignored at one shard);
-                        slice concentrates the sensitive privileged
-                        cohort into the last shard so bias-targeted
-                        deletions stay shard-local
+                        monolithic forest): the sensitive privileged
+                        cohort goes to the last shard and the other rows
+                        hash across the rest, so bias-targeted deletions
+                        stay shard-local and every what-if unlearns only
+                        the shards it touches
 
 Search:
   --metric M            statistical-parity | equalized-odds |
@@ -155,10 +153,9 @@ int Run(const CliOptions& opts) {
   if (!split.ok()) return cli::Fail(split.status());
 
   const ForestConfig forest_config = opts.model.Forest();
-  auto shard_config = opts.model.Shard(bundle->group);
-  if (!shard_config.ok()) return cli::Fail(shard_config.status());
   obs::QueryScope train_scope("train");
-  auto model = ShardedForest::Train(split->train, forest_config, *shard_config);
+  auto model = ShardedForest::Train(split->train, forest_config,
+                                    opts.model.Shard(bundle->group));
   const obs::QueryCost train_cost = train_scope.Finish();
   if (!model.ok()) return cli::Fail(model.status());
   event_log.Event("train")
@@ -174,8 +171,7 @@ int Run(const CliOptions& opts) {
             << bundle->data.schema().attribute(bundle->group.sensitive_attr).name
             << "\nmodel: ";
   if (opts.model.shards > 1) {
-    std::cout << opts.model.shards << " shards ("
-              << PlacementName(shard_config->placement) << " placement) x ";
+    std::cout << opts.model.shards << " shards (slice placement) x ";
   }
   std::cout << opts.model.trees << " trees, depth " << opts.model.depth
             << ", accuracy "

@@ -74,12 +74,10 @@ Model / search (applied to every tenant; same defaults as fume_stream):
                         stream ops and the prediction-cache refresh run
                         tree by tree
   --shards N            SISA shards per tenant (default 1 = monolithic):
-                        each tenant serves a hash-partitioned ensemble,
-                        stream deletes unlearn shard-locally and whatifs
-                        rescore only the shards they touch
-  --placement P         hash | slice (default hash); slice concentrates
-                        each tenant's sensitive privileged cohort into the
-                        last shard
+                        each tenant's sensitive privileged cohort goes to
+                        the last shard and its other rows hash across the
+                        rest; stream deletes unlearn shard-locally and
+                        whatifs rescore only the shards they touch
 
 Serving:
   --port N              TCP port on 127.0.0.1 (default 7733; 0 = ephemeral)
@@ -145,9 +143,7 @@ int Run(const CliOptions& opts) {
     config.engine.fume = opts.search.Fume(fixture->group);
     config.engine.drift.abs_threshold = opts.drift_abs;
     config.engine.drift.rel_threshold = opts.drift_rel;
-    auto shard_config = opts.model.Shard(fixture->group);
-    if (!shard_config.ok()) return cli::Fail(shard_config.status());
-    config.engine.shard = *shard_config;
+    config.engine.shard = opts.model.Shard(fixture->group);
     if (!opts.checkpoint_dir.empty()) {
       config.engine.checkpoint_path =
           opts.checkpoint_dir + "/" + name + ".ckpt";

@@ -73,12 +73,11 @@ Model:
   --depth N             max tree depth (default 8)
   --random-depth N      DaRE random upper levels (default 2)
   --model-seed N        forest seed (default 31)
-  --shards N            SISA shards (default 1 = monolithic): rows
-                        hash-partition across N sub-forests, deletes run
-                        shard-locally and searches unlearn per shard
-  --placement P         hash | slice (default hash); slice concentrates
-                        the dataset's sensitive privileged cohort — the
-                        rows FUME's deletions target — into the last shard
+  --shards N            SISA shards (default 1 = monolithic): the
+                        dataset's sensitive privileged cohort — the rows
+                        FUME's deletions target — goes to the last shard
+                        and the other rows hash across the rest; deletes
+                        run shard-locally and searches unlearn per shard
 
 Search:
   --metric M            statistical-parity | equalized-odds |
@@ -154,9 +153,7 @@ int Run(const CliOptions& opts) {
   stream::StreamEngineConfig config;
   config.forest = opts.model.Forest();
   config.fume = opts.search.Fume(fixture->group);
-  auto shard_config = opts.model.Shard(fixture->group);
-  if (!shard_config.ok()) return cli::Fail(shard_config.status());
-  config.shard = *shard_config;
+  config.shard = opts.model.Shard(fixture->group);
   config.drift.abs_threshold = opts.drift_abs;
   config.drift.rel_threshold = opts.drift_rel;
   config.search_on_checkpoint = !opts.no_search_on_checkpoint;
