@@ -143,6 +143,31 @@ TEST(ShardedForestTest, OneShardIsByteIdenticalToMonolithic) {
   EXPECT_EQ(Bytes(mutated_view), Bytes(*sharded));
 }
 
+// A row outside the cohort is placed by its id alone: whatever its
+// non-cohort slice code, it goes to HashGlobalId(id) % (shards - 1).
+TEST(ShardedForestTest, HashPlacementIsAPureFunctionOfTheId) {
+  auto bundle = Bundle(300, 3);
+  auto forest = ShardedForest::Train(bundle.data, Config(5), Shards(4));
+  ASSERT_TRUE(forest.ok());
+  for (RowId g = 0; g < forest->num_global_ids(); ++g) {
+    const int expect =
+        static_cast<int>(ShardedForest::HashGlobalId(g) % 3);
+    for (int32_t cold_code : {1, 2, 3}) {
+      EXPECT_EQ(forest->PlaceRow(g, cold_code), expect) << "global id " << g;
+    }
+    if (bundle.data.Code(g, 0) != 0) {
+      EXPECT_EQ(forest->shard_of(g), expect) << "global id " << g;
+    }
+  }
+  // Placement maps address the original cells by global id.
+  for (RowId g = 0; g < forest->num_global_ids(); ++g) {
+    EXPECT_EQ(forest->Label(g), bundle.data.Label(g));
+    for (int a = 0; a < bundle.data.num_attributes(); ++a) {
+      ASSERT_EQ(forest->Code(g, a), bundle.data.Code(g, a));
+    }
+  }
+}
+
 // Placement is a pure function of the global id and the row's slice code:
 // the cohort goes to the last shard, every other row to
 // HashGlobalId(id) % (shards - 1).
@@ -160,11 +185,6 @@ TEST(ShardedForestTest, SlicePlacementConcentratesTheHotCohort) {
             : static_cast<int>(ShardedForest::HashGlobalId(g) % 3);
     EXPECT_EQ(forest->shard_of(g), expect) << "global id " << g;
     EXPECT_EQ(forest->PlaceRow(g, code), expect);
-    // Placement maps address the original cells by global id.
-    EXPECT_EQ(forest->Label(g), bundle.data.Label(g));
-    for (int a = 0; a < bundle.data.num_attributes(); ++a) {
-      ASSERT_EQ(forest->Code(g, a), bundle.data.Code(g, a));
-    }
   }
 }
 
